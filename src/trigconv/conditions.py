@@ -514,16 +514,18 @@ def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionRe
     (insufficient length, negative values where forbidden) propagate.
     """
     opts = options or ClassifyOptions()
+    seq = obj.pos if isinstance(obj, TwoSidedSequence) else obj
+    N = resolve_horizon(seq, opts.horizon)
+    if N < 2:
+        raise SequenceError(
+            f"horizon {N} leaves the checkers an empty scan range; "
+            f"at least 2 terms are needed")
     reports: list[ConditionReport] = []
     if isinstance(obj, TwoSidedSequence):
         sector = Sector(opts.theta0)
         reports.append(check_pair_sector(obj, sector, opts.horizon))
         reports.extend(check_pair_null_and_summable(obj, opts.horizon))
-        seq = obj.pos
-    else:
-        seq = obj
 
-    N = resolve_horizon(seq, opts.horizon)
     m_range = None if opts.m_max is None else (1, opts.m_max)
     weight = opts.weight or weight_from_spec(parse_family_spec("one"))
     sector = Sector(opts.theta0)

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "SequenceError",
     "Sector",
-    "in_sector",
     "sector_dominance_constant",
     "CoefficientSequence",
     "TwoSidedSequence",
@@ -33,7 +32,6 @@ __all__ = [
     "FamilySpec",
     "parse_family_spec",
     "format_family_spec",
-    "parse_weight_spec",
     "family_sequence",
     "sequence_from_text",
     "weight_from_spec",
@@ -103,15 +101,6 @@ class Sector:
                 f"sector half-angle must lie in [0, pi/2); got {self.theta0!r}")
 
 
-def in_sector(z: complex, sector: Sector, angle_tol: float = ANGLE_TOL) -> bool:
-    """True iff z = 0 or |arg z| <= theta0 (principal-value two-argument
-    arctangent), with an absolute angle tolerance for boundary round-off."""
-    z = complex(z)
-    if z == 0:
-        return True
-    return abs(math.atan2(z.imag, z.real)) <= sector.theta0 + angle_tol
-
-
 def sector_dominance_constant(sector: Sector) -> float:
     """Smallest M with |z| <= M * Re z on K(theta0), namely 1/cos(theta0)."""
     return 1.0 / math.cos(sector.theta0)
@@ -152,6 +141,8 @@ class CoefficientSequence:
         arr.setflags(write=False)
         if not label:
             label = f"explicit[{arr.shape[0]}]"
+        if not np.all(np.isfinite(arr)):
+            raise SequenceError(f"explicit sequence {label!r} has non-finite values")
         return cls(label=label, kind="explicit", n_start=n_start,
                    is_real=is_real, values=arr)
 
@@ -181,27 +172,37 @@ class CoefficientSequence:
         if N < 0:
             raise SequenceError("prefix length must be nonnegative")
         if self.kind == "explicit":
-            if N > self.values.shape[0]:
-                raise SequenceError(
-                    f"insufficient length: sequence {self.label!r} has "
-                    f"{self.values.shape[0]} values, {N} requested")
+            self._require_length(N)
             return self.values[:N]
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
-            n = np.arange(self.n_start, self.n_start + N, dtype=np.int64)
-            arr = np.asarray(self.fn(n))
-            dtype = float if self.is_real else complex
-            arr = np.ascontiguousarray(arr, dtype=dtype)
-            if arr.shape != n.shape:
-                raise SequenceError(
-                    f"generator for {self.label!r} returned a wrong shape")
-            if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
-                raise SequenceError(
-                    f"generator for {self.label!r} produced non-finite values")
-            arr.setflags(write=False)
-            self._cache["arr"] = arr
-            cached = arr
+            cached = self.values_at(
+                np.arange(self.n_start, self.n_start + N, dtype=np.int64))
+            cached.setflags(write=False)
+            self._cache["arr"] = cached
         return cached[:N]
+
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        """Values at the indices n (an int64 array, each >= n_start), with
+        the dtype and checks of prefix(); generators are evaluated afresh."""
+        if self.kind == "explicit":
+            self._require_length(int(n.max()) - self.n_start + 1 if n.size else 0)
+            return self.values[n - self.n_start]
+        arr = np.ascontiguousarray(np.asarray(self.fn(n)),
+                                   dtype=float if self.is_real else complex)
+        if arr.shape != n.shape:
+            raise SequenceError(
+                f"generator for {self.label!r} returned a wrong shape")
+        if not np.all(np.isfinite(arr)):
+            raise SequenceError(
+                f"generator for {self.label!r} produced non-finite values")
+        return arr
+
+    def _require_length(self, N: int) -> None:
+        if N > self.values.shape[0]:
+            raise SequenceError(
+                f"insufficient length: sequence {self.label!r} has "
+                f"{self.values.shape[0]} values, {N} requested")
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,10 +412,6 @@ def format_family_spec(spec: FamilySpec) -> str:
 
 # -- weight realization -----------------------------------------------------
 
-def parse_weight_spec(text: str) -> WeightSequence:
-    return weight_from_spec(parse_family_spec(text))
-
-
 def weight_from_spec(spec: FamilySpec) -> WeightSequence:
     wid, params = spec.family_id, spec.params
     label = format_family_spec(spec)
@@ -502,10 +499,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         base = family_sequence(params[1])
 
         def prod(n):
-            if n.shape[0] and (n[0] != 1 or n[-1] - n[0] + 1 != n.shape[0]):
-                raise SequenceError("orvqm generator expects a 1-based prefix")
-            N = int(n.shape[0])
-            return weight.prefix(N) * base.prefix(N)
+            return weight.fn(n) * base.values_at(n)
         return CoefficientSequence.from_function(label, prod,
                                                  is_real=base.is_real)
     if fid == "perturbed":
@@ -517,10 +511,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         eff_seed = seed if seed is not None else seed_param
 
         def pert(n):
-            if n.shape[0] and (n[0] != 1 or n[-1] - n[0] + 1 != n.shape[0]):
-                raise SequenceError("perturbed generator expects a 1-based prefix")
-            N = int(n.shape[0])
-            return base.prefix(N) * (1.0 + eps * unit_noise(eff_seed, n))
+            return base.values_at(n) * (1.0 + eps * unit_noise(eff_seed, n))
         return CoefficientSequence.from_function(label, pert,
                                                  is_real=base.is_real)
     raise SequenceError(f"unknown family id {fid!r}")

@@ -7,6 +7,14 @@ Evaluation targets the two series shapes the checkers care about:
 * two-sided exponential series  c_0 + sum_{k>=1} (c_k e^{ikx} +
   c_{-k} e^{-ikx}), evaluated on (-pi, pi] directly.
 
+One engine evaluates both on a grid: a sine series is the two-sided series
+c_{+-k} = +-b_k / 2i.  On the uniform points x_j = pi j/M a term depends on
+k only through k mod 2M, so each partial-sum row there is one unscaled
+length-2M inverse FFT of the coefficients folded into 2M bins.  The
+geometric ladder and any extra points lie off that grid; they are summed
+directly over the nonzero coefficients, one point at a time, so sparse
+(lacunary) supports stay cheap.
+
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
 x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}; the companion
@@ -35,14 +43,13 @@ from .sequences import (
     TwoSidedSequence,
     sector_dominance_constant,
 )
-from .summation import exact_complex_sum, exact_sum, kahan_step
+from .summation import exact_complex_sum, exact_sum
 
 __all__ = [
     "GridSpec",
     "CurveEntry",
     "TailNormCurve",
     "ProbeResult",
-    "parse_grid_spec",
     "dirichlet_sine",
     "partial_sum_sine",
     "partial_sum_two_sided",
@@ -57,13 +64,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Direct per-frequency evaluation when at most this many coefficients are
-# nonzero (lacunary supports); otherwise the blocked engine runs.
-_SPARSE_LIMIT = 512
-
-# Element budget chunk_k * n_points for one block of the dense engine.
-_BLOCK_ELEMS = 1 << 21
-
 SeriesInput = Union[CoefficientSequence, TwoSidedSequence]
 
 
@@ -71,13 +71,19 @@ SeriesInput = Union[CoefficientSequence, TwoSidedSequence]
 # grids
 # ---------------------------------------------------------------------------
 
+def _uniform_points(j: np.ndarray, count: int) -> np.ndarray:
+    """The uniform points pi j / count; j = count gives pi exactly."""
+    return math.pi * (j / count)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Adaptive evaluation grid on (0, pi] for a frequency scale n_ref.
 
-    Points: a uniform grid of oversample * n_ref points (capped at
-    max_uniform), the geometric ladder x0 * 2^{j/4} with x0 = pi/(8 n_ref)
-    -- always containing x0 itself exactly -- and any explicit extras.
+    Points: the uniform points pi j/M, j = 1..M, with M = oversample * n_ref
+    capped at max_uniform, the geometric ladder x0 * 2^{j/4} with
+    x0 = pi/(8 n_ref) -- always containing x0 itself exactly -- and any
+    explicit extras.
     """
 
     n_ref: int
@@ -86,8 +92,9 @@ class GridSpec:
     max_uniform: int = 8192
 
     def __post_init__(self):
-        if self.n_ref < 1 or self.oversample < 1:
-            raise SequenceError("grid needs n_ref >= 1 and oversample >= 1")
+        if self.n_ref < 1 or self.oversample < 1 or self.max_uniform < 1:
+            raise SequenceError(
+                "grid needs n_ref, oversample and max_uniform >= 1")
         for x in self.extra:
             if not (0.0 < x <= math.pi):
                 raise SequenceError(f"grid point {x} outside (0, pi]")
@@ -96,9 +103,9 @@ class GridSpec:
     def x0(self) -> float:
         return math.pi / (8.0 * self.n_ref)
 
-    def points(self) -> np.ndarray:
+    def _split(self) -> tuple[int, np.ndarray]:
+        """(M, the sorted ladder and extra points that are not uniform)."""
         count = min(self.oversample * self.n_ref, self.max_uniform)
-        uniform = np.linspace(math.pi / count, math.pi, count)
         ladder = []
         j = 0
         while True:
@@ -107,23 +114,17 @@ class GridSpec:
                 break
             ladder.append(x)
             j += 1
-        parts = [uniform, np.asarray(ladder)]
-        if self.extra:
-            parts.append(np.asarray(self.extra, dtype=float))
-        return np.unique(np.concatenate(parts))
+        off = np.unique(np.asarray(ladder + list(self.extra), dtype=float))
+        uniform = _uniform_points(np.arange(1, count + 1), count)
+        return count, off[~np.isin(off, uniform)]
+
+    def points(self) -> np.ndarray:
+        count, off = self._split()
+        return np.sort(np.concatenate(
+            [_uniform_points(np.arange(1, count + 1), count), off]))
 
     def describe(self) -> str:
         return f"grid({self.n_ref},{self.oversample})"
-
-
-def parse_grid_spec(text: str) -> GridSpec:
-    """Parse the round-trip text form ``grid(n_ref,oversample)``."""
-    import re
-
-    m = re.fullmatch(r"\s*grid\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*", text)
-    if not m:
-        raise SequenceError(f"unparseable grid spec: {text!r}")
-    return GridSpec(n_ref=int(m.group(1)), oversample=int(m.group(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def two_sided_split(ts: TwoSidedSequence, n: int, x: float) -> tuple[complex, co
 
 
 # ---------------------------------------------------------------------------
-# blocked checkpoint engine
+# partial-sum rows
 # ---------------------------------------------------------------------------
 
 def _checkpoint_list(checkpoints: Sequence[int]) -> list[int]:
@@ -211,97 +212,68 @@ def _checkpoint_list(checkpoints: Sequence[int]) -> list[int]:
     return cps
 
 
-def _sine_rows(vals: np.ndarray, xs: np.ndarray,
-               checkpoints: Sequence[int]) -> dict[int, np.ndarray]:
-    """S_cp(x) = sum_{k<=cp} vals[k-1] sin(kx) for each checkpoint, one pass.
+def _fold(k: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """Bins b[r] = sum of w over k = r mod size, summed in input order."""
+    idx = k % size
+    return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
 
-    A sparse support (at most _SPARSE_LIMIT nonzero coefficients) switches
-    to direct per-frequency evaluation; otherwise k runs in blocks sized to
-    the element budget with compensated accumulation across blocks.
+
+def _rows(obj: SeriesInput, grid: GridSpec,
+          checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """S_cp on the grid for every checkpoint cp, in one pass over k.
+
+    Returns the sorted evaluation points -- grid.points() for a sine
+    series; for a two-sided one, those points, their mirror images and 0,
+    covering (-pi, pi] -- and per checkpoint the row of S_cp at them (float
+    for a real sine series, else complex).  A sine series runs as the
+    two-sided series c_{+-k} = +-b_k / 2i.  On the uniform points pi j/M a
+    row is one unscaled length-2M inverse FFT of the coefficients folded by
+    k mod 2M; the other points are summed directly over the nonzero
+    coefficients, one point at a time.
     """
     cps = _checkpoint_list(checkpoints)
-    if cps and cps[-1] > vals.shape[0]:
-        raise SequenceError("checkpoint beyond supplied coefficients")
-    cdtype = complex if np.iscomplexobj(vals) else float
-    acc = np.zeros(xs.shape[0], dtype=cdtype)
-    comp = np.zeros_like(acc)
-    rows: dict[int, np.ndarray] = {}
-
-    nz = np.flatnonzero(vals)
-    if nz.shape[0] <= _SPARSE_LIMIT:
-        done = 0
-        for cp in cps:
-            sel = nz[(nz >= done) & (nz < cp)]
-            if sel.shape[0]:
-                acc = acc + vals[sel] @ np.sin(np.outer(sel + 1.0, xs))
-            rows[cp] = acc.copy()
-            done = cp
-        return rows
-
-    chunk = max(128, _BLOCK_ELEMS // max(1, xs.shape[0]))
-    k0 = 0
-    for cp in cps:
-        while k0 < cp:
-            hi = min(cp, k0 + chunk)
-            k = np.arange(k0 + 1, hi + 1, dtype=float)
-            contrib = vals[k0:hi] @ np.sin(np.outer(k, xs))
-            kahan_step(acc, comp, contrib)
-            k0 = hi
-        rows[cp] = acc.copy()
-    return rows
-
-
-def _two_sided_rows(ts: TwoSidedSequence, xs: np.ndarray,
-                    checkpoints: Sequence[int]) -> dict[int, np.ndarray]:
-    """S_cp(x) over the two-sided series at each checkpoint, one pass."""
-    cps = _checkpoint_list(checkpoints)
     n_max = cps[-1] if cps else 0
-    pos = np.asarray(ts.pos.prefix(n_max), dtype=complex) if n_max else np.empty(0, complex)
-    neg = np.asarray(ts.neg.prefix(n_max), dtype=complex) if n_max else np.empty(0, complex)
-    acc = np.full(xs.shape[0], complex(ts.c0))
-    comp = np.zeros_like(acc)
-    rows: dict[int, np.ndarray] = {}
-
-    nz = np.union1d(np.flatnonzero(pos), np.flatnonzero(neg))
-    if nz.shape[0] <= _SPARSE_LIMIT:
-        done = 0
-        for cp in cps:
-            sel = nz[(nz >= done) & (nz < cp)]
-            if sel.shape[0]:
-                e = np.exp(1j * np.outer(sel + 1.0, xs))
-                acc = acc + pos[sel] @ e + neg[sel] @ np.conj(e)
-            rows[cp] = acc.copy()
-            done = cp
-        return rows
-
-    chunk = max(128, _BLOCK_ELEMS // (2 * max(1, xs.shape[0])))
-    k0 = 0
-    for cp in cps:
-        while k0 < cp:
-            hi = min(cp, k0 + chunk)
-            k = np.arange(k0 + 1, hi + 1, dtype=float)
-            e = np.exp(1j * np.outer(k, xs))
-            contrib = pos[k0:hi] @ e + neg[k0:hi] @ np.conj(e)
-            kahan_step(acc, comp, contrib)
-            k0 = hi
-        rows[cp] = acc.copy()
-    return rows
-
-
-def _two_sided_grid(xs: np.ndarray) -> np.ndarray:
-    """Extend a (0, pi] grid to (-pi, pi] with 0 for two-sided evaluation."""
-    mirrored = -xs[xs < math.pi]
-    return np.unique(np.concatenate([mirrored, [0.0], xs]))
-
-
-def _rows_for(obj: SeriesInput, xs: np.ndarray,
-              checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    M, off = grid._split()
     if isinstance(obj, TwoSidedSequence):
-        full = _two_sided_grid(xs)
-        return full, _two_sided_rows(obj, full, checkpoints)
-    n_max = max(checkpoints)
-    vals = np.asarray(obj.prefix(n_max))
-    return xs, _sine_rows(vals, xs, checkpoints)
+        c0, real = complex(obj.c0), False
+        pv, nv = obj.pos.prefix(n_max), obj.neg.prefix(n_max)
+        nz = np.flatnonzero((pv != 0) | (nv != 0))
+        pos, neg = pv[nz].astype(complex), nv[nz].astype(complex)
+        j = np.arange(-M + 1, M + 1)
+        off = np.concatenate([-off[::-1], off])
+    else:
+        c0, real = 0j, obj.is_real
+        b = obj.prefix(n_max)
+        nz = np.flatnonzero(b)
+        pos = b[nz] / 2j
+        neg = -pos
+        j = np.arange(1, M + 1)
+    k = nz + 1
+    ends = np.searchsorted(k, cps, side="right")
+
+    direct = np.empty((len(cps), off.shape[0]), dtype=complex)
+    for i, x in enumerate(off):
+        e = np.exp(1j * (k * x))
+        terms = pos * e + neg * np.conj(e)
+        acc, lo = c0, 0
+        for r, hi in enumerate(ends):
+            acc += terms[lo:hi].sum()
+            direct[r, i] = acc
+            lo = hi
+
+    xs = np.concatenate([_uniform_points(j, M), off])
+    order = np.argsort(xs, kind="stable")
+    size = 2 * M
+    bins = np.zeros(size, dtype=complex)
+    bins[0] = c0
+    rows: dict[int, np.ndarray] = {}
+    lo = 0
+    for cp, hi, d in zip(cps, ends, direct):
+        bins += _fold(k[lo:hi], pos[lo:hi], size) + _fold(-k[lo:hi], neg[lo:hi], size)
+        lo = hi
+        row = np.concatenate([np.fft.ifft(bins, norm="forward")[j % size], d])[order]
+        rows[cp] = row.real if real else row
+    return xs[order], rows
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +293,20 @@ def tail_sup_norm(obj: SeriesInput, n: int, N_ref: Optional[int] = None,
     N_ref = _default_nref(n) if N_ref is None else int(N_ref)
     if N_ref <= n:
         raise SequenceError(f"reference horizon {N_ref} must exceed n = {n}")
-    grid = grid or GridSpec(n_ref=max(1, n))
-    xs = grid.points()
-    if xs.size == 0:
-        raise SequenceError("empty evaluation grid")
-    _, rows = _rows_for(obj, xs, [n, N_ref])
+    _, rows = _rows(obj, grid or GridSpec(n_ref=max(1, n)), [n, N_ref])
     return float(np.abs(rows[N_ref] - rows[n]).max())
 
 
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
-    """sum_{k=lo+1}^{hi} |c_k| without caching huge prefixes."""
-    if seq.kind == "explicit":
+    """sum_{k=lo+1}^{hi} |c_k| without caching huge prefixes; explicit data
+    counts only up to its length."""
+    if seq.length is not None:
         hi = min(hi, seq.length)
-        if hi <= lo:
-            return 0.0
-        return exact_sum(np.abs(np.asarray(seq.prefix(seq.length)[lo:hi])))
     parts = []
     step = 1 << 20
-    start = lo
-    while start < hi:
-        stop = min(hi, start + step)
-        k = np.arange(start + 1, stop + 1, dtype=np.int64)
-        parts.append(exact_sum(np.abs(np.asarray(seq.fn(k)))))
-        start = stop
+    for start in range(lo, hi, step):
+        k = np.arange(start + 1, min(hi, start + step) + 1, dtype=np.int64)
+        parts.append(exact_sum(np.abs(seq.values_at(k))))
     return math.fsum(parts)
 
 
@@ -479,16 +442,14 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int, sector: Sector,
     lhs = 2.0 * exact_sum(pos[n:].real * sines)
     pair_abs = exact_sum(np.abs(ts.pair_sums(4 * n)[n:]))
 
-    grid = grid or GridSpec(n_ref=n)
-    xs = grid.points()
-    full, rows = _rows_for(ts, xs, [n, 4 * n])
+    xs, rows = _rows(ts, grid or GridSpec(n_ref=n), [n, 4 * n])
     norm_diff = float(np.abs(rows[4 * n] - rows[n]).max())
 
     c2n = abs(complex(pos[2 * n - 1]))
     lower_ref = (n / N0) * c2n / sector_dominance_constant(sector)
     res = ProbeResult(n, x0, sin_floor_ok, premises_ok, lhs, norm_diff,
                       pair_abs, norm_diff + pair_abs - lhs, lower_ref,
-                      int(full.shape[0]))
+                      int(xs.shape[0]))
     if premises_ok and not res.inequality_ok:
         raise SequenceError(
             f"test-point inequality violated at n={n}: slack {res.slack}")
@@ -546,7 +507,7 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
 
     All n share one reference horizon and one grid (built for the largest
-    n), so every row is computed in a single blocked pass and the rows are
+    n), so every row is computed in a single pass and the rows are
     comparable across n.
     """
     ns = [int(v) for v in n_list]
@@ -557,8 +518,7 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
     grid = grid or GridSpec(n_ref=n_max)
-    xs = grid.points()
-    _, rows = _rows_for(obj, xs, ns + [N_ref])
+    _, rows = _rows(obj, grid, ns + [N_ref])
     ref = rows[N_ref]
 
     slack, settled = truncation_slack(obj, N_ref, slack_octaves)

@@ -1,8 +1,8 @@
 """Deterministic compensated summation helpers.
 
-Every long reduction in this package runs through the functions below so
-that repeated runs produce bit-identical results: fixed evaluation order,
-no threading, and compensated (or exactly rounded) accumulation.  The
+The long reductions of the condition checkers run through the functions
+below so that repeated runs produce bit-identical results: fixed evaluation
+order, no threading, and compensated (or exactly rounded) accumulation.  The
 relative error of ``suffix_sums`` is a few ulp even for 2**20 terms, which
 keeps downstream ratio checks well inside their 1e-9 windows.
 """
@@ -54,35 +54,3 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
         offset = math.fsum(chunk_sums[idx + 1:])
         out[s:s + _CHUNK] = within + offset
     return out
-
-
-class KahanAccumulator:
-    """Scalar Kahan (compensated) running sum."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total
-
-
-def kahan_step(acc: np.ndarray, comp: np.ndarray, delta: np.ndarray) -> None:
-    """One vectorized Kahan step: acc += delta with carry array ``comp``.
-
-    Used when a grid of partial sums is accumulated chunk by chunk; the
-    per-chunk contributions themselves come from pairwise-accurate dots.
-    """
-    y = delta - comp
-    t = acc + y
-    comp[...] = (t - acc) - y
-    acc[...] = t

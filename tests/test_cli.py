@@ -73,7 +73,53 @@ def test_classify_file_input(tmp_path, capsys):
     assert len(digests[str(path)]) == 64
 
 
+def _is_input_error(code, err):
+    return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_non_finite_explicit_is_input_error(capsys):
+    code, out, err = run(capsys, "classify", "explicit:[1,nan,0.2,0.1]")
+    assert _is_input_error(code, err) and out == ""
+    assert "non-finite" in err
+
+
+def test_classify_non_finite_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    path.write_text("1.0\n0.5\ninf\n0.125\n")
+    code, out, err = run(capsys, "classify", f"file:{path}")
+    assert _is_input_error(code, err) and out == ""
+
+
+@pytest.mark.parametrize("horizon", ["0", "1"])
+def test_classify_rejects_horizon_without_scan_range(capsys, horizon):
+    code, out, err = run(capsys, "classify", "harmonic(1.0)",
+                         "--horizon", horizon)
+    assert _is_input_error(code, err) and out == ""
+    assert "empty scan range" in err
+
+
+def test_classify_composite_over_explicit_base(capsys):
+    code, out, _ = run(capsys, "classify",
+                       "perturbed(1,explicit:[1,0.5,0.25],0.1)",
+                       "--horizon", "3")
+    assert code == 0
+    assert all(r["range"]["horizon"] == 3
+               for r in json.loads(out)["reports"])
+
+
 # --- curve ------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["perturbed(2,harmonic(2.0),0.05)@3",
+                                  "orvqm(log,harmonic(2.0))"])
+def test_curve_composite_family(capsys, spec):
+    # the truncation slack evaluates the generator on (N_ref, 16 N_ref]
+    code, out, _ = run(capsys, "curve", spec, "--n", "16,32",
+                       "--nref", "1024")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["16", "32"]
+    assert all(float(r.split(",")[2]) > 0.0 for r in rows)
+
 
 def test_curve_zero_sequence(capsys):
     code, out, err = run(capsys, "curve", "zero", "--n", "8")

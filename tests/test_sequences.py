@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigconv.conditions import HOLDS, check_pair_sector
 from trigconv.sequences import (
     ANGLE_TOL,
     CoefficientSequence,
@@ -14,7 +15,6 @@ from trigconv.sequences import (
     TwoSidedSequence,
     family_sequence,
     format_family_spec,
-    in_sector,
     parse_family_spec,
     sector_dominance_constant,
     sequence_from_text,
@@ -84,6 +84,35 @@ def test_explicit_real_detection():
     assert not CoefficientSequence.explicit([1.0 + 1e-14j]).is_real
 
 
+def test_explicit_rejects_non_finite_values():
+    for bad in ([1.0, math.nan, 0.2], [1.0, math.inf], [1.0, complex(0.5, -math.inf)]):
+        with pytest.raises(SequenceError, match="non-finite"):
+            CoefficientSequence.explicit(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "perturbed(2,harmonic(2.0),0.05)@3",
+    "orvqm(log,harmonic(2.0))",
+    "orvqm(power(0.5),perturbed(4,log_damped,0.1))",
+])
+def test_composite_generators_are_pure_per_index(text):
+    # any index range, not only a 1-based prefix, gives the prefix's values
+    seq = sequence_from_text(text)
+    full = np.asarray(seq.prefix(300))
+    for lo, hi in ((0, 300), (17, 40), (255, 300), (99, 100)):
+        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        assert np.array_equal(seq.values_at(n), full[lo:hi])
+
+
+def test_composite_over_explicit_base():
+    seq = sequence_from_text("perturbed(1,explicit:[1,0.5,0.25],0.1)")
+    vals = np.asarray(seq.prefix(3))
+    assert np.all(np.abs(vals / [1.0, 0.5, 0.25] - 1.0) <= 0.1)
+    assert np.array_equal(seq.values_at(np.array([2, 3])), vals[1:])
+    with pytest.raises(SequenceError, match="insufficient length"):
+        seq.prefix(4)
+
+
 def test_prefix_is_stable_under_growth():
     seq = sequence_from_text("perturbed(2.0,harmonic(1.0),0.05)@9")
     a = np.asarray(seq.prefix(64)).copy()
@@ -147,15 +176,6 @@ def test_sector_validation():
     assert sector_dominance_constant(Sector(math.pi / 3)) == pytest.approx(2.0)
 
 
-def test_in_sector_boundary():
-    s = Sector(math.pi / 6)
-    assert in_sector(1.0 + 0j, s)
-    assert in_sector(complex(np.exp(1j * math.pi / 6)), s)
-    assert in_sector(0j, s)      # the origin belongs to every sector
-    assert not in_sector(complex(np.exp(1j * (math.pi / 6 + 1e-9))), s)
-    assert not in_sector(-1.0 + 0j, s)
-
-
 @settings(max_examples=200)
 @given(st.floats(0.0, math.pi / 2 - 1e-6), st.floats(-1.0, 1.0),
        st.floats(-1.0, 1.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
@@ -166,7 +186,10 @@ def test_sector_closed_under_positive_combinations(theta0, f1, f2, a, b):
     z2 = complex(np.exp(1j * f2 * theta0))
     combo = a * z1 + b * z2
     if abs(combo) > 1e-12:
-        assert in_sector(combo, s, angle_tol=1e-9)
+        # with c_-n = 0 the pair sums and differences are combo itself
+        ts = TwoSidedSequence(0.0, CoefficientSequence.explicit([combo]),
+                              CoefficientSequence.explicit([0.0]))
+        assert check_pair_sector(ts, s).verdict == HOLDS
 
 
 # --- two-sided -------------------------------------------------------------

@@ -18,13 +18,13 @@ from trigconv.series import (
     convergence_curve,
     dirichlet_sine,
     dyadic_variation_bound,
-    parse_grid_spec,
     partial_sum_sine,
     partial_sum_two_sided,
     tail_sup_norm,
     truncation_slack,
     two_sided_split,
 )
+from trigconv.series import _rows
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
@@ -106,9 +106,14 @@ def test_grid_points_sorted_in_halfperiod():
     assert pts[0] > 0 and pts[-1] <= math.pi
 
 
-def test_grid_spec_round_trip():
-    g = GridSpec(n_ref=128, oversample=16)
-    assert parse_grid_spec(g.describe()) == g
+def test_grid_uniform_part_is_exactly_pi_j_over_m():
+    g = GridSpec(n_ref=100, oversample=3)
+    pts = g.points()
+    uniform = math.pi * (np.arange(1, 301) / 300)
+    assert np.isin(uniform, pts).all() and pts[-1] == math.pi
+    # the remaining points are the ladder, with no near-duplicate of a
+    # uniform point
+    assert np.diff(pts).min() > 1e-9
 
 
 @given(st.integers(1, 2048))
@@ -116,6 +121,65 @@ def test_grid_size_monotone_in_oversample(n_ref):
     a = GridSpec(n_ref=n_ref, oversample=4).points().size
     b = GridSpec(n_ref=n_ref, oversample=8).points().size
     assert a <= b
+
+
+# --- row engine against the pointwise reference ----------------------------
+
+def _coefficients(rng, n, support):
+    if support == "sparse":
+        vals = np.zeros(n)
+        idx = rng.choice(n, size=min(n, 3), replace=False)
+        vals[idx] = rng.standard_normal(idx.size) / (idx + 1.0)
+        return vals
+    vals = rng.standard_normal(n) / np.arange(1, n + 1)
+    if support == "complex":
+        vals = vals + 1j * rng.standard_normal(n) / np.arange(1, n + 1)
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["real", "complex", "sparse"]),
+       st.booleans(),
+       st.integers(1, 12),
+       st.sampled_from([3, 8]),
+       st.lists(st.floats(1e-3, math.pi), max_size=3),
+       st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
+                                           oversample, extra, checkpoints):
+    rng = np.random.default_rng(seed)
+    N = max(checkpoints)
+    grid = GridSpec(n_ref=n_ref, oversample=oversample, extra=tuple(extra))
+    pts = grid.points()
+    if two_sided:
+        obj = TwoSidedSequence(
+            complex(rng.standard_normal(), rng.standard_normal()),
+            CoefficientSequence.explicit(_coefficients(rng, N, support)),
+            CoefficientSequence.explicit(_coefficients(rng, N, support)))
+        scale = 1.0 + abs(obj.c0) + np.abs(obj.pos.prefix(N)).sum() \
+            + np.abs(obj.neg.prefix(N)).sum()
+        want = np.concatenate([-pts[pts < math.pi][::-1], [0.0], pts])
+    else:
+        obj = CoefficientSequence.explicit(_coefficients(rng, N, support))
+        scale = 1.0 + np.abs(obj.prefix(N)).sum()
+        want = pts
+    xs, rows = _rows(obj, grid, checkpoints)
+    assert np.array_equal(xs, want)
+    assert sorted(rows) == sorted(set(checkpoints))
+    for cp, row in rows.items():
+        assert row.shape == xs.shape
+        for x, got in zip(xs, row):
+            if two_sided:
+                ref = partial_sum_two_sided(obj, cp, x)
+            else:
+                ref = partial_sum_sine(obj, cp, x) if cp else 0.0
+            assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_rows_of_real_sine_series_are_real():
+    grid = GridSpec(n_ref=16)
+    _, rows = _rows(sequence_from_text("harmonic(1.0)"), grid, [4, 64])
+    assert all(row.dtype == float for row in rows.values())
 
 
 # --- tail norms and curves -------------------------------------------------
@@ -215,6 +279,15 @@ def test_testpoint_probe_frozen_log_damped():
     assert pr.slack == pytest.approx(0.1354562129096561, rel=1e-9)
     assert pr.lower_reference == pytest.approx(0.08009966621460493, rel=1e-12)
     assert pr.grid_size == 4162
+
+
+@pytest.mark.parametrize("n,size", [(10, 198), (64, 1078), (256, 4162)])
+def test_testpoint_probe_grid_size(n, size):
+    # the two-sided grid mirrors the (0, pi] grid and adds 0
+    ts = TwoSidedSequence(0.0, sequence_from_text("harmonic(2.0)"),
+                          sequence_from_text("zero"))
+    pr = block_probe(ts, n, Sector(0.0))
+    assert pr.grid_size == size == 2 * GridSpec(n_ref=n).points().size
 
 
 def test_testpoint_probe_premises_flag():
