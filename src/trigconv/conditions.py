@@ -27,11 +27,25 @@ Condition vocabulary (ids):
 
 Differences are always Delta c_n = c_n - c_{n+1}.  All long sums run
 through the deterministic helpers in :mod:`trigconv.summation`.
+
+The tail-variation checkers (REST_BV, WEIGHTED_REST_BV, GROUP_BV, ORVQM)
+read one :class:`PrefixView` instead of the sequence: ``g[n-1] = c_n/R(n)``
+for n = 1..N and ``tail[m-1] = sum_{n=m}^{N-1} |g_n - g_{n+1}|`` from a
+single ``suffix_sums`` call, so a battery of checkers on one prefix builds
+these arrays once.  Two dtype rules keep the output independent of how the
+view is shared:
+
+* without a weight (R = 1) ``g`` is the sequence's prefix itself, real or
+  complex as stored, with no division and no copy;
+* with a weight ``g = complex(c) / R``, always in complex arithmetic, even
+  for real input, truncated where R overflows to infinity.
+
+A view lives only as long as the caller that builds it; it is never cached
+on the sequence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,14 +59,13 @@ from .sequences import (
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
-    weight_from_spec,
-    parse_family_spec,
 )
 from .summation import exact_sum, suffix_sums
 
 __all__ = [
     "ConditionReport",
     "ClassifyOptions",
+    "PrefixView",
     "check_quasimonotone",
     "check_orv_weight",
     "check_orvqm",
@@ -62,6 +75,7 @@ __all__ = [
     "check_pair_sector",
     "check_pair_null_and_summable",
     "classify",
+    "dyadic_block_maxima",
     "DEFAULT_HORIZON",
     "STABILIZATION_THRESHOLD",
     "NULL_TREND_TOL",
@@ -130,12 +144,68 @@ def _resolve_m_range(m_range, N: int) -> tuple[int, int]:
     return m_lo, m_hi
 
 
-def _nonneg_real_prefix(seq: CoefficientSequence, N: int) -> np.ndarray:
-    vals = seq.prefix(N)
+def _nonneg_real(seq: CoefficientSequence, vals: np.ndarray) -> np.ndarray:
     if not seq.is_real or (vals.size and float(vals.min()) < 0.0):
         raise SequenceError(
             f"not a nonnegative sequence: {seq.label!r}")
-    return np.asarray(vals, dtype=float)
+    return vals
+
+
+def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
+    """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based;
+    the last block is cut at the array's end)."""
+    starts = (1 << np.arange(vals.shape[0].bit_length())) - 1
+    return np.maximum.reduceat(vals, starts).tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixView:
+    """The derived arrays of one prefix that the tail-variation checkers
+    share: ``g[n-1] = c_n / R(n)`` and ``tail[m-1] = sum_{n=m}^{N-1}
+    |g_n - g_{n+1}|`` for n, m = 1..N, with ``tail[N-1] = 0``.
+
+    ``weight`` is None for the unit weight; then ``g`` is the sequence's
+    cached prefix.  A weight divides in complex arithmetic and truncates N
+    to the range where R is finite.
+    """
+
+    seq: CoefficientSequence
+    weight: Optional[WeightSequence]
+    g: np.ndarray
+    tail: np.ndarray
+
+    @classmethod
+    def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
+           weight: Optional[WeightSequence] = None) -> "PrefixView":
+        c = seq.prefix(resolve_horizon(seq, horizon))
+        if weight is None:
+            g = c
+        else:
+            rvals, finite_len = weight.validated_prefix(c.shape[0])
+            g = np.asarray(c[:finite_len], dtype=complex) / rvals[:finite_len]
+        absdiff = np.zeros(g.shape[0])
+        np.abs(g[:-1] - g[1:], out=absdiff[:-1])
+        return cls(seq, weight, g, suffix_sums(absdiff))
+
+    @property
+    def N(self) -> int:
+        return self.g.shape[0]
+
+    @property
+    def weight_label(self) -> str:
+        return "one" if self.weight is None else self.weight.label
+
+    def unweighted(self, cond: str) -> np.ndarray:
+        """g, which must be the sequence itself for condition ``cond``."""
+        if self.weight is not None:
+            raise SequenceError(f"{cond} needs the unweighted view of "
+                                f"{self.seq.label!r}")
+        return self.g
+
+    def block_sums(self, m: np.ndarray) -> np.ndarray:
+        """sum_{n=m}^{min(2m, N-1)} |g_n - g_{n+1}| for each m, as
+        differences of the tail sums."""
+        return self.tail[m - 1] - self.tail[np.minimum(2 * m, self.N - 1)]
 
 
 def _first_increase(x: np.ndarray) -> Optional[int]:
@@ -175,7 +245,7 @@ def check_quasimonotone(seq: CoefficientSequence, alpha: float = 0.0,
     in floating point still count as non-increasing.
     """
     N = resolve_horizon(seq, horizon)
-    vals = _nonneg_real_prefix(seq, N)
+    vals = _nonneg_real(seq, seq.prefix(N))
     n = np.arange(1, N + 1, dtype=float)
     quotient = vals / n ** alpha
     witness = _first_increase(quotient)
@@ -218,8 +288,7 @@ def check_orv_weight(weight: WeightSequence,
                            stab, notes=notes)
 
 
-def check_orvqm(seq: CoefficientSequence, weight: WeightSequence,
-                sector: Sector, horizon: Optional[int] = None) -> ConditionReport:
+def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     """Do the weighted differences stay in the sector?
 
     Checks c_n/R(n) - c_{n+1}/R(n+1) in K(theta0) for every n in range.
@@ -227,18 +296,11 @@ def check_orvqm(seq: CoefficientSequence, weight: WeightSequence,
     survive; with theta0 = 0 this reduces to "c_n/R(n) non-increasing".
     Reports the largest observed |arg| as the constant when the check holds.
     """
-    N = resolve_horizon(seq, horizon)
-    c = np.asarray(seq.prefix(N), dtype=complex)
-    rvals, finite_len = weight.validated_prefix(N)
-    if finite_len < N:
-        N = finite_len
-        c = c[:N]
-        rvals = rvals[:N]
-    g = c / rvals
+    g, N = view.g, view.N
     diffs = g[:-1] - g[1:]
     scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
     diffs = _snap_small(diffs, scale)
-    cond = f"ORVQM({weight.label},theta0={sector.theta0:.6g})"
+    cond = f"ORVQM({view.weight_label},theta0={sector.theta0:.6g})"
     nonzero = diffs != 0
     angles = np.zeros(diffs.shape[0])
     angles[nonzero] = _sector_angles(diffs[nonzero])
@@ -254,21 +316,21 @@ def check_orvqm(seq: CoefficientSequence, weight: WeightSequence,
 # tail-variation conditions
 # ---------------------------------------------------------------------------
 
-def _tail_variation_core(absdiff: np.ndarray, rhs: np.ndarray,
-                         m_lo: int, m_hi: int, N: int,
+def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
                          cond: str) -> ConditionReport:
     """Shared scan for the rest-bounded-variation style conditions.
 
-    absdiff[n-1] = |Delta at n| for n = 1..N-1; rhs[m-1] is the comparison
-    value at m.  Tail sums T_m = sum_{n=m}^{N-1} absdiff[n-1] come from the
-    deterministic suffix-sum helper (nonnegative terms: no cancellation).
-    Zero-denominator rule: rhs = 0 with T_m = 0 contributes ratio 0; rhs = 0
-    with T_m > 0 is a hard failure with witness m.
+    rhs[m-1] is the comparison value at m; the tail sums T_m are the view's
+    (nonnegative terms: no cancellation).  Zero-denominator rule: rhs = 0
+    with T_m = 0 contributes ratio 0; rhs = 0 with T_m > 0 is a hard failure
+    with witness m.
     """
+    N = view.N
+    m_lo, m_hi = _resolve_m_range(m_range, N)
     m_hi = min(m_hi, N - 1) if N > 1 else m_lo
     if N < 2:
         return ConditionReport(cond, HOLDS, 0.0, None, m_lo, m_lo, N, 0.0)
-    T = suffix_sums(absdiff)
+    T = view.tail
     Tm = T[m_lo - 1:m_hi]
     Rm = rhs[m_lo - 1:m_hi]
     zero_rhs = Rm == 0.0
@@ -288,79 +350,61 @@ def _tail_variation_core(absdiff: np.ndarray, rhs: np.ndarray,
     return ConditionReport(cond, verdict, constant, witness, m_lo, m_hi, N, stab)
 
 
-def check_rest_bv(seq: CoefficientSequence, horizon: Optional[int] = None,
-                  m_range=None) -> ConditionReport:
+def check_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     """Rest bounded variation: sum_{n>=m} |b_n - b_{n+1}| <= M * b_m.
 
-    The constant reported is the smallest M consistent with the checked
-    range, max over m of T_m / b_m.  A growing harmonic-like variation sum
-    is flagged ``inconclusive`` through the dyadic stabilization rule.
+    Takes the unweighted view of a nonnegative sequence.  The constant
+    reported is the smallest M consistent with the checked range, max over
+    m of T_m / b_m.  A growing harmonic-like variation sum is flagged
+    ``inconclusive`` through the dyadic stabilization rule.
     """
-    N = resolve_horizon(seq, horizon)
-    vals = _nonneg_real_prefix(seq, N)
-    m_lo, m_hi = _resolve_m_range(m_range, N)
-    absdiff = np.abs(vals[:-1] - vals[1:])
-    return _tail_variation_core(absdiff, vals, m_lo, m_hi, N, "REST_BV")
+    vals = _nonneg_real(view.seq, view.unweighted("REST_BV"))
+    return _tail_variation_core(view, vals, m_range, "REST_BV")
 
 
-def check_weighted_rest_bv(seq: CoefficientSequence, weight: WeightSequence,
-                           horizon: Optional[int] = None,
-                           m_range=None) -> ConditionReport:
+def check_weighted_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     """Weighted variant: sum_{n>=m} |c_n/R(n) - c_{n+1}/R(n+1)| bounded by
     M * |c_m| / R(m).  Real nonnegative input gets the _REAL condition id."""
-    N = resolve_horizon(seq, horizon)
-    c = np.asarray(seq.prefix(N), dtype=complex)
-    rvals, finite_len = weight.validated_prefix(N)
-    if finite_len < N:
-        N = finite_len
-        c, rvals = c[:N], rvals[:N]
-    m_lo, m_hi = _resolve_m_range(m_range, N)
-    g = c / rvals
-    absdiff = np.abs(g[:-1] - g[1:])
-    rhs = np.abs(g)
-    real_nonneg = seq.is_real and bool(np.all(c.real >= 0.0))
+    c = view.seq.prefix(view.N)
+    real_nonneg = view.seq.is_real and bool(np.all(c.real >= 0.0))
     cond = ("WEIGHTED_REST_BV_REAL" if real_nonneg else "WEIGHTED_REST_BV")
-    cond += f"({weight.label})"
-    return _tail_variation_core(absdiff, rhs, m_lo, m_hi, N, cond)
+    cond += f"({view.weight_label})"
+    return _tail_variation_core(view, np.abs(view.g), m_range, cond)
 
 
-def check_group_bv(seq: CoefficientSequence, N0: int = 1,
-                   horizon: Optional[int] = None,
+def check_group_bv(view: PrefixView, N0: int = 1,
                    m_range=None) -> ConditionReport:
     """Group bounded variation with a fixed comparison window:
 
         L_m = sum_{n=m}^{2m} |c_n - c_{n+1}|
             <= M * max_{m <= n < m+N0} |c_n| =: M * R_m    for all m.
 
-    Both sides are finite, so the verdict is exact -- ``holds`` with the
-    smallest consistent M (max ratio, refined by exactly rounded block sums
-    at the candidate maximizers) or ``fails`` with a witness m where R_m = 0
-    while L_m > 0.  Never ``inconclusive``.
+    Takes the unweighted view.  Both sides are finite, so the verdict is
+    exact -- ``holds`` with the smallest consistent M (max ratio, refined by
+    exactly rounded block sums at the candidate maximizers) or ``fails``
+    with a witness m where R_m = 0 while L_m > 0.  Never ``inconclusive``.
     """
     N0 = int(N0)
     if N0 < 1:
         raise SequenceError("window length N0 must be >= 1")
-    N = resolve_horizon(seq, horizon)
-    c = seq.prefix(N)
-    absdiff = np.abs(np.asarray(c[:-1]) - np.asarray(c[1:]))
-    cabs = np.abs(np.asarray(c))
+    cond = f"GROUP_BV(N0={N0})"
+    c, N = view.unweighted(cond), view.N
+    cabs = np.abs(c)
     m_lo, m_hi = _resolve_m_range(m_range, N)
     m_hi = min(m_hi, (N - 1) // 2, N - N0 + 1)
     if m_hi < m_lo:
         raise SequenceError(
             f"horizon {N} too small for the window scan starting at {m_lo}")
-    cond = f"GROUP_BV(N0={N0})"
 
-    V = np.append(suffix_sums(absdiff), 0.0)
     m = np.arange(m_lo, m_hi + 1)
-    L = V[m - 1] - V[np.minimum(2 * m, absdiff.shape[0])]
+    L = view.block_sums(m)
     R = cabs[m - 1].copy()
     for k in range(1, N0):
         R = np.maximum(R, cabs[m - 1 + k])
 
     def exact_L(mm: int) -> float:
         hi = min(2 * mm, N - 1)
-        return exact_sum(absdiff[mm - 1:hi])
+        return exact_sum(np.abs(c[mm - 1:hi] - c[mm:hi + 1]))
 
     zero_rhs = R == 0.0
     if zero_rhs.any():
@@ -456,13 +500,7 @@ def check_pair_null_and_summable(ts: TwoSidedSequence,
     n = np.arange(1, N + 1, dtype=float)
     t = n * np.maximum(pa, na)
 
-    block_max = []
-    j = 0
-    while (1 << j) <= N:
-        lo = 1 << j
-        hi = min((1 << (j + 1)) - 1, N)
-        block_max.append(float(t[lo - 1:hi].max()))
-        j += 1
+    block_max = dyadic_block_maxima(t)
     overall = max(block_max)
     last = block_max[-1]
     lo = 1 << (len(block_max) - 1)
@@ -527,19 +565,20 @@ def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionRe
         reports.extend(check_pair_null_and_summable(obj, opts.horizon))
 
     m_range = None if opts.m_max is None else (1, opts.m_max)
-    weight = opts.weight or weight_from_spec(parse_family_spec("one"))
     sector = Sector(opts.theta0)
 
     vals = seq.prefix(N)
     real_nonneg = seq.is_real and bool(np.all(np.asarray(vals) >= 0.0))
+    plain = PrefixView.of(seq, N)
+    weighted = plain if opts.weight is None else PrefixView.of(seq, N, opts.weight)
     if real_nonneg:
         reports.append(check_quasimonotone(seq, 0.0, N, condition="MONOTONE"))
         for alpha in opts.alphas:
             reports.append(check_quasimonotone(seq, alpha, N))
-        reports.append(check_rest_bv(seq, N, m_range))
-    reports.append(check_weighted_rest_bv(seq, weight, N, m_range))
+        reports.append(check_rest_bv(plain, m_range))
+    reports.append(check_weighted_rest_bv(weighted, m_range))
     for n0 in opts.n0_list:
         if N >= 3 and N - n0 + 1 >= 1:  # window scan needs at least one m
-            reports.append(check_group_bv(seq, n0, N, m_range))
-    reports.append(check_orvqm(seq, weight, sector, N))
+            reports.append(check_group_bv(plain, n0, m_range))
+    reports.append(check_orvqm(weighted, sector))
     return reports

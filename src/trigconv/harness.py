@@ -35,10 +35,12 @@ import numpy as np
 from .conditions import (
     FAILS,
     HOLDS,
+    PrefixView,
     check_group_bv,
     check_orv_weight,
     check_orvqm,
     check_weighted_rest_bv,
+    dyadic_block_maxima,
     resolve_horizon,
 )
 from .sequences import (
@@ -182,18 +184,6 @@ def _suffix(vals: np.ndarray) -> np.ndarray:
     return suffix_sums(vals)
 
 
-def _block_maxima(vals: np.ndarray) -> list[float]:
-    out = []
-    j = 0
-    N = vals.shape[0]
-    while (1 << j) <= N:
-        lo = 1 << j
-        hi = min((1 << (j + 1)) - 1, N)
-        out.append(float(vals[lo - 1:hi].max()))
-        j += 1
-    return out
-
-
 _TREND_WOBBLE = 0.05
 
 
@@ -202,7 +192,7 @@ def _null_trend_ok(cabs: np.ndarray) -> bool:
     wobble by at most _TREND_WOBBLE, no block exceeds the first by more
     than the wobble, and the last sits strictly below the first (all-zero
     data passes trivially)."""
-    M = _block_maxima(cabs)
+    M = dyadic_block_maxima(cabs)
     if M[0] == 0.0:
         return True
     allow = 1.0 + _TREND_WOBBLE
@@ -282,8 +272,8 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
 
 def verify_weighted_bv_implication(seq: CoefficientSequence,
                                    weight: WeightSequence,
-                                   horizon: Optional[int] = None,
-                                   m_range=None) -> VerificationOutcome:
+                                   horizon: Optional[int] = None
+                                   ) -> VerificationOutcome:
     """Drive the weighted-variation constant through the proof chain.
 
     Premises (else ``premises_not_met``): |c| null-trending on data, the
@@ -298,9 +288,19 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
                          rho = max_n R(2n+1)/R(n)
     """
     N = resolve_horizon(seq, horizon)
-    c = np.asarray(seq.prefix(N))
-    cabs = np.abs(c)
-    label = seq.label
+    weighted = PrefixView.of(seq, N, weight)
+    return _weighted_chain(PrefixView.of(seq, N), weighted,
+                           check_weighted_rest_bv(weighted))
+
+
+def _weighted_chain(plain: PrefixView, weighted: PrefixView,
+                    wrep) -> VerificationOutcome:
+    """The chain of verify_weighted_bv_implication on the unweighted and
+    weighted views of one prefix, with the weighted-variation report
+    already measured on the weighted one."""
+    N, weight = plain.N, weighted.weight
+    cabs = np.abs(plain.g)
+    label = plain.seq.label
     premises: list[InequalityRecord] = []
 
     trend_ok = _null_trend_ok(cabs)
@@ -312,7 +312,6 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
         "premise/weight_doubling", label, worv.verdict == HOLDS,
         worv.constant if worv.constant is not None else math.nan, math.inf,
         math.inf, detail=f"verdict={worv.verdict}"))
-    wrep = check_weighted_rest_bv(seq, weight, N, m_range)
     premises.append(InequalityRecord(
         "premise/weighted_variation", label, wrep.verdict == HOLDS,
         wrep.constant if wrep.constant is not None else math.nan, math.inf,
@@ -342,9 +341,7 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
 
     # block chain: suffix-difference variation per block against the
     # two-term right side
-    absdiff = np.abs(c[:-1] - c[1:])
-    V = np.append(suffix_sums(absdiff), 0.0)
-    lhs2 = V[m - 1] - V[np.minimum(2 * m, absdiff.shape[0])]
+    lhs2 = plain.block_sums(m)
     R2 = rvals[2 * m]          # R(2n+1), 1-based
     R1 = rvals[m - 1]          # R(n)
     rhs2 = M2 * R2 * g[m - 1] + g[m - 1] * (R2 - R1)
@@ -355,7 +352,7 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
 
     # predicted constant for the group-variation check
     rho = float((R2 / R1).max())
-    grep = check_group_bv(seq, 1, N, m_range)
+    grep = check_group_bv(plain, 1)
     ok_hold = grep.verdict == HOLDS
     predicted = (M2 + 1.0) * rho - 1.0
     measured = float(grep.constant) if ok_hold else math.inf
@@ -375,8 +372,8 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
 
 def verify_orvqm_implication(seq: CoefficientSequence,
                              weight: WeightSequence, sector: Sector,
-                             horizon: Optional[int] = None,
-                             m_range=None) -> VerificationOutcome:
+                             horizon: Optional[int] = None
+                             ) -> VerificationOutcome:
     """Sector-constrained differences: telescoping gives the weighted
     variation constant M <= 1/cos(theta0), then the chain above applies.
 
@@ -384,7 +381,8 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     lacunary family, say) yields ``premises_not_met``.
     """
     N = resolve_horizon(seq, horizon)
-    qrep = check_orvqm(seq, weight, sector, N)
+    weighted = PrefixView.of(seq, N, weight)
+    qrep = check_orvqm(weighted, sector)
     label = seq.label
     if qrep.verdict != HOLDS:
         rec = InequalityRecord(
@@ -395,9 +393,7 @@ def verify_orvqm_implication(seq: CoefficientSequence,
                                    {"instance": label,
                                     "reason": "premises not met"})
 
-    c = np.asarray(seq.prefix(N), dtype=complex)
-    rvals, _ = weight.validated_prefix(N)
-    h = c / rvals
+    h = weighted.g
     dominance = sector_dominance_constant(sector)
     records = [InequalityRecord(
         "premise/sector_differences", label, True,
@@ -405,24 +401,22 @@ def verify_orvqm_implication(seq: CoefficientSequence,
         detail="largest |arg| of the weighted differences")]
 
     # sector telescoping: sum_{k>=m} |diff| <= M(theta0) * Re h_m
-    T = suffix_sums(np.abs(h[:-1] - h[1:]))
-    m_hi = min(N - 1, max(1, N // 4) if m_range is None else int(m_range[1]))
-    m = np.arange(1 if m_range is None else int(m_range[0]), m_hi + 1)
-    lhs = T[m - 1]
+    m = np.arange(1, min(weighted.N - 1, max(1, weighted.N // 4)) + 1)
+    lhs = weighted.tail[m - 1]
     rhs = dominance * np.maximum(h[m - 1].real, 0.0)
     i = int(np.argmin(rhs - lhs))
     records.append(_gate("sector/telescoping", label, float(lhs[i]),
                          float(rhs[i]), witness=int(m[i]),
                          scale=max(1.0, float(np.abs(h).max()))))
 
-    wrep = check_weighted_rest_bv(seq, weight, N, m_range)
+    wrep = check_weighted_rest_bv(weighted)
     measured = float(wrep.constant) if wrep.verdict == HOLDS else math.inf
     rec = _gate("sector/variation_constant", label, measured, dominance,
                 detail=f"1/cos(theta0) = {dominance:.6g}")
     rec.passed = rec.passed and wrep.verdict == HOLDS
     records.append(rec)
 
-    inner = verify_weighted_bv_implication(seq, weight, horizon, m_range)
+    inner = _weighted_chain(PrefixView.of(seq, N), weighted, wrep)
     records.extend(inner.records)
     violated = not all(r.passed for r in records) or inner.status != STATUS_OK
     status = STATUS_VIOLATED if violated else STATUS_OK
@@ -529,15 +523,16 @@ def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
         detail=f"float product within {ulp_dev:g} ulp; "
                f"direct float product exact: {bool(np.all(prod == 1.0))}"))
 
-    # (ii) group variation fails for every window
-    all_fail = True
+    # (ii) group variation fails for every window; the view is dropped
+    # before the convergence curve below
+    view = PrefixView.of(b, horizon)
     for n0 in n0_list:
-        rep = check_group_bv(b, n0, horizon)
+        rep = check_group_bv(view, n0)
         ok = rep.verdict == FAILS and rep.witness is not None
-        all_fail = all_fail and ok
         records.append(InequalityRecord(
             f"group_bv/window_{n0}", label, ok, 0.0, 0.0, 0.0,
             witness=rep.witness, detail=f"verdict={rep.verdict}"))
+    del view
 
     # (iii) tail estimates against the absolute bound
     ns = [1 << j for j in range(6, int(math.log2(threshold_n)) + 1)]
@@ -603,7 +598,7 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
     records: list[InequalityRecord] = []
     for text in specs:
         seq = sequence_from_text(text)
-        grep = check_group_bv(seq, 1, resolve_horizon(seq, horizon))
+        grep = check_group_bv(PrefixView.of(seq, horizon), 1)
         curve = convergence_curve(seq, ns, N_ref=N_ref)
         final = curve.entries[-1]
         ncn_small = final.max_k_ck <= ncn_tol

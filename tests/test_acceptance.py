@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from trigconv.conditions import check_group_bv, check_rest_bv
+from trigconv.conditions import PrefixView, check_group_bv, check_rest_bv
 from trigconv.harness import (
     STATUS_OK,
     STATUS_VIOLATED,
@@ -43,8 +43,9 @@ def _nonincreasing_null_families():
 def test_criterion_1_telescoping_constants(acceptance_line):
     ok = True
     for seq in _nonincreasing_null_families():
-        rest = check_rest_bv(seq)
-        group = check_group_bv(seq, N0=1)
+        view = PrefixView.of(seq)
+        rest = check_rest_bv(view)
+        group = check_group_bv(view, N0=1)
         ok = ok and rest.verdict == "holds" and group.verdict == "holds"
         ok = ok and abs(rest.constant - 1.0) <= 1e-9
         ok = ok and group.constant <= 1.0 + 1e-12
@@ -66,8 +67,8 @@ def test_criterion_2_harmonic_block_constant(acceptance_line):
             best, arg = ratio, m
     ok = abs(best - 2.0 / 3.0) <= 1e-9 and arg == 1
 
-    report = check_group_bv(sequence_from_text("harmonic(1.0)"), N0=1,
-                            m_range=(1, 10**4))
+    report = check_group_bv(PrefixView.of(sequence_from_text("harmonic(1.0)")),
+                            N0=1, m_range=(1, 10**4))
     ok = ok and report.verdict == "holds"
     ok = ok and abs(report.constant - 2.0 / 3.0) <= 1e-9
     ok = ok and report.witness == 1

@@ -10,6 +10,7 @@ from trigconv.conditions import (
     HOLDS,
     INCONCLUSIVE,
     ClassifyOptions,
+    PrefixView,
     check_group_bv,
     check_orv_weight,
     check_orvqm,
@@ -85,7 +86,8 @@ def test_orv_weight_exp2_inconclusive():
 # --- rest bounded variation ------------------------------------------------
 
 def test_rest_bv_monotone_telescopes_to_one():
-    rep = check_rest_bv(sequence_from_text("harmonic(2.0)"), 1 << 16)
+    rep = check_rest_bv(PrefixView.of(sequence_from_text("harmonic(2.0)"),
+                                      1 << 16))
     assert rep.verdict == HOLDS
     assert rep.constant == pytest.approx(1.0, abs=1e-9)
     assert rep.m_min == 1
@@ -93,7 +95,7 @@ def test_rest_bv_monotone_telescopes_to_one():
 
 def test_rest_bv_zero_sequence():
     # 0/0 windows count as ratio 0 rather than poisoning the sup
-    rep = check_rest_bv(sequence_from_text("zero"), 1 << 8)
+    rep = check_rest_bv(PrefixView.of(sequence_from_text("zero"), 1 << 8))
     assert rep.verdict == HOLDS
     assert rep.constant == 0.0
 
@@ -101,15 +103,15 @@ def test_rest_bv_zero_sequence():
 def test_rest_bv_zero_denominator_hard_fail():
     # c_m = 0 with variation left beyond m: no constant can work
     seq = CoefficientSequence.explicit([1.0, 0.0, 0.5, 0.25, 0.0, 0.0])
-    rep = check_rest_bv(seq, m_range=(1, 4))
+    rep = check_rest_bv(PrefixView.of(seq), m_range=(1, 4))
     assert rep.verdict == FAILS
     assert rep.witness == 2
     assert rep.constant is None
 
 
 def test_weighted_rest_bv_real_label():
-    rep = check_weighted_rest_bv(sequence_from_text("harmonic(1.0)"),
-                                 _weight("one"), 1 << 12)
+    rep = check_weighted_rest_bv(PrefixView.of(
+        sequence_from_text("harmonic(1.0)"), 1 << 12, _weight("one")))
     assert rep.condition == "WEIGHTED_REST_BV_REAL(one)"
     assert rep.verdict == HOLDS
 
@@ -117,8 +119,8 @@ def test_weighted_rest_bv_real_label():
 def test_weighted_rest_bv_complex_label():
     vals = np.zeros(64, dtype=complex)
     vals[:16] = np.exp(1j * 0.1) * 2.0 ** -np.arange(16)
-    rep = check_weighted_rest_bv(CoefficientSequence.explicit(vals),
-                                 _weight("one"))
+    rep = check_weighted_rest_bv(PrefixView.of(
+        CoefficientSequence.explicit(vals), weight=_weight("one")))
     assert rep.condition == "WEIGHTED_REST_BV(one)"
     assert rep.verdict == HOLDS
 
@@ -127,7 +129,8 @@ def test_weighted_rest_bv_complex_label():
 
 def test_group_bv_harmonic_constant():
     # sum_{k=m}^{2m} |dc_k| / max window |c| peaks at m = 1 with 2/3
-    rep = check_group_bv(sequence_from_text("harmonic(1.0)"), 1, 1 << 16)
+    rep = check_group_bv(
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 16), 1)
     assert rep.verdict == HOLDS
     assert rep.constant == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.witness == 1
@@ -139,7 +142,7 @@ def test_group_bv_brute_force_small():
     rng = np.random.default_rng(17)
     vals = np.sort(rng.random(64))[::-1].copy()
     seq = CoefficientSequence.explicit(vals)
-    rep = check_group_bv(seq, 1)
+    rep = check_group_bv(PrefixView.of(seq), 1)
     absdiff = np.abs(np.diff(vals))
     best, best_m = -1.0, None
     for m in range(1, rep.m_max + 1):
@@ -155,7 +158,8 @@ def test_group_bv_brute_force_small():
 @pytest.mark.parametrize("n0,witness", [(1, 1), (2, 5), (4, 9), (8, 17),
                                         (16, 33)])
 def test_group_bv_lacunary_fails_each_window(n0, witness):
-    rep = check_group_bv(sequence_from_text("lacunary(1.0)"), n0, 1 << 16)
+    rep = check_group_bv(
+        PrefixView.of(sequence_from_text("lacunary(1.0)"), 1 << 16), n0)
     assert rep.verdict == FAILS
     assert rep.witness == witness    # first all-zero window with mass left
     assert rep.constant is None
@@ -163,7 +167,7 @@ def test_group_bv_lacunary_fails_each_window(n0, witness):
 
 def test_group_bv_never_inconclusive():
     for text in ["harmonic(1.0)", "lacunary(0.5)", "zero", "log_damped"]:
-        rep = check_group_bv(sequence_from_text(text), 1, 1 << 12)
+        rep = check_group_bv(PrefixView.of(sequence_from_text(text), 1 << 12), 1)
         assert rep.verdict in (HOLDS, FAILS)
 
 
@@ -180,7 +184,8 @@ def _sector_sequence(theta0, factor, n=512):
 def test_orvqm_holds_inside_sector():
     theta0 = math.pi / 6
     seq = _sector_sequence(theta0, 0.98)
-    rep = check_orvqm(seq, _weight("one"), Sector(theta0))
+    rep = check_orvqm(PrefixView.of(seq, weight=_weight("one")),
+                      Sector(theta0))
     assert rep.verdict == HOLDS
     assert rep.constant <= theta0 + 1e-12
     assert rep.constant == pytest.approx(0.98 * theta0, rel=1e-6)
@@ -189,7 +194,8 @@ def test_orvqm_holds_inside_sector():
 def test_orvqm_fails_outside_sector():
     theta0 = math.pi / 8
     seq = _sector_sequence(theta0, 1.5)
-    rep = check_orvqm(seq, _weight("one"), Sector(theta0))
+    rep = check_orvqm(PrefixView.of(seq, weight=_weight("one")),
+                      Sector(theta0))
     assert rep.verdict == FAILS
     assert rep.witness is not None
 
@@ -258,7 +264,8 @@ def test_classify_skips_infeasible_windows():
 
 
 def test_classify_report_json_shape():
-    rep = check_group_bv(sequence_from_text("harmonic(1.0)"), 1, 1 << 10)
+    rep = check_group_bv(
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 10), 1)
     d = rep.to_json_dict()
     assert sorted(d) == ["condition", "constant", "range", "stabilization",
                         "verdict", "witness"]
@@ -277,10 +284,10 @@ def test_rest_bv_telescoping_identity(seed):
     vals = np.zeros(4 * m)
     vals[:m] = np.sort(rng.random(m))[::-1]
     seq = CoefficientSequence.explicit(vals)
-    rep = check_rest_bv(seq)
+    rep = check_rest_bv(PrefixView.of(seq))
     assert rep.verdict == HOLDS
     assert abs(rep.constant - 1.0) <= 1e-12
-    grep = check_group_bv(seq, 1)
+    grep = check_group_bv(PrefixView.of(seq), 1)
     assert grep.verdict == HOLDS
     assert grep.constant <= 1.0 + 1e-12
 
@@ -291,8 +298,9 @@ def test_verdicts_scale_invariant(seed, scale):
     rng = np.random.default_rng(seed)
     vals = np.abs(rng.standard_normal(128)) + 1e-3
     vals[96:] = 0.0
-    a = check_group_bv(CoefficientSequence.explicit(vals), 1)
-    b = check_group_bv(CoefficientSequence.explicit(vals * scale), 1)
+    a = check_group_bv(PrefixView.of(CoefficientSequence.explicit(vals)), 1)
+    b = check_group_bv(
+        PrefixView.of(CoefficientSequence.explicit(vals * scale)), 1)
     assert a.verdict == b.verdict
     assert a.witness == b.witness
     if a.constant is not None:
