@@ -29,19 +29,13 @@ Differences are always Delta c_n = c_n - c_{n+1}.  All long sums run
 through the deterministic helpers in :mod:`trigconv.summation`.
 
 The tail-variation checkers (REST_BV, WEIGHTED_REST_BV, GROUP_BV, ORVQM)
-read one :class:`PrefixView` instead of the sequence: ``g[n-1] = c_n/R(n)``
-for n = 1..N and ``tail[m-1] = sum_{n=m}^{N-1} |g_n - g_{n+1}|`` from a
-single ``suffix_sums`` call, so a battery of checkers on one prefix builds
-these arrays once.  Two dtype rules keep the output independent of how the
-view is shared:
-
-* without a weight (R = 1) ``g`` is the sequence's prefix itself, real or
-  complex as stored, with no division and no copy;
-* with a weight ``g = complex(c) / R``, always in complex arithmetic, even
-  for real input, truncated where R overflows to infinity.
-
-A view lives only as long as the caller that builds it; it is never cached
-on the sequence.
+read a :class:`PrefixView`: ``g[n-1] = c_n/R(n)`` and the tail sums
+``tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|`` from one ``suffix_sums`` call,
+built once per (sequence, horizon, weight) by the caller and never cached
+on the sequence.  Two dtype rules: without a weight ``g`` is the prefix
+itself, real or complex as stored, with no division and no copy; a weight
+divides in complex arithmetic, even for real input, and truncates N where
+R overflows to infinity.
 """
 
 from __future__ import annotations
@@ -160,14 +154,8 @@ def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class PrefixView:
-    """The derived arrays of one prefix that the tail-variation checkers
-    share: ``g[n-1] = c_n / R(n)`` and ``tail[m-1] = sum_{n=m}^{N-1}
-    |g_n - g_{n+1}|`` for n, m = 1..N, with ``tail[N-1] = 0``.
-
-    ``weight`` is None for the unit weight; then ``g`` is the sequence's
-    cached prefix.  A weight divides in complex arithmetic and truncates N
-    to the range where R is finite.
-    """
+    """g and tail (see the module docstring) of one prefix, tail[N-1] = 0;
+    ``weight`` None means R = 1."""
 
     seq: CoefficientSequence
     weight: Optional[WeightSequence]
@@ -177,12 +165,10 @@ class PrefixView:
     @classmethod
     def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
            weight: Optional[WeightSequence] = None) -> "PrefixView":
-        c = seq.prefix(resolve_horizon(seq, horizon))
-        if weight is None:
-            g = c
-        else:
-            rvals, finite_len = weight.validated_prefix(c.shape[0])
-            g = np.asarray(c[:finite_len], dtype=complex) / rvals[:finite_len]
+        g = seq.prefix(resolve_horizon(seq, horizon))
+        if weight is not None:
+            rvals, finite_len = weight.validated_prefix(g.shape[0])
+            g = np.asarray(g[:finite_len], dtype=complex) / rvals[:finite_len]
         absdiff = np.zeros(g.shape[0])
         np.abs(g[:-1] - g[1:], out=absdiff[:-1])
         return cls(seq, weight, g, suffix_sums(absdiff))
@@ -228,7 +214,11 @@ def _snap_small(diffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _sector_angles(z: np.ndarray) -> np.ndarray:
-    return np.abs(np.arctan2(z.imag, z.real))
+    """|arg z| elementwise, 0 where z == 0."""
+    ang = np.zeros(z.shape[0])
+    nonzero = z != 0
+    ang[nonzero] = np.abs(np.arctan2(z[nonzero].imag, z[nonzero].real))
+    return ang
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +291,7 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
     diffs = _snap_small(diffs, scale)
     cond = f"ORVQM({view.weight_label},theta0={sector.theta0:.6g})"
-    nonzero = diffs != 0
-    angles = np.zeros(diffs.shape[0])
-    angles[nonzero] = _sector_angles(diffs[nonzero])
+    angles = _sector_angles(diffs)
     ok = angles <= sector.theta0 + ANGLE_TOL
     if ok.all():
         constant = float(angles.max()) if angles.size else 0.0
@@ -330,8 +318,7 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
     m_hi = min(m_hi, N - 1) if N > 1 else m_lo
     if N < 2:
         return ConditionReport(cond, HOLDS, 0.0, None, m_lo, m_lo, N, 0.0)
-    T = view.tail
-    Tm = T[m_lo - 1:m_hi]
+    Tm = view.tail[m_lo - 1:m_hi]
     Rm = rhs[m_lo - 1:m_hi]
     zero_rhs = Rm == 0.0
     if np.any(zero_rhs & (Tm > 0.0)):
@@ -342,9 +329,9 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
     ratios[pos] = Tm[pos] / Rm[pos]
     constant = float(ratios.max()) if ratios.size else 0.0
     witness = m_lo + int(np.argmax(ratios)) if ratios.size else None
-    total = float(T[m_lo - 1])
+    total = float(view.tail[m_lo - 1])
     half_start = max(m_lo, N // 2)
-    block = float(T[half_start - 1])
+    block = float(view.tail[half_start - 1])
     stab = block / total if total > 0.0 else 0.0
     verdict = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
     return ConditionReport(cond, verdict, constant, witness, m_lo, m_hi, N, stab)
@@ -459,18 +446,13 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     cond = f"PAIR_SECTOR(theta0={sector.theta0:.6g})"
     worst = 0.0
     for z in (sums, diffs):
-        nonzero = z != 0
-        ang = np.zeros(z.shape[0])
-        ang[nonzero] = _sector_angles(z[nonzero])
+        ang = _sector_angles(z)
         bad = ang > sector.theta0 + ANGLE_TOL
         if bad.any():
             witness = int(np.argmax(bad)) + 1
             return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
         worst = max(worst, float(ang.max()) if ang.size else 0.0)
-    nz = doubles != 0
-    dang = np.zeros(doubles.shape[0])
-    dang[nz] = _sector_angles(doubles[nz])
-    bad = dang > sector.theta0 + 2 * ANGLE_TOL
+    bad = _sector_angles(doubles) > sector.theta0 + 2 * ANGLE_TOL
     if bad.any():
         witness = int(np.argmax(bad)) + 1
         return ConditionReport(cond, FAILS, None, witness, 1, N, N, None,
@@ -480,14 +462,12 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
 
 def check_pair_null_and_summable(ts: TwoSidedSequence,
                                  horizon: Optional[int] = None,
-                                 null_tol: float = NULL_TREND_TOL,
-                                 stab_threshold: float = STABILIZATION_THRESHOLD,
                                  ) -> tuple[ConditionReport, ConditionReport]:
     """The two tail conditions of the exponential-series criterion.
 
     First report (N_TIMES_C_NULL): dyadic block maxima of
     n * max(|c_n|, |c_-n|) must decay; ``holds`` once the final block
-    maximum sits below ``null_tol``, ``fails`` when the trend never decays
+    maximum sits below NULL_TREND_TOL, ``fails`` when the trend never decays
     (final block at the running maximum), ``inconclusive`` in between.  The
     final block maximum is recorded as both constant and stabilization.
 
@@ -505,7 +485,7 @@ def check_pair_null_and_summable(ts: TwoSidedSequence,
     last = block_max[-1]
     lo = 1 << (len(block_max) - 1)
     witness = lo + int(np.argmax(t[lo - 1:N]))
-    if last <= null_tol:
+    if last <= NULL_TREND_TOL:
         verdict = HOLDS
     elif overall > 0 and last >= (1.0 - 1e-3) * overall:
         verdict = FAILS
@@ -519,7 +499,7 @@ def check_pair_null_and_summable(ts: TwoSidedSequence,
     total = exact_sum(s)
     half = exact_sum(s[max(1, N // 2) - 1:])
     stab = half / total if total > 0.0 else 0.0
-    verdict6 = HOLDS if stab <= stab_threshold else INCONCLUSIVE
+    verdict6 = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
     rep6 = ConditionReport("PAIR_ABS_SUMMABLE", verdict6, total, None,
                            1, N, N, stab)
     return rep5, rep6
@@ -536,7 +516,6 @@ class ClassifyOptions:
     horizon: Optional[int] = None
     m_max: Optional[int] = None
     n0_list: Sequence[int] = (1, 2, 4, 8, 16)
-    alphas: Sequence[float] = (0.5, 1.0)
     theta0: float = 0.0
     weight: Optional[WeightSequence] = None
 
@@ -559,21 +538,19 @@ def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionRe
             f"horizon {N} leaves the checkers an empty scan range; "
             f"at least 2 terms are needed")
     reports: list[ConditionReport] = []
+    sector = Sector(opts.theta0)
     if isinstance(obj, TwoSidedSequence):
-        sector = Sector(opts.theta0)
         reports.append(check_pair_sector(obj, sector, opts.horizon))
         reports.extend(check_pair_null_and_summable(obj, opts.horizon))
 
     m_range = None if opts.m_max is None else (1, opts.m_max)
-    sector = Sector(opts.theta0)
-
-    vals = seq.prefix(N)
-    real_nonneg = seq.is_real and bool(np.all(np.asarray(vals) >= 0.0))
     plain = PrefixView.of(seq, N)
-    weighted = plain if opts.weight is None else PrefixView.of(seq, N, opts.weight)
+    weighted = (plain if opts.weight is None
+                else PrefixView.of(seq, N, opts.weight))
+    real_nonneg = seq.is_real and bool(np.all(plain.g >= 0.0))
     if real_nonneg:
         reports.append(check_quasimonotone(seq, 0.0, N, condition="MONOTONE"))
-        for alpha in opts.alphas:
+        for alpha in (0.5, 1.0):
             reports.append(check_quasimonotone(seq, alpha, N))
         reports.append(check_rest_bv(plain, m_range))
     reports.append(check_weighted_rest_bv(weighted, m_range))

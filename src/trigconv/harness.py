@@ -35,13 +35,13 @@ import numpy as np
 from .conditions import (
     FAILS,
     HOLDS,
+    ConditionReport,
     PrefixView,
     check_group_bv,
     check_orv_weight,
     check_orvqm,
     check_weighted_rest_bv,
     dyadic_block_maxima,
-    resolve_horizon,
 )
 from .sequences import (
     CoefficientSequence,
@@ -287,17 +287,15 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
       predicted constant group-variation constant <= (M+1) rho - 1,
                          rho = max_n R(2n+1)/R(n)
     """
-    N = resolve_horizon(seq, horizon)
-    weighted = PrefixView.of(seq, N, weight)
-    return _weighted_chain(PrefixView.of(seq, N), weighted,
+    weighted = PrefixView.of(seq, horizon, weight)
+    return _weighted_chain(PrefixView.of(seq, horizon), weighted,
                            check_weighted_rest_bv(weighted))
 
 
 def _weighted_chain(plain: PrefixView, weighted: PrefixView,
-                    wrep) -> VerificationOutcome:
-    """The chain of verify_weighted_bv_implication on the unweighted and
-    weighted views of one prefix, with the weighted-variation report
-    already measured on the weighted one."""
+                    wrep: ConditionReport) -> VerificationOutcome:
+    """verify_weighted_bv_implication on the two views of one prefix, given
+    the weighted-variation report of the weighted one."""
     N, weight = plain.N, weighted.weight
     cabs = np.abs(plain.g)
     label = plain.seq.label
@@ -305,7 +303,7 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
 
     trend_ok = _null_trend_ok(cabs)
     premises.append(InequalityRecord(
-        "premise/null_trend", label, trend_ok, 0.0, 0.0, 0.0,
+        "premise/null_trend", label, trend_ok, math.nan, math.nan, math.nan,
         detail="dyadic block maxima of |c| must not grow"))
     worv = check_orv_weight(weight, min(N, 1 << 16))
     premises.append(InequalityRecord(
@@ -380,8 +378,7 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     The sector premise is the ORVQM check; a sequence that fails it (the
     lacunary family, say) yields ``premises_not_met``.
     """
-    N = resolve_horizon(seq, horizon)
-    weighted = PrefixView.of(seq, N, weight)
+    weighted = PrefixView.of(seq, horizon, weight)
     qrep = check_orvqm(weighted, sector)
     label = seq.label
     if qrep.verdict != HOLDS:
@@ -416,7 +413,7 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     rec.passed = rec.passed and wrep.verdict == HOLDS
     records.append(rec)
 
-    inner = _weighted_chain(PrefixView.of(seq, N), weighted, wrep)
+    inner = _weighted_chain(PrefixView.of(seq, horizon), weighted, wrep)
     records.extend(inner.records)
     violated = not all(r.passed for r in records) or inner.status != STATUS_OK
     status = STATUS_VIOLATED if violated else STATUS_OK
@@ -428,67 +425,49 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     return VerificationOutcome(CLAIM_SECTOR, status, records, summary)
 
 
-def run_weighted_implication_corpus(seed_start: int = 1,
-                                    size: int = 50) -> VerificationOutcome:
-    """The implication chain over the randomized corpus, aggregated."""
-    records: list[InequalityRecord] = []
-    passed = 0
-    worst = math.inf
-    for seed in range(seed_start, seed_start + size):
-        seq, weight, _ = corpus_member(seed)
-        out = verify_weighted_bv_implication(seq, weight)
-        ok = out.status == STATUS_OK
-        passed += ok
-        slacks = [r.slack for r in out.records if math.isfinite(r.slack)]
-        if slacks:
-            worst = min(worst, min(slacks))
-        for r in out.records:
-            if not r.passed or r.name.startswith("chain/"):
-                records.append(r)
+def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
+                    shown: tuple) -> VerificationOutcome:
+    """Aggregate per-member chain outcomes: keep every failed gate and every
+    gate whose name starts with one of ``shown``; the worst slack is the
+    smallest finite one."""
+    passed = sum(out.status == STATUS_OK for out in outcomes)
+    records = [r for out in outcomes for r in out.records
+               if not r.passed or r.name.startswith(shown)]
+    worst = min((r.slack for out in outcomes for r in out.records
+                 if math.isfinite(r.slack)), default=math.inf)
+    size = len(outcomes)
     status = STATUS_OK if passed == size else STATUS_VIOLATED
     return VerificationOutcome(
-        CLAIM_WEIGHTED, status, records,
+        claim, status, records,
         {"members": size, "passed": passed, "seed_start": seed_start,
          "worst_slack": worst,
          "headline": f"{passed}/{size} chains hold"})
 
 
+def run_weighted_implication_corpus(seed_start: int = 1,
+                                    size: int = 50) -> VerificationOutcome:
+    """The implication chain over the randomized corpus, aggregated."""
+    outcomes = [verify_weighted_bv_implication(*corpus_member(seed)[:2])
+                for seed in range(seed_start, seed_start + size)]
+    return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
+
+
 def run_sector_implication_corpus(seed_start: int = 1,
                                   size: int = 25) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
-    records: list[InequalityRecord] = []
-    passed = 0
-    worst = math.inf
     seeds = [s for s in range(seed_start, seed_start + 4 * size)
              if s % 2 == 1][:size]
-    for seed in seeds:
-        seq, weight, sector = corpus_member(seed)
-        out = verify_orvqm_implication(seq, weight, sector)
-        ok = out.status == STATUS_OK
-        passed += ok
-        slacks = [r.slack for r in out.records if math.isfinite(r.slack)]
-        if slacks:
-            worst = min(worst, min(slacks))
-        for r in out.records:
-            if not r.passed or r.name.startswith(("sector/", "chain/")):
-                records.append(r)
-    status = STATUS_OK if passed == len(seeds) else STATUS_VIOLATED
-    return VerificationOutcome(
-        CLAIM_SECTOR, status, records,
-        {"members": len(seeds), "passed": passed, "seed_start": seed_start,
-         "worst_slack": worst,
-         "headline": f"{passed}/{len(seeds)} chains hold"})
+    outcomes = [verify_orvqm_implication(*corpus_member(seed))
+                for seed in seeds]
+    return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
+                           ("sector/", "chain/"))
 
 
 # ---------------------------------------------------------------------------
 # lacunary counterexample
 # ---------------------------------------------------------------------------
 
-def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
-                                   n0_list: Sequence[int] = (1, 2, 4, 8, 16),
-                                   sup_threshold: float = 1e-3,
-                                   threshold_n: int = 1 << 15
-                                   ) -> VerificationOutcome:
+def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     """The sparse family b supported on n = 2^k with b_n = 2^{-alpha k}.
 
     Records three findings: (i) the dyadic block maxima of n^alpha b_n are
@@ -500,6 +479,8 @@ def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
     2^{-alpha K}/(1 - 2^{-alpha}), K = floor(log2 n) + 1, the bound
     strictly decreases, and it drops below sup_threshold by threshold_n.
     """
+    horizon, n0_list = 1 << 20, (1, 2, 4, 8, 16)
+    sup_threshold, threshold_n = 1e-3, 1 << 15
     if alpha <= 0:
         raise SequenceError("alpha > 0 required")
     b = family_sequence(FamilySpec("lacunary", (float(alpha),), None))
@@ -519,7 +500,7 @@ def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
     exact = exponents_match and cancelled and support_ok and ulp_dev <= 4.0
     records.append(InequalityRecord(
         "maxima/exactly_one", label, exact, float(np.abs(prod - 1.0).max()),
-        4.0 * np.finfo(float).eps, 0.0,
+        4.0 * np.finfo(float).eps, math.nan,
         detail=f"float product within {ulp_dev:g} ulp; "
                f"direct float product exact: {bool(np.all(prod == 1.0))}"))
 
@@ -530,7 +511,7 @@ def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
         rep = check_group_bv(view, n0)
         ok = rep.verdict == FAILS and rep.witness is not None
         records.append(InequalityRecord(
-            f"group_bv/window_{n0}", label, ok, 0.0, 0.0, 0.0,
+            f"group_bv/window_{n0}", label, ok, math.nan, math.nan, math.nan,
             witness=rep.witness, detail=f"verdict={rep.verdict}"))
     del view
 
@@ -552,7 +533,8 @@ def verify_lacunary_counterexample(alpha: float, horizon: int = 1 << 20,
         detail=f"{len(ns)} dyadic n values"))
     decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     records.append(InequalityRecord(
-        "tail/bound_decreasing", label, decreasing, 0.0, 0.0, 0.0))
+        "tail/bound_decreasing", label, decreasing, math.nan, math.nan,
+        math.nan))
     final_bound = bounds[-1]
     final_est = curve.entries[-1].sup_estimate
     below = final_bound <= sup_threshold and final_est <= sup_threshold
@@ -606,14 +588,14 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
         if grep.verdict != HOLDS:
             records.append(InequalityRecord(
                 "equivalence/waived", text, True, final.max_k_ck,
-                final.sup_estimate, 0.0,
+                final.sup_estimate, math.nan,
                 detail="group variation fails: equivalence not applicable"))
             continue
         consistent = ncn_small == sup_small
         side = "vanish" if ncn_small else "persist"
         records.append(InequalityRecord(
             "equivalence/co_trending", text, consistent, final.max_k_ck,
-            final.sup_estimate, 0.0,
+            final.sup_estimate, math.nan,
             detail=f"both {side}" if consistent else "columns disagree"))
     status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     return VerificationOutcome(

@@ -499,7 +499,10 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         base = family_sequence(params[1])
 
         def prod(n):
-            return weight.fn(n) * base.values_at(n)
+            # an overflowing weight (exp2) becomes inf or nan here, which
+            # values_at rejects with one SequenceError
+            with np.errstate(over="ignore", invalid="ignore"):
+                return weight.fn(n) * base.values_at(n)
         return CoefficientSequence.from_function(label, prod,
                                                  is_real=base.is_real)
     if fid == "perturbed":

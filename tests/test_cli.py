@@ -222,3 +222,23 @@ def test_verify_payload_matches_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     _, out, _ = run(capsys, "verify", "lacunary", "--alpha", "2.0")
     jsonschema.validate(json.loads(out), _schema("verify_output.json"))
+
+
+def test_verify_t3_worst_slack_is_a_measured_slack(capsys):
+    # premise records carry no slack, so the summary reports the smallest
+    # slack among the chain gates, not a placeholder 0.0
+    code, out, _ = run(capsys, "verify", "t3", "--corpus-size", "3")
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    slacks = [r["slack"] for r in outcome["records"]
+              if r["slack"] is not None]
+    assert outcome["summary"]["worst_slack"] == min(slacks) > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base", ["harmonic(1.0)", "lacunary(1.0)"])
+def test_classify_overflowing_composite_weight_is_one_line(capsys, base):
+    code, out, err = run(capsys, "classify", f"orvqm(exp2,{base})",
+                         "--horizon", "4096")
+    assert _is_input_error(code, err) and out == ""
+    assert "non-finite" in err

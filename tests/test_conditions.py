@@ -20,6 +20,7 @@ from trigconv.conditions import (
     check_rest_bv,
     check_weighted_rest_bv,
     classify,
+    dyadic_block_maxima,
 )
 from trigconv.sequences import (
     CoefficientSequence,
@@ -305,3 +306,90 @@ def test_verdicts_scale_invariant(seed, scale):
     assert a.witness == b.witness
     if a.constant is not None:
         assert b.constant == pytest.approx(a.constant, rel=1e-9)
+
+
+# --- shared prefix view ----------------------------------------------------
+
+_VIEW_CASES = [
+    ("harmonic(1.0)", 4096, None),
+    ("explicit:[1,0.5i,0.25,0.1+0.1i,0.05]", None, None),
+    ("rbv_block(1.0)", 4096, "log"),
+    ("harmonic(1.0)", 2048, "exp2"),   # R overflows past n = 1023
+]
+
+
+@pytest.mark.parametrize("spec,horizon,weight", _VIEW_CASES)
+def test_classify_matches_checkers_on_fresh_views(spec, horizon, weight):
+    seq = sequence_from_text(spec)
+    w = _weight(weight) if weight else None
+    got = {r.condition: r for r in classify(
+        seq, ClassifyOptions(horizon=horizon, weight=w))}
+    N = horizon or seq.length
+    weighted = PrefixView.of(seq, N, w)
+    expected = [check_weighted_rest_bv(weighted),
+                check_orvqm(weighted, Sector(0.0))]
+    expected += [check_group_bv(PrefixView.of(seq, N), n0)
+                 for n0 in (1, 2, 4, 8, 16) if N - n0 + 1 >= 1
+                 and min(N // 4, (N - 1) // 2, N - n0 + 1) >= 1]
+    if seq.is_real:
+        expected.append(check_rest_bv(PrefixView.of(seq, N)))
+    if weight == "exp2":
+        assert weighted.N == 1023 < N
+    for rep in expected:
+        assert got[rep.condition].to_json_dict() == rep.to_json_dict()
+        assert got[rep.condition].notes == rep.notes
+
+
+def _count_suffix_sums(monkeypatch):
+    import trigconv.conditions as conditions
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return suffix_sums(values)
+
+    monkeypatch.setattr(conditions, "suffix_sums", counting)
+    return calls
+
+
+@pytest.mark.parametrize("weight,count", [(None, 1), ("log", 2)])
+def test_classify_builds_tail_sums_once_per_view(monkeypatch, weight,
+                                                 count):
+    calls = _count_suffix_sums(monkeypatch)
+    w = _weight(weight) if weight else None
+    classify(sequence_from_text("harmonic(1.0)"),
+             ClassifyOptions(horizon=1 << 12, weight=w))
+    assert calls == [1 << 12] * count
+
+
+def test_view_tail_and_block_sums_match_direct_sums():
+    vals = np.array([1.0, 0.25, 0.5, 0.125, 0.0, 0.0625, 0.0])
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    d = np.abs(np.diff(vals))
+    assert np.shares_memory(view.g, view.seq.values)   # no copy
+    assert list(view.tail) == [d[m - 1:].sum() for m in range(1, 7)] + [0.0]
+    m = np.arange(1, 4)
+    np.testing.assert_allclose(
+        view.block_sums(m), [d[k - 1:min(2 * k, 6)].sum() for k in m],
+        rtol=0, atol=1e-15)
+
+
+def test_unweighted_checkers_reject_a_weighted_view():
+    view = PrefixView.of(sequence_from_text("harmonic(1.0)"), 64,
+                         _weight("log"))
+    with pytest.raises(ValueError):
+        check_group_bv(view, 1)
+    with pytest.raises(ValueError):
+        check_rest_bv(view)
+
+
+def test_dyadic_block_maxima_matches_block_loop():
+    rng = np.random.default_rng(5)
+    for N in range(1, 70):
+        vals = rng.random(N)
+        expected, j = [], 0
+        while (1 << j) <= N:
+            lo, hi = 1 << j, min((1 << (j + 1)) - 1, N)
+            expected.append(float(vals[lo - 1:hi].max()))
+            j += 1
+        assert dyadic_block_maxima(vals) == expected

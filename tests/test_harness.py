@@ -227,3 +227,43 @@ def test_outcome_table_format():
     table = out.table()
     assert table.splitlines()[0].startswith("claim: weighted_bv_implies")
     assert "[pass]" in table
+
+
+# --- shared views and placeholder fields -----------------------------------
+
+def test_sector_chain_measures_weighted_variation_once(monkeypatch):
+    import trigconv.harness as harness
+    calls = []
+    real = harness.check_weighted_rest_bv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "check_weighted_rest_bv", counting)
+    seq, weight, sector = corpus_member(7)
+    assert verify_orvqm_implication(seq, weight, sector).status == STATUS_OK
+    assert calls == [1]
+
+
+def _null_fields(record):
+    return [record[k] for k in ("lhs", "rhs", "slack")]
+
+
+def test_placeholder_fields_serialize_null():
+    # records that gate a yes/no finding carry no measured inequality
+    lac = verify_lacunary_counterexample(1.0).to_json_dict()["records"]
+    by_name = {r["name"]: r for r in lac}
+    for n0 in (1, 2, 4, 8, 16):
+        assert _null_fields(by_name[f"group_bv/window_{n0}"]) == [None] * 3
+    assert _null_fields(by_name["tail/bound_decreasing"]) == [None] * 3
+    assert by_name["maxima/exactly_one"]["slack"] is None
+    assert by_name["maxima/exactly_one"]["lhs"] is not None
+    # corpus member 252 fails its null-trend premise
+    out = run_weighted_implication_corpus(252, 1).to_json_dict()
+    trend = [r for r in out["records"] if r["name"] == "premise/null_trend"]
+    assert trend and _null_fields(trend[0]) == [None] * 3
+    eq = verify_equivalence_diagnostics(
+        corpus=("harmonic(1.0)", "lacunary(1.0)"),
+        n_list=(64, 128), N_ref=1 << 12, horizon=1 << 12).to_json_dict()
+    assert [r["slack"] for r in eq["records"]] == [None, None]
