@@ -53,13 +53,10 @@ from .series import (
     abel_tail_bound,
     convergence_curve,
     dirichlet_sine,
-    dyadic_variation_bound,
     partial_sum_sine,
     partial_sum_two_sided,
-    tail_sup_norm,
     testpoint_block_probe,
     truncation_slack,
-    two_sided_split,
 )
 from .harness import (
     InequalityRecord,
@@ -114,13 +111,10 @@ __all__ = [
     "abel_tail_bound",
     "convergence_curve",
     "dirichlet_sine",
-    "dyadic_variation_bound",
     "partial_sum_sine",
     "partial_sum_two_sided",
-    "tail_sup_norm",
     "testpoint_block_probe",
     "truncation_slack",
-    "two_sided_split",
     "InequalityRecord",
     "VerificationOutcome",
     "corpus_member",

@@ -28,11 +28,11 @@ Condition vocabulary (ids):
 Differences are always Delta c_n = c_n - c_{n+1}.  All long sums run
 through the deterministic helpers in :mod:`trigconv.summation`.
 
-The tail-variation checkers (REST_BV, WEIGHTED_REST_BV, GROUP_BV, ORVQM)
-read a :class:`PrefixView`: ``g[n-1] = c_n/R(n)`` and the tail sums
-``tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|`` from one ``suffix_sums`` call,
-built once per (sequence, horizon, weight) by the caller and never cached
-on the sequence.  Two dtype rules: without a weight ``g`` is the prefix
+The one-sided checkers (MONOTONE, QUASIMONOTONE, REST_BV, WEIGHTED_REST_BV,
+GROUP_BV, ORVQM) read a :class:`PrefixView`: ``g[n-1] = c_n/R(n)`` and the
+tail sums ``tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|`` from one
+``suffix_sums`` call, built once per (sequence, horizon, weight) by the
+caller and never cached on the sequence.  Two dtype rules: without a weight ``g`` is the prefix
 itself, real or complex as stored, with no division and no copy; a weight
 divides in complex arithmetic, even for real input, and truncates N where
 R overflows to infinity.
@@ -41,6 +41,7 @@ R overflows to infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,13 +139,6 @@ def _resolve_m_range(m_range, N: int) -> tuple[int, int]:
     return m_lo, m_hi
 
 
-def _nonneg_real(seq: CoefficientSequence, vals: np.ndarray) -> np.ndarray:
-    if not seq.is_real or (vals.size and float(vals.min()) < 0.0):
-        raise SequenceError(
-            f"not a nonnegative sequence: {seq.label!r}")
-    return vals
-
-
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
     """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based;
     the last block is cut at the array's end)."""
@@ -181,12 +175,27 @@ class PrefixView:
     def weight_label(self) -> str:
         return "one" if self.weight is None else self.weight.label
 
+    @cached_property
+    def nonneg_real(self) -> bool:
+        """c_1..c_N real and >= 0 (c, not c/R, for a weighted view)."""
+        c = self.seq.prefix(self.N)
+        return self.seq.is_real and bool(np.all(c >= 0.0))
+
     def unweighted(self, cond: str) -> np.ndarray:
         """g, which must be the sequence itself for condition ``cond``."""
         if self.weight is not None:
             raise SequenceError(f"{cond} needs the unweighted view of "
                                 f"{self.seq.label!r}")
         return self.g
+
+    def nonneg(self, cond: str) -> np.ndarray:
+        """g, which must be the sequence itself, real and nonnegative, for
+        condition ``cond``."""
+        g = self.unweighted(cond)
+        if not self.nonneg_real:
+            raise SequenceError(
+                f"not a nonnegative sequence: {self.seq.label!r}")
+        return g
 
     def block_sums(self, m: np.ndarray) -> np.ndarray:
         """sum_{n=m}^{min(2m, N-1)} |g_n - g_{n+1}| for each m, as
@@ -225,21 +234,20 @@ def _sector_angles(z: np.ndarray) -> np.ndarray:
 # monotonicity-type conditions
 # ---------------------------------------------------------------------------
 
-def check_quasimonotone(seq: CoefficientSequence, alpha: float = 0.0,
-                        horizon: Optional[int] = None,
-                        condition: Optional[str] = None) -> ConditionReport:
+def check_quasimonotone(view: PrefixView,
+                        alpha: float = 0.0) -> ConditionReport:
     """Is b_n / n**alpha non-increasing on the checked range?
 
-    alpha = 0 is plain monotonicity.  Requires a nonnegative real sequence.
-    Comparisons allow relative round-off of 1e-12 so that plateaus generated
-    in floating point still count as non-increasing.
+    alpha = 0 is plain monotonicity (condition id MONOTONE).  Takes the
+    unweighted view of a nonnegative real sequence.  Comparisons allow
+    relative round-off of 1e-12 so that plateaus generated in floating
+    point still count as non-increasing.
     """
-    N = resolve_horizon(seq, horizon)
-    vals = _nonneg_real(seq, seq.prefix(N))
+    cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
+    vals, N = view.nonneg(cond), view.N
     n = np.arange(1, N + 1, dtype=float)
     quotient = vals / n ** alpha
     witness = _first_increase(quotient)
-    cond = condition or f"QUASIMONOTONE(alpha={alpha:g})"
     if witness is None:
         return ConditionReport(cond, HOLDS, None, None, 1, N, N, None)
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
@@ -345,16 +353,15 @@ def check_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     m of T_m / b_m.  A growing harmonic-like variation sum is flagged
     ``inconclusive`` through the dyadic stabilization rule.
     """
-    vals = _nonneg_real(view.seq, view.unweighted("REST_BV"))
-    return _tail_variation_core(view, vals, m_range, "REST_BV")
+    return _tail_variation_core(view, view.nonneg("REST_BV"), m_range,
+                                "REST_BV")
 
 
 def check_weighted_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     """Weighted variant: sum_{n>=m} |c_n/R(n) - c_{n+1}/R(n+1)| bounded by
     M * |c_m| / R(m).  Real nonnegative input gets the _REAL condition id."""
-    c = view.seq.prefix(view.N)
-    real_nonneg = view.seq.is_real and bool(np.all(c.real >= 0.0))
-    cond = ("WEIGHTED_REST_BV_REAL" if real_nonneg else "WEIGHTED_REST_BV")
+    cond = ("WEIGHTED_REST_BV_REAL" if view.nonneg_real
+            else "WEIGHTED_REST_BV")
     cond += f"({view.weight_label})"
     return _tail_variation_core(view, np.abs(view.g), m_range, cond)
 
@@ -547,11 +554,9 @@ def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionRe
     plain = PrefixView.of(seq, N)
     weighted = (plain if opts.weight is None
                 else PrefixView.of(seq, N, opts.weight))
-    real_nonneg = seq.is_real and bool(np.all(plain.g >= 0.0))
-    if real_nonneg:
-        reports.append(check_quasimonotone(seq, 0.0, N, condition="MONOTONE"))
-        for alpha in (0.5, 1.0):
-            reports.append(check_quasimonotone(seq, alpha, N))
+    if plain.nonneg_real:
+        for alpha in (0.0, 0.5, 1.0):
+            reports.append(check_quasimonotone(plain, alpha))
         reports.append(check_rest_bv(plain, m_range))
     reports.append(check_weighted_rest_bv(weighted, m_range))
     for n0 in opts.n0_list:

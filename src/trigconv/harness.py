@@ -562,9 +562,7 @@ _DEFAULT_EQUIV_CORPUS = ("harmonic(1.0)", "log_damped", "lacunary(1.0)")
 def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
                                    n_list: Optional[Sequence[int]] = None,
                                    N_ref: int = 1 << 17,
-                                   horizon: int = 1 << 20,
-                                   sup_tol: float = EQUIV_SUP_TOL,
-                                   ncn_tol: float = EQUIV_NCN_TOL
+                                   horizon: int = 1 << 20
                                    ) -> VerificationOutcome:
     """Co-trending of n|c_n| and the tail sup-norm column per member.
 
@@ -583,8 +581,8 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
         grep = check_group_bv(PrefixView.of(seq, horizon), 1)
         curve = convergence_curve(seq, ns, N_ref=N_ref)
         final = curve.entries[-1]
-        ncn_small = final.max_k_ck <= ncn_tol
-        sup_small = final.sup_estimate <= sup_tol
+        ncn_small = final.max_k_ck <= EQUIV_NCN_TOL
+        sup_small = final.sup_estimate <= EQUIV_SUP_TOL
         if grep.verdict != HOLDS:
             records.append(InequalityRecord(
                 "equivalence/waived", text, True, final.max_k_ck,
@@ -601,7 +599,7 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
     return VerificationOutcome(
         CLAIM_EQUIV, status, records,
         {"members": len(specs), "n_list": ns, "N_ref": N_ref,
-         "sup_tol": sup_tol, "ncn_tol": ncn_tol})
+         "sup_tol": EQUIV_SUP_TOL, "ncn_tol": EQUIV_NCN_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +625,11 @@ def _pair_sector_instance(seed: int, length: int,
 
 
 def probe_necessity(n_values: Sequence[int] = (10, 100, 1000),
-                    instances: int = 20, seed: int = 7, n_probe: int = 256,
-                    theta0: float = math.pi / 6.0) -> VerificationOutcome:
+                    instances: int = 20, seed: int = 7) -> VerificationOutcome:
     """The test-point machinery: the sine floor sin(k x0) >= sin(pi/8) on
-    (n, 4n] at each n in n_values, then the three-term inequality on
-    randomized sector instances with recorded slack."""
+    (n, 4n] at each n in n_values, then the three-term inequality at
+    n = 256 on randomized instances in K(pi/6) with recorded slack."""
+    n_probe, theta0 = 256, math.pi / 6.0
     records: list[InequalityRecord] = []
     floor = math.sin(math.pi / 8.0)
     for n in n_values:

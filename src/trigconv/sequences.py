@@ -116,13 +116,11 @@ class CoefficientSequence:
 
     kind      -- "explicit" (finite array) or "generator" (pure index map)
     label     -- canonical text form, used in manifests and reports
-    n_start   -- index of the first stored value (1 throughout this package)
     is_real   -- real-valued flag; decides the dtype prefix() returns
     """
 
     label: str
     kind: str
-    n_start: int = 1
     is_real: bool = True
     values: Optional[np.ndarray] = None
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -131,7 +129,7 @@ class CoefficientSequence:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def explicit(cls, values, label: str = "", n_start: int = 1) -> "CoefficientSequence":
+    def explicit(cls, values, label: str = "") -> "CoefficientSequence":
         arr = np.asarray(values)
         if arr.ndim != 1:
             raise SequenceError("explicit sequence must be one-dimensional")
@@ -143,14 +141,12 @@ class CoefficientSequence:
             label = f"explicit[{arr.shape[0]}]"
         if not np.all(np.isfinite(arr)):
             raise SequenceError(f"explicit sequence {label!r} has non-finite values")
-        return cls(label=label, kind="explicit", n_start=n_start,
-                   is_real=is_real, values=arr)
+        return cls(label=label, kind="explicit", is_real=is_real, values=arr)
 
     @classmethod
     def from_function(cls, label: str, fn: Callable[[np.ndarray], np.ndarray],
-                      is_real: bool = True, n_start: int = 1) -> "CoefficientSequence":
-        return cls(label=label, kind="generator", n_start=n_start,
-                   is_real=is_real, fn=fn)
+                      is_real: bool = True) -> "CoefficientSequence":
+        return cls(label=label, kind="generator", is_real=is_real, fn=fn)
 
     # -- access -------------------------------------------------------------
 
@@ -161,7 +157,7 @@ class CoefficientSequence:
 
     def prefix(self, N: int) -> np.ndarray:
         """First N values as a read-only array (float64 when real, else
-        complex128); element j is the value at index n_start + j.
+        complex128); element j is the value at index j + 1.
 
         Raises SequenceError("insufficient length ...") when an explicit
         sequence is shorter than N.  Generator prefixes are cached, and two
@@ -176,18 +172,17 @@ class CoefficientSequence:
             return self.values[:N]
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
-            cached = self.values_at(
-                np.arange(self.n_start, self.n_start + N, dtype=np.int64))
+            cached = self.values_at(np.arange(1, N + 1, dtype=np.int64))
             cached.setflags(write=False)
             self._cache["arr"] = cached
         return cached[:N]
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
-        """Values at the indices n (an int64 array, each >= n_start), with
-        the dtype and checks of prefix(); generators are evaluated afresh."""
+        """Values at the indices n (an int64 array, each >= 1), with the
+        dtype and checks of prefix(); generators are evaluated afresh."""
         if self.kind == "explicit":
-            self._require_length(int(n.max()) - self.n_start + 1 if n.size else 0)
-            return self.values[n - self.n_start]
+            self._require_length(int(n.max()) if n.size else 0)
+            return self.values[n - 1]
         arr = np.ascontiguousarray(np.asarray(self.fn(n)),
                                    dtype=float if self.is_real else complex)
         if arr.shape != n.shape:

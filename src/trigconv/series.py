@@ -11,9 +11,9 @@ One engine evaluates both on a grid: a sine series is the two-sided series
 c_{+-k} = +-b_k / 2i.  On the uniform points x_j = pi j/M a term depends on
 k only through k mod 2M, so each partial-sum row there is one unscaled
 length-2M inverse FFT of the coefficients folded into 2M bins.  The
-geometric ladder and any extra points lie off that grid; they are summed
-directly over the nonzero coefficients, one point at a time, so sparse
-(lacunary) supports stay cheap.
+geometric ladder lies off that grid; it is summed directly over the nonzero
+coefficients, one point at a time, so sparse (lacunary) supports stay
+cheap.
 
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
@@ -23,8 +23,7 @@ error, so the true sup-norm lies in
 [estimate, estimate + 2 * slack] whenever the slack has settled.
 
 The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, the
-summation-by-parts tail bound, the dyadic block decomposition, and the
-test-point probe at x0) live here so the verification harness can exercise
+summation-by-parts tail bound, and the test-point probe at x0) live here so the verification harness can exercise
 each inequality separately.
 """
 
@@ -53,16 +52,17 @@ __all__ = [
     "dirichlet_sine",
     "partial_sum_sine",
     "partial_sum_two_sided",
-    "two_sided_split",
-    "tail_sup_norm",
     "truncation_slack",
     "abel_tail_bound",
-    "dyadic_variation_bound",
     "testpoint_block_probe",
     "convergence_curve",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Cap on the uniform grid size M: for n_ref > 1024 the uniform part has
+# fewer than 8 points per oscillation.
+MAX_UNIFORM = 8192
 
 SeriesInput = Union[CoefficientSequence, TwoSidedSequence]
 
@@ -81,31 +81,24 @@ class GridSpec:
     """Adaptive evaluation grid on (0, pi] for a frequency scale n_ref.
 
     Points: the uniform points pi j/M, j = 1..M, with M = oversample * n_ref
-    capped at max_uniform, the geometric ladder x0 * 2^{j/4} with
-    x0 = pi/(8 n_ref) -- always containing x0 itself exactly -- and any
-    explicit extras.
+    capped at MAX_UNIFORM, and the geometric ladder x0 * 2^{j/4} with
+    x0 = pi/(8 n_ref) -- always containing x0 itself exactly.
     """
 
     n_ref: int
     oversample: int = 8
-    extra: tuple = ()
-    max_uniform: int = 8192
 
     def __post_init__(self):
-        if self.n_ref < 1 or self.oversample < 1 or self.max_uniform < 1:
-            raise SequenceError(
-                "grid needs n_ref, oversample and max_uniform >= 1")
-        for x in self.extra:
-            if not (0.0 < x <= math.pi):
-                raise SequenceError(f"grid point {x} outside (0, pi]")
+        if self.n_ref < 1 or self.oversample < 1:
+            raise SequenceError("grid needs n_ref and oversample >= 1")
 
     @property
     def x0(self) -> float:
         return math.pi / (8.0 * self.n_ref)
 
     def _split(self) -> tuple[int, np.ndarray]:
-        """(M, the sorted ladder and extra points that are not uniform)."""
-        count = min(self.oversample * self.n_ref, self.max_uniform)
+        """(M, the sorted ladder points that are not uniform)."""
+        count = min(self.oversample * self.n_ref, MAX_UNIFORM)
         ladder = []
         j = 0
         while True:
@@ -114,7 +107,7 @@ class GridSpec:
                 break
             ladder.append(x)
             j += 1
-        off = np.unique(np.asarray(ladder + list(self.extra), dtype=float))
+        off = np.asarray(ladder)
         uniform = _uniform_points(np.arange(1, count + 1), count)
         return count, off[~np.isin(off, uniform)]
 
@@ -183,22 +176,6 @@ def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
     neg = np.asarray(ts.neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
     return complex(ts.c0) + exact_complex_sum(pos * e + neg * np.conj(e))
-
-
-def two_sided_split(ts: TwoSidedSequence, n: int, x: float) -> tuple[complex, complex]:
-    """The decomposition S_n - c_0 = I1 + 2i*I2 used by the test-point probe:
-
-        I1 = sum_{k=1}^n (c_k + c_{-k}) e^{-ikx},
-        I2 = sum_{k=1}^n c_k sin kx.
-    """
-    if n < 1:
-        return 0j, 0j
-    pos = np.asarray(ts.pos.prefix(n), dtype=complex)
-    k = np.arange(1, n + 1, dtype=float)
-    em = np.exp(-1j * k * x)
-    i1 = exact_complex_sum(ts.pair_sums(n) * em)
-    i2 = exact_complex_sum(pos * np.sin(k * x))
-    return i1, i2
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +261,6 @@ def _default_nref(n: int) -> int:
     return max(1 << 16, 64 * n)
 
 
-def tail_sup_norm(obj: SeriesInput, n: int, N_ref: Optional[int] = None,
-                  grid: Optional[GridSpec] = None) -> float:
-    """max over the grid of |S_{N_ref} - S_n| -- a lower estimate of the
-    tail sup-norm, to be read together with truncation_slack(obj, N_ref)."""
-    if n < 0:
-        raise SequenceError("n >= 0 required")
-    N_ref = _default_nref(n) if N_ref is None else int(N_ref)
-    if N_ref <= n:
-        raise SequenceError(f"reference horizon {N_ref} must exceed n = {n}")
-    _, rows = _rows(obj, grid or GridSpec(n_ref=max(1, n)), [n, N_ref])
-    return float(np.abs(rows[N_ref] - rows[n]).max())
-
-
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
     """sum_{k=lo+1}^{hi} |c_k| without caching huge prefixes; explicit data
     counts only up to its length."""
@@ -335,16 +299,9 @@ def truncation_slack(obj: SeriesInput, N_ref: int,
 # ---------------------------------------------------------------------------
 
 def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
-                    horizon: Optional[int] = None,
-                    check_dominance: bool = False) -> float:
+                    horizon: Optional[int] = None) -> float:
     """(pi/x) * (sum_{k=N}^{H} |c_k - c_{k+1}| + |c_N|), the
-    summation-by-parts tail estimate at truncation horizon H.
-
-    With check_dominance the actual truncated tail |sum_{k=N}^{H} c_k sin kx|
-    is evaluated directly and must not exceed the bound (raises otherwise) --
-    intended for test builds, where the dominance property is enforced on
-    every call.
-    """
+    summation-by-parts tail estimate at truncation horizon H."""
     _require_x_in_halfperiod(x)
     if N < 1:
         raise SequenceError("N >= 1 required")
@@ -353,42 +310,7 @@ def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
         raise SequenceError("horizon below N")
     vals = np.asarray(c.prefix(H + 1))
     var = exact_sum(np.abs(vals[N - 1:H] - vals[N:H + 1]))
-    bound = (math.pi / x) * (var + abs(complex(vals[N - 1])))
-    if check_dominance:
-        k = np.arange(N, H + 1, dtype=float)
-        tail = vals[N - 1:H] * np.sin(k * x)
-        actual = abs(exact_complex_sum(tail.astype(complex)))
-        if actual > bound * (1.0 + 1e-9) + 1e-12:
-            raise SequenceError(
-                f"tail bound violated: actual {actual} > bound {bound}")
-    return bound
-
-
-def dyadic_variation_bound(c: CoefficientSequence, N: int, N0: int = 1,
-                           horizon: Optional[int] = None
-                           ) -> tuple[float, np.ndarray]:
-    """Truncated total variation from N and the per-block comparison maxima.
-
-    Splits [N, H] into dyadic blocks [2^j N, 2^{j+1} N) and returns
-    (sum_{k=N}^{H} |c_k - c_{k+1}|,  array of max |c_k| over the leading
-    window [2^j N, 2^j N + N0) of each block), so callers can verify
-    LHS <= M * sum of the window maxima against a reported constant M.
-    """
-    if N < 1 or N0 < 1:
-        raise SequenceError("N >= 1 and N0 >= 1 required")
-    H = (1 << 16) if horizon is None else int(horizon)
-    if H < N:
-        raise SequenceError("horizon below N")
-    vals = np.asarray(c.prefix(H + 1))
-    lhs = exact_sum(np.abs(vals[N - 1:H] - vals[N:H + 1]))
-    maxima = []
-    j = 0
-    while (N << j) <= H:
-        lo = N << j
-        hi = min(lo + N0, H + 1)
-        maxima.append(float(np.abs(vals[lo - 1:hi - 1]).max()))
-        j += 1
-    return lhs, np.asarray(maxima)
+    return (math.pi / x) * (var + abs(complex(vals[N - 1])))
 
 
 @dataclass
@@ -403,7 +325,7 @@ class ProbeResult:
     norm_diff: float           # grid max of |S_{4n} - S_n|
     pair_abs_sum: float        # sum |c_k + c_{-k}| over (n, 4n]
     slack: float               # norm_diff + pair_abs_sum - lhs
-    lower_reference: float     # (n/N0) |c_{2n}| / (sector dominance constant)
+    lower_reference: float     # n |c_{2n}| / (sector dominance constant)
     grid_size: int
 
     @property
@@ -412,9 +334,8 @@ class ProbeResult:
         return self.slack >= -1e-9 * scale
 
 
-def testpoint_block_probe(ts: TwoSidedSequence, n: int, sector: Sector,
-                          N0: int = 1,
-                          grid: Optional[GridSpec] = None) -> ProbeResult:
+def testpoint_block_probe(ts: TwoSidedSequence, n: int,
+                          sector: Sector) -> ProbeResult:
     """Probe the three-term inequality at the test point x0 = pi/(8n):
 
         2 sum_{k=n+1}^{4n} Re c_k sin k x0
@@ -424,8 +345,8 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int, sector: Sector,
     sin(pi/8); the sector membership of the pair sums/differences is the
     probe's premise and is checked on [1, 4n].  x0 belongs to the grid, so
     the right side genuinely dominates the left up to round-off; the slack
-    is recorded.  lower_reference carries the chain value
-    (n/N0) |c_{2n}| / M(theta0) for comparison against the norm difference.
+    is recorded.  lower_reference carries the chain value (window N0 = 1)
+    n |c_{2n}| / M(theta0) for comparison against the norm difference.
     """
     from .conditions import HOLDS, check_pair_sector
 
@@ -442,11 +363,11 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int, sector: Sector,
     lhs = 2.0 * exact_sum(pos[n:].real * sines)
     pair_abs = exact_sum(np.abs(ts.pair_sums(4 * n)[n:]))
 
-    xs, rows = _rows(ts, grid or GridSpec(n_ref=n), [n, 4 * n])
+    xs, rows = _rows(ts, GridSpec(n_ref=n), [n, 4 * n])
     norm_diff = float(np.abs(rows[4 * n] - rows[n]).max())
 
     c2n = abs(complex(pos[2 * n - 1]))
-    lower_ref = (n / N0) * c2n / sector_dominance_constant(sector)
+    lower_ref = n * c2n / sector_dominance_constant(sector)
     res = ProbeResult(n, x0, sin_floor_ok, premises_ok, lhs, norm_diff,
                       pair_abs, norm_diff + pair_abs - lhs, lower_ref,
                       int(xs.shape[0]))

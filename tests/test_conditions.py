@@ -40,15 +40,16 @@ def _weight(text):
 # --- monotone / quasimonotone ---------------------------------------------
 
 def test_monotone_holds_for_harmonic():
-    rep = check_quasimonotone(sequence_from_text("harmonic(1.0)"),
-                              horizon=1 << 12, condition="MONOTONE")
+    rep = check_quasimonotone(
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 12))
     assert rep.condition == "MONOTONE"
     assert rep.verdict == HOLDS
 
 
 def test_monotone_fails_with_witness():
     seq = CoefficientSequence.explicit([1.0, 0.5, 0.75, 0.25])
-    rep = check_quasimonotone(seq, condition="MONOTONE")
+    rep = check_quasimonotone(PrefixView.of(seq))
+    assert rep.condition == "MONOTONE"
     assert rep.verdict == FAILS
     assert rep.witness == 2          # first n with c_n < c_{n+1}
     assert rep.constant is None
@@ -57,8 +58,11 @@ def test_monotone_fails_with_witness():
 def test_quasimonotone_alpha_rescues_blockwise_growth():
     # n^{-0.4} * 2^{-k}: grows inside dyadic blocks, but n^0.5 b_n decreasing
     seq = sequence_from_text("quasimono(0.4,1.0)")
-    assert check_quasimonotone(seq, alpha=0.0, horizon=1 << 10).verdict == FAILS
-    assert check_quasimonotone(seq, alpha=0.5, horizon=1 << 10).verdict == HOLDS
+    view = PrefixView.of(seq, 1 << 10)
+    assert check_quasimonotone(view, alpha=0.0).verdict == FAILS
+    rep = check_quasimonotone(view, alpha=0.5)
+    assert rep.condition == "QUASIMONOTONE(alpha=0.5)"
+    assert rep.verdict == HOLDS
 
 
 # --- weight doubling check -------------------------------------------------
