@@ -188,11 +188,11 @@ def cmd_curve(args, argv: Sequence[str]) -> int:
 
 def cmd_verify(args, argv: Sequence[str]) -> int:
     if args.theorem == "t3":
-        size = args.corpus_size if args.corpus_size else 50
+        size = 50 if args.corpus_size is None else args.corpus_size
         outcome = run_weighted_implication_corpus(args.seed, size)
         defaults = {"seed_start": args.seed, "corpus_size": size}
     elif args.theorem == "corollary":
-        size = args.corpus_size if args.corpus_size else 25
+        size = 25 if args.corpus_size is None else args.corpus_size
         outcome = run_sector_implication_corpus(args.seed, size)
         defaults = {"seed_start": args.seed, "corpus_size": size}
     elif args.theorem == "lacunary":

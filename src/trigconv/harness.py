@@ -430,6 +430,8 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
     """Aggregate per-member chain outcomes: keep every failed gate and every
     gate whose name starts with one of ``shown``; the worst slack is the
     smallest finite one."""
+    if not outcomes:
+        raise SequenceError("a corpus run needs at least one member")
     passed = sum(out.status == STATUS_OK for out in outcomes)
     records = [r for out in outcomes for r in out.records
                if not r.passed or r.name.startswith(shown)]
@@ -481,8 +483,12 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     """
     horizon, n0_list = 1 << 20, (1, 2, 4, 8, 16)
     sup_threshold, threshold_n = 1e-3, 1 << 15
-    if alpha <= 0:
-        raise SequenceError("alpha > 0 required")
+    # 2^-alpha < 1 keeps the absolute tail bound finite, and 2^(-20 alpha)
+    # normal keeps every support value nonzero and 2^(alpha k) finite
+    if not (0.0 < alpha and alpha * math.log2(horizon) <= 1022
+            and 2.0 ** -alpha < 1.0):
+        raise SequenceError(f"lacunary alpha must satisfy 2^-alpha < 1 and "
+                            f"20 alpha <= 1022; got {alpha!r}")
     b = family_sequence(FamilySpec("lacunary", (float(alpha),), None))
     label = str(FamilySpec("lacunary", (float(alpha),), None))
     vals = np.asarray(b.prefix(horizon))
@@ -519,17 +525,15 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     ns = [1 << j for j in range(6, int(math.log2(threshold_n)) + 1)]
     curve = convergence_curve(b, ns, N_ref=horizon, slack_octaves=2)
     decay = 1.0 - 2.0 ** (-alpha)
-    bounds = []
-    dominated = True
-    for e in curve.entries:
-        K = math.floor(math.log2(e.n)) + 1
-        bound = 2.0 ** (-alpha * K) / decay
-        bounds.append(bound)
-        if e.sup_estimate > bound + 1e-12:
-            dominated = False
+    bounds = [2.0 ** (-alpha * (math.floor(math.log2(e.n)) + 1)) / decay
+              for e in curve.entries]
+    ests = [e.sup_estimate for e in curve.entries]
+    dominated = all(est <= bound + 1e-12 for est, bound in zip(ests, bounds))
+    # the record shows the ladder n where the bound is tightest
+    i = min(range(len(ns)), key=lambda j: bounds[j] - ests[j])
     records.append(InequalityRecord(
-        "tail/dominated_by_abs_bound", label, dominated,
-        max(e.sup_estimate for e in curve.entries), max(bounds), 0.0,
+        "tail/dominated_by_abs_bound", label, dominated, ests[i], bounds[i],
+        bounds[i] - ests[i], witness=ns[i],
         detail=f"{len(ns)} dyadic n values"))
     decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     records.append(InequalityRecord(

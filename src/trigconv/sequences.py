@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -183,8 +184,10 @@ class CoefficientSequence:
         if self.kind == "explicit":
             self._require_length(int(n.max()) if n.size else 0)
             return self.values[n - 1]
-        arr = np.ascontiguousarray(np.asarray(self.fn(n)),
-                                   dtype=float if self.is_real else complex)
+        # overflow and inf*0 give inf or nan, which the check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = np.ascontiguousarray(np.asarray(self.fn(n)),
+                                       dtype=float if self.is_real else complex)
         if arr.shape != n.shape:
             raise SequenceError(
                 f"generator for {self.label!r} returned a wrong shape")
@@ -299,18 +302,24 @@ _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _FAMILY_ALIASES = {"logdamped": "log_damped", "rbvblock": "rbv_block"}
 
-_FAMILY_ARITY = {
-    "harmonic": 1,
-    "log_damped": 0,
-    "quasimono": 2,
-    "lacunary": 1,
-    "rbv_block": 1,
-    "orvqm": 2,
-    "perturbed": 3,
-    "zero": 0,
+# The parameters each family and weight id takes, in order: a finite number
+# or a nested spec.  const's number is optional: const means const(1).
+_NUMBER, _SPEC = "finite number", "spec"
+_PARAM_KINDS = {
+    "harmonic": (_NUMBER,),
+    "log_damped": (),
+    "quasimono": (_NUMBER, _NUMBER),
+    "lacunary": (_NUMBER,),
+    "rbv_block": (_NUMBER,),
+    "orvqm": (_SPEC, _SPEC),
+    "perturbed": (_NUMBER, _SPEC, _NUMBER),
+    "zero": (),
+    "one": (),
+    "const": (_NUMBER,),
+    "power": (_NUMBER,),
+    "log": (),
+    "exp2": (),
 }
-
-_WEIGHT_IDS = {"one", "const", "power", "log", "exp2"}
 
 
 def _split_args(text: str) -> list[str]:
@@ -359,7 +368,7 @@ def parse_family_spec(text: str) -> FamilySpec:
                 raise SequenceError(f"bad explicit value {it!r}") from exc
         return FamilySpec("explicit", tuple(vals))
     seed = None
-    if "@" in text:
+    if text.rfind("@") > text.rfind(")"):   # an @ inside ( ) is nested
         head, _, tail = text.rpartition("@")
         try:
             seed = int(tail)
@@ -377,12 +386,22 @@ def parse_family_spec(text: str) -> FamilySpec:
     head = _FAMILY_ALIASES.get(head, head)
     if not _ID_RE.match(head):
         raise SequenceError(f"bad family id {head!r}")
-    if head in _FAMILY_ARITY and len(args) != _FAMILY_ARITY[head]:
-        raise SequenceError(
-            f"family {head!r} takes {_FAMILY_ARITY[head]} parameter(s), "
-            f"got {len(args)}")
-    if head not in _FAMILY_ARITY and head not in _WEIGHT_IDS:
+    kinds = _PARAM_KINDS.get(head)
+    if kinds is None:
         raise SequenceError(f"unknown family id {head!r}")
+    if len(args) != len(kinds) and not (head == "const" and not args):
+        raise SequenceError(
+            f"{head!r} takes {len(kinds)} parameter(s), got {len(args)}")
+    for i, (arg, kind) in enumerate(zip(args, kinds), 1):
+        if kind == _SPEC:
+            ok = isinstance(arg, FamilySpec)
+        else:   # abs(int) <= max compares exactly, with no float conversion
+            ok = (not isinstance(arg, FamilySpec)
+                  and abs(arg) <= sys.float_info.max)
+        if not ok:
+            raise SequenceError(
+                f"parameter {i} of {head!r} must be a {kind}, got "
+                f"{_format_value(arg)!r}")
     return FamilySpec(head, args, seed)
 
 
@@ -494,10 +513,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         base = family_sequence(params[1])
 
         def prod(n):
-            # an overflowing weight (exp2) becomes inf or nan here, which
-            # values_at rejects with one SequenceError
-            with np.errstate(over="ignore", invalid="ignore"):
-                return weight.fn(n) * base.values_at(n)
+            return weight.fn(n) * base.values_at(n)
         return CoefficientSequence.from_function(label, prod,
                                                  is_real=base.is_real)
     if fid == "perturbed":

@@ -1,4 +1,13 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# CI runners vary in speed: derandomize the examples and drop the per-example
+# deadline there, so that a slow runner cannot fail a property test at random
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -1,6 +1,11 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigconv.cli import _parse_n_list, main
 
@@ -242,3 +247,111 @@ def test_classify_overflowing_composite_weight_is_one_line(capsys, base):
                          "--horizon", "4096")
     assert _is_input_error(code, err) and out == ""
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "orvqm(log,3)"),
+    ("classify", "perturbed(1,2,3)"),
+    ("curve", "orvqm(1,2)", "--n", "4"),
+    ("classify", "harmonic(zero)"),
+    ("classify", "harmonic(1.0)", "--weight", "power(zero)"),
+    ("classify", "perturbed(zero,harmonic(1.0),0.1)"),
+    ("classify", "harmonic(1.0)", "--weight", "one(3)"),
+])
+def test_spec_parameter_kind_mismatch_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert "parameter" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_generator_overflow_is_one_line(capsys):
+    code, out, err = run(capsys, "classify", "quasimono(1e308,1)",
+                         "--horizon", "64")
+    assert _is_input_error(code, err) and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("lacunary", "--alpha", "inf"),
+    ("lacunary", "--alpha", "nan"),
+    ("lacunary", "--alpha", "1e-17"),     # 2^-alpha rounds to 1
+    ("t3", "--corpus-size", "0"),
+    ("t3", "--corpus-size", "-1"),
+    ("corollary", "--corpus-size", "0"),
+])
+def test_verify_rejects_out_of_range_arguments(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert _is_input_error(code, err) and out == ""
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+_NUMBER_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_SPEC_TOKENS = st.recursive(
+    st.one_of(_NUMBER_TOKENS, st.sampled_from([
+        "harmonic(1.0)", "harmonic(-2)", "log_damped", "lacunary(0.5)",
+        "rbv_block(1.0)", "quasimono(0.5,2.0)", "zero", "log", "exp2",
+        "one", "const", "power(0.5)", "explicit:[1,0.5i,0.25]",
+        "explicit:[]", "nosuch", "harmonic(", ""])),
+    lambda inner: st.builds(
+        lambda f, args, seed: f"{f}({','.join(args)}){seed}",
+        st.sampled_from(["harmonic", "quasimono", "lacunary", "rbv_block",
+                         "orvqm", "perturbed", "power", "const", "one"]),
+        st.lists(inner, max_size=3), st.sampled_from(["", "@5", "@x"])),
+    max_leaves=5)
+
+
+def _flag(name, values):
+    # name=value, so that a value such as -1e+16 is not read as an option
+    return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v}",)))
+
+
+# "--" ends the options, so that a spec such as -inf stays positional
+_CLASSIFY_ARGV = st.tuples(
+    st.just(("classify",)),
+    _flag("--horizon", st.integers(-2, 64).map(str)),
+    _flag("--weight", _SPEC_TOKENS),
+    _flag("--theta0", _NUMBER_TOKENS),
+    _flag("--n0", st.lists(st.integers(-1, 20).map(str), min_size=1,
+                           max_size=3).map(",".join)),
+    _flag("--m-max", st.integers(-1, 40).map(str)),
+    _SPEC_TOKENS.map(lambda s: ("--", s)))
+_CURVE_ARGV = st.tuples(
+    st.just(("curve",)),
+    st.sampled_from(["4", "8,16", "0,4", "16,8", "2..32:dyadic"]).map(
+        lambda n: ("--n", n)),
+    st.integers(-1, 2048).map(lambda r: (f"--nref={r}",)),
+    _flag("--oversample", st.integers(-1, 9).map(str)),
+    _SPEC_TOKENS.map(lambda s: ("--", s)))
+_VERIFY_ARGV = st.one_of(
+    st.tuples(st.just(("verify",)),
+              st.sampled_from([("t3",), ("corollary",)]),
+              _flag("--seed", st.integers(-5, 400).map(str)),
+              st.integers(-2, 2).map(lambda k: (f"--corpus-size={k}",))),
+    # only out-of-range alphas: a valid one runs a 2^20-term harness, which
+    # the lacunary tests cover
+    st.floats(allow_nan=True, allow_infinity=True)
+    .filter(lambda a: not 0.0 < a <= 51.1)
+    .map(lambda a: (("verify", "lacunary", f"--alpha={a!r}"),)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_CLASSIFY_ARGV, _CURVE_ARGV, _VERIFY_ARGV))
+def test_cli_fuzz_exits_0_1_or_2(parts):
+    argv = [a for part in parts for a in part]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert _is_input_error(code, err), err
+    sizes = [a for a in argv if a.startswith("--corpus-size=")]
+    if sizes:
+        assert (code == 2) == (int(sizes[0].partition("=")[2]) < 1)
+    if "lacunary" in argv:
+        assert code == 2

@@ -149,6 +149,17 @@ def test_lacunary_outcome_alpha_one():
     assert by_name["tail/below_threshold"].passed
 
 
+def test_lacunary_tail_record_is_the_tightest_ladder_point():
+    # lhs and rhs are the estimate and the bound at one n, the one with the
+    # smallest slack, not maxima taken at different n
+    out = verify_lacunary_counterexample(1.0)
+    rec = {r.name: r for r in out.records}["tail/dominated_by_abs_bound"]
+    assert rec.passed and rec.witness == 1 << 15
+    assert rec.rhs == 2.0 ** -16 / 0.5
+    assert rec.slack == rec.rhs - rec.lhs
+    assert rec.slack == pytest.approx(1.07e-5, rel=5e-3)
+
+
 def test_lacunary_outcome_alpha_half_fails_only_threshold():
     # alpha = 1/2 decays too slowly for the 1e-3 cutoff at n = 2^15: the
     # certified bound is ~1.3e-2 there, so only that record can fail

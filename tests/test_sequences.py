@@ -70,6 +70,96 @@ def test_format_parse_round_trip(fam, p):
     assert parse_family_spec(format_family_spec(spec)) == spec
 
 
+# --- grammar fuzzing -------------------------------------------------------
+
+_NUMBERS = st.one_of(st.integers(-5, 50),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_SEEDS = st.none() | st.integers(-2 ** 70, 2 ** 70)
+_WEIGHT_SPECS = st.one_of(
+    st.builds(FamilySpec, st.sampled_from(["one", "log", "exp2", "const"])),
+    st.builds(lambda w, v: FamilySpec(w, (v,)),
+              st.sampled_from(["const", "power"]), _NUMBERS))
+_FAMILY_SPECS = st.recursive(
+    st.one_of(
+        st.builds(lambda f, p, s: FamilySpec(f, (p,), s),
+                  st.sampled_from(["harmonic", "lacunary", "rbv_block"]),
+                  _NUMBERS, _SEEDS),
+        st.builds(lambda a, p, s: FamilySpec("quasimono", (a, p), s),
+                  _NUMBERS, _NUMBERS, _SEEDS),
+        st.builds(lambda f, s: FamilySpec(f, (), s),
+                  st.sampled_from(["log_damped", "zero"]), _SEEDS),
+        st.builds(lambda v: FamilySpec("explicit", tuple(v)),
+                  st.lists(st.complex_numbers(allow_nan=False,
+                                              allow_infinity=False),
+                           max_size=4))),
+    lambda inner: st.one_of(
+        st.builds(lambda w, b, s: FamilySpec("orvqm", (w, b), s),
+                  _WEIGHT_SPECS, inner, _SEEDS),
+        st.builds(lambda k, b, e, s: FamilySpec("perturbed", (k, b, e), s),
+                  _NUMBERS, inner, _NUMBERS, _SEEDS)),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_FAMILY_SPECS, _WEIGHT_SPECS))
+def test_format_parse_round_trip_generated(spec):
+    # nested specs may carry their own @seed
+    text = format_family_spec(spec)
+    assert format_family_spec(parse_family_spec(text)) == text
+
+
+_IDS = ["harmonic", "log_damped", "quasimono", "lacunary", "rbv_block",
+        "orvqm", "perturbed", "zero", "one", "const", "power", "log", "exp2"]
+_TOKENS = st.one_of(
+    st.sampled_from(_IDS + ["", "nan", "inf", "-inf", "1e999", "10" * 200,
+                            "explicit:[1,0.5]", "explicit:[a]", "@", "(",
+                            ")", "logdamped"]),
+    _NUMBERS.map(repr))
+_MALFORMED_SPECS = st.recursive(
+    _TOKENS,
+    lambda inner: st.builds(
+        lambda f, args, seed: f"{f}({','.join(args)}){seed}",
+        st.sampled_from(_IDS + ["x"]), st.lists(inner, max_size=4),
+        st.sampled_from(["", "@3", "@x", "@"])),
+    max_leaves=6)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_MALFORMED_SPECS)
+def test_malformed_or_kind_swapped_specs_raise_only_sequence_error(text):
+    # whatever parses must realize, or fail with a SequenceError as well
+    try:
+        spec = parse_family_spec(text)
+        if spec.family_id in ("one", "const", "power", "log", "exp2"):
+            weight_from_spec(spec).validated_prefix(8)
+        else:
+            family_sequence(spec).prefix(8)
+    except SequenceError:
+        pass
+
+
+@pytest.mark.parametrize("text", [
+    "orvqm(log,3)", "perturbed(1,2,3)", "orvqm(1,2)", "harmonic(zero)",
+    "power(zero)", "perturbed(zero,harmonic(1.0),0.1)", "one(3)", "power",
+    "harmonic(nan)", "perturbed(inf,harmonic(1.0),0.1)", "const(1e999)",
+])
+def test_parse_checks_parameter_kinds(text):
+    with pytest.raises(SequenceError, match="parameter|takes"):
+        parse_family_spec(text)
+
+
+def test_const_weight_parameter_is_optional():
+    assert weight_from_spec(parse_family_spec("const")).prefix(2)[1] == 1.0
+    assert weight_from_spec(parse_family_spec("const(2)")).prefix(2)[1] == 2.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_generator_overflow_is_a_sequence_error_without_warning():
+    with pytest.raises(SequenceError, match="non-finite"):
+        sequence_from_text("quasimono(1e308,1)").prefix(64)
+
+
 # --- explicit sequences ----------------------------------------------------
 
 def test_explicit_prefix_and_insufficient_length():
