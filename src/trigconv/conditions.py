@@ -32,10 +32,10 @@ The one-sided checkers (MONOTONE, QUASIMONOTONE, REST_BV, WEIGHTED_REST_BV,
 GROUP_BV, ORVQM) read a :class:`PrefixView`: ``g[n-1] = c_n/R(n)`` and the
 tail sums ``tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|`` from one
 ``suffix_sums`` call, built once per (sequence, horizon, weight) by the
-caller and never cached on the sequence.  Two dtype rules: without a weight ``g`` is the prefix
-itself, real or complex as stored, with no division and no copy; a weight
-divides in complex arithmetic, even for real input, and truncates N where
-R overflows to infinity.
+caller and never cached on the sequence.  Two dtype rules: without a
+weight ``g`` is the prefix itself, real or complex as stored, with no
+division and no copy; a weight divides in complex arithmetic, even for
+real input, and truncates N where R overflows to infinity.
 """
 
 from __future__ import annotations

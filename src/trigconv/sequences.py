@@ -186,8 +186,9 @@ class CoefficientSequence:
             return self.values[n - 1]
         # overflow and inf*0 give inf or nan, which the check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            arr = np.ascontiguousarray(np.asarray(self.fn(n)),
-                                       dtype=float if self.is_real else complex)
+            arr = np.ascontiguousarray(
+                np.asarray(self.fn(n)),
+                dtype=float if self.is_real else complex)
         if arr.shape != n.shape:
             raise SequenceError(
                 f"generator for {self.label!r} returned a wrong shape")

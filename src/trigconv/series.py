@@ -23,8 +23,8 @@ error, so the true sup-norm lies in
 [estimate, estimate + 2 * slack] whenever the slack has settled.
 
 The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, the
-summation-by-parts tail bound, and the test-point probe at x0) live here so the verification harness can exercise
-each inequality separately.
+summation-by-parts tail bound, and the test-point probe at x0) live here so
+the verification harness can exercise each inequality separately.
 """
 
 from __future__ import annotations
