@@ -84,29 +84,51 @@ def _parse_n_list(text: str) -> list:
 
 def _sequence_from_file(path: str) -> CoefficientSequence:
     """One value per line, ``re`` or ``re,im``; blank lines and ``#``
-    comments are skipped."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                if len(parts) == 1:
-                    values.append(complex(float(parts[0]), 0.0))
-                elif len(parts) == 2:
-                    values.append(complex(float(parts[0]), float(parts[1])))
-                else:
-                    raise ValueError(line)
-            except ValueError as exc:
-                raise SequenceError(
-                    f"{path}:{lineno}: expected `re` or `re,im`, got "
-                    f"{line!r}") from exc
-    if not values:
+    comments are skipped.
+
+    The file is read once.  When every line is one real number, one
+    ``map(float, ...)`` parses it; otherwise a per-line loop gives the
+    same values and line-numbered errors.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SequenceError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                            f"{exc.start})") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        values = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+    except ValueError:
+        values = _parse_lines(path, lines)
+    if not values.size:
         raise SequenceError(f"{path}: no values")
-    return CoefficientSequence.explicit(np.asarray(values, dtype=complex),
-                                        label=f"file:{path}")
+    return CoefficientSequence.explicit(values, label=f"file:{path}")
+
+
+def _parse_lines(path: str, lines: list) -> np.ndarray:
+    """The values of ``lines`` as a complex array, or a SequenceError that
+    names the first bad line."""
+    values = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            if len(parts) == 1:
+                values.append(complex(float(parts[0]), 0.0))
+            elif len(parts) == 2:
+                values.append(complex(float(parts[0]), float(parts[1])))
+            else:
+                raise ValueError(line)
+        except ValueError as exc:
+            raise SequenceError(
+                f"{path}:{lineno}: expected `re` or `re,im`, got "
+                f"{line!r}") from exc
+    return np.asarray(values, dtype=complex)
 
 
 def _resolve_sequence(spec: str):
@@ -282,11 +304,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except SequenceError as exc:
+    except (SequenceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: "
+                         f"{str(exc) or 'allocation failed'}\n")
         return 2
 
 

@@ -149,12 +149,16 @@ def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
 @dataclass(frozen=True, eq=False)
 class PrefixView:
     """g and tail (see the module docstring) of one prefix, tail[N-1] = 0;
-    ``weight`` None means R = 1."""
+    ``weight`` None means R = 1.  ``exact_block_sum`` memoizes the exactly
+    rounded block sum L_m per m, so every GROUP_BV window (L_m does not
+    depend on N0) and every checker sharing the view sums a block once."""
 
     seq: CoefficientSequence
     weight: Optional[WeightSequence]
     g: np.ndarray
     tail: np.ndarray
+    _exact_blocks: dict = field(default_factory=dict, init=False,
+                                repr=False)
 
     @classmethod
     def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
@@ -162,6 +166,10 @@ class PrefixView:
         g = seq.prefix(resolve_horizon(seq, horizon))
         if weight is not None:
             rvals, finite_len = weight.validated_prefix(g.shape[0])
+            if finite_len < 2:
+                raise SequenceError(
+                    f"weight {weight.label!r} is finite for {finite_len} of "
+                    f"{g.shape[0]} terms; the weighted checks need at least 2")
             g = np.asarray(g[:finite_len], dtype=complex) / rvals[:finite_len]
         absdiff = np.zeros(g.shape[0])
         np.abs(g[:-1] - g[1:], out=absdiff[:-1])
@@ -202,6 +210,15 @@ class PrefixView:
         differences of the tail sums."""
         return self.tail[m - 1] - self.tail[np.minimum(2 * m, self.N - 1)]
 
+    def exact_block_sum(self, m: int) -> float:
+        """The block sum of ``block_sums`` at one m, exactly rounded."""
+        total = self._exact_blocks.get(m)
+        if total is None:
+            hi = min(2 * m, self.N - 1)
+            total = exact_sum(np.abs(self.g[m - 1:hi] - self.g[m:hi + 1]))
+            self._exact_blocks[m] = total
+        return total
+
 
 def _first_increase(x: np.ndarray) -> Optional[int]:
     """1-based index n of the first pair with x[n+1] > x[n] beyond tolerance."""
@@ -213,6 +230,22 @@ def _first_increase(x: np.ndarray) -> Optional[int]:
     if not bad.any():
         return None
     return int(np.argmax(bad)) + 1
+
+
+def _top_ratios(ratios: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest ratios, largest first and ties by
+    index: ``np.argsort(-ratios, kind="stable")[:count]`` without sorting
+    every ratio."""
+    key = -ratios
+    if key.shape[0] <= count:
+        return np.argsort(key, kind="stable")
+    cut = np.partition(key, count - 1)[count - 1]
+    if np.isnan(cut):  # fewer than count ordered values
+        return np.argsort(key, kind="stable")[:count]
+    above = np.flatnonzero(key < cut)
+    tied = np.flatnonzero(key == cut)[:count - above.shape[0]]
+    top = np.concatenate([above, tied])
+    return top[np.lexsort((top, key[top]))]
 
 
 def _snap_small(diffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -396,17 +429,13 @@ def check_group_bv(view: PrefixView, N0: int = 1,
     for k in range(1, N0):
         R = np.maximum(R, cabs[m - 1 + k])
 
-    def exact_L(mm: int) -> float:
-        hi = min(2 * mm, N - 1)
-        return exact_sum(np.abs(c[mm - 1:hi] - c[mm:hi + 1]))
-
     zero_rhs = R == 0.0
     if zero_rhs.any():
         for idx in np.flatnonzero(zero_rhs):
             if L[idx] == 0.0:
                 continue  # exactly-zero block: suffix values coincide
             mm = int(m[idx])
-            if exact_L(mm) > 0.0:
+            if view.exact_block_sum(mm) > 0.0:
                 return ConditionReport(cond, FAILS, None, mm, m_lo, m_hi, N, None)
     ratios = np.zeros(m.shape[0])
     pos = ~zero_rhs
@@ -415,13 +444,13 @@ def check_group_bv(view: PrefixView, N0: int = 1,
         return ConditionReport(cond, HOLDS, 0.0, None, m_lo, m_hi, N, 0.0)
     # refine the top candidates with exactly rounded block sums: the scan
     # uses suffix-sum differences, which carry ambient-scale round-off
-    order = np.argsort(-ratios, kind="stable")[:8]
+    order = _top_ratios(ratios, 8)
     best_val, best_m = -1.0, int(m[int(order[0])])
     for idx in order:
         mm = int(m[int(idx)])
         if R[idx] == 0.0:
             continue
-        r = exact_L(mm) / float(R[idx])
+        r = view.exact_block_sum(mm) / float(R[idx])
         if r > best_val or (r == best_val and mm < best_m):
             best_val, best_m = r, mm
     constant = max(best_val, 0.0)

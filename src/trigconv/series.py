@@ -263,14 +263,16 @@ def _default_nref(n: int) -> int:
 
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
     """sum_{k=lo+1}^{hi} |c_k| without caching huge prefixes; explicit data
-    counts only up to its length."""
+    counts only up to its length.  Only the nonzero |c_k| reach the exact
+    sum (a lacunary range is almost all zeros); zeros do not change it."""
     if seq.length is not None:
         hi = min(hi, seq.length)
     parts = []
     step = 1 << 20
     for start in range(lo, hi, step):
         k = np.arange(start + 1, min(hi, start + step) + 1, dtype=np.int64)
-        parts.append(exact_sum(np.abs(seq.values_at(k))))
+        a = np.abs(seq.values_at(k))
+        parts.append(exact_sum(a[a != 0.0]))
     return math.fsum(parts)
 
 

@@ -5,6 +5,11 @@ below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and compensated (or exactly rounded) accumulation.  The
 relative error of ``suffix_sums`` is a few ulp even for 2**20 terms, which
 keeps downstream ratio checks well inside their 1e-9 windows.
+
+Every exactly rounded sum is ``math.fsum`` reading the buffer of a
+contiguous float64 array through a ``memoryview``: the same floats in the
+same order as ``math.fsum(arr.tolist())``, so the same result bit for bit,
+without building a Python list first.
 """
 
 from __future__ import annotations
@@ -19,17 +24,22 @@ import numpy as np
 _CHUNK = 4096
 
 
+def _fsum(values) -> float:
+    """math.fsum over the buffer of ``values`` as a flat float64 array."""
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
+
+
 def exact_sum(values) -> float:
-    """Exactly rounded sum of a real iterable (math.fsum on a flat array)."""
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.tolist())
+    """Exactly rounded sum of a flat real array or iterable: math.fsum
+    reading the float64 buffer, no Python list in between."""
+    return _fsum(values)
 
 
 def exact_complex_sum(values) -> complex:
     """Exactly rounded sum of a complex iterable, real and imaginary parts
     summed independently."""
     arr = np.asarray(values, dtype=complex)
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    return complex(_fsum(arr.real), _fsum(arr.imag))
 
 
 def suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -46,7 +56,7 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     if n == 0:
         return out
     starts = list(range(0, n, _CHUNK))
-    chunk_sums = [math.fsum(vals[s:s + _CHUNK].tolist()) for s in starts]
+    chunk_sums = [_fsum(vals[s:s + _CHUNK]) for s in starts]
     for idx, s in enumerate(starts):
         chunk = vals[s:s + _CHUNK]
         # suffix within the chunk, then shift by the exact sum of all later chunks

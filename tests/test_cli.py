@@ -3,11 +3,14 @@ import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigconv.cli import _parse_n_list, main
+from trigconv import cli
+from trigconv.cli import _parse_n_list, _sequence_from_file, main
+from trigconv.sequences import CoefficientSequence, SequenceError
 
 
 def run(capsys, *argv):
@@ -282,6 +285,130 @@ def test_classify_generator_overflow_is_one_line(capsys):
 def test_verify_rejects_out_of_range_arguments(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert _is_input_error(code, err) and out == ""
+
+
+
+def test_classify_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "seq.bin"
+    path.write_bytes(b"\x80\x81")
+    code, out, err = run(capsys, "classify", f"file:{path}")
+    assert _is_input_error(code, err) and out == ""
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_weight_leaving_one_finite_term_is_input_error(capsys):
+    # power(1e308) is infinite from n = 2 on: no weighted range is left
+    code, out, err = run(capsys, "classify", "harmonic(1.0)",
+                         "--weight", "power(1e308)", "--horizon", "64")
+    assert _is_input_error(code, err) and out == ""
+    assert "power(1e+308)" in err
+    # exp2 overflows past n = 1023: the weighted checks keep that range
+    code, out, _ = run(capsys, "classify", "harmonic(1.0)",
+                       "--weight", "exp2", "--horizon", "4096")
+    assert code == 0
+    weighted = [r for r in json.loads(out)["reports"]
+                if r["condition"].startswith(("WEIGHTED", "ORVQM"))]
+    assert len(weighted) == 2
+    assert {r["range"]["horizon"] for r in weighted} == {1023}
+
+
+def test_allocation_failure_is_input_error(capsys, monkeypatch):
+    def no_memory(self, N):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(CoefficientSequence, "prefix", no_memory)
+    code, out, err = run(capsys, "classify", "harmonic(1.0)",
+                         "--horizon", "100000000000")
+    assert _is_input_error(code, err) and out == ""
+    assert "745. GiB" in err
+
+
+# --- file parsing: the one-map fast path against the per-line loop ---------
+
+def _loop_parse(path):
+    """The per-line reader: (values, is_real, label) or the error text."""
+    values = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                try:
+                    if len(parts) == 1:
+                        values.append(complex(float(parts[0]), 0.0))
+                    elif len(parts) == 2:
+                        values.append(complex(float(parts[0]),
+                                              float(parts[1])))
+                    else:
+                        raise ValueError(line)
+                except ValueError as exc:
+                    raise SequenceError(
+                        f"{path}:{lineno}: expected `re` or `re,im`, got "
+                        f"{line!r}") from exc
+        if not values:
+            raise SequenceError(f"{path}: no values")
+        return CoefficientSequence.explicit(
+            np.asarray(values, dtype=complex), label=f"file:{path}")
+    except SequenceError as exc:
+        return str(exc)
+
+
+def _file_parse(path):
+    try:
+        return _sequence_from_file(str(path))
+    except SequenceError as exc:
+        return str(exc)
+
+
+def _same_parse(path):
+    got, want = _file_parse(path), _loop_parse(path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.is_real, got.label) == (want.is_real, want.label)
+
+
+_FAST_FILES = [
+    "1.0\n0.5\n0.25\n",                      # plain
+    "1.0\r\n0.5\r\n0.25\r\n",                # CRLF
+    "1.0  \n\t0.5 \n 0.25",                  # surrounding spaces, no final EOL
+    "1_000\n2_5.0\n-0.0\n5e-324\n",          # underscores, signed zero
+    "1.0\nnan\n",                             # non-finite value
+    "",                                       # no values
+]
+_LOOP_FILES = [
+    "# header\n1.0\n0.5\n",                  # comment
+    "1.0\n\n0.5\n",                          # blank line
+    "1.0\n0.5, -0.25\n",                      # re,im line
+    "1.0\n0.5\nabc\n",                       # bad line
+    "1.0\n0.5,1,2\n",                         # three fields
+]
+
+
+@pytest.mark.parametrize("text", _FAST_FILES + _LOOP_FILES)
+def test_file_fast_path_matches_the_loop(tmp_path, monkeypatch, text):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if text in _FAST_FILES:     # these never reach the per-line loop
+        monkeypatch.setattr(cli, "_parse_lines", None)
+    _same_parse(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789.e-_ ,#\t\r\x0c", max_size=8)
+                | st.sampled_from(["1.5", "nan", "inf", "1e400", "0.5,0.5"]),
+                max_size=8),
+       st.sampled_from(["\n", "\r\n", "\r"]))
+def test_file_fast_path_matches_the_loop_generated(tmp_path_factory, lines,
+                                                   eol):
+    path = tmp_path_factory.mktemp("files") / "seq.txt"
+    path.write_bytes(eol.join(lines).encode("utf-8"))
+    _same_parse(path)
 
 
 # --- fuzzing ----------------------------------------------------------------

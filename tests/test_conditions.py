@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigconv import conditions
 from trigconv.conditions import (
     FAILS,
     HOLDS,
@@ -25,6 +27,7 @@ from trigconv.conditions import (
 from trigconv.sequences import (
     CoefficientSequence,
     Sector,
+    SequenceError,
     TwoSidedSequence,
     parse_family_spec,
     sequence_from_text,
@@ -176,6 +179,112 @@ def test_group_bv_never_inconclusive():
         assert rep.verdict in (HOLDS, FAILS)
 
 
+
+def _scan(view, n0):
+    """m, the suffix-sum block sums L and the window maxima R of the
+    GROUP_BV scan over the default range."""
+    N = view.N
+    m = np.arange(1, min(max(1, N // 4), (N - 1) // 2, N - n0 + 1) + 1)
+    cabs = np.abs(view.g)
+    R = cabs[m - 1].copy()
+    for k in range(1, n0):
+        R = np.maximum(R, cabs[m - 1 + k])
+    return m, view.block_sums(m), R
+
+
+def _reference_candidates(view, n0):
+    """The 8 refinement candidates from a stable argsort of every ratio."""
+    m, L, R = _scan(view, n0)
+    ratios = np.zeros(m.shape[0])
+    pos = R != 0.0
+    ratios[pos] = L[pos] / R[pos]
+    return m, R, np.argsort(-ratios, kind="stable")[:8]
+
+
+def _reference_group_bv(view, n0):
+    """(verdict, constant, witness) of GROUP_BV refined as a stable argsort
+    of every ratio, its top 8, and math.fsum over a list per block."""
+    c, N = view.g, view.N
+
+    def exact_L(mm):
+        hi = min(2 * mm, N - 1)
+        return math.fsum(np.abs(c[mm - 1:hi] - c[mm:hi + 1]).tolist())
+
+    m, L, R = _scan(view, n0)
+    for idx in np.flatnonzero(R == 0.0):
+        if L[idx] != 0.0 and exact_L(int(m[idx])) > 0.0:
+            return FAILS, None, int(m[idx])
+    m, R, order = _reference_candidates(view, n0)
+    best_val, best_m = -1.0, int(m[int(order[0])])
+    for idx in order:
+        mm = int(m[int(idx)])
+        if R[idx] == 0.0:
+            continue
+        r = exact_L(mm) / float(R[idx])
+        if r > best_val or (r == best_val and mm < best_m):
+            best_val, best_m = r, mm
+    return HOLDS, max(best_val, 0.0), best_m
+
+
+_TIED = st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0, 1.0, 1 / 3]),
+                 min_size=4, max_size=160)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TIED, st.sampled_from(["raw", "plateaus", "tail_zeros", "geometric"]))
+def test_group_bv_refinement_matches_full_argsort(vals, shape):
+    vals = np.asarray(vals)
+    if shape == "plateaus":
+        vals = np.sort(vals)[::-1]
+    elif shape == "tail_zeros":
+        vals[len(vals) // 2:] = 0.0
+    elif shape == "geometric":
+        # ratios 1 - 2^-(m+1) tie at 1.0 for every m past ~53, so more
+        # than 8 ratios share the top value
+        vals = 2.0 ** -np.arange(240 + len(vals))
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    for n0 in (1, 2, 4, 8, 16):
+        if min(view.N // 4, (view.N - 1) // 2, view.N - n0 + 1) < 1:
+            continue
+        rep = check_group_bv(view, n0)
+        verdict, constant, witness = _reference_group_bv(view, n0)
+        assert (rep.verdict, rep.witness) == (verdict, witness)
+        if constant is None:
+            assert rep.constant is None
+        else:
+            assert struct.pack("<d", rep.constant) == \
+                struct.pack("<d", constant)
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.nan]),
+                max_size=40))
+def test_top_ratios_is_the_head_of_a_stable_argsort(ratios):
+    ratios = np.asarray(ratios, dtype=float)
+    expected = np.argsort(-ratios, kind="stable")[:8]
+    assert np.array_equal(conditions._top_ratios(ratios, 8), expected)
+
+
+def test_classify_sums_each_refinement_block_once(monkeypatch):
+    # the top-8 candidates of the five windows overlap, and L_m does not
+    # depend on N0: each distinct block is summed exactly once
+    seq = sequence_from_text("quasimono(0.5,2.0)")
+    view = PrefixView.of(seq, 1 << 14)
+    per_window = [{int(m[i]) for i in order} for m, _, order in
+                  (_reference_candidates(view, n0) for n0 in (1, 2, 4, 8, 16))]
+    distinct = set().union(*per_window)
+    assert len(distinct) < sum(len(c) for c in per_window)
+    calls = []
+    exact_sum = conditions.exact_sum
+
+    def counting(values):
+        calls.append(len(values))
+        return exact_sum(values)
+
+    monkeypatch.setattr(conditions, "exact_sum", counting)
+    classify(seq, ClassifyOptions(horizon=1 << 14))
+    assert len(calls) == len(distinct)
+
+
 # --- sector conditions -----------------------------------------------------
 
 def _sector_sequence(theta0, factor, n=512):
@@ -320,6 +429,13 @@ _VIEW_CASES = [
     ("rbv_block(1.0)", 4096, "log"),
     ("harmonic(1.0)", 2048, "exp2"),   # R overflows past n = 1023
 ]
+
+
+def test_weighted_view_needs_two_finite_terms():
+    # power(1e308) is infinite from n = 2 on
+    with pytest.raises(SequenceError, match="at least 2"):
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 64,
+                      _weight("power(1e308)"))
 
 
 @pytest.mark.parametrize("spec,horizon,weight", _VIEW_CASES)

@@ -1,6 +1,8 @@
 import math
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -51,3 +53,40 @@ def test_empty_inputs():
     assert exact_sum(np.array([])) == 0.0
     assert suffix_sums(np.array([])).shape == (0,)
     assert suffix_sums(np.array([2.5]))[0] == 2.5
+
+
+# --- the buffer path equals fsum over a Python list, bit for bit ------------
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_TERMS = st.lists(
+    st.one_of(st.floats(-1e300, 1e300),
+              st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300,
+                               -1e300, 1.0, -1.0])),
+    max_size=200)
+_STRIDE = st.integers(1, 4)
+
+
+@given(_TERMS, _STRIDE, st.integers(0, 3))
+def test_exact_sum_is_fsum_of_the_list(xs, step, start):
+    arr = np.asarray(xs, dtype=float)[start::step]
+    assert _bits(exact_sum(arr)) == _bits(math.fsum(arr.tolist()))
+
+
+@given(_TERMS, _TERMS, _STRIDE)
+def test_exact_complex_sum_is_fsum_of_each_part(re, im, step):
+    n = min(len(re), len(im))
+    z = (np.asarray(re[:n], dtype=float)
+         + 1j * np.asarray(im[:n], dtype=float))[::step]
+    s = exact_complex_sum(z)
+    assert _bits(s.real) == _bits(math.fsum(z.real.tolist()))
+    assert _bits(s.imag) == _bits(math.fsum(z.imag.tolist()))
+
+
+@pytest.mark.parametrize("zeros", [np.zeros(7), -np.zeros(7),
+                                   np.array([0.0, -0.0, 0.0])])
+def test_exact_sum_of_zeros(zeros):
+    assert _bits(exact_sum(zeros)) == _bits(math.fsum(zeros.tolist()))
+    assert _bits(exact_sum(zeros[::2])) == _bits(math.fsum(zeros[::2].tolist()))
