@@ -40,6 +40,8 @@ real input, and truncates N where R overflows to infinity.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -107,6 +109,11 @@ class ConditionReport:
     stabilization: Optional[float]
     notes: str = field(default="", compare=False)
 
+    def __post_init__(self):
+        for value in (self.constant, self.stabilization):
+            if value is not None:
+                _require_finite(value, f"{self.condition} constant")
+
     def to_json_dict(self) -> dict:
         """Stable serialization shape used by the CLI and the schemas."""
         return {
@@ -139,6 +146,12 @@ def _resolve_m_range(m_range, N: int) -> tuple[int, int]:
     return m_lo, m_hi
 
 
+def _require_finite(value: float, what: str) -> None:
+    """One rule for finite input that overflows in c/R, a sum or a ratio."""
+    if not math.isfinite(value):
+        raise SequenceError(f"{what} overflows the float range")
+
+
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
     """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based;
     the last block is cut at the array's end)."""
@@ -149,16 +162,12 @@ def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
 @dataclass(frozen=True, eq=False)
 class PrefixView:
     """g and tail (see the module docstring) of one prefix, tail[N-1] = 0;
-    ``weight`` None means R = 1.  ``exact_block_sum`` memoizes the exactly
-    rounded block sum L_m per m, so every GROUP_BV window (L_m does not
-    depend on N0) and every checker sharing the view sums a block once."""
+    ``weight`` None means R = 1."""
 
     seq: CoefficientSequence
     weight: Optional[WeightSequence]
     g: np.ndarray
     tail: np.ndarray
-    _exact_blocks: dict = field(default_factory=dict, init=False,
-                                repr=False)
 
     @classmethod
     def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
@@ -170,10 +179,17 @@ class PrefixView:
                 raise SequenceError(
                     f"weight {weight.label!r} is finite for {finite_len} of "
                     f"{g.shape[0]} terms; the weighted checks need at least 2")
-            g = np.asarray(g[:finite_len], dtype=complex) / rvals[:finite_len]
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = np.divide(g[:finite_len], rvals[:finite_len], dtype=complex)
         absdiff = np.zeros(g.shape[0])
-        np.abs(g[:-1] - g[1:], out=absdiff[:-1])
-        return cls(seq, weight, g, suffix_sums(absdiff))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(g[:-1] - g[1:], out=absdiff[:-1])
+        try:  # inf or NaN in g or in a difference reaches tail[0]
+            tail = suffix_sums(absdiff)
+        except OverflowError:  # math.fsum: the exact sum is past the range
+            tail = np.array([np.inf])
+        _require_finite(tail[0], "the variation sum of c_n/R(n)")
+        return cls(seq, weight, g, tail)
 
     @property
     def N(self) -> int:
@@ -210,15 +226,6 @@ class PrefixView:
         differences of the tail sums."""
         return self.tail[m - 1] - self.tail[np.minimum(2 * m, self.N - 1)]
 
-    def exact_block_sum(self, m: int) -> float:
-        """The block sum of ``block_sums`` at one m, exactly rounded."""
-        total = self._exact_blocks.get(m)
-        if total is None:
-            hi = min(2 * m, self.N - 1)
-            total = exact_sum(np.abs(self.g[m - 1:hi] - self.g[m:hi + 1]))
-            self._exact_blocks[m] = total
-        return total
-
 
 def _first_increase(x: np.ndarray) -> Optional[int]:
     """1-based index n of the first pair with x[n+1] > x[n] beyond tolerance."""
@@ -226,7 +233,8 @@ def _first_increase(x: np.ndarray) -> Optional[int]:
         return None
     a, b = x[:-1], x[1:]
     slack = REL_TOL * np.maximum(np.abs(a), np.abs(b))
-    bad = b > a + slack
+    with np.errstate(over="ignore"):  # no float exceeds an inf a + slack
+        bad = b > a + slack
     if not bad.any():
         return None
     return int(np.argmax(bad)) + 1
@@ -365,9 +373,8 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
     if np.any(zero_rhs & (Tm > 0.0)):
         witness = m_lo + int(np.argmax(zero_rhs & (Tm > 0.0)))
         return ConditionReport(cond, FAILS, None, witness, m_lo, m_hi, N, None)
-    ratios = np.zeros(Tm.shape[0])
-    pos = ~zero_rhs
-    ratios[pos] = Tm[pos] / Rm[pos]
+    with np.errstate(over="ignore"):  # an inf constant is rejected
+        ratios = np.divide(Tm, Rm, out=np.zeros(Rm.shape), where=~zero_rhs)
     constant = float(ratios.max()) if ratios.size else 0.0
     witness = m_lo + int(np.argmax(ratios)) if ratios.size else None
     total = float(view.tail[m_lo - 1])
@@ -399,9 +406,17 @@ def check_weighted_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     return _tail_variation_core(view, np.abs(view.g), m_range, cond)
 
 
-def check_group_bv(view: PrefixView, N0: int = 1,
-                   m_range=None) -> ConditionReport:
-    """Group bounded variation with a fixed comparison window:
+def _group_bv_range(N: int, N0: int, m_range) -> range:
+    """The m of the GROUP_BV(N0) scan, [m, 2m + 1] and [m, m + N0 - 1]
+    inside the prefix; empty (skipped by classify) if the window won't fit."""
+    m_lo, m_hi = _resolve_m_range(m_range, N)
+    return range(m_lo, min(m_hi, (N - 1) // 2, N - N0 + 1) + 1)
+
+
+def check_group_bv(view: PrefixView, n0_list: Sequence[int] = (1,),
+                   m_range=None) -> list[ConditionReport]:
+    """Group bounded variation with a fixed comparison window, one report
+    per window length N0 in ``n0_list`` (in its order, repeats included):
 
         L_m = sum_{n=m}^{2m} |c_n - c_{n+1}|
             <= M * max_{m <= n < m+N0} |c_n| =: M * R_m    for all m.
@@ -410,51 +425,61 @@ def check_group_bv(view: PrefixView, N0: int = 1,
     exact -- ``holds`` with the smallest consistent M (max ratio, refined by
     exactly rounded block sums at the candidate maximizers) or ``fails``
     with a witness m where R_m = 0 while L_m > 0.  Never ``inconclusive``.
+
+    L_m does not depend on N0, so one pass serves every window: R_m grows
+    in place (max is exact: each window keeps its bits) and each
+    refinement block is summed once.
     """
-    N0 = int(N0)
-    if N0 < 1:
+    windows = sorted({int(n0) for n0 in n0_list})
+    if not windows:
+        return []
+    if windows[0] < 1:
         raise SequenceError("window length N0 must be >= 1")
-    cond = f"GROUP_BV(N0={N0})"
-    c, N = view.unweighted(cond), view.N
+    c, N = view.unweighted("GROUP_BV"), view.N
+    longest = _group_bv_range(N, windows[0], m_range)
+    if not _group_bv_range(N, windows[-1], m_range):  # the shortest scan
+        raise SequenceError(f"horizon {N} too small for the window scan "
+                            f"starting at {longest.start}")
     cabs = np.abs(c)
-    m_lo, m_hi = _resolve_m_range(m_range, N)
-    m_hi = min(m_hi, (N - 1) // 2, N - N0 + 1)
-    if m_hi < m_lo:
-        raise SequenceError(
-            f"horizon {N} too small for the window scan starting at {m_lo}")
-
-    m = np.arange(m_lo, m_hi + 1)
+    m_lo, m = longest.start, np.arange(longest.start, longest.stop)
     L = view.block_sums(m)
-    R = cabs[m - 1].copy()
-    for k in range(1, N0):
-        R = np.maximum(R, cabs[m - 1 + k])
+    R = cabs[m - 1]               # a copy, grown in place below
 
-    zero_rhs = R == 0.0
-    if zero_rhs.any():
-        for idx in np.flatnonzero(zero_rhs):
-            if L[idx] == 0.0:
-                continue  # exactly-zero block: suffix values coincide
-            mm = int(m[idx])
-            if view.exact_block_sum(mm) > 0.0:
-                return ConditionReport(cond, FAILS, None, mm, m_lo, m_hi, N, None)
-    ratios = np.zeros(m.shape[0])
-    pos = ~zero_rhs
-    ratios[pos] = L[pos] / R[pos]
-    if not ratios.size:
-        return ConditionReport(cond, HOLDS, 0.0, None, m_lo, m_hi, N, 0.0)
-    # refine the top candidates with exactly rounded block sums: the scan
-    # uses suffix-sum differences, which carry ambient-scale round-off
-    order = _top_ratios(ratios, 8)
-    best_val, best_m = -1.0, int(m[int(order[0])])
-    for idx in order:
-        mm = int(m[int(idx)])
-        if R[idx] == 0.0:
+    @functools.cache
+    def exact_L(mm: int) -> float:
+        hi = min(2 * mm, N - 1)
+        return exact_sum(np.abs(c[mm - 1:hi] - c[mm:hi + 1]))
+
+    reports, width = {}, 1
+    for N0 in windows:
+        cond = f"GROUP_BV(N0={N0})"
+        count = len(_group_bv_range(N, N0, m_range))
+        Lw, Rw = L[:count], R[:count]
+        for k in range(width, N0):
+            np.maximum(Rw, cabs[m_lo - 1 + k:m_lo - 1 + k + count], out=Rw)
+        width, span = N0, (m_lo, m_lo + count - 1, N)
+        zero_rhs = Rw == 0.0
+        candidates = np.flatnonzero(zero_rhs & (Lw != 0.0)) + m_lo
+        witness = next((int(mm) for mm in candidates if exact_L(mm) > 0.0),
+                       None)
+        if witness is not None:
+            reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
+                                          None)
             continue
-        r = view.exact_block_sum(mm) / float(R[idx])
-        if r > best_val or (r == best_val and mm < best_m):
-            best_val, best_m = r, mm
-    constant = max(best_val, 0.0)
-    return ConditionReport(cond, HOLDS, constant, best_m, m_lo, m_hi, N, 0.0)
+        with np.errstate(over="ignore"):  # an inf constant is rejected
+            ratios = np.divide(Lw, Rw, out=np.zeros(count), where=~zero_rhs)
+        # refine the top candidates with exactly rounded block sums: the scan
+        # uses suffix-sum differences, which carry ambient-scale round-off
+        order = _top_ratios(ratios, 8)
+        best_val, best_m = -1.0, m_lo + int(order[0])
+        for idx in order[Rw[order] != 0.0]:
+            mm = m_lo + int(idx)
+            r = exact_L(mm) / float(Rw[idx])
+            if r > best_val or (r == best_val and mm < best_m):
+                best_val, best_m = r, mm
+        reports[N0] = ConditionReport(cond, HOLDS, max(best_val, 0.0),
+                                      best_m, *span, 0.0)
+    return [reports[int(n0)] for n0 in n0_list]
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +613,8 @@ def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionRe
             reports.append(check_quasimonotone(plain, alpha))
         reports.append(check_rest_bv(plain, m_range))
     reports.append(check_weighted_rest_bv(weighted, m_range))
-    for n0 in opts.n0_list:
-        if N >= 3 and N - n0 + 1 >= 1:  # window scan needs at least one m
-            reports.append(check_group_bv(plain, n0, m_range))
+    reports.extend(check_group_bv(
+        plain, [n0 for n0 in opts.n0_list if _group_bv_range(N, n0, m_range)],
+        m_range))
     reports.append(check_orvqm(weighted, sector))
     return reports

@@ -350,7 +350,7 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
 
     # predicted constant for the group-variation check
     rho = float((R2 / R1).max())
-    grep = check_group_bv(plain, 1)
+    grep = check_group_bv(plain, (1,))[0]
     ok_hold = grep.verdict == HOLDS
     predicted = (M2 + 1.0) * rho - 1.0
     measured = float(grep.constant) if ok_hold else math.inf
@@ -510,16 +510,13 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
         detail=f"float product within {ulp_dev:g} ulp; "
                f"direct float product exact: {bool(np.all(prod == 1.0))}"))
 
-    # (ii) group variation fails for every window; the view is dropped
-    # before the convergence curve below
-    view = PrefixView.of(b, horizon)
-    for n0 in n0_list:
-        rep = check_group_bv(view, n0)
+    # (ii) group variation fails for every window
+    reps = check_group_bv(PrefixView.of(b, horizon), n0_list)
+    for n0, rep in zip(n0_list, reps):
         ok = rep.verdict == FAILS and rep.witness is not None
         records.append(InequalityRecord(
             f"group_bv/window_{n0}", label, ok, math.nan, math.nan, math.nan,
             witness=rep.witness, detail=f"verdict={rep.verdict}"))
-    del view
 
     # (iii) tail estimates against the absolute bound
     ns = [1 << j for j in range(6, int(math.log2(threshold_n)) + 1)]
@@ -582,7 +579,7 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
     records: list[InequalityRecord] = []
     for text in specs:
         seq = sequence_from_text(text)
-        grep = check_group_bv(PrefixView.of(seq, horizon), 1)
+        grep = check_group_bv(PrefixView.of(seq, horizon), (1,))[0]
         curve = convergence_curve(seq, ns, N_ref=N_ref)
         final = curve.entries[-1]
         ncn_small = final.max_k_ck <= EQUIV_NCN_TOL
@@ -644,17 +641,11 @@ def probe_necessity(n_values: Sequence[int] = (10, 100, 1000),
     sector = Sector(theta0)
     for i in range(instances):
         ts = _pair_sector_instance(seed + i, 4 * n_probe, theta0)
-        try:
-            pr = testpoint_block_probe(ts, n_probe, sector)
-        except SequenceError as exc:
-            records.append(InequalityRecord(
-                "testpoint/three_term", ts.label, False, math.nan, math.nan,
-                -math.inf, detail=str(exc)))
-            continue
+        pr = testpoint_block_probe(ts, n_probe, sector)
         rec = _gate("testpoint/three_term", ts.label, pr.lhs,
                     pr.norm_diff + pr.pair_abs_sum,
                     detail=f"premises_ok={pr.premises_ok}")
-        rec.passed = rec.passed and pr.premises_ok and pr.sin_floor_ok
+        rec.passed = pr.premises_ok and pr.sin_floor_ok and pr.inequality_ok
         records.append(rec)
     status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     worst = min(r.slack for r in records)

@@ -45,7 +45,7 @@ def test_criterion_1_telescoping_constants(acceptance_line):
     for seq in _nonincreasing_null_families():
         view = PrefixView.of(seq)
         rest = check_rest_bv(view)
-        group = check_group_bv(view, N0=1)
+        group, = check_group_bv(view, (1,))
         ok = ok and rest.verdict == "holds" and group.verdict == "holds"
         ok = ok and abs(rest.constant - 1.0) <= 1e-9
         ok = ok and group.constant <= 1.0 + 1e-12
@@ -67,8 +67,9 @@ def test_criterion_2_harmonic_block_constant(acceptance_line):
             best, arg = ratio, m
     ok = abs(best - 2.0 / 3.0) <= 1e-9 and arg == 1
 
-    report = check_group_bv(PrefixView.of(sequence_from_text("harmonic(1.0)")),
-                            N0=1, m_range=(1, 10**4))
+    report, = check_group_bv(
+        PrefixView.of(sequence_from_text("harmonic(1.0)")), (1,),
+        m_range=(1, 10**4))
     ok = ok and report.verdict == "holds"
     ok = ok and abs(report.constant - 2.0 / 3.0) <= 1e-9
     ok = ok and report.witness == 1

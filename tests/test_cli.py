@@ -274,6 +274,33 @@ def test_classify_generator_overflow_is_one_line(capsys):
     assert _is_input_error(code, err) and out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # |c_1 - c_2| is inf
+    ("explicit:[1e308,-1e308,1,1,1,1,1,1]",),
+    # every difference is finite, their sum is not
+    ("explicit:[1e308,0,1e308,0,1e308,0,1,1]",),
+    # REST_BV's ratio T_1 / b_1 is about 2e600
+    ("explicit:[1e-300,1e300,0,0,0,0,0,0]",),
+    # c/R overflows
+    ("explicit:[1,0.5,0.25]", "--weight", "const(1e-310)"),
+])
+def test_classify_overflow_is_one_line(capsys, argv):
+    code, out, err = run(capsys, "classify", *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert "overflows the float range" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_at_the_largest_float_runs_clean(capsys):
+    # the monotonicity slack a + 1e-12 a overflows at a = max float
+    code, out, err = run(capsys, "classify",
+                         "explicit:[1.7976931348623157e308,1e308,1,0.5]")
+    assert code == 0 and err == ""
+    reports = {r["condition"]: r for r in json.loads(out)["reports"]}
+    assert reports["MONOTONE"]["verdict"] == "holds"
+
+
 @pytest.mark.parametrize("argv", [
     ("lacunary", "--alpha", "inf"),
     ("lacunary", "--alpha", "nan"),
@@ -416,6 +443,13 @@ def test_file_fast_path_matches_the_loop_generated(tmp_path_factory, lines,
 _NUMBER_TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr))
+# explicit data at the edges of the float range for classify: differences,
+# sums and ratios of these overflow although every value is finite
+_EXPLICIT_DATA = st.lists(
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "1e-300",
+                     "5e-324", "-2.2e-310", "0", "1", "0.5", "-1", "0.5i",
+                     "1e308i"]),
+    max_size=12).map(lambda vals: f"explicit:[{','.join(vals)}]")
 _SPEC_TOKENS = st.recursive(
     st.one_of(_NUMBER_TOKENS, st.sampled_from([
         "harmonic(1.0)", "harmonic(-2)", "log_damped", "lacunary(0.5)",
@@ -444,7 +478,7 @@ _CLASSIFY_ARGV = st.tuples(
     _flag("--n0", st.lists(st.integers(-1, 20).map(str), min_size=1,
                            max_size=3).map(",".join)),
     _flag("--m-max", st.integers(-1, 40).map(str)),
-    _SPEC_TOKENS.map(lambda s: ("--", s)))
+    st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _CURVE_ARGV = st.tuples(
     st.just(("curve",)),
     st.sampled_from(["4", "8,16", "0,4", "16,8", "2..32:dyadic"]).map(

@@ -137,8 +137,8 @@ def test_weighted_rest_bv_complex_label():
 
 def test_group_bv_harmonic_constant():
     # sum_{k=m}^{2m} |dc_k| / max window |c| peaks at m = 1 with 2/3
-    rep = check_group_bv(
-        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 16), 1)
+    rep, = check_group_bv(
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 16), (1,))
     assert rep.verdict == HOLDS
     assert rep.constant == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.witness == 1
@@ -150,7 +150,7 @@ def test_group_bv_brute_force_small():
     rng = np.random.default_rng(17)
     vals = np.sort(rng.random(64))[::-1].copy()
     seq = CoefficientSequence.explicit(vals)
-    rep = check_group_bv(PrefixView.of(seq), 1)
+    rep, = check_group_bv(PrefixView.of(seq), (1,))
     absdiff = np.abs(np.diff(vals))
     best, best_m = -1.0, None
     for m in range(1, rep.m_max + 1):
@@ -166,8 +166,8 @@ def test_group_bv_brute_force_small():
 @pytest.mark.parametrize("n0,witness", [(1, 1), (2, 5), (4, 9), (8, 17),
                                         (16, 33)])
 def test_group_bv_lacunary_fails_each_window(n0, witness):
-    rep = check_group_bv(
-        PrefixView.of(sequence_from_text("lacunary(1.0)"), 1 << 16), n0)
+    rep, = check_group_bv(
+        PrefixView.of(sequence_from_text("lacunary(1.0)"), 1 << 16), (n0,))
     assert rep.verdict == FAILS
     assert rep.witness == witness    # first all-zero window with mass left
     assert rep.constant is None
@@ -175,7 +175,8 @@ def test_group_bv_lacunary_fails_each_window(n0, witness):
 
 def test_group_bv_never_inconclusive():
     for text in ["harmonic(1.0)", "lacunary(0.5)", "zero", "log_damped"]:
-        rep = check_group_bv(PrefixView.of(sequence_from_text(text), 1 << 12), 1)
+        rep, = check_group_bv(
+            PrefixView.of(sequence_from_text(text), 1 << 12), (1,))
         assert rep.verdict in (HOLDS, FAILS)
 
 
@@ -184,7 +185,7 @@ def _scan(view, n0):
     """m, the suffix-sum block sums L and the window maxima R of the
     GROUP_BV scan over the default range."""
     N = view.N
-    m = np.arange(1, min(max(1, N // 4), (N - 1) // 2, N - n0 + 1) + 1)
+    m = np.array(conditions._group_bv_range(N, n0, None))
     cabs = np.abs(view.g)
     R = cabs[m - 1].copy()
     for k in range(1, n0):
@@ -243,10 +244,9 @@ def test_group_bv_refinement_matches_full_argsort(vals, shape):
         # than 8 ratios share the top value
         vals = 2.0 ** -np.arange(240 + len(vals))
     view = PrefixView.of(CoefficientSequence.explicit(vals))
-    for n0 in (1, 2, 4, 8, 16):
-        if min(view.N // 4, (view.N - 1) // 2, view.N - n0 + 1) < 1:
-            continue
-        rep = check_group_bv(view, n0)
+    windows = [n0 for n0 in (1, 2, 4, 8, 16)
+               if conditions._group_bv_range(view.N, n0, None)]
+    for n0, rep in zip(windows, check_group_bv(view, windows)):
         verdict, constant, witness = _reference_group_bv(view, n0)
         assert (rep.verdict, rep.witness) == (verdict, witness)
         if constant is None:
@@ -254,6 +254,76 @@ def test_group_bv_refinement_matches_full_argsort(vals, shape):
         else:
             assert struct.pack("<d", rep.constant) == \
                 struct.pack("<d", constant)
+
+
+def _same_reports(got, expected):
+    def bits(x):
+        return None if x is None else struct.pack("<d", x)
+
+    assert got == expected        # every field but notes
+    assert [bits(r.constant) for r in got] == \
+        [bits(r.constant) for r in expected]
+
+
+@pytest.mark.parametrize("text", ["harmonic(1.0)", "rbv_block(1.0)",
+                                  "lacunary(1.0)", "quasimono(0.5,2.0)",
+                                  "zero"])
+def test_group_bv_windows_match_one_window_calls(text):
+    # unsorted and repeated windows: one report per entry, in order, each
+    # equal to a one-window call on a fresh view
+    seq = sequence_from_text(text)
+    windows = (4, 1, 4, 16)
+    got = check_group_bv(PrefixView.of(seq, 1 << 12), windows)
+    assert [r.condition for r in got] == \
+        [f"GROUP_BV(N0={n0})" for n0 in windows]
+    _same_reports(got, [check_group_bv(PrefixView.of(seq, 1 << 12), (n0,))[0]
+                        for n0 in windows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIED, st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), max_size=6),
+       st.sampled_from([None, (1, 2), (2, 9), (3, 40)]))
+def test_group_bv_window_lists_match_one_window_calls(vals, windows,
+                                                      m_range):
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    try:
+        expected = [check_group_bv(PrefixView.of(view.seq), (n0,), m_range)[0]
+                    for n0 in windows]
+    except SequenceError:
+        with pytest.raises(SequenceError):
+            check_group_bv(view, windows, m_range)
+        return
+    _same_reports(check_group_bv(view, windows, m_range), expected)
+
+
+def test_group_bv_window_fit():
+    view = PrefixView.of(CoefficientSequence.explicit([1.0, 0.5, 0.25,
+                                                       0.125, 0.0625]))
+    assert check_group_bv(view, []) == []
+    assert [n0 for n0 in (1, 2, 4, 5, 6, 8, 16)
+            if conditions._group_bv_range(view.N, n0, None)] == [1, 2, 4, 5]
+    with pytest.raises(SequenceError, match="too small"):
+        check_group_bv(view, (1, 6))
+    with pytest.raises(SequenceError, match="N0 must be >= 1"):
+        check_group_bv(view, (1, 0))
+    two = PrefixView.of(CoefficientSequence.explicit([1.0, 0.5]))
+    assert not conditions._group_bv_range(two.N, 1, None)
+
+
+def test_classify_scans_group_bv_once_per_view(monkeypatch):
+    calls = []
+
+    def counting(view, n0_list=(1,), m_range=None):
+        calls.append(list(n0_list))
+        return check_group_bv(view, n0_list, m_range)
+
+    monkeypatch.setattr(conditions, "check_group_bv", counting)
+    classify(sequence_from_text("harmonic(1.0)"),
+             ClassifyOptions(horizon=1 << 12, weight=_weight("log")))
+    classify(CoefficientSequence.explicit([1.0, 0.5, 0.25, 0.125, 0.0625]),
+             ClassifyOptions(n0_list=(16, 4, 1, 4)))
+    classify(CoefficientSequence.explicit([1.0, 0.5]))
+    assert calls == [[1, 2, 4, 8, 16], [4, 1, 4], []]
 
 
 @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.nan]),
@@ -378,8 +448,8 @@ def test_classify_skips_infeasible_windows():
 
 
 def test_classify_report_json_shape():
-    rep = check_group_bv(
-        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 10), 1)
+    rep, = check_group_bv(
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 10), (1,))
     d = rep.to_json_dict()
     assert sorted(d) == ["condition", "constant", "range", "stabilization",
                         "verdict", "witness"]
@@ -401,7 +471,7 @@ def test_rest_bv_telescoping_identity(seed):
     rep = check_rest_bv(PrefixView.of(seq))
     assert rep.verdict == HOLDS
     assert abs(rep.constant - 1.0) <= 1e-12
-    grep = check_group_bv(PrefixView.of(seq), 1)
+    grep, = check_group_bv(PrefixView.of(seq), (1,))
     assert grep.verdict == HOLDS
     assert grep.constant <= 1.0 + 1e-12
 
@@ -412,9 +482,10 @@ def test_verdicts_scale_invariant(seed, scale):
     rng = np.random.default_rng(seed)
     vals = np.abs(rng.standard_normal(128)) + 1e-3
     vals[96:] = 0.0
-    a = check_group_bv(PrefixView.of(CoefficientSequence.explicit(vals)), 1)
-    b = check_group_bv(
-        PrefixView.of(CoefficientSequence.explicit(vals * scale)), 1)
+    a, = check_group_bv(PrefixView.of(CoefficientSequence.explicit(vals)),
+                        (1,))
+    b, = check_group_bv(
+        PrefixView.of(CoefficientSequence.explicit(vals * scale)), (1,))
     assert a.verdict == b.verdict
     assert a.witness == b.witness
     if a.constant is not None:
@@ -448,9 +519,9 @@ def test_classify_matches_checkers_on_fresh_views(spec, horizon, weight):
     weighted = PrefixView.of(seq, N, w)
     expected = [check_weighted_rest_bv(weighted),
                 check_orvqm(weighted, Sector(0.0))]
-    expected += [check_group_bv(PrefixView.of(seq, N), n0)
-                 for n0 in (1, 2, 4, 8, 16) if N - n0 + 1 >= 1
-                 and min(N // 4, (N - 1) // 2, N - n0 + 1) >= 1]
+    expected += [check_group_bv(PrefixView.of(seq, N), (n0,))[0]
+                 for n0 in (1, 2, 4, 8, 16)
+                 if conditions._group_bv_range(N, n0, None)]
     if seq.is_real:
         expected.append(check_rest_bv(PrefixView.of(seq, N)))
     if weight == "exp2":
@@ -498,7 +569,7 @@ def test_unweighted_checkers_reject_a_weighted_view():
     view = PrefixView.of(sequence_from_text("harmonic(1.0)"), 64,
                          _weight("log"))
     with pytest.raises(ValueError):
-        check_group_bv(view, 1)
+        check_group_bv(view, (1,))
     with pytest.raises(ValueError):
         check_rest_bv(view)
 

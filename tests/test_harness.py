@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trigconv.conditions import check_group_bv
 from trigconv.harness import (
     CLAIM_SECTOR,
     CLAIM_WEIGHTED,
@@ -24,6 +25,7 @@ from trigconv.harness import (
 from trigconv.sequences import (
     CoefficientSequence,
     Sector,
+    TwoSidedSequence,
     parse_family_spec,
     sequence_from_text,
     weight_from_spec,
@@ -149,6 +151,23 @@ def test_lacunary_outcome_alpha_one():
     assert by_name["tail/below_threshold"].passed
 
 
+def test_lacunary_scans_group_bv_once(monkeypatch):
+    from trigconv import harness
+
+    calls = []
+
+    def counting(view, n0_list=(1,), m_range=None):
+        calls.append(list(n0_list))
+        return check_group_bv(view, n0_list, m_range)
+
+    monkeypatch.setattr(harness, "check_group_bv", counting)
+    out = verify_lacunary_counterexample(1.0)
+    assert calls == [[1, 2, 4, 8, 16]]
+    witnesses = [r.witness for r in out.records
+                 if r.name.startswith("group_bv/")]
+    assert witnesses == [1, 5, 9, 17, 33]
+
+
 def test_lacunary_tail_record_is_the_tightest_ladder_point():
     # lhs and rhs are the estimate and the bound at one n, the one with the
     # smallest slack, not maxima taken at different n
@@ -205,6 +224,36 @@ def test_probe_necessity_small():
     assert len(probes) == 4
     for r in probes:
         assert r.slack >= -1e-9
+
+
+def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
+    # c_-k = -c_k: the pair sums vanish and the sector premises hold, so
+    # with the grid rows flattened to zero the right side is 0 < lhs
+    from trigconv import harness, series
+
+    def odd_instance(seed, length, theta0):
+        pos = CoefficientSequence.explicit(
+            1.0 / np.arange(1, length + 1), label=f"odd@{seed}:pos")
+        neg = CoefficientSequence.explicit(-pos.values, label="neg")
+        return TwoSidedSequence(0.0, pos, neg, label=f"odd@{seed}")
+
+    rows = series._rows
+
+    def flat_rows(obj, grid, checkpoints):
+        xs, out = rows(obj, grid, checkpoints)
+        return xs, {cp: np.zeros_like(row) for cp, row in out.items()}
+
+    monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
+    monkeypatch.setattr(series, "_rows", flat_rows)
+    out = probe_necessity(n_values=(10,), instances=2)
+    assert out.status == STATUS_VIOLATED
+    probes = [r for r in out.records if r.name == "testpoint/three_term"]
+    assert len(probes) == 2
+    for r in probes:
+        assert not r.passed and r.detail == "premises_ok=True"
+        assert r.lhs > 0.0 and r.rhs == 0.0 and r.slack == -r.lhs
+        assert all(map(math.isfinite, (r.lhs, r.rhs, r.slack)))
+    assert out.summary["worst_slack"] == min(r.slack for r in probes)
 
 
 def test_probe_sufficiency_small():

@@ -1,11 +1,14 @@
 import math
 import struct
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigconv import summation
 from trigconv.summation import exact_complex_sum, exact_sum, suffix_sums
 
 
@@ -90,3 +93,47 @@ def test_exact_complex_sum_is_fsum_of_each_part(re, im, step):
 def test_exact_sum_of_zeros(zeros):
     assert _bits(exact_sum(zeros)) == _bits(math.fsum(zeros.tolist()))
     assert _bits(exact_sum(zeros[::2])) == _bits(math.fsum(zeros[::2].tolist()))
+
+
+# --- the error bound stated in suffix_sums' docstring -----------------------
+
+_U = Fraction(1, 1 << 53)
+
+
+def _check_suffix_bound(vals: np.ndarray, chunk: int) -> None:
+    """|s[i] - S_i| <= gamma_chunk * A_i in exact rational arithmetic, with
+    S_i and A_i the exact sums of values[i:] and of their magnitudes."""
+    with mock.patch.object(summation, "_CHUNK", chunk):
+        got = suffix_sums(vals)
+    gamma = chunk * _U / (1 - chunk * _U)
+    S = A = Fraction(0)
+    for i in range(vals.shape[0] - 1, -1, -1):
+        x = Fraction(float(vals[i]))
+        S, A = S + x, A + abs(x)
+        assert abs(Fraction(float(got[i])) - S) <= gamma * A, i
+
+
+_MAGNITUDES = st.sampled_from([0.0, 5e-324, 2.5e-320, 1e-300, 1e-8, 1.0,
+                               1.0 / 3.0, 1e8, 1e300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_MAGNITUDES, st.floats(0.5, 2.0), st.booleans()),
+                min_size=1, max_size=120),
+       st.sampled_from([3, 4, 7, 64, 4096]), st.booleans())
+def test_suffix_sums_meets_its_error_bound(terms, chunk, signed):
+    vals = np.array([m * f * (-1.0 if signed and neg else 1.0)
+                     for m, f, neg in terms])
+    _check_suffix_bound(vals, chunk)
+
+
+@pytest.mark.parametrize("chunk", [3, 64, 4096])
+def test_suffix_sums_bound_for_a_huge_head_and_tiny_tail(chunk):
+    # every tiny term is lost next to 1e300 in the recursive sums; the
+    # suffixes that start past the head must still be resolved
+    vals = np.concatenate([[1e300], np.full(5000, 1e-300),
+                           np.full(3000, 5e-324)])
+    _check_suffix_bound(vals, chunk)
+    got = suffix_sums(vals)
+    assert got[1] == pytest.approx(math.fsum(vals[1:]), rel=5e-13)
+    assert got[0] == 1e300
