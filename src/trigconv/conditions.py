@@ -41,7 +41,6 @@ real input, and truncates N where R overflows to infinity.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -56,6 +55,7 @@ from .sequences import (
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
+    _require_finite,
 )
 from .summation import exact_sum, suffix_sums
 
@@ -137,19 +137,25 @@ def resolve_horizon(seq: CoefficientSequence, horizon: Optional[int]) -> int:
     return DEFAULT_HORIZON if seq.length is None else seq.length
 
 
-def _resolve_m_range(m_range, N: int) -> tuple[int, int]:
+def _scan_range(N: int, m_range, last: int) -> range:
+    """The m of m_range (default [1, N/4]) up to ``last``, the largest m
+    whose terms lie inside a prefix of N terms."""
     if m_range is None:
-        return 1, max(1, N // 4)
-    m_lo, m_hi = int(m_range[0]), int(m_range[1])
-    if m_lo < 1 or m_hi < m_lo:
-        raise SequenceError(f"bad index range [{m_lo}, {m_hi}]")
-    return m_lo, m_hi
+        m_lo, m_hi = 1, max(1, N // 4)
+    else:
+        m_lo, m_hi = int(m_range[0]), int(m_range[1])
+        if m_lo < 1 or m_hi < m_lo:
+            raise SequenceError(f"bad index range [{m_lo}, {m_hi}]")
+    return range(m_lo, min(m_hi, last) + 1)
 
 
-def _require_finite(value: float, what: str) -> None:
-    """One rule for finite input that overflows in c/R, a sum or a ratio."""
-    if not math.isfinite(value):
-        raise SequenceError(f"{what} overflows the float range")
+def _require_scan(scan: range, N: int) -> range:
+    """The fit rule: a scan that leaves no m is an input error, never a
+    verdict over an empty range."""
+    if not scan:
+        raise SequenceError(f"horizon {N} too small for the scan starting "
+                            f"at m = {scan.start}")
+    return scan
 
 
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
@@ -363,10 +369,8 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
     with witness m.
     """
     N = view.N
-    m_lo, m_hi = _resolve_m_range(m_range, N)
-    m_hi = min(m_hi, N - 1) if N > 1 else m_lo
-    if N < 2:
-        return ConditionReport(cond, HOLDS, 0.0, None, m_lo, m_lo, N, 0.0)
+    scan = _require_scan(_scan_range(N, m_range, N - 1), N)
+    m_lo, m_hi = scan.start, scan.stop - 1
     Tm = view.tail[m_lo - 1:m_hi]
     Rm = rhs[m_lo - 1:m_hi]
     zero_rhs = Rm == 0.0
@@ -409,8 +413,7 @@ def check_weighted_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
 def _group_bv_range(N: int, N0: int, m_range) -> range:
     """The m of the GROUP_BV(N0) scan, [m, 2m + 1] and [m, m + N0 - 1]
     inside the prefix; empty (skipped by classify) if the window won't fit."""
-    m_lo, m_hi = _resolve_m_range(m_range, N)
-    return range(m_lo, min(m_hi, (N - 1) // 2, N - N0 + 1) + 1)
+    return _scan_range(N, m_range, min((N - 1) // 2, N - N0 + 1))
 
 
 def check_group_bv(view: PrefixView, n0_list: Sequence[int] = (1,),
@@ -437,9 +440,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int] = (1,),
         raise SequenceError("window length N0 must be >= 1")
     c, N = view.unweighted("GROUP_BV"), view.N
     longest = _group_bv_range(N, windows[0], m_range)
-    if not _group_bv_range(N, windows[-1], m_range):  # the shortest scan
-        raise SequenceError(f"horizon {N} too small for the window scan "
-                            f"starting at {longest.start}")
+    _require_scan(_group_bv_range(N, windows[-1], m_range), N)  # the shortest
     cabs = np.abs(c)
     m_lo, m = longest.start, np.arange(longest.start, longest.stop)
     L = view.block_sums(m)

@@ -50,6 +50,13 @@ class SequenceError(ValueError):
     """Malformed sequence input (wrong sign, wrong length, bad spec...)."""
 
 
+def _require_finite(value: float, what: str) -> None:
+    """One rule for finite input whose derived value (c/R, a sum, a ratio,
+    a partial sum) overflows."""
+    if not math.isfinite(value):
+        raise SequenceError(f"{what} overflows the float range")
+
+
 # ---------------------------------------------------------------------------
 # seeded noise: SplitMix64
 # ---------------------------------------------------------------------------
@@ -118,6 +125,9 @@ class CoefficientSequence:
     kind      -- "explicit" (finite array) or "generator" (pure index map)
     label     -- canonical text form, used in manifests and reports
     is_real   -- real-valued flag; decides the dtype prefix() returns
+    support   -- optional map (lo, hi) -> the sorted int64 indices in
+                 (lo, hi] off which the sequence is exactly zero; None
+                 means every index may be nonzero
     """
 
     label: str
@@ -125,6 +135,7 @@ class CoefficientSequence:
     is_real: bool = True
     values: Optional[np.ndarray] = None
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    support: Optional[Callable[[int, int], np.ndarray]] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
@@ -489,10 +500,17 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         alpha = float(params[0])
 
         def lac(n):
-            k = _block_exponent(n)
-            out = np.where(_power_of_two_mask(n), np.exp2(-alpha * k), 0.0)
+            out = np.zeros(n.shape)
+            mask = _power_of_two_mask(n)
+            out[mask] = np.exp2(-alpha * _block_exponent(n[mask]))
             return out
-        return CoefficientSequence.from_function(label, lac)
+
+        def powers_of_two(lo, hi):
+            return np.array([1 << k for k in range(
+                max(1, int(lo).bit_length()), int(hi).bit_length())],
+                dtype=np.int64)
+        return CoefficientSequence(label=label, kind="generator", fn=lac,
+                                   support=powers_of_two)
     if fid == "rbv_block":
         # Blockwise constant 2**(-p*k) on [2**k, 2**(k+1)) with a half-depth
         # notch at the block midpoint: total variation stays comparable to

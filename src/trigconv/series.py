@@ -11,16 +11,21 @@ One engine evaluates both on a grid: a sine series is the two-sided series
 c_{+-k} = +-b_k / 2i.  On the uniform points x_j = pi j/M a term depends on
 k only through k mod 2M, so each partial-sum row there is one unscaled
 length-2M inverse FFT of the coefficients folded into 2M bins.  The
-geometric ladder lies off that grid; it is summed directly over the nonzero
-coefficients, one point at a time, so sparse (lacunary) supports stay
-cheap.
+geometric ladder lies off that grid.  There the terms are summed directly
+over the nonzero coefficients by blocked angle addition: with a block
+length B, a power of two near sqrt(k_max) taken from the support, each
+k = Bq + r gives e^{ikx} = e^{iBqx} e^{irx}, so a point costs about
+2 sqrt(k_max) calls to exp plus one gather and one multiply per nonzero
+term, for dense and sparse (lacunary) supports alike.
 
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
-x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}; the companion
-truncation slack sum_{k>N_ref} |c_k| (+|c_{-k}|) brackets the truncation
-error, so the true sup-norm lies in
-[estimate, estimate + 2 * slack] whenever the slack has settled.
+x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}.  The estimate is
+a grid lower bound for the truncated tail S_{N_ref} - S_n only: no
+certified upper end is computed.  The companion truncation slack
+sum_{N_ref < k <= N_ref 2^octaves} |c_k| (+|c_{-k}|) measures how much of
+the coefficient mass the reference horizon leaves out; it reads only the
+sequence's support, so a lacunary sequence costs its few powers of two.
 
 The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, the
 summation-by-parts tail bound, and the test-point probe at x0) live here so
@@ -40,6 +45,7 @@ from .sequences import (
     Sector,
     SequenceError,
     TwoSidedSequence,
+    _require_finite,
     sector_dominance_constant,
 )
 from .summation import exact_complex_sum, exact_sum
@@ -195,6 +201,12 @@ def _fold(k: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
 
 
+def _block_length(k_max: int) -> int:
+    """The block length B of the angle addition: a power of two near
+    sqrt(k_max), so that both tables hold about sqrt(k_max) entries."""
+    return 1 << (k_max.bit_length() // 2)
+
+
 def _rows(obj: SeriesInput, grid: GridSpec,
           checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """S_cp on the grid for every checkpoint cp, in one pass over k.
@@ -205,8 +217,12 @@ def _rows(obj: SeriesInput, grid: GridSpec,
     for a real sine series, else complex).  A sine series runs as the
     two-sided series c_{+-k} = +-b_k / 2i.  On the uniform points pi j/M a
     row is one unscaled length-2M inverse FFT of the coefficients folded by
-    k mod 2M; the other points are summed directly over the nonzero
-    coefficients, one point at a time.
+    k mod 2M.  At each other point x the nonzero terms are summed directly,
+    in order of k and one checkpoint segment at a time, with e^{ikx} built
+    by blocked angle addition: k = Bq + r (B from _block_length of the
+    largest nonzero k) and e^{ikx} = e^{i(Bq)x} e^{irx}, gathered from one
+    table of each factor, exp evaluated at the exact integer Bq or r times
+    x.  Every step is a fixed-order numpy operation: no BLAS product.
     """
     cps = _checkpoint_list(checkpoints)
     n_max = cps[-1] if cps else 0
@@ -228,14 +244,20 @@ def _rows(obj: SeriesInput, grid: GridSpec,
     k = nz + 1
     ends = np.searchsorted(k, cps, side="right")
 
+    B = _block_length(int(k[-1]) if k.size else 1)
+    q, r = np.divmod(k, B)
+    high = B * np.arange(int(q[-1]) + 1 if k.size else 1)
+    low = np.arange(B)
     direct = np.empty((len(cps), off.shape[0]), dtype=complex)
     for i, x in enumerate(off):
-        e = np.exp(1j * (k * x))
-        terms = pos * e + neg * np.conj(e)
+        e = np.exp(1j * (high * x))[q]
+        e *= np.exp(1j * (low * x))[r]
+        terms = pos * e
+        terms += neg * np.conj(e)
         acc, lo = c0, 0
-        for r, hi in enumerate(ends):
+        for row, hi in enumerate(ends):
             acc += terms[lo:hi].sum()
-            direct[r, i] = acc
+            direct[row, i] = acc
             lo = hi
 
     xs = np.concatenate([_uniform_points(j, M), off])
@@ -261,16 +283,26 @@ def _default_nref(n: int) -> int:
     return max(1 << 16, 64 * n)
 
 
+def _support_chunks(seq: CoefficientSequence, lo: int, hi: int):
+    """Index arrays covering every k in (lo, hi] where c_k may be nonzero:
+    seq.support(lo, hi) when the sequence lists its support, else the whole
+    range in chunks of 2^20, so no huge prefix is built or cached."""
+    if seq.support is not None:
+        yield seq.support(lo, hi)
+        return
+    step = 1 << 20
+    for start in range(lo, hi, step):
+        yield np.arange(start + 1, min(hi, start + step) + 1, dtype=np.int64)
+
+
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
-    """sum_{k=lo+1}^{hi} |c_k| without caching huge prefixes; explicit data
+    """sum_{k=lo+1}^{hi} |c_k|, read on the support of c; explicit data
     counts only up to its length.  Only the nonzero |c_k| reach the exact
-    sum (a lacunary range is almost all zeros); zeros do not change it."""
+    sum; zeros do not change it."""
     if seq.length is not None:
         hi = min(hi, seq.length)
     parts = []
-    step = 1 << 20
-    for start in range(lo, hi, step):
-        k = np.arange(start + 1, min(hi, start + step) + 1, dtype=np.int64)
+    for k in _support_chunks(seq, lo, hi):
         a = np.abs(seq.values_at(k))
         parts.append(exact_sum(a[a != 0.0]))
     return math.fsum(parts)
@@ -282,16 +314,21 @@ def truncation_slack(obj: SeriesInput, N_ref: int,
 
     Returns the measured slack and a settled flag: the last octave must
     contribute at most 1e-3 of the measured total (vacuously settled when
-    the total is zero, e.g. explicit data ending before N_ref).
+    the total is zero, e.g. explicit data ending before N_ref).  A sum past
+    the float range raises SequenceError.
     """
     if octaves < 1:
         raise SequenceError("octaves >= 1 required")
     seqs = [obj.pos, obj.neg] if isinstance(obj, TwoSidedSequence) else [obj]
     parts = []
-    for j in range(octaves):
-        lo, hi = N_ref << j, N_ref << (j + 1)
-        parts.append(math.fsum(_abs_range_sum(s, lo, hi) for s in seqs))
-    total = math.fsum(parts)
+    try:
+        for j in range(octaves):
+            lo, hi = N_ref << j, N_ref << (j + 1)
+            parts.append(math.fsum(_abs_range_sum(s, lo, hi) for s in seqs))
+        total = math.fsum(parts)
+    except OverflowError:  # math.fsum: the exact sum is past the range
+        total = math.inf
+    _require_finite(total, "the truncation slack")
     settled = total == 0.0 or parts[-1] <= 1e-3 * total
     return total, settled
 
@@ -414,7 +451,8 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
 
     All n share one reference horizon and one grid (built for the largest
     n), so every row is computed in a single pass and the rows are
-    comparable across n.
+    comparable across n.  Finite input whose estimate, slack or k|c_k|
+    overflows the float range raises SequenceError.
     """
     ns = [int(v) for v in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
@@ -424,20 +462,22 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
     grid = grid or GridSpec(n_ref=n_max)
-    _, rows = _rows(obj, grid, ns + [N_ref])
-    ref = rows[N_ref]
-
-    slack, settled = truncation_slack(obj, N_ref, slack_octaves)
-
     seqs = [obj.pos, obj.neg] if isinstance(obj, TwoSidedSequence) else [obj]
     k = np.arange(1, 2 * n_max + 1, dtype=float)
-    weighted = np.zeros(2 * n_max)
-    for s in seqs:
-        weighted = np.maximum(weighted, k * np.abs(np.asarray(s.prefix(2 * n_max))))
+    # finite input can overflow in a partial sum, a difference or k|c_k|:
+    # the non-finite values are rejected below, with no warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rows = _rows(obj, grid, ns + [N_ref])
+        slack, settled = truncation_slack(obj, N_ref, slack_octaves)
+        weighted = np.zeros(2 * n_max)
+        for s in seqs:
+            np.maximum(weighted, k * np.abs(s.prefix(2 * n_max)), out=weighted)
+        sups = [float(np.abs(rows[N_ref] - rows[n]).max()) for n in ns]
 
     entries = []
-    for n in ns:
-        sup = float(np.abs(ref - rows[n]).max())
+    for n, sup in zip(ns, sups):
         mk = float(weighted[n - 1:2 * n - 1].max())
+        _require_finite(sup, f"the tail sup-norm estimate at n = {n}")
+        _require_finite(mk, f"max k|c_k| over [{n}, {2 * n})")
         entries.append(CurveEntry(n, sup, slack, mk))
     return TailNormCurve(entries, grid.describe(), grid.n_ref, settled)

@@ -157,6 +157,25 @@ def test_curve_out_writes_sidecar(tmp_path, capsys):
     assert sidecar["defaults"]["reference_horizon"] == 256
 
 
+_BIG8 = "explicit:[" + ",".join(["1e308"] * 8) + "]"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # the partial sums and 2|c_2| pass the float range
+    (_BIG8, "--n", "2", "--nref", "8"),
+    # so does the exact sum of |c_k| over (2, 8] in the truncation slack
+    (_BIG8, "--n", "1", "--nref", "2"),
+    # |c_1| of a complex value does
+    ("explicit:[1.7976931348623157e308+1.7976931348623157e308i,1,1,1]",
+     "--n", "1", "--nref", "2"),
+])
+def test_curve_overflow_is_one_line(capsys, argv):
+    code, out, err = run(capsys, "curve", *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert "overflows the float range" in err
+
+
 def test_curve_rejects_bad_n_list(capsys):
     code, _, err = run(capsys, "curve", "zero", "--n", "64..8:dyadic")
     assert code == 2
@@ -443,8 +462,8 @@ def test_file_fast_path_matches_the_loop_generated(tmp_path_factory, lines,
 _NUMBER_TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr))
-# explicit data at the edges of the float range for classify: differences,
-# sums and ratios of these overflow although every value is finite
+# explicit data at the edges of the float range: differences, sums, ratios,
+# partial sums and k|c_k| of these overflow although every value is finite
 _EXPLICIT_DATA = st.lists(
     st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "1e-300",
                      "5e-324", "-2.2e-310", "0", "1", "0.5", "-1", "0.5i",
@@ -481,11 +500,13 @@ _CLASSIFY_ARGV = st.tuples(
     st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _CURVE_ARGV = st.tuples(
     st.just(("curve",)),
-    st.sampled_from(["4", "8,16", "0,4", "16,8", "2..32:dyadic"]).map(
+    st.sampled_from(["4", "1,2", "8,16", "0,4", "16,8", "2..32:dyadic"]).map(
         lambda n: ("--n", n)),
-    st.integers(-1, 2048).map(lambda r: (f"--nref={r}",)),
+    # a small reference horizon lets explicit data reach the row engine
+    st.one_of(st.integers(-1, 2048), st.integers(-1, 12)).map(
+        lambda r: (f"--nref={r}",)),
     _flag("--oversample", st.integers(-1, 9).map(str)),
-    _SPEC_TOKENS.map(lambda s: ("--", s)))
+    st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _VERIFY_ARGV = st.one_of(
     st.tuples(st.just(("verify",)),
               st.sampled_from([("t3",), ("corollary",)]),

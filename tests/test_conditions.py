@@ -117,6 +117,18 @@ def test_rest_bv_zero_denominator_hard_fail():
     assert rep.constant is None
 
 
+def test_tail_variation_scan_past_the_horizon_is_an_input_error():
+    # the fit rule of the window scans: no verdict over an empty range
+    view = PrefixView.of(CoefficientSequence.explicit([1.0, 0.5, 0.25,
+                                                       0.125, 0.0625]))
+    for m_range in ((10, 20), (5, 20)):
+        for check in (check_rest_bv, check_weighted_rest_bv):
+            with pytest.raises(SequenceError, match="too small"):
+                check(view, m_range)
+    rep = check_rest_bv(view, (4, 20))
+    assert (rep.m_min, rep.m_max) == (4, 4)
+
+
 def test_weighted_rest_bv_real_label():
     rep = check_weighted_rest_bv(PrefixView.of(
         sequence_from_text("harmonic(1.0)"), 1 << 12, _weight("one")))

@@ -225,6 +225,19 @@ def test_lacunary_support():
     assert vals[1] == 0.5 and vals[3] == 0.25
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_lacunary_values_match_the_closed_form(alpha):
+    # b_n = 2^(-alpha k) at n = 2^k with k >= 1, else 0: bit for bit the
+    # values of evaluating exp2 at every index and masking afterwards
+    n = np.arange(1, (1 << 16) + 1, dtype=np.int64)
+    k = np.frexp(n.astype(float))[1] - 1
+    want = np.where((n >= 2) & ((n & (n - 1)) == 0), np.exp2(-alpha * k), 0.0)
+    seq = sequence_from_text(f"lacunary({alpha})")
+    assert seq.prefix(n.size).tobytes() == want.tobytes()
+    picked = np.array([3, 1, 1 << 15, 7, 2], dtype=np.int64)
+    assert seq.values_at(picked).tobytes() == want[picked - 1].tobytes()
+
+
 def test_zero_family():
     assert not np.any(sequence_from_text("zero").prefix(100))
 

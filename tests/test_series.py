@@ -21,7 +21,7 @@ from trigconv.series import (
     partial_sum_two_sided,
     truncation_slack,
 )
-from trigconv.series import _rows
+from trigconv.series import _block_length, _rows
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
@@ -113,7 +113,7 @@ def test_grid_size_monotone_in_oversample(n_ref):
 # --- row engine against the pointwise reference ----------------------------
 
 def _coefficients(rng, n, support):
-    if support == "sparse":
+    if support in ("sparse", "wide"):
         vals = np.zeros(n)
         idx = rng.choice(n, size=min(n, 3), replace=False)
         vals[idx] = rng.standard_normal(idx.size) / (idx + 1.0)
@@ -126,7 +126,7 @@ def _coefficients(rng, n, support):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["real", "complex", "sparse"]),
+       st.sampled_from(["real", "complex", "sparse", "wide"]),
        st.booleans(),
        st.integers(1, 12),
        st.sampled_from([3, 8]),
@@ -134,8 +134,16 @@ def _coefficients(rng, n, support):
 def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
                                            oversample, checkpoints):
     rng = np.random.default_rng(seed)
-    N = max(checkpoints)
     grid = GridSpec(n_ref=n_ref, oversample=oversample)
+    if support == "wide":
+        # a few nonzeros up to k = 2^18, so that the angle-addition blocks
+        # reach q in the hundreds.  The oracle sums every k <= cp at each
+        # point (about 10 ms a point here, three times that two-sided), so
+        # this input gets one checkpoint, the smallest grid and the sine
+        # shape: the blocks are the same for both shapes
+        checkpoints, grid = [1 << 18], GridSpec(n_ref=1, oversample=3)
+        two_sided = False
+    N = max(checkpoints)
     pts = grid.points()
     if two_sided:
         obj = TwoSidedSequence(
@@ -160,6 +168,12 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
             else:
                 ref = partial_sum_sine(obj, cp, x) if cp else 0.0
             assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_block_length_is_a_power_of_two_near_the_root():
+    for k_max in (1, 2, 40, 1000, 1 << 18, (1 << 18) - 1, 1 << 20):
+        B = _block_length(k_max)
+        assert B & (B - 1) == 0 and B * B <= 2 * k_max and 2 * B * B > k_max
 
 
 def test_rows_of_real_sine_series_are_real():
@@ -193,6 +207,50 @@ def test_truncation_slack_settled_flag():
     # power decay halves per octave: the last octave keeps contributing
     _, settled = truncation_slack(sequence_from_text("harmonic(2.0)"), 1 << 8)
     assert not settled
+
+
+def _dense_slack(seq, N_ref, octaves):
+    # every index of every octave, no support: the reference the support
+    # scan must match bit for bit
+    parts = []
+    for j in range(octaves):
+        k = np.arange((N_ref << j) + 1, (N_ref << (j + 1)) + 1, dtype=np.int64)
+        parts.append(exact_sum(np.abs(seq.values_at(k))))
+    total = math.fsum(parts)
+    return total, total == 0.0 or parts[-1] <= 1e-3 * total
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("N_ref", [1000, 1 << 12, 5000, 65537])
+@pytest.mark.parametrize("octaves", [1, 2, 3, 4])
+def test_truncation_slack_on_the_support_matches_a_dense_scan(alpha, N_ref,
+                                                              octaves):
+    seq = sequence_from_text(f"lacunary({alpha})")
+    assert seq.support is not None
+    got = truncation_slack(seq, N_ref, octaves)
+    want = _dense_slack(seq, N_ref, octaves)
+    assert got[0].hex() == want[0].hex() and got[1] == want[1]
+
+
+def test_support_lists_exactly_the_nonzero_indices():
+    seq = sequence_from_text("lacunary(0.5)")
+    for lo, hi in ((0, 1), (0, 2), (1, 2), (2, 4), (3, 1000), (1024, 4096),
+                   (5, 5), (0, 1 << 16)):
+        k = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        nonzero = k[seq.values_at(k) != 0.0]
+        got = seq.support(lo, hi)
+        assert got.dtype == np.int64 and np.array_equal(got, nonzero)
+
+
+def test_wrappers_scan_every_index():
+    # a wrapper may be nonzero where its base is zero (inf * 0 is not 0), so
+    # it does not inherit the base's support and the scan still meets the
+    # non-finite product
+    for text in ("orvqm(exp2,lacunary(1.0))",
+                 "perturbed(3,lacunary(1.0),0.1)"):
+        assert sequence_from_text(text).support is None
+    with pytest.raises(SequenceError, match="non-finite"):
+        truncation_slack(sequence_from_text("orvqm(exp2,lacunary(1.0))"), 512)
 
 
 def test_convergence_curve_shape_and_csv():
