@@ -33,7 +33,6 @@ from .conditions import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    ClassifyOptions,
     ConditionReport,
     PrefixView,
     check_group_bv,
@@ -71,7 +70,7 @@ from .harness import (
     verify_orvqm_implication,
     verify_weighted_bv_implication,
 )
-from .manifest import RunManifest, file_digest
+from .manifest import file_digest
 
 __all__ = [
     "__version__",
@@ -93,7 +92,6 @@ __all__ = [
     "FAILS",
     "HOLDS",
     "INCONCLUSIVE",
-    "ClassifyOptions",
     "ConditionReport",
     "PrefixView",
     "check_group_bv",
@@ -126,6 +124,5 @@ __all__ = [
     "verify_lacunary_counterexample",
     "verify_orvqm_implication",
     "verify_weighted_bv_implication",
-    "RunManifest",
     "file_digest",
 ]

@@ -21,7 +21,6 @@ from .conditions import (
     DEFAULT_HORIZON,
     NULL_TREND_TOL,
     STABILIZATION_THRESHOLD,
-    ClassifyOptions,
     classify,
     resolve_horizon,
 )
@@ -156,32 +155,31 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2,
-                     allow_nan=False) + "\n", out)
+def _json_text(payload: dict) -> str:
+    """The one JSON format of every payload and manifest the CLI writes."""
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def cmd_classify(args, argv: Sequence[str]) -> int:
     seq, inputs = _resolve_sequence(args.spec)
     weight = (weight_from_spec(parse_family_spec(args.weight))
               if args.weight else None)
-    options = ClassifyOptions(
-        horizon=args.horizon, m_max=args.m_max,
-        n0_list=_parse_int_list(args.n0), theta0=args.theta0, weight=weight)
-    reports = classify(seq, options)
+    n0_list = _parse_int_list(args.n0)
+    reports = classify(seq, horizon=args.horizon, m_max=args.m_max,
+                       n0_list=n0_list, theta0=args.theta0, weight=weight)
     defaults = {
         "spec": seq.label,
         "horizon": resolve_horizon(seq, args.horizon),
         "m_max": args.m_max,
-        "n0_list": list(options.n0_list),
+        "n0_list": list(n0_list),
         "theta0": args.theta0,
         "weight": args.weight,
         "tolerances": _tolerance_defaults(),
     }
-    manifest = build_manifest(argv, defaults, input_paths=inputs)
-    payload = {"manifest": manifest.to_json_dict(),
+    payload = {"manifest": build_manifest(argv, defaults, input_paths=inputs),
                "reports": [r.to_json_dict() for r in reports]}
-    _emit_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -194,17 +192,17 @@ def cmd_curve(args, argv: Sequence[str]) -> int:
         "spec": seq.label,
         "n_list": ns,
         "n_ref": curve.n_ref,
-        "reference_horizon": args.nref,
+        "reference_horizon": curve.reference_horizon,
         "grid": curve.grid,
         "slack_settled": curve.slack_settled,
     }
-    manifest = build_manifest(argv, defaults, input_paths=inputs)
+    manifest = _json_text(build_manifest(argv, defaults, input_paths=inputs))
     _emit(curve.to_csv(), args.out)
     if args.out:
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(manifest.dumps())
+            fh.write(manifest)
     else:
-        sys.stderr.write(manifest.dumps())
+        sys.stderr.write(manifest)
     return 0
 
 
@@ -229,10 +227,9 @@ def cmd_verify(args, argv: Sequence[str]) -> int:
                     "n_list": outcome.summary["n_list"],
                     "sup_tol": EQUIV_SUP_TOL, "ncn_tol": EQUIV_NCN_TOL}
     defaults["tolerances"] = _tolerance_defaults()
-    manifest = build_manifest(argv, defaults, seed=args.seed)
-    payload = {"manifest": manifest.to_json_dict(),
+    payload = {"manifest": build_manifest(argv, defaults, seed=args.seed),
                "outcome": outcome.to_json_dict()}
-    _emit_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     sys.stderr.write(outcome.table() + "\n")
     return 1 if outcome.status == STATUS_VIOLATED else 0
 

@@ -61,7 +61,6 @@ from .summation import exact_sum, suffix_sums
 
 __all__ = [
     "ConditionReport",
-    "ClassifyOptions",
     "PrefixView",
     "check_quasimonotone",
     "check_orv_weight",
@@ -571,51 +570,43 @@ def check_pair_null_and_summable(ts: TwoSidedSequence,
 # aggregate classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifyOptions:
-    """Shared knobs for the aggregate classifier."""
-
-    horizon: Optional[int] = None
-    m_max: Optional[int] = None
-    n0_list: Sequence[int] = (1, 2, 4, 8, 16)
-    theta0: float = 0.0
-    weight: Optional[WeightSequence] = None
-
-
-def classify(obj, options: Optional[ClassifyOptions] = None) -> list[ConditionReport]:
+def classify(obj, *, horizon: Optional[int] = None,
+             m_max: Optional[int] = None,
+             n0_list: Sequence[int] = (1, 2, 4, 8, 16), theta0: float = 0.0,
+             weight: Optional[WeightSequence] = None) -> list[ConditionReport]:
     """Run every applicable checker with shared horizons and collect reports.
 
     One-sided real nonnegative sequences get the monotonicity family and
     REST_BV; every one-sided sequence gets GROUP_BV for each window length
-    and the weighted checks (against the constant weight 1 unless a weight
-    is supplied).  Two-sided input additionally gets the pair conditions,
-    with the one-sided battery applied to the positive half.  Member errors
-    (insufficient length, negative values where forbidden) propagate.
+    in n0_list and the weighted checks (against the constant weight 1
+    unless a weight is supplied).  Two-sided input additionally gets the
+    pair conditions in the sector K(theta0), with the one-sided battery
+    applied to the positive half.  The tail-variation scans run over
+    m in [1, m_max] (default N/4).  Member errors (insufficient length,
+    negative values where forbidden) propagate.
     """
-    opts = options or ClassifyOptions()
     seq = obj.pos if isinstance(obj, TwoSidedSequence) else obj
-    N = resolve_horizon(seq, opts.horizon)
+    N = resolve_horizon(seq, horizon)
     if N < 2:
         raise SequenceError(
             f"horizon {N} leaves the checkers an empty scan range; "
             f"at least 2 terms are needed")
     reports: list[ConditionReport] = []
-    sector = Sector(opts.theta0)
+    sector = Sector(theta0)
     if isinstance(obj, TwoSidedSequence):
-        reports.append(check_pair_sector(obj, sector, opts.horizon))
-        reports.extend(check_pair_null_and_summable(obj, opts.horizon))
+        reports.append(check_pair_sector(obj, sector, horizon))
+        reports.extend(check_pair_null_and_summable(obj, horizon))
 
-    m_range = None if opts.m_max is None else (1, opts.m_max)
+    m_range = None if m_max is None else (1, m_max)
     plain = PrefixView.of(seq, N)
-    weighted = (plain if opts.weight is None
-                else PrefixView.of(seq, N, opts.weight))
+    weighted = plain if weight is None else PrefixView.of(seq, N, weight)
     if plain.nonneg_real:
         for alpha in (0.0, 0.5, 1.0):
             reports.append(check_quasimonotone(plain, alpha))
         reports.append(check_rest_bv(plain, m_range))
     reports.append(check_weighted_rest_bv(weighted, m_range))
     reports.extend(check_group_bv(
-        plain, [n0 for n0 in opts.n0_list if _group_bv_range(N, n0, m_range)],
+        plain, [n0 for n0 in n0_list if _group_bv_range(N, n0, m_range)],
         m_range))
     reports.append(check_orvqm(weighted, sector))
     return reports

@@ -1,40 +1,16 @@
 """Reproducibility manifests for CLI runs.
 
-A RunManifest pins everything a rerun needs: the command line, the
-resolved defaults (horizons, scan ranges, grid, tolerances), the seed,
-the package version, and content digests of any file inputs.  No
-timestamps, hostnames, or other environment noise: two runs with equal
-manifests must produce byte-identical output.
+A manifest is the JSON dict that pins everything a rerun needs: the
+command line, the resolved defaults (horizons, scan ranges, grid,
+tolerances), the seed, the package version, and content digests of any
+file inputs.  No timestamps, hostnames, or other environment noise: two
+runs with equal manifests must produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-
-@dataclass
-class RunManifest:
-    command: list
-    defaults: dict
-    seed: Optional[int] = None
-    version: str = ""
-    input_digests: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": list(self.command),
-            "defaults": self.defaults,
-            "seed": self.seed,
-            "version": self.version,
-            "input_digests": self.input_digests,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
 
 
 def file_digest(path: str) -> str:
@@ -48,9 +24,11 @@ def file_digest(path: str) -> str:
 
 def build_manifest(command: Sequence[str], defaults: dict,
                    seed: Optional[int] = None,
-                   input_paths: Sequence[str] = ()) -> RunManifest:
+                   input_paths: Sequence[str] = ()) -> dict:
+    """The manifest of one run, with keys command, defaults, seed, version
+    and input_digests (input path -> sha256 hex digest)."""
     from . import __version__
 
-    digests = {p: file_digest(p) for p in input_paths}
-    return RunManifest(list(command), dict(defaults), seed, __version__,
-                       digests)
+    return {"command": list(command), "defaults": dict(defaults),
+            "seed": seed, "version": __version__,
+            "input_digests": {p: file_digest(p) for p in input_paths}}

@@ -229,11 +229,6 @@ class TwoSidedSequence:
         if lp is not None and ln is not None and lp != ln:
             raise SequenceError("two-sided halves have different lengths")
 
-    @property
-    def is_real(self) -> bool:
-        return (self.pos.is_real and self.neg.is_real
-                and complex(self.c0).imag == 0.0)
-
     def pair_sums(self, N: int) -> np.ndarray:
         """c_n + c_-n for n = 1..N (complex128)."""
         return self.pos.prefix(N).astype(complex) + self.neg.prefix(N)

@@ -23,7 +23,7 @@ over an adaptive grid that always contains the critical points
 x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}.  The estimate is
 a grid lower bound for the truncated tail S_{N_ref} - S_n only: no
 certified upper end is computed.  The companion truncation slack
-sum_{N_ref < k <= N_ref 2^octaves} |c_k| (+|c_{-k}|) measures how much of
+sum_{N_ref < k <= 16 N_ref} |c_k| (+|c_{-k}|) measures how much of
 the coefficient mass the reference horizon leaves out; it reads only the
 sequence's support, so a lacunary sequence costs its few powers of two.
 
@@ -40,6 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .conditions import HOLDS, STABILIZATION_THRESHOLD, check_pair_sector
 from .sequences import (
     CoefficientSequence,
     Sector,
@@ -308,28 +309,25 @@ def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
     return math.fsum(parts)
 
 
-def truncation_slack(obj: SeriesInput, N_ref: int,
-                     octaves: int = 4) -> tuple[float, bool]:
-    """sum of |c_k| (+ |c_{-k}|) over (N_ref, N_ref * 2^octaves].
+def truncation_slack(obj: SeriesInput, N_ref: int) -> tuple[float, bool]:
+    """sum of |c_k| (+ |c_{-k}|) over the four octaves (N_ref, 16 N_ref].
 
     Returns the measured slack and a settled flag: the last octave must
-    contribute at most 1e-3 of the measured total (vacuously settled when
-    the total is zero, e.g. explicit data ending before N_ref).  A sum past
-    the float range raises SequenceError.
+    contribute at most STABILIZATION_THRESHOLD of the measured total
+    (vacuously settled when the total is zero, e.g. explicit data ending
+    before N_ref).  A sum past the float range raises SequenceError.
     """
-    if octaves < 1:
-        raise SequenceError("octaves >= 1 required")
     seqs = [obj.pos, obj.neg] if isinstance(obj, TwoSidedSequence) else [obj]
     parts = []
     try:
-        for j in range(octaves):
+        for j in range(4):
             lo, hi = N_ref << j, N_ref << (j + 1)
             parts.append(math.fsum(_abs_range_sum(s, lo, hi) for s in seqs))
         total = math.fsum(parts)
     except OverflowError:  # math.fsum: the exact sum is past the range
         total = math.inf
     _require_finite(total, "the truncation slack")
-    settled = total == 0.0 or parts[-1] <= 1e-3 * total
+    settled = total == 0.0 or parts[-1] <= STABILIZATION_THRESHOLD * total
     return total, settled
 
 
@@ -387,8 +385,6 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int,
     is recorded.  lower_reference carries the chain value (window N0 = 1)
     n |c_{2n}| / M(theta0) for comparison against the norm difference.
     """
-    from .conditions import HOLDS, check_pair_sector
-
     if n < 1:
         raise SequenceError("n >= 1 required")
     x0 = math.pi / (8.0 * n)
@@ -426,11 +422,13 @@ class CurveEntry:
 
 @dataclass
 class TailNormCurve:
-    """Tail sup-norm estimates against the n*c_n diagnostic, per n."""
+    """Tail sup-norm estimates against the n*c_n diagnostic, per n, with
+    the grid and the resolved reference horizon N_ref they were taken at."""
 
     entries: list
     grid: str
     n_ref: int
+    reference_horizon: int
     slack_settled: bool
 
     CSV_HEADER = "n,sup_estimate,truncation_slack,max_k_ck"
@@ -445,8 +443,7 @@ class TailNormCurve:
 
 def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
                       N_ref: Optional[int] = None,
-                      grid: Optional[GridSpec] = None,
-                      slack_octaves: int = 4) -> TailNormCurve:
+                      grid: Optional[GridSpec] = None) -> TailNormCurve:
     """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
 
     All n share one reference horizon and one grid (built for the largest
@@ -468,7 +465,7 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     # the non-finite values are rejected below, with no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
         _, rows = _rows(obj, grid, ns + [N_ref])
-        slack, settled = truncation_slack(obj, N_ref, slack_octaves)
+        slack, settled = truncation_slack(obj, N_ref)
         weighted = np.zeros(2 * n_max)
         for s in seqs:
             np.maximum(weighted, k * np.abs(s.prefix(2 * n_max)), out=weighted)
@@ -480,4 +477,5 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
         _require_finite(sup, f"the tail sup-norm estimate at n = {n}")
         _require_finite(mk, f"max k|c_k| over [{n}, {2 * n})")
         entries.append(CurveEntry(n, sup, slack, mk))
-    return TailNormCurve(entries, grid.describe(), grid.n_ref, settled)
+    return TailNormCurve(entries, grid.describe(), grid.n_ref, N_ref,
+                         settled)

@@ -157,6 +157,15 @@ def test_curve_out_writes_sidecar(tmp_path, capsys):
     assert sidecar["defaults"]["reference_horizon"] == 256
 
 
+def test_curve_manifest_records_the_default_reference_horizon(capsys):
+    # without --nref the curve runs at max(2^16, 64 * max n)
+    code, _, err = run(capsys, "curve", "log_damped", "--n", "64..256:dyadic")
+    assert code == 0
+    defaults = json.loads(err)["defaults"]
+    assert defaults["reference_horizon"] == 1 << 16
+    assert defaults["n_ref"] == 256
+
+
 _BIG8 = "explicit:[" + ",".join(["1e308"] * 8) + "]"
 
 

@@ -11,7 +11,6 @@ from trigconv.conditions import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    ClassifyOptions,
     PrefixView,
     check_group_bv,
     check_orv_weight,
@@ -330,10 +329,10 @@ def test_classify_scans_group_bv_once_per_view(monkeypatch):
         return check_group_bv(view, n0_list, m_range)
 
     monkeypatch.setattr(conditions, "check_group_bv", counting)
-    classify(sequence_from_text("harmonic(1.0)"),
-             ClassifyOptions(horizon=1 << 12, weight=_weight("log")))
+    classify(sequence_from_text("harmonic(1.0)"), horizon=1 << 12,
+             weight=_weight("log"))
     classify(CoefficientSequence.explicit([1.0, 0.5, 0.25, 0.125, 0.0625]),
-             ClassifyOptions(n0_list=(16, 4, 1, 4)))
+             n0_list=(16, 4, 1, 4))
     classify(CoefficientSequence.explicit([1.0, 0.5]))
     assert calls == [[1, 2, 4, 8, 16], [4, 1, 4], []]
 
@@ -363,7 +362,7 @@ def test_classify_sums_each_refinement_block_once(monkeypatch):
         return exact_sum(values)
 
     monkeypatch.setattr(conditions, "exact_sum", counting)
-    classify(seq, ClassifyOptions(horizon=1 << 14))
+    classify(seq, horizon=1 << 14)
     assert len(calls) == len(distinct)
 
 
@@ -525,8 +524,7 @@ def test_weighted_view_needs_two_finite_terms():
 def test_classify_matches_checkers_on_fresh_views(spec, horizon, weight):
     seq = sequence_from_text(spec)
     w = _weight(weight) if weight else None
-    got = {r.condition: r for r in classify(
-        seq, ClassifyOptions(horizon=horizon, weight=w))}
+    got = {r.condition: r for r in classify(seq, horizon=horizon, weight=w)}
     N = horizon or seq.length
     weighted = PrefixView.of(seq, N, w)
     expected = [check_weighted_rest_bv(weighted),
@@ -560,8 +558,7 @@ def test_classify_builds_tail_sums_once_per_view(monkeypatch, weight,
                                                  count):
     calls = _count_suffix_sums(monkeypatch)
     w = _weight(weight) if weight else None
-    classify(sequence_from_text("harmonic(1.0)"),
-             ClassifyOptions(horizon=1 << 12, weight=w))
+    classify(sequence_from_text("harmonic(1.0)"), horizon=1 << 12, weight=w)
     assert calls == [1 << 12] * count
 
 

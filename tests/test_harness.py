@@ -36,6 +36,11 @@ def _one():
     return weight_from_spec(parse_family_spec("one"))
 
 
+def _lacunary_prefix():
+    seq = sequence_from_text("lacunary(1.0)")
+    return CoefficientSequence.explicit(seq.prefix(1 << 12), label=seq.label)
+
+
 # --- corpus ----------------------------------------------------------------
 
 def test_corpus_member_deterministic():
@@ -93,8 +98,7 @@ def test_weighted_chain_on_corpus_member():
 
 
 def test_weighted_chain_premises_not_met_for_lacunary():
-    out = verify_weighted_bv_implication(sequence_from_text("lacunary(1.0)"),
-                                         _one(), horizon=1 << 12)
+    out = verify_weighted_bv_implication(_lacunary_prefix(), _one())
     assert out.status == STATUS_PREMISES
 
 
@@ -124,9 +128,8 @@ def test_sector_chain_boundary_angle_constant():
 
 
 def test_sector_chain_rejects_lacunary():
-    out = verify_orvqm_implication(sequence_from_text("lacunary(1.0)"),
-                                   _one(), Sector(math.pi / 6),
-                                   horizon=1 << 12)
+    out = verify_orvqm_implication(_lacunary_prefix(), _one(),
+                                   Sector(math.pi / 6))
     assert out.status == STATUS_PREMISES
     assert out.claim == CLAIM_SECTOR
 
@@ -216,10 +219,10 @@ def test_equivalence_small_profile():
 # --- probes ----------------------------------------------------------------
 
 def test_probe_necessity_small():
-    out = probe_necessity(n_values=(10, 100), instances=4)
+    out = probe_necessity(instances=4)
     assert out.status == STATUS_OK
     floors = [r for r in out.records if r.name == "testpoint/sine_floor"]
-    assert len(floors) == 2
+    assert [r.instance for r in floors] == ["n=10", "n=100", "n=1000"]
     probes = [r for r in out.records if r.name == "testpoint/three_term"]
     assert len(probes) == 4
     for r in probes:
@@ -245,7 +248,7 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
     monkeypatch.setattr(series, "_rows", flat_rows)
-    out = probe_necessity(n_values=(10,), instances=2)
+    out = probe_necessity(instances=2)
     assert out.status == STATUS_VIOLATED
     probes = [r for r in out.records if r.name == "testpoint/three_term"]
     assert len(probes) == 2
@@ -275,8 +278,7 @@ def test_outcome_json_round_trip_strict():
 
 
 def test_outcome_json_nonfinite_goes_null():
-    out = verify_weighted_bv_implication(sequence_from_text("lacunary(1.0)"),
-                                         _one(), horizon=1 << 12)
+    out = verify_weighted_bv_implication(_lacunary_prefix(), _one())
     d = out.to_json_dict()
     text = json.dumps(d, allow_nan=False)   # must not raise
     assert "Infinity" not in text

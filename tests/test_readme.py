@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import pathlib
 import re
 import shlex
@@ -32,3 +34,33 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     assert (tmp_path / "curve.csv").is_file()
     assert (tmp_path / "curve.csv.manifest.json").is_file()
+
+
+def _defaulted(fn) -> int:
+    return sum(p.default is not p.empty
+               for p in inspect.signature(fn).parameters.values())
+
+
+def test_public_knob_count_does_not_grow():
+    # every defaulted parameter of a public function or public method, and
+    # every defaulted dataclass field, is a knob that callers may set; the
+    # count may fall, never rise
+    import trigconv
+
+    params = fields = 0
+    for name in trigconv.__all__:
+        obj = getattr(trigconv, name)
+        if inspect.isfunction(obj):
+            params += _defaulted(obj)
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    params += _defaulted(member)
+            if dataclasses.is_dataclass(obj):
+                fields += sum(
+                    f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                    for f in dataclasses.fields(obj))
+    assert params + fields <= 47
