@@ -57,7 +57,8 @@ from .sequences import (
     unit_noise,
     weight_from_spec,
 )
-from .series import abel_tail_bound, convergence_curve, testpoint_block_probe
+from .series import (_tail_rows, abel_tail_bound, convergence_curve,
+                     testpoint_block_probe)
 from .summation import exact_sum, suffix_sums
 
 __all__ = [
@@ -575,21 +576,20 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
     for text in specs:
         seq = sequence_from_text(text)
         grep = check_group_bv(PrefixView.of(seq, horizon), (1,))[0]
-        curve = convergence_curve(seq, ns, N_ref=N_ref)
-        final = curve.entries[-1]
-        ncn_small = final.max_k_ck <= EQUIV_NCN_TOL
-        sup_small = final.sup_estimate <= EQUIV_SUP_TOL
+        # the last row of convergence_curve, without its truncation slack
+        _, sup, max_k_ck = _tail_rows(seq, ns, N_ref, None)[0][-1]
+        ncn_small = max_k_ck <= EQUIV_NCN_TOL
+        sup_small = sup <= EQUIV_SUP_TOL
         if grep.verdict != HOLDS:
             records.append(InequalityRecord(
-                "equivalence/waived", text, True, final.max_k_ck,
-                final.sup_estimate, math.nan,
+                "equivalence/waived", text, True, max_k_ck, sup, math.nan,
                 detail="group variation fails: equivalence not applicable"))
             continue
         consistent = ncn_small == sup_small
         side = "vanish" if ncn_small else "persist"
         records.append(InequalityRecord(
-            "equivalence/co_trending", text, consistent, final.max_k_ck,
-            final.sup_estimate, math.nan,
+            "equivalence/co_trending", text, consistent, max_k_ck, sup,
+            math.nan,
             detail=f"both {side}" if consistent else "columns disagree"))
     status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     return VerificationOutcome(

@@ -441,16 +441,13 @@ class TailNormCurve:
         return "\n".join(lines) + "\n"
 
 
-def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
-                      N_ref: Optional[int] = None,
-                      grid: Optional[GridSpec] = None) -> TailNormCurve:
-    """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
-
-    All n share one reference horizon and one grid (built for the largest
-    n), so every row is computed in a single pass and the rows are
-    comparable across n.  Finite input whose estimate, slack or k|c_k|
-    overflows the float range raises SequenceError.
-    """
+def _tail_rows(obj: SeriesInput, n_list: Sequence[int],
+               N_ref: Optional[int], grid: Optional[GridSpec]
+               ) -> tuple[list[tuple[int, float, float]], int, GridSpec]:
+    """(n, tail sup-norm estimate, max_{k in [n, 2n)} k|c_k|) per n, with
+    the resolved N_ref and grid (see convergence_curve), from one pass of
+    _rows.  Finite input whose estimate or k|c_k| overflows the float range
+    raises SequenceError."""
     ns = [int(v) for v in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise SequenceError("n_list must be strictly increasing, n >= 1")
@@ -465,17 +462,33 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     # the non-finite values are rejected below, with no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
         _, rows = _rows(obj, grid, ns + [N_ref])
-        slack, settled = truncation_slack(obj, N_ref)
         weighted = np.zeros(2 * n_max)
         for s in seqs:
             np.maximum(weighted, k * np.abs(s.prefix(2 * n_max)), out=weighted)
         sups = [float(np.abs(rows[N_ref] - rows[n]).max()) for n in ns]
 
-    entries = []
+    out = []
     for n, sup in zip(ns, sups):
         mk = float(weighted[n - 1:2 * n - 1].max())
         _require_finite(sup, f"the tail sup-norm estimate at n = {n}")
         _require_finite(mk, f"max k|c_k| over [{n}, {2 * n})")
-        entries.append(CurveEntry(n, sup, slack, mk))
+        out.append((n, sup, mk))
+    return out, N_ref, grid
+
+
+def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
+                      N_ref: Optional[int] = None,
+                      grid: Optional[GridSpec] = None) -> TailNormCurve:
+    """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
+
+    All n share one reference horizon and one grid (built for the largest
+    n), so every row is computed in a single pass and the rows are
+    comparable across n.  Finite input whose estimate, k|c_k| or slack
+    overflows the float range raises SequenceError.
+    """
+    rows, N_ref, grid = _tail_rows(obj, n_list, N_ref, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack, settled = truncation_slack(obj, N_ref)
+    entries = [CurveEntry(n, sup, slack, mk) for n, sup, mk in rows]
     return TailNormCurve(entries, grid.describe(), grid.n_ref, N_ref,
                          settled)

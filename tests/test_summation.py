@@ -137,3 +137,168 @@ def test_suffix_sums_bound_for_a_huge_head_and_tiny_tail(chunk):
     got = suffix_sums(vals)
     assert got[1] == pytest.approx(math.fsum(vals[1:]), rel=5e-13)
     assert got[0] == 1e300
+
+
+# --- the extraction kernel equals math.fsum, bit for bit ---------------------
+#
+# _T, _ROW, _BLOCK and _CHUNK are patched down so that a few dozen values
+# make several rows, several blocks, a ragged last row and several levels
+# of extraction.
+
+def _outcome(fn, *args):
+    """The bytes of fn's float or array result, or the type it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return np.asarray(got, dtype=float).tobytes()
+
+
+def _fsum_of_list(arr: np.ndarray) -> float:
+    return math.fsum(arr.tolist())
+
+
+_EDGE = 2.0 ** 900
+_KERNEL_TERMS = st.lists(st.one_of(
+    # full 53-bit mantissas over a range of scales: several levels per row
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-80, 80)),
+    # below 2^-900: the remainder that joins the parts
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, -901)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -900, 1.0, -1.0,
+                     _EDGE, -_EDGE, math.nextafter(_EDGE, 0.0),
+                     math.nextafter(_EDGE, math.inf), 1.7e308, -1.7e308]),
+), max_size=60)
+_SPECIAL = st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                    max_size=2)
+_SIZES = st.fixed_dictionaries({
+    "_T": st.integers(1, 8), "_ROW": st.integers(1, 9),
+    "_CHUNK": st.integers(1, 9), "_BLOCK": st.integers(1, 30)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KERNEL_TERMS, _SPECIAL, st.randoms(use_true_random=False), _SIZES)
+def test_kernel_is_fsum_bit_for_bit(xs, special, rnd, sizes):
+    xs = xs + special
+    rnd.shuffle(xs)
+    arr = np.asarray(xs, dtype=float)
+    with mock.patch.multiple(summation, **sizes):
+        got = _outcome(exact_sum, arr)
+    assert got == _outcome(_fsum_of_list, arr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                          st.integers(-80, 80)), max_size=30),
+       st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                          st.integers(-1074, -901)), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), _SIZES)
+def test_kernel_keeps_the_remainder_that_survives_cancellation(big, tiny, rnd,
+                                                               sizes):
+    # the order-1 values cancel exactly: the sum is the tiny values' sum,
+    # all of it in the remainder below 2^-900
+    xs = big + [-x for x in big] + tiny
+    rnd.shuffle(xs)
+    arr = np.asarray(xs, dtype=float)
+    with mock.patch.multiple(summation, **sizes):
+        got = exact_sum(arr)
+    assert _bits(got) == _bits(math.fsum(xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.875, 1.0, exclude_max=True), min_size=4,
+                max_size=60),
+       st.integers(-60, 60), st.booleans(), _SIZES)
+def test_kernel_on_a_run_of_values_near_the_row_maximum(fracs, exp, negative,
+                                                         sizes):
+    # many values of one sign just below 2^e fill the row sum up to sigma,
+    # the edge of the lemma's bound
+    sign = -1.0 if negative else 1.0
+    xs = [sign * math.ldexp(f, exp) for f in fracs]
+    arr = np.asarray(xs, dtype=float)
+    with mock.patch.multiple(summation, **sizes):
+        got = exact_sum(arr)
+    assert _bits(got) == _bits(math.fsum(xs))
+
+
+@pytest.mark.parametrize("xs", [
+    [1.7e308, 1.7e308],                    # past the float range
+    [1.0] * 5 + [1.7e308, 1.7e308],
+    [_EDGE] * 7 + [1.7e308] * 2,
+])
+def test_kernel_keeps_the_overflow_error(xs):
+    with mock.patch.multiple(summation, _T=2, _ROW=3, _BLOCK=6):
+        with pytest.raises(OverflowError):
+            exact_sum(np.asarray(xs))
+
+
+def test_kernel_reaches_several_levels_and_the_remainder():
+    # 1/k^2 keeps 53 bits in every row; the 2^-950 values stay below the
+    # peeling floor and join the parts as the remainder
+    k = np.arange(1, 301, dtype=float)
+    vals = 1.0 / k ** 2
+    vals[::7] = 2.0 ** -950 * k[::7]
+    with mock.patch.multiple(summation, _T=4, _ROW=16, _BLOCK=40):
+        parts = summation._peel(vals, 16)
+        got = exact_sum(vals)
+    assert max(len(p) for p in parts) >= 3
+    assert any(0.0 < abs(v) < 2.0 ** -900 for p in parts for v in p)
+    assert _bits(got) == _bits(math.fsum(vals.tolist()))
+
+
+@pytest.mark.parametrize("vals", [np.zeros(40), -np.zeros(40),
+                                  np.full(40, 2.0 ** -1000)])
+def test_kernel_declines_input_without_a_value_in_range(vals):
+    assert summation._peel(vals, 4) is None
+    with mock.patch.multiple(summation, _T=2, _ROW=4, _BLOCK=8):
+        assert _bits(exact_sum(vals)) == _bits(math.fsum(vals.tolist()))
+
+
+def _suffix_sums_chunk_by_chunk(vals: np.ndarray, chunk: int) -> np.ndarray:
+    """suffix_sums as computed before the extraction kernel: math.fsum per
+    chunk, math.fsum per suffix of chunk sums, one cumsum per chunk."""
+    n = vals.shape[0]
+    out = np.empty(n)
+    starts = list(range(0, n, chunk))
+    sums = [math.fsum(vals[s:s + chunk].tolist()) for s in starts]
+    for idx, s in enumerate(starts):
+        within = np.cumsum(vals[s:s + chunk][::-1])[::-1]
+        out[s:s + chunk] = within + math.fsum(sums[idx + 1:])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_KERNEL_TERMS, _SPECIAL, st.randoms(use_true_random=False), _SIZES)
+def test_suffix_sums_bytes_match_the_chunk_by_chunk_scheme(xs, special, rnd,
+                                                           sizes):
+    xs = xs + special
+    rnd.shuffle(xs)
+    arr = np.asarray(xs, dtype=float)
+    with mock.patch.multiple(summation, **sizes):
+        got = _outcome(suffix_sums, arr)
+    assert got == _outcome(_suffix_sums_chunk_by_chunk, arr, sizes["_CHUNK"])
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_suffix_sums_full_size_matches_the_chunk_by_chunk_scheme(chunk):
+    # real sizes: 2-D cumsum over full chunks, a ragged last chunk, and
+    # linear-time offsets over many chunks, subnormals included
+    rng = np.random.default_rng(7)
+    n = 5 * 4096 + 123
+    vals = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 60, n)
+    with mock.patch.object(summation, "_CHUNK", chunk):
+        got = suffix_sums(vals)
+    assert got.tobytes() == _suffix_sums_chunk_by_chunk(vals, chunk).tobytes()
+
+
+def test_suffix_offsets_match_fsum_on_subnormal_and_cancelling_sums():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        sums = (rng.standard_normal(m)
+                * 2.0 ** rng.integers(-1074, 1000, m)).tolist()
+        if rng.random() < 0.3:
+            sums += [-s for s in sums[:m // 2]]
+        want = [math.fsum(sums[j + 1:]) for j in range(len(sums))]
+        assert [_bits(v) for v in summation._suffix_offsets(sums)] == \
+            [_bits(v) for v in want]
