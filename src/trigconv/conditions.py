@@ -268,12 +268,15 @@ def _snap_small(diffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sector_angles(z: np.ndarray) -> np.ndarray:
-    """|arg z| elementwise, 0 where z == 0."""
+def _sector_scan(z: np.ndarray, bound: float) -> tuple[Optional[int], float]:
+    """(the first 1-based n with |arg z_n| > bound, or None; the largest
+    |arg z_n|, 0.0 for empty z), taking arg 0 = 0."""
     ang = np.zeros(z.shape[0])
     nonzero = z != 0
     ang[nonzero] = np.abs(np.arctan2(z[nonzero].imag, z[nonzero].real))
-    return ang
+    outside = ~(ang <= bound)
+    witness = int(np.argmax(outside)) + 1 if outside.any() else None
+    return witness, float(ang.max()) if ang.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +348,9 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
     diffs = _snap_small(diffs, scale)
     cond = f"ORVQM({view.weight_label},theta0={sector.theta0:.6g})"
-    angles = _sector_angles(diffs)
-    ok = angles <= sector.theta0 + ANGLE_TOL
-    if ok.all():
-        constant = float(angles.max()) if angles.size else 0.0
-        return ConditionReport(cond, HOLDS, constant, None, 1, N, N, None)
-    witness = int(np.argmax(~ok)) + 1
+    witness, widest = _sector_scan(diffs, sector.theta0 + ANGLE_TOL)
+    if witness is None:
+        return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
 
 
@@ -507,15 +507,12 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     cond = f"PAIR_SECTOR(theta0={sector.theta0:.6g})"
     worst = 0.0
     for z in (sums, diffs):
-        ang = _sector_angles(z)
-        bad = ang > sector.theta0 + ANGLE_TOL
-        if bad.any():
-            witness = int(np.argmax(bad)) + 1
+        witness, widest = _sector_scan(z, sector.theta0 + ANGLE_TOL)
+        if witness is not None:
             return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
-        worst = max(worst, float(ang.max()) if ang.size else 0.0)
-    bad = _sector_angles(doubles) > sector.theta0 + 2 * ANGLE_TOL
-    if bad.any():
-        witness = int(np.argmax(bad)) + 1
+        worst = max(worst, widest)
+    witness, _ = _sector_scan(doubles, sector.theta0 + 2 * ANGLE_TOL)
+    if witness is not None:
         return ConditionReport(cond, FAILS, None, witness, 1, N, N, None,
                                notes="derived membership of 2c_n failed")
     return ConditionReport(cond, HOLDS, worst, None, 1, N, N, None)

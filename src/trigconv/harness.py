@@ -27,8 +27,8 @@ identical JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class VerificationOutcome:
     claim: str
     status: str
     records: list
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
     def to_json_dict(self) -> dict:
         summary = {k: (_finite_or_none(v) if isinstance(v, float) else v)
@@ -173,6 +173,12 @@ def _gate(name: str, instance: str, lhs: float, rhs: float,
                          else max(1.0, abs(lhs), abs(rhs)))
     return InequalityRecord(name, instance, slack >= -tol, lhs, rhs, slack,
                             witness, detail)
+
+
+def _judged(claim: str, records: list, summary: dict) -> VerificationOutcome:
+    """ok when every record passes, else violated."""
+    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
+    return VerificationOutcome(claim, status, records, summary)
 
 
 def _suffix(vals: np.ndarray) -> np.ndarray:
@@ -304,10 +310,11 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
         "premise/null_trend", label, trend_ok, math.nan, math.nan, math.nan,
         detail="dyadic block maxima of |c| must not grow"))
     worv = check_orv_weight(weight, min(N, 1 << 16))
+    notes = f"; {worv.notes}" if worv.notes else ""
     premises.append(InequalityRecord(
         "premise/weight_doubling", label, worv.verdict == HOLDS,
         worv.constant if worv.constant is not None else math.nan, math.inf,
-        math.inf, detail=f"verdict={worv.verdict}"))
+        math.inf, detail=f"verdict={worv.verdict}{notes}"))
     premises.append(InequalityRecord(
         "premise/weighted_variation", label, wrep.verdict == HOLDS,
         wrep.constant if wrep.constant is not None else math.nan, math.inf,
@@ -357,13 +364,11 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
     rec.passed = rec.passed and ok_hold
     records.append(rec)
 
-    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     worst = min(r.slack for r in records if math.isfinite(r.slack))
-    return VerificationOutcome(CLAIM_WEIGHTED, status, records,
-                               {"instance": label, "constant": M2,
-                                "rho": rho, "predicted_bound": predicted,
-                                "measured_constant": measured,
-                                "worst_slack": worst})
+    return _judged(CLAIM_WEIGHTED, records,
+                   {"instance": label, "constant": M2, "rho": rho,
+                    "predicted_bound": predicted,
+                    "measured_constant": measured, "worst_slack": worst})
 
 
 def verify_orvqm_implication(seq: CoefficientSequence,
@@ -410,16 +415,15 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     rec.passed = rec.passed and wrep.verdict == HOLDS
     records.append(rec)
 
+    # the inner chain holds exactly when each of its records passes
     inner = _weighted_chain(PrefixView.of(seq), weighted, wrep)
     records.extend(inner.records)
-    violated = not all(r.passed for r in records) or inner.status != STATUS_OK
-    status = STATUS_VIOLATED if violated else STATUS_OK
     summary = {"instance": label, "theta0": sector.theta0,
                "dominance_constant": dominance,
                "weighted_constant": measured}
     summary.update({k: v for k, v in inner.summary.items()
                     if k in ("rho", "predicted_bound", "measured_constant")})
-    return VerificationOutcome(CLAIM_SECTOR, status, records, summary)
+    return _judged(CLAIM_SECTOR, records, summary)
 
 
 def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
@@ -443,16 +447,16 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
          "headline": f"{passed}/{size} chains hold"})
 
 
-def run_weighted_implication_corpus(seed_start: int = 1,
-                                    size: int = 50) -> VerificationOutcome:
+def run_weighted_implication_corpus(seed_start: int,
+                                    size: int) -> VerificationOutcome:
     """The implication chain over the randomized corpus, aggregated."""
     outcomes = [verify_weighted_bv_implication(*corpus_member(seed)[:2])
                 for seed in range(seed_start, seed_start + size)]
     return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
 
 
-def run_sector_implication_corpus(seed_start: int = 1,
-                                  size: int = 25) -> VerificationOutcome:
+def run_sector_implication_corpus(seed_start: int,
+                                  size: int) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
     seeds = [s for s in range(seed_start, seed_start + 4 * size)
              if s % 2 == 1][:size]
@@ -542,9 +546,8 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
         witness=threshold_n,
         detail=f"certified bound {final_bound:.3g}, estimate {final_est:.3g}"))
 
-    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
-    return VerificationOutcome(
-        CLAIM_LACUNARY, status, records,
+    return _judged(
+        CLAIM_LACUNARY, records,
         {"alpha": alpha, "horizon": horizon, "n0_list": list(n0_list),
          "threshold": sup_threshold, "threshold_n": threshold_n})
 
@@ -553,15 +556,14 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
 # equivalence diagnostics
 # ---------------------------------------------------------------------------
 
-_DEFAULT_EQUIV_CORPUS = ("harmonic(1.0)", "log_damped", "lacunary(1.0)")
+_EQUIV_CORPUS = ("harmonic(1.0)", "log_damped", "lacunary(1.0)")
+_EQUIV_NS = tuple(1 << j for j in range(6, 13))
+_EQUIV_NREF = 1 << 17
 
 
-def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
-                                   n_list: Optional[Sequence[int]] = None,
-                                   N_ref: int = 1 << 17,
-                                   horizon: int = 1 << 20
-                                   ) -> VerificationOutcome:
-    """Co-trending of n|c_n| and the tail sup-norm column per member.
+def verify_equivalence_diagnostics() -> VerificationOutcome:
+    """Co-trending of n|c_n| and the tail sup-norm column per member of the
+    fixed corpus: n = 2^6..2^12, N_ref = 2^17, 2^20-term prefixes.
 
     For members whose group-variation check holds, the two final-row
     diagnostics must sit on the same side of their thresholds (both vanish
@@ -570,14 +572,12 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
     doubled-resolution runs of the same estimator before enforcement; the
     verdicts are numerical evidence about trends, not limit certificates.
     """
-    specs = list(corpus or _DEFAULT_EQUIV_CORPUS)
-    ns = list(n_list or [1 << j for j in range(6, 13)])
     records: list[InequalityRecord] = []
-    for text in specs:
+    for text in _EQUIV_CORPUS:
         seq = sequence_from_text(text)
-        grep = check_group_bv(PrefixView.of(seq, horizon), (1,))[0]
+        grep = check_group_bv(PrefixView.of(seq), (1,))[0]
         # the last row of convergence_curve, without its truncation slack
-        _, sup, max_k_ck = _tail_rows(seq, ns, N_ref, None)[0][-1]
+        _, sup, max_k_ck = _tail_rows(seq, _EQUIV_NS, _EQUIV_NREF, None)[0][-1]
         ncn_small = max_k_ck <= EQUIV_NCN_TOL
         sup_small = sup <= EQUIV_SUP_TOL
         if grep.verdict != HOLDS:
@@ -591,11 +591,11 @@ def verify_equivalence_diagnostics(corpus: Optional[Sequence[str]] = None,
             "equivalence/co_trending", text, consistent, max_k_ck, sup,
             math.nan,
             detail=f"both {side}" if consistent else "columns disagree"))
-    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
-    return VerificationOutcome(
-        CLAIM_EQUIV, status, records,
-        {"members": len(specs), "n_list": ns, "N_ref": N_ref,
-         "sup_tol": EQUIV_SUP_TOL, "ncn_tol": EQUIV_NCN_TOL})
+    return _judged(
+        CLAIM_EQUIV, records,
+        {"members": len(_EQUIV_CORPUS), "n_list": list(_EQUIV_NS),
+         "N_ref": _EQUIV_NREF, "sup_tol": EQUIV_SUP_TOL,
+         "ncn_tol": EQUIV_NCN_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +641,9 @@ def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
                     detail=f"premises_ok={pr.premises_ok}")
         rec.passed = pr.premises_ok and pr.sin_floor_ok and pr.inequality_ok
         records.append(rec)
-    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     worst = min(r.slack for r in records)
-    return VerificationOutcome(
-        CLAIM_NECESSITY, status, records,
+    return _judged(
+        CLAIM_NECESSITY, records,
         {"instances": instances, "seed": seed, "n_probe": n_probe,
          "theta0": theta0, "worst_slack": worst})
 
@@ -653,11 +652,11 @@ _SUFFICIENCY_FAMILIES = ("harmonic(1.0)", "harmonic(1.5)", "harmonic(2.0)",
                          "log_damped", "rbv_block(1.0)", "quasimono(0.5,2.0)")
 
 
-def probe_sufficiency(cases: int = 100, seed: int = 11,
-                      horizon: int = 1 << 16) -> VerificationOutcome:
-    """Summation-by-parts dominance on randomized (family, N, x) triples:
-    the (pi/x)-weighted variation bound must dominate the directly
-    evaluated truncated tail on every case."""
+def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
+    """Summation-by-parts dominance on 100 randomized (family, N, x)
+    triples at horizon 2^16: the (pi/x)-weighted variation bound must
+    dominate the directly evaluated truncated tail on every case."""
+    cases, horizon = 100, 1 << 16
     u = unit_noise(seed, np.arange(3 * cases))
     pick = (u + 1.0) / 2.0
     # one sequence per family, so that each prefix is built once
@@ -674,9 +673,8 @@ def probe_sufficiency(cases: int = 100, seed: int = 11,
         actual = abs(exact_sum(vals[N - 1:] * np.sin(k * x)))
         records.append(_gate("abel/dominance", f"{fam} N={N} x={x:.4f}",
                              actual, bound))
-    status = STATUS_OK if all(r.passed for r in records) else STATUS_VIOLATED
     worst = min(r.slack for r in records)
-    return VerificationOutcome(
-        CLAIM_SUFFICIENCY, status, records,
+    return _judged(
+        CLAIM_SUFFICIENCY, records,
         {"cases": cases, "seed": seed, "horizon": horizon,
          "worst_slack": worst})

@@ -57,6 +57,14 @@ def _require_finite(value: float, what: str) -> None:
         raise SequenceError(f"{what} overflows the float range")
 
 
+def _indices(N: int) -> np.ndarray:
+    """The int64 indices 1..N, or MemoryError past what one array can hold
+    (where numpy raises ValueError, or wraps to an empty range at 2^63 - 1)."""
+    if N > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {N} indices")
+    return np.arange(1, N + 1, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # seeded noise: SplitMix64
 # ---------------------------------------------------------------------------
@@ -184,7 +192,7 @@ class CoefficientSequence:
             return self.values[:N]
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
-            cached = self.values_at(np.arange(1, N + 1, dtype=np.int64))
+            cached = self.values_at(_indices(N))
             cached.setflags(write=False)
             self._cache["arr"] = cached
         return cached[:N]
@@ -260,8 +268,7 @@ class WeightSequence:
         N = int(N)
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
-            n = np.arange(1, N + 1, dtype=np.int64)
-            arr = np.ascontiguousarray(self.fn(n), dtype=float)
+            arr = np.ascontiguousarray(self.fn(_indices(N)), dtype=float)
             arr.setflags(write=False)
             self._cache["arr"] = arr
             cached = arr

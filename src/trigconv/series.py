@@ -23,7 +23,7 @@ over an adaptive grid that always contains the critical points
 x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}.  The estimate is
 a grid lower bound for the truncated tail S_{N_ref} - S_n only: no
 certified upper end is computed.  The companion truncation slack
-sum_{N_ref < k <= 16 N_ref} |c_k| (+|c_{-k}|) measures how much of
+sum_{N_ref < k <= 16 N_ref} |c_k| of a sine series measures how much of
 the coefficient mass the reference horizon leaves out; it reads only the
 sequence's support, so a lacunary sequence costs its few powers of two.
 
@@ -46,6 +46,7 @@ from .sequences import (
     Sector,
     SequenceError,
     TwoSidedSequence,
+    _indices,
     _require_finite,
     sector_dominance_constant,
 )
@@ -70,9 +71,6 @@ TWO_PI = 2.0 * math.pi
 # Cap on the uniform grid size M: for n_ref > 1024 the uniform part has
 # fewer than 8 points per oscillation.
 MAX_UNIFORM = 8192
-
-SeriesInput = Union[CoefficientSequence, TwoSidedSequence]
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -208,7 +206,7 @@ def _block_length(k_max: int) -> int:
     return 1 << (k_max.bit_length() // 2)
 
 
-def _rows(obj: SeriesInput, grid: GridSpec,
+def _rows(obj: Union[CoefficientSequence, TwoSidedSequence], grid: GridSpec,
           checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """S_cp on the grid for every checkpoint cp, in one pass over k.
 
@@ -309,20 +307,19 @@ def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
     return math.fsum(parts)
 
 
-def truncation_slack(obj: SeriesInput, N_ref: int) -> tuple[float, bool]:
-    """sum of |c_k| (+ |c_{-k}|) over the four octaves (N_ref, 16 N_ref].
+def truncation_slack(seq: CoefficientSequence,
+                     N_ref: int) -> tuple[float, bool]:
+    """sum of |c_k| over the four octaves (N_ref, 16 N_ref].
 
     Returns the measured slack and a settled flag: the last octave must
     contribute at most STABILIZATION_THRESHOLD of the measured total
     (vacuously settled when the total is zero, e.g. explicit data ending
     before N_ref).  A sum past the float range raises SequenceError.
     """
-    seqs = [obj.pos, obj.neg] if isinstance(obj, TwoSidedSequence) else [obj]
     parts = []
     try:
         for j in range(4):
-            lo, hi = N_ref << j, N_ref << (j + 1)
-            parts.append(math.fsum(_abs_range_sum(s, lo, hi) for s in seqs))
+            parts.append(_abs_range_sum(seq, N_ref << j, N_ref << (j + 1)))
         total = math.fsum(parts)
     except OverflowError:  # math.fsum: the exact sum is past the range
         total = math.inf
@@ -441,7 +438,7 @@ class TailNormCurve:
         return "\n".join(lines) + "\n"
 
 
-def _tail_rows(obj: SeriesInput, n_list: Sequence[int],
+def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
                N_ref: Optional[int], grid: Optional[GridSpec]
                ) -> tuple[list[tuple[int, float, float]], int, GridSpec]:
     """(n, tail sup-norm estimate, max_{k in [n, 2n)} k|c_k|) per n, with
@@ -456,15 +453,12 @@ def _tail_rows(obj: SeriesInput, n_list: Sequence[int],
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
     grid = grid or GridSpec(n_ref=n_max)
-    seqs = [obj.pos, obj.neg] if isinstance(obj, TwoSidedSequence) else [obj]
-    k = np.arange(1, 2 * n_max + 1, dtype=float)
+    k = _indices(2 * n_max).astype(float)
     # finite input can overflow in a partial sum, a difference or k|c_k|:
     # the non-finite values are rejected below, with no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rows = _rows(obj, grid, ns + [N_ref])
-        weighted = np.zeros(2 * n_max)
-        for s in seqs:
-            np.maximum(weighted, k * np.abs(s.prefix(2 * n_max)), out=weighted)
+        _, rows = _rows(seq, grid, ns + [N_ref])
+        weighted = k * np.abs(seq.prefix(2 * n_max))
         sups = [float(np.abs(rows[N_ref] - rows[n]).max()) for n in ns]
 
     out = []
@@ -476,7 +470,7 @@ def _tail_rows(obj: SeriesInput, n_list: Sequence[int],
     return out, N_ref, grid
 
 
-def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
+def convergence_curve(seq: CoefficientSequence, n_list: Sequence[int],
                       N_ref: Optional[int] = None,
                       grid: Optional[GridSpec] = None) -> TailNormCurve:
     """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
@@ -486,9 +480,9 @@ def convergence_curve(obj: SeriesInput, n_list: Sequence[int],
     comparable across n.  Finite input whose estimate, k|c_k| or slack
     overflows the float range raises SequenceError.
     """
-    rows, N_ref, grid = _tail_rows(obj, n_list, N_ref, grid)
+    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        slack, settled = truncation_slack(obj, N_ref)
+        slack, settled = truncation_slack(seq, N_ref)
     entries = [CurveEntry(n, sup, slack, mk) for n, sup, mk in rows]
     return TailNormCurve(entries, grid.describe(), grid.n_ref, N_ref,
                          settled)

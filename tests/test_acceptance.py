@@ -139,7 +139,7 @@ def test_criterion_5_dirichlet_machinery(acceptance_line):
 
 
 def test_criterion_6_abel_dominance(acceptance_line):
-    out = probe_sufficiency(cases=100)
+    out = probe_sufficiency()
     ok = out.status == STATUS_OK
     ok = ok and len(out.records) == 100
     ok = ok and all(r.passed for r in out.records)

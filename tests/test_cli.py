@@ -492,6 +492,12 @@ _SPEC_TOKENS = st.recursive(
     max_leaves=5)
 
 
+# prefix and index-range lengths past what an array can hold, 2^63 - 1
+# among them, where np.arange(1, N + 1) wraps to an empty range
+_HUGE_SIZES = st.sampled_from(
+    [str(v) for v in (2 ** 60, 2 ** 61, 2 ** 63 - 1, 2 ** 63, 10 ** 20)])
+
+
 def _flag(name, values):
     # name=value, so that a value such as -1e+16 is not read as an option
     return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v}",)))
@@ -500,7 +506,7 @@ def _flag(name, values):
 # "--" ends the options, so that a spec such as -inf stays positional
 _CLASSIFY_ARGV = st.tuples(
     st.just(("classify",)),
-    _flag("--horizon", st.integers(-2, 64).map(str)),
+    _flag("--horizon", st.one_of(st.integers(-2, 64).map(str), _HUGE_SIZES)),
     _flag("--weight", _SPEC_TOKENS),
     _flag("--theta0", _NUMBER_TOKENS),
     _flag("--n0", st.lists(st.integers(-1, 20).map(str), min_size=1,
@@ -509,11 +515,12 @@ _CLASSIFY_ARGV = st.tuples(
     st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _CURVE_ARGV = st.tuples(
     st.just(("curve",)),
-    st.sampled_from(["4", "1,2", "8,16", "0,4", "16,8", "2..32:dyadic"]).map(
+    st.one_of(st.sampled_from(["4", "1,2", "8,16", "0,4", "16,8",
+                               "2..32:dyadic"]), _HUGE_SIZES).map(
         lambda n: ("--n", n)),
     # a small reference horizon lets explicit data reach the row engine
-    st.one_of(st.integers(-1, 2048), st.integers(-1, 12)).map(
-        lambda r: (f"--nref={r}",)),
+    st.one_of(st.integers(-1, 2048).map(str), st.integers(-1, 12).map(str),
+              _HUGE_SIZES).map(lambda r: (f"--nref={r}",)),
     _flag("--oversample", st.integers(-1, 9).map(str)),
     st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _VERIFY_ARGV = st.one_of(

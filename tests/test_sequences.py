@@ -203,6 +203,15 @@ def test_composite_over_explicit_base():
         seq.prefix(4)
 
 
+def test_prefix_too_large_to_index_raises():
+    # np.arange(1, 2^63) wraps to an empty range: a prefix is N values or
+    # an error, never fewer values
+    with pytest.raises(MemoryError):
+        sequence_from_text("harmonic(1.0)").prefix(2 ** 63 - 1)
+    with pytest.raises(MemoryError):
+        weight_from_spec(parse_family_spec("log")).prefix(2 ** 63 - 1)
+
+
 def test_prefix_is_stable_under_growth():
     seq = sequence_from_text("perturbed(2.0,harmonic(1.0),0.05)@9")
     a = np.asarray(seq.prefix(64)).copy()
