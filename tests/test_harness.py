@@ -15,6 +15,7 @@ from trigconv.harness import (
     _suffix,
     corpus_member,
     probe_necessity,
+    probe_sufficiency,
     run_weighted_implication_corpus,
     verify_equivalence_diagnostics,
     verify_lacunary_counterexample,
@@ -271,6 +272,15 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
         assert r.lhs > 0.0 and r.rhs == 0.0 and r.slack == -r.lhs
         assert all(map(math.isfinite, (r.lhs, r.rhs, r.slack)))
     assert out.summary["worst_slack"] == min(r.slack for r in probes)
+
+
+def test_probe_sufficiency_small():
+    # a seed other than the default draws a different set of cases
+    out = probe_sufficiency(seed=3)
+    assert out.status == STATUS_OK
+    assert len(out.records) == 100
+    assert out.summary["seed"] == 3
+    assert out.summary["worst_slack"] >= 0.0
 
 
 # --- serialization ---------------------------------------------------------
