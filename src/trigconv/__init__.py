@@ -52,8 +52,6 @@ from .series import (
     abel_tail_bound,
     convergence_curve,
     dirichlet_sine,
-    partial_sum_sine,
-    partial_sum_two_sided,
     testpoint_block_probe,
     truncation_slack,
 )
@@ -109,8 +107,6 @@ __all__ = [
     "abel_tail_bound",
     "convergence_curve",
     "dirichlet_sine",
-    "partial_sum_sine",
-    "partial_sum_two_sided",
     "testpoint_block_probe",
     "truncation_slack",
     "InequalityRecord",

@@ -158,9 +158,18 @@ def _require_scan(scan: range, N: int) -> range:
 
 
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
-    """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based;
-    the last block is cut at the array's end)."""
-    starts = (1 << np.arange(vals.shape[0].bit_length())) - 1
+    """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based).
+
+    The last block [2^K, N] is cut at the array's end.  When it holds fewer
+    than 2^(K-1) terms, fewer than the block before it, it is merged into
+    that block, [2^(K-1), N]: a final maximum never rests on a few terms
+    (at N = 2^K the cut block is the single term n = N).  The last block
+    starts at 2^(len - 1) either way.
+    """
+    N = vals.shape[0]
+    K = N.bit_length() - 1
+    count = K if K >= 1 and N - (1 << K) + 1 < 1 << (K - 1) else K + 1
+    starts = (1 << np.arange(count)) - 1
     return np.maximum.reduceat(vals, starts).tolist()
 
 
@@ -232,17 +241,45 @@ class PrefixView:
         return self.tail[m - 1] - self.tail[np.minimum(2 * m, self.N - 1)]
 
 
+# Pairs per span of the early-exit scans below: a failing prefix costs the
+# spans up to its witness, and no temporary outgrows one span.
+_SPAN = 1 << 16
+
+
+def _first_flagged(pairs: int, flagged) -> Optional[int]:
+    """1-based index n of the first violating pair (n, n+1), n in 1..pairs.
+
+    ``flagged(lo, hi)`` returns the offset from lo of the first violation
+    among the pairs lo+1..hi, which read the terms lo+1..hi+1, or None.
+    Spans of _SPAN pairs run in order and the scan returns at the first
+    span with a violation, so it reports the same n as one scan of every
+    pair.
+    """
+    for lo in range(0, pairs, _SPAN):
+        hit = flagged(lo, min(lo + _SPAN, pairs))
+        if hit is not None:
+            return lo + hit + 1
+    return None
+
+
 def _first_increase(x: np.ndarray) -> Optional[int]:
-    """1-based index n of the first pair with x[n+1] > x[n] beyond tolerance."""
-    if x.shape[0] < 2:
+    """0-based index i of the first pair with x[i+1] > x[i] beyond tolerance,
+    or None.
+
+    Only a pair with b > a can pass b > a + REL_TOL max(|a|, |b|): the slack
+    is >= 0 and rounding is monotone, so b <= a gives a + slack >= a >= b,
+    and a NaN compares false either way.  The slack test runs on those
+    candidates alone, on the same operands, so it flags the same pairs as a
+    test of every pair.
+    """
+    cand = np.flatnonzero(x[1:] > x[:-1])
+    if not cand.size:
         return None
-    a, b = x[:-1], x[1:]
+    a, b = x[cand], x[cand + 1]
     slack = REL_TOL * np.maximum(np.abs(a), np.abs(b))
     with np.errstate(over="ignore"):  # no float exceeds an inf a + slack
         bad = b > a + slack
-    if not bad.any():
-        return None
-    return int(np.argmax(bad)) + 1
+    return int(cand[np.argmax(bad)]) if bad.any() else None
 
 
 def _top_ratios(ratios: np.ndarray, count: int) -> np.ndarray:
@@ -279,6 +316,24 @@ def _sector_scan(z: np.ndarray, bound: float) -> tuple[Optional[int], float]:
     return witness, float(ang.max()) if ang.size else 0.0
 
 
+def _first_real_outside(g: np.ndarray, bound: float) -> Optional[int]:
+    """0-based index i of the first snapped difference g[i] - g[i+1] of a
+    real g with |arg| > bound, or None.
+
+    A real difference d has arg 0 when d >= 0 (snapping keeps it >= 0), and
+    |arg| pi or NaN otherwise, and pi > bound for every theta0 < pi/2.  So
+    only the pairs with ~(d >= 0) can leave the sector; the snap and the
+    sector test run on those candidates alone, on the same operands.
+    """
+    d = g[:-1] - g[1:]
+    cand = np.flatnonzero(~(d >= 0.0))
+    if not cand.size:
+        return None
+    scale = np.maximum(np.abs(g[cand]), np.abs(g[cand + 1]))
+    witness, _ = _sector_scan(_snap_small(d[cand], scale), bound)
+    return None if witness is None else int(cand[witness - 1])
+
+
 # ---------------------------------------------------------------------------
 # monotonicity-type conditions
 # ---------------------------------------------------------------------------
@@ -291,12 +346,22 @@ def check_quasimonotone(view: PrefixView,
     unweighted view of a nonnegative real sequence.  Comparisons allow
     relative round-off of 1e-12 so that plateaus generated in floating
     point still count as non-increasing.
+
+    The quotient is formed one span at a time and the scan stops at the
+    first violation.  Each span's n and n**alpha are the same floats as in
+    one arange over 1..N, so every quotient keeps its bits; alpha = 0 skips
+    the division, since b / 1.0 is b.
     """
     cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
     vals, N = view.nonneg(cond), view.N
-    n = np.arange(1, N + 1, dtype=float)
-    quotient = vals / n ** alpha
-    witness = _first_increase(quotient)
+
+    def increase(lo: int, hi: int) -> Optional[int]:
+        x = vals[lo:hi + 1]
+        if alpha != 0:
+            x = x / np.arange(lo + 1, hi + 2, dtype=float) ** alpha
+        return _first_increase(x)
+
+    witness = _first_flagged(N - 1, increase)
     if witness is None:
         return ConditionReport(cond, HOLDS, None, None, 1, N, N, None)
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
@@ -342,13 +407,23 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     Differences below round-off scale are snapped to zero first, so plateaus
     survive; with theta0 = 0 this reduces to "c_n/R(n) non-increasing".
     Reports the largest observed |arg| as the constant when the check holds.
+
+    A real g (an unweighted view of a real sequence) is scanned span by span
+    and stops at the first violation.  When it holds, every difference had
+    arg 0, so its constant is 0.0, the largest |arg| of a full scan.  A
+    complex g is scanned whole.
     """
     g, N = view.g, view.N
-    diffs = g[:-1] - g[1:]
-    scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
-    diffs = _snap_small(diffs, scale)
     cond = f"ORVQM({view.weight_label},theta0={sector.theta0:.6g})"
-    witness, widest = _sector_scan(diffs, sector.theta0 + ANGLE_TOL)
+    bound = sector.theta0 + ANGLE_TOL
+    if np.iscomplexobj(g):
+        diffs = g[:-1] - g[1:]
+        scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
+        witness, widest = _sector_scan(_snap_small(diffs, scale), bound)
+    else:
+        witness = _first_flagged(
+            N - 1, lambda lo, hi: _first_real_outside(g[lo:hi + 1], bound))
+        widest = 0.0
     if witness is None:
         return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
@@ -541,7 +616,7 @@ def check_pair_null_and_summable(ts: TwoSidedSequence,
     block_max = dyadic_block_maxima(t)
     overall = max(block_max)
     last = block_max[-1]
-    lo = 1 << (len(block_max) - 1)
+    lo = 1 << (len(block_max) - 1)  # the last, possibly merged, block
     witness = lo + int(np.argmax(t[lo - 1:N]))
     if last <= NULL_TREND_TOL:
         verdict = HOLDS

@@ -50,7 +50,7 @@ from .sequences import (
     _require_finite,
     sector_dominance_constant,
 )
-from .summation import exact_complex_sum, exact_sum
+from .summation import exact_sum
 
 __all__ = [
     "GridSpec",
@@ -58,15 +58,11 @@ __all__ = [
     "TailNormCurve",
     "ProbeResult",
     "dirichlet_sine",
-    "partial_sum_sine",
-    "partial_sum_two_sided",
     "truncation_slack",
     "abel_tail_bound",
     "testpoint_block_probe",
     "convergence_curve",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Cap on the uniform grid size M: for n_ref > 1024 the uniform part has
 # fewer than 8 points per oscillation.
@@ -126,7 +122,7 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# pointwise partial sums
+# the sine Dirichlet kernel
 # ---------------------------------------------------------------------------
 
 def _require_x_in_halfperiod(x: float) -> None:
@@ -144,43 +140,6 @@ def dirichlet_sine(n: int, x: float) -> float:
         return 0.0
     half = 0.5 * x
     return math.sin(n * half) * math.sin((n + 1) * half) / math.sin(half)
-
-
-def _reduce_odd(x: float) -> tuple[float, float]:
-    """(sign, r) with r in [0, pi] and S(x) = sign * S(r) for sine series."""
-    r = math.remainder(x, TWO_PI)
-    return (1.0, r) if r >= 0.0 else (-1.0, -r)
-
-
-def partial_sum_sine(b: CoefficientSequence, n: int, x: float):
-    """sum_{k=1}^n b_k sin kx, exactly rounded accumulation.
-
-    x is reduced by periodicity and oddness; x = 0 (mod pi after reduction
-    to 0) gives exactly 0.  Returns float for real coefficients, complex
-    otherwise.
-    """
-    if n < 1:
-        raise SequenceError("partial_sum_sine needs n >= 1")
-    sign, r = _reduce_odd(x)
-    if r == 0.0:
-        return 0.0 if b.is_real else 0j
-    vals = b.prefix(n)
-    s = np.sin(np.arange(1, n + 1, dtype=float) * r)
-    if b.is_real:
-        return sign * exact_sum(np.asarray(vals, dtype=float) * s)
-    return sign * exact_complex_sum(np.asarray(vals, dtype=complex) * s)
-
-
-def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
-    """c_0 + sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx})."""
-    if n < 0:
-        raise SequenceError("partial_sum_two_sided needs n >= 0")
-    if n == 0:
-        return complex(ts.c0)
-    pos = np.asarray(ts.pos.prefix(n), dtype=complex)
-    neg = np.asarray(ts.neg.prefix(n), dtype=complex)
-    e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
-    return complex(ts.c0) + exact_complex_sum(pos * e + neg * np.conj(e))
 
 
 # ---------------------------------------------------------------------------

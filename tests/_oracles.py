@@ -1,0 +1,103 @@
+"""Brute-force oracles for the tests: direct partial sums, and the
+full-array condition scans that the span-by-span scans in
+:mod:`trigconv.conditions` must reproduce bit for bit."""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from trigconv.conditions import FAILS, HOLDS, ConditionReport
+from trigconv.sequences import (
+    ANGLE_TOL,
+    REL_TOL,
+    CoefficientSequence,
+    SequenceError,
+    TwoSidedSequence,
+)
+from trigconv.summation import exact_complex_sum, exact_sum
+
+
+# --- partial sums ---------------------------------------------------------
+
+def partial_sum_sine(b: CoefficientSequence, n: int, x: float):
+    """sum_{k=1}^n b_k sin kx, exactly rounded accumulation.
+
+    x is reduced by periodicity and oddness; x = 0 (mod pi after reduction
+    to 0) gives exactly 0.  Returns float for real coefficients, complex
+    otherwise.
+    """
+    if n < 1:
+        raise SequenceError("partial_sum_sine needs n >= 1")
+    r = math.remainder(x, 2.0 * math.pi)
+    sign, r = (1.0, r) if r >= 0.0 else (-1.0, -r)
+    if r == 0.0:
+        return 0.0 if b.is_real else 0j
+    vals = b.prefix(n)
+    s = np.sin(np.arange(1, n + 1, dtype=float) * r)
+    if b.is_real:
+        return sign * exact_sum(np.asarray(vals, dtype=float) * s)
+    return sign * exact_complex_sum(np.asarray(vals, dtype=complex) * s)
+
+
+def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
+    """c_0 + sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx})."""
+    if n < 0:
+        raise SequenceError("partial_sum_two_sided needs n >= 0")
+    if n == 0:
+        return complex(ts.c0)
+    pos = np.asarray(ts.pos.prefix(n), dtype=complex)
+    neg = np.asarray(ts.neg.prefix(n), dtype=complex)
+    e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
+    return complex(ts.c0) + exact_complex_sum(pos * e + neg * np.conj(e))
+
+
+# --- full-array condition scans --------------------------------------------
+
+def first_increase(x: np.ndarray) -> Optional[int]:
+    """1-based index n of the first pair with x[n+1] > x[n] beyond tolerance,
+    tested on every pair at once."""
+    if x.shape[0] < 2:
+        return None
+    a, b = x[:-1], x[1:]
+    slack = REL_TOL * np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(over="ignore"):
+        bad = b > a + slack
+    if not bad.any():
+        return None
+    return int(np.argmax(bad)) + 1
+
+
+def sector_scan(z: np.ndarray, bound: float) -> tuple[Optional[int], float]:
+    """(the first 1-based n with |arg z_n| > bound, or None; the largest
+    |arg z_n|, 0.0 for empty z), with arctan2 over every nonzero z_n."""
+    ang = np.zeros(z.shape[0])
+    nonzero = z != 0
+    ang[nonzero] = np.abs(np.arctan2(z[nonzero].imag, z[nonzero].real))
+    outside = ~(ang <= bound)
+    witness = int(np.argmax(outside)) + 1 if outside.any() else None
+    return witness, float(ang.max()) if ang.size else 0.0
+
+
+def quasimonotone_report(vals: np.ndarray, alpha: float) -> ConditionReport:
+    """check_quasimonotone's report from one quotient over the whole prefix."""
+    N = vals.shape[0]
+    cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
+    witness = first_increase(vals / np.arange(1, N + 1, dtype=float) ** alpha)
+    return ConditionReport(cond, HOLDS if witness is None else FAILS, None,
+                           witness, 1, N, N, None)
+
+
+def orvqm_report(g: np.ndarray, theta0: float) -> ConditionReport:
+    """check_orvqm's report of an unweighted view from one snap and one
+    sector scan over every difference."""
+    N = g.shape[0]
+    diffs = g[:-1] - g[1:]
+    scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
+    snapped = diffs.copy()
+    snapped[np.abs(diffs) <= REL_TOL * scale] = 0.0
+    witness, widest = sector_scan(snapped, theta0 + ANGLE_TOL)
+    cond = f"ORVQM(one,theta0={theta0:.6g})"
+    if witness is None:
+        return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
+    return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from trigconv.conditions import (
     classify,
     dyadic_block_maxima,
 )
+from trigconv.harness import _pair_sector_instance
 from trigconv.sequences import (
+    REL_TOL,
     CoefficientSequence,
     Sector,
     SequenceError,
@@ -33,6 +38,8 @@ from trigconv.sequences import (
     weight_from_spec,
 )
 from trigconv.summation import suffix_sums
+
+import _oracles as oracles
 
 
 def _weight(text):
@@ -65,6 +72,79 @@ def test_quasimonotone_alpha_rescues_blockwise_growth():
     rep = check_quasimonotone(view, alpha=0.5)
     assert rep.condition == "QUASIMONOTONE(alpha=0.5)"
     assert rep.verdict == HOLDS
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_json_dict()) + rep.notes
+
+
+# Plateaus at a few levels, each term jittered by a multiple of REL_TOL on
+# either side of the slack, with exact ties, zeros and a subnormal.
+_LEVELS = (0.0, 5e-324, 2.0 ** -30, 0.25, 1.0, 3.0)
+_JITTER = (0.0, 0.0, 0.5, -0.5, 0.99, -0.99, 1.0, -1.0, 1.01, -1.01, 2.0,
+           -2.0)
+# span lengths of the early-exit scans: every pair its own span, short
+# spans, and the real one
+_SPANS = st.sampled_from([1, 2, 3, conditions._SPAN])
+
+
+@st.composite
+def _plateau_prefix(draw, signed):
+    vals = []
+    for level in draw(st.lists(st.sampled_from(_LEVELS), min_size=1,
+                               max_size=10)):
+        for _ in range(draw(st.integers(1, 5))):
+            v = level * (1.0 + draw(st.sampled_from(_JITTER)) * REL_TOL)
+            vals.append(-v if signed and draw(st.booleans()) else v)
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plateau_prefix(signed=False), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       _SPANS)
+def test_quasimonotone_scan_matches_full_array_oracle(vals, alpha, span):
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    with mock.patch.object(conditions, "_SPAN", span):
+        rep = check_quasimonotone(view, alpha)
+    expected = oracles.quasimonotone_report(view.g, alpha)
+    assert _report_bytes(rep) == _report_bytes(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plateau_prefix(signed=True), st.sampled_from([0.0, 0.3]), _SPANS)
+def test_real_orvqm_scan_matches_full_array_oracle(vals, theta0, span):
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    g = view.g
+    with mock.patch.object(conditions, "_SPAN", span):
+        rep = check_orvqm(view, Sector(theta0))
+        increase = conditions._first_flagged(
+            view.N - 1, lambda lo, hi: conditions._first_increase(g[lo:hi + 1]))
+    expected = oracles.orvqm_report(g, theta0)
+    assert _report_bytes(rep) == _report_bytes(expected)
+    assert increase == oracles.first_increase(g)
+
+
+@pytest.mark.parametrize("N", [(1 << 16) - 1, (1 << 16) + 1, 1 << 17])
+def test_scans_find_a_lone_violation_at_a_span_boundary(N):
+    # pairs 2^16 and 2^16 + 1 are the last of the first span and the first
+    # of the second; c_{n+1} = 1.5 c_n is the only increase, an increase of
+    # b_n / n**alpha too unless n**alpha grows by 1.5 or more
+    base = 1.0 / np.arange(1, N + 1, dtype=float)
+    for n in (None, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, N - 1):
+        vals = base.copy()
+        if n is not None:
+            if n > N - 1:
+                continue
+            vals[n] = 1.5 * vals[n - 1]
+        view = PrefixView.of(CoefficientSequence.explicit(vals))
+        reports = [check_orvqm(view, Sector(0.0))] + [
+            check_quasimonotone(view, alpha) for alpha in (0.0, 0.5, 1.0)]
+        expected = [oracles.orvqm_report(vals, 0.0)] + [
+            oracles.quasimonotone_report(vals, alpha)
+            for alpha in (0.0, 0.5, 1.0)]
+        assert [r.witness for r in reports[:2]] == [n, n]
+        assert list(map(_report_bytes, reports)) == list(
+            map(_report_bytes, expected))
 
 
 # --- weight doubling check -------------------------------------------------
@@ -423,7 +503,9 @@ def test_pair_null_and_summable_frozen_harmonic():
     assert r5.condition == "N_TIMES_C_NULL"
     assert r5.verdict == FAILS
     assert r5.constant == 1.0
-    assert r5.witness == 1 << 20
+    # the last block is [2^19, 2^20] (the one-term cut block [2^20, 2^20]
+    # merged into it), and n c_n = 1 first at its start
+    assert r5.witness == 1 << 19
     assert r6.condition == "PAIR_ABS_SUMMABLE"
     assert r6.verdict == INCONCLUSIVE
     assert r6.constant == pytest.approx(14.440159752937522, rel=1e-12)
@@ -436,6 +518,17 @@ def test_pair_null_and_summable_fast_decay():
     r5, r6 = check_pair_null_and_summable(ts, 1 << 16)
     assert r5.verdict == HOLDS
     assert r6.verdict == HOLDS
+
+
+def test_null_trend_reads_the_same_last_block_at_a_power_of_two():
+    # at N = 2^17 the cut block [2^17, 2^17] is one term; merged into
+    # [2^16, 2^17] it gives the verdict and maximum of N = 2^17 - 1
+    ts = _pair_sector_instance(1, 1 << 17, math.pi / 6)
+    at_power, below = (check_pair_null_and_summable(ts, N)[0]
+                       for N in (1 << 17, (1 << 17) - 1))
+    assert at_power.verdict == below.verdict == INCONCLUSIVE
+    assert at_power.constant == below.constant
+    assert at_power.constant == pytest.approx(9.174, abs=1e-3)
 
 
 # --- aggregate classifier --------------------------------------------------
@@ -465,6 +558,33 @@ def test_classify_report_json_shape():
     assert sorted(d) == ["condition", "constant", "range", "stabilization",
                         "verdict", "witness"]
     assert sorted(d["range"]) == ["horizon", "m_max", "m_min"]
+
+
+# sha256 of classify's JSON at horizon 2^18, taken from the full-array
+# scans before the span-by-span ones replaced them; a speedup must keep
+# every byte
+_CLASSIFY_DIGESTS = {
+    "harmonic(1.0)":
+        "5c68490b8abca5fadeaa33eee48e338513c3668d35f925125ffae11f293bbcd9",
+    "log_damped":
+        "310efee9ec827a51a6728e214fab07c52b43ec9ef996346a29015c34fec996ec",
+    "rbv_block(1.0)":
+        "b72673e604bf8f271cc0efe6f6559993ee3fbf75c7205b2de69d1a734c4aad12",
+    "quasimono(0.5,2.0)":
+        "79ba9d09419db261452d45be6fe0761834afa2d692a616cced7c959981441e77",
+    "lacunary(1.0)":
+        "538640a91d64014a63b4b8366da11fcdafb811b63b8a40ef3968d00f7505c8e4",
+    "perturbed(1,harmonic(2.0),0.05)":
+        "009285ef25c2cc448e45dd74ec5c850ea9bdecb663d0c5d32cf3c3d769179e30",
+}
+
+
+@pytest.mark.parametrize("text", list(_CLASSIFY_DIGESTS))
+def test_classify_output_digest(text):
+    reports = classify(sequence_from_text(text), horizon=1 << 18)
+    payload = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        _CLASSIFY_DIGESTS[text]
 
 
 # --- properties ------------------------------------------------------------
@@ -584,12 +704,15 @@ def test_unweighted_checkers_reject_a_weighted_view():
 
 
 def test_dyadic_block_maxima_matches_block_loop():
+    # blocks [2^j, 2^(j+1)) cut at N; a cut last block shorter than the
+    # block before it joins that block
     rng = np.random.default_rng(5)
     for N in range(1, 70):
         vals = rng.random(N)
-        expected, j = [], 0
+        blocks, j = [], 0
         while (1 << j) <= N:
-            lo, hi = 1 << j, min((1 << (j + 1)) - 1, N)
-            expected.append(float(vals[lo - 1:hi].max()))
+            blocks.append(vals[(1 << j) - 1:min((1 << (j + 1)) - 1, N)])
             j += 1
-        assert dyadic_block_maxima(vals) == expected
+        if len(blocks) > 1 and len(blocks[-1]) < len(blocks[-2]):
+            blocks[-2:] = [np.concatenate(blocks[-2:])]
+        assert dyadic_block_maxima(vals) == [float(b.max()) for b in blocks]

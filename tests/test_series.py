@@ -17,13 +17,13 @@ from trigconv.series import (
     abel_tail_bound,
     convergence_curve,
     dirichlet_sine,
-    partial_sum_sine,
-    partial_sum_two_sided,
     truncation_slack,
 )
 from trigconv.series import _abs_range_sum, _block_length, _rows
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
+
+from _oracles import partial_sum_sine, partial_sum_two_sided
 
 
 def _direct_dirichlet(n, x):
