@@ -38,7 +38,6 @@ from .conditions import (
     check_group_bv,
     check_orv_weight,
     check_orvqm,
-    check_pair_null_and_summable,
     check_pair_sector,
     check_quasimonotone,
     check_rest_bv,
@@ -95,7 +94,6 @@ __all__ = [
     "check_group_bv",
     "check_orv_weight",
     "check_orvqm",
-    "check_pair_null_and_summable",
     "check_pair_sector",
     "check_quasimonotone",
     "check_rest_bv",

@@ -22,8 +22,6 @@ Condition vocabulary (ids):
     GROUP_BV(N0)              sum_{n=m}^{2m} |c_n - c_{n+1}|
                                   <= M * max_{m <= n < m+N0} |c_n|
     PAIR_SECTOR(theta0)       c_n + c_-n and c_n - c_-n in K(theta0)
-    N_TIMES_C_NULL            n * c_n -> 0 (dyadic block maxima trend)
-    PAIR_ABS_SUMMABLE         sum |c_n + c_-n| < infinity (stabilized total)
 
 Differences are always Delta c_n = c_n - c_{n+1}.  All long sums run
 through the deterministic helpers in :mod:`trigconv.summation`.
@@ -69,7 +67,6 @@ __all__ = [
     "check_weighted_rest_bv",
     "check_group_bv",
     "check_pair_sector",
-    "check_pair_null_and_summable",
     "classify",
     "dyadic_block_maxima",
     "DEFAULT_HORIZON",
@@ -89,8 +86,8 @@ DEFAULT_HORIZON = 1 << 20
 # contributes at most this fraction of the total.
 STABILIZATION_THRESHOLD = 1e-3
 
-# Trend tolerance for the "n*c_n -> 0" check: the final dyadic block maximum
-# must fall below this for a ``holds`` verdict.
+# Trend tolerance for an "n*c_n -> 0" check.  Every run manifest records it
+# (tolerances.null_trend_tol), but no checker reads it.
 NULL_TREND_TOL = 0.1
 
 
@@ -367,8 +364,7 @@ def check_quasimonotone(view: PrefixView,
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
 
 
-def check_orv_weight(weight: WeightSequence,
-                     horizon: int = 1 << 16) -> ConditionReport:
+def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
     """Does the weight look O-regularly varying on data?
 
     Checks positivity and monotonicity (errors on violation), then measures
@@ -490,7 +486,7 @@ def _group_bv_range(N: int, N0: int, m_range) -> range:
     return _scan_range(N, m_range, min((N - 1) // 2, N - N0 + 1))
 
 
-def check_group_bv(view: PrefixView, n0_list: Sequence[int] = (1,),
+def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                    m_range=None) -> list[ConditionReport]:
     """Group bounded variation with a fixed comparison window, one report
     per window length N0 in ``n0_list`` (in its order, repeats included):
@@ -562,7 +558,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int] = (1,),
 # ---------------------------------------------------------------------------
 
 def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
-                      horizon: Optional[int] = None) -> ConditionReport:
+                      N: int) -> ConditionReport:
     """Are c_n + c_-n and c_n - c_-n both in K(theta0) for 1 <= n <= N?
 
     When both families of combinations stay in the sector, so does
@@ -570,7 +566,6 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     as well (sector closure under addition makes it automatic up to
     round-off).  Reports the largest observed |arg| as the constant.
     """
-    N = resolve_horizon(ts.pos, horizon)
     sums = ts.pair_sums(N)
     diffs = ts.pair_diffs(N)
     pa = np.abs(np.asarray(ts.pos.prefix(N), dtype=complex))
@@ -593,71 +588,24 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     return ConditionReport(cond, HOLDS, worst, None, 1, N, N, None)
 
 
-def check_pair_null_and_summable(ts: TwoSidedSequence,
-                                 horizon: Optional[int] = None,
-                                 ) -> tuple[ConditionReport, ConditionReport]:
-    """The two tail conditions of the exponential-series criterion.
-
-    First report (N_TIMES_C_NULL): dyadic block maxima of
-    n * max(|c_n|, |c_-n|) must decay; ``holds`` once the final block
-    maximum sits below NULL_TREND_TOL, ``fails`` when the trend never decays
-    (final block at the running maximum), ``inconclusive`` in between.  The
-    final block maximum is recorded as both constant and stabilization.
-
-    Second report (PAIR_ABS_SUMMABLE): the truncated sum of |c_n + c_-n|
-    with the dyadic stabilization rule; its value is the constant.
-    """
-    N = resolve_horizon(ts.pos, horizon)
-    pa = np.abs(np.asarray(ts.pos.prefix(N), dtype=complex))
-    na = np.abs(np.asarray(ts.neg.prefix(N), dtype=complex))
-    n = np.arange(1, N + 1, dtype=float)
-    t = n * np.maximum(pa, na)
-
-    block_max = dyadic_block_maxima(t)
-    overall = max(block_max)
-    last = block_max[-1]
-    lo = 1 << (len(block_max) - 1)  # the last, possibly merged, block
-    witness = lo + int(np.argmax(t[lo - 1:N]))
-    if last <= NULL_TREND_TOL:
-        verdict = HOLDS
-    elif overall > 0 and last >= (1.0 - 1e-3) * overall:
-        verdict = FAILS
-    else:
-        verdict = INCONCLUSIVE
-    rep5 = ConditionReport("N_TIMES_C_NULL", verdict, last,
-                           witness if verdict == FAILS else None,
-                           1, N, N, last)
-
-    s = np.abs(ts.pair_sums(N))
-    total = exact_sum(s)
-    half = exact_sum(s[max(1, N // 2) - 1:])
-    stab = half / total if total > 0.0 else 0.0
-    verdict6 = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
-    rep6 = ConditionReport("PAIR_ABS_SUMMABLE", verdict6, total, None,
-                           1, N, N, stab)
-    return rep5, rep6
-
-
 # ---------------------------------------------------------------------------
 # aggregate classification
 # ---------------------------------------------------------------------------
 
-def classify(obj, *, horizon: Optional[int] = None,
+def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
              m_max: Optional[int] = None,
              n0_list: Sequence[int] = (1, 2, 4, 8, 16), theta0: float = 0.0,
              weight: Optional[WeightSequence] = None) -> list[ConditionReport]:
-    """Run every applicable checker with shared horizons and collect reports.
+    """Run every applicable checker on the coefficients of a sine series
+    with shared horizons and collect reports.
 
-    One-sided real nonnegative sequences get the monotonicity family and
-    REST_BV; every one-sided sequence gets GROUP_BV for each window length
-    in n0_list and the weighted checks (against the constant weight 1
-    unless a weight is supplied).  Two-sided input additionally gets the
-    pair conditions in the sector K(theta0), with the one-sided battery
-    applied to the positive half.  The tail-variation scans run over
-    m in [1, m_max] (default N/4).  Member errors (insufficient length,
-    negative values where forbidden) propagate.
+    Real nonnegative sequences get the monotonicity family and REST_BV;
+    every sequence gets GROUP_BV for each window length in n0_list, the
+    weighted checks (against the constant weight 1 unless a weight is
+    supplied) and ORVQM in the sector K(theta0).  The tail-variation scans
+    run over m in [1, m_max] (default N/4).  Member errors (insufficient
+    length, negative values where forbidden) propagate.
     """
-    seq = obj.pos if isinstance(obj, TwoSidedSequence) else obj
     N = resolve_horizon(seq, horizon)
     if N < 2:
         raise SequenceError(
@@ -665,9 +613,6 @@ def classify(obj, *, horizon: Optional[int] = None,
             f"at least 2 terms are needed")
     reports: list[ConditionReport] = []
     sector = Sector(theta0)
-    if isinstance(obj, TwoSidedSequence):
-        reports.append(check_pair_sector(obj, sector, horizon))
-        reports.extend(check_pair_null_and_summable(obj, horizon))
 
     m_range = None if m_max is None else (1, m_max)
     plain = PrefixView.of(seq, N)

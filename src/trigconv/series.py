@@ -292,13 +292,13 @@ def truncation_slack(seq: CoefficientSequence,
 # ---------------------------------------------------------------------------
 
 def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
-                    horizon: Optional[int] = None) -> float:
+                    horizon: int) -> float:
     """(pi/x) * (sum_{k=N}^{H} |c_k - c_{k+1}| + |c_N|), the
     summation-by-parts tail estimate at truncation horizon H."""
     _require_x_in_halfperiod(x)
     if N < 1:
         raise SequenceError("N >= 1 required")
-    H = (1 << 16) if horizon is None else int(horizon)
+    H = int(horizon)
     if H < N:
         raise SequenceError("horizon below N")
     vals = np.asarray(c.prefix(H + 1))

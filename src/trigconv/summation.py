@@ -4,13 +4,14 @@ The long reductions of the condition checkers run through the functions
 below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
-Every exactly rounded sum has the bits of ``math.fsum`` over the same
-floats.  An array of at least _T values whose largest |x| lies in
-[2^-900, 2^900] is first split without error into a few parts per row of
-values by the vector extraction of Rump, Ogita and Oishi (*Accurate
-floating-point summation, part I*, SIAM J. Sci. Comput. 31(1), 2008,
-Lemma 3.2, ExtractVector): a few numpy passes over the array in place of
-one Python step per value.  ``math.fsum`` then rounds the exact sum of the
+Every exactly rounded sum, ``exact_sum`` and the chunk sums of
+``suffix_sums``, has the bits of ``math.fsum`` over the same floats.  An
+array of at least _T values whose largest |x| lies in [2^-900, 2^900] is
+first split without error into a few parts per row of values by the
+vector extraction of Rump, Ogita and Oishi (*Accurate floating-point
+summation, part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2,
+ExtractVector): a few numpy passes over the array in place of one Python
+step per value.  ``math.fsum`` then rounds the exact sum of the
 parts, which is the exact sum of the values, so it returns the float it
 would return for the values themselves.  Any other input (shorter, NaN,
 +-inf, a value past 2^900, all zero or all below 2^-900) is ``math.fsum``
@@ -101,8 +102,8 @@ def _peel(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
     return out if top >= _TINY else None
 
 
-def _fsum(values) -> float:
-    """Exactly rounded sum of a flat float64 array: the bits of
+def exact_sum(values) -> float:
+    """Exactly rounded sum of a flat real array or iterable: the bits of
     ``math.fsum`` over its values.
 
     From _T values on, with max |x| in [2^-900, 2^900], _peel (Rump, Ogita
@@ -121,19 +122,6 @@ def _fsum(values) -> float:
         if parts is not None:
             return math.fsum(itertools.chain.from_iterable(parts))
     return math.fsum(memoryview(arr))
-
-
-def exact_sum(values) -> float:
-    """Exactly rounded sum of a flat real array or iterable, bit for bit
-    ``math.fsum`` of its values (see _fsum)."""
-    return _fsum(values)
-
-
-def exact_complex_sum(values) -> complex:
-    """Exactly rounded sum of a complex iterable, real and imaginary parts
-    summed independently."""
-    arr = np.asarray(values, dtype=complex)
-    return complex(_fsum(arr.real), _fsum(arr.imag))
 
 
 def _suffix_offsets(chunk_sums: list[float]) -> list[float]:
@@ -164,7 +152,7 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
 
     The chunk sums are math.fsum of each chunk's parts from one _peel call
     over every chunk, or of the chunk itself on input _peel declines (see
-    _fsum); the full chunks' reversed cumulative sums come from one 2-D
+    exact_sum); the full chunks' reversed cumulative sums come from one 2-D
     cumsum.  These are the same floats as summing and accumulating chunk
     by chunk, and the offsets need time linear in the chunk count.
     """

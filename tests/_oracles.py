@@ -1,6 +1,6 @@
-"""Brute-force oracles for the tests: direct partial sums, and the
-full-array condition scans that the span-by-span scans in
-:mod:`trigconv.conditions` must reproduce bit for bit."""
+"""Brute-force oracles for the tests: exactly rounded complex sums, direct
+partial sums, and the full-array condition scans that the span-by-span
+scans in :mod:`trigconv.conditions` must reproduce bit for bit."""
 
 import math
 from typing import Optional
@@ -15,10 +15,17 @@ from trigconv.sequences import (
     SequenceError,
     TwoSidedSequence,
 )
-from trigconv.summation import exact_complex_sum, exact_sum
+from trigconv.summation import exact_sum
 
 
 # --- partial sums ---------------------------------------------------------
+
+def exact_complex_sum(values) -> complex:
+    """Exactly rounded sum of a complex iterable, real and imaginary parts
+    summed independently."""
+    arr = np.asarray(values, dtype=complex)
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
+
 
 def partial_sum_sine(b: CoefficientSequence, n: int, x: float):
     """sum_{k=1}^n b_k sin kx, exactly rounded accumulation.

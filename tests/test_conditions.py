@@ -18,7 +18,6 @@ from trigconv.conditions import (
     check_group_bv,
     check_orv_weight,
     check_orvqm,
-    check_pair_null_and_summable,
     check_pair_sector,
     check_quasimonotone,
     check_rest_bv,
@@ -26,7 +25,6 @@ from trigconv.conditions import (
     classify,
     dyadic_block_maxima,
 )
-from trigconv.harness import _pair_sector_instance
 from trigconv.sequences import (
     REL_TOL,
     CoefficientSequence,
@@ -152,20 +150,20 @@ def test_scans_find_a_lone_violation_at_a_span_boundary(N):
 @pytest.mark.parametrize("text", ["one", "const(3.5)", "power(0.5)",
                                   "power(1.0)", "log"])
 def test_orv_weight_holds(text):
-    assert check_orv_weight(_weight(text)).verdict == HOLDS
+    assert check_orv_weight(_weight(text), 1 << 16).verdict == HOLDS
 
 
 def test_orv_weight_log_constant():
     # oracle: direct max of log(2n+2)/log(n+2) over the scan, attained at
     # n = 2 with value log(6)/log(4); frozen from that computation
-    rep = check_orv_weight(_weight("log"))
+    rep = check_orv_weight(_weight("log"), 1 << 16)
     assert rep.verdict == HOLDS
     assert rep.constant == pytest.approx(1.292481250360578, rel=1e-12)
     assert rep.witness == 2
 
 
 def test_orv_weight_exp2_inconclusive():
-    rep = check_orv_weight(_weight("exp2"))
+    rep = check_orv_weight(_weight("exp2"), 1 << 16)
     assert rep.verdict == INCONCLUSIVE
     assert "overflow" in (rep.notes or "")
 
@@ -486,49 +484,9 @@ def test_pair_sector_detects_violation():
     pos = CoefficientSequence.explicit([1.0 + 0.9j, 0.5])
     neg = CoefficientSequence.explicit([0.0, 0.0])
     rep = check_pair_sector(TwoSidedSequence(0.0, pos, neg),
-                            Sector(math.pi / 8))
+                            Sector(math.pi / 8), 2)
     assert rep.verdict == FAILS
     assert rep.witness == 1
-
-
-# --- pair trend and summability -------------------------------------------
-
-def test_pair_null_and_summable_frozen_harmonic():
-    # n * c_n == 1 for the one-sided harmonic pair: trend check fails at
-    # the horizon and the pair sums are not absolutely summable
-    # (frozen: partial sum of 1/n to 2^20 and its dyadic stabilization)
-    ts = TwoSidedSequence(0.0, sequence_from_text("harmonic(1.0)"),
-                          sequence_from_text("zero"))
-    r5, r6 = check_pair_null_and_summable(ts)
-    assert r5.condition == "N_TIMES_C_NULL"
-    assert r5.verdict == FAILS
-    assert r5.constant == 1.0
-    # the last block is [2^19, 2^20] (the one-term cut block [2^20, 2^20]
-    # merged into it), and n c_n = 1 first at its start
-    assert r5.witness == 1 << 19
-    assert r6.condition == "PAIR_ABS_SUMMABLE"
-    assert r6.verdict == INCONCLUSIVE
-    assert r6.constant == pytest.approx(14.440159752937522, rel=1e-12)
-    assert r6.stabilization == pytest.approx(0.04800145032541222, rel=1e-9)
-
-
-def test_pair_null_and_summable_fast_decay():
-    ts = TwoSidedSequence(0.0, sequence_from_text("harmonic(2.0)"),
-                          sequence_from_text("zero"))
-    r5, r6 = check_pair_null_and_summable(ts, 1 << 16)
-    assert r5.verdict == HOLDS
-    assert r6.verdict == HOLDS
-
-
-def test_null_trend_reads_the_same_last_block_at_a_power_of_two():
-    # at N = 2^17 the cut block [2^17, 2^17] is one term; merged into
-    # [2^16, 2^17] it gives the verdict and maximum of N = 2^17 - 1
-    ts = _pair_sector_instance(1, 1 << 17, math.pi / 6)
-    at_power, below = (check_pair_null_and_summable(ts, N)[0]
-                       for N in (1 << 17, (1 << 17) - 1))
-    assert at_power.verdict == below.verdict == INCONCLUSIVE
-    assert at_power.constant == below.constant
-    assert at_power.constant == pytest.approx(9.174, abs=1e-3)
 
 
 # --- aggregate classifier --------------------------------------------------

@@ -80,6 +80,13 @@ def test_null_trend_rejects_flat_and_growing():
     assert not _null_trend_ok(np.ones(2048))
     assert not _null_trend_ok(np.log(np.arange(1, 2049, dtype=float) + 2))
     assert _null_trend_ok(np.zeros(64))
+    # flat but for a smaller last term: at N = 2^11 that term alone is the
+    # cut block [2^11, 2^11], and merged into [2^10, 2^11] it reads as at
+    # N = 2^11 - 1
+    for N in (2047, 2048):
+        flat = np.ones(N)
+        flat[-1] = 0.5
+        assert not _null_trend_ok(flat)
 
 
 # --- single-instance implication chain -------------------------------------

@@ -301,7 +301,7 @@ def test_sector_closed_under_positive_combinations(theta0, f1, f2, a, b):
         # with c_-n = 0 the pair sums and differences are combo itself
         ts = TwoSidedSequence(0.0, CoefficientSequence.explicit([combo]),
                               CoefficientSequence.explicit([0.0]))
-        assert check_pair_sector(ts, s).verdict == HOLDS
+        assert check_pair_sector(ts, s, 1).verdict == HOLDS
 
 
 # --- two-sided -------------------------------------------------------------
