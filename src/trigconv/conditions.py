@@ -38,7 +38,6 @@ real input, and truncates N where R overflows to infinity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -55,7 +54,7 @@ from .sequences import (
     WeightSequence,
     _require_finite,
 )
-from .summation import exact_sum, suffix_sums
+from .summation import _range_sums, exact_sum, suffix_sums
 
 __all__ = [
     "ConditionReport",
@@ -279,22 +278,6 @@ def _first_increase(x: np.ndarray) -> Optional[int]:
     return int(cand[np.argmax(bad)]) if bad.any() else None
 
 
-def _top_ratios(ratios: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest ratios, largest first and ties by
-    index: ``np.argsort(-ratios, kind="stable")[:count]`` without sorting
-    every ratio."""
-    key = -ratios
-    if key.shape[0] <= count:
-        return np.argsort(key, kind="stable")
-    cut = np.partition(key, count - 1)[count - 1]
-    if np.isnan(cut):  # fewer than count ordered values
-        return np.argsort(key, kind="stable")[:count]
-    above = np.flatnonzero(key < cut)
-    tied = np.flatnonzero(key == cut)[:count - above.shape[0]]
-    top = np.concatenate([above, tied])
-    return top[np.lexsort((top, key[top]))]
-
-
 def _snap_small(diffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Zero out differences below round-off scale (plateau protection)."""
     out = diffs.copy()
@@ -486,6 +469,75 @@ def _group_bv_range(N: int, N0: int, m_range) -> range:
     return _scan_range(N, m_range, min((N - 1) // 2, N - N0 + 1))
 
 
+def _windows(n0_list: Sequence[int]) -> list[int]:
+    """The distinct window lengths of n0_list, ascending; each must be >= 1."""
+    windows = sorted({int(n0) for n0 in n0_list})
+    if windows and windows[0] < 1:
+        raise SequenceError("window length N0 must be >= 1")
+    return windows
+
+
+# L^_m -+ _BOUND * tail[m-1] brackets the exactly rounded L_m; the proof
+# is in check_group_bv
+_BOUND = 2.0 ** -39
+# The level table serves the exact block sums once the distinct blocks to
+# sum hold more than this many terms per term of the prefix; below it
+# exact_sum runs once per block.
+_TABLE_FROM = 1
+
+
+def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray,
+                            m_lo: int) -> Optional[int]:
+    """The smallest m (R[m - m_lo] is R_m) with R_m = 0 < L_m, or None.
+
+    R_m = 0 makes c_m = 0, so L_m, an exact sum of |c_n - c_{n+1}| >= 0
+    over n in [m, 2m], is positive if and only if c is nonzero somewhere
+    on [m + 1, 2m + 1]: no sum is needed.  Spans of _SPAN m run in order,
+    and a span whose R has no zero costs one min.
+    """
+    for lo in range(0, R.shape[0], _SPAN):
+        part = R[lo:lo + _SPAN]
+        if part.min() != 0.0:
+            continue
+        m = np.flatnonzero(part == 0.0) + (m_lo + lo)
+        # 0-based positions of the nonzero c_k, k in [m[0] + 1, 2 m[-1] + 1]
+        nonzero = np.flatnonzero(c[m[0]:2 * m[-1] + 1]) + m[0]
+        nxt = np.append(nonzero, c.shape[0])[np.searchsorted(nonzero, m)]
+        hit = np.flatnonzero(nxt <= 2 * m)   # position 2m is k = 2m + 1
+        if hit.size:
+            return int(m[hit[0]])
+    return None
+
+
+def _exact_block_sums(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The exactly rounded L_m (math.fsum bits) for each m of the sorted,
+    distinct m.
+
+    Both routes give math.fsum's bits, so the choice is a cost rule: one
+    exact_sum per block while the blocks hold at most _TABLE_FROM * N
+    terms together, else one level table (summation._range_sums) over the
+    |c_n - c_{n+1}| that the blocks span, unless the table declines the
+    values (one past 2^900).  A span of zeros sums to 0 everywhere.  A span
+    below 2^-900 is scaled by 2^1000 into the table's range and its sums
+    back: both steps are exact, since a sum of these values below 2^-1021
+    is a float, and above it the scaling commutes with rounding.
+    """
+    if int((m + 1).sum()) > _TABLE_FROM * c.shape[0]:
+        lo, hi = int(m[0]) - 1, 2 * int(m[-1])
+        d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
+        d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
+        peak = float(d.max())
+        if peak == 0.0:
+            return np.zeros(m.shape[0])
+        scale = 2.0 ** 1000 if peak < 2.0 ** -900 else 1.0
+        d *= scale
+        sums = _range_sums(d, m - 1 - lo, 2 * m - lo)
+        if sums is not None:
+            return sums / scale
+    return np.array([exact_sum(np.abs(c[k - 1:2 * k] - c[k:2 * k + 1]))
+                     for k in m.tolist()])
+
+
 def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                    m_range=None) -> list[ConditionReport]:
     """Group bounded variation with a fixed comparison window, one report
@@ -495,61 +547,104 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
             <= M * max_{m <= n < m+N0} |c_n| =: M * R_m    for all m.
 
     Takes the unweighted view.  Both sides are finite, so the verdict is
-    exact -- ``holds`` with the smallest consistent M (max ratio, refined by
-    exactly rounded block sums at the candidate maximizers) or ``fails``
-    with a witness m where R_m = 0 while L_m > 0.  Never ``inconclusive``.
+    exact and never ``inconclusive``.  With L~_m the exactly rounded L_m
+    (math.fsum over the block's |c_n - c_{n+1}|), the guarantee is:
 
-    L_m does not depend on N0, so one pass serves every window: R_m grows
-    in place (max is exact: each window keeps its bits) and each
-    refinement block is summed once.
+    * ``fails`` with the smallest m of the scan where R_m = 0 < L_m,
+      decided from where c is nonzero, with no sum;
+    * else ``holds`` with the constant max over every m of fl(L~_m / R_m)
+      (0 where R_m = 0, since L_m = 0 there once no m fails), and the
+      smallest m reaching it as the witness.
+
+    Pruning.  The scan keeps m <= (N - 1)/2, so the block ends at 2m and
+    the view's tail sums give L^_m = fl(t_a - t_b), t_i = tail[i], a =
+    m - 1, b = 2m.  With exact tails T_i, suffix_sums guarantees |t_i -
+    T_i| <= g T_i, g = gamma_4096 < 2^-41 (1 + 2^-40), and T_b <= T_a as
+    every term is >= 0.  A sum or difference of floats that falls below
+    2^-1021 is exact, so each rounding below is relative.  So, u = 2^-53:
+
+        |t_a - t_b - L_m| <= g (T_a + T_b) <= 2 g T_a,
+        |L^_m - (t_a - t_b)| <= u (L_m + 2 g T_a) <= u (1 + 2 g) T_a,
+        |L~_m - L_m| <= u L_m <= u T_a,
+
+    in sum |L^_m - L~_m| <= (2g + 2u + 2gu) T_a <= 2^-40 (1 + 2^-11) t_a.
+    x = t_a 2^-39 is exact unless it is subnormal, then within 2^-1075,
+    so x exceeds that bound when t_a >= 2^-1034.  Below that every tail
+    term and every partial sum is a multiple of 2^-1074 under 2^-1021, so
+    every addition is exact and L^_m = L~_m.  Either way A_m = fl(L^_m +
+    x) >= L~_m >= fl(L^_m - x) = B_m, since rounding is monotone and L~_m
+    is a float; an overflow makes A_m = inf, which keeps its m.  Division
+    by R_m > 0 rounds monotonically as well, so fl(B_m / R_m) <= fl(L~_m /
+    R_m) <= fl(A_m / R_m).  Hence fl(B_m / R_m) at any one m, here the
+    first m with the largest fl(A_m / R_m), is a floor at most the
+    constant, and every m that reaches the constant has fl(A_m / R_m) at
+    or above that floor (above 0 where the floor is not positive).  Those
+    are the m kept, and the exact maximum over them is the constant.  A
+    does not depend on N0; it is formed once, at the first window that
+    does not fail.
+
+    L_m does not depend on N0 either: R_m grows in place from window to
+    window (max is exact, so each window keeps its bits), and the kept m
+    of every window are summed together, each block once
+    (_exact_block_sums).
     """
-    windows = sorted({int(n0) for n0 in n0_list})
+    windows = _windows(n0_list)
     if not windows:
         return []
-    if windows[0] < 1:
-        raise SequenceError("window length N0 must be >= 1")
     c, N = view.unweighted("GROUP_BV"), view.N
     longest = _group_bv_range(N, windows[0], m_range)
     _require_scan(_group_bv_range(N, windows[-1], m_range), N)  # the shortest
-    cabs = np.abs(c)
-    m_lo, m = longest.start, np.arange(longest.start, longest.stop)
-    L = view.block_sums(m)
-    R = cabs[m - 1]               # a copy, grown in place below
+    m_lo, counts = longest.start, [len(_group_bv_range(N, N0, m_range))
+                                   for N0 in windows]
+    cabs = np.abs(c[:m_lo - 1 + max(n + N0 - 1
+                                    for n, N0 in zip(counts, windows))])
+    R = cabs[m_lo - 1:m_lo - 1 + counts[0]].copy()   # grown in place below
+    tail, A, work = view.tail, None, None
 
-    @functools.cache
-    def exact_L(mm: int) -> float:
-        hi = min(2 * mm, N - 1)
-        return exact_sum(np.abs(c[mm - 1:hi] - c[mm:hi + 1]))
-
-    reports, width = {}, 1
-    for N0 in windows:
-        cond = f"GROUP_BV(N0={N0})"
-        count = len(_group_bv_range(N, N0, m_range))
-        Lw, Rw = L[:count], R[:count]
+    reports, kept, width = {}, {}, 1
+    for N0, count in zip(windows, counts):
+        Rw = R[:count]
         for k in range(width, N0):
             np.maximum(Rw, cabs[m_lo - 1 + k:m_lo - 1 + k + count], out=Rw)
-        width, span = N0, (m_lo, m_lo + count - 1, N)
-        zero_rhs = Rw == 0.0
-        candidates = np.flatnonzero(zero_rhs & (Lw != 0.0)) + m_lo
-        witness = next((int(mm) for mm in candidates if exact_L(mm) > 0.0),
-                       None)
+        width = N0
+        cond, span = f"GROUP_BV(N0={N0})", (m_lo, m_lo + count - 1, N)
+        witness = _first_zero_rhs_failure(c, Rw, m_lo)
         if witness is not None:
             reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
                                           None)
             continue
-        with np.errstate(over="ignore"):  # an inf constant is rejected
-            ratios = np.divide(Lw, Rw, out=np.zeros(count), where=~zero_rhs)
-        # refine the top candidates with exactly rounded block sums: the scan
-        # uses suffix-sum differences, which carry ambient-scale round-off
-        order = _top_ratios(ratios, 8)
-        best_val, best_m = -1.0, m_lo + int(order[0])
-        for idx in order[Rw[order] != 0.0]:
-            mm = m_lo + int(idx)
-            r = exact_L(mm) / float(Rw[idx])
-            if r > best_val or (r == best_val and mm < best_m):
-                best_val, best_m = r, mm
-        reports[N0] = ConditionReport(cond, HOLDS, max(best_val, 0.0),
-                                      best_m, *span, 0.0)
+        if A is None:       # A_m for every m of the longest scan
+            ta = tail[m_lo - 1:m_lo - 1 + counts[0]]
+            A = ta - tail[2 * m_lo:2 * (m_lo + counts[0]) - 1:2]
+            work = np.multiply(ta, _BOUND)
+            with np.errstate(over="ignore"):  # inf keeps its m
+                A += work
+        w = work[:count]                      # fl(A_m / R_m)
+        with np.errstate(over="ignore"):
+            if Rw.min() > 0.0:
+                np.divide(A[:count], Rw, out=w)
+            else:                             # ratio 0 at R_m = 0
+                w.fill(0.0)
+                np.divide(A[:count], Rw, out=w, where=Rw != 0.0)
+        top, floor = int(np.argmax(w)), 0.0
+        if w[top] > 0.0:    # fl(B_m / R_m) at the largest fl(A_m / R_m)
+            a, b = m_lo - 1 + top, 2 * (m_lo + top)
+            with np.errstate(over="ignore"):
+                floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
+        idx = np.flatnonzero(w >= floor if floor > 0.0 else w > 0.0)
+        kept[N0] = (cond, span, idx, Rw[idx])
+    if kept:   # work now holds the exactly rounded L_m at every kept m
+        union = np.zeros(counts[0], dtype=bool)
+        for _, _, idx, _ in kept.values():
+            union[idx] = True
+        union = np.flatnonzero(union)
+        work[union] = _exact_block_sums(c, union + m_lo)
+    for N0, (cond, span, idx, Rk) in kept.items():
+        with np.errstate(over="ignore"):      # an inf constant is rejected
+            ratios = work[idx] / Rk
+        best = float(ratios.max()) if ratios.size else 0.0
+        witness = m_lo + int(idx[np.argmax(ratios)]) if best > 0.0 else m_lo
+        reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
     return [reports[int(n0)] for n0 in n0_list]
 
 
@@ -603,9 +698,12 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     every sequence gets GROUP_BV for each window length in n0_list, the
     weighted checks (against the constant weight 1 unless a weight is
     supplied) and ORVQM in the sector K(theta0).  The tail-variation scans
-    run over m in [1, m_max] (default N/4).  Member errors (insufficient
-    length, negative values where forbidden) propagate.
+    run over m in [1, m_max] (default N/4).  A window length below 1 is an
+    error at any horizon, before the windows that do not fit are skipped.
+    Member errors (insufficient length, negative values where forbidden)
+    propagate.
     """
+    _windows(n0_list)
     N = resolve_horizon(seq, horizon)
     if N < 2:
         raise SequenceError(

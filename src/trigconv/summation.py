@@ -4,19 +4,38 @@ The long reductions of the condition checkers run through the functions
 below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
-Every exactly rounded sum, ``exact_sum`` and the chunk sums of
-``suffix_sums``, has the bits of ``math.fsum`` over the same floats.  An
-array of at least _T values whose largest |x| lies in [2^-900, 2^900] is
-first split without error into a few parts per row of values by the
-vector extraction of Rump, Ogita and Oishi (*Accurate floating-point
-summation, part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2,
-ExtractVector): a few numpy passes over the array in place of one Python
-step per value.  ``math.fsum`` then rounds the exact sum of the
-parts, which is the exact sum of the values, so it returns the float it
-would return for the values themselves.  Any other input (shorter, NaN,
+Every exactly rounded sum, ``exact_sum``, the chunk sums of
+``suffix_sums`` and the range sums of the level table below, has the bits
+of ``math.fsum`` over the same floats.  An array of at least _T values
+whose largest |x| lies in [2^-900, 2^900] is first split without error
+into a few parts per row of values by the vector extraction of Rump,
+Ogita and Oishi (*Accurate floating-point summation, part I*, SIAM J.
+Sci. Comput. 31(1), 2008, Lemma 3.2, ExtractVector): a few numpy passes
+over the array in place of one Python step per value.  ``math.fsum`` then
+rounds the exact sum of the parts, which is the exact sum of the values,
+so it returns the float it would return for the values themselves.  Any other input (shorter, NaN,
 +-inf, a value past 2^900, all zero or all below 2^-900) is ``math.fsum``
 reading the float64 buffer through a ``memoryview``, with its value, its
 OverflowError and its signed zero.
+
+The level table (_range_sums) gives many exactly rounded sums over ranges
+of one array of n nonnegative values, for the same input range as _peel.
+It runs the same extraction with one sigma per level for the whole array:
+with 2^M >= n + 2, the remainder r of the level before (the values
+themselves at level 0), max |r| < 2^e and sigma = 2^(e+M), each q = (r +
+sigma) - sigma is an exact multiple of 2^(e+M-53) with |q| <= 2^e, and r -
+q, the rounding error of r + sigma, is a float, so r = q + (r - q)
+exactly.  Levels go on until the remainder is zero; each peels at least
+52 - M bits off the largest remainder, and once sigma falls below
+2^-1022 the addition is exact and q = r.  So every value is exactly the
+sum of its q over the levels.  Within a level, the sum of any subset of
+the q is a multiple of 2^(e+M-53) below n 2^e < sigma in magnitude: it
+has at most 53 bits and is a float.  Every partial sum of the level's
+cumsum is such a subset sum, so the cumsum is exact in whatever order it
+adds, and so is the difference of two of its entries, the level's sum
+over a range.  A range's exact sum is then the exact sum of its K level
+sums, and math.fsum of those K floats rounds it correctly, as math.fsum
+of the range's values does: the same float.
 """
 
 from __future__ import annotations
@@ -122,6 +141,43 @@ def exact_sum(values) -> float:
         if parts is not None:
             return math.fsum(itertools.chain.from_iterable(parts))
     return math.fsum(memoryview(arr))
+
+
+def _range_sums(values: np.ndarray, starts: np.ndarray,
+                stops: np.ndarray) -> Optional[np.ndarray]:
+    """``math.fsum(values[a:b])`` for each a of ``starts`` and b of
+    ``stops`` (0 <= a <= b <= n), from one level table; None on input
+    _peel declines (NaN, inf, a value past 2^900, all below 2^-900).
+
+    ``values`` is a 1-D nonnegative float array, and this function
+    overwrites it with its remainders.  See the module docstring for the
+    table and why each sum is exact.  The scratch is ``values`` and one
+    array of its length; each level keeps only its sums over the ranges.
+    """
+    n = values.shape[0]
+    peak = float(values.max()) if n else 0.0
+    if not _TINY <= peak <= _HUGE:      # NaN fails both tests
+        return None
+    M = (n + 1).bit_length()            # 2^M >= n + 2
+    # prefix sums P(j) = sum(q[:j]) are cumsum[j - 1], and P(0) = 0
+    ends, end_in = stops - 1, stops > 0
+    begins, begin_in = starts - 1, starts > 0
+    q = np.empty_like(values)
+    levels = []
+    while peak > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(peak)[1] + M)
+        np.add(values, sigma, out=q)
+        q -= sigma
+        values -= q
+        np.cumsum(q, out=q)
+        level = np.where(end_in, q[ends], 0.0)
+        level -= np.where(begin_in, q[begins], 0.0)
+        levels.append(level)
+        peak = max(float(values.max()), -float(values.min()))
+    if len(levels) == 1:        # each exact sum is already one float
+        return levels[0]
+    return np.array([math.fsum(parts)
+                     for parts in zip(*(lv.tolist() for lv in levels))])
 
 
 def _suffix_offsets(chunk_sums: list[float]) -> list[float]:

@@ -108,3 +108,33 @@ def orvqm_report(g: np.ndarray, theta0: float) -> ConditionReport:
     if witness is None:
         return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
     return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
+
+
+def group_bv_report(c: np.ndarray, n0: int, m_range=None) -> ConditionReport:
+    """check_group_bv's report for one window, by brute force over every m
+    of the scan: ``fails`` at the first m with R_m = 0 and a nonzero
+    |c_n - c_{n+1}| in its block, else ``holds`` with the maximum over
+    every m of math.fsum(block) / R_m (0 where R_m = 0) and the smallest m
+    that reaches it."""
+    c = np.asarray(c)
+    N = c.shape[0]
+    last = min((N - 1) // 2, N - n0 + 1)
+    m_lo, m_hi = (1, max(1, N // 4)) if m_range is None else m_range
+    scan = range(m_lo, min(m_hi, last) + 1)
+    if not scan:
+        raise SequenceError("empty scan")
+    span = (scan.start, scan.stop - 1, N)
+    cond = f"GROUP_BV(N0={n0})"
+    best, best_m = -1.0, None
+    for m in scan:
+        block = np.abs(c[m - 1:min(2 * m, N - 1)] - c[m:min(2 * m, N - 1) + 1])
+        rhs = float(np.abs(c[m - 1:m - 1 + n0]).max())
+        if rhs == 0.0:
+            if block.any():
+                return ConditionReport(cond, FAILS, None, m, *span, None)
+            ratio = 0.0
+        else:
+            ratio = math.fsum(block.tolist()) / rhs
+        if ratio > best:
+            best, best_m = ratio, m
+    return ConditionReport(cond, HOLDS, best, best_m, *span, 0.0)

@@ -342,6 +342,17 @@ def test_verify_rejects_out_of_range_arguments(capsys, argv):
     assert _is_input_error(code, err) and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # no window fits two terms: the length is checked before the fit
+    ("explicit:[1,0.5]", "--n0", "-5"),
+    ("harmonic(1.0)", "--n0", "0"),
+])
+def test_classify_rejects_out_of_range_windows(capsys, argv):
+    code, out, err = run(capsys, "classify", *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert "N0 must be >= 1" in err
+
+
 
 def test_classify_non_utf8_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "seq.bin"
@@ -551,5 +562,8 @@ def test_cli_fuzz_exits_0_1_or_2(parts):
     sizes = [a for a in argv if a.startswith("--corpus-size=")]
     if sizes:
         assert (code == 2) == (int(sizes[0].partition("=")[2]) < 1)
+    windows = [a.partition("=")[2] for a in argv if a.startswith("--n0=")]
+    if windows and min(int(n0) for n0 in windows[0].split(",")) < 1:
+        assert code == 2
     if "lacunary" in argv:
         assert code == 2

@@ -304,3 +304,42 @@ def test_suffix_offsets_match_fsum_on_subnormal_and_cancelling_sums():
         want = [math.fsum(sums[j + 1:]) for j in range(len(sums))]
         assert [_bits(v) for v in summation._suffix_offsets(sums)] == \
             [_bits(v) for v in want]
+
+
+# --- the level table's range sums equal math.fsum, bit for bit --------------
+
+_RANGE_VALUES = st.one_of(
+    st.just(0.0),
+    # full mantissas from the subnormals up: several levels, mixed scales
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 80)),
+    st.sampled_from([5e-324, 2.0 ** -1022, 2.0 ** -900, 1.0, 1.0 / 3.0,
+                     _EDGE]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(-3, 1), st.data())
+def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
+    # lengths next to 2^k, where 2^M >= n + 2 steps to the next M
+    n = max(1, 2 ** k + offset)
+    arr = np.array(data.draw(st.lists(_RANGE_VALUES, min_size=n,
+                                      max_size=n)))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                              min_size=1, max_size=20))
+    starts = np.array([min(a, b) for a, b in ends])
+    stops = np.array([max(a, b) for a, b in ends])
+    got = summation._range_sums(arr.copy(), starts, stops)
+    if summation._peel(arr, n) is None:
+        assert got is None
+        return
+    assert [_bits(x) for x in got] == \
+        [_bits(math.fsum(arr[a:b].tolist())) for a, b in zip(starts, stops)]
+
+
+@pytest.mark.parametrize("vals", [np.zeros(9), np.full(9, 2.0 ** -1000),
+                                  np.array([1.0, math.inf, 2.0]),
+                                  np.array([1.0, math.nan, 2.0]),
+                                  np.array([1.0, 2.0 ** 901])])
+def test_level_table_declines_what_the_kernel_declines(vals):
+    assert summation._peel(vals, vals.shape[0]) is None
+    assert summation._range_sums(vals.copy(), np.array([0]),
+                                 np.array([vals.shape[0]])) is None
