@@ -19,7 +19,6 @@ import numpy as np
 
 from .conditions import (
     DEFAULT_HORIZON,
-    NULL_TREND_TOL,
     STABILIZATION_THRESHOLD,
     classify,
     resolve_horizon,
@@ -43,7 +42,7 @@ from .sequences import (
     sequence_from_text,
     weight_from_spec,
 )
-from .series import GridSpec, convergence_curve
+from .series import convergence_curve
 
 __all__ = ["main"]
 
@@ -143,7 +142,6 @@ def _tolerance_defaults() -> dict:
         "rel_tol": REL_TOL,
         "angle_tol": ANGLE_TOL,
         "stabilization_threshold": STABILIZATION_THRESHOLD,
-        "null_trend_tol": NULL_TREND_TOL,
     }
 
 
@@ -186,8 +184,8 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
 def cmd_curve(args, argv: Sequence[str]) -> int:
     seq, inputs = _resolve_sequence(args.spec)
     ns = _parse_n_list(args.n)
-    grid = GridSpec(n_ref=ns[-1], oversample=args.oversample)
-    curve = convergence_curve(seq, ns, N_ref=args.nref, grid=grid)
+    curve = convergence_curve(seq, ns, N_ref=args.nref,
+                              oversample=args.oversample)
     defaults = {
         "spec": seq.label,
         "n_list": ns,

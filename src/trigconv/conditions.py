@@ -54,7 +54,7 @@ from .sequences import (
     WeightSequence,
     _require_finite,
 )
-from .summation import _range_sums, exact_sum, suffix_sums
+from .summation import _range_sums, suffix_sums
 
 __all__ = [
     "ConditionReport",
@@ -70,7 +70,6 @@ __all__ = [
     "dyadic_block_maxima",
     "DEFAULT_HORIZON",
     "STABILIZATION_THRESHOLD",
-    "NULL_TREND_TOL",
 ]
 
 HOLDS = "holds"
@@ -85,20 +84,16 @@ DEFAULT_HORIZON = 1 << 20
 # contributes at most this fraction of the total.
 STABILIZATION_THRESHOLD = 1e-3
 
-# Trend tolerance for an "n*c_n -> 0" check.  Every run manifest records it
-# (tolerances.null_trend_tol), but no checker reads it.
-NULL_TREND_TOL = 0.1
-
 
 @dataclass
 class ConditionReport:
-    """Outcome of one condition check on one sequence prefix."""
+    """Outcome of one condition check on one sequence prefix; the checked
+    range is m = 1..m_max of a prefix of ``horizon`` terms."""
 
     condition: str
     verdict: str
     constant: Optional[float]
     witness: Optional[int]
-    m_min: int
     m_max: int
     horizon: int
     stabilization: Optional[float]
@@ -116,7 +111,7 @@ class ConditionReport:
             "verdict": self.verdict,
             "constant": self.constant,
             "witness": self.witness,
-            "range": {"m_min": self.m_min, "m_max": self.m_max,
+            "range": {"m_min": 1, "m_max": self.m_max,
                       "horizon": self.horizon},
             "stabilization": self.stabilization,
         }
@@ -132,25 +127,23 @@ def resolve_horizon(seq: CoefficientSequence, horizon: Optional[int]) -> int:
     return DEFAULT_HORIZON if seq.length is None else seq.length
 
 
-def _scan_range(N: int, m_range, last: int) -> range:
-    """The m of m_range (default [1, N/4]) up to ``last``, the largest m
-    whose terms lie inside a prefix of N terms."""
-    if m_range is None:
-        m_lo, m_hi = 1, max(1, N // 4)
-    else:
-        m_lo, m_hi = int(m_range[0]), int(m_range[1])
-        if m_lo < 1 or m_hi < m_lo:
-            raise SequenceError(f"bad index range [{m_lo}, {m_hi}]")
-    return range(m_lo, min(m_hi, last) + 1)
+def _scan_end(N: int, m_max: Optional[int], last: int) -> int:
+    """The last m of the scan m = 1..m_max (default N/4) cut at ``last``,
+    the largest m whose terms lie inside a prefix of N terms; 0 when no m
+    fits."""
+    m_max = max(1, N // 4) if m_max is None else int(m_max)
+    if m_max < 1:
+        raise SequenceError(f"bad index range [1, {m_max}]")
+    return max(0, min(m_max, last))
 
 
-def _require_scan(scan: range, N: int) -> range:
+def _require_scan(end: int, N: int) -> int:
     """The fit rule: a scan that leaves no m is an input error, never a
     verdict over an empty range."""
-    if not scan:
+    if not end:
         raise SequenceError(f"horizon {N} too small for the scan starting "
-                            f"at m = {scan.start}")
-    return scan
+                            "at m = 1")
+    return end
 
 
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
@@ -231,28 +224,24 @@ class PrefixView:
                 f"not a nonnegative sequence: {self.seq.label!r}")
         return g
 
-    def block_sums(self, m: np.ndarray) -> np.ndarray:
-        """sum_{n=m}^{min(2m, N-1)} |g_n - g_{n+1}| for each m, as
-        differences of the tail sums."""
-        return self.tail[m - 1] - self.tail[np.minimum(2 * m, self.N - 1)]
-
 
 # Pairs per span of the early-exit scans below: a failing prefix costs the
 # spans up to its witness, and no temporary outgrows one span.
 _SPAN = 1 << 16
 
 
-def _first_flagged(pairs: int, flagged) -> Optional[int]:
-    """1-based index n of the first violating pair (n, n+1), n in 1..pairs.
+def _first_flagged(count: int, flagged) -> Optional[int]:
+    """The first violating n in 1..count, or None; for the pair scans n is
+    the pair (n, n+1).
 
     ``flagged(lo, hi)`` returns the offset from lo of the first violation
-    among the pairs lo+1..hi, which read the terms lo+1..hi+1, or None.
-    Spans of _SPAN pairs run in order and the scan returns at the first
+    among n = lo+1..hi (pairs that read the terms lo+1..hi+1), or None.
+    Spans of _SPAN indices run in order and the scan returns at the first
     span with a violation, so it reports the same n as one scan of every
-    pair.
+    index.
     """
-    for lo in range(0, pairs, _SPAN):
-        hit = flagged(lo, min(lo + _SPAN, pairs))
+    for lo in range(0, count, _SPAN):
+        hit = flagged(lo, min(lo + _SPAN, count))
         if hit is not None:
             return lo + hit + 1
     return None
@@ -343,8 +332,8 @@ def check_quasimonotone(view: PrefixView,
 
     witness = _first_flagged(N - 1, increase)
     if witness is None:
-        return ConditionReport(cond, HOLDS, None, None, 1, N, N, None)
-    return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
+        return ConditionReport(cond, HOLDS, None, None, N, N, None)
+    return ConditionReport(cond, FAILS, None, witness, N, N, None)
 
 
 def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
@@ -361,7 +350,7 @@ def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
     cond = f"ORV_WEIGHT({weight.label})"
     n_max = finite_len // 2
     if n_max < 1:
-        return ConditionReport(cond, INCONCLUSIVE, None, None, 1, N, N, None,
+        return ConditionReport(cond, INCONCLUSIVE, None, None, N, N, None,
                                notes="range too short")
     n = np.arange(1, n_max + 1)
     ratios = vals[2 * n - 1] / vals[n - 1]
@@ -375,7 +364,7 @@ def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
     else:
         verdict = INCONCLUSIVE
     notes = "overflow beyond n=%d" % finite_len if truncated else ""
-    return ConditionReport(cond, verdict, constant, witness, 1, n_max, N,
+    return ConditionReport(cond, verdict, constant, witness, n_max, N,
                            stab, notes=notes)
 
 
@@ -404,16 +393,16 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
             N - 1, lambda lo, hi: _first_real_outside(g[lo:hi + 1], bound))
         widest = 0.0
     if witness is None:
-        return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
-    return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
+        return ConditionReport(cond, HOLDS, widest, None, N, N, None)
+    return ConditionReport(cond, FAILS, None, witness, N, N, None)
 
 
 # ---------------------------------------------------------------------------
 # tail-variation conditions
 # ---------------------------------------------------------------------------
 
-def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
-                         cond: str) -> ConditionReport:
+def _tail_variation_core(view: PrefixView, rhs: np.ndarray,
+                         m_max: Optional[int], cond: str) -> ConditionReport:
     """Shared scan for the rest-bounded-variation style conditions.
 
     rhs[m-1] is the comparison value at m; the tail sums T_m are the view's
@@ -422,27 +411,25 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray, m_range,
     with witness m.
     """
     N = view.N
-    scan = _require_scan(_scan_range(N, m_range, N - 1), N)
-    m_lo, m_hi = scan.start, scan.stop - 1
-    Tm = view.tail[m_lo - 1:m_hi]
-    Rm = rhs[m_lo - 1:m_hi]
+    m_hi = _require_scan(_scan_end(N, m_max, N - 1), N)
+    Tm, Rm = view.tail[:m_hi], rhs[:m_hi]
     zero_rhs = Rm == 0.0
     if np.any(zero_rhs & (Tm > 0.0)):
-        witness = m_lo + int(np.argmax(zero_rhs & (Tm > 0.0)))
-        return ConditionReport(cond, FAILS, None, witness, m_lo, m_hi, N, None)
+        witness = 1 + int(np.argmax(zero_rhs & (Tm > 0.0)))
+        return ConditionReport(cond, FAILS, None, witness, m_hi, N, None)
     with np.errstate(over="ignore"):  # an inf constant is rejected
         ratios = np.divide(Tm, Rm, out=np.zeros(Rm.shape), where=~zero_rhs)
-    constant = float(ratios.max()) if ratios.size else 0.0
-    witness = m_lo + int(np.argmax(ratios)) if ratios.size else None
-    total = float(view.tail[m_lo - 1])
-    half_start = max(m_lo, N // 2)
-    block = float(view.tail[half_start - 1])
+    constant = float(ratios.max())
+    witness = 1 + int(np.argmax(ratios))
+    total = float(view.tail[0])
+    block = float(view.tail[max(1, N // 2) - 1])
     stab = block / total if total > 0.0 else 0.0
     verdict = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
-    return ConditionReport(cond, verdict, constant, witness, m_lo, m_hi, N, stab)
+    return ConditionReport(cond, verdict, constant, witness, m_hi, N, stab)
 
 
-def check_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
+def check_rest_bv(view: PrefixView,
+                  m_max: Optional[int] = None) -> ConditionReport:
     """Rest bounded variation: sum_{n>=m} |b_n - b_{n+1}| <= M * b_m.
 
     Takes the unweighted view of a nonnegative sequence.  The constant
@@ -450,23 +437,18 @@ def check_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
     m of T_m / b_m.  A growing harmonic-like variation sum is flagged
     ``inconclusive`` through the dyadic stabilization rule.
     """
-    return _tail_variation_core(view, view.nonneg("REST_BV"), m_range,
+    return _tail_variation_core(view, view.nonneg("REST_BV"), m_max,
                                 "REST_BV")
 
 
-def check_weighted_rest_bv(view: PrefixView, m_range=None) -> ConditionReport:
+def check_weighted_rest_bv(view: PrefixView,
+                           m_max: Optional[int] = None) -> ConditionReport:
     """Weighted variant: sum_{n>=m} |c_n/R(n) - c_{n+1}/R(n+1)| bounded by
     M * |c_m| / R(m).  Real nonnegative input gets the _REAL condition id."""
     cond = ("WEIGHTED_REST_BV_REAL" if view.nonneg_real
             else "WEIGHTED_REST_BV")
     cond += f"({view.weight_label})"
-    return _tail_variation_core(view, np.abs(view.g), m_range, cond)
-
-
-def _group_bv_range(N: int, N0: int, m_range) -> range:
-    """The m of the GROUP_BV(N0) scan, [m, 2m + 1] and [m, m + N0 - 1]
-    inside the prefix; empty (skipped by classify) if the window won't fit."""
-    return _scan_range(N, m_range, min((N - 1) // 2, N - N0 + 1))
+    return _tail_variation_core(view, np.abs(view.g), m_max, cond)
 
 
 def _windows(n0_list: Sequence[int]) -> list[int]:
@@ -480,75 +462,54 @@ def _windows(n0_list: Sequence[int]) -> list[int]:
 # L^_m -+ _BOUND * tail[m-1] brackets the exactly rounded L_m; the proof
 # is in check_group_bv
 _BOUND = 2.0 ** -39
-# The level table serves the exact block sums once the distinct blocks to
-# sum hold more than this many terms per term of the prefix; below it
-# exact_sum runs once per block.
-_TABLE_FROM = 1
 
 
-def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray,
-                            m_lo: int) -> Optional[int]:
-    """The smallest m (R[m - m_lo] is R_m) with R_m = 0 < L_m, or None.
+def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray) -> Optional[int]:
+    """The smallest m (R[m - 1] is R_m) with R_m = 0 < L_m, or None.
 
     R_m = 0 makes c_m = 0, so L_m, an exact sum of |c_n - c_{n+1}| >= 0
     over n in [m, 2m], is positive if and only if c is nonzero somewhere
-    on [m + 1, 2m + 1]: no sum is needed.  Spans of _SPAN m run in order,
-    and a span whose R has no zero costs one min.
+    on [m + 1, 2m + 1]: no sum is needed.  A span whose R has no zero
+    costs one min.
     """
-    for lo in range(0, R.shape[0], _SPAN):
-        part = R[lo:lo + _SPAN]
+    def failing(lo: int, hi: int) -> Optional[int]:
+        part = R[lo:hi]
         if part.min() != 0.0:
-            continue
-        m = np.flatnonzero(part == 0.0) + (m_lo + lo)
+            return None
+        m = np.flatnonzero(part == 0.0) + (lo + 1)
         # 0-based positions of the nonzero c_k, k in [m[0] + 1, 2 m[-1] + 1]
         nonzero = np.flatnonzero(c[m[0]:2 * m[-1] + 1]) + m[0]
         nxt = np.append(nonzero, c.shape[0])[np.searchsorted(nonzero, m)]
         hit = np.flatnonzero(nxt <= 2 * m)   # position 2m is k = 2m + 1
-        if hit.size:
-            return int(m[hit[0]])
-    return None
+        return int(m[hit[0]]) - lo - 1 if hit.size else None
+
+    return _first_flagged(R.shape[0], failing)
 
 
 def _exact_block_sums(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The exactly rounded L_m (math.fsum bits) for each m of the sorted,
-    distinct m.
-
-    Both routes give math.fsum's bits, so the choice is a cost rule: one
-    exact_sum per block while the blocks hold at most _TABLE_FROM * N
-    terms together, else one level table (summation._range_sums) over the
-    |c_n - c_{n+1}| that the blocks span, unless the table declines the
-    values (one past 2^900).  A span of zeros sums to 0 everywhere.  A span
-    below 2^-900 is scaled by 2^1000 into the table's range and its sums
-    back: both steps are exact, since a sum of these values below 2^-1021
-    is a float, and above it the scaling commutes with rounding.
-    """
-    if int((m + 1).sum()) > _TABLE_FROM * c.shape[0]:
-        lo, hi = int(m[0]) - 1, 2 * int(m[-1])
-        d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
-        d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
-        peak = float(d.max())
-        if peak == 0.0:
-            return np.zeros(m.shape[0])
-        scale = 2.0 ** 1000 if peak < 2.0 ** -900 else 1.0
-        d *= scale
-        sums = _range_sums(d, m - 1 - lo, 2 * m - lo)
-        if sums is not None:
-            return sums / scale
-    return np.array([exact_sum(np.abs(c[k - 1:2 * k] - c[k:2 * k + 1]))
-                     for k in m.tolist()])
+    distinct m, from one summation._range_sums call over the
+    |c_n - c_{n+1}| that the blocks span."""
+    lo, hi = int(m[0]) - 1, 2 * int(m[-1])
+    d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
+    d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
+    return _range_sums(d, m - 1 - lo, 2 * m - lo)
 
 
 def check_group_bv(view: PrefixView, n0_list: Sequence[int],
-                   m_range=None) -> list[ConditionReport]:
+                   m_max: Optional[int] = None) -> list[ConditionReport]:
     """Group bounded variation with a fixed comparison window, one report
     per window length N0 in ``n0_list`` (in its order, repeats included):
 
         L_m = sum_{n=m}^{2m} |c_n - c_{n+1}|
             <= M * max_{m <= n < m+N0} |c_n| =: M * R_m    for all m.
 
-    Takes the unweighted view.  Both sides are finite, so the verdict is
-    exact and never ``inconclusive``.  With L~_m the exactly rounded L_m
-    (math.fsum over the block's |c_n - c_{n+1}|), the guarantee is:
+    Each window scans m = 1..m_max (default N/4) up to the last m with
+    [m, 2m + 1] and [m, m + N0 - 1] inside the prefix; a window that
+    leaves no m is an input error.  Takes the unweighted view.  Both sides
+    are finite, so the verdict is exact and never ``inconclusive``.  With
+    L~_m the exactly rounded L_m (math.fsum over the block's
+    |c_n - c_{n+1}|), the guarantee is:
 
     * ``fails`` with the smallest m of the scan where R_m = 0 < L_m,
       decided from where c is nonzero, with no sum;
@@ -559,9 +520,10 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     Pruning.  The scan keeps m <= (N - 1)/2, so the block ends at 2m and
     the view's tail sums give L^_m = fl(t_a - t_b), t_i = tail[i], a =
     m - 1, b = 2m.  With exact tails T_i, suffix_sums guarantees |t_i -
-    T_i| <= g T_i, g = gamma_4096 < 2^-41 (1 + 2^-40), and T_b <= T_a as
-    every term is >= 0.  A sum or difference of floats that falls below
-    2^-1021 is exact, so each rounding below is relative.  So, u = 2^-53:
+    T_i| <= g T_i, g = gamma_4096 < 2^-41 (1 + 2^-40) for its chunks of
+    summation._CHUNK = 4096 terms, and T_b <= T_a as every term is >= 0.
+    A sum or difference of floats that falls below 2^-1021 is exact, so
+    each rounding below is relative.  So, u = 2^-53:
 
         |t_a - t_b - L_m| <= g (T_a + T_b) <= 2 g T_a,
         |L^_m - (t_a - t_b)| <= u (L_m + 2 g T_a) <= u (1 + 2 g) T_a,
@@ -592,30 +554,30 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     if not windows:
         return []
     c, N = view.unweighted("GROUP_BV"), view.N
-    longest = _group_bv_range(N, windows[0], m_range)
-    _require_scan(_group_bv_range(N, windows[-1], m_range), N)  # the shortest
-    m_lo, counts = longest.start, [len(_group_bv_range(N, N0, m_range))
-                                   for N0 in windows]
-    cabs = np.abs(c[:m_lo - 1 + max(n + N0 - 1
-                                    for n, N0 in zip(counts, windows))])
-    R = cabs[m_lo - 1:m_lo - 1 + counts[0]].copy()   # grown in place below
+    # the scan of each window ends where [m, 2m + 1] or [m, m + N0 - 1]
+    # would leave the prefix; the longest window's is the shortest scan
+    counts = [_scan_end(N, m_max, min((N - 1) // 2, N - N0 + 1))
+              for N0 in windows]
+    _require_scan(counts[-1], N)
+    cabs = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
+    R = cabs[:counts[0]].copy()   # grown in place below
     tail, A, work = view.tail, None, None
 
     reports, kept, width = {}, {}, 1
     for N0, count in zip(windows, counts):
         Rw = R[:count]
         for k in range(width, N0):
-            np.maximum(Rw, cabs[m_lo - 1 + k:m_lo - 1 + k + count], out=Rw)
+            np.maximum(Rw, cabs[k:k + count], out=Rw)
         width = N0
-        cond, span = f"GROUP_BV(N0={N0})", (m_lo, m_lo + count - 1, N)
-        witness = _first_zero_rhs_failure(c, Rw, m_lo)
+        cond, span = f"GROUP_BV(N0={N0})", (count, N)
+        witness = _first_zero_rhs_failure(c, Rw)
         if witness is not None:
             reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
                                           None)
             continue
         if A is None:       # A_m for every m of the longest scan
-            ta = tail[m_lo - 1:m_lo - 1 + counts[0]]
-            A = ta - tail[2 * m_lo:2 * (m_lo + counts[0]) - 1:2]
+            ta = tail[:counts[0]]
+            A = ta - tail[2:2 * counts[0] + 1:2]
             work = np.multiply(ta, _BOUND)
             with np.errstate(over="ignore"):  # inf keeps its m
                 A += work
@@ -628,22 +590,22 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                 np.divide(A[:count], Rw, out=w, where=Rw != 0.0)
         top, floor = int(np.argmax(w)), 0.0
         if w[top] > 0.0:    # fl(B_m / R_m) at the largest fl(A_m / R_m)
-            a, b = m_lo - 1 + top, 2 * (m_lo + top)
+            a, b = top, 2 * (top + 1)
             with np.errstate(over="ignore"):
                 floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
         idx = np.flatnonzero(w >= floor if floor > 0.0 else w > 0.0)
         kept[N0] = (cond, span, idx, Rw[idx])
-    if kept:   # work now holds the exactly rounded L_m at every kept m
-        union = np.zeros(counts[0], dtype=bool)
-        for _, _, idx, _ in kept.values():
-            union[idx] = True
-        union = np.flatnonzero(union)
-        work[union] = _exact_block_sums(c, union + m_lo)
+    union = np.zeros(counts[0], dtype=bool)
+    for _, _, idx, _ in kept.values():
+        union[idx] = True
+    union = np.flatnonzero(union)
+    if union.size:   # work now holds the exactly rounded L_m at every kept m
+        work[union] = _exact_block_sums(c, union + 1)
     for N0, (cond, span, idx, Rk) in kept.items():
         with np.errstate(over="ignore"):      # an inf constant is rejected
             ratios = work[idx] / Rk
         best = float(ratios.max()) if ratios.size else 0.0
-        witness = m_lo + int(idx[np.argmax(ratios)]) if best > 0.0 else m_lo
+        witness = 1 + int(idx[np.argmax(ratios)]) if best > 0.0 else 1
         reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
     return [reports[int(n0)] for n0 in n0_list]
 
@@ -674,13 +636,13 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     for z in (sums, diffs):
         witness, widest = _sector_scan(z, sector.theta0 + ANGLE_TOL)
         if witness is not None:
-            return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
+            return ConditionReport(cond, FAILS, None, witness, N, N, None)
         worst = max(worst, widest)
     witness, _ = _sector_scan(doubles, sector.theta0 + 2 * ANGLE_TOL)
     if witness is not None:
-        return ConditionReport(cond, FAILS, None, witness, 1, N, N, None,
+        return ConditionReport(cond, FAILS, None, witness, N, N, None,
                                notes="derived membership of 2c_n failed")
-    return ConditionReport(cond, HOLDS, worst, None, 1, N, N, None)
+    return ConditionReport(cond, HOLDS, worst, None, N, N, None)
 
 
 # ---------------------------------------------------------------------------
@@ -712,16 +674,16 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     reports: list[ConditionReport] = []
     sector = Sector(theta0)
 
-    m_range = None if m_max is None else (1, m_max)
     plain = PrefixView.of(seq, N)
     weighted = plain if weight is None else PrefixView.of(seq, N, weight)
     if plain.nonneg_real:
         for alpha in (0.0, 0.5, 1.0):
             reports.append(check_quasimonotone(plain, alpha))
-        reports.append(check_rest_bv(plain, m_range))
-    reports.append(check_weighted_rest_bv(weighted, m_range))
+        reports.append(check_rest_bv(plain, m_max))
+    reports.append(check_weighted_rest_bv(weighted, m_max))
     reports.extend(check_group_bv(
-        plain, [n0 for n0 in n0_list if _group_bv_range(N, n0, m_range)],
-        m_range))
+        plain, [n0 for n0 in n0_list
+                if _scan_end(N, m_max, min((N - 1) // 2, N - n0 + 1))],
+        m_max))
     reports.append(check_orvqm(weighted, sector))
     return reports

@@ -327,8 +327,7 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
     M2 = float(wrep.constant)
     rvals, _ = weight.validated_prefix(N)
     g = cabs / rvals
-    m_lo, m_hi = wrep.m_min, min(wrep.m_max, (N - 1) // 2)
-    m = np.arange(m_lo, m_hi + 1)
+    m = np.arange(1, min(wrep.m_max, (N - 1) // 2) + 1)
     scale = max(1.0, float(cabs.max()))
 
     records = list(premises)
@@ -343,8 +342,8 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
                          witness=int(m[i1]), scale=scale))
 
     # block chain: suffix-difference variation per block against the
-    # two-term right side
-    lhs2 = plain.block_sums(m)
+    # two-term right side; 2m <= N - 1, so the block [m, 2m] fits
+    lhs2 = plain.tail[m - 1] - plain.tail[2 * m]
     R2 = rvals[2 * m]          # R(2n+1), 1-based
     R1 = rvals[m - 1]          # R(n)
     rhs2 = M2 * R2 * g[m - 1] + g[m - 1] * (R2 - R1)
@@ -399,8 +398,10 @@ def verify_orvqm_implication(seq: CoefficientSequence,
         float(qrep.constant), sector.theta0, sector.theta0 - float(qrep.constant),
         detail="largest |arg| of the weighted differences")]
 
-    # sector telescoping: sum_{k>=m} |diff| <= M(theta0) * Re h_m
-    m = np.arange(1, min(weighted.N - 1, max(1, weighted.N // 4)) + 1)
+    # sector telescoping: sum_{k>=m} |diff| <= M(theta0) * Re h_m, over the
+    # scan of the weighted-variation report
+    wrep = check_weighted_rest_bv(weighted)
+    m = np.arange(1, wrep.m_max + 1)
     lhs = weighted.tail[m - 1]
     rhs = dominance * np.maximum(h[m - 1].real, 0.0)
     i = int(np.argmin(rhs - lhs))
@@ -408,7 +409,6 @@ def verify_orvqm_implication(seq: CoefficientSequence,
                          float(rhs[i]), witness=int(m[i]),
                          scale=max(1.0, float(np.abs(h).max()))))
 
-    wrep = check_weighted_rest_bv(weighted)
     measured = float(wrep.constant) if wrep.verdict == HOLDS else math.inf
     rec = _gate("sector/variation_constant", label, measured, dominance,
                 detail=f"1/cos(theta0) = {dominance:.6g}")
@@ -577,7 +577,7 @@ def verify_equivalence_diagnostics() -> VerificationOutcome:
         seq = sequence_from_text(text)
         grep = check_group_bv(PrefixView.of(seq), (1,))[0]
         # the last row of convergence_curve, without its truncation slack
-        _, sup, max_k_ck = _tail_rows(seq, _EQUIV_NS, _EQUIV_NREF, None)[0][-1]
+        _, sup, max_k_ck = _tail_rows(seq, _EQUIV_NS, _EQUIV_NREF)[0][-1]
         ncn_small = max_k_ck <= EQUIV_NCN_TOL
         sup_small = sup <= EQUIV_SUP_TOL
         if grep.verdict != HOLDS:

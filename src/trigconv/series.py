@@ -398,7 +398,7 @@ class TailNormCurve:
 
 
 def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
-               N_ref: Optional[int], grid: Optional[GridSpec]
+               N_ref: Optional[int], oversample: int = 8
                ) -> tuple[list[tuple[int, float, float]], int, GridSpec]:
     """(n, tail sup-norm estimate, max_{k in [n, 2n)} k|c_k|) per n, with
     the resolved N_ref and grid (see convergence_curve), from one pass of
@@ -408,10 +408,10 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise SequenceError("n_list must be strictly increasing, n >= 1")
     n_max = ns[-1]
+    grid = GridSpec(n_ref=n_max, oversample=oversample)
     N_ref = _default_nref(n_max) if N_ref is None else int(N_ref)
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
-    grid = grid or GridSpec(n_ref=n_max)
     k = _indices(2 * n_max).astype(float)
     # finite input can overflow in a partial sum, a difference or k|c_k|:
     # the non-finite values are rejected below, with no warning on the way
@@ -431,15 +431,15 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
 
 def convergence_curve(seq: CoefficientSequence, n_list: Sequence[int],
                       N_ref: Optional[int] = None,
-                      grid: Optional[GridSpec] = None) -> TailNormCurve:
+                      oversample: int = 8) -> TailNormCurve:
     """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
 
-    All n share one reference horizon and one grid (built for the largest
-    n), so every row is computed in a single pass and the rows are
+    All n share one reference horizon and one grid, GridSpec(n_ref=max n,
+    oversample), so every row is computed in a single pass and the rows are
     comparable across n.  Finite input whose estimate, k|c_k| or slack
     overflows the float range raises SequenceError.
     """
-    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref, grid)
+    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref, oversample)
     with np.errstate(over="ignore", invalid="ignore"):
         slack, settled = truncation_slack(seq, N_ref)
     entries = [CurveEntry(n, sup, slack, mk) for n, sup, mk in rows]

@@ -5,7 +5,7 @@ below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
 Every exactly rounded sum, ``exact_sum``, the chunk sums of
-``suffix_sums`` and the range sums of the level table below, has the bits
+``suffix_sums`` and the range sums below, has the bits
 of ``math.fsum`` over the same floats.  An array of at least _T values
 whose largest |x| lies in [2^-900, 2^900] is first split without error
 into a few parts per row of values by the vector extraction of Rump,
@@ -18,9 +18,13 @@ so it returns the float it would return for the values themselves.  Any other in
 reading the float64 buffer through a ``memoryview``, with its value, its
 OverflowError and its signed zero.
 
-The level table (_range_sums) gives many exactly rounded sums over ranges
-of one array of n nonnegative values, for the same input range as _peel.
-It runs the same extraction with one sigma per level for the whole array:
+The range sums (_range_sums) give math.fsum's bits over many ranges of
+any one array of n nonnegative values.  Which route serves them is a cost
+rule: one exact_sum per range while the ranges hold at most _TABLE_FROM
+values per value of the array together, else one level table, unless a
+value is NaN, inf or past 2^900.  Zeros and values below 2^-900 need no
+route of their own: the argument below covers them.  The level table runs
+the extraction of _peel with one sigma per level for the whole array:
 with 2^M >= n + 2, the remainder r of the level before (the values
 themselves at level 0), max |r| < 2^e and sigma = 2^(e+M), each q = (r +
 sigma) - sigma is an exact multiple of 2^(e+M-53) with |q| <= 2^e, and r -
@@ -60,6 +64,9 @@ _BLOCK = 1 << 15
 # below overflow), and it stops peeling below _TINY.
 _TINY = 2.0 ** -900
 _HUGE = 2.0 ** 900
+# The level table serves the range sums once the ranges hold more than this
+# many values per value of the array; below it exact_sum runs per range.
+_TABLE_FROM = 1
 
 
 def _peel(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
@@ -144,20 +151,21 @@ def exact_sum(values) -> float:
 
 
 def _range_sums(values: np.ndarray, starts: np.ndarray,
-                stops: np.ndarray) -> Optional[np.ndarray]:
-    """``math.fsum(values[a:b])`` for each a of ``starts`` and b of
-    ``stops`` (0 <= a <= b <= n), from one level table; None on input
-    _peel declines (NaN, inf, a value past 2^900, all below 2^-900).
+                stops: np.ndarray) -> np.ndarray:
+    """The bits of ``math.fsum(values[a:b])`` for each a of ``starts`` and
+    b of ``stops`` (0 <= a <= b <= n), for any 1-D nonnegative float array
+    ``values``; math.fsum's OverflowError past the float range.
 
-    ``values`` is a 1-D nonnegative float array, and this function
-    overwrites it with its remainders.  See the module docstring for the
-    table and why each sum is exact.  The scratch is ``values`` and one
-    array of its length; each level keeps only its sums over the ranges.
+    The level table may overwrite ``values`` with its remainders.  See the
+    module docstring for the choice of route and why each sum is exact.
+    The table's scratch is ``values`` and one array of its length; each
+    level keeps only its sums over the ranges.
     """
     n = values.shape[0]
-    peak = float(values.max()) if n else 0.0
-    if not _TINY <= peak <= _HUGE:      # NaN fails both tests
-        return None
+    if (int((stops - starts).sum()) <= _TABLE_FROM * n
+            or not (peak := float(values.max())) <= _HUGE):  # NaN as well
+        return np.array([exact_sum(values[a:b])
+                         for a, b in zip(starts.tolist(), stops.tolist())])
     M = (n + 1).bit_length()            # 2^M >= n + 2
     # prefix sums P(j) = sum(q[:j]) are cumsum[j - 1], and P(0) = 0
     ends, end_in = stops - 1, stops > 0
@@ -174,8 +182,8 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
         level -= np.where(begin_in, q[begins], 0.0)
         levels.append(level)
         peak = max(float(values.max()), -float(values.min()))
-    if len(levels) == 1:        # each exact sum is already one float
-        return levels[0]
+    if len(levels) <= 1:        # each exact sum is already one float
+        return levels[0] if levels else np.zeros(starts.shape[0])
     return np.array([math.fsum(parts)
                      for parts in zip(*(lv.tolist() for lv in levels))])
 

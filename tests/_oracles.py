@@ -92,7 +92,7 @@ def quasimonotone_report(vals: np.ndarray, alpha: float) -> ConditionReport:
     cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
     witness = first_increase(vals / np.arange(1, N + 1, dtype=float) ** alpha)
     return ConditionReport(cond, HOLDS if witness is None else FAILS, None,
-                           witness, 1, N, N, None)
+                           witness, N, N, None)
 
 
 def orvqm_report(g: np.ndarray, theta0: float) -> ConditionReport:
@@ -106,24 +106,24 @@ def orvqm_report(g: np.ndarray, theta0: float) -> ConditionReport:
     witness, widest = sector_scan(snapped, theta0 + ANGLE_TOL)
     cond = f"ORVQM(one,theta0={theta0:.6g})"
     if witness is None:
-        return ConditionReport(cond, HOLDS, widest, None, 1, N, N, None)
-    return ConditionReport(cond, FAILS, None, witness, 1, N, N, None)
+        return ConditionReport(cond, HOLDS, widest, None, N, N, None)
+    return ConditionReport(cond, FAILS, None, witness, N, N, None)
 
 
-def group_bv_report(c: np.ndarray, n0: int, m_range=None) -> ConditionReport:
+def group_bv_report(c: np.ndarray, n0: int, m_max=None) -> ConditionReport:
     """check_group_bv's report for one window, by brute force over every m
-    of the scan: ``fails`` at the first m with R_m = 0 and a nonzero
-    |c_n - c_{n+1}| in its block, else ``holds`` with the maximum over
-    every m of math.fsum(block) / R_m (0 where R_m = 0) and the smallest m
-    that reaches it."""
+    of the scan m = 1..m_max (default N/4) that keeps [m, 2m + 1] and
+    [m, m + n0 - 1] inside c: ``fails`` at the first m with R_m = 0 and a
+    nonzero |c_n - c_{n+1}| in its block, else ``holds`` with the maximum
+    over every m of math.fsum(block) / R_m (0 where R_m = 0) and the
+    smallest m that reaches it."""
     c = np.asarray(c)
     N = c.shape[0]
     last = min((N - 1) // 2, N - n0 + 1)
-    m_lo, m_hi = (1, max(1, N // 4)) if m_range is None else m_range
-    scan = range(m_lo, min(m_hi, last) + 1)
+    scan = range(1, min(max(1, N // 4) if m_max is None else m_max, last) + 1)
     if not scan:
         raise SequenceError("empty scan")
-    span = (scan.start, scan.stop - 1, N)
+    span = (scan.stop - 1, N)
     cond = f"GROUP_BV(N0={n0})"
     best, best_m = -1.0, None
     for m in scan:

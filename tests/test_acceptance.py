@@ -69,7 +69,7 @@ def test_criterion_2_harmonic_block_constant(acceptance_line):
 
     report, = check_group_bv(
         PrefixView.of(sequence_from_text("harmonic(1.0)")), (1,),
-        m_range=(1, 10**4))
+        m_max=10**4)
     ok = ok and report.verdict == "holds"
     ok = ok and abs(report.constant - 2.0 / 3.0) <= 1e-9
     ok = ok and report.witness == 1

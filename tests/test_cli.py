@@ -191,6 +191,14 @@ def test_curve_rejects_bad_n_list(capsys):
     assert err
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_curve_rejects_out_of_range_n(capsys, n):
+    # the n_list check runs before the grid is built for max(n_list)
+    code, out, err = run(capsys, "curve", "zero", "--n", n)
+    assert _is_input_error(code, err) and out == ""
+    assert "n_list must be strictly increasing, n >= 1" in err
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_unknown_theorem_exits_two(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigconv import conditions
+from trigconv import conditions, summation
 from trigconv.conditions import (
     FAILS,
     HOLDS,
@@ -175,7 +176,7 @@ def test_rest_bv_monotone_telescopes_to_one():
                                       1 << 16))
     assert rep.verdict == HOLDS
     assert rep.constant == pytest.approx(1.0, abs=1e-9)
-    assert rep.m_min == 1
+    assert rep.to_json_dict()["range"]["m_min"] == 1
 
 
 def test_rest_bv_zero_sequence():
@@ -188,7 +189,7 @@ def test_rest_bv_zero_sequence():
 def test_rest_bv_zero_denominator_hard_fail():
     # c_m = 0 with variation left beyond m: no constant can work
     seq = CoefficientSequence.explicit([1.0, 0.0, 0.5, 0.25, 0.0, 0.0])
-    rep = check_rest_bv(PrefixView.of(seq), m_range=(1, 4))
+    rep = check_rest_bv(PrefixView.of(seq), m_max=4)
     assert rep.verdict == FAILS
     assert rep.witness == 2
     assert rep.constant is None
@@ -198,12 +199,23 @@ def test_tail_variation_scan_past_the_horizon_is_an_input_error():
     # the fit rule of the window scans: no verdict over an empty range
     view = PrefixView.of(CoefficientSequence.explicit([1.0, 0.5, 0.25,
                                                        0.125, 0.0625]))
-    for m_range in ((10, 20), (5, 20)):
+    for m_max in (0, -3):
         for check in (check_rest_bv, check_weighted_rest_bv):
-            with pytest.raises(SequenceError, match="too small"):
-                check(view, m_range)
-    rep = check_rest_bv(view, (4, 20))
-    assert (rep.m_min, rep.m_max) == (4, 4)
+            with pytest.raises(SequenceError, match=rf"bad index range "
+                                                    rf"\[1, {m_max}\]"):
+                check(view, m_max)
+    with pytest.raises(SequenceError, match="bad index range"):
+        check_group_bv(view, (1,), 0)
+    one = PrefixView.of(CoefficientSequence.explicit([1.0]))
+    for check in (check_rest_bv, check_weighted_rest_bv):
+        with pytest.raises(SequenceError, match="too small for the scan "
+                                                "starting at m = 1"):
+            check(one, 20)
+    # an m_max past the horizon is cut at the last m that fits
+    rep = check_rest_bv(view, 20)
+    assert (rep.m_max, rep.horizon) == (4, 5)
+    rep, = check_group_bv(view, (1,), 20)
+    assert rep.m_max == 2
 
 
 def test_weighted_rest_bv_real_label():
@@ -272,7 +284,12 @@ def test_group_bv_never_inconclusive():
 
 _TIED = st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0, 1.0, 1 / 3]),
                  min_size=4, max_size=160)
-_M_RANGES = st.sampled_from([None, (1, 2), (2, 9), (3, 40)])
+_M_MAXES = st.sampled_from([None, 2, 9, 40])
+
+
+def _group_bv_fits(N, n0, m_max=None):
+    """Whether the GROUP_BV(n0) scan of a prefix of N terms leaves an m."""
+    return conditions._scan_end(N, m_max, min((N - 1) // 2, N - n0 + 1)) > 0
 
 
 def _group_bv_input(vals, shape):
@@ -298,17 +315,20 @@ def _group_bv_input(vals, shape):
 
 @settings(max_examples=150, deadline=None)
 @given(_TIED, st.sampled_from(["raw", "plateaus", "tail_zeros", "geometric",
-                               "rbv", "tiny", "flat_drop"]), _M_RANGES)
-def test_group_bv_is_the_exact_maximum_over_every_m(vals, shape, m_range):
-    # both exact routes: one exact_sum per block, and the level table
+                               "rbv", "tiny", "flat_drop"]), _M_MAXES)
+def test_group_bv_is_the_exact_maximum_over_every_m(vals, shape, m_max):
+    # both exact routes: one exact_sum per block, and the level table; a
+    # short span makes the zero-right-side scan cross span boundaries
     c = _group_bv_input(vals, shape)
     view = PrefixView.of(CoefficientSequence.explicit(c))
     windows = [n0 for n0 in (1, 2, 3, 4, 8, 16)
-               if conditions._group_bv_range(view.N, n0, m_range)]
-    expected = [oracles.group_bv_report(c, n0, m_range) for n0 in windows]
+               if _group_bv_fits(view.N, n0, m_max)]
+    expected = [oracles.group_bv_report(c, n0, m_max) for n0 in windows]
     for table_from in (0, math.inf):
-        with mock.patch.object(conditions, "_TABLE_FROM", table_from):
-            _same_reports(check_group_bv(view, windows, m_range), expected)
+        for span in (1, 3, conditions._SPAN):
+            with mock.patch.object(summation, "_TABLE_FROM", table_from), \
+                    mock.patch.object(conditions, "_SPAN", span):
+                _same_reports(check_group_bv(view, windows, m_max), expected)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300])
@@ -322,8 +342,8 @@ def test_group_bv_work_stays_linear_on_a_near_flat_prefix(monkeypatch, scale,
     c = scale * (2.0 - slope * np.arange(1, N + 1))
     c[-1] = 0.0
     terms = []
-    exact_sum = conditions.exact_sum
-    monkeypatch.setattr(conditions, "exact_sum",
+    exact_sum = summation.exact_sum
+    monkeypatch.setattr(summation, "exact_sum",
                         lambda values: terms.append(len(values))
                         or exact_sum(values))
     rep, = check_group_bv(PrefixView.of(CoefficientSequence.explicit(c)),
@@ -331,6 +351,16 @@ def test_group_bv_work_stays_linear_on_a_near_flat_prefix(monkeypatch, scale,
     assert rep.verdict == HOLDS
     assert rep.witness == (1 if slope == 0.0 else N // 4)
     assert sum(terms) <= N
+
+
+def test_group_bv_bracket_covers_the_suffix_sum_error():
+    # the pruning proof of check_group_bv, in exact arithmetic: with
+    # g = gamma of the suffix-sum chunk and u = 2^-53, |L^_m - L~_m| <=
+    # (2g + 2u + 2gu) T_a and T_a <= t_a / (1 - g) must stay below
+    # _BOUND * t_a (half of it at 4096; a chunk of 8192 would break it)
+    u, k = Fraction(1, 2 ** 53), summation._CHUNK
+    g = k * u / (1 - k * u)
+    assert (2 * g + 2 * u + 2 * g * u) / (1 - g) < Fraction(conditions._BOUND)
 
 
 @pytest.mark.parametrize("c,verdict,constant,witness", [
@@ -377,18 +407,17 @@ def test_group_bv_windows_match_one_window_calls(text):
 
 @settings(max_examples=100, deadline=None)
 @given(_TIED, st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), max_size=6),
-       _M_RANGES)
-def test_group_bv_window_lists_match_one_window_calls(vals, windows,
-                                                      m_range):
+       _M_MAXES)
+def test_group_bv_window_lists_match_one_window_calls(vals, windows, m_max):
     view = PrefixView.of(CoefficientSequence.explicit(vals))
     try:
-        expected = [check_group_bv(PrefixView.of(view.seq), (n0,), m_range)[0]
+        expected = [check_group_bv(PrefixView.of(view.seq), (n0,), m_max)[0]
                     for n0 in windows]
     except SequenceError:
         with pytest.raises(SequenceError):
-            check_group_bv(view, windows, m_range)
+            check_group_bv(view, windows, m_max)
         return
-    _same_reports(check_group_bv(view, windows, m_range), expected)
+    _same_reports(check_group_bv(view, windows, m_max), expected)
 
 
 def test_group_bv_window_fit():
@@ -396,21 +425,21 @@ def test_group_bv_window_fit():
                                                        0.125, 0.0625]))
     assert check_group_bv(view, []) == []
     assert [n0 for n0 in (1, 2, 4, 5, 6, 8, 16)
-            if conditions._group_bv_range(view.N, n0, None)] == [1, 2, 4, 5]
+            if _group_bv_fits(view.N, n0)] == [1, 2, 4, 5]
     with pytest.raises(SequenceError, match="too small"):
         check_group_bv(view, (1, 6))
     with pytest.raises(SequenceError, match="N0 must be >= 1"):
         check_group_bv(view, (1, 0))
     two = PrefixView.of(CoefficientSequence.explicit([1.0, 0.5]))
-    assert not conditions._group_bv_range(two.N, 1, None)
+    assert not _group_bv_fits(two.N, 1)
 
 
 def test_classify_scans_group_bv_once_per_view(monkeypatch):
     calls = []
 
-    def counting(view, n0_list=(1,), m_range=None):
+    def counting(view, n0_list=(1,), m_max=None):
         calls.append(list(n0_list))
-        return check_group_bv(view, n0_list, m_range)
+        return check_group_bv(view, n0_list, m_max)
 
     monkeypatch.setattr(conditions, "check_group_bv", counting)
     classify(sequence_from_text("harmonic(1.0)"), horizon=1 << 12,
@@ -605,7 +634,7 @@ def test_classify_matches_checkers_on_fresh_views(spec, horizon, weight):
                 check_orvqm(weighted, Sector(0.0))]
     expected += [check_group_bv(PrefixView.of(seq, N), (n0,))[0]
                  for n0 in (1, 2, 4, 8, 16)
-                 if conditions._group_bv_range(N, n0, None)]
+                 if _group_bv_fits(N, n0)]
     if seq.is_real:
         expected.append(check_rest_bv(PrefixView.of(seq, N)))
     if weight == "exp2":
@@ -642,10 +671,11 @@ def test_view_tail_and_block_sums_match_direct_sums():
     d = np.abs(np.diff(vals))
     assert np.shares_memory(view.g, view.seq.values)   # no copy
     assert list(view.tail) == [d[m - 1:].sum() for m in range(1, 7)] + [0.0]
+    # the block sums of the weighted chain, as differences of tail sums
     m = np.arange(1, 4)
     np.testing.assert_allclose(
-        view.block_sums(m), [d[k - 1:min(2 * k, 6)].sum() for k in m],
-        rtol=0, atol=1e-15)
+        view.tail[m - 1] - view.tail[2 * m],
+        [d[k - 1:2 * k].sum() for k in m], rtol=0, atol=1e-15)
 
 
 def test_unweighted_checkers_reject_a_weighted_view():

@@ -179,9 +179,9 @@ def test_lacunary_scans_group_bv_once(monkeypatch):
 
     calls = []
 
-    def counting(view, n0_list=(1,), m_range=None):
+    def counting(view, n0_list=(1,), m_max=None):
         calls.append(list(n0_list))
-        return check_group_bv(view, n0_list, m_range)
+        return check_group_bv(view, n0_list, m_max)
 
     monkeypatch.setattr(harness, "check_group_bv", counting)
     out = verify_lacunary_counterexample(1.0)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import pathlib
@@ -34,6 +35,48 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     assert (tmp_path / "curve.csv").is_file()
     assert (tmp_path / "curve.csv.manifest.json").is_file()
+
+
+def _shown_signatures(section: str):
+    """(name, object, ast.arguments) for every backticked ``name(...)`` in
+    ``section`` whose dotted name resolves on trigconv."""
+    import trigconv
+
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        call = re.fullmatch(r"([A-Za-z_][\w.]*)\((.*)\)", span, re.S)
+        if call is None:
+            continue
+        obj = trigconv
+        for part in call.group(1).split("."):
+            obj = getattr(obj, part, None)
+        if callable(obj):
+            args = ast.parse(f"def _({call.group(2)}): pass").body[0].args
+            yield call.group(1), obj, args
+
+
+def test_readme_library_signatures_match_the_code():
+    # names in order, keyword-only where the README shows `*`, and every
+    # default the README shows
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library"):text.index("## CLI")]
+    checked = set()
+    for name, obj, args in _shown_signatures(section):
+        params = list(inspect.signature(obj).parameters.values())
+        shown = args.posonlyargs + args.args + args.kwonlyargs
+        assert [(a.arg, a in args.kwonlyargs) for a in shown] == \
+            [(p.name, p.kind is p.KEYWORD_ONLY) for p in params], name
+        by_name = {p.name: p for p in params}
+        defaults = list(zip(args.args[len(args.args) - len(args.defaults):],
+                            args.defaults))
+        defaults += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        for arg, default in defaults:
+            assert ast.literal_eval(default) == by_name[arg.arg].default, \
+                (name, arg.arg)
+        checked.add(name)
+    assert {"classify", "convergence_curve", "check_group_bv",
+            "check_rest_bv", "check_weighted_rest_bv"} <= checked
 
 
 def _defaulted(fn) -> int:

@@ -319,7 +319,9 @@ _RANGE_VALUES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.integers(-3, 1), st.data())
 def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
-    # lengths next to 2^k, where 2^M >= n + 2 steps to the next M
+    # lengths next to 2^k, where 2^M >= n + 2 steps to the next M; the
+    # table serves every nonempty set of ranges, zeros and values below
+    # 2^-900 included
     n = max(1, 2 ** k + offset)
     arr = np.array(data.draw(st.lists(_RANGE_VALUES, min_size=n,
                                       max_size=n)))
@@ -327,10 +329,8 @@ def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
                               min_size=1, max_size=20))
     starts = np.array([min(a, b) for a, b in ends])
     stops = np.array([max(a, b) for a, b in ends])
-    got = summation._range_sums(arr.copy(), starts, stops)
-    if summation._peel(arr, n) is None:
-        assert got is None
-        return
+    with mock.patch.object(summation, "_TABLE_FROM", 0):
+        got = summation._range_sums(arr.copy(), starts, stops)
     assert [_bits(x) for x in got] == \
         [_bits(math.fsum(arr[a:b].tolist())) for a, b in zip(starts, stops)]
 
@@ -339,7 +339,14 @@ def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
                                   np.array([1.0, math.inf, 2.0]),
                                   np.array([1.0, math.nan, 2.0]),
                                   np.array([1.0, 2.0 ** 901])])
-def test_level_table_declines_what_the_kernel_declines(vals):
+def test_range_sums_are_fsum_where_the_kernel_declines(vals):
+    # input _peel declines still gets math.fsum's bits over every range,
+    # whichever route the cost rule picks
     assert summation._peel(vals, vals.shape[0]) is None
-    assert summation._range_sums(vals.copy(), np.array([0]),
-                                 np.array([vals.shape[0]])) is None
+    n = vals.shape[0]
+    starts, stops = np.array([0, 0, 1, n]), np.array([n, 1, n, n])
+    want = [_bits(math.fsum(vals[a:b].tolist())) for a, b in zip(starts, stops)]
+    for table_from in (0, 1, math.inf):
+        with mock.patch.object(summation, "_TABLE_FROM", table_from):
+            got = summation._range_sums(vals.copy(), starts, stops)
+        assert [_bits(x) for x in got] == want
