@@ -26,6 +26,7 @@ identical JSON.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,9 +58,9 @@ from .sequences import (
     unit_noise,
     weight_from_spec,
 )
-from .series import (_tail_rows, abel_tail_bound, convergence_curve,
+from .series import (_abel_bound, _tail_rows, convergence_curve,
                      testpoint_block_probe)
-from .summation import exact_sum, suffix_sums
+from .summation import _range_sums, exact_sum, suffix_sums
 
 __all__ = [
     "InequalityRecord",
@@ -223,6 +224,14 @@ def _weight_menu(q: float) -> list[str]:
     return ["one", "log"] + [f"power({b})" for b in betas]
 
 
+@functools.lru_cache(maxsize=None)
+def _corpus_weight(text: str) -> WeightSequence:
+    """One WeightSequence per menu text (at most five), so that the corpus
+    members that share a weight build and validate its prefix once; a
+    weight is a pure function of n, so sharing it changes no value."""
+    return weight_from_spec(parse_family_spec(text))
+
+
 def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optional[Sector]]:
     """Deterministic premise-satisfying instance for the implication claims.
 
@@ -241,7 +250,7 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     q = _DECAY_POWERS[int(pick[0] * len(_DECAY_POWERS)) % len(_DECAY_POWERS)]
     menu = _weight_menu(q)
     wtext = menu[int(pick[1] * len(menu)) % len(menu)]
-    weight = weight_from_spec(parse_family_spec(wtext))
+    weight = _corpus_weight(wtext)
 
     n = np.arange(1, cut + 1, dtype=float)
     mags = (0.25 + 0.75 * pick[4:4 + cut]) * n ** (-q)
@@ -656,25 +665,36 @@ def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
     """Summation-by-parts dominance on 100 randomized (family, N, x)
     triples at horizon 2^16: the (pi/x)-weighted variation bound must
     dominate the directly evaluated truncated tail on every case."""
-    cases, horizon = 100, 1 << 16
-    u = unit_noise(seed, np.arange(3 * cases))
+    n_cases, horizon = 100, 1 << 16
+    u = unit_noise(seed, np.arange(3 * n_cases))
     pick = (u + 1.0) / 2.0
     # one sequence per family, so that each prefix is built once
     seqs = [sequence_from_text(fam) for fam in _SUFFICIENCY_FAMILIES]
+    cases = [(int(pick[3 * i] * len(seqs)) % len(seqs),
+              1 + int(pick[3 * i + 1] * 1024),
+              float(pick[3 * i + 2] * (math.pi - 1e-6) + 1e-6))
+             for i in range(n_cases)]
+    # the variation sums sum_{k=N}^{H} |c_k - c_{k+1}| of all of a
+    # family's cases from one range-sum call over its |Delta c|
+    var = {}
+    for j, seq in enumerate(seqs):
+        mine = [i for i, case in enumerate(cases) if case[0] == j]
+        vals = np.asarray(seq.prefix(horizon + 1))
+        sums = _range_sums(np.abs(vals[:-1] - vals[1:]),
+                           np.array([cases[i][1] - 1 for i in mine]),
+                           np.full(len(mine), horizon))
+        var.update(zip(mine, sums.tolist()))
     records: list[InequalityRecord] = []
-    for i in range(cases):
-        j = int(pick[3 * i] * len(seqs)) % len(seqs)
-        fam, seq = _SUFFICIENCY_FAMILIES[j], seqs[j]
-        N = 1 + int(pick[3 * i + 1] * 1024)
-        x = float(pick[3 * i + 2] * (math.pi - 1e-6) + 1e-6)
-        bound = abel_tail_bound(seq, N, x, horizon)
-        vals = np.asarray(seq.prefix(horizon))
+    for i, (j, N, x) in enumerate(cases):
+        vals = np.asarray(seqs[j].prefix(horizon))
+        bound = _abel_bound(var[i], vals[N - 1], x)
         k = np.arange(N, horizon + 1, dtype=float)
         actual = abs(exact_sum(vals[N - 1:] * np.sin(k * x)))
-        records.append(_gate("abel/dominance", f"{fam} N={N} x={x:.4f}",
+        records.append(_gate("abel/dominance",
+                             f"{_SUFFICIENCY_FAMILIES[j]} N={N} x={x:.4f}",
                              actual, bound))
     worst = min(r.slack for r in records)
     return _judged(
         CLAIM_SUFFICIENCY, records,
-        {"cases": cases, "seed": seed, "horizon": horizon,
+        {"cases": n_cases, "seed": seed, "horizon": horizon,
          "worst_slack": worst})

@@ -276,7 +276,16 @@ class WeightSequence:
 
     def validated_prefix(self, N: int) -> tuple[np.ndarray, int]:
         """Return (values, finite_len) where values[:finite_len] are finite,
-        positive, and non-decreasing within tolerance; raise otherwise."""
+        positive, and non-decreasing within tolerance; raise otherwise.
+
+        The longest validated length and its finite_len are kept in
+        ``_cache``: a later call up to that length returns a slice and
+        min(finite_len, N) without checking again, since a prefix of a
+        valid prefix is valid.  A failed validation keeps nothing."""
+        N = int(N)
+        done, done_finite = self._cache.get("valid", (-1, 0))
+        if N <= done:
+            return self.prefix(N), min(done_finite, N)
         with np.errstate(over="ignore"):
             vals = self.prefix(N)
         finite = np.isfinite(vals)
@@ -290,6 +299,7 @@ class WeightSequence:
             if np.any(b < a - slack):
                 raise SequenceError(
                     f"weight {self.label!r} must be non-decreasing")
+        self._cache["valid"] = (N, finite_len)
         return vals, finite_len
 
 

@@ -302,8 +302,14 @@ def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
     if H < N:
         raise SequenceError("horizon below N")
     vals = np.asarray(c.prefix(H + 1))
-    var = exact_sum(np.abs(vals[N - 1:H] - vals[N:H + 1]))
-    return (math.pi / x) * (var + abs(complex(vals[N - 1])))
+    return _abel_bound(exact_sum(np.abs(vals[N - 1:H] - vals[N:H + 1])),
+                       vals[N - 1], x)
+
+
+def _abel_bound(var: float, c_N, x: float) -> float:
+    """(pi/x) * (var + |c_N|), the summation-by-parts tail estimate from
+    the variation sum var = sum_{k=N}^{H} |c_k - c_{k+1}|."""
+    return (math.pi / x) * (var + abs(complex(c_N)))
 
 
 @dataclass

@@ -18,6 +18,12 @@ so it returns the float it would return for the values themselves.  Any other in
 reading the float64 buffer through a ``memoryview``, with its value, its
 OverflowError and its signed zero.
 
+``suffix_sums`` sums exactly only its chunks after the first: the offsets
+are sums of later chunks, so none reads the first chunk's sum.  That sum
+is still taken, and dropped, where math.fsum could raise on it (a
+non-finite value, or some |x| above 2^1021/_CHUNK), so that suffix_sums
+raises what summing every chunk would raise.
+
 The range sums (_range_sums) give math.fsum's bits over many ranges of
 any one array of n nonnegative values.  Which route serves them is a cost
 rule: one exact_sum per range while the ranges hold at most _TABLE_FROM
@@ -188,18 +194,18 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
                      for parts in zip(*(lv.tolist() for lv in levels))])
 
 
-def _suffix_offsets(chunk_sums: list[float]) -> list[float]:
-    """offset[j] = exactly rounded sum of chunk_sums[j + 1:]: an exact
-    running suffix in integer multiples of 2^-1074, each offset one
-    correctly rounded int true division.  For sums far from overflow this
-    is math.fsum's float in linear time; math.fsum over each suffix would
-    be quadratic in the chunk count."""
+def _suffix_offsets(sums: list[float]) -> list[float]:
+    """offset[j] = exactly rounded sum of sums[j:] for j = 0..len(sums),
+    the empty suffix last: an exact running suffix in integer multiples of
+    2^-1074, each offset one correctly rounded int true division.  For sums
+    far from overflow this is math.fsum's float in linear time; math.fsum
+    over each suffix would be quadratic in the chunk count."""
     scale = 1 << 1074
-    offsets, acc = [], 0
-    for s in reversed(chunk_sums):
-        offsets.append(acc / scale)
+    offsets, acc = [0.0], 0
+    for s in reversed(sums):
         num, den = s.as_integer_ratio()
         acc += num * (scale // den)
+        offsets.append(acc / scale)
     return offsets[::-1]
 
 
@@ -208,35 +214,46 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
 
     Per chunk of _CHUNK values, ``s[i]`` is the chunk's reversed recursive
     sum from i (Higham's bound gamma_(k-1) for k <= _CHUNK terms, with
-    gamma_j = j u / (1 - j u) and u the unit roundoff) plus the exactly
-    rounded sum of the later chunks' exactly rounded sums.  With the final
-    addition, |s[i] - sum(values[i:])| <= gamma_(_CHUNK) * sum(|values[i:]|):
-    below about _CHUNK * u = 4.5e-13 relative for nonnegative input.
-    math.fsum raises OverflowError past the float range.
+    gamma_j = j u / (1 - j u) and u the unit roundoff) plus offset[j], the
+    exactly rounded sum of the later chunks' exactly rounded sums.  With the
+    final addition, |s[i] - sum(values[i:])| <= gamma_(_CHUNK) *
+    sum(|values[i:]|): below about _CHUNK * u = 4.5e-13 relative for
+    nonnegative input.  math.fsum raises OverflowError past the float range.
 
-    The chunk sums are math.fsum of each chunk's parts from one _peel call
-    over every chunk, or of the chunk itself on input _peel declines (see
-    exact_sum); the full chunks' reversed cumulative sums come from one 2-D
-    cumsum.  These are the same floats as summing and accumulating chunk
-    by chunk, and the offsets need time linear in the chunk count.
+    Only chunks 1..K-1 are summed exactly: no offset reads the first
+    chunk's sum.  They are math.fsum of each chunk's parts from one _peel
+    call over those chunks, or of the chunk itself on input _peel declines
+    (see exact_sum); the route of the offsets is chosen from those sums
+    alone.  An input of at most _CHUNK values is one reversed cumsum plus
+    the offset 0.0 (which turns -0.0 into +0.0).  The first chunk's sum is
+    still taken, and dropped, when it could raise: math.fsum's ValueError
+    on inf + -inf or OverflowError past the float range, which need a
+    non-finite value or some |x| above 2^1021/_CHUNK.  The full chunks'
+    reversed cumulative sums come from one 2-D cumsum.  These are the same
+    floats and errors as summing and accumulating chunk by chunk, and the
+    offsets need time linear in the chunk count.
     """
     vals = np.ascontiguousarray(values, dtype=float)
     n = vals.shape[0]
     out = np.empty(n, dtype=float)
     if n == 0:
         return out
-    parts = _peel(vals, _CHUNK) if n >= _T else None
+    head = vals[:_CHUNK]
+    if not np.abs(head).max() <= 2.0 ** 1021 / _CHUNK:    # NaN as well
+        math.fsum(memoryview(head))         # for its error only
+    rest = vals[_CHUNK:]
+    parts = _peel(rest, _CHUNK) if rest.shape[0] >= _T else None
     if parts is None:
-        parts = [memoryview(vals[s:s + _CHUNK]) for s in range(0, n, _CHUNK)]
-    chunk_sums = [math.fsum(p) for p in parts]
-    # with the sum of |chunk sums| below 2^1021 no suffix and no step of
-    # math.fsum can overflow; past it, or on inf and NaN, math.fsum gives
-    # the value or the exception
-    if np.abs(chunk_sums).max() <= 2.0 ** 1021 / len(chunk_sums):
-        offsets = _suffix_offsets(chunk_sums)
+        parts = [memoryview(rest[s:s + _CHUNK])
+                 for s in range(0, rest.shape[0], _CHUNK)]
+    later = [math.fsum(p) for p in parts]
+    # with the sum of |later chunk sums| at most 2^1021 no suffix and no
+    # step of math.fsum can overflow; past it, or on inf and NaN, math.fsum
+    # gives the value or the exception
+    if not later or np.abs(later).max() <= 2.0 ** 1021 / len(later):
+        offsets = _suffix_offsets(later)
     else:
-        offsets = [math.fsum(chunk_sums[j + 1:])
-                   for j in range(len(chunk_sums))]
+        offsets = [math.fsum(later[j:]) for j in range(len(later) + 1)]
     full = n - n % _CHUNK
     within = out[:full].reshape(-1, _CHUNK)
     np.cumsum(vals[:full].reshape(-1, _CHUNK)[:, ::-1], axis=1,

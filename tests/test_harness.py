@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from trigconv import cli
 from trigconv.conditions import check_group_bv
 from trigconv.harness import (
     CLAIM_SECTOR,
@@ -26,6 +28,7 @@ from trigconv.sequences import (
     CoefficientSequence,
     Sector,
     TwoSidedSequence,
+    WeightSequence,
     parse_family_spec,
     sequence_from_text,
     weight_from_spec,
@@ -332,6 +335,33 @@ def test_sector_chain_measures_weighted_variation_once(monkeypatch):
     assert calls == [1]
 
 
+def test_corpus_run_validates_each_weight_text_once(monkeypatch):
+    import trigconv.harness as harness
+    built, validated = [], []
+    real_build = harness.weight_from_spec
+    real_validate = WeightSequence.validated_prefix
+
+    def build(spec):
+        built.append(str(spec))
+        return real_build(spec)
+
+    def validate(self, N):
+        # a call past the longest length validated so far runs the checks
+        if N > self._cache.get("valid", (-1, 0))[0]:
+            validated.append(self.label)
+        return real_validate(self, N)
+
+    monkeypatch.setattr(harness, "weight_from_spec", build)
+    monkeypatch.setattr(WeightSequence, "validated_prefix", validate)
+    harness._corpus_weight.cache_clear()
+    try:
+        assert run_weighted_implication_corpus(1, 25).status == STATUS_OK
+    finally:
+        harness._corpus_weight.cache_clear()
+    assert len(set(built)) == len(built) > 1
+    assert sorted(validated) == sorted(built)
+
+
 def _null_fields(record):
     return [record[k] for k in ("lhs", "rhs", "slack")]
 
@@ -351,3 +381,37 @@ def test_placeholder_fields_serialize_null(equivalence):
     assert trend and _null_fields(trend[0]) == [None] * 3
     eq = equivalence.to_json_dict()
     assert [r["slack"] for r in eq["records"]] == [None] * 3
+
+
+# --- golden digests ----------------------------------------------------------
+#
+# sha256 of the JSON the CLI prints (and of one probe's JSON), frozen before
+# suffix_sums stopped summing its first chunk and the corpus members began to
+# share one weight per text; a speedup must keep every byte.
+
+_VERIFY_DIGESTS = [
+    (("t3", "--seed", "1", "--corpus-size", "25"), 0,
+     "345e491b157d9a3c5b2a2171efb1cd3f1d4ad0d8ab5fde42e47e03f89979d147"),
+    # member 252 fails the null-trend premise
+    (("t3", "--seed", "251", "--corpus-size", "25"), 1,
+     "e85291db6d4db56df33f2ac5499af94c815e929cc7d6970b8ce292239d128d29"),
+    (("corollary", "--seed", "1", "--corpus-size", "12"), 0,
+     "b9d230211d3651a792ea1bf334b66c7c5410750e7c5e1bf3050a8885d93fcf0d"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, code, digest", _VERIFY_DIGESTS)
+def test_verify_output_digest(capsys, args, code, digest):
+    assert cli.main(["verify", *args]) == code
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_probe_sufficiency_digest():
+    payload = json.dumps(probe_sufficiency(seed=11).to_json_dict(),
+                         sort_keys=True)
+    assert _sha256(payload) == \
+        "5e32e8bea06f0bb0f0e344b26cc371b45fc8895c2a3a42d93366db409d375b9c"

@@ -13,6 +13,7 @@ from trigconv.sequences import (
     Sector,
     SequenceError,
     TwoSidedSequence,
+    WeightSequence,
     family_sequence,
     format_family_spec,
     parse_family_spec,
@@ -276,6 +277,30 @@ def test_weight_exp2_overflow_is_reported():
     vals, n_fin = w.validated_prefix(5000)
     assert n_fin < 5000          # doubling overflows float range
     assert np.all(np.isfinite(vals[:n_fin]))
+
+
+def _same_validation(weight, N):
+    """validated_prefix(N) of ``weight`` equals that of a fresh copy."""
+    fresh = WeightSequence(weight.label, weight.fn)
+    got, want = weight.validated_prefix(N), fresh.validated_prefix(N)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_validated_prefix_memo_matches_a_fresh_weight():
+    # short then long, long then short; exp2 is finite for n <= 1023
+    for text in ("log", "exp2"):
+        w = weight_from_spec(parse_family_spec(text))
+        for N in (100, 5000, 1000, 1023, 1024, 5000, 6000):
+            _same_validation(w, N)
+    # a failed longer call keeps nothing: the shorter memo still answers,
+    # and the longer call fails again
+    dip = WeightSequence("dip", lambda n: np.where(n <= 100, n, 1.0))
+    _same_validation(dip, 50)
+    for _ in range(2):
+        with pytest.raises(SequenceError, match="non-decreasing"):
+            dip.validated_prefix(200)
+        _same_validation(dip, 80)
+    _same_validation(dip, 100)
 
 
 # --- sectors ---------------------------------------------------------------

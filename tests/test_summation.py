@@ -301,7 +301,7 @@ def test_suffix_offsets_match_fsum_on_subnormal_and_cancelling_sums():
                 * 2.0 ** rng.integers(-1074, 1000, m)).tolist()
         if rng.random() < 0.3:
             sums += [-s for s in sums[:m // 2]]
-        want = [math.fsum(sums[j + 1:]) for j in range(len(sums))]
+        want = [math.fsum(sums[j:]) for j in range(len(sums) + 1)]
         assert [_bits(v) for v in summation._suffix_offsets(sums)] == \
             [_bits(v) for v in want]
 
@@ -350,3 +350,54 @@ def test_range_sums_are_fsum_where_the_kernel_declines(vals):
         with mock.patch.object(summation, "_TABLE_FROM", table_from):
             got = summation._range_sums(vals.copy(), starts, stops)
         assert [_bits(x) for x in got] == want
+
+
+# --- suffix_sums sums every chunk but the first -----------------------------
+
+@pytest.mark.parametrize("chunk, n", [
+    (64, 1), (64, 64), (64, 5 * 64 + 7), (64, 4096 + 3 * 64),
+    (4096, 100), (4096, 4096), (4096, 3 * 4096 + 5)])
+def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
+    # no offset reads the first chunk's sum, so an input of one chunk runs
+    # no _peel and no math.fsum, and K chunks sum exactly K - 1 of them
+    peeled, summed = [], []
+    real_peel, real_fsum = summation._peel, math.fsum
+
+    def peel(values, row):
+        peeled.append(values.shape[0])
+        return real_peel(values, row)
+
+    def fsum(xs):
+        summed.append(len(xs) if isinstance(xs, memoryview) else None)
+        return real_fsum(xs)
+
+    vals = np.random.default_rng(n).standard_normal(n)
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    monkeypatch.setattr(summation, "_peel", peel)
+    monkeypatch.setattr(math, "fsum", fsum)
+    got = suffix_sums(vals)
+    monkeypatch.undo()
+    later = n - chunk
+    assert len(summed) == max(0, -(-later // chunk))
+    if later >= summation._T:
+        assert peeled == [later]
+    else:
+        assert peeled == [] and sum(summed) == max(0, later)
+    assert got.tobytes() == _suffix_sums_chunk_by_chunk(vals, chunk).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("chunks, extra", [(1, 0), (1, 17), (3, 17)])
+@pytest.mark.parametrize("head", [
+    [1.7e308, 1.7e308], [-1.7e308, -1.7e308], [1.7e308, -1.7e308],
+    [math.inf], [-math.inf], [math.inf, -math.inf], [math.nan]])
+def test_suffix_sums_keeps_the_first_chunks_errors(chunk, chunks, extra,
+                                                   head):
+    # the first chunk's sum is dropped, but its OverflowError and its
+    # ValueError on inf + -inf are kept; values at both ends of the chunk
+    vals = np.random.default_rng(9).standard_normal(chunks * chunk + extra)
+    vals[:len(head) - 1] = head[:-1]
+    vals[chunk - 1] = head[-1]
+    with mock.patch.object(summation, "_CHUNK", chunk):
+        got = _outcome(suffix_sums, vals)
+    assert got == _outcome(_suffix_sums_chunk_by_chunk, vals, chunk)
