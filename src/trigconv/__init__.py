@@ -67,7 +67,6 @@ from .harness import (
     verify_orvqm_implication,
     verify_weighted_bv_implication,
 )
-from .manifest import file_digest
 
 __all__ = [
     "__version__",
@@ -118,5 +117,4 @@ __all__ = [
     "verify_lacunary_counterexample",
     "verify_orvqm_implication",
     "verify_weighted_bv_implication",
-    "file_digest",
 ]

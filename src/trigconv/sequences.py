@@ -57,6 +57,9 @@ def _require_finite(value: float, what: str) -> None:
         raise SequenceError(f"{what} overflows the float range")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _indices(N: int) -> np.ndarray:
     """The int64 indices 1..N, or MemoryError past what one array can hold
     (where numpy raises ValueError, or wraps to an empty range at 2^63 - 1)."""
@@ -518,6 +521,10 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
             return out
 
         def powers_of_two(lo, hi):
+            if hi > _INT64_MAX:
+                raise SequenceError(
+                    f"the support of {label!r} up to {hi} passes the int64 "
+                    f"index range")
             return np.array([1 << k for k in range(
                 max(1, int(lo).bit_length()), int(hi).bit_length())],
                 dtype=np.int64)

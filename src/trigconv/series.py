@@ -5,18 +5,25 @@ Evaluation targets the two series shapes the checkers care about:
 * sine series  sum_{k>=1} b_k sin kx  (b real or complex), evaluated on
   (0, pi] and extended by oddness/periodicity;
 * two-sided exponential series  c_0 + sum_{k>=1} (c_k e^{ikx} +
-  c_{-k} e^{-ikx}), evaluated on (-pi, pi] directly.
+  c_{-k} e^{-ikx}), evaluated on (-pi, pi] as c_0 + C(x) +- S(x), with
+  C = sum (c_k + c_{-k}) cos kx and S = sum i (c_k - c_{-k}) sin kx at |x|.
 
-One engine evaluates both on a grid: a sine series is the two-sided series
-c_{+-k} = +-b_k / 2i.  On the uniform points x_j = pi j/M a term depends on
-k only through k mod 2M, so each partial-sum row there is one unscaled
-length-2M inverse FFT of the coefficients folded into 2M bins.  The
+One real engine evaluates both: the rows of C(x) = sum a_k cos kx and
+S(x) = sum b_k sin kx at x = 0 and the grid points of (0, pi], from the
+nonzero terms (k, a_k, b_k) in order of k; a sine series has no cosine
+half.  The terms come from the sequence's support when it lists one (a
+lacunary sequence costs its few powers of two), else from the nonzero
+entries of the dense prefix.  On the uniform points x_j = pi j/M a term
+depends on k only through k mod 2M, so with w the coefficients folded into
+2M bins, C_j = Re(rfft(w))_j and S_j = -Im(rfft(w))_j (real and imaginary
+parts of complex coefficients are folded and transformed apart).  The
 geometric ladder lies off that grid.  There the terms are summed directly
-over the nonzero coefficients by blocked angle addition: with a block
-length B, a power of two near sqrt(k_max) taken from the support, each
-k = Bq + r gives e^{ikx} = e^{iBqx} e^{irx}, so a point costs about
-2 sqrt(k_max) calls to exp plus one gather and one multiply per nonzero
-term, for dense and sparse (lacunary) supports alike.
+by blocked angle addition: with a block length B, a power of two near
+sqrt(k_max), each k = Bq + r gives sin kx = sin(Bqx) cos(rx) +
+cos(Bqx) sin(rx), so a point evaluates sin and cos of Bqx for the distinct
+q that occur and of rx for the r, forms the product table T[q, r], and
+reads the terms from it: a slice when the support is one run of k, else
+one gather.
 
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,84 +160,168 @@ def _checkpoint_list(checkpoints: Sequence[int]) -> list[int]:
     return cps
 
 
-def _fold(k: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
-    """Bins b[r] = sum of w over k = r mod size, summed in input order."""
-    idx = k % size
-    return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
-
-
 def _block_length(k_max: int) -> int:
     """The block length B of the angle addition: a power of two near
     sqrt(k_max), so that both tables hold about sqrt(k_max) entries."""
     return 1 << (k_max.bit_length() // 2)
 
 
-def _rows(obj: Union[CoefficientSequence, TwoSidedSequence], grid: GridSpec,
+def _terms(seq: CoefficientSequence, n_max: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted k <= n_max with c_k != 0, and those c_k: read on the
+    support when the sequence lists one, so that no dense prefix is built,
+    else from the nonzero entries of the prefix."""
+    if seq.support is None:
+        v = seq.prefix(n_max)
+        nz = np.flatnonzero(v)
+        return nz + 1, v[nz]
+    k = seq.support(0, n_max)
+    v = seq.values_at(k)
+    keep = v != 0
+    return k[keep], v[keep]
+
+
+def _uniform_rows(idx: np.ndarray, w: np.ndarray, ends: np.ndarray,
+                  size: int, cosine: bool) -> np.ndarray:
+    """Per end e, sum_{i<e} w_i cos (or sin) of k_i pi j/M at j = 0..M,
+    from idx = k mod 2M (size = 2M): the cumulative bins of w, folded in
+    order of k, then Re or -Im of their real FFT."""
+    if np.iscomplexobj(w):
+        return (_uniform_rows(idx, w.real, ends, size, cosine)
+                + 1j * _uniform_rows(idx, w.imag, ends, size, cosine))
+    bins = np.empty((len(ends), size))
+    for row, lo, hi in zip(bins, np.r_[0, ends[:-1]], ends):
+        row[:] = np.bincount(idx[lo:hi], w[lo:hi], size)
+    np.cumsum(bins, axis=0, out=bins)
+    spectrum = np.fft.rfft(bins)
+    return spectrum.real if cosine else -spectrum.imag
+
+
+def _ladder_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
+                 off: np.ndarray, ends: np.ndarray
+                 ) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Per end e, sum_{i<e} a_i cos k_i x and sum_{i<e} b_i sin k_i x at
+    each point x of off (no cosine half when a is None), by blocked angle
+    addition over the table T[q, r] of the distinct q and the r."""
+    n = k.size
+    cos_rows = None if a is None else np.zeros((len(ends), off.size), a.dtype)
+    sin_rows = np.zeros((len(ends), off.size), b.dtype)
+    if n == 0:
+        return cos_rows, sin_rows
+    B = _block_length(int(k[-1]))
+    q, r = np.divmod(k, B)
+    if k[-1] - k[0] + 1 == n:
+        # one run of k: T covers q[0]..q[-1] times every r, and the terms
+        # are the slice of T.ravel() from k[0] - B q[0]
+        uq, ur = np.arange(q[0], q[-1] + 1), np.arange(B)
+        start = int(k[0] - B * q[0])
+        flat = None
+    else:
+        uq, qi = np.unique(q, return_inverse=True)
+        ur, ri = np.unique(r, return_inverse=True)
+        flat = qi * ur.size + ri
+    # sin and cos of Bq x and of r x, from one array of the integers Bq, r
+    angles = np.concatenate([B * uq, ur]).astype(float)
+    ax, sin_, cos_ = (np.empty_like(angles) for _ in range(3))
+    sh, sl = sin_[:uq.size], sin_[uq.size:]
+    ch, cl = cos_[:uq.size], cos_[uq.size:]
+    table, other = np.empty((uq.size, ur.size)), np.empty((uq.size, ur.size))
+    flat_table = table.ravel()
+    picked = None if flat is None else np.empty(n)
+    bounds = list(zip(np.r_[0, ends[:-1]].tolist(), ends.tolist()))
+    halves = [(b, np.empty(n, b.dtype), sin_rows, False)]
+    if a is not None:
+        halves.append((a, np.empty(n, a.dtype), cos_rows, True))
+
+    for i, x in enumerate(off.tolist()):
+        np.multiply(angles, x, out=ax)
+        np.sin(ax, out=sin_)
+        np.cos(ax, out=cos_)
+        for w, terms, rows, cosine in halves:
+            if cosine:      # cos kx = cos Bqx cos rx - sin Bqx sin rx
+                np.multiply.outer(ch, cl, out=table)
+                np.multiply.outer(sh, sl, out=other)
+                table -= other
+            else:           # sin kx = sin Bqx cos rx + cos Bqx sin rx
+                np.multiply.outer(sh, cl, out=table)
+                np.multiply.outer(ch, sl, out=other)
+                table += other
+            if flat is None:
+                trig = flat_table[start:start + n]
+            else:
+                trig = np.take(flat_table, flat, out=picked)
+            np.multiply(w, trig, out=terms)
+            acc = 0.0
+            for row, (lo, hi) in enumerate(bounds):
+                acc += terms[lo:hi].sum()
+                rows[row, i] = acc
+    return cos_rows, sin_rows
+
+
+def _cos_sin_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
+                  grid: GridSpec, ends: np.ndarray):
+    """(xs, C, S): the sorted points 0, the grid points of (0, pi]; and per
+    end e the rows at xs of C_e(x) = sum_{i<e} a_i cos k_i x (None when a
+    is None) and S_e(x) = sum_{i<e} b_i sin k_i x, as arrays of shape
+    (len(ends), len(xs)).  k holds the nonzero terms in increasing order."""
+    M, off = grid._split()
+    xs = np.concatenate([_uniform_points(np.arange(M + 1), M), off])
+    order = np.argsort(xs, kind="stable")
+    ladder_c, ladder_s = _ladder_rows(k, a, b, off, ends)
+    idx = k % (2 * M)
+
+    def rows(w, ladder, cosine):
+        uniform = _uniform_rows(idx, w, ends, 2 * M, cosine)
+        return np.concatenate([uniform, ladder], axis=1)[:, order]
+
+    C = None if a is None else rows(a, ladder_c, True)
+    return xs[order], C, rows(b, ladder_s, False)
+
+
+def _rows(seq: CoefficientSequence, grid: GridSpec,
           checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """S_cp on the grid for every checkpoint cp, in one pass over k.
 
-    Returns the sorted evaluation points -- grid.points() for a sine
-    series; for a two-sided one, those points, their mirror images and 0,
-    covering (-pi, pi] -- and per checkpoint the row of S_cp at them (float
-    for a real sine series, else complex).  A sine series runs as the
-    two-sided series c_{+-k} = +-b_k / 2i.  On the uniform points pi j/M a
-    row is one unscaled length-2M inverse FFT of the coefficients folded by
-    k mod 2M.  At each other point x the nonzero terms are summed directly,
-    in order of k and one checkpoint segment at a time, with e^{ikx} built
-    by blocked angle addition: k = Bq + r (B from _block_length of the
-    largest nonzero k) and e^{ikx} = e^{i(Bq)x} e^{irx}, gathered from one
-    table of each factor, exp evaluated at the exact integer Bq or r times
-    x.  Every step is a fixed-order numpy operation: no BLAS product.
+    Returns grid.points() and per checkpoint the row of the sine partial
+    sum S_cp at them (float for real coefficients, else complex): the sine
+    rows of _cos_sin_rows, with no cosine half.  The terms are the nonzero
+    b_k up to the last checkpoint, read on the support when the sequence
+    lists one.  On the uniform points pi j/M a row is S_j = -Im(rfft(w))_j
+    of the coefficients w folded by k mod 2M.  At each ladder point x the
+    terms are summed directly, in order of k and one checkpoint segment at
+    a time, with sin kx read from the table T[q, r] = sin(Bqx) cos(rx) +
+    cos(Bqx) sin(rx) of k = Bq + r (B from _block_length of the largest
+    k): sin and cos are evaluated at the exact integers Bq, for the
+    distinct q only, and r times x, and T is read by one slice when the k
+    form a single run, else by one gather.  Every step is elementwise or a
+    fixed-order sum: no BLAS product.
     """
     cps = _checkpoint_list(checkpoints)
+    k, b = _terms(seq, cps[-1] if cps else 0)
+    xs, _, S = _cos_sin_rows(k, None, b, grid,
+                             np.searchsorted(k, cps, side="right"))
+    return xs[1:], {cp: row[1:] for cp, row in zip(cps, S)}
+
+
+def _two_sided_rows(ts: TwoSidedSequence, grid: GridSpec,
+                    checkpoints: Sequence[int]
+                    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """c_0 + sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}) for every
+    checkpoint cp, at the grid points, their mirror images and 0, covering
+    (-pi, pi]: c_0 + C(|x|) +- S(|x|) with C the cosine rows of the pair
+    sums c_k + c_{-k} and S the sine rows of i (c_k - c_{-k})."""
+    cps = _checkpoint_list(checkpoints)
     n_max = cps[-1] if cps else 0
-    M, off = grid._split()
-    if isinstance(obj, TwoSidedSequence):
-        c0, real = complex(obj.c0), False
-        pv, nv = obj.pos.prefix(n_max), obj.neg.prefix(n_max)
-        nz = np.flatnonzero((pv != 0) | (nv != 0))
-        pos, neg = pv[nz].astype(complex), nv[nz].astype(complex)
-        j = np.arange(-M + 1, M + 1)
-        off = np.concatenate([-off[::-1], off])
-    else:
-        c0, real = 0j, obj.is_real
-        b = obj.prefix(n_max)
-        nz = np.flatnonzero(b)
-        pos = b[nz] / 2j
-        neg = -pos
-        j = np.arange(1, M + 1)
+    a, b = ts.pair_sums(n_max), 1j * ts.pair_diffs(n_max)
+    nz = np.flatnonzero((a != 0) | (b != 0))
     k = nz + 1
-    ends = np.searchsorted(k, cps, side="right")
-
-    B = _block_length(int(k[-1]) if k.size else 1)
-    q, r = np.divmod(k, B)
-    high = B * np.arange(int(q[-1]) + 1 if k.size else 1)
-    low = np.arange(B)
-    direct = np.empty((len(cps), off.shape[0]), dtype=complex)
-    for i, x in enumerate(off):
-        e = np.exp(1j * (high * x))[q]
-        e *= np.exp(1j * (low * x))[r]
-        terms = pos * e
-        terms += neg * np.conj(e)
-        acc, lo = c0, 0
-        for row, hi in enumerate(ends):
-            acc += terms[lo:hi].sum()
-            direct[row, i] = acc
-            lo = hi
-
-    xs = np.concatenate([_uniform_points(j, M), off])
-    order = np.argsort(xs, kind="stable")
-    size = 2 * M
-    bins = np.zeros(size, dtype=complex)
-    bins[0] = c0
-    rows: dict[int, np.ndarray] = {}
-    lo = 0
-    for cp, hi, d in zip(cps, ends, direct):
-        bins += _fold(k[lo:hi], pos[lo:hi], size) + _fold(-k[lo:hi], neg[lo:hi], size)
-        lo = hi
-        row = np.concatenate([np.fft.ifft(bins, norm="forward")[j % size], d])[order]
-        rows[cp] = row.real if real else row
-    return xs[order], rows
+    xs, C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
+                             np.searchsorted(k, cps, side="right"))
+    inner = slice(-2, 0, -1)    # the points of (0, pi), mirrored
+    c0 = complex(ts.c0)
+    rows = {cp: c0 + np.concatenate([c[inner] - s[inner], c + s])
+            for cp, c, s in zip(cps, C, S)}
+    return np.concatenate([-xs[inner], xs]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +451,7 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int,
     lhs = 2.0 * exact_sum(pos[n:].real * sines)
     pair_abs = exact_sum(np.abs(ts.pair_sums(4 * n)[n:]))
 
-    xs, rows = _rows(ts, GridSpec(n_ref=n), [n, 4 * n])
+    xs, rows = _two_sided_rows(ts, GridSpec(n_ref=n), [n, 4 * n])
     norm_diff = float(np.abs(rows[4 * n] - rows[n]).max())
 
     c2n = abs(complex(pos[2 * n - 1]))

@@ -166,6 +166,29 @@ def test_curve_manifest_records_the_default_reference_horizon(capsys):
     assert defaults["n_ref"] == 256
 
 
+def test_sparse_curve_at_a_huge_reference_horizon_prints_rows(capsys):
+    # lacunary lists its support: the rows and the truncation slack read
+    # the powers of two up to N_ref = 2^34, and no dense prefix is built
+    code, out, err = run(capsys, "curve", "lacunary(1.0)",
+                         "--n", "64..256:dyadic", "--nref", str(1 << 34))
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["64", "128", "256"]
+    for n, sup, _, max_k_ck in rows:
+        # the tail is at most sum_{2^j > n} 2^-j = 2^-floor(log2 n)
+        assert 0.0 < float(sup) <= 1.0 / int(n)
+        assert float(max_k_ck) == 1.0
+    assert json.loads(err)["defaults"]["reference_horizon"] == 1 << 34
+
+
+@pytest.mark.parametrize("nref", [str(1 << 60), str(1 << 63)])
+def test_sparse_curve_past_the_int64_support_is_one_line(capsys, nref):
+    code, out, err = run(capsys, "curve", "lacunary(1.0)", "--n", "4",
+                         "--nref", nref)
+    assert _is_input_error(code, err) and out == ""
+    assert "passes the int64 index range" in err
+
+
 _BIG8 = "explicit:[" + ",".join(["1e308"] * 8) + "]"
 
 

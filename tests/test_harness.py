@@ -265,14 +265,14 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
         neg = CoefficientSequence.explicit(-pos.values, label="neg")
         return TwoSidedSequence(0.0, pos, neg, label=f"odd@{seed}")
 
-    rows = series._rows
+    rows = series._two_sided_rows
 
     def flat_rows(obj, grid, checkpoints):
         xs, out = rows(obj, grid, checkpoints)
         return xs, {cp: np.zeros_like(row) for cp, row in out.items()}
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
-    monkeypatch.setattr(series, "_rows", flat_rows)
+    monkeypatch.setattr(series, "_two_sided_rows", flat_rows)
     out = probe_necessity(instances=2)
     assert out.status == STATUS_VIOLATED
     probes = [r for r in out.records if r.name == "testpoint/three_term"]

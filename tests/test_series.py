@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigconv.sequences import (
@@ -19,7 +19,8 @@ from trigconv.series import (
     dirichlet_sine,
     truncation_slack,
 )
-from trigconv.series import _abs_range_sum, _block_length, _rows
+from trigconv.series import (_abs_range_sum, _block_length, _rows,
+                             _two_sided_rows)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
@@ -119,6 +120,11 @@ def _coefficients(rng, n, support):
         vals[idx] = rng.standard_normal(idx.size) / (idx + 1.0)
         return vals
     vals = rng.standard_normal(n) / np.arange(1, n + 1)
+    if support == "gaps":
+        # zero below a start k > 1 and at every third k: the nonzero k form
+        # no single run, so the ladder gathers its terms from the table
+        vals[:rng.integers(1, max(2, n // 2))] = 0.0
+        vals[2::3] = 0.0
     if support == "complex":
         vals = vals + 1j * rng.standard_normal(n) / np.arange(1, n + 1)
     return vals
@@ -126,11 +132,16 @@ def _coefficients(rng, n, support):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["real", "complex", "sparse", "wide"]),
+       st.sampled_from(["real", "complex", "sparse", "wide", "gaps"]),
        st.booleans(),
        st.integers(1, 12),
        st.sampled_from([3, 8]),
        st.lists(st.integers(0, 40), min_size=1, max_size=3))
+# interior zeros from a start k > 1 (the gather path), complex sine
+# coefficients, and a two-sided series through the C +- S assembly
+@example(11, "gaps", False, 5, 8, [40, 9])
+@example(12, "complex", False, 4, 3, [37, 0, 6])
+@example(13, "complex", True, 6, 8, [40, 12])
 def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
                                            oversample, checkpoints):
     rng = np.random.default_rng(seed)
@@ -153,11 +164,12 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
         scale = 1.0 + abs(obj.c0) + np.abs(obj.pos.prefix(N)).sum() \
             + np.abs(obj.neg.prefix(N)).sum()
         want = np.concatenate([-pts[pts < math.pi][::-1], [0.0], pts])
+        xs, rows = _two_sided_rows(obj, grid, checkpoints)
     else:
         obj = CoefficientSequence.explicit(_coefficients(rng, N, support))
         scale = 1.0 + np.abs(obj.prefix(N)).sum()
         want = pts
-    xs, rows = _rows(obj, grid, checkpoints)
+        xs, rows = _rows(obj, grid, checkpoints)
     assert np.array_equal(xs, want)
     assert sorted(rows) == sorted(set(checkpoints))
     for cp, row in rows.items():
@@ -168,6 +180,24 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
             else:
                 ref = partial_sum_sine(obj, cp, x) if cp else 0.0
             assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_support_listed_rows_equal_the_explicit_rows_bit_for_bit():
+    # lacunary lists its support, so its rows read the powers of two and
+    # build no dense prefix; the same values passed as explicit data are
+    # read from their nonzero entries and must give the same bits
+    seq = sequence_from_text("lacunary(0.5)")
+    N = 1 << 18
+    dense = CoefficientSequence.explicit(
+        seq.values_at(np.arange(1, N + 1, dtype=np.int64)))
+    grid, cps = GridSpec(n_ref=64), [1, 64, 1000, N]
+    xs, rows = _rows(seq, grid, cps)
+    assert "arr" not in seq._cache
+    want_xs, want = _rows(dense, grid, cps)
+    assert xs.tobytes() == want_xs.tobytes()
+    for cp in cps:
+        assert rows[cp].dtype == float
+        assert rows[cp].tobytes() == want[cp].tobytes()
 
 
 def test_block_length_is_a_power_of_two_near_the_root():
