@@ -48,7 +48,6 @@ from .series import (
     GridSpec,
     ProbeResult,
     TailNormCurve,
-    abel_tail_bound,
     convergence_curve,
     dirichlet_sine,
     testpoint_block_probe,
@@ -101,7 +100,6 @@ __all__ = [
     "GridSpec",
     "ProbeResult",
     "TailNormCurve",
-    "abel_tail_bound",
     "convergence_curve",
     "dirichlet_sine",
     "testpoint_block_probe",

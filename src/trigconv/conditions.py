@@ -137,6 +137,13 @@ def _scan_end(N: int, m_max: Optional[int], last: int) -> int:
     return max(0, min(m_max, last))
 
 
+def _group_bv_scan_end(N: int, m_max: Optional[int], N0: int) -> int:
+    """The last m of a GROUP_BV scan with window N0: it ends where
+    [m, 2m + 1] or [m, m + N0 - 1] would leave the prefix; 0 when no m
+    fits."""
+    return _scan_end(N, m_max, min((N - 1) // 2, N - N0 + 1))
+
+
 def _require_scan(end: int, N: int) -> int:
     """The fit rule: a scan that leaves no m is an input error, never a
     verdict over an empty range."""
@@ -554,10 +561,8 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     if not windows:
         return []
     c, N = view.unweighted("GROUP_BV"), view.N
-    # the scan of each window ends where [m, 2m + 1] or [m, m + N0 - 1]
-    # would leave the prefix; the longest window's is the shortest scan
-    counts = [_scan_end(N, m_max, min((N - 1) // 2, N - N0 + 1))
-              for N0 in windows]
+    # the longest window's scan is the shortest
+    counts = [_group_bv_scan_end(N, m_max, N0) for N0 in windows]
     _require_scan(counts[-1], N)
     cabs = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
     R = cabs[:counts[0]].copy()   # grown in place below
@@ -682,8 +687,7 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
         reports.append(check_rest_bv(plain, m_max))
     reports.append(check_weighted_rest_bv(weighted, m_max))
     reports.extend(check_group_bv(
-        plain, [n0 for n0 in n0_list
-                if _scan_end(N, m_max, min((N - 1) // 2, N - n0 + 1))],
+        plain, [n0 for n0 in n0_list if _group_bv_scan_end(N, m_max, n0)],
         m_max))
     reports.append(check_orvqm(weighted, sector))
     return reports

@@ -19,9 +19,10 @@ records carry the measured left/right sides and slack.  Claims:
 
 Randomized corpora are built backward from a zero tail out of positive
 (or sector-boundary complex) decrements, so the premises hold by
-construction rather than by rejection sampling.  Everything is a pure
-function of the seed: two runs with the same parameters serialize to
-identical JSON.
+construction rather than by rejection sampling, for all but a few members
+(see corpus_member); a corpus run keeps those apart from violations.
+Everything is a pure function of the seed: two runs with the same
+parameters serialize to identical JSON.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from .sequences import (
     unit_noise,
     weight_from_spec,
 )
-from .series import (_abel_bound, _tail_rows, convergence_curve,
-                     testpoint_block_probe)
+from .series import _tail_rows, testpoint_block_probe
 from .summation import _range_sums, exact_sum, suffix_sums
 
 __all__ = [
@@ -233,7 +233,8 @@ def _corpus_weight(text: str) -> WeightSequence:
 
 
 def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optional[Sector]]:
-    """Deterministic premise-satisfying instance for the implication claims.
+    """Deterministic instance for the implication claims, built so that
+    nearly every member meets the chain's premises.
 
     Draw positive decrements d_n = (0.25 + 0.75 u_n) n^{-q} up to the cut,
     accumulate backward into g (so g is the exact tail sum of the d's and
@@ -242,7 +243,9 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     sit in the sector by construction); even seeds instead modulate g by
     1 +/- kappa across dyadic blocks, producing bounded-variation members
     that are not quasimonotone.  Weight growth is capped against the decay
-    power so that |c| stays null-trending.
+    power so that |c| mostly stays null-trending, but not always: 12 of
+    the members 1..1000 fail the null-trend premise, 9 of them
+    rbv(q=1.6,power(0.5)); their runs report premises_not_met.
     """
     L, cut = _CORPUS_LENGTH, _CORPUS_CUT
     u = unit_noise(seed, np.arange(4 + 2 * cut))
@@ -439,21 +442,31 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
                     shown: tuple) -> VerificationOutcome:
     """Aggregate per-member chain outcomes: keep every failed gate and every
     gate whose name starts with one of ``shown``; the worst slack is the
-    smallest finite one."""
+    smallest finite one.  A member whose premises are not met is no
+    violation: the run is violated when a member is, else premises_not_met
+    when no member is ok, else ok; the headline counts the chains of the
+    members whose premises hold and names the others."""
     if not outcomes:
         raise SequenceError("a corpus run needs at least one member")
-    passed = sum(out.status == STATUS_OK for out in outcomes)
+    statuses = [out.status for out in outcomes]
+    passed = statuses.count(STATUS_OK)
+    unmet = statuses.count(STATUS_PREMISES)
     records = [r for out in outcomes for r in out.records
                if not r.passed or r.name.startswith(shown)]
     worst = min((r.slack for out in outcomes for r in out.records
                  if math.isfinite(r.slack)), default=math.inf)
     size = len(outcomes)
-    status = STATUS_OK if passed == size else STATUS_VIOLATED
+    if STATUS_VIOLATED in statuses:
+        status = STATUS_VIOLATED
+    else:
+        status = STATUS_OK if passed else STATUS_PREMISES
+    headline = f"{passed}/{size - unmet} chains hold"
+    if unmet:
+        headline += f", {unmet} member(s) with premises not met"
     return VerificationOutcome(
         claim, status, records,
         {"members": size, "passed": passed, "seed_start": seed_start,
-         "worst_slack": worst,
-         "headline": f"{passed}/{size} chains hold"})
+         "worst_slack": worst, "headline": headline})
 
 
 def run_weighted_implication_corpus(seed_start: int,
@@ -529,11 +542,12 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
 
     # (iii) tail estimates against the absolute bound
     ns = [1 << j for j in range(6, int(math.log2(threshold_n)) + 1)]
-    curve = convergence_curve(b, ns, N_ref=horizon)
+    # the rows of convergence_curve, without its truncation slack
+    rows = _tail_rows(b, ns, horizon)[0]
     decay = 1.0 - 2.0 ** (-alpha)
-    bounds = [2.0 ** (-alpha * (math.floor(math.log2(e.n)) + 1)) / decay
-              for e in curve.entries]
-    ests = [e.sup_estimate for e in curve.entries]
+    bounds = [2.0 ** (-alpha * (math.floor(math.log2(n)) + 1)) / decay
+              for n, _, _ in rows]
+    ests = [sup for _, sup, _ in rows]
     dominated = all(est <= bound + 1e-12 for est, bound in zip(ests, bounds))
     # the record shows the ladder n where the bound is tightest
     i = min(range(len(ns)), key=lambda j: bounds[j] - ests[j])
@@ -545,8 +559,7 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     records.append(InequalityRecord(
         "tail/bound_decreasing", label, decreasing, math.nan, math.nan,
         math.nan))
-    final_bound = bounds[-1]
-    final_est = curve.entries[-1].sup_estimate
+    final_bound, final_est = bounds[-1], ests[-1]
     below = final_bound <= sup_threshold and final_est <= sup_threshold
     records.append(InequalityRecord(
         "tail/below_threshold", label, below,
@@ -626,13 +639,16 @@ def _pair_sector_instance(seed: int, length: int,
     neg_vals = tau * pos_vals
     pos = CoefficientSequence.explicit(pos_vals, label=f"pair@{seed}:pos")
     neg = CoefficientSequence.explicit(neg_vals, label=f"pair@{seed}:neg")
-    return TwoSidedSequence(0.0, pos, neg, label=f"pair@{seed}")
+    return TwoSidedSequence(pos, neg, label=f"pair@{seed}")
 
 
 def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
     """The test-point machinery: the sine floor sin(k x0) >= sin(pi/8) on
     (n, 4n] at n = 10, 100 and 1000, then the three-term inequality at
-    n = 256 on randomized instances in K(pi/6) with recorded slack."""
+    n = 256 on randomized instances in K(pi/6) with recorded slack.  A
+    three-term record passes when its slack is at least -1e-9 max(1,
+    |lhs|, norm_diff) and the probe's sector premises and sine floor
+    hold."""
     n_probe, theta0 = 256, math.pi / 6.0
     records: list[InequalityRecord] = []
     floor = math.sin(math.pi / 8.0)
@@ -647,8 +663,9 @@ def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
         pr = testpoint_block_probe(ts, n_probe, sector)
         rec = _gate("testpoint/three_term", ts.label, pr.lhs,
                     pr.norm_diff + pr.pair_abs_sum,
-                    detail=f"premises_ok={pr.premises_ok}")
-        rec.passed = pr.premises_ok and pr.sin_floor_ok and pr.inequality_ok
+                    detail=f"premises_ok={pr.premises_ok}",
+                    scale=max(1.0, abs(pr.lhs), pr.norm_diff))
+        rec.passed = rec.passed and pr.premises_ok and pr.sin_floor_ok
         records.append(rec)
     worst = min(r.slack for r in records)
     return _judged(
@@ -687,7 +704,7 @@ def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
     records: list[InequalityRecord] = []
     for i, (j, N, x) in enumerate(cases):
         vals = np.asarray(seqs[j].prefix(horizon))
-        bound = _abel_bound(var[i], vals[N - 1], x)
+        bound = (math.pi / x) * (var[i] + abs(complex(vals[N - 1])))
         k = np.arange(N, horizon + 1, dtype=float)
         actual = abs(exact_sum(vals[N - 1:] * np.sin(k * x)))
         records.append(_gate("abel/dominance",

@@ -2,7 +2,7 @@
 
 The package works with one-sided sequences ``c_1, c_2, ...`` (explicit
 arrays or pure generator functions of the index), two-sided exponential
-coefficient collections ``(c_0, {c_n}, {c_-n})``, positive non-decreasing
+coefficient collections ``({c_n}, {c_-n})``, positive non-decreasing
 weight sequences, and closed angular sectors
 
     K(theta0) = { z : |arg z| <= theta0 },   0 <= theta0 < pi/2,
@@ -228,9 +228,8 @@ class CoefficientSequence:
 
 @dataclass(frozen=True, eq=False)
 class TwoSidedSequence:
-    """Coefficients of an exponential series: c_0 plus {c_n} and {c_-n}."""
+    """Coefficients of an exponential series: {c_n} and {c_-n}, n >= 1."""
 
-    c0: complex
     pos: CoefficientSequence
     neg: CoefficientSequence
     label: str = ""

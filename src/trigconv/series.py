@@ -4,8 +4,8 @@ Evaluation targets the two series shapes the checkers care about:
 
 * sine series  sum_{k>=1} b_k sin kx  (b real or complex), evaluated on
   (0, pi] and extended by oddness/periodicity;
-* two-sided exponential series  c_0 + sum_{k>=1} (c_k e^{ikx} +
-  c_{-k} e^{-ikx}), evaluated on (-pi, pi] as c_0 + C(x) +- S(x), with
+* two-sided exponential series  sum_{k>=1} (c_k e^{ikx} +
+  c_{-k} e^{-ikx}), evaluated on (-pi, pi] as C(x) +- S(x), with
   C = sum (c_k + c_{-k}) cos kx and S = sum i (c_k - c_{-k}) sin kx at |x|.
 
 One real engine evaluates both: the rows of C(x) = sum a_k cos kx and
@@ -34,9 +34,9 @@ sum_{N_ref < k <= 16 N_ref} |c_k| of a sine series measures how much of
 the coefficient mass the reference horizon leaves out; it reads only the
 sequence's support, so a lacunary sequence costs its few powers of two.
 
-The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, the
-summation-by-parts tail bound, and the test-point probe at x0) live here so
-the verification harness can exercise each inequality separately.
+The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, and
+the test-point probe at x0) live here so the verification harness can
+exercise each inequality separately.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "ProbeResult",
     "dirichlet_sine",
     "truncation_slack",
-    "abel_tail_bound",
     "testpoint_block_probe",
     "convergence_curve",
 ]
@@ -306,10 +305,10 @@ def _rows(seq: CoefficientSequence, grid: GridSpec,
 def _two_sided_rows(ts: TwoSidedSequence, grid: GridSpec,
                     checkpoints: Sequence[int]
                     ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """c_0 + sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}) for every
-    checkpoint cp, at the grid points, their mirror images and 0, covering
-    (-pi, pi]: c_0 + C(|x|) +- S(|x|) with C the cosine rows of the pair
-    sums c_k + c_{-k} and S the sine rows of i (c_k - c_{-k})."""
+    """sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}) for every checkpoint
+    cp, at the grid points, their mirror images and 0, covering (-pi, pi]:
+    C(|x|) +- S(|x|) with C the cosine rows of the pair sums c_k + c_{-k}
+    and S the sine rows of i (c_k - c_{-k})."""
     cps = _checkpoint_list(checkpoints)
     n_max = cps[-1] if cps else 0
     a, b = ts.pair_sums(n_max), 1j * ts.pair_diffs(n_max)
@@ -318,8 +317,7 @@ def _two_sided_rows(ts: TwoSidedSequence, grid: GridSpec,
     xs, C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
                              np.searchsorted(k, cps, side="right"))
     inner = slice(-2, 0, -1)    # the points of (0, pi), mirrored
-    c0 = complex(ts.c0)
-    rows = {cp: c0 + np.concatenate([c[inner] - s[inner], c + s])
+    rows = {cp: np.concatenate([c[inner] - s[inner], c + s])
             for cp, c, s in zip(cps, C, S)}
     return np.concatenate([-xs[inner], xs]), rows
 
@@ -379,36 +377,14 @@ def truncation_slack(seq: CoefficientSequence,
 
 
 # ---------------------------------------------------------------------------
-# explicit bounds
+# the test-point probe
 # ---------------------------------------------------------------------------
-
-def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
-                    horizon: int) -> float:
-    """(pi/x) * (sum_{k=N}^{H} |c_k - c_{k+1}| + |c_N|), the
-    summation-by-parts tail estimate at truncation horizon H."""
-    _require_x_in_halfperiod(x)
-    if N < 1:
-        raise SequenceError("N >= 1 required")
-    H = int(horizon)
-    if H < N:
-        raise SequenceError("horizon below N")
-    vals = np.asarray(c.prefix(H + 1))
-    return _abel_bound(exact_sum(np.abs(vals[N - 1:H] - vals[N:H + 1])),
-                       vals[N - 1], x)
-
-
-def _abel_bound(var: float, c_N, x: float) -> float:
-    """(pi/x) * (var + |c_N|), the summation-by-parts tail estimate from
-    the variation sum var = sum_{k=N}^{H} |c_k - c_{k+1}|."""
-    return (math.pi / x) * (var + abs(complex(c_N)))
-
 
 @dataclass
 class ProbeResult:
     """Outcome of the test-point probe at x0 = pi/(8n)."""
 
     n: int
-    x0: float
     sin_floor_ok: bool
     premises_ok: bool
     lhs: float                 # 2 sum Re c_k sin k x0 over (n, 4n]
@@ -417,11 +393,6 @@ class ProbeResult:
     slack: float               # norm_diff + pair_abs_sum - lhs
     lower_reference: float     # n |c_{2n}| / (sector dominance constant)
     grid_size: int
-
-    @property
-    def inequality_ok(self) -> bool:
-        scale = max(1.0, abs(self.lhs), self.norm_diff)
-        return self.slack >= -1e-9 * scale
 
 
 def testpoint_block_probe(ts: TwoSidedSequence, n: int,
@@ -456,7 +427,7 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int,
 
     c2n = abs(complex(pos[2 * n - 1]))
     lower_ref = n * c2n / sector_dominance_constant(sector)
-    return ProbeResult(n, x0, sin_floor_ok, premises_ok, lhs, norm_diff,
+    return ProbeResult(n, sin_floor_ok, premises_ok, lhs, norm_diff,
                        pair_abs, norm_diff + pair_abs - lhs, lower_ref,
                        int(xs.shape[0]))
 

@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
-partial sums, and the full-array condition scans that the span-by-span
-scans in :mod:`trigconv.conditions` must reproduce bit for bit."""
+partial sums, the summation-by-parts tail bound, and the full-array
+condition scans that the span-by-span scans in :mod:`trigconv.conditions`
+must reproduce bit for bit."""
 
 import math
 from typing import Optional
@@ -48,15 +49,31 @@ def partial_sum_sine(b: CoefficientSequence, n: int, x: float):
 
 
 def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
-    """c_0 + sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx})."""
+    """sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx})."""
     if n < 0:
         raise SequenceError("partial_sum_two_sided needs n >= 0")
     if n == 0:
-        return complex(ts.c0)
+        return 0j
     pos = np.asarray(ts.pos.prefix(n), dtype=complex)
     neg = np.asarray(ts.neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
-    return complex(ts.c0) + exact_complex_sum(pos * e + neg * np.conj(e))
+    return exact_complex_sum(pos * e + neg * np.conj(e))
+
+
+# --- summation-by-parts bound ----------------------------------------------
+
+def abel_tail_bound(c: CoefficientSequence, N: int, x: float,
+                    horizon: int) -> float:
+    """(pi/x) * (sum_{k=N}^{H} |c_k - c_{k+1}| + |c_N|), the
+    summation-by-parts tail estimate at truncation horizon H, with the
+    variation summed by one exact_sum over its terms."""
+    if not (0.0 < x <= math.pi):
+        raise SequenceError(f"x = {x} outside (0, pi]")
+    if N < 1 or horizon < N:
+        raise SequenceError("1 <= N <= horizon required")
+    vals = np.asarray(c.prefix(horizon + 1))
+    var = exact_sum(np.abs(vals[N - 1:horizon] - vals[N:horizon + 1]))
+    return (math.pi / x) * (var + abs(complex(vals[N - 1])))
 
 
 # --- full-array condition scans --------------------------------------------

@@ -480,7 +480,7 @@ def test_orvqm_fails_outside_sector():
 
 
 def test_pair_sector_real_nonneg_trivial():
-    ts = TwoSidedSequence(0.0, sequence_from_text("harmonic(1.0)"),
+    ts = TwoSidedSequence(sequence_from_text("harmonic(1.0)"),
                           sequence_from_text("zero"))
     rep = check_pair_sector(ts, Sector(0.0), 1 << 10)
     assert rep.verdict == HOLDS
@@ -489,7 +489,7 @@ def test_pair_sector_real_nonneg_trivial():
 def test_pair_sector_detects_violation():
     pos = CoefficientSequence.explicit([1.0 + 0.9j, 0.5])
     neg = CoefficientSequence.explicit([0.0, 0.0])
-    rep = check_pair_sector(TwoSidedSequence(0.0, pos, neg),
+    rep = check_pair_sector(TwoSidedSequence(pos, neg),
                             Sector(math.pi / 8), 2)
     assert rep.verdict == FAILS
     assert rep.witness == 1

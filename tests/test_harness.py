@@ -10,9 +10,13 @@ from trigconv.conditions import check_group_bv
 from trigconv.harness import (
     CLAIM_SECTOR,
     CLAIM_WEIGHTED,
+    InequalityRecord,
     STATUS_OK,
     STATUS_PREMISES,
     STATUS_VIOLATED,
+    VerificationOutcome,
+    _SUFFICIENCY_FAMILIES,
+    _corpus_outcome,
     _null_trend_ok,
     _suffix,
     corpus_member,
@@ -31,8 +35,11 @@ from trigconv.sequences import (
     WeightSequence,
     parse_family_spec,
     sequence_from_text,
+    unit_noise,
     weight_from_spec,
 )
+
+from _oracles import abel_tail_bound
 
 
 def _one():
@@ -130,6 +137,44 @@ def test_corpus_run_aggregates():
     assert out.status == STATUS_OK
     assert out.summary["headline"] == "6/6 chains hold"
     assert out.claim == CLAIM_WEIGHTED
+
+
+def test_corpus_run_keeps_unmet_premises_apart_from_violations():
+    # member 252 fails its null-trend premise and no chain gate fails
+    out = run_weighted_implication_corpus(251, 3)
+    assert out.status == STATUS_OK
+    assert out.summary["passed"] == 2 and out.summary["members"] == 3
+    assert out.summary["headline"] == \
+        "2/2 chains hold, 1 member(s) with premises not met"
+    failed = [r for r in out.records if not r.passed]
+    assert [(r.name, r.instance) for r in failed] == \
+        [("premise/null_trend", "corpus@252:rbv(q=1.6,power(0.5))")]
+    only = run_weighted_implication_corpus(252, 1)
+    assert only.status == STATUS_PREMISES
+    assert only.summary["headline"] == \
+        "0/0 chains hold, 1 member(s) with premises not met"
+
+
+def test_corpus_outcome_status_rule():
+    def member(status):
+        rec = InequalityRecord("chain/x", status, status == STATUS_OK,
+                               0.0, 1.0, 1.0)
+        return VerificationOutcome(CLAIM_WEIGHTED, status, [rec], {})
+
+    def run(*statuses):
+        return _corpus_outcome(CLAIM_WEIGHTED, 1,
+                               [member(s) for s in statuses], ("chain/",))
+
+    assert run(STATUS_OK, STATUS_PREMISES).status == STATUS_OK
+    assert run(STATUS_PREMISES, STATUS_PREMISES).status == STATUS_PREMISES
+    assert run(STATUS_VIOLATED).status == STATUS_VIOLATED
+    assert run(STATUS_PREMISES, STATUS_VIOLATED).status == STATUS_VIOLATED
+    mixed = run(STATUS_OK, STATUS_PREMISES, STATUS_VIOLATED)
+    assert mixed.status == STATUS_VIOLATED
+    assert mixed.summary["headline"] == \
+        "1/2 chains hold, 1 member(s) with premises not met"
+    assert run(STATUS_OK, STATUS_VIOLATED).summary["headline"] == \
+        "1/2 chains hold"
 
 
 # --- sector implication ----------------------------------------------------
@@ -263,7 +308,7 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
         pos = CoefficientSequence.explicit(
             1.0 / np.arange(1, length + 1), label=f"odd@{seed}:pos")
         neg = CoefficientSequence.explicit(-pos.values, label="neg")
-        return TwoSidedSequence(0.0, pos, neg, label=f"odd@{seed}")
+        return TwoSidedSequence(pos, neg, label=f"odd@{seed}")
 
     rows = series._two_sided_rows
 
@@ -387,14 +432,17 @@ def test_placeholder_fields_serialize_null(equivalence):
 #
 # sha256 of the JSON the CLI prints (and of one probe's JSON), frozen before
 # suffix_sums stopped summing its first chunk and the corpus members began to
-# share one weight per text; a speedup must keep every byte.
+# share one weight per text; a speedup must keep every byte.  The seed-251
+# run was frozen again when a member with unmet premises stopped counting
+# as a violation: its status, headline and exit code changed, its records
+# did not.
 
 _VERIFY_DIGESTS = [
     (("t3", "--seed", "1", "--corpus-size", "25"), 0,
      "345e491b157d9a3c5b2a2171efb1cd3f1d4ad0d8ab5fde42e47e03f89979d147"),
-    # member 252 fails the null-trend premise
-    (("t3", "--seed", "251", "--corpus-size", "25"), 1,
-     "e85291db6d4db56df33f2ac5499af94c815e929cc7d6970b8ce292239d128d29"),
+    # member 252 fails the null-trend premise: no chain fails, so exit 0
+    (("t3", "--seed", "251", "--corpus-size", "25"), 0,
+     "d348d1d275f7b1fab64b43c44a5f4ba1376c7a0e6dc2d01c9bb0fcc1c764ff01"),
     (("corollary", "--seed", "1", "--corpus-size", "12"), 0,
      "b9d230211d3651a792ea1bf334b66c7c5410750e7c5e1bf3050a8885d93fcf0d"),
 ]
@@ -415,3 +463,33 @@ def test_probe_sufficiency_digest():
                          sort_keys=True)
     assert _sha256(payload) == \
         "5e32e8bea06f0bb0f0e344b26cc371b45fc8895c2a3a42d93366db409d375b9c"
+
+
+# frozen before TwoSidedSequence lost c_0 and the three-term record lost its
+# second tolerance rule; seed 1 x 5 is the benchmark's probe op
+@pytest.mark.parametrize("instances, seed, digest", [
+    (20, 7, "fd129f4d32a915eaf07522ee2d5ed3d4cc72d84f85d51af38ee0b4566656501b"),
+    (5, 1, "06aaf5c7ec58f42a6d67a2f93d6d5e5ac3cb5907679d2117f0da0bb70e730b53"),
+])
+def test_probe_necessity_digest(instances, seed, digest):
+    payload = json.dumps(probe_necessity(instances, seed).to_json_dict(),
+                         sort_keys=True)
+    assert _sha256(payload) == digest
+
+
+def test_probe_sufficiency_bounds_equal_the_oracle_bit_for_bit():
+    # the probe writes the bound inline from one range-sum call per family;
+    # the oracle sums each case's variation with exact_sum.  Both round the
+    # exact sum once, so every rhs must keep its bits
+    horizon, n_cases = 1 << 16, 100
+    pick = (unit_noise(11, np.arange(3 * n_cases)) + 1.0) / 2.0
+    fams = _SUFFICIENCY_FAMILIES
+    records = probe_sufficiency(seed=11).records
+    assert len(records) == n_cases
+    for i, rec in enumerate(records):
+        fam = fams[int(pick[3 * i] * len(fams)) % len(fams)]
+        N = 1 + int(pick[3 * i + 1] * 1024)
+        x = float(pick[3 * i + 2] * (math.pi - 1e-6) + 1e-6)
+        assert rec.instance == f"{fam} N={N} x={x:.4f}"
+        want = abel_tail_bound(sequence_from_text(fam), N, x, horizon)
+        assert rec.name == "abel/dominance" and rec.rhs == want

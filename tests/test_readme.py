@@ -107,4 +107,4 @@ def test_public_knob_count_does_not_grow():
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
     assert params + fields <= 31
-    assert len(trigconv.__all__) <= 48
+    assert len(trigconv.__all__) <= 47

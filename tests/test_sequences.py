@@ -324,7 +324,7 @@ def test_sector_closed_under_positive_combinations(theta0, f1, f2, a, b):
     combo = a * z1 + b * z2
     if abs(combo) > 1e-12:
         # with c_-n = 0 the pair sums and differences are combo itself
-        ts = TwoSidedSequence(0.0, CoefficientSequence.explicit([combo]),
+        ts = TwoSidedSequence(CoefficientSequence.explicit([combo]),
                               CoefficientSequence.explicit([0.0]))
         assert check_pair_sector(ts, s, 1).verdict == HOLDS
 
@@ -334,6 +334,6 @@ def test_sector_closed_under_positive_combinations(theta0, f1, f2, a, b):
 def test_two_sided_pairs():
     pos = CoefficientSequence.explicit([1.0, 0.5])
     neg = CoefficientSequence.explicit([0.25, 0.125])
-    ts = TwoSidedSequence(2.0, pos, neg)
+    ts = TwoSidedSequence(pos, neg)
     assert np.allclose(ts.pair_sums(2), [1.25, 0.625])
     assert np.allclose(ts.pair_diffs(2), [0.75, 0.375])

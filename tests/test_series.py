@@ -14,7 +14,6 @@ from trigconv.sequences import (
 )
 from trigconv.series import (
     GridSpec,
-    abel_tail_bound,
     convergence_curve,
     dirichlet_sine,
     truncation_slack,
@@ -24,7 +23,7 @@ from trigconv.series import (_abs_range_sum, _block_length, _rows,
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
-from _oracles import partial_sum_sine, partial_sum_two_sided
+from _oracles import abel_tail_bound, partial_sum_sine, partial_sum_two_sided
 
 
 def _direct_dirichlet(n, x):
@@ -158,10 +157,9 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
     pts = grid.points()
     if two_sided:
         obj = TwoSidedSequence(
-            complex(rng.standard_normal(), rng.standard_normal()),
             CoefficientSequence.explicit(_coefficients(rng, N, support)),
             CoefficientSequence.explicit(_coefficients(rng, N, support)))
-        scale = 1.0 + abs(obj.c0) + np.abs(obj.pos.prefix(N)).sum() \
+        scale = 1.0 + np.abs(obj.pos.prefix(N)).sum() \
             + np.abs(obj.neg.prefix(N)).sum()
         want = np.concatenate([-pts[pts < math.pi][::-1], [0.0], pts])
         xs, rows = _two_sided_rows(obj, grid, checkpoints)
@@ -337,7 +335,7 @@ def test_abel_tail_bound_dominates_actual_tail():
 def test_testpoint_probe_frozen_log_damped():
     # frozen from a direct run of this estimator; the slack is the
     # measured gap in the three-term inequality
-    ts = TwoSidedSequence(0.0, sequence_from_text("log_damped"),
+    ts = TwoSidedSequence(sequence_from_text("log_damped"),
                           sequence_from_text("zero"), label="logd-onesided")
     pr = block_probe(ts, 256, Sector(0.0))
     assert pr.premises_ok and pr.sin_floor_ok
@@ -352,7 +350,7 @@ def test_testpoint_probe_frozen_log_damped():
 @pytest.mark.parametrize("n,size", [(10, 198), (64, 1078), (256, 4162)])
 def test_testpoint_probe_grid_size(n, size):
     # the two-sided grid mirrors the (0, pi] grid and adds 0
-    ts = TwoSidedSequence(0.0, sequence_from_text("harmonic(2.0)"),
+    ts = TwoSidedSequence(sequence_from_text("harmonic(2.0)"),
                           sequence_from_text("zero"))
     pr = block_probe(ts, n, Sector(0.0))
     assert pr.grid_size == size == 2 * GridSpec(n_ref=n).points().size
@@ -363,7 +361,7 @@ def test_testpoint_probe_premises_flag():
     # reports the measured sides
     pos = CoefficientSequence.explicit(
         np.concatenate([[1.0 + 0.9j], 1.0 / np.arange(2, 41) ** 2]))
-    ts = TwoSidedSequence(0.0, pos, sequence_from_text("zero"))
+    ts = TwoSidedSequence(pos, sequence_from_text("zero"))
     pr = block_probe(ts, 10, Sector(math.pi / 8))
     assert not pr.premises_ok
     assert math.isfinite(pr.slack)
