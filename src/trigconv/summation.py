@@ -5,153 +5,141 @@ below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
 Every exactly rounded sum, ``exact_sum``, the chunk sums of
-``suffix_sums`` and the range sums below, has the bits
-of ``math.fsum`` over the same floats.  An array of at least _T values
-whose largest |x| lies in [2^-900, 2^900] is first split without error
-into a few parts per row of values by the vector extraction of Rump,
-Ogita and Oishi (*Accurate floating-point summation, part I*, SIAM J.
-Sci. Comput. 31(1), 2008, Lemma 3.2, ExtractVector): a few numpy passes
-over the array in place of one Python step per value.  ``math.fsum`` then
-rounds the exact sum of the parts, which is the exact sum of the values,
-so it returns the float it would return for the values themselves.  Any other input (shorter, NaN,
-+-inf, a value past 2^900, all zero or all below 2^-900) is ``math.fsum``
+``suffix_sums`` and the range sums of ``_range_sums``, has the bits of
+``math.fsum`` over the same floats.  One loop, _extract, splits the values
+without error into a few floats per row or per range: the vector
+extraction of Rump, Ogita and Oishi (*Accurate floating-point summation,
+part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2, ExtractVector), a
+few numpy passes over the array in place of one Python step per value.
+``math.fsum`` then rounds the exact sum of those floats, which is the
+exact sum of the values, so it returns the float it would return for the
+values themselves.
+
+Why the split is exact.  _extract takes an array of n values, a block of
+exact_sum or suffix_sums or the whole array of _range_sums, with no NaN,
+no inf and no |x| above 2^900.  With 2^M >= n + 2, the remainder r of the
+level before (the values themselves at level 0), max |r| < 2^e and sigma
+= 2^(e+M), each q = (r + sigma) - sigma is an exact multiple of
+2^(e+M-53) with |q| <= 2^e, and r - q, the rounding error of r + sigma,
+is a float, so r = q + (r - q) exactly.  Levels go on until the remainder
+is zero; each peels at least 52 - M bits off the largest remainder, and
+once sigma falls below 2^-1022 the addition is exact and q = r.  So every
+value, subnormals included, is exactly the sum of its q over the levels.
+Within a level, the sum of any subset of the q is a multiple of
+2^(e+M-53) below n 2^e < sigma in magnitude: it has at most 53 bits and
+is a float.  A row sum is such a subset sum, and so is every partial sum
+of the level's cumsum, so each is exact in whatever order numpy adds, and
+so is the difference of two cumsum entries, the level's sum over a range.
+The exact sum of a row or a range is then the exact sum of its level
+sums, and math.fsum of those floats rounds it correctly, as math.fsum of
+its values does: the same float.  No level sum comes near overflow, as
+sigma <= 2^(901+M).
+
+An exact_sum of input _extract declines (NaN, +-inf, some |x| past
+2^900), of fewer than _T values or of no nonzero value is ``math.fsum``
 reading the float64 buffer through a ``memoryview``, with its value, its
-OverflowError and its signed zero.
+OverflowError and its signed zero.  On input _extract declines,
+suffix_sums does the same per chunk and _range_sums takes one exact_sum
+per range.
 
 ``suffix_sums`` sums exactly only its chunks after the first: the offsets
 are sums of later chunks, so none reads the first chunk's sum.  That sum
 is still taken, and dropped, where math.fsum could raise on it (a
 non-finite value, or some |x| above 2^1021/_CHUNK), so that suffix_sums
 raises what summing every chunk would raise.
-
-The range sums (_range_sums) give math.fsum's bits over many ranges of
-any one array of n nonnegative values.  Which route serves them is a cost
-rule: one exact_sum per range while the ranges hold at most _TABLE_FROM
-values per value of the array together, else one level table, unless a
-value is NaN, inf or past 2^900.  Zeros and values below 2^-900 need no
-route of their own: the argument below covers them.  The level table runs
-the extraction of _peel with one sigma per level for the whole array:
-with 2^M >= n + 2, the remainder r of the level before (the values
-themselves at level 0), max |r| < 2^e and sigma = 2^(e+M), each q = (r +
-sigma) - sigma is an exact multiple of 2^(e+M-53) with |q| <= 2^e, and r -
-q, the rounding error of r + sigma, is a float, so r = q + (r - q)
-exactly.  Levels go on until the remainder is zero; each peels at least
-52 - M bits off the largest remainder, and once sigma falls below
-2^-1022 the addition is exact and q = r.  So every value is exactly the
-sum of its q over the levels.  Within a level, the sum of any subset of
-the q is a multiple of 2^(e+M-53) below n 2^e < sigma in magnitude: it
-has at most 53 bits and is a float.  Every partial sum of the level's
-cumsum is such a subset sum, so the cumsum is exact in whatever order it
-adds, and so is the difference of two of its entries, the level's sum
-over a range.  A range's exact sum is then the exact sum of its K level
-sums, and math.fsum of those K floats rounds it correctly, as math.fsum
-of the range's values does: the same float.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 # Chunk length for the blocked suffix-sum scheme (see suffix_sums).
 _CHUNK = 4096
-# The extraction kernel (_peel) takes arrays of at least _T values, in rows
-# of _ROW values and blocks of about _BLOCK values (256 KB, which stay in
-# cache).  Below about 2500 values its fixed cost of some 25 numpy calls
-# loses to math.fsum on positive data; at 4096 it wins on every data shape
-# measured (positive, signed, 1/k^2, sin(kx)/k; 2-core Xeon, numpy 2.4).
+# exact_sum and suffix_sums run _extract on arrays of at least _T values, in
+# blocks of about _BLOCK values (256 KB, which stay in cache).  Below about
+# 1500-2000 values its fixed cost of about 20 numpy calls per block loses to
+# math.fsum on positive data; at 4096 it wins on every data shape measured
+# (positive, signed, 1/k^2, sin(kx)/k; 2-core Xeon, numpy 2.4).
 _T = 4096
-_ROW = 4096
 _BLOCK = 1 << 15
-# The kernel's range: no |x| above _HUGE (sigma and the row sums stay far
-# below overflow), and it stops peeling below _TINY.
-_TINY = 2.0 ** -900
+# _extract's range: no |x| above _HUGE, so sigma and every sum of a level
+# stay far below overflow.
 _HUGE = 2.0 ** 900
 # The level table serves the range sums once the ranges hold more than this
 # many values per value of the array; below it exact_sum runs per range.
 _TABLE_FROM = 1
 
 
-def _peel(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
+def _extract(values: np.ndarray,
+             reduce: Callable[[np.ndarray], np.ndarray]) -> Optional[list]:
+    """``reduce(q)`` for each level q of the extraction of a nonempty array
+    ``values`` (see the module docstring), until the remainder is zero:
+    ``values`` ends all zero, and ``reduce`` may overwrite q.
+
+    Returns None, with ``values`` untouched, when some value is NaN or
+    infinite or some |x| exceeds 2^900; no level when every value is zero.
+    The scratch is one array of the length of ``values``.
+    """
+    peak = max(float(values.max()), -float(values.min()))
+    if not peak <= _HUGE:           # NaN as well
+        return None
+    M = (values.shape[0] + 1).bit_length()      # 2^M >= n + 2
+    q = np.empty_like(values)
+    levels = []
+    while peak > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(peak)[1] + M)
+        np.add(values, sigma, out=q)
+        q -= sigma
+        values -= q
+        levels.append(reduce(q))
+        peak = max(float(values.max()), -float(values.min()))
+    return levels
+
+
+def _row_parts(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
     """Per row of ``row`` consecutive values (the last one may be shorter),
-    floats whose exact sum is the exact sum of the row.
+    its sum at each level of _extract: floats whose exact sum is the exact
+    sum of the row.
 
-    Rump, Ogita and Oishi's ExtractVector (Lemma 3.2 of the paper cited in
-    the module docstring): for a row p of n values with max |p| < 2^e and
-    sigma = 2^(e+M), 2^M >= n + 2, each q = (p + sigma) - sigma is p
-    rounded to a multiple of 2^(e+M-53), p - q is exact and at most
-    2^(e+M-53) in magnitude, and the sum of the q is below sigma, so it is
-    exact in any order.  The row sum of q is one part; p - q is peeled
-    again, about 53 - M bits lower, until every value of the block is zero
-    or below 2^-900, and what remains of a row joins its parts.
-
-    Returns None when some value is NaN or infinite, when some |x| exceeds
-    2^900, or when none reaches 2^-900 (all zeros included); the caller
-    then sums with math.fsum alone.  The scratch arrays hold one block.
+    _extract runs on a copy of one block at a time, a whole number of rows
+    and about _BLOCK values, so the scratch is two blocks.  Returns None
+    when _extract declines some block.
     """
     n = values.shape[0]
-    full = n - n % row
-    rows = values[:full].reshape(-1, row)
-    step = max(1, _BLOCK // row)
-    blocks = [rows[i:i + step] for i in range(0, rows.shape[0], step)]
-    if full < n:
-        blocks.append(values[full:].reshape(1, -1))
-    q_buf = np.empty((min(step, rows.shape[0]), row))
-    p_buf = np.empty_like(q_buf)
+    size = max(1, _BLOCK // row) * row
+    buf = np.empty(min(size, n))
     out: list[list[float]] = []
-    top = 0.0
-    for block in blocks:
-        r, width = block.shape
-        if width == row:
-            q, p = q_buf[:r], p_buf[:r]
-        else:
-            q, p = np.empty((r, width)), np.empty((r, width))
-        M = (width + 1).bit_length()      # 2^M >= width + 2
-        src, levels = block, []
-        while True:
-            big = np.abs(src, out=q).max(axis=1)
-            peak = float(big.max())
-            if not peak <= _HUGE:          # NaN, inf or past the range
-                return None
-            top = max(top, peak)
-            if peak < _TINY:
-                break
-            _, e = np.frexp(big)            # big < 2^e
-            sigma = np.ldexp(1.0, e + M)[:, None]
-            np.add(src, sigma, out=q)
-            q -= sigma
-            levels.append(q.sum(axis=1))
-            np.subtract(src, q, out=p)
-            src = p
-        parts = np.stack(levels, axis=1).tolist() if levels else [[]] * r
-        for i in np.flatnonzero(big).tolist():
-            rest = src[i]
-            parts[i] = parts[i] + rest[rest != 0.0].tolist()
-        out.extend(parts)
-    return out if top >= _TINY else None
+    for start in range(0, n, size):
+        block = buf[:min(size, n - start)]
+        np.copyto(block, values[start:start + size])
+        heads = np.arange(0, block.shape[0], row)
+        levels = _extract(block, lambda q: np.add.reduceat(q, heads))
+        if levels is None:
+            return None
+        out.extend(np.stack(levels, axis=1).tolist() if levels
+                   else [[]] * heads.shape[0])
+    return out
 
 
 def exact_sum(values) -> float:
     """Exactly rounded sum of a flat real array or iterable: the bits of
     ``math.fsum`` over its values.
 
-    From _T values on, with max |x| in [2^-900, 2^900], _peel (Rump, Ogita
-    and Oishi's ExtractVector, Lemma 3.2) splits the array without error
-    into a few parts per row.  The parts sum exactly to the same real
-    number as the values, and math.fsum rounds that real correctly in
-    either case, so both give the same float.  In that range no sum can
-    overflow, and a nonzero value rules out an all-zero input.  Every other
-    input (short, NaN, +-inf, past 2^900, all zero, all below 2^-900) is
-    math.fsum over the buffer, with its value, its OverflowError and its
-    signed zero.
+    From _T values on, the parts of _row_parts (one row per block) sum
+    exactly to the same real number as the values, and math.fsum rounds
+    that real correctly in either case, so both give the same float.
+    Input _extract declines (NaN, +-inf, past 2^900), shorter input and
+    input with no nonzero value are math.fsum over the buffer, with its
+    value, its OverflowError and its signed zero.
     """
     arr = np.ascontiguousarray(values, dtype=float)
     if arr.shape[0] >= _T:
-        parts = _peel(arr, _ROW)
-        if parts is not None:
+        parts = _row_parts(arr, _BLOCK)
+        if parts is not None and any(parts):
             return math.fsum(itertools.chain.from_iterable(parts))
     return math.fsum(memoryview(arr))
 
@@ -162,36 +150,33 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
     b of ``stops`` (0 <= a <= b <= n), for any 1-D nonnegative float array
     ``values``; math.fsum's OverflowError past the float range.
 
-    The level table may overwrite ``values`` with its remainders.  See the
-    module docstring for the choice of route and why each sum is exact.
-    The table's scratch is ``values`` and one array of its length; each
-    level keeps only its sums over the ranges.
+    Once the ranges hold more than _TABLE_FROM values per value of the
+    array, one _extract over the whole array reduces each level to its
+    sums over the ranges, from its cumsum (see the module docstring); it
+    leaves ``values`` all zero.  Short ranges, and input _extract declines,
+    take one exact_sum per range.  The scratch is one array of the length
+    of ``values``, and each level keeps only its sums over the ranges.
     """
     n = values.shape[0]
-    if (int((stops - starts).sum()) <= _TABLE_FROM * n
-            or not (peak := float(values.max())) <= _HUGE):  # NaN as well
-        return np.array([exact_sum(values[a:b])
-                         for a, b in zip(starts.tolist(), stops.tolist())])
-    M = (n + 1).bit_length()            # 2^M >= n + 2
-    # prefix sums P(j) = sum(q[:j]) are cumsum[j - 1], and P(0) = 0
-    ends, end_in = stops - 1, stops > 0
-    begins, begin_in = starts - 1, starts > 0
-    q = np.empty_like(values)
-    levels = []
-    while peak > 0.0:
-        sigma = math.ldexp(1.0, math.frexp(peak)[1] + M)
-        np.add(values, sigma, out=q)
-        q -= sigma
-        values -= q
-        np.cumsum(q, out=q)
-        level = np.where(end_in, q[ends], 0.0)
-        level -= np.where(begin_in, q[begins], 0.0)
-        levels.append(level)
-        peak = max(float(values.max()), -float(values.min()))
-    if len(levels) <= 1:        # each exact sum is already one float
-        return levels[0] if levels else np.zeros(starts.shape[0])
-    return np.array([math.fsum(parts)
-                     for parts in zip(*(lv.tolist() for lv in levels))])
+    if int((stops - starts).sum()) > _TABLE_FROM * n:
+        # prefix sums P(j) = sum(q[:j]) are cumsum[j - 1], and P(0) = 0
+        ends, end_in = stops - 1, stops > 0
+        begins, begin_in = starts - 1, starts > 0
+
+        def over_ranges(q: np.ndarray) -> np.ndarray:
+            np.cumsum(q, out=q)
+            level = np.where(end_in, q[ends], 0.0)
+            level -= np.where(begin_in, q[begins], 0.0)
+            return level
+
+        levels = _extract(values, over_ranges)
+        if levels is not None:
+            if len(levels) <= 1:    # each exact sum is already one float
+                return levels[0] if levels else np.zeros(starts.shape[0])
+            return np.array([math.fsum(parts) for parts in
+                             zip(*(lv.tolist() for lv in levels))])
+    return np.array([exact_sum(values[a:b])
+                     for a, b in zip(starts.tolist(), stops.tolist())])
 
 
 def _suffix_offsets(sums: list[float]) -> list[float]:
@@ -221,17 +206,18 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     nonnegative input.  math.fsum raises OverflowError past the float range.
 
     Only chunks 1..K-1 are summed exactly: no offset reads the first
-    chunk's sum.  They are math.fsum of each chunk's parts from one _peel
-    call over those chunks, or of the chunk itself on input _peel declines
-    (see exact_sum); the route of the offsets is chosen from those sums
-    alone.  An input of at most _CHUNK values is one reversed cumsum plus
-    the offset 0.0 (which turns -0.0 into +0.0).  The first chunk's sum is
-    still taken, and dropped, when it could raise: math.fsum's ValueError
-    on inf + -inf or OverflowError past the float range, which need a
-    non-finite value or some |x| above 2^1021/_CHUNK.  The full chunks'
-    reversed cumulative sums come from one 2-D cumsum.  These are the same
-    floats and errors as summing and accumulating chunk by chunk, and the
-    offsets need time linear in the chunk count.
+    chunk's sum.  They are math.fsum of each chunk's parts from one
+    _row_parts call over those chunks, a row per chunk, or of the chunk
+    itself below _T values and on input _extract declines (see exact_sum);
+    the route of the offsets is chosen from those sums alone.  An input of
+    at most _CHUNK values is one reversed cumsum plus the offset 0.0 (which
+    turns -0.0 into +0.0).  The first chunk's sum is still taken, and
+    dropped, when it could raise: math.fsum's ValueError on inf + -inf or
+    OverflowError past the float range, which need a non-finite value or
+    some |x| above 2^1021/_CHUNK.  The full chunks' reversed cumulative
+    sums come from one 2-D cumsum.  These are the same floats and errors
+    as summing and accumulating chunk by chunk, and the offsets need time
+    linear in the chunk count.
     """
     vals = np.ascontiguousarray(values, dtype=float)
     n = vals.shape[0]
@@ -242,7 +228,7 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     if not np.abs(head).max() <= 2.0 ** 1021 / _CHUNK:    # NaN as well
         math.fsum(memoryview(head))         # for its error only
     rest = vals[_CHUNK:]
-    parts = _peel(rest, _CHUNK) if rest.shape[0] >= _T else None
+    parts = _row_parts(rest, _CHUNK) if rest.shape[0] >= _T else None
     if parts is None:
         parts = [memoryview(rest[s:s + _CHUNK])
                  for s in range(0, rest.shape[0], _CHUNK)]

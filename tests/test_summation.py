@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -143,9 +144,10 @@ def test_suffix_sums_bound_for_a_huge_head_and_tiny_tail(chunk):
 
 # --- the extraction kernel equals math.fsum, bit for bit ---------------------
 #
-# _T, _ROW, _BLOCK and _CHUNK are patched down so that a few dozen values
-# make several rows, several blocks, a ragged last row and several levels
-# of extraction.
+# _T, _BLOCK and _CHUNK are patched down so that a few dozen values make
+# several rows, several blocks, a ragged last row and several levels of
+# extraction; _BLOCK need not be a multiple of _CHUNK, and each block then
+# holds the whole rows that fit.
 
 def _outcome(fn, *args):
     """The bytes of fn's float or array result, or the type it raised."""
@@ -165,7 +167,7 @@ _EDGE = 2.0 ** 900
 _KERNEL_TERMS = st.lists(st.one_of(
     # full 53-bit mantissas over a range of scales: several levels per row
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-80, 80)),
-    # below 2^-900: the remainder that joins the parts
+    # below 2^-900, subnormals included
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, -901)),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -900, 1.0, -1.0,
                      _EDGE, -_EDGE, math.nextafter(_EDGE, 0.0),
@@ -174,8 +176,8 @@ _KERNEL_TERMS = st.lists(st.one_of(
 _SPECIAL = st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
                     max_size=2)
 _SIZES = st.fixed_dictionaries({
-    "_T": st.integers(1, 8), "_ROW": st.integers(1, 9),
-    "_CHUNK": st.integers(1, 9), "_BLOCK": st.integers(1, 30)})
+    "_T": st.integers(1, 8), "_CHUNK": st.integers(1, 9),
+    "_BLOCK": st.integers(1, 30)})
 
 
 @settings(max_examples=150, deadline=None)
@@ -198,7 +200,7 @@ def test_kernel_is_fsum_bit_for_bit(xs, special, rnd, sizes):
 def test_kernel_keeps_the_remainder_that_survives_cancellation(big, tiny, rnd,
                                                                sizes):
     # the order-1 values cancel exactly: the sum is the tiny values' sum,
-    # all of it in the remainder below 2^-900
+    # all of it below 2^-900
     xs = big + [-x for x in big] + tiny
     rnd.shuffle(xs)
     arr = np.asarray(xs, dtype=float)
@@ -229,31 +231,103 @@ def test_kernel_on_a_run_of_values_near_the_row_maximum(fracs, exp, negative,
     [_EDGE] * 7 + [1.7e308] * 2,
 ])
 def test_kernel_keeps_the_overflow_error(xs):
-    with mock.patch.multiple(summation, _T=2, _ROW=3, _BLOCK=6):
+    with mock.patch.multiple(summation, _T=2, _BLOCK=6):
         with pytest.raises(OverflowError):
             exact_sum(np.asarray(xs))
 
 
-def test_kernel_reaches_several_levels_and_the_remainder():
-    # 1/k^2 keeps 53 bits in every row; the 2^-950 values stay below the
-    # peeling floor and join the parts as the remainder
+def test_kernel_reaches_several_levels():
+    # 1/k^2 keeps 53 bits in every row, and the 2^-950 values go through
+    # the levels like the others
     k = np.arange(1, 301, dtype=float)
     vals = 1.0 / k ** 2
     vals[::7] = 2.0 ** -950 * k[::7]
-    with mock.patch.multiple(summation, _T=4, _ROW=16, _BLOCK=40):
-        parts = summation._peel(vals, 16)
+    with mock.patch.multiple(summation, _T=4, _BLOCK=40):
+        parts = summation._row_parts(vals, 16)
         got = exact_sum(vals)
     assert max(len(p) for p in parts) >= 3
-    assert any(0.0 < abs(v) < 2.0 ** -900 for p in parts for v in p)
     assert _bits(got) == _bits(math.fsum(vals.tolist()))
 
 
 @pytest.mark.parametrize("vals", [np.zeros(40), -np.zeros(40),
                                   np.full(40, 2.0 ** -1000)])
-def test_kernel_declines_input_without_a_value_in_range(vals):
-    assert summation._peel(vals, 4) is None
-    with mock.patch.multiple(summation, _T=2, _ROW=4, _BLOCK=8):
+def test_kernel_declines_all_zero_input_and_extracts_tiny_values(vals):
+    # no level on all-zero input, so exact_sum keeps math.fsum's signed zero
+    assert bool(summation._extract(vals.copy(), np.sum)) == bool(vals.any())
+    with mock.patch.multiple(summation, _T=2, _BLOCK=8):
         assert _bits(exact_sum(vals)) == _bits(math.fsum(vals.tolist()))
+
+
+# --- the one extraction loop against exact rational sums ------------------
+
+_MANTISSA = st.integers(-(1 << 53) + 1, (1 << 53) - 1)
+_EXTRACT_VALUES = st.one_of(
+    # full mantissas from the subnormals up to 2^80, of either sign
+    st.builds(math.ldexp, _MANTISSA, st.integers(-1074 - 53, 80 - 53)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _EDGE, -_EDGE,
+                     math.nextafter(_EDGE, 0.0), -math.nextafter(_EDGE, 0.0)]))
+_DECLINED = st.sampled_from([math.nan, math.inf, -math.inf,
+                             math.nextafter(_EDGE, math.inf),
+                             -math.nextafter(_EDGE, math.inf)])
+
+
+def _reductions(n: int, width: int, ranges: list[tuple[int, int]]):
+    """The three reductions _extract serves, each with the groups of
+    positions whose values one of its entries sums: one row, rows of
+    ``width``, and ranges from a cumsum."""
+    heads = np.arange(0, n, width)
+    starts = np.array([a for a, _ in ranges])
+    stops = np.array([b for _, b in ranges])
+
+    def over_ranges(q):
+        np.cumsum(q, out=q)
+        ends = np.where(stops > 0, q[stops - 1], 0.0)
+        return ends - np.where(starts > 0, q[starts - 1], 0.0)
+
+    return [(lambda q: np.array([q.sum()]), [range(n)]),
+            (lambda q: np.add.reduceat(q, heads),
+             [range(h, min(h + width, n)) for h in heads.tolist()]),
+            (over_ranges, [range(a, b) for a, b in ranges])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EXTRACT_VALUES, max_size=60),
+       st.lists(st.integers(7 << 50, (1 << 53) - 1), max_size=60),
+       st.integers(-60, 60), st.sampled_from([1, -1]), st.integers(1, 9),
+       st.data())
+def test_extract_levels_sum_exactly_to_each_row_and_range(xs, run, exp, sign,
+                                                          width, data):
+    # a run of values of one sign just below 2^e in magnitude fills a
+    # level's sums up to sigma, the edge of the lemma's bound
+    xs = xs + [math.ldexp(sign * m, exp - 53) for m in run] or [0.0]
+    data.draw(st.randoms(use_true_random=False)).shuffle(xs)
+    n = len(xs)
+    ends = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                              min_size=1, max_size=10))
+    ranges = [(min(a, b), max(a, b)) for a, b in ends]
+    exact = [Fraction(x) for x in xs]
+    for reduce, groups in _reductions(n, width, ranges):
+        values = np.array(xs)
+        levels = summation._extract(values, reduce)
+        assert not values.any()
+        got = [sum(Fraction(float(lv[i])) for lv in levels)
+               for i in range(len(groups))]
+        assert got == [sum((exact[j] for j in g), Fraction(0))
+                       for g in groups]
+        assert bool(levels) == any(xs)      # no level on all-zero input
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EXTRACT_VALUES, max_size=30), _DECLINED,
+       st.randoms(use_true_random=False))
+def test_extract_declines_and_keeps_its_input(xs, bad, rnd):
+    xs = xs + [bad]
+    rnd.shuffle(xs)
+    values = np.array(xs)
+    before = values.tobytes()
+    for reduce, _ in _reductions(len(xs), 3, [(0, len(xs))]):
+        assert summation._extract(values, reduce) is None
+        assert values.tobytes() == before
 
 
 def _suffix_sums_chunk_by_chunk(vals: np.ndarray, chunk: int) -> np.ndarray:
@@ -340,9 +414,11 @@ def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
                                   np.array([1.0, math.nan, 2.0]),
                                   np.array([1.0, 2.0 ** 901])])
 def test_range_sums_are_fsum_where_the_kernel_declines(vals):
-    # input _peel declines still gets math.fsum's bits over every range,
-    # whichever route the cost rule picks
-    assert summation._peel(vals, vals.shape[0]) is None
+    # input _extract declines (NaN, inf, past 2^900), all zeros and values
+    # below 2^-900 get math.fsum's bits over every range, whichever route
+    # the cost rule picks
+    levels = summation._extract(vals.copy(), np.sum)
+    assert (levels is None) == (not np.abs(vals).max() <= _EDGE)
     n = vals.shape[0]
     starts, stops = np.array([0, 0, 1, n]), np.array([n, 1, n, n])
     want = [_bits(math.fsum(vals[a:b].tolist())) for a, b in zip(starts, stops)]
@@ -359,13 +435,13 @@ def test_range_sums_are_fsum_where_the_kernel_declines(vals):
     (4096, 100), (4096, 4096), (4096, 3 * 4096 + 5)])
 def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
     # no offset reads the first chunk's sum, so an input of one chunk runs
-    # no _peel and no math.fsum, and K chunks sum exactly K - 1 of them
+    # no _row_parts and no math.fsum, and K chunks sum exactly K - 1 of them
     peeled, summed = [], []
-    real_peel, real_fsum = summation._peel, math.fsum
+    real_row_parts, real_fsum = summation._row_parts, math.fsum
 
-    def peel(values, row):
+    def row_parts(values, row):
         peeled.append(values.shape[0])
-        return real_peel(values, row)
+        return real_row_parts(values, row)
 
     def fsum(xs):
         summed.append(len(xs) if isinstance(xs, memoryview) else None)
@@ -373,7 +449,7 @@ def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
 
     vals = np.random.default_rng(n).standard_normal(n)
     monkeypatch.setattr(summation, "_CHUNK", chunk)
-    monkeypatch.setattr(summation, "_peel", peel)
+    monkeypatch.setattr(summation, "_row_parts", row_parts)
     monkeypatch.setattr(math, "fsum", fsum)
     got = suffix_sums(vals)
     monkeypatch.undo()
@@ -401,3 +477,27 @@ def test_suffix_sums_keeps_the_first_chunks_errors(chunk, chunks, extra,
     with mock.patch.object(summation, "_CHUNK", chunk):
         got = _outcome(suffix_sums, vals)
     assert got == _outcome(_suffix_sums_chunk_by_chunk, vals, chunk)
+
+
+# --- the scratch stays per block ---------------------------------------------
+
+@pytest.mark.parametrize("kind", ["decreasing", "normal"])
+def test_exact_sums_keep_their_scratch_per_block(kind):
+    # exact_sum and suffix_sums hold one block of scratch, not a copy of the
+    # input: the peaks stay below 1 MiB and below the 8 MiB output plus 1 MiB
+    n = 1 << 20
+    if kind == "decreasing":
+        vals = np.abs(np.diff(1.0 / np.arange(1, n + 2, dtype=float)))
+    else:
+        vals = np.random.default_rng(10).standard_normal(n)
+    tracemalloc.start()
+    try:
+        exact_sum(vals)
+        sum_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        suffix_sums(vals)
+        suffix_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum_peak < 1 << 20
+    assert suffix_peak < vals.nbytes + (1 << 20)
