@@ -47,6 +47,7 @@ import numpy as np
 from .sequences import (
     ANGLE_TOL,
     REL_TOL,
+    STABILIZATION_THRESHOLD,
     CoefficientSequence,
     Sector,
     SequenceError,
@@ -79,10 +80,6 @@ INCONCLUSIVE = "inconclusive"
 # Default truncation horizon for generator-backed sequences; explicit
 # sequences default to their data length.
 DEFAULT_HORIZON = 1 << 20
-
-# A truncated sum counts as stabilized when its last dyadic block [N/2, N]
-# contributes at most this fraction of the total.
-STABILIZATION_THRESHOLD = 1e-3
 
 
 @dataclass
@@ -144,15 +141,6 @@ def _group_bv_scan_end(N: int, m_max: Optional[int], N0: int) -> int:
     return _scan_end(N, m_max, min((N - 1) // 2, N - N0 + 1))
 
 
-def _require_scan(end: int, N: int) -> int:
-    """The fit rule: a scan that leaves no m is an input error, never a
-    verdict over an empty range."""
-    if not end:
-        raise SequenceError(f"horizon {N} too small for the scan starting "
-                            "at m = 1")
-    return end
-
-
 def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
     """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based).
 
@@ -182,7 +170,15 @@ class PrefixView:
     @classmethod
     def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
            weight: Optional[WeightSequence] = None) -> "PrefixView":
-        g = seq.prefix(resolve_horizon(seq, horizon))
+        """The view of the first ``horizon`` terms (default: the data, or
+        DEFAULT_HORIZON terms of a generator); every checker scans at
+        least one pair, so fewer than 2 terms are an input error."""
+        N = resolve_horizon(seq, horizon)
+        if N < 2:
+            raise SequenceError(
+                f"horizon {N} leaves the checkers an empty scan range; "
+                f"at least 2 terms are needed")
+        g = seq.prefix(N)
         if weight is not None:
             rvals, finite_len = weight.validated_prefix(g.shape[0])
             if finite_len < 2:
@@ -418,7 +414,7 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray,
     with witness m.
     """
     N = view.N
-    m_hi = _require_scan(_scan_end(N, m_max, N - 1), N)
+    m_hi = _scan_end(N, m_max, N - 1)    # >= 1: a view holds N >= 2 terms
     Tm, Rm = view.tail[:m_hi], rhs[:m_hi]
     zero_rhs = Rm == 0.0
     if np.any(zero_rhs & (Tm > 0.0)):
@@ -563,7 +559,9 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     c, N = view.unweighted("GROUP_BV"), view.N
     # the longest window's scan is the shortest
     counts = [_group_bv_scan_end(N, m_max, N0) for N0 in windows]
-    _require_scan(counts[-1], N)
+    if not counts[-1]:  # the fit rule: no verdict over an empty range
+        raise SequenceError(f"horizon {N} too small for the scan starting "
+                            "at m = 1")
     cabs = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
     R = cabs[:counts[0]].copy()   # grown in place below
     tail, A, work = view.tail, None, None
@@ -628,6 +626,8 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     as well (sector closure under addition makes it automatic up to
     round-off).  Reports the largest observed |arg| as the constant.
     """
+    if N < 1:
+        raise SequenceError(f"bad index range [1, {N}]")
     sums = ts.pair_sums(N)
     diffs = ts.pair_diffs(N)
     pa = np.abs(np.asarray(ts.pos.prefix(N), dtype=complex))
@@ -671,16 +671,11 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     propagate.
     """
     _windows(n0_list)
-    N = resolve_horizon(seq, horizon)
-    if N < 2:
-        raise SequenceError(
-            f"horizon {N} leaves the checkers an empty scan range; "
-            f"at least 2 terms are needed")
-    reports: list[ConditionReport] = []
-    sector = Sector(theta0)
-
-    plain = PrefixView.of(seq, N)
+    plain = PrefixView.of(seq, horizon)
+    N = plain.N
     weighted = plain if weight is None else PrefixView.of(seq, N, weight)
+    sector = Sector(theta0)
+    reports: list[ConditionReport] = []
     if plain.nonneg_real:
         for alpha in (0.0, 0.5, 1.0):
             reports.append(check_quasimonotone(plain, alpha))

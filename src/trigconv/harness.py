@@ -42,6 +42,7 @@ from .conditions import (
     check_group_bv,
     check_orv_weight,
     check_orvqm,
+    check_pair_sector,
     check_weighted_rest_bv,
     dyadic_block_maxima,
 )
@@ -647,8 +648,8 @@ def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
     (n, 4n] at n = 10, 100 and 1000, then the three-term inequality at
     n = 256 on randomized instances in K(pi/6) with recorded slack.  A
     three-term record passes when its slack is at least -1e-9 max(1,
-    |lhs|, norm_diff) and the probe's sector premises and sine floor
-    hold."""
+    |lhs|, norm_diff), the pair sums and differences lie in the sector on
+    [1, 4n] (check_pair_sector) and the probe's sine floor holds."""
     n_probe, theta0 = 256, math.pi / 6.0
     records: list[InequalityRecord] = []
     floor = math.sin(math.pi / 8.0)
@@ -660,12 +661,13 @@ def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
     sector = Sector(theta0)
     for i in range(instances):
         ts = _pair_sector_instance(seed + i, 4 * n_probe, theta0)
-        pr = testpoint_block_probe(ts, n_probe, sector)
+        premises_ok = check_pair_sector(ts, sector, 4 * n_probe).verdict == HOLDS
+        pr = testpoint_block_probe(ts, n_probe)
         rec = _gate("testpoint/three_term", ts.label, pr.lhs,
                     pr.norm_diff + pr.pair_abs_sum,
-                    detail=f"premises_ok={pr.premises_ok}",
+                    detail=f"premises_ok={premises_ok}",
                     scale=max(1.0, abs(pr.lhs), pr.norm_diff))
-        rec.passed = rec.passed and pr.premises_ok and pr.sin_floor_ok
+        rec.passed = rec.passed and premises_ok and pr.sin_floor_ok
         records.append(rec)
     worst = min(r.slack for r in records)
     return _judged(

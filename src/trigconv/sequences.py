@@ -1,9 +1,9 @@
 """Coefficient sequences, weights, sectors, and the family grammar.
 
-The package works with one-sided sequences ``c_1, c_2, ...`` (explicit
-arrays or pure generator functions of the index), two-sided exponential
-coefficient collections ``({c_n}, {c_-n})``, positive non-decreasing
-weight sequences, and closed angular sectors
+The package works with one-sided sequences ``c_1, c_2, ...`` (one pure
+map of the index each: explicit data reads its array, a family computes),
+two-sided exponential coefficient collections ``({c_n}, {c_-n})``,
+positive non-decreasing weight sequences, and closed angular sectors
 
     K(theta0) = { z : |arg z| <= theta0 },   0 <= theta0 < pi/2,
 
@@ -44,6 +44,10 @@ __all__ = [
 # Both absorb generator round-off; see the individual checkers.
 ANGLE_TOL = 1e-12
 REL_TOL = 1e-12
+
+# A truncated sum counts as stabilized when its last dyadic block
+# contributes at most this fraction of the total.
+STABILIZATION_THRESHOLD = 1e-3
 
 
 class SequenceError(ValueError):
@@ -131,25 +135,26 @@ def sector_dominance_constant(sector: Sector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """A one-sided coefficient sequence, explicit or generated.
+    """A one-sided coefficient sequence: one pure index map n -> c_n.
 
-    kind      -- "explicit" (finite array) or "generator" (pure index map)
     label     -- canonical text form, used in manifests and reports
+    fn        -- the map, from an int64 array of indices (each >= 1) to
+                 the values there; explicit data reads its array, and its
+                 prefixes are views of that array
     is_real   -- real-valued flag; decides the dtype prefix() returns
+    length    -- the number of indices the map covers; None means
+                 unbounded (a generated family)
     support   -- optional map (lo, hi) -> the sorted int64 indices in
                  (lo, hi] off which the sequence is exactly zero; None
                  means every index may be nonzero
     """
 
     label: str
-    kind: str
+    fn: Callable[[np.ndarray], np.ndarray]
     is_real: bool = True
-    values: Optional[np.ndarray] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    length: Optional[int] = None
     support: Optional[Callable[[int, int], np.ndarray]] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    # -- constructors -------------------------------------------------------
 
     @classmethod
     def explicit(cls, values, label: str = "") -> "CoefficientSequence":
@@ -164,35 +169,22 @@ class CoefficientSequence:
             label = f"explicit[{arr.shape[0]}]"
         if not np.all(np.isfinite(arr)):
             raise SequenceError(f"explicit sequence {label!r} has non-finite values")
-        return cls(label=label, kind="explicit", is_real=is_real, values=arr)
-
-    @classmethod
-    def from_function(cls, label: str, fn: Callable[[np.ndarray], np.ndarray],
-                      is_real: bool = True) -> "CoefficientSequence":
-        return cls(label=label, kind="generator", is_real=is_real, fn=fn)
-
-    # -- access -------------------------------------------------------------
-
-    @property
-    def length(self) -> Optional[int]:
-        """Available length; None for an unbounded generator."""
-        return None if self.kind == "generator" else int(self.values.shape[0])
+        seq = cls(label, lambda n: arr[n - 1], is_real, int(arr.shape[0]))
+        seq._cache["arr"] = arr
+        return seq
 
     def prefix(self, N: int) -> np.ndarray:
         """First N values as a read-only array (float64 when real, else
         complex128); element j is the value at index j + 1.
 
-        Raises SequenceError("insufficient length ...") when an explicit
-        sequence is shorter than N.  Generator prefixes are cached, and two
-        computations of the same prefix are bit-identical because generators
-        are pure.
+        Raises SequenceError("insufficient length ...") past the length.
+        Prefixes are cached, and two computations of the same prefix are
+        bit-identical because the map is pure.
         """
         N = int(N)
         if N < 0:
             raise SequenceError("prefix length must be nonnegative")
-        if self.kind == "explicit":
-            self._require_length(N)
-            return self.values[:N]
+        self._require_length(N)
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
             cached = self.values_at(_indices(N))
@@ -202,10 +194,9 @@ class CoefficientSequence:
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
         """Values at the indices n (an int64 array, each >= 1), with the
-        dtype and checks of prefix(); generators are evaluated afresh."""
-        if self.kind == "explicit":
-            self._require_length(int(n.max()) if n.size else 0)
-            return self.values[n - 1]
+        dtype and checks of prefix(), evaluated afresh."""
+        if self.length is not None and n.size:
+            self._require_length(int(n.max()))
         # overflow and inf*0 give inf or nan, which the check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
             arr = np.ascontiguousarray(
@@ -220,10 +211,10 @@ class CoefficientSequence:
         return arr
 
     def _require_length(self, N: int) -> None:
-        if N > self.values.shape[0]:
+        if self.length is not None and N > self.length:
             raise SequenceError(
                 f"insufficient length: sequence {self.label!r} has "
-                f"{self.values.shape[0]} values, {N} requested")
+                f"{self.length} values, {N} requested")
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,14 +481,12 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         return CoefficientSequence.explicit(np.asarray(params, dtype=complex),
                                             label=label)
     if fid == "zero":
-        return CoefficientSequence.from_function(
-            label, lambda n: np.zeros(n.shape[0]))
+        return CoefficientSequence(label, lambda n: np.zeros(n.shape[0]))
     if fid == "harmonic":
         p = float(params[0])
-        return CoefficientSequence.from_function(
-            label, lambda n: n.astype(float) ** (-p))
+        return CoefficientSequence(label, lambda n: n.astype(float) ** (-p))
     if fid == "log_damped":
-        return CoefficientSequence.from_function(
+        return CoefficientSequence(
             label, lambda n: 1.0 / (n.astype(float) * np.log(n.astype(float) + 2.0)))
     if fid == "quasimono":
         # n**alpha times a blockwise-constant decreasing factor: the quotient
@@ -507,7 +496,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
 
         def qm(n):
             return n.astype(float) ** alpha * np.exp2(-p * _block_exponent(n))
-        return CoefficientSequence.from_function(label, qm)
+        return CoefficientSequence(label, qm)
     if fid == "lacunary":
         # Supported on the powers of two with exponent k >= 1 (so b_1 = 0):
         # b_n = 2**(-alpha*k) when n = 2**k, else 0.
@@ -527,8 +516,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
             return np.array([1 << k for k in range(
                 max(1, int(lo).bit_length()), int(hi).bit_length())],
                 dtype=np.int64)
-        return CoefficientSequence(label=label, kind="generator", fn=lac,
-                                   support=powers_of_two)
+        return CoefficientSequence(label, lac, support=powers_of_two)
     if fid == "rbv_block":
         # Blockwise constant 2**(-p*k) on [2**k, 2**(k+1)) with a half-depth
         # notch at the block midpoint: total variation stays comparable to
@@ -541,7 +529,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
             base = np.exp2(-p * k)
             mid = (3 * 2 ** np.maximum(k - 1, 0)).astype(n.dtype)
             return np.where((n == mid) & (k >= 1), 0.5 * base, base)
-        return CoefficientSequence.from_function(label, rbv)
+        return CoefficientSequence(label, rbv)
     if fid == "orvqm":
         # Product R(n) * g_n with g from the base family; when the base is
         # non-increasing and null, the quotient by R(n) is non-increasing by
@@ -551,8 +539,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
 
         def prod(n):
             return weight.fn(n) * base.values_at(n)
-        return CoefficientSequence.from_function(label, prod,
-                                                 is_real=base.is_real)
+        return CoefficientSequence(label, prod, is_real=base.is_real)
     if fid == "perturbed":
         # base * (1 + eps * u_n) with u_n in [-1, 1) drawn from SplitMix64.
         # The seed parameter is overridden by a trailing @seed when present.
@@ -563,8 +550,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
 
         def pert(n):
             return base.values_at(n) * (1.0 + eps * unit_noise(eff_seed, n))
-        return CoefficientSequence.from_function(label, pert,
-                                                 is_real=base.is_real)
+        return CoefficientSequence(label, pert, is_real=base.is_real)
     raise SequenceError(f"unknown family id {fid!r}")
 
 

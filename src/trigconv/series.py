@@ -47,15 +47,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditions import HOLDS, STABILIZATION_THRESHOLD, check_pair_sector
 from .sequences import (
+    STABILIZATION_THRESHOLD,
     CoefficientSequence,
-    Sector,
     SequenceError,
     TwoSidedSequence,
     _indices,
     _require_finite,
-    sector_dominance_constant,
 )
 from .summation import exact_sum
 
@@ -382,32 +380,27 @@ def truncation_slack(seq: CoefficientSequence,
 
 @dataclass
 class ProbeResult:
-    """Outcome of the test-point probe at x0 = pi/(8n)."""
+    """The measured sides of the test-point probe at x0 = pi/(8n)."""
 
-    n: int
     sin_floor_ok: bool
-    premises_ok: bool
     lhs: float                 # 2 sum Re c_k sin k x0 over (n, 4n]
     norm_diff: float           # grid max of |S_{4n} - S_n|
     pair_abs_sum: float        # sum |c_k + c_{-k}| over (n, 4n]
-    slack: float               # norm_diff + pair_abs_sum - lhs
-    lower_reference: float     # n |c_{2n}| / (sector dominance constant)
-    grid_size: int
 
 
-def testpoint_block_probe(ts: TwoSidedSequence, n: int,
-                          sector: Sector) -> ProbeResult:
-    """Probe the three-term inequality at the test point x0 = pi/(8n):
+def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
+    """Measure the three sides of the inequality at the test point
+    x0 = pi/(8n):
 
         2 sum_{k=n+1}^{4n} Re c_k sin k x0
             <= max_grid |S_{4n} - S_n| + sum_{k=n+1}^{4n} |c_k + c_{-k}|.
 
     Every k in (n, 4n] has k*x0 in (pi/8, pi/2], hence sin k x0 >=
-    sin(pi/8); the sector membership of the pair sums/differences is the
-    probe's premise and is checked on [1, 4n].  x0 belongs to the grid, so
-    the right side genuinely dominates the left up to round-off; the slack
-    is recorded.  lower_reference carries the chain value (window N0 = 1)
-    n |c_{2n}| / M(theta0) for comparison against the norm difference.
+    sin(pi/8), which sin_floor_ok records.  The premise, pair sums and
+    differences in a sector K(theta0) on [1, 4n], is the caller's to check
+    (check_pair_sector), and the caller judges the sides.  x0 belongs to
+    the two-sided grid (the grid's points, their mirror images and 0), so
+    the right side dominates the left up to round-off.
     """
     if n < 1:
         raise SequenceError("n >= 1 required")
@@ -416,20 +409,13 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int,
     sines = np.sin(k * x0)
     sin_floor_ok = bool(np.all(sines >= math.sin(math.pi / 8.0) - 1e-12))
 
-    premises_ok = check_pair_sector(ts, sector, 4 * n).verdict == HOLDS
-
     pos = np.asarray(ts.pos.prefix(4 * n), dtype=complex)
     lhs = 2.0 * exact_sum(pos[n:].real * sines)
     pair_abs = exact_sum(np.abs(ts.pair_sums(4 * n)[n:]))
 
-    xs, rows = _two_sided_rows(ts, GridSpec(n_ref=n), [n, 4 * n])
+    _, rows = _two_sided_rows(ts, GridSpec(n_ref=n), [n, 4 * n])
     norm_diff = float(np.abs(rows[4 * n] - rows[n]).max())
-
-    c2n = abs(complex(pos[2 * n - 1]))
-    lower_ref = n * c2n / sector_dominance_constant(sector)
-    return ProbeResult(n, sin_floor_ok, premises_ok, lhs, norm_diff,
-                       pair_abs, norm_diff + pair_abs - lhs, lower_ref,
-                       int(xs.shape[0]))
+    return ProbeResult(sin_floor_ok, lhs, norm_diff, pair_abs)
 
 
 # ---------------------------------------------------------------------------

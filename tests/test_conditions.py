@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 from fractions import Fraction
 from unittest import mock
@@ -89,8 +90,10 @@ _SPANS = st.sampled_from([1, 2, 3, conditions._SPAN])
 
 @st.composite
 def _plateau_prefix(draw, signed):
+    # two runs at least: a view needs 2 terms, and a level drawn twice is
+    # one plateau
     vals = []
-    for level in draw(st.lists(st.sampled_from(_LEVELS), min_size=1,
+    for level in draw(st.lists(st.sampled_from(_LEVELS), min_size=2,
                                max_size=10)):
         for _ in range(draw(st.integers(1, 5))):
             v = level * (1.0 + draw(st.sampled_from(_JITTER)) * REL_TOL)
@@ -206,16 +209,39 @@ def test_tail_variation_scan_past_the_horizon_is_an_input_error():
                 check(view, m_max)
     with pytest.raises(SequenceError, match="bad index range"):
         check_group_bv(view, (1,), 0)
-    one = PrefixView.of(CoefficientSequence.explicit([1.0]))
-    for check in (check_rest_bv, check_weighted_rest_bv):
-        with pytest.raises(SequenceError, match="too small for the scan "
-                                                "starting at m = 1"):
-            check(one, 20)
+    with pytest.raises(SequenceError, match="horizon 1 leaves the checkers "
+                                            "an empty scan range"):
+        PrefixView.of(CoefficientSequence.explicit([1.0]))
     # an m_max past the horizon is cut at the last m that fits
     rep = check_rest_bv(view, 20)
     assert (rep.m_max, rep.horizon) == (4, 5)
     rep, = check_group_bv(view, (1,), 20)
     assert rep.m_max == 2
+
+
+def test_a_view_needs_two_terms():
+    # every checker scans at least one pair (n, n+1): a shorter view would
+    # give a verdict over zero pairs, so it is an input error, weighted or
+    # not
+    one, gen = (sequence_from_text("explicit:[1]"),
+                sequence_from_text("harmonic(1.0)"))
+    for seq, horizon, N in ((one, None, 1), (gen, 1, 1), (gen, 0, 0),
+                            (gen, -5, -5)):
+        for weight in (None, _weight("log")):
+            with pytest.raises(SequenceError, match=re.escape(
+                    f"horizon {N} leaves the checkers an empty scan range; "
+                    "at least 2 terms are needed")):
+                PrefixView.of(seq, horizon, weight)
+    assert PrefixView.of(sequence_from_text("explicit:[1,0.5]")).N == 2
+
+
+def test_pair_sector_needs_an_index():
+    ts = TwoSidedSequence(sequence_from_text("harmonic(2.0)"),
+                          sequence_from_text("zero"))
+    for N in (0, -3):
+        with pytest.raises(SequenceError, match=rf"bad index range \[1, {N}\]"):
+            check_pair_sector(ts, Sector(0.0), N)
+    assert check_pair_sector(ts, Sector(0.0), 1).verdict == HOLDS
 
 
 def test_weighted_rest_bv_real_label():
@@ -669,7 +695,7 @@ def test_view_tail_and_block_sums_match_direct_sums():
     vals = np.array([1.0, 0.25, 0.5, 0.125, 0.0, 0.0625, 0.0])
     view = PrefixView.of(CoefficientSequence.explicit(vals))
     d = np.abs(np.diff(vals))
-    assert np.shares_memory(view.g, view.seq.values)   # no copy
+    assert np.shares_memory(view.g, vals)   # no copy
     assert list(view.tail) == [d[m - 1:].sum() for m in range(1, 7)] + [0.0]
     # the block sums of the weighted chain, as differences of tail sums
     m = np.arange(1, 4)

@@ -307,7 +307,7 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
     def odd_instance(seed, length, theta0):
         pos = CoefficientSequence.explicit(
             1.0 / np.arange(1, length + 1), label=f"odd@{seed}:pos")
-        neg = CoefficientSequence.explicit(-pos.values, label="neg")
+        neg = CoefficientSequence.explicit(-pos.prefix(length), label="neg")
         return TwoSidedSequence(pos, neg, label=f"odd@{seed}")
 
     rows = series._two_sided_rows

@@ -195,6 +195,19 @@ def test_composite_generators_are_pure_per_index(text):
         assert np.array_equal(seq.values_at(n), full[lo:hi])
 
 
+def test_explicit_prefix_is_a_view_of_the_callers_array():
+    # a float64 or complex128 array is read in place, with no copy
+    for vals in (np.linspace(1.0, 0.0, 9), np.exp(1j * np.arange(9.0))):
+        seq = CoefficientSequence.explicit(vals)
+        assert seq.length == 9 and seq.is_real == (vals.dtype == float)
+        assert np.shares_memory(seq.prefix(4), vals)
+        assert seq.prefix(9).tobytes() == vals.tobytes()
+        picked = np.array([9, 2, 2], dtype=np.int64)
+        assert seq.values_at(picked).tobytes() == vals[picked - 1].tobytes()
+        with pytest.raises(SequenceError, match="has 9 values, 10 requested"):
+            seq.values_at(np.array([10], dtype=np.int64))
+
+
 def test_composite_over_explicit_base():
     seq = sequence_from_text("perturbed(1,explicit:[1,0.5,0.25],0.1)")
     vals = np.asarray(seq.prefix(3))

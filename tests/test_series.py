@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trigconv.conditions import FAILS, HOLDS, check_pair_sector
 from trigconv.sequences import (
     CoefficientSequence,
     Sector,
@@ -333,38 +334,27 @@ def test_abel_tail_bound_dominates_actual_tail():
 # --- test-point probe ------------------------------------------------------
 
 def test_testpoint_probe_frozen_log_damped():
-    # frozen from a direct run of this estimator; the slack is the
-    # measured gap in the three-term inequality
+    # frozen from a direct run of this estimator
     ts = TwoSidedSequence(sequence_from_text("log_damped"),
                           sequence_from_text("zero"), label="logd-onesided")
-    pr = block_probe(ts, 256, Sector(0.0))
-    assert pr.premises_ok and pr.sin_floor_ok
+    assert check_pair_sector(ts, Sector(0.0), 4 * 256).verdict == HOLDS
+    pr = block_probe(ts, 256)
+    assert pr.sin_floor_ok
     assert pr.lhs == pytest.approx(0.3099495497932236, rel=1e-12)
     assert pr.norm_diff == pytest.approx(0.22270288135143979, rel=1e-12)
     assert pr.pair_abs_sum == pytest.approx(0.2227028813514399, rel=1e-12)
-    assert pr.slack == pytest.approx(0.1354562129096561, rel=1e-9)
-    assert pr.lower_reference == pytest.approx(0.08009966621460493, rel=1e-12)
-    assert pr.grid_size == 4162
-
-
-@pytest.mark.parametrize("n,size", [(10, 198), (64, 1078), (256, 4162)])
-def test_testpoint_probe_grid_size(n, size):
-    # the two-sided grid mirrors the (0, pi] grid and adds 0
-    ts = TwoSidedSequence(sequence_from_text("harmonic(2.0)"),
-                          sequence_from_text("zero"))
-    pr = block_probe(ts, n, Sector(0.0))
-    assert pr.grid_size == size == 2 * GridSpec(n_ref=n).points().size
 
 
 def test_testpoint_probe_premises_flag():
-    # a pair falling outside the sector flips premises_ok off but still
-    # reports the measured sides
+    # a pair outside the sector fails the premise, and the probe still
+    # measures every side
     pos = CoefficientSequence.explicit(
         np.concatenate([[1.0 + 0.9j], 1.0 / np.arange(2, 41) ** 2]))
     ts = TwoSidedSequence(pos, sequence_from_text("zero"))
-    pr = block_probe(ts, 10, Sector(math.pi / 8))
-    assert not pr.premises_ok
-    assert math.isfinite(pr.slack)
+    rep = check_pair_sector(ts, Sector(math.pi / 8), 40)
+    assert (rep.verdict, rep.witness) == (FAILS, 1)
+    pr = block_probe(ts, 10)
+    assert all(map(math.isfinite, (pr.lhs, pr.norm_diff, pr.pair_abs_sum)))
 
 
 @settings(max_examples=20, deadline=None)
