@@ -52,7 +52,9 @@ from .sequences import (
     CoefficientSequence,
     SequenceError,
     TwoSidedSequence,
+    _PIECE,
     _indices,
+    _range_indices,
     _require_finite,
 )
 from .summation import exact_sum
@@ -329,27 +331,40 @@ def _default_nref(n: int) -> int:
 
 
 def _support_chunks(seq: CoefficientSequence, lo: int, hi: int):
-    """Index arrays covering every k in (lo, hi] where c_k may be nonzero:
-    seq.support(lo, hi) when the sequence lists its support, else the whole
-    range in chunks of 2^20, so no huge prefix is built or cached."""
+    """(size, index pieces) per chunk of the k in (lo, hi] where c_k may
+    be nonzero: seq.support(lo, hi) as one chunk of one piece when the
+    sequence lists its support, else the whole range in chunks of 2^20
+    and pieces of _PIECE, so no huge prefix or index array is built or
+    cached."""
     if seq.support is not None:
-        yield seq.support(lo, hi)
+        k = seq.support(lo, hi)
+        yield k.shape[0], (k,)
         return
     step = 1 << 20
     for start in range(lo, hi, step):
-        yield np.arange(start + 1, min(hi, start + step) + 1, dtype=np.int64)
+        stop = min(hi, start + step)
+        bounds = [(a, min(stop, a + _PIECE))
+                  for a in range(start, stop, _PIECE)]
+        yield stop - start, (_range_indices(a, b) for a, b in bounds)
 
 
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
     """sum_{k=lo+1}^{hi} |c_k|, read on the support of c; explicit data
-    counts only up to its length.  Only the nonzero |c_k| reach the exact
-    sum; zeros do not change it."""
+    counts only up to its length.  One exact sum per chunk: each piece
+    writes its nonzero |c_k| into the chunk's buffer, as zeros do not
+    change the sum.  The chunks stay at 2^20 indices, because math.fsum over more
+    rounded chunk sums could change the last bit."""
     if seq.length is not None:
         hi = min(hi, seq.length)
     parts = []
-    for k in _support_chunks(seq, lo, hi):
-        a = np.abs(seq.values_at(k))
-        parts.append(exact_sum(a[a != 0.0]))
+    for size, pieces in _support_chunks(seq, lo, hi):
+        buf, m = np.empty(size), 0
+        for k in pieces:
+            a = np.abs(seq.values_at(k))
+            a = a[a != 0.0]
+            buf[m:m + a.shape[0]] = a
+            m += a.shape[0]
+        parts.append(exact_sum(buf[:m]))
     return math.fsum(parts)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from trigconv.sequences import (
     unit_noise,
     weight_from_spec,
 )
+from trigconv.sequences import _PIECE
 
 
 # --- grammar ---------------------------------------------------------------
@@ -215,6 +217,120 @@ def test_composite_over_explicit_base():
     assert np.array_equal(seq.values_at(np.array([2, 3])), vals[1:])
     with pytest.raises(SequenceError, match="insufficient length"):
         seq.prefix(4)
+
+
+# --- piecewise evaluation --------------------------------------------------
+
+_P = _PIECE
+_PIECE_SIZES = (0, 1, _P - 1, _P, _P + 1, 3 * _P + 17)
+_EVERY_FAMILY = (
+    "zero", "harmonic(1.0)", "harmonic(2.0)", "log_damped",
+    "quasimono(0.5,2.0)", "lacunary(0.5)", "rbv_block(1.0)",
+    "perturbed(3,log_damped,0.05)", "perturbed(2,harmonic(2.0),0.05)@7",
+    "orvqm(power(0.5),harmonic(2.0))",
+    "orvqm(log,perturbed(4,log_damped,0.1))",
+    "perturbed(5,orvqm(power(1.5),quasimono(0.5,2.0)),0.1)",
+)
+_EVERY_WEIGHT = ("one", "const(2.5)", "power(0.5)", "log", "exp2")
+
+
+def _whole(fn, n, dtype):
+    """The map over all of n in one call: the reference for the pieces."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ascontiguousarray(fn(n), dtype=dtype)
+
+
+def _scattered(size):
+    """size unsorted indices in 1..4P, with repeats."""
+    return np.random.default_rng(size).integers(1, 4 * _P + 1, size,
+                                                dtype=np.int64)
+
+
+@pytest.mark.parametrize("text", _EVERY_FAMILY)
+def test_pieces_give_the_whole_map_byte_for_byte(text):
+    for size in _PIECE_SIZES:
+        seq = sequence_from_text(text)
+        n = np.arange(1, size + 1, dtype=np.int64)
+        assert seq.prefix(size).tobytes() == _whole(seq.fn, n, float).tobytes()
+        n = _scattered(size)
+        assert seq.values_at(n).tobytes() == _whole(seq.fn, n, float).tobytes()
+
+
+def test_pieces_of_explicit_data_give_the_whole_gather():
+    vals = np.random.default_rng(1).normal(size=4 * _P) * (1 + 1j)
+    seq = CoefficientSequence.explicit(vals)
+    for size in _PIECE_SIZES:
+        n = _scattered(size)
+        assert seq.values_at(n).tobytes() == vals[n - 1].tobytes()
+
+
+@pytest.mark.parametrize("text", _EVERY_WEIGHT)
+def test_weight_pieces_give_the_whole_map_byte_for_byte(text):
+    # exp2 overflows to inf from n = 1024 on, in the first piece and in
+    # every later one; the prefix keeps the infs
+    for size in _PIECE_SIZES:
+        w = weight_from_spec(parse_family_spec(text))
+        n = np.arange(1, size + 1, dtype=np.int64)
+        assert w.prefix(size).tobytes() == _whole(w.fn, n, float).tobytes()
+
+
+def test_a_fault_in_a_later_piece_raises_the_whole_arrays_error():
+    N = 3 * _P + 17
+    bad = 2 * _P + 5
+
+    def inf_late(n):
+        return np.where(n == bad, np.inf, 1.0 / n)
+
+    def short_late(n):
+        return 1.0 / n if n.max() < bad else np.ones(1)
+
+    for fn, message in ((inf_late, "generator for 'f' produced non-finite "
+                                    "values"),
+                        (short_late, "generator for 'f' returned a wrong "
+                                     "shape")):
+        seq = CoefficientSequence("f", fn)
+        for read in (seq.prefix, lambda N: seq.values_at(
+                np.arange(N, 0, -1, dtype=np.int64))):
+            with pytest.raises(SequenceError) as err:
+                read(N)
+            assert str(err.value) == message
+        assert seq.prefix(bad - 1).shape == (bad - 1,)
+    with pytest.raises(SequenceError, match="returned a wrong shape"):
+        WeightSequence("w", short_late).prefix(N)
+
+
+def test_rbv_block_notches_every_block_midpoint():
+    # the notch at 3 * 2^(k-1) halves the block's value 2^-k, past 2^31 too
+    seq = sequence_from_text("rbv_block(1.0)")
+    for k in (1, 2, 5, 30, 31, 32, 40, 61):
+        mid = np.array([3 << (k - 1), 1 << k], dtype=np.int64)
+        notch, start = seq.values_at(mid)
+        assert start == 2.0 ** -k and notch == 0.5 * start
+
+
+# sha256 of prefix(2^20).tobytes() for the six classify_large families,
+# taken from the whole-array maps before they ran in pieces
+_PREFIX_DIGESTS_2_20 = {
+    "harmonic(1.0)":
+        "d96a24f9121cf9293b0f387e53b377d951bddefb0c09c0e67b10d34a3701c25f",
+    "log_damped":
+        "0f332b80cf68bf6c85cc082157d1337062c996526b08686cec58fba984c31c70",
+    "rbv_block(1.0)":
+        "7873c780140a016b453c0c9805dfd22164bb2eb5486a82f9a72dffaf57f050a2",
+    "quasimono(0.5,2.0)":
+        "14cd5301c04fa74ee76d3215478d7a306ec12a4deeef398641c381a67442664d",
+    "lacunary(1.0)":
+        "21261f5d1c4b56d44e7cee50bc759089ea2f48063b9b6f9d9c6b6d9eadd8a487",
+    "perturbed(1,harmonic(2.0),0.05)":
+        "631f6613e83376cc1290e26af30f3c1ba879bc11927ac0aaba81b31232397e38",
+}
+
+
+@pytest.mark.parametrize("text", list(_PREFIX_DIGESTS_2_20))
+def test_prefix_digest_at_the_bench_horizon(text):
+    prefix = sequence_from_text(text).prefix(1 << 20)
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == \
+        _PREFIX_DIGESTS_2_20[text]
 
 
 def test_prefix_too_large_to_index_raises():

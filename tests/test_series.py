@@ -238,6 +238,23 @@ def test_truncation_slack_settled_flag():
     assert not settled
 
 
+# truncation_slack(seq, 2^18) as float.hex, with its settled flag, taken
+# from the slack scan over whole 2^20 chunks before the maps ran in pieces
+_SLACK_2_18 = {
+    "log_damped": ("0x1.9af923e0e92bap-3", False),
+    "harmonic(1.0)": ("0x1.62e420efa448fp+1", False),
+    "rbv_block(1.0)": ("0x1.ffffc40000000p+1", False),
+    "quasimono(0.5,2.0)": ("0x1.8f8743367108cp-8", False),
+    "perturbed(1,log_damped,0.05)": ("0x1.9afa551e0d497p-3", False),
+}
+
+
+@pytest.mark.parametrize("text", list(_SLACK_2_18))
+def test_truncation_slack_frozen_bits(text):
+    slack, settled = truncation_slack(sequence_from_text(text), 1 << 18)
+    assert (slack.hex(), settled) == _SLACK_2_18[text]
+
+
 def _dense_slack(seq, N_ref, octaves):
     # every index of every octave, no support: the reference the support
     # scan must match bit for bit
