@@ -29,8 +29,13 @@ through the deterministic helpers in :mod:`trigconv.summation`.
 The one-sided checkers (MONOTONE, QUASIMONOTONE, REST_BV, WEIGHTED_REST_BV,
 GROUP_BV, ORVQM) read a :class:`PrefixView`: ``g[n-1] = c_n/R(n)`` and the
 tail sums ``tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|`` from one
-``suffix_sums`` call, built once per (sequence, horizon, weight) by the
-caller and never cached on the sequence.  Two dtype rules: without a
+``suffix_sums`` call.  The caller builds one view per (sequence, horizon,
+weight); the view builds its tail sums when a checker first reads them,
+at most once, and never caches them on the sequence.  MONOTONE,
+QUASIMONOTONE and ORVQM never read them, and GROUP_BV reads them only
+for a window that no zero right side fails, so a prefix whose checks
+all end that way costs no tail sums; a variation sum past the float
+range is reported at that first read.  Two dtype rules: without a
 weight ``g`` is the prefix itself, real or complex as stored, with no
 division and no copy; a weight divides in complex arithmetic, even for
 real input, and truncates N where R overflows to infinity.
@@ -159,13 +164,12 @@ def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class PrefixView:
-    """g and tail (see the module docstring) of one prefix, tail[N-1] = 0;
-    ``weight`` None means R = 1."""
+    """g of one prefix (see the module docstring), and its tail sums on
+    first read; ``weight`` None means R = 1."""
 
     seq: CoefficientSequence
     weight: Optional[WeightSequence]
     g: np.ndarray
-    tail: np.ndarray
 
     @classmethod
     def of(cls, seq: CoefficientSequence, horizon: Optional[int] = None,
@@ -187,15 +191,22 @@ class PrefixView:
                     f"{g.shape[0]} terms; the weighted checks need at least 2")
             with np.errstate(over="ignore", invalid="ignore"):
                 g = np.divide(g[:finite_len], rvals[:finite_len], dtype=complex)
-        absdiff = np.zeros(g.shape[0])
+        return cls(seq, weight, g)
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        """tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|, tail[N-1] = 0, from one
+        suffix_sums call at the first read; a variation sum past the float
+        range is a SequenceError there, and nothing is kept."""
+        absdiff = np.zeros(self.N)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.abs(g[:-1] - g[1:], out=absdiff[:-1])
+            np.abs(self.g[:-1] - self.g[1:], out=absdiff[:-1])
         try:  # inf or NaN in g or in a difference reaches tail[0]
             tail = suffix_sums(absdiff)
         except OverflowError:  # math.fsum: the exact sum is past the range
             tail = np.array([np.inf])
         _require_finite(tail[0], "the variation sum of c_n/R(n)")
-        return cls(seq, weight, g, tail)
+        return tail
 
     @property
     def N(self) -> int:
@@ -228,8 +239,11 @@ class PrefixView:
         return g
 
 
-# Pairs per span of the early-exit scans below: a failing prefix costs the
-# spans up to its witness, and no temporary outgrows one span.
+# Pairs per span of the early-exit scans below: the first span holds
+# _FIRST_SPAN and each next one twice as many, up to _SPAN.  A scan that
+# fails at n reads fewer than 2n + _FIRST_SPAN pairs while the spans grow,
+# and fewer than n + _SPAN after; no temporary outgrows one span.
+_FIRST_SPAN = 1 << 10
 _SPAN = 1 << 16
 
 
@@ -239,14 +253,17 @@ def _first_flagged(count: int, flagged) -> Optional[int]:
 
     ``flagged(lo, hi)`` returns the offset from lo of the first violation
     among n = lo+1..hi (pairs that read the terms lo+1..hi+1), or None.
-    Spans of _SPAN indices run in order and the scan returns at the first
-    span with a violation, so it reports the same n as one scan of every
-    index.
+    The spans tile 1..count in order, growing from _FIRST_SPAN to _SPAN
+    indices, and the scan returns at the first span with a violation, so
+    it reports the same n as one scan of every index.
     """
-    for lo in range(0, count, _SPAN):
-        hit = flagged(lo, min(lo + _SPAN, count))
+    lo, span = 0, min(_FIRST_SPAN, _SPAN)
+    while lo < count:
+        hi = min(lo + span, count)
+        hit = flagged(lo, hi)
         if hit is not None:
             return lo + hit + 1
+        lo, span = hi, min(2 * span, _SPAN)
     return None
 
 
@@ -564,7 +581,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                             "at m = 1")
     cabs = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
     R = cabs[:counts[0]].copy()   # grown in place below
-    tail, A, work = view.tail, None, None
+    A, work = None, None    # formed at the first window that does not fail
 
     reports, kept, width = {}, {}, 1
     for N0, count in zip(windows, counts):
@@ -579,6 +596,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                                           None)
             continue
         if A is None:       # A_m for every m of the longest scan
+            tail = view.tail    # built here, at its first read
             ta = tail[:counts[0]]
             A = ta - tail[2:2 * counts[0] + 1:2]
             work = np.multiply(ta, _BOUND)

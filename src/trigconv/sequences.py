@@ -199,8 +199,9 @@ class CoefficientSequence:
     length    -- the number of indices the map covers; None means
                  unbounded (a generated family)
     support   -- optional map (lo, hi) -> the sorted int64 indices in
-                 (lo, hi] off which the sequence is exactly zero; None
-                 means every index may be nonzero
+                 (lo, hi] off which the sequence is exactly zero (0.0);
+                 None means every index may be nonzero.  prefix() and
+                 the curve rows read such a sequence on its support alone
     """
 
     label: str
@@ -233,7 +234,10 @@ class CoefficientSequence:
 
         Raises SequenceError("insufficient length ...") past the length.
         Prefixes are cached, and two computations of the same prefix are
-        bit-identical because the map is pure.
+        bit-identical because the map is pure.  A sequence that lists its
+        support is evaluated there alone, into zeros: it is exactly zero
+        off its support, so the bytes are those of the map at every index,
+        and a page that holds no support index is never written.
         """
         N = int(N)
         if N < 0:
@@ -241,7 +245,13 @@ class CoefficientSequence:
         self._require_length(N)
         cached = self._cache.get("arr")
         if cached is None or cached.shape[0] < N:
-            cached = self._evaluated(N, _range_indices)
+            if self.support is None:
+                cached = self._evaluated(N, _range_indices)
+            else:
+                _require_allocatable(N)
+                cached = np.zeros(N, dtype=float if self.is_real else complex)
+                k = self.support(0, N)
+                cached[k - 1] = self.values_at(k)
             cached.setflags(write=False)
             self._cache["arr"] = cached
         return cached[:N]

@@ -127,6 +127,18 @@ def orvqm_report(g: np.ndarray, theta0: float) -> ConditionReport:
     return ConditionReport(cond, FAILS, None, witness, N, N, None)
 
 
+def first_zero_rhs_failure(c: np.ndarray, n0: int,
+                           count: int) -> Optional[int]:
+    """The smallest m in 1..count (each with 2m < len(c)) where
+    R_m = max |c_n| over [m, m + n0 - 1] is 0 and some c_n != c_{n+1} with
+    n in [m, 2m], tested at every m at once; None when no m is."""
+    R = np.lib.stride_tricks.sliding_window_view(np.abs(c), n0)[:count]
+    changes = np.concatenate(([0], np.cumsum(c[:-1] != c[1:])))
+    m = np.arange(1, count + 1)
+    failing = (R.max(axis=1) == 0.0) & (changes[2 * m] > changes[m - 1])
+    return int(m[np.argmax(failing)]) if failing.any() else None
+
+
 def group_bv_report(c: np.ndarray, n0: int, m_max=None) -> ConditionReport:
     """check_group_bv's report for one window, by brute force over every m
     of the scan m = 1..m_max (default N/4) that keeps [m, 2m + 1] and

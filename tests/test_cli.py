@@ -355,6 +355,15 @@ def test_classify_overflow_is_one_line(capsys, argv):
     assert "overflows the float range" in err
 
 
+def test_classify_of_two_terms_whose_variation_overflows_is_one_line(capsys):
+    # the view is built without its tail sums; the first checker that
+    # reads them reports the overflow
+    code, out, err = run(capsys, "classify", "explicit:[1e308,-1e308]")
+    assert (code, out) == (2, "")
+    assert err == ("error: the variation sum of c_n/R(n) overflows the float "
+                   "range\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_classify_at_the_largest_float_runs_clean(capsys):
     # the monotonicity slack a + 1e-12 a overflows at a = max float

@@ -128,8 +128,8 @@ def test_real_orvqm_scan_matches_full_array_oracle(vals, theta0, span):
 
 @pytest.mark.parametrize("N", [(1 << 16) - 1, (1 << 16) + 1, 1 << 17])
 def test_scans_find_a_lone_violation_at_a_span_boundary(N):
-    # pairs 2^16 and 2^16 + 1 are the last of the first span and the first
-    # of the second; c_{n+1} = 1.5 c_n is the only increase, an increase of
+    # pairs around 2^16, the largest span's length (the span ends are
+    # tested below); c_{n+1} = 1.5 c_n is the only increase, an increase of
     # b_n / n**alpha too unless n**alpha grows by 1.5 or more
     base = 1.0 / np.arange(1, N + 1, dtype=float)
     for n in (None, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, N - 1):
@@ -147,6 +147,58 @@ def test_scans_find_a_lone_violation_at_a_span_boundary(N):
         assert [r.witness for r in reports[:2]] == [n, n]
         assert list(map(_report_bytes, reports)) == list(
             map(_report_bytes, expected))
+
+
+_WITNESS_N = (1 << 17) + 8
+
+
+def _span_ends(count):
+    """The last n of each span of the early-exit scans over 1..count."""
+    ends, span = [conditions._FIRST_SPAN], conditions._FIRST_SPAN
+    while ends[-1] < count:
+        span = min(2 * span, conditions._SPAN)
+        ends.append(ends[-1] + span)
+    return ends[:-1]
+
+
+@pytest.mark.parametrize("n", sorted({
+    1, (1 << 10) - 1, 1 << 10, (1 << 10) + 1, (1 << 11) + 5, (1 << 16) - 1,
+    1 << 16, (1 << 16) + 1, _WITNESS_N - 1,
+    *(n for end in _span_ends(_WITNESS_N - 1) for n in (end, end + 1))}) +
+    [None])
+def test_growing_spans_report_the_full_array_witness(n):
+    # the spans grow from 2^10 to 2^16 indices: a first violation planted
+    # inside the first span, on either side of any span's end, at 2^16 or
+    # past the largest span is the one a full-array oracle finds
+    N = _WITNESS_N
+    base = 1.0 / np.arange(1, N + 1, dtype=float)
+    vals = base.copy()
+    if n is not None:
+        vals[n] = 1.5 * vals[n - 1]   # the pair (n, n + 1) increases
+    view = PrefixView.of(CoefficientSequence.explicit(vals))
+    reports = [check_quasimonotone(view), check_orvqm(view, Sector(0.0))]
+    expected = [oracles.quasimonotone_report(vals, 0.0),
+                oracles.orvqm_report(vals, 0.0)]
+    assert [r.witness for r in reports] == [n, n]
+    assert list(map(_report_bytes, reports)) == list(
+        map(_report_bytes, expected))
+    # the GROUP_BV zero-right-side scan over m = 1..(N - 1)/2: c_m and
+    # c_{m+1} are 0, so R_m = 0 for both windows while c_{m+2} != 0 lies
+    # in the block; the last planted m is the scan's last
+    m_max = (N - 1) // 2
+    c = base.copy()
+    m = None if n is None else min(n, m_max)
+    if m is not None:
+        c[m - 1:m + 1] = 0.0
+    reps = check_group_bv(PrefixView.of(CoefficientSequence.explicit(c)),
+                          (1, 2), m_max)
+    for n0, rep in zip((1, 2), reps):
+        assert rep.m_max == m_max
+        want = oracles.first_zero_rhs_failure(c, n0, m_max)
+        assert want == m
+        assert rep.verdict == (HOLDS if want is None else FAILS)
+        if want is not None:
+            assert rep.witness == want
 
 
 # --- weight doubling check -------------------------------------------------
@@ -573,6 +625,10 @@ _CLASSIFY_DIGESTS = {
 # GROUP_BV refinement: rbv_block ties exactly on 131,087 m per window, and
 # perturbed(11, ...) keeps a different block of up to 2^18 terms per window
 _CLASSIFY_DIGESTS_2_20 = {
+    # frozen before the tail sums were built on first read and a
+    # support-listing prefix was written on its support
+    "lacunary(1.0)":
+        "dfc9d9e5b184b8c72da1bd804d02e7720cbf37b9665bf38891fe50c9e74b8229",
     "rbv_block(1.0)":
         "94e98eb99ce1dc06ae096b2ad1059673edad5ae8a8ce97e77e74452ccdaf647e",
     "perturbed(11,harmonic(2.0),0.05)":
@@ -689,6 +745,25 @@ def test_classify_builds_tail_sums_once_per_view(monkeypatch, weight,
     w = _weight(weight) if weight else None
     classify(sequence_from_text("harmonic(1.0)"), horizon=1 << 12, weight=w)
     assert calls == [1 << 12] * count
+
+
+def test_group_bv_failing_every_window_builds_no_tail_sums(monkeypatch):
+    # every window fails at a zero right side, decided with no sum
+    calls = _count_suffix_sums(monkeypatch)
+    reports = check_group_bv(
+        PrefixView.of(sequence_from_text("lacunary(1.0)"), 1 << 16),
+        (1, 2, 4, 8, 16))
+    assert [r.verdict for r in reports] == [FAILS] * 5
+    assert calls == []
+
+
+def test_view_reports_an_overflowing_variation_at_the_first_read():
+    view = PrefixView.of(sequence_from_text("explicit:[1e308,-1e308]"))
+    assert view.N == 2
+    for _ in range(2):   # a failed read keeps nothing
+        with pytest.raises(SequenceError,
+                           match="variation sum of c_n/R\\(n\\) overflows"):
+            view.tail
 
 
 def test_view_tail_and_block_sums_match_direct_sums():

@@ -364,6 +364,27 @@ def test_lacunary_support():
     assert vals[1] == 0.5 and vals[3] == 0.25
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, -1.0, 2000.0])
+@pytest.mark.parametrize("N", sorted({*_PIECE_SIZES, 2, 3}))
+def test_support_prefix_is_the_map_at_every_index(alpha, N):
+    # the prefix is written on the support alone; it must hold the bytes of
+    # the map evaluated at 1..N, where 2000.0 underflows every support value
+    # to 0 and -1.0 grows
+    seq = sequence_from_text(f"lacunary({alpha})")
+    with np.errstate(over="ignore"):
+        want = seq.fn(np.arange(1, N + 1, dtype=np.int64))
+    got = seq.prefix(N)
+    assert got.dtype == np.float64 and got.shape == (N,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3 * _P + 17])
+def test_support_prefix_rejects_non_finite_values(N):
+    # 2^(1100 k) is inf from n = 2 on
+    with pytest.raises(SequenceError, match="produced non-finite values"):
+        sequence_from_text("lacunary(-1100)").prefix(N)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 def test_lacunary_values_match_the_closed_form(alpha):
     # b_n = 2^(-alpha k) at n = 2^k with k >= 1, else 0: bit for bit the
