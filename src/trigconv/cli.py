@@ -11,6 +11,7 @@ reports a violated inequality, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -232,7 +233,10 @@ def cmd_verify(args, argv: Sequence[str]) -> int:
     return 1 if outcome.status == STATUS_VIOLATED else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="trigconv",
         description="Classify coefficient sequences, estimate tail "

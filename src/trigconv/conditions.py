@@ -43,6 +43,7 @@ real input, and truncates N where R overflows to infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -425,18 +426,29 @@ def _tail_variation_core(view: PrefixView, rhs: np.ndarray,
                          m_max: Optional[int], cond: str) -> ConditionReport:
     """Shared scan for the rest-bounded-variation style conditions.
 
-    rhs[m-1] is the comparison value at m; the tail sums T_m are the view's
-    (nonnegative terms: no cancellation).  Zero-denominator rule: rhs = 0
-    with T_m = 0 contributes ratio 0; rhs = 0 with T_m > 0 is a hard failure
-    with witness m.
+    rhs[m-1] is the comparison value at m, and rhs = |g| (for REST_BV g is
+    nonnegative, so rhs = g); the tail sums T_m are the view's (nonnegative
+    terms: no cancellation).  Zero-denominator rule: rhs = 0 with T_m = 0
+    contributes ratio 0; rhs = 0 with T_m > 0 is a hard failure with
+    witness m.
+
+    With L the last n where g_n != g_{n+1}, T_m > 0 exactly when m <= L,
+    so the witness is the first m with rhs = 0 if g still changes after it,
+    found without the tail sums.  They are read first only when
+    4(N-1) max|g|, twice a bound on every T_m, is past the float range, so
+    that a variation sum past that range stays an error.
     """
     N = view.N
     m_hi = _scan_end(N, m_max, N - 1)    # >= 1: a view holds N >= 2 terms
-    Tm, Rm = view.tail[:m_hi], rhs[:m_hi]
+    Rm = rhs[:m_hi]
     zero_rhs = Rm == 0.0
-    if np.any(zero_rhs & (Tm > 0.0)):
-        witness = 1 + int(np.argmax(zero_rhs & (Tm > 0.0)))
-        return ConditionReport(cond, FAILS, None, witness, m_hi, N, None)
+    if zero_rhs.any():
+        if not math.isfinite(4.0 * (N - 1) * float(rhs.max())):
+            view.tail    # raises for a variation sum past the range
+        m = int(np.argmax(zero_rhs))      # the first zero, 0-based
+        if np.any(view.g[m + 1:] != view.g[m]):
+            return ConditionReport(cond, FAILS, None, m + 1, m_hi, N, None)
+    Tm = view.tail[:m_hi]
     with np.errstate(over="ignore"):  # an inf constant is rejected
         ratios = np.divide(Tm, Rm, out=np.zeros(Rm.shape), where=~zero_rhs)
     constant = float(ratios.max())

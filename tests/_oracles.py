@@ -1,14 +1,17 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
-partial sums, the summation-by-parts tail bound, and the full-array
-condition scans that the span-by-span scans in :mod:`trigconv.conditions`
-must reproduce bit for bit."""
+partial sums, the per-point ladder rows and the grid split that
+:mod:`trigconv.series` must reproduce bit for bit, the summation-by-parts
+tail bound, and the full-array condition scans that the span-by-span scans
+in :mod:`trigconv.conditions` must reproduce bit for bit."""
 
 import math
 from typing import Optional
 
 import numpy as np
 
-from trigconv.conditions import FAILS, HOLDS, ConditionReport
+from trigconv.conditions import (FAILS, HOLDS, INCONCLUSIVE,
+                                 STABILIZATION_THRESHOLD, ConditionReport,
+                                 _scan_end)
 from trigconv.sequences import (
     ANGLE_TOL,
     REL_TOL,
@@ -16,6 +19,8 @@ from trigconv.sequences import (
     SequenceError,
     TwoSidedSequence,
 )
+from trigconv.series import (MAX_UNIFORM, GridSpec, _block_length,
+                             _uniform_points)
 from trigconv.summation import exact_sum
 
 
@@ -58,6 +63,73 @@ def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
     neg = np.asarray(ts.neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
     return exact_complex_sum(pos * e + neg * np.conj(e))
+
+
+# --- the ladder and the grid split, one point at a time -----------------------
+
+def ladder_rows_per_point(k: np.ndarray, a: Optional[np.ndarray],
+                          b: np.ndarray, off: np.ndarray, ends: np.ndarray
+                          ) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """series._ladder_rows one point at a time: per point x, sin and cos of
+    the angles Bq x and r x, the table T[q, r] from two outer products, the
+    terms read by a slice (one run of k) or a gather, and each checkpoint
+    segment summed by its own 1-D sum into a running total."""
+    n = k.size
+    cos_rows = None if a is None else np.zeros((len(ends), off.size), a.dtype)
+    sin_rows = np.zeros((len(ends), off.size), b.dtype)
+    if n == 0:
+        return cos_rows, sin_rows
+    B = _block_length(int(k[-1]))
+    q, r = np.divmod(k, B)
+    if k[-1] - k[0] + 1 == n:
+        uq, ur = np.arange(q[0], q[-1] + 1), np.arange(B)
+        start = int(k[0] - B * q[0])
+        flat = None
+    else:
+        uq, qi = np.unique(q, return_inverse=True)
+        ur, ri = np.unique(r, return_inverse=True)
+        flat = qi * ur.size + ri
+    angles = np.concatenate([B * uq, ur]).astype(float)
+    bounds = list(zip(np.r_[0, ends[:-1]].tolist(), ends.tolist()))
+    halves = [(b, sin_rows, False)]
+    if a is not None:
+        halves.append((a, cos_rows, True))
+    for i, x in enumerate(off.tolist()):
+        ax = angles * x
+        sin_, cos_ = np.sin(ax), np.cos(ax)
+        sh, sl = sin_[:uq.size], sin_[uq.size:]
+        ch, cl = cos_[:uq.size], cos_[uq.size:]
+        for w, rows, cosine in halves:
+            if cosine:
+                table = np.multiply.outer(ch, cl) - np.multiply.outer(sh, sl)
+            else:
+                table = np.multiply.outer(sh, cl) + np.multiply.outer(ch, sl)
+            flat_table = table.ravel()
+            trig = (flat_table[start:start + n] if flat is None
+                    else flat_table[flat])
+            terms = w * trig
+            acc = 0.0
+            for row, (lo, hi) in enumerate(bounds):
+                acc += terms[lo:hi].sum()
+                rows[row, i] = acc
+    return cos_rows, sin_rows
+
+
+def split_by_isin(grid: GridSpec) -> tuple[int, np.ndarray]:
+    """GridSpec._split by np.isin of every ladder point against every
+    uniform point."""
+    count = min(grid.oversample * grid.n_ref, MAX_UNIFORM)
+    ladder = []
+    j = 0
+    while True:
+        x = grid.x0 * 2.0 ** (j / 4.0)
+        if x > math.pi:
+            break
+        ladder.append(x)
+        j += 1
+    off = np.asarray(ladder)
+    uniform = _uniform_points(np.arange(1, count + 1), count)
+    return count, off[~np.isin(off, uniform)]
 
 
 # --- summation-by-parts bound ----------------------------------------------
@@ -167,3 +239,23 @@ def group_bv_report(c: np.ndarray, n0: int, m_max=None) -> ConditionReport:
         if ratio > best:
             best, best_m = ratio, m
     return ConditionReport(cond, HOLDS, best, best_m, *span, 0.0)
+
+
+def tail_variation_report(view, rhs: np.ndarray, m_max: Optional[int],
+                          cond: str) -> ConditionReport:
+    """The report of the rest-variation scan from the view's tail sums at
+    every m: ``fails`` at the first m with rhs = 0 and T_m > 0, else the
+    largest T_m / rhs (0 where rhs = 0) with its smallest m."""
+    N = view.N
+    m_hi = _scan_end(N, m_max, N - 1)
+    Tm, Rm = view.tail[:m_hi], rhs[:m_hi]
+    failing = (Rm == 0.0) & (Tm > 0.0)
+    if failing.any():
+        witness = 1 + int(np.argmax(failing))
+        return ConditionReport(cond, FAILS, None, witness, m_hi, N, None)
+    ratios = np.divide(Tm, Rm, out=np.zeros(Rm.shape), where=Rm != 0.0)
+    total, block = float(view.tail[0]), float(view.tail[max(1, N // 2) - 1])
+    stab = block / total if total > 0.0 else 0.0
+    verdict = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
+    return ConditionReport(cond, verdict, float(ratios.max()),
+                           1 + int(np.argmax(ratios)), m_hi, N, stab)

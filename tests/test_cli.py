@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import warnings
@@ -225,6 +226,51 @@ def test_curve_rejects_out_of_range_n(capsys, n):
     code, out, err = run(capsys, "curve", "zero", "--n", n)
     assert _is_input_error(code, err) and out == ""
     assert "n_list must be strictly increasing, n >= 1" in err
+
+
+# sha256 of stdout and of stderr, and the exit code, of the benchmark's five
+# tail_curves curve commands (input seed 1) and of the README curve, frozen
+# before the ladder ran in blocks of points and the grid split stopped
+# sorting; a speedup must keep every byte
+_CURVE_DIGESTS = [
+    (("log_damped", "--n", "64..512:dyadic", "--nref", "16384"),
+     "2f8b7c4bdca917681a75acc89143c310e2f0c5596a3494f43108c3020a8f6e34",
+     "7a1dd8c9942768a78c9c0901219887390fc6c11ec02d93afb595606009339337"),
+    (("harmonic(1.0)", "--n", "64..512:dyadic", "--nref", "8192"),
+     "1afdb64b35e40c71a5c5c4b823c3058b5bcc196134da1073873a576b29672900",
+     "65671c8df918ad1a489f794845e7279dc053b95baf0b0c2004ae2176a8e9da6a"),
+    (("lacunary(1.0)", "--n", "64..1024:dyadic", "--nref", "262144"),
+     "9dfd90312189150776068f981f6ed1cc3d737d456d7a44c0cfc90103b13fc0fb",
+     "ddadf7ec4e2658977b675ed1af1755159f0537175ea15ddd163d1509fc751ab3"),
+    (("lacunary(0.5)", "--n", "64..1024:dyadic", "--nref", "262144"),
+     "41ef5a4e83f9387d05fac4e4fc22293eaf62a1dd6c06f6e4b358090d86fe02a8",
+     "601f26541592f30edf2a555e2b002183b09dc5e916c0d7f09eed93c4217f5e35"),
+    (("perturbed(1,log_damped,0.05)", "--n", "64..512:dyadic", "--nref",
+      "8192"),
+     "0752b202eb22d7daa156e044f8054fb6aa682374a577c6376a3e2a874d50428b",
+     "c234179cf66eaacb6e5f2c94d1912696656cbe7d47bf98e8be404a79af0c3848"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, out_digest, err_digest", _CURVE_DIGESTS)
+def test_curve_output_digest(capsys, args, out_digest, err_digest):
+    code, out, err = run(capsys, "curve", *args)
+    assert (code, _sha256(out), _sha256(err)) == (0, out_digest, err_digest)
+
+
+def test_readme_curve_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "curve", "log_damped", "--n",
+                         "64..4096:dyadic", "--out", "curve.csv")
+    assert (code, out, err) == (0, "", "")
+    assert _sha256((tmp_path / "curve.csv").read_text()) == \
+        "9567e1eb1e5bc2100d2ce0958b57fe4521f81fb9939601f88c2995c928fa7b57"
+    assert _sha256((tmp_path / "curve.csv.manifest.json").read_text()) == \
+        "c4688504816a0c8844625c7e5ac4bbf6c768cb84aa942ce435efa978e5cc14bc"
 
 
 # --- verify -----------------------------------------------------------------

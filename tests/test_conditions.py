@@ -757,6 +757,57 @@ def test_group_bv_failing_every_window_builds_no_tail_sums(monkeypatch):
     assert calls == []
 
 
+def test_classify_of_a_lacunary_sequence_builds_no_tail_sums(monkeypatch):
+    # REST_BV and WEIGHTED_REST_BV fail at m = 1 (c_1 = 0 while c changes
+    # later), GROUP_BV fails every window: no check reads the tail sums
+    calls = _count_suffix_sums(monkeypatch)
+    reports = classify(sequence_from_text("lacunary(1.0)"), horizon=1 << 16)
+    rest = [r for r in reports if "REST_BV" in r.condition]
+    assert len(rest) == 2
+    assert [(r.verdict, r.witness) for r in rest] == [(FAILS, 1)] * 2
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=2,
+                max_size=24),
+       st.booleans(), st.integers(1, 24))
+def test_tail_variation_scans_match_the_tail_sum_rule(values, weighted,
+                                                      m_max):
+    # the witness read from where g stops changing is the first m with a
+    # zero right side and a positive tail sum
+    seq = CoefficientSequence.explicit(np.array(values))
+    m_max = min(m_max, len(values) - 1)
+    if weighted:
+        view = PrefixView.of(seq, weight=_weight("log"))
+        got = check_weighted_rest_bv(view, m_max)
+        rhs = np.abs(view.g)
+    else:
+        view = PrefixView.of(seq)
+        got = check_rest_bv(view, m_max)
+        rhs = view.g
+    want = oracles.tail_variation_report(
+        PrefixView.of(seq, weight=view.weight), rhs, m_max, got.condition)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("values, witness", [
+    ([0.0, 1e308, 0.0, 1e308, 0.0], None),   # T_1 = 4e308
+    ([0.0, 1e308, 1e308, 1e308], 1),         # T_1 = 1e308, 12e308 bounds it
+])
+def test_rest_bv_with_a_huge_variation_bound_reads_the_tail(values,
+                                                            witness):
+    view = PrefixView.of(CoefficientSequence.explicit(np.array(values)))
+    if witness is None:
+        with pytest.raises(SequenceError,
+                           match="variation sum of c_n/R\\(n\\) overflows"):
+            check_rest_bv(view)
+    else:
+        rep = check_rest_bv(view)
+        assert (rep.verdict, rep.witness) == (FAILS, witness)
+        assert "tail" in view.__dict__
+
+
 def test_view_reports_an_overflowing_variation_at_the_first_read():
     view = PrefixView.of(sequence_from_text("explicit:[1e308,-1e308]"))
     assert view.N == 2

@@ -5,6 +5,8 @@ import pathlib
 import re
 import shlex
 
+import pytest
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -18,14 +20,18 @@ def test_readme_library_example_runs(capsys):
     assert "GROUP_BV(N0=1) holds 0.666666666666" in "\n".join(lines)
 
 
-def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
-    from trigconv.cli import main
-
+def _readme_commands():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## CLI"):]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("trigconv ")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("trigconv ")]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    from trigconv.cli import main
+
+    commands = _readme_commands()
     assert len(commands) == 7
     monkeypatch.chdir(tmp_path)
     (tmp_path / "coeffs.txt").write_text(
@@ -35,6 +41,33 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     assert (tmp_path / "curve.csv").is_file()
     assert (tmp_path / "curve.csv.manifest.json").is_file()
+
+
+def test_readme_cli_commands_repeat_byte_for_byte(tmp_path, monkeypatch,
+                                                  capsys):
+    # one process runs the README commands, meets a usage error (exit 2),
+    # then runs them again: every exit code, output and written file repeats
+    from trigconv.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.txt").write_text(
+        "".join(f"{1.0 / k ** 2!r}\n" for k in range(1, 4097)))
+
+    def run_all():
+        runs = []
+        for argv in _readme_commands():
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        written = [(tmp_path / name).read_text()
+                   for name in ("curve.csv", "curve.csv.manifest.json")]
+        return runs, written
+
+    first = run_all()
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "log_damped", "--oversample", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run_all() == first
 
 
 def _shown_signatures(section: str):

@@ -19,12 +19,18 @@ from trigconv.series import (
     dirichlet_sine,
     truncation_slack,
 )
-from trigconv.series import (_abs_range_sum, _block_length, _rows,
-                             _two_sided_rows)
+from trigconv.series import (_BLOCK_VALUES, _abs_range_sum, _block_length,
+                             _ladder_rows, _rows, _two_sided_rows)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
-from _oracles import abel_tail_bound, partial_sum_sine, partial_sum_two_sided
+from _oracles import (
+    abel_tail_bound,
+    ladder_rows_per_point,
+    partial_sum_sine,
+    partial_sum_two_sided,
+    split_by_isin,
+)
 
 
 def _direct_dirichlet(n, x):
@@ -179,6 +185,78 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
             else:
                 ref = partial_sum_sine(obj, cp, x) if cp else 0.0
             assert abs(got - ref) <= 1e-12 * scale
+
+
+def _ladder_block_points(k):
+    """The ladder's points per block: at least 1, and _BLOCK_VALUES over
+    the larger of the table size and the number of terms."""
+    B = _block_length(int(k[-1]))
+    q, r = np.divmod(k, B)
+    if k[-1] - k[0] + 1 == k.size:
+        size = (int(q[-1] - q[0]) + 1) * B
+    else:
+        size = np.unique(q).size * np.unique(r).size
+    return max(1, _BLOCK_VALUES // max(size, k.size))
+
+
+def _ladder_terms(rng, kind, halves):
+    """(k, a, b) of a ladder input: k one run from k = 7 or scattered, a
+    None, real or complex, and b real or complex."""
+    if kind == "run":
+        k = np.arange(7, 7 + 300, dtype=np.int64)
+    elif kind == "scattered":
+        k = np.sort(rng.choice(np.arange(1, 5001), 200, replace=False))
+    else:   # one point per block: more terms than _BLOCK_VALUES
+        k = np.arange(1, (1 << 15) + 2, dtype=np.int64)
+    draw = {"real": lambda: rng.standard_normal(k.size),
+            "complex": lambda: (rng.standard_normal(k.size)
+                                + 1j * rng.standard_normal(k.size))}
+    values = [None if h is None else draw[h]() for h in halves]
+    for v in values:    # signed zeros and zero terms
+        if v is not None:
+            v[::11], v[5::13] = 0.0, -0.0
+    return k, values[0], values[1]
+
+
+@pytest.mark.parametrize("kind", ["run", "scattered", "one point"])
+@pytest.mark.parametrize("halves", [(None, "real"), (None, "complex"),
+                                    ("real", "real"),
+                                    ("complex", "complex")])
+def test_ladder_rows_equal_the_per_point_loop_bit_for_bit(kind, halves):
+    # blocks of P points, cut before and after P and 2P; checkpoint
+    # segments that are empty, start at 0 or end at the last term
+    rng = np.random.default_rng(len(kind) * 7 + len(str(halves)))
+    k, a, b = _ladder_terms(rng, kind, halves)
+    P = _ladder_block_points(k)
+    ends = np.array([0, 3, 3, k.size // 2, k.size, k.size])
+    for count in sorted({max(0, P - 1), P, P + 1, 2 * P + 1}):
+        off = np.sort(rng.uniform(1e-4, math.pi, count))
+        off[-1:] = math.pi
+        got_c, got_s = _ladder_rows(k, a, b, off, ends)
+        want_c, want_s = ladder_rows_per_point(k, a, b, off, ends)
+        assert got_s.dtype == want_s.dtype
+        assert got_s.tobytes() == want_s.tobytes(), (count, P)
+        if a is None:
+            assert got_c is None and want_c is None
+        else:
+            assert got_c.dtype == want_c.dtype
+            assert got_c.tobytes() == want_c.tobytes(), (count, P)
+
+
+def _ladder_size(grid):
+    return sum(1 for j in range(400) if grid.x0 * 2.0 ** (j / 4.0) <= math.pi)
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 3, 8, 16])
+def test_grid_split_equals_the_isin_split(oversample):
+    removed = 0
+    for n_ref in list(range(1, 301)) + [1 << e for e in range(21)]:
+        grid = GridSpec(n_ref=n_ref, oversample=oversample)
+        M, off = grid._split()
+        want_M, want = split_by_isin(grid)
+        assert M == want_M and off.tobytes() == want.tobytes(), n_ref
+        removed += _ladder_size(grid) - off.size
+    assert removed > 0    # some ladder points are uniform points
 
 
 def test_support_listed_rows_equal_the_explicit_rows_bit_for_bit():
