@@ -185,8 +185,7 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
 def cmd_curve(args, argv: Sequence[str]) -> int:
     seq, inputs = _resolve_sequence(args.spec)
     ns = _parse_n_list(args.n)
-    curve = convergence_curve(seq, ns, N_ref=args.nref,
-                              oversample=args.oversample)
+    curve = convergence_curve(seq, ns, N_ref=args.nref)
     defaults = {
         "spec": seq.label,
         "n_list": ns,
@@ -273,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nref", type=int, default=None,
                    help="reference partial-sum index (default "
                         "max(2^16, 64*max n))")
-    p.add_argument("--oversample", type=int, default=8,
-                   help="uniform grid points per oscillation")
     p.add_argument("--out", default=None,
                    help="write CSV here (plus a .manifest.json sidecar)")
     p.set_defaults(func=cmd_curve)

@@ -197,11 +197,11 @@ class CoefficientSequence:
                  entries, since it is called on pieces of the indices
     is_real   -- real-valued flag; decides the dtype prefix() returns
     length    -- the number of indices the map covers; None means
-                 unbounded (a generated family)
+                 unbounded (a generated family); a composite has its base's
     support   -- optional map (lo, hi) -> the sorted int64 indices in
                  (lo, hi] off which the sequence is exactly zero (0.0);
-                 None means every index may be nonzero.  prefix() and
-                 the curve rows read such a sequence on its support alone
+                 None means every index may be nonzero.  Such a sequence
+                 is evaluated on its support alone
     """
 
     label: str
@@ -232,29 +232,36 @@ class CoefficientSequence:
         """First N values as a read-only array (float64 when real, else
         complex128); element j is the value at index j + 1.
 
-        Raises SequenceError("insufficient length ...") past the length.
-        Prefixes are cached, and two computations of the same prefix are
-        bit-identical because the map is pure.  A sequence that lists its
-        support is evaluated there alone, into zeros: it is exactly zero
-        off its support, so the bytes are those of the map at every index,
-        and a page that holds no support index is never written.
+        The cached values_between(0, N), with its checks: SequenceError
+        ("insufficient length ...") past the length.  Two computations of
+        the same prefix are bit-identical because the map is pure.
         """
         N = int(N)
-        if N < 0:
-            raise SequenceError("prefix length must be nonnegative")
-        self._require_length(N)
         cached = self._cache.get("arr")
-        if cached is None or cached.shape[0] < N:
-            if self.support is None:
-                cached = self._evaluated(N, _range_indices)
-            else:
-                _require_allocatable(N)
-                cached = np.zeros(N, dtype=float if self.is_real else complex)
-                k = self.support(0, N)
-                cached[k - 1] = self.values_at(k)
+        if cached is None or not 0 <= N <= cached.shape[0]:
+            cached = self.values_between(0, N)
             cached.setflags(write=False)
             self._cache["arr"] = cached
         return cached[:N]
+
+    def values_between(self, lo: int, hi: int) -> np.ndarray:
+        """c_{lo+1}..c_hi as a new writable array with the dtype of
+        prefix(), evaluated afresh; SequenceError past the length.  A
+        sequence that lists its support is evaluated there alone, into
+        zeros: the bytes of the map at every index, with no page written
+        that holds no support index."""
+        lo, hi = int(lo), int(hi)
+        if not 0 <= lo <= hi:
+            raise SequenceError(f"bad index range ({lo}, {hi}]")
+        self._require_length(hi)
+        if self.support is None:
+            return self._evaluated(
+                hi - lo, lambda a, b: _range_indices(lo + a, lo + b))
+        _require_allocatable(hi - lo)
+        out = np.zeros(hi - lo, dtype=float if self.is_real else complex)
+        k = self.support(lo, hi)
+        out[k - (lo + 1)] = self.values_at(k)
+        return out
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
         """Values at the indices n (a one-dimensional int64 array, each
@@ -606,7 +613,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
 
         def prod(n):
             return weight.fn(n) * base.values_at(n)
-        return CoefficientSequence(label, prod, is_real=base.is_real)
+        return CoefficientSequence(label, prod, base.is_real, base.length)
     if fid == "perturbed":
         # base * (1 + eps * u_n) with u_n in [-1, 1) drawn from SplitMix64.
         # The seed parameter is overridden by a trailing @seed when present.
@@ -617,7 +624,7 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
 
         def pert(n):
             return base.values_at(n) * (1.0 + eps * unit_noise(eff_seed, n))
-        return CoefficientSequence(label, pert, is_real=base.is_real)
+        return CoefficientSequence(label, pert, base.is_real, base.length)
     raise SequenceError(f"unknown family id {fid!r}")
 
 

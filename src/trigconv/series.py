@@ -34,12 +34,17 @@ that of a harmonic curve at N_ref 2^13 from 2.6 to 2.2 ms.
 
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
-x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}.  The estimate is
-a grid lower bound for the truncated tail S_{N_ref} - S_n only: no
-certified upper end is computed.  The companion truncation slack
-sum_{N_ref < k <= 16 N_ref} |c_k| of a sine series measures how much of
-the coefficient mass the reference horizon leaves out; it reads only the
-sequence's support, so a lacunary sequence costs its few powers of two.
+x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}, besides the
+uniform points pi j/M, M = 8 n_ref capped at 8192 (the label grid(n_ref,8)
+names the nominal 8 per oscillation).  GridSpec places each ladder point
+once, by a searchsorted over the uniform points, and the rows are written
+at those places, with no sort.  The estimate is a grid lower bound for
+the truncated tail S_{N_ref} - S_n only: no certified upper end.  The
+companion truncation slack sum_{N_ref < k <= 16 N_ref} |c_k| of a sine
+series measures how much of the coefficient mass the reference horizon
+leaves out; it reads a sequence's support when it lists one, so a
+lacunary sequence costs its few powers of two, and any other sequence
+through values_between.
 
 The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, and
 the test-point probe at x0) live here so the verification harness can
@@ -59,9 +64,7 @@ from .sequences import (
     CoefficientSequence,
     SequenceError,
     TwoSidedSequence,
-    _PIECE,
     _indices,
-    _range_indices,
     _require_finite,
 )
 from .summation import exact_sum
@@ -77,8 +80,9 @@ __all__ = [
     "convergence_curve",
 ]
 
-# Cap on the uniform grid size M: for n_ref > 1024 the uniform part has
-# fewer than 8 points per oscillation.
+# The uniform grid size M = OVERSAMPLE * n_ref, capped at MAX_UNIFORM: for
+# n_ref > 1024 the uniform part has fewer than 8 points per oscillation.
+OVERSAMPLE = 8
 MAX_UNIFORM = 8192
 
 # ---------------------------------------------------------------------------
@@ -90,32 +94,52 @@ def _uniform_points(j: np.ndarray, count: int) -> np.ndarray:
     return math.pi * (j / count)
 
 
+def _merged(uniform: np.ndarray, ladder: np.ndarray,
+            at: np.ndarray) -> np.ndarray:
+    """The rows of uniform and ladder side by side, the ladder in the
+    columns ``at``, in one 2-D array: no sort, no gather.  A row at a time,
+    numpy writes a mask about three times as fast as a 2-D one."""
+    uniform, ladder = np.atleast_2d(uniform, ladder)
+    out = np.empty((uniform.shape[0], uniform.shape[1] + at.size),
+                   np.result_type(uniform, ladder))
+    rest = np.ones(out.shape[1], dtype=bool)
+    rest[at] = False
+    for row, values in zip(out, uniform):
+        row[rest] = values
+    out[:, at] = ladder
+    return out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Adaptive evaluation grid on (0, pi] for a frequency scale n_ref.
 
-    Points: the uniform points pi j/M, j = 1..M, with M = oversample * n_ref
-    capped at MAX_UNIFORM, and the geometric ladder x0 * 2^{j/4} with
-    x0 = pi/(8 n_ref) -- always containing x0 itself exactly.
+    Points: the uniform points pi j/M, j = 1..M, with M = 8 n_ref capped at
+    MAX_UNIFORM = 8192, and the geometric ladder x0 * 2^{j/4} with
+    x0 = pi/(8 n_ref) -- always containing x0 itself exactly.  The label
+    grid(n_ref,8) names the nominal 8 points per oscillation; from
+    n_ref = 1024 on, M stays at 8192.
     """
 
     n_ref: int
-    oversample: int = 8
 
     def __post_init__(self):
-        if self.n_ref < 1 or self.oversample < 1:
-            raise SequenceError("grid needs n_ref and oversample >= 1")
+        if self.n_ref < 1:
+            raise SequenceError("grid needs n_ref >= 1")
 
     @property
     def x0(self) -> float:
         return math.pi / (8.0 * self.n_ref)
 
-    def _split(self) -> tuple[int, np.ndarray]:
-        """(M, the sorted ladder points that are not uniform).  A ladder
-        point x can equal only a uniform point pi j/M with j next to x M/pi,
-        so it is compared with those at j = round(x M/pi) - 1, + 0 and + 1
-        (j = 0 and j = M + 1 give 0 and a point past pi: never equal)."""
-        count = min(self.oversample * self.n_ref, MAX_UNIFORM)
+    def _layout(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(M, xs, at): xs the sorted points 0, pi/M, ..., pi and the
+        ladder points that are not uniform, and xs[at] those ladder points.
+
+        One searchsorted over the increasing uniform points gives each
+        ladder point x the first uniform point >= x, which x may equal
+        (x <= pi, the last one); a kept point comes after the uniform
+        points below it and the kept points before it."""
+        count = min(OVERSAMPLE * self.n_ref, MAX_UNIFORM)
         ladder = []
         j = 0
         while True:
@@ -124,18 +148,18 @@ class GridSpec:
                 break
             ladder.append(x)
             j += 1
-        off = np.asarray(ladder)
-        near = np.rint(off * (count / math.pi))[:, None] + (-1.0, 0.0, 1.0)
-        uniform = _uniform_points(near, count)
-        return count, off[~(uniform == off[:, None]).any(axis=1)]
+        ladder = np.asarray(ladder)
+        uniform = _uniform_points(np.arange(count + 1), count)
+        pos = np.searchsorted(uniform, ladder)
+        keep = uniform[pos] != ladder
+        at = pos[keep] + np.arange(np.count_nonzero(keep))
+        return count, _merged(uniform, ladder[keep], at)[0], at
 
     def points(self) -> np.ndarray:
-        count, off = self._split()
-        return np.sort(np.concatenate(
-            [_uniform_points(np.arange(1, count + 1), count), off]))
+        return self._layout()[1][1:]
 
     def describe(self) -> str:
-        return f"grid({self.n_ref},{self.oversample})"
+        return f"grid({self.n_ref},{OVERSAMPLE})"
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +320,18 @@ def _cos_sin_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
     """(xs, C, S): the sorted points 0, the grid points of (0, pi]; and per
     end e the rows at xs of C_e(x) = sum_{i<e} a_i cos k_i x (None when a
     is None) and S_e(x) = sum_{i<e} b_i sin k_i x, as arrays of shape
-    (len(ends), len(xs)).  k holds the nonzero terms in increasing order."""
-    M, off = grid._split()
-    xs = np.concatenate([_uniform_points(np.arange(M + 1), M), off])
-    order = np.argsort(xs, kind="stable")
-    ladder_c, ladder_s = _ladder_rows(k, a, b, off, ends)
+    (len(ends), len(xs)).  k holds the nonzero terms in increasing order.
+    The uniform and ladder halves of each row are written in place, at
+    the positions GridSpec._layout gives the ladder points."""
+    M, xs, at = grid._layout()
+    ladder_c, ladder_s = _ladder_rows(k, a, b, xs[at], ends)
     idx = k % (2 * M)
 
     def rows(w, ladder, cosine):
-        uniform = _uniform_rows(idx, w, ends, 2 * M, cosine)
-        return np.concatenate([uniform, ladder], axis=1)[:, order]
+        return _merged(_uniform_rows(idx, w, ends, 2 * M, cosine), ladder, at)
 
     C = None if a is None else rows(a, ladder_c, True)
-    return xs[order], C, rows(b, ladder_s, False)
+    return xs, C, rows(b, ladder_s, False)
 
 
 def _rows(seq: CoefficientSequence, grid: GridSpec,
@@ -317,18 +340,9 @@ def _rows(seq: CoefficientSequence, grid: GridSpec,
 
     Returns grid.points() and per checkpoint the row of the sine partial
     sum S_cp at them (float for real coefficients, else complex): the sine
-    rows of _cos_sin_rows, with no cosine half.  The terms are the nonzero
-    b_k up to the last checkpoint, read on the support when the sequence
-    lists one.  On the uniform points pi j/M a row is S_j = -Im(rfft(w))_j
-    of the coefficients w folded by k mod 2M.  At each ladder point x the
-    terms are summed directly (see _ladder_rows for the blocks of points),
-    in order of k and one checkpoint segment at a time, with sin kx read
-    from the table T[q, r] = sin(Bqx) cos(rx) + cos(Bqx) sin(rx) of
-    k = Bq + r (B from _block_length of the largest k): sin and cos are
-    evaluated at the exact integers Bq, for the distinct q only, and r
-    times x, and T is read by one slice when the k form a single run, else
-    by one gather.  Every step is elementwise or a fixed-order sum: no BLAS
-    product.
+    rows of _cos_sin_rows, with no cosine half, of the nonzero b_k up to
+    the last checkpoint (see _terms, _uniform_rows and _ladder_rows).
+    Every step is elementwise or a fixed-order sum: no BLAS product.
     """
     cps = _checkpoint_list(checkpoints)
     k, b = _terms(seq, cps[-1] if cps else 0)
@@ -365,40 +379,22 @@ def _default_nref(n: int) -> int:
     return max(1 << 16, 64 * n)
 
 
-def _support_chunks(seq: CoefficientSequence, lo: int, hi: int):
-    """(size, index pieces) per chunk of the k in (lo, hi] where c_k may
-    be nonzero: seq.support(lo, hi) as one chunk of one piece when the
-    sequence lists its support, else the whole range in chunks of 2^20
-    and pieces of _PIECE, so no huge prefix or index array is built or
-    cached."""
-    if seq.support is not None:
-        k = seq.support(lo, hi)
-        yield k.shape[0], (k,)
-        return
-    step = 1 << 20
-    for start in range(lo, hi, step):
-        stop = min(hi, start + step)
-        bounds = [(a, min(stop, a + _PIECE))
-                  for a in range(start, stop, _PIECE)]
-        yield stop - start, (_range_indices(a, b) for a, b in bounds)
-
-
 def _abs_range_sum(seq: CoefficientSequence, lo: int, hi: int) -> float:
-    """sum_{k=lo+1}^{hi} |c_k|, read on the support of c; explicit data
-    counts only up to its length.  One exact sum per chunk, of the |c_k|
-    that its pieces write into the chunk's buffer (zeros included: an
-    exact sum does not change with them).  The chunks stay at 2^20
-    indices, because math.fsum over more rounded chunk sums could change
-    the last bit."""
+    """sum_{k=lo+1}^{hi} |c_k|; explicit data counts only up to its
+    length.  A sequence that lists its support is read there alone, in one
+    exact sum.  Any other is read in chunks of 2^20 indices, with one exact
+    sum per chunk of its values_between made |c_k| in place (zeros
+    included: an exact sum does not change with them), so no huge prefix
+    is built or cached.  The chunks stay at 2^20 indices, because
+    math.fsum over more rounded chunk sums could change the last bit."""
     if seq.length is not None:
         hi = min(hi, seq.length)
+    if seq.support is not None:
+        return exact_sum(np.abs(seq.values_at(seq.support(lo, hi))))
     parts = []
-    for size, pieces in _support_chunks(seq, lo, hi):
-        buf, m = np.empty(size), 0
-        for k in pieces:
-            np.abs(seq.values_at(k), out=buf[m:m + k.shape[0]])
-            m += k.shape[0]
-        parts.append(exact_sum(buf))
+    for start in range(lo, hi, 1 << 20):
+        v = seq.values_between(start, min(hi, start + (1 << 20)))
+        parts.append(exact_sum(np.abs(v, out=v if seq.is_real else None)))
     return math.fsum(parts)
 
 
@@ -501,7 +497,7 @@ class TailNormCurve:
 
 
 def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
-               N_ref: Optional[int], oversample: int = 8
+               N_ref: Optional[int]
                ) -> tuple[list[tuple[int, float, float]], int, GridSpec]:
     """(n, tail sup-norm estimate, max_{k in [n, 2n)} k|c_k|) per n, with
     the resolved N_ref and grid (see convergence_curve), from one pass of
@@ -511,7 +507,7 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise SequenceError("n_list must be strictly increasing, n >= 1")
     n_max = ns[-1]
-    grid = GridSpec(n_ref=n_max, oversample=oversample)
+    grid = GridSpec(n_ref=n_max)
     N_ref = _default_nref(n_max) if N_ref is None else int(N_ref)
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
@@ -533,16 +529,15 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
 
 
 def convergence_curve(seq: CoefficientSequence, n_list: Sequence[int],
-                      N_ref: Optional[int] = None,
-                      oversample: int = 8) -> TailNormCurve:
+                      N_ref: Optional[int] = None) -> TailNormCurve:
     """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
 
-    All n share one reference horizon and one grid, GridSpec(n_ref=max n,
-    oversample), so every row is computed in a single pass and the rows are
-    comparable across n.  Finite input whose estimate, k|c_k| or slack
+    All n share one reference horizon and one grid, GridSpec(n_ref=max n),
+    so every row is computed in a single pass and the rows are comparable
+    across n.  Finite input whose estimate, k|c_k| or slack
     overflows the float range raises SequenceError.
     """
-    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref, oversample)
+    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref)
     with np.errstate(over="ignore", invalid="ignore"):
         slack, settled = truncation_slack(seq, N_ref)
     entries = [CurveEntry(n, sup, slack, mk) for n, sup, mk in rows]

@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
-partial sums, the per-point ladder rows and the grid split that
-:mod:`trigconv.series` must reproduce bit for bit, the summation-by-parts
+partial sums, the per-point ladder rows, the grid split and the sorted
+merge of the row halves that :mod:`trigconv.series` must reproduce bit for
+bit, the summation-by-parts
 tail bound, and the full-array condition scans that the span-by-span scans
 in :mod:`trigconv.conditions` must reproduce bit for bit."""
 
@@ -19,8 +20,9 @@ from trigconv.sequences import (
     SequenceError,
     TwoSidedSequence,
 )
-from trigconv.series import (MAX_UNIFORM, GridSpec, _block_length,
-                             _uniform_points)
+from trigconv.series import (MAX_UNIFORM, OVERSAMPLE, GridSpec,
+                             _block_length, _ladder_rows, _uniform_points,
+                             _uniform_rows)
 from trigconv.summation import exact_sum
 
 
@@ -116,9 +118,9 @@ def ladder_rows_per_point(k: np.ndarray, a: Optional[np.ndarray],
 
 
 def split_by_isin(grid: GridSpec) -> tuple[int, np.ndarray]:
-    """GridSpec._split by np.isin of every ladder point against every
-    uniform point."""
-    count = min(grid.oversample * grid.n_ref, MAX_UNIFORM)
+    """M and the ladder points that GridSpec._layout keeps off the uniform
+    points, by np.isin of every ladder point against every uniform point."""
+    count = min(OVERSAMPLE * grid.n_ref, MAX_UNIFORM)
     ladder = []
     j = 0
     while True:
@@ -130,6 +132,25 @@ def split_by_isin(grid: GridSpec) -> tuple[int, np.ndarray]:
     off = np.asarray(ladder)
     uniform = _uniform_points(np.arange(1, count + 1), count)
     return count, off[~np.isin(off, uniform)]
+
+
+def cos_sin_rows_by_argsort(k: np.ndarray, a: Optional[np.ndarray],
+                            b: np.ndarray, grid: GridSpec, ends: np.ndarray):
+    """series._cos_sin_rows by a sort: the points 0, pi/M, ..., pi and the
+    off-grid ladder concatenated and argsorted, and every row gathered by
+    that order from its uniform and ladder halves."""
+    M, off = split_by_isin(grid)
+    xs = np.concatenate([_uniform_points(np.arange(M + 1), M), off])
+    order = np.argsort(xs, kind="stable")
+    ladder_c, ladder_s = _ladder_rows(k, a, b, off, ends)
+    idx = k % (2 * M)
+
+    def rows(w, ladder, cosine):
+        uniform = _uniform_rows(idx, w, ends, 2 * M, cosine)
+        return np.concatenate([uniform, ladder], axis=1)[:, order]
+
+    C = None if a is None else rows(a, ladder_c, True)
+    return xs[order], C, rows(b, ladder_s, False)
 
 
 # --- summation-by-parts bound ----------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from trigconv import cli
 from trigconv.cli import _parse_n_list, _sequence_from_file, main
-from trigconv.sequences import CoefficientSequence, SequenceError
+from trigconv.sequences import (CoefficientSequence, SequenceError,
+                                 sequence_from_text)
 
 
 def run(capsys, *argv):
@@ -121,7 +122,32 @@ def test_classify_composite_over_explicit_base(capsys):
                for r in json.loads(out)["reports"])
 
 
+@pytest.mark.parametrize("spec", [
+    "perturbed(1,explicit:[1,0.5,0.25,0.125],0.1)",
+    "orvqm(power(0.5),explicit:[1,0.5,0.25,0.1])"])
+def test_classify_composite_of_finite_data_keeps_its_length(capsys, spec):
+    # the default horizon is the four values of the base, and a longer
+    # horizon is refused with the composite's label
+    code, out, err = run(capsys, "classify", spec)
+    assert code == 0, err
+    assert all(r["range"]["horizon"] == 4
+               for r in json.loads(out)["reports"])
+    code, out, err = run(capsys, "classify", spec, "--horizon", "8")
+    label = sequence_from_text(spec).label
+    assert _is_input_error(code, err) and out == ""
+    assert f"sequence {label!r} has 4 values, 8 requested" in err
+
+
 # --- curve ------------------------------------------------------------------
+
+def test_curve_of_a_composite_of_finite_data(capsys):
+    # the truncation slack counts the composite's values up to its length
+    code, out, err = run(capsys, "curve", "perturbed(1,explicit:[1,2,3],0.1)",
+                         "--n", "1", "--nref", "3")
+    assert code == 0, err
+    assert out.splitlines()[1:] and out.splitlines()[1].startswith("1,")
+    assert json.loads(err)["defaults"]["slack_settled"] is True
+
 
 @pytest.mark.parametrize("spec", ["perturbed(2,harmonic(2.0),0.05)@3",
                                   "orvqm(log,harmonic(2.0))"])
@@ -624,7 +650,6 @@ _CURVE_ARGV = st.tuples(
     # a small reference horizon lets explicit data reach the row engine
     st.one_of(st.integers(-1, 2048).map(str), st.integers(-1, 12).map(str),
               _HUGE_SIZES).map(lambda r: (f"--nref={r}",)),
-    _flag("--oversample", st.integers(-1, 9).map(str)),
     st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
 _VERIFY_ARGV = st.one_of(
     st.tuples(st.just(("verify",)),

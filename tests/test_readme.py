@@ -64,7 +64,7 @@ def test_readme_cli_commands_repeat_byte_for_byte(tmp_path, monkeypatch,
 
     first = run_all()
     with pytest.raises(SystemExit) as exc:
-        main(["curve", "log_damped", "--oversample", "x"])
+        main(["curve", "log_damped", "--nref", "x"])
     assert exc.value.code == 2
     assert "invalid int value" in capsys.readouterr().err
     assert run_all() == first
@@ -139,7 +139,7 @@ def test_public_knob_count_does_not_grow():
                     f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
-    assert params + fields <= 29
+    assert params + fields <= 27
     assert len(trigconv.__all__) <= 47
 
 

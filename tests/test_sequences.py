@@ -219,6 +219,23 @@ def test_composite_over_explicit_base():
         seq.prefix(4)
 
 
+@pytest.mark.parametrize("text", [
+    "perturbed(1,explicit:[1,0.5,0.25,0.125],0.1)",
+    "orvqm(power(0.5),explicit:[1,0.5,0.25,0.1])",
+    "perturbed(2,orvqm(log,explicit:[1,0.5,0.25,0.1]),0.1)"])
+def test_composite_of_finite_data_keeps_its_length(text):
+    # the composite covers the values of its base, and a read past them
+    # names the composite; it lists no support (orvqm(exp2, .) is inf * 0
+    # off a support)
+    seq = sequence_from_text(text)
+    assert seq.length == 4 and seq.support is None
+    assert seq.prefix(4).shape == (4,)
+    with pytest.raises(SequenceError) as err:
+        seq.prefix(5)
+    assert str(err.value) == (f"insufficient length: sequence {seq.label!r} "
+                              f"has 4 values, 5 requested")
+
+
 # --- piecewise evaluation --------------------------------------------------
 
 _P = _PIECE
@@ -254,6 +271,43 @@ def test_pieces_give_the_whole_map_byte_for_byte(text):
         assert seq.prefix(size).tobytes() == _whole(seq.fn, n, float).tobytes()
         n = _scattered(size)
         assert seq.values_at(n).tobytes() == _whole(seq.fn, n, float).tobytes()
+
+
+_BETWEEN = ((0, 0), (0, 1), (0, _P - 1), (0, _P), (0, _P + 1),
+            (0, 3 * _P + 17), (5, 5), (1, _P), (_P - 1, _P + 1),
+            (_P, 3 * _P + 17), (17, 2 * _P + 3), (3 * _P, 3 * _P + 17))
+
+
+@pytest.mark.parametrize("text", ["log_damped", "lacunary(0.5)",
+                                  "perturbed(2,harmonic(2.0),0.05)@7",
+                                  "explicit"])
+def test_values_between_is_values_at_the_range(text):
+    # c_{lo+1}..c_hi byte for byte, around the piece edges and from lo > 0,
+    # for a dense family, one that lists its support and explicit data
+    if text == "explicit":
+        vals = np.random.default_rng(3).normal(size=3 * _P + 17) * (1 - 2j)
+        seq = CoefficientSequence.explicit(vals)
+    else:
+        seq = sequence_from_text(text)
+    for lo, hi in _BETWEEN:
+        got = seq.values_between(lo, hi)
+        want = seq.values_at(np.arange(lo + 1, hi + 1, dtype=np.int64))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.writeable, (lo, hi)
+    assert seq.prefix(_P + 1).tobytes() == seq.values_between(
+        0, _P + 1).tobytes()
+
+
+def test_values_between_has_the_checks_of_prefix():
+    seq = CoefficientSequence.explicit([1.0, 0.5, 0.25])
+    assert seq.values_between(1, 3).tolist() == [0.5, 0.25]
+    with pytest.raises(SequenceError, match="has 3 values, 4 requested"):
+        seq.values_between(2, 4)
+    for lo, hi in ((-1, 2), (2, 1)):
+        with pytest.raises(SequenceError, match="bad index range"):
+            seq.values_between(lo, hi)
+    with pytest.raises(SequenceError, match="produced non-finite values"):
+        sequence_from_text("lacunary(-1100)").values_between(0, 8)
 
 
 def test_pieces_of_explicit_data_give_the_whole_gather():

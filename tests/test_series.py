@@ -20,12 +20,14 @@ from trigconv.series import (
     truncation_slack,
 )
 from trigconv.series import (_BLOCK_VALUES, _abs_range_sum, _block_length,
-                             _ladder_rows, _rows, _two_sided_rows)
+                             _cos_sin_rows, _ladder_rows, _rows,
+                             _two_sided_rows)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
 from _oracles import (
     abel_tail_bound,
+    cos_sin_rows_by_argsort,
     ladder_rows_per_point,
     partial_sum_sine,
     partial_sum_two_sided,
@@ -101,20 +103,13 @@ def test_grid_points_sorted_in_halfperiod():
 
 
 def test_grid_uniform_part_is_exactly_pi_j_over_m():
-    g = GridSpec(n_ref=100, oversample=3)
+    g = GridSpec(n_ref=100)     # M = 800, not a power of two
     pts = g.points()
-    uniform = math.pi * (np.arange(1, 301) / 300)
+    uniform = math.pi * (np.arange(1, 801) / 800)
     assert np.isin(uniform, pts).all() and pts[-1] == math.pi
     # the remaining points are the ladder, with no near-duplicate of a
     # uniform point
     assert np.diff(pts).min() > 1e-9
-
-
-@given(st.integers(1, 2048))
-def test_grid_size_monotone_in_oversample(n_ref):
-    a = GridSpec(n_ref=n_ref, oversample=4).points().size
-    b = GridSpec(n_ref=n_ref, oversample=8).points().size
-    assert a <= b
 
 
 # --- row engine against the pointwise reference ----------------------------
@@ -141,24 +136,23 @@ def _coefficients(rng, n, support):
        st.sampled_from(["real", "complex", "sparse", "wide", "gaps"]),
        st.booleans(),
        st.integers(1, 12),
-       st.sampled_from([3, 8]),
        st.lists(st.integers(0, 40), min_size=1, max_size=3))
 # interior zeros from a start k > 1 (the gather path), complex sine
 # coefficients, and a two-sided series through the C +- S assembly
-@example(11, "gaps", False, 5, 8, [40, 9])
-@example(12, "complex", False, 4, 3, [37, 0, 6])
-@example(13, "complex", True, 6, 8, [40, 12])
+@example(11, "gaps", False, 5, [40, 9])
+@example(12, "complex", False, 4, [37, 0, 6])
+@example(13, "complex", True, 6, [40, 12])
 def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
-                                           oversample, checkpoints):
+                                           checkpoints):
     rng = np.random.default_rng(seed)
-    grid = GridSpec(n_ref=n_ref, oversample=oversample)
+    grid = GridSpec(n_ref=n_ref)
     if support == "wide":
         # a few nonzeros up to k = 2^18, so that the angle-addition blocks
         # reach q in the hundreds.  The oracle sums every k <= cp at each
         # point (about 10 ms a point here, three times that two-sided), so
         # this input gets one checkpoint, the smallest grid and the sine
         # shape: the blocks are the same for both shapes
-        checkpoints, grid = [1 << 18], GridSpec(n_ref=1, oversample=3)
+        checkpoints, grid = [1 << 18], GridSpec(n_ref=1)
         two_sided = False
     N = max(checkpoints)
     pts = grid.points()
@@ -247,16 +241,58 @@ def _ladder_size(grid):
     return sum(1 for j in range(400) if grid.x0 * 2.0 ** (j / 4.0) <= math.pi)
 
 
-@pytest.mark.parametrize("oversample", [1, 2, 3, 8, 16])
-def test_grid_split_equals_the_isin_split(oversample):
+def test_grid_split_equals_the_isin_split():
     removed = 0
     for n_ref in list(range(1, 301)) + [1 << e for e in range(21)]:
-        grid = GridSpec(n_ref=n_ref, oversample=oversample)
-        M, off = grid._split()
+        grid = GridSpec(n_ref=n_ref)
+        M, xs, at = grid._layout()
+        off = xs[at]
         want_M, want = split_by_isin(grid)
         assert M == want_M and off.tobytes() == want.tobytes(), n_ref
         removed += _ladder_size(grid) - off.size
     assert removed > 0    # some ladder points are uniform points
+
+
+def _row_terms(rng, n_ref, shape):
+    """(k, a, b) of a row input on the grid of n_ref: no terms for "zero",
+    else about 40 terms up to k = 3 n_ref + 40, one run of k for odd n_ref
+    and scattered for even, with a None for a sine series and complex
+    values for the complex shapes."""
+    if shape == "zero":
+        return np.zeros(0, np.int64), None, np.zeros(0)
+    top = 3 * n_ref + 40
+    if n_ref % 2:
+        k = np.arange(top - 39, top + 1, dtype=np.int64)
+    else:
+        k = np.sort(rng.choice(np.arange(1, top + 1), 40, replace=False))
+
+    def draw():
+        v = rng.standard_normal(k.size)
+        return v + 1j * rng.standard_normal(k.size) if "complex" in shape \
+            else v
+    b = draw()
+    return k, (draw() if shape.startswith("cos") else None), b
+
+
+@pytest.mark.parametrize("shape", ["sine real", "sine complex",
+                                   "cos-sin real", "cos-sin complex", "zero"])
+def test_cos_sin_rows_equal_the_argsort_merge(shape):
+    # the points and every row, in place of a sort of the uniform points
+    # and the ladder, over grids whose ladder meets the uniform points and
+    # grids where M reaches its cap
+    rng = np.random.default_rng(len(shape))
+    for n_ref in list(range(1, 301)) + [1 << e for e in range(21)]:
+        grid = GridSpec(n_ref=n_ref)
+        k, a, b = _row_terms(rng, n_ref, shape)
+        ends = np.array([0, k.size // 3, k.size // 3, k.size])
+        got = _cos_sin_rows(k, a, b, grid, ends)
+        want = cos_sin_rows_by_argsort(k, a, b, grid, ends)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and g.shape == w.shape, n_ref
+                assert g.tobytes() == w.tobytes(), n_ref
 
 
 def test_support_listed_rows_equal_the_explicit_rows_bit_for_bit():
@@ -324,12 +360,24 @@ _SLACK_2_18 = {
     "rbv_block(1.0)": ("0x1.ffffc40000000p+1", False),
     "quasimono(0.5,2.0)": ("0x1.8f8743367108cp-8", False),
     "perturbed(1,log_damped,0.05)": ("0x1.9afa551e0d497p-3", False),
+    "perturbed(1,harmonic(2.0),0.05)": ("0x1.e002298c125b0p-19", False),
+    # complex data that ends inside the last octave, one full 2^20 chunk
+    # and 12345 values into it
+    "explicit complex": ("0x1.3e91b4b40ae58p+1", False),
 }
+
+
+def _slack_sequence(text):
+    if text == "explicit complex":
+        k = np.arange(1, (1 << 21) + (1 << 20) + 12346, dtype=float)
+        imag = 2.0 / (k * k + 1.0)
+        return CoefficientSequence.explicit(1.0 / k + 1j * imag)
+    return sequence_from_text(text)
 
 
 @pytest.mark.parametrize("text", list(_SLACK_2_18))
 def test_truncation_slack_frozen_bits(text):
-    slack, settled = truncation_slack(sequence_from_text(text), 1 << 18)
+    slack, settled = truncation_slack(_slack_sequence(text), 1 << 18)
     assert (slack.hex(), settled) == _SLACK_2_18[text]
 
 
