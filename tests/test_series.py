@@ -241,9 +241,13 @@ def _ladder_size(grid):
     return sum(1 for j in range(400) if grid.x0 * 2.0 ** (j / 4.0) <= math.pi)
 
 
-def test_grid_split_equals_the_isin_split():
+@pytest.mark.parametrize("stride", [1, 2, 3, 8, 16])
+def test_grid_split_equals_the_isin_split(stride):
+    # n_ref = stride * (1..300), so the strides together reach n_ref 4800
+    # (M at its cap from 1024 on, x0 still moving), and 2^0..2^20
     removed = 0
-    for n_ref in list(range(1, 301)) + [1 << e for e in range(21)]:
+    for n_ref in [stride * i for i in range(1, 301)] + \
+            [1 << e for e in range(21)]:
         grid = GridSpec(n_ref=n_ref)
         M, xs, at = grid._layout()
         off = xs[at]
