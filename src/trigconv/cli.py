@@ -20,6 +20,7 @@ import numpy as np
 
 from .conditions import (
     DEFAULT_HORIZON,
+    DEFAULT_WINDOWS,
     STABILIZATION_THRESHOLD,
     classify,
     resolve_horizon,
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_HORIZON})")
     p.add_argument("--m-max", type=int, default=None, dest="m_max",
                    help="upper end of the scan range (default horizon/4)")
-    p.add_argument("--n0", default="1,2,4,8,16",
+    p.add_argument("--n0", default=",".join(map(str, DEFAULT_WINDOWS)),
                    help="window lengths for the group-variation check")
     p.add_argument("--theta0", type=float, default=0.0,
                    help="half-angle of the sector for complex checks")
@@ -270,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True,
                    help="comma list `64,256,1024` or range `64..4096:dyadic`")
     p.add_argument("--nref", type=int, default=None,
-                   help="reference partial-sum index (default "
-                        "max(2^16, 64*max n))")
+                   help="reference partial-sum index (default: the "
+                        "length of finite data, else max(2^16, 64*max n))")
     p.add_argument("--out", default=None,
                    help="write CSV here (plus a .manifest.json sidecar)")
     p.set_defaults(func=cmd_curve)

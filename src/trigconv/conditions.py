@@ -76,6 +76,7 @@ __all__ = [
     "classify",
     "dyadic_block_maxima",
     "DEFAULT_HORIZON",
+    "DEFAULT_WINDOWS",
     "STABILIZATION_THRESHOLD",
 ]
 
@@ -86,6 +87,10 @@ INCONCLUSIVE = "inconclusive"
 # Default truncation horizon for generator-backed sequences; explicit
 # sequences default to their data length.
 DEFAULT_HORIZON = 1 << 20
+
+# Default GROUP_BV window lengths N0 of classify, the CLI's --n0 and the
+# lacunary counterexample.
+DEFAULT_WINDOWS = (1, 2, 4, 8, 16)
 
 
 @dataclass
@@ -686,7 +691,7 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
 
 def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
              m_max: Optional[int] = None,
-             n0_list: Sequence[int] = (1, 2, 4, 8, 16), theta0: float = 0.0,
+             n0_list: Sequence[int] = DEFAULT_WINDOWS, theta0: float = 0.0,
              weight: Optional[WeightSequence] = None) -> list[ConditionReport]:
     """Run every applicable checker on the coefficients of a sine series
     with shared horizons and collect reports.

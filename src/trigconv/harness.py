@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .conditions import (
+    DEFAULT_WINDOWS,
     FAILS,
     HOLDS,
     ConditionReport,
@@ -505,7 +506,7 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     2^{-alpha K}/(1 - 2^{-alpha}), K = floor(log2 n) + 1, the bound
     strictly decreases, and it drops below sup_threshold by threshold_n.
     """
-    horizon, n0_list = 1 << 20, (1, 2, 4, 8, 16)
+    horizon, n0_list = 1 << 20, DEFAULT_WINDOWS
     sup_threshold, threshold_n = 1e-3, 1 << 15
     # 2^-alpha < 1 keeps the absolute tail bound finite, and 2^(-20 alpha)
     # normal keeps every support value nonzero and 2^(alpha k) finite
@@ -514,7 +515,7 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
         raise SequenceError(f"lacunary alpha must satisfy 2^-alpha < 1 and "
                             f"20 alpha <= 1022; got {alpha!r}")
     b = family_sequence(FamilySpec("lacunary", (float(alpha),), None))
-    label = str(FamilySpec("lacunary", (float(alpha),), None))
+    label = b.label
     vals = np.asarray(b.prefix(horizon))
     records: list[InequalityRecord] = []
 
@@ -546,9 +547,9 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
     # the rows of convergence_curve, without its truncation slack
     rows = _tail_rows(b, ns, horizon)[0]
     decay = 1.0 - 2.0 ** (-alpha)
-    bounds = [2.0 ** (-alpha * (math.floor(math.log2(n)) + 1)) / decay
-              for n, _, _ in rows]
-    ests = [sup for _, sup, _ in rows]
+    bounds = [2.0 ** (-alpha * (math.floor(math.log2(e.n)) + 1)) / decay
+              for e in rows]
+    ests = [e.sup_estimate for e in rows]
     dominated = all(est <= bound + 1e-12 for est, bound in zip(ests, bounds))
     # the record shows the ladder n where the bound is tightest
     i = min(range(len(ns)), key=lambda j: bounds[j] - ests[j])
@@ -600,7 +601,8 @@ def verify_equivalence_diagnostics() -> VerificationOutcome:
         seq = sequence_from_text(text)
         grep = check_group_bv(PrefixView.of(seq), (1,))[0]
         # the last row of convergence_curve, without its truncation slack
-        _, sup, max_k_ck = _tail_rows(seq, _EQUIV_NS, _EQUIV_NREF)[0][-1]
+        last = _tail_rows(seq, _EQUIV_NS, _EQUIV_NREF)[0][-1]
+        sup, max_k_ck = last.sup_estimate, last.max_k_ck
         ncn_small = max_k_ck <= EQUIV_NCN_TOL
         sup_small = sup <= EQUIV_SUP_TOL
         if grep.verdict != HOLDS:

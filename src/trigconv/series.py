@@ -8,10 +8,13 @@ Evaluation targets the two series shapes the checkers care about:
   c_{-k} e^{-ikx}), evaluated on (-pi, pi] as C(x) +- S(x), with
   C = sum (c_k + c_{-k}) cos kx and S = sum i (c_k - c_{-k}) sin kx at |x|.
 
-One real engine evaluates both: the rows of C(x) = sum a_k cos kx and
-S(x) = sum b_k sin kx at x = 0 and the grid points of (0, pi], from the
-nonzero terms (k, a_k, b_k) in order of k; a sine series has no cosine
-half.  The terms come from the sequence's support when it lists one (a
+One real engine evaluates both, and _cos_sin_rows is its one entry: the
+rows of C(x) = sum a_k cos kx and S(x) = sum b_k sin kx at x = 0 and the
+grid points of (0, pi], per checkpoint, from the nonzero terms
+(k, a_k, b_k) in order of k; a sine series has no cosine half.  Every step
+is elementwise or a fixed-order sum: no BLAS product, so no row depends
+on the BLAS build or its thread count.
+The terms come from the sequence's support when it lists one (a
 lacunary sequence costs its few powers of two), else from the nonzero
 entries of the dense prefix.  On the uniform points x_j = pi j/M a term
 depends on k only through k mod 2M, so with w the coefficients folded into
@@ -46,9 +49,9 @@ leaves out; it reads a sequence's support when it lists one, so a
 lacunary sequence costs its few powers of two, and any other sequence
 through values_between.
 
-The explicit bounds (closed-form Dirichlet kernel, the pi/x estimate, and
-the test-point probe at x0) live here so the verification harness can
-exercise each inequality separately.
+The test-point probe at x0 = pi/(8n) measures the sides of criterion 7's
+inequality from the two-sided rows at n and 4n; dirichlet_sine is the
+closed-form sine Dirichlet kernel.
 """
 
 from __future__ import annotations
@@ -187,13 +190,6 @@ def dirichlet_sine(n: int, x: float) -> float:
 # partial-sum rows
 # ---------------------------------------------------------------------------
 
-def _checkpoint_list(checkpoints: Sequence[int]) -> list[int]:
-    cps = sorted({int(c) for c in checkpoints})
-    if cps and cps[0] < 0:
-        raise SequenceError("negative checkpoint")
-    return cps
-
-
 def _block_length(k_max: int) -> int:
     """The block length B of the angle addition: a power of two near
     sqrt(k_max), so that both tables hold about sqrt(k_max) entries."""
@@ -320,7 +316,8 @@ def _cos_sin_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
     """(xs, C, S): the sorted points 0, the grid points of (0, pi]; and per
     end e the rows at xs of C_e(x) = sum_{i<e} a_i cos k_i x (None when a
     is None) and S_e(x) = sum_{i<e} b_i sin k_i x, as arrays of shape
-    (len(ends), len(xs)).  k holds the nonzero terms in increasing order.
+    (len(ends), len(xs)).  k holds the nonzero terms in increasing order,
+    and a checkpoint cp is the end searchsorted(k, cp, side="right").
     The uniform and ladder halves of each row are written in place, at
     the positions GridSpec._layout gives the ladder points."""
     M, xs, at = grid._layout()
@@ -332,43 +329,6 @@ def _cos_sin_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
 
     C = None if a is None else rows(a, ladder_c, True)
     return xs, C, rows(b, ladder_s, False)
-
-
-def _rows(seq: CoefficientSequence, grid: GridSpec,
-          checkpoints: Sequence[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """S_cp on the grid for every checkpoint cp, in one pass over k.
-
-    Returns grid.points() and per checkpoint the row of the sine partial
-    sum S_cp at them (float for real coefficients, else complex): the sine
-    rows of _cos_sin_rows, with no cosine half, of the nonzero b_k up to
-    the last checkpoint (see _terms, _uniform_rows and _ladder_rows).
-    Every step is elementwise or a fixed-order sum: no BLAS product.
-    """
-    cps = _checkpoint_list(checkpoints)
-    k, b = _terms(seq, cps[-1] if cps else 0)
-    xs, _, S = _cos_sin_rows(k, None, b, grid,
-                             np.searchsorted(k, cps, side="right"))
-    return xs[1:], {cp: row[1:] for cp, row in zip(cps, S)}
-
-
-def _two_sided_rows(ts: TwoSidedSequence, grid: GridSpec,
-                    checkpoints: Sequence[int]
-                    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}) for every checkpoint
-    cp, at the grid points, their mirror images and 0, covering (-pi, pi]:
-    C(|x|) +- S(|x|) with C the cosine rows of the pair sums c_k + c_{-k}
-    and S the sine rows of i (c_k - c_{-k})."""
-    cps = _checkpoint_list(checkpoints)
-    n_max = cps[-1] if cps else 0
-    a, b = ts.pair_sums(n_max), 1j * ts.pair_diffs(n_max)
-    nz = np.flatnonzero((a != 0) | (b != 0))
-    k = nz + 1
-    xs, C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
-                             np.searchsorted(k, cps, side="right"))
-    inner = slice(-2, 0, -1)    # the points of (0, pi), mirrored
-    rows = {cp: np.concatenate([c[inner] - s[inner], c + s])
-            for cp, c, s in zip(cps, C, S)}
-    return np.concatenate([-xs[inner], xs]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +416,18 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
 
     pos = np.asarray(ts.pos.prefix(4 * n), dtype=complex)
     lhs = 2.0 * exact_sum(pos[n:].real * sines)
-    pair_abs = exact_sum(np.abs(ts.pair_sums(4 * n)[n:]))
+    a, b = ts.pair_sums(4 * n), 1j * ts.pair_diffs(4 * n)
+    pair_abs = exact_sum(np.abs(a[n:]))
 
-    _, rows = _two_sided_rows(ts, GridSpec(n_ref=n), [n, 4 * n])
-    norm_diff = float(np.abs(rows[4 * n] - rows[n]).max())
+    # the series is C(|x|) + S(|x|) at x = 0 and the grid points, and
+    # C(|x|) - S(|x|) at their mirror images in (-pi, 0)
+    nz = np.flatnonzero((a != 0) | (b != 0))
+    k = nz + 1
+    _, C, S = _cos_sin_rows(k, a[nz], b[nz], GridSpec(n_ref=n),
+                            np.searchsorted(k, [n, 4 * n], side="right"))
+    plus, minus = C + S, (C - S)[:, 1:-1]
+    norm_diff = float(np.maximum(np.abs(plus[1] - plus[0]).max(),
+                                 np.abs(minus[1] - minus[0]).max()))
     return ProbeResult(sin_floor_ok, lhs, norm_diff, pair_abs)
 
 
@@ -469,21 +437,25 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
 
 @dataclass(frozen=True)
 class CurveEntry:
+    """One row of a curve: the tail sup-norm estimate at n and
+    max_{k in [n, 2n)} k|c_k|."""
+
     n: int
     sup_estimate: float
-    truncation_slack: float
     max_k_ck: float
 
 
 @dataclass
 class TailNormCurve:
     """Tail sup-norm estimates against the n*c_n diagnostic, per n, with
-    the grid and the resolved reference horizon N_ref they were taken at."""
+    the grid and the resolved reference horizon N_ref they were taken at,
+    and the one truncation slack of N_ref that every CSV row repeats."""
 
     entries: list
     grid: str
     n_ref: int
     reference_horizon: int
+    truncation_slack: float
     slack_settled: bool
 
     CSV_HEADER = "n,sup_estimate,truncation_slack,max_k_ck"
@@ -492,39 +464,41 @@ class TailNormCurve:
         lines = [self.CSV_HEADER]
         for e in self.entries:
             lines.append(f"{e.n},{e.sup_estimate!r},"
-                         f"{e.truncation_slack!r},{e.max_k_ck!r}")
+                         f"{self.truncation_slack!r},{e.max_k_ck!r}")
         return "\n".join(lines) + "\n"
 
 
 def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
                N_ref: Optional[int]
-               ) -> tuple[list[tuple[int, float, float]], int, GridSpec]:
-    """(n, tail sup-norm estimate, max_{k in [n, 2n)} k|c_k|) per n, with
-    the resolved N_ref and grid (see convergence_curve), from one pass of
-    _rows.  Finite input whose estimate or k|c_k| overflows the float range
-    raises SequenceError."""
+               ) -> tuple[list[CurveEntry], int, GridSpec]:
+    """The CurveEntry of each n, with the resolved N_ref and grid (see
+    convergence_curve), from one pass of _cos_sin_rows.  Finite input whose
+    estimate or k|c_k| overflows the float range raises SequenceError."""
     ns = [int(v) for v in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise SequenceError("n_list must be strictly increasing, n >= 1")
     n_max = ns[-1]
     grid = GridSpec(n_ref=n_max)
-    N_ref = _default_nref(n_max) if N_ref is None else int(N_ref)
+    if N_ref is None:
+        N_ref = _default_nref(n_max) if seq.length is None else seq.length
+    N_ref = int(N_ref)
     if N_ref <= n_max:
         raise SequenceError("reference horizon must exceed max(n_list)")
-    k = _indices(2 * n_max).astype(float)
+    k, b = _terms(seq, N_ref)
     # finite input can overflow in a partial sum, a difference or k|c_k|:
     # the non-finite values are rejected below, with no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rows = _rows(seq, grid, ns + [N_ref])
-        weighted = k * np.abs(seq.prefix(2 * n_max))
-        sups = [float(np.abs(rows[N_ref] - rows[n]).max()) for n in ns]
+        _, _, S = _cos_sin_rows(k, None, b, grid, np.searchsorted(
+            k, ns + [N_ref], side="right"))
+        sups = np.abs(S[-1, 1:] - S[:-1, 1:]).max(axis=1).tolist()
+        weighted = _indices(2 * n_max) * np.abs(seq.prefix(2 * n_max))
 
     out = []
     for n, sup in zip(ns, sups):
         mk = float(weighted[n - 1:2 * n - 1].max())
         _require_finite(sup, f"the tail sup-norm estimate at n = {n}")
         _require_finite(mk, f"max k|c_k| over [{n}, {2 * n})")
-        out.append((n, sup, mk))
+        out.append(CurveEntry(n, sup, mk))
     return out, N_ref, grid
 
 
@@ -534,12 +508,13 @@ def convergence_curve(seq: CoefficientSequence, n_list: Sequence[int],
 
     All n share one reference horizon and one grid, GridSpec(n_ref=max n),
     so every row is computed in a single pass and the rows are comparable
-    across n.  Finite input whose estimate, k|c_k| or slack
-    overflows the float range raises SequenceError.
+    across n.  N_ref defaults to the length of finite data, whose tail is
+    then exact (slack 0.0), and for a generator to max(2^16, 64 max n).
+    Finite input whose estimate, k|c_k| or slack overflows the float range
+    raises SequenceError.
     """
-    rows, N_ref, grid = _tail_rows(seq, n_list, N_ref)
+    entries, N_ref, grid = _tail_rows(seq, n_list, N_ref)
     with np.errstate(over="ignore", invalid="ignore"):
         slack, settled = truncation_slack(seq, N_ref)
-    entries = [CurveEntry(n, sup, slack, mk) for n, sup, mk in rows]
-    return TailNormCurve(entries, grid.describe(), grid.n_ref, N_ref,
+    return TailNormCurve(entries, grid.describe(), grid.n_ref, N_ref, slack,
                          settled)

@@ -198,6 +198,30 @@ def test_curve_manifest_records_the_default_reference_horizon(capsys):
     assert defaults["n_ref"] == 256
 
 
+def test_curve_of_file_data_defaults_its_reference_horizon_to_the_length(
+        tmp_path, capsys):
+    # 4096 lines of 1/k^2: without --nref the curve runs at the data's
+    # length, where the tail is exact, and prints what --nref 4096 prints
+    path = tmp_path / "coeffs.txt"
+    path.write_text("".join(f"{1.0 / k ** 2!r}\n" for k in range(1, 4097)))
+    spec, ns = f"file:{path}", "64..1024:dyadic"
+    code, out, err = run(capsys, "curve", spec, "--n", ns)
+    assert code == 0
+    assert json.loads(err)["defaults"]["reference_horizon"] == 4096
+    assert all(row.split(",")[2] == "0.0"
+               for row in out.strip().splitlines()[1:])
+    code, want, _ = run(capsys, "curve", spec, "--n", ns, "--nref", "4096")
+    assert code == 0 and out == want
+
+
+def test_curve_of_a_finite_composite_runs_at_its_length(capsys):
+    code, out, err = run(capsys, "curve",
+                         "perturbed(1,explicit:[1,0.5,0.25,0.125],0.1)",
+                         "--n", "1")
+    assert code == 0 and len(out.strip().splitlines()) == 2
+    assert json.loads(err)["defaults"]["reference_horizon"] == 4
+
+
 def test_sparse_curve_at_a_huge_reference_horizon_prints_rows(capsys):
     # lacunary lists its support: the rows and the truncation slack read
     # the powers of two up to N_ref = 2^34, and no dense prefix is built

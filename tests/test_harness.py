@@ -310,14 +310,14 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
         neg = CoefficientSequence.explicit(-pos.prefix(length), label="neg")
         return TwoSidedSequence(pos, neg, label=f"odd@{seed}")
 
-    rows = series._two_sided_rows
+    rows = series._cos_sin_rows
 
-    def flat_rows(obj, grid, checkpoints):
-        xs, out = rows(obj, grid, checkpoints)
-        return xs, {cp: np.zeros_like(row) for cp, row in out.items()}
+    def flat_rows(k, a, b, grid, ends):
+        xs, C, S = rows(k, a, b, grid, ends)
+        return xs, np.zeros_like(C), np.zeros_like(S)
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
-    monkeypatch.setattr(series, "_two_sided_rows", flat_rows)
+    monkeypatch.setattr(series, "_cos_sin_rows", flat_rows)
     out = probe_necessity(instances=2)
     assert out.status == STATUS_VIOLATED
     probes = [r for r in out.records if r.name == "testpoint/three_term"]

@@ -20,8 +20,7 @@ from trigconv.series import (
     truncation_slack,
 )
 from trigconv.series import (_BLOCK_VALUES, _abs_range_sum, _block_length,
-                             _cos_sin_rows, _ladder_rows, _rows,
-                             _two_sided_rows)
+                             _cos_sin_rows, _ladder_rows, _terms)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
@@ -114,6 +113,32 @@ def test_grid_uniform_part_is_exactly_pi_j_over_m():
 
 # --- row engine against the pointwise reference ----------------------------
 
+def _sine_rows(seq, grid, checkpoints):
+    """grid.points() and the rows at them of the sine partial sums S_cp of
+    seq, one per strictly increasing checkpoint cp: the rows _tail_rows
+    reads from _cos_sin_rows, without x = 0."""
+    k, b = _terms(seq, checkpoints[-1])
+    xs, _, S = _cos_sin_rows(k, None, b, grid,
+                             np.searchsorted(k, checkpoints, side="right"))
+    return xs[1:], S[:, 1:]
+
+
+def _two_sided_rows(ts, grid, checkpoints):
+    """The points of (-pi, pi] that testpoint_block_probe reads, and per
+    strictly increasing checkpoint cp the rows at them of
+    sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}): C(|x|) - S(|x|) at the
+    mirror images of the interior points, C(|x|) + S(|x|) at 0 and the
+    grid points."""
+    a, b = ts.pair_sums(checkpoints[-1]), 1j * ts.pair_diffs(checkpoints[-1])
+    nz = np.flatnonzero((a != 0) | (b != 0))
+    k = nz + 1
+    xs, C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
+                             np.searchsorted(k, checkpoints, side="right"))
+    inner = slice(-2, 0, -1)
+    return (np.concatenate([-xs[inner], xs]),
+            np.concatenate([C[:, inner] - S[:, inner], C + S], axis=1))
+
+
 def _coefficients(rng, n, support):
     if support in ("sparse", "wide"):
         vals = np.zeros(n)
@@ -154,6 +179,8 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
         # shape: the blocks are the same for both shapes
         checkpoints, grid = [1 << 18], GridSpec(n_ref=1)
         two_sided = False
+    # the engine takes strictly increasing checkpoints
+    checkpoints = sorted(set(checkpoints))
     N = max(checkpoints)
     pts = grid.points()
     if two_sided:
@@ -168,11 +195,10 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
         obj = CoefficientSequence.explicit(_coefficients(rng, N, support))
         scale = 1.0 + np.abs(obj.prefix(N)).sum()
         want = pts
-        xs, rows = _rows(obj, grid, checkpoints)
+        xs, rows = _sine_rows(obj, grid, checkpoints)
     assert np.array_equal(xs, want)
-    assert sorted(rows) == sorted(set(checkpoints))
-    for cp, row in rows.items():
-        assert row.shape == xs.shape
+    assert rows.shape == (len(checkpoints), xs.size)
+    for cp, row in zip(checkpoints, rows):
         for x, got in zip(xs, row):
             if two_sided:
                 ref = partial_sum_two_sided(obj, cp, x)
@@ -308,13 +334,12 @@ def test_support_listed_rows_equal_the_explicit_rows_bit_for_bit():
     dense = CoefficientSequence.explicit(
         seq.values_at(np.arange(1, N + 1, dtype=np.int64)))
     grid, cps = GridSpec(n_ref=64), [1, 64, 1000, N]
-    xs, rows = _rows(seq, grid, cps)
+    xs, rows = _sine_rows(seq, grid, cps)
     assert "arr" not in seq._cache
-    want_xs, want = _rows(dense, grid, cps)
+    want_xs, want = _sine_rows(dense, grid, cps)
     assert xs.tobytes() == want_xs.tobytes()
-    for cp in cps:
-        assert rows[cp].dtype == float
-        assert rows[cp].tobytes() == want[cp].tobytes()
+    assert rows.dtype == float
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_block_length_is_a_power_of_two_near_the_root():
@@ -325,8 +350,8 @@ def test_block_length_is_a_power_of_two_near_the_root():
 
 def test_rows_of_real_sine_series_are_real():
     grid = GridSpec(n_ref=16)
-    _, rows = _rows(sequence_from_text("harmonic(1.0)"), grid, [4, 64])
-    assert all(row.dtype == float for row in rows.values())
+    _, rows = _sine_rows(sequence_from_text("harmonic(1.0)"), grid, [4, 64])
+    assert rows.dtype == float
 
 
 # --- tail norms and curves -------------------------------------------------
@@ -502,6 +527,29 @@ def test_testpoint_probe_premises_flag():
     assert (rep.verdict, rep.witness) == (FAILS, 1)
     pr = block_probe(ts, 10)
     assert all(map(math.isfinite, (pr.lhs, pr.norm_diff, pr.pair_abs_sum)))
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1), (2, 5), (3, 16), (4, 37)])
+def test_testpoint_probe_norm_diff_is_the_brute_force_maximum(seed, n):
+    # complex c_k and c_{-k}, both nonzero: the probe's max over the two
+    # halves C + S and C - S equals the max of |S_4n - S_n| over the grid
+    # points, their mirror images and 0, each summed term by term
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 4 * n + 1)
+
+    def draw():
+        return (rng.standard_normal(4 * n)
+                + 1j * rng.standard_normal(4 * n)) / k
+
+    ts = TwoSidedSequence(CoefficientSequence.explicit(draw()),
+                          CoefficientSequence.explicit(draw()))
+    scale = 1.0 + np.abs(ts.pos.prefix(4 * n)).sum() \
+        + np.abs(ts.neg.prefix(4 * n)).sum()
+    pts = GridSpec(n_ref=n).points()
+    xs = np.concatenate([-pts[pts < math.pi], [0.0], pts])
+    want = max(abs(partial_sum_two_sided(ts, 4 * n, x)
+                   - partial_sum_two_sided(ts, n, x)) for x in xs)
+    assert abs(block_probe(ts, n).norm_diff - want) <= 1e-12 * scale
 
 
 @settings(max_examples=20, deadline=None)
