@@ -5,7 +5,8 @@ manifest (see manifest.py).  JSON goes to stdout (or --out), curves go
 to CSV with a manifest sidecar, and verification additionally prints a
 human-readable table to stderr.  Exit status: 0 on success (including
 ``premises_not_met`` verification outcomes), 1 when a verification run
-reports a violated inequality, 2 on usage or input errors.
+reports a violated inequality, 2 on usage or input errors.  Each
+``verify`` claim has a sub-parser with only the options it reads.
 """
 
 from __future__ import annotations
@@ -139,12 +140,8 @@ def _resolve_sequence(spec: str):
     return sequence_from_text(spec), []
 
 
-def _tolerance_defaults() -> dict:
-    return {
-        "rel_tol": REL_TOL,
-        "angle_tol": ANGLE_TOL,
-        "stabilization_threshold": STABILIZATION_THRESHOLD,
-    }
+_TOLERANCES = {"rel_tol": REL_TOL, "angle_tol": ANGLE_TOL,
+               "stabilization_threshold": STABILIZATION_THRESHOLD}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -175,7 +172,7 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
         "n0_list": list(n0_list),
         "theta0": args.theta0,
         "weight": args.weight,
-        "tolerances": _tolerance_defaults(),
+        "tolerances": _TOLERANCES,
     }
     payload = {"manifest": build_manifest(argv, defaults, input_paths=inputs),
                "reports": [r.to_json_dict() for r in reports]}
@@ -206,14 +203,11 @@ def cmd_curve(args, argv: Sequence[str]) -> int:
 
 
 def cmd_verify(args, argv: Sequence[str]) -> int:
-    if args.theorem == "t3":
-        size = 50 if args.corpus_size is None else args.corpus_size
-        outcome = run_weighted_implication_corpus(args.seed, size)
-        defaults = {"seed_start": args.seed, "corpus_size": size}
-    elif args.theorem == "corollary":
-        size = 25 if args.corpus_size is None else args.corpus_size
-        outcome = run_sector_implication_corpus(args.seed, size)
-        defaults = {"seed_start": args.seed, "corpus_size": size}
+    if args.theorem in ("t3", "corollary"):
+        run = (run_weighted_implication_corpus if args.theorem == "t3"
+               else run_sector_implication_corpus)
+        outcome = run(args.seed, args.corpus_size)
+        defaults = {"seed_start": args.seed, "corpus_size": args.corpus_size}
     elif args.theorem == "lacunary":
         outcome = verify_lacunary_counterexample(args.alpha)
         defaults = {"alpha": args.alpha,
@@ -225,7 +219,7 @@ def cmd_verify(args, argv: Sequence[str]) -> int:
         defaults = {"N_ref": outcome.summary["N_ref"],
                     "n_list": outcome.summary["n_list"],
                     "sup_tol": EQUIV_SUP_TOL, "ncn_tol": EQUIV_NCN_TOL}
-    defaults["tolerances"] = _tolerance_defaults()
+    defaults["tolerances"] = _TOLERANCES
     payload = {"manifest": build_manifest(argv, defaults, seed=args.seed),
                "outcome": outcome.to_json_dict()}
     _emit(_json_text(payload), args.out)
@@ -279,19 +273,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify", help="run a claim-verification harness")
-    p.add_argument("theorem",
-                   choices=("t3", "corollary", "lacunary", "equivalence"),
-                   help="which claim to verify")
-    p.add_argument("--seed", type=int, default=1,
-                   help="first corpus seed")
-    p.add_argument("--corpus-size", type=int, default=None,
-                   dest="corpus_size",
-                   help="number of corpus members (t3: 50, corollary: 25)")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="decay exponent for the lacunary counterexample")
-    p.add_argument("--out", default=None, help="write JSON here instead "
-                                               "of stdout")
-    p.set_defaults(func=cmd_verify)
+    # lacunary and equivalence read no seed; their manifests record 1
+    p.set_defaults(func=cmd_verify, seed=1)
+    claims = p.add_subparsers(dest="theorem", required=True,
+                              help="which claim to verify")
+    for name, size in (("t3", 50), ("corollary", 25)):
+        c = claims.add_parser(name)
+        c.add_argument("--seed", type=int, default=1, help="first corpus seed")
+        c.add_argument("--corpus-size", type=int, default=size,
+                       help="number of corpus members (default %(default)s)")
+    claims.add_parser("lacunary").add_argument(
+        "--alpha", type=float, default=1.0,
+        help="decay exponent for the lacunary counterexample")
+    claims.add_parser("equivalence")
+    for c in claims.choices.values():
+        c.add_argument("--out", default=None,
+                       help="write JSON here instead of stdout")
     return parser
 
 

@@ -498,7 +498,7 @@ def _format_value(v) -> str:
     if isinstance(v, FamilySpec):
         return format_family_spec(v)
     if isinstance(v, complex):
-        return repr(v).strip("()")
+        return repr(v.real) if v.imag == 0.0 else repr(v).strip("()")
     return repr(v)
 
 

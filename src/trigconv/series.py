@@ -437,8 +437,8 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
 
 @dataclass(frozen=True)
 class CurveEntry:
-    """One row of a curve: the tail sup-norm estimate at n and
-    max_{k in [n, 2n)} k|c_k|."""
+    """One row of a curve: the tail sup-norm estimate at n and the max of
+    k|c_k| over [n, min(2n, L + 1)), L the length of the data or infinite."""
 
     n: int
     sup_estimate: float
@@ -491,27 +491,28 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
         _, _, S = _cos_sin_rows(k, None, b, grid, np.searchsorted(
             k, ns + [N_ref], side="right"))
         sups = np.abs(S[-1, 1:] - S[:-1, 1:]).max(axis=1).tolist()
-        weighted = _indices(2 * n_max) * np.abs(seq.prefix(2 * n_max))
+        m = 2 * n_max if seq.length is None else min(2 * n_max, seq.length)
+        weighted = _indices(m) * np.abs(seq.prefix(m))
 
     out = []
     for n, sup in zip(ns, sups):
         mk = float(weighted[n - 1:2 * n - 1].max())
         _require_finite(sup, f"the tail sup-norm estimate at n = {n}")
-        _require_finite(mk, f"max k|c_k| over [{n}, {2 * n})")
+        _require_finite(mk, f"max k|c_k| over [{n}, {min(2 * n, m + 1)})")
         out.append(CurveEntry(n, sup, mk))
     return out, N_ref, grid
 
 
 def convergence_curve(seq: CoefficientSequence, n_list: Sequence[int],
                       N_ref: Optional[int] = None) -> TailNormCurve:
-    """Tail sup-norm estimate and max_{k in [n, 2n)} k|c_k| per n.
+    """Tail sup-norm estimate and max k|c_k| over [n, min(2n, L + 1)) per n.
 
     All n share one reference horizon and one grid, GridSpec(n_ref=max n),
     so every row is computed in a single pass and the rows are comparable
-    across n.  N_ref defaults to the length of finite data, whose tail is
-    then exact (slack 0.0), and for a generator to max(2^16, 64 max n).
-    Finite input whose estimate, k|c_k| or slack overflows the float range
-    raises SequenceError.
+    across n.  N_ref defaults to the length L of finite data, whose tail is
+    then exact (slack 0.0), and for a generator (L infinite) to
+    max(2^16, 64 max n).  Finite input whose estimate, k|c_k| or slack
+    overflows the float range raises SequenceError.
     """
     entries, N_ref, grid = _tail_rows(seq, n_list, N_ref)
     with np.errstate(over="ignore", invalid="ignore"):

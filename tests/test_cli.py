@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -222,6 +223,33 @@ def test_curve_of_a_finite_composite_runs_at_its_length(capsys):
     assert json.loads(err)["defaults"]["reference_horizon"] == 4
 
 
+@pytest.mark.parametrize("n", [3000, 2049])
+def test_curve_of_file_data_reaches_every_n_below_its_length(tmp_path,
+                                                             capsys, n):
+    # max k|c_k| runs over [n, min(2n, L + 1)), the window cut at the
+    # data's length L = 4096, whose last value gives the largest k|c_k|
+    c = [1.0 / k ** 2 for k in range(1, 4096)] + [1.0]
+    path = tmp_path / "coeffs.txt"
+    path.write_text("".join(f"{v!r}\n" for v in c))
+    code, out, _ = run(capsys, "curve", f"file:{path}", "--n", str(n))
+    assert code == 0
+    (row,) = out.strip().splitlines()[1:]
+    assert float(row.split(",")[3]) == \
+        max(k * c[k - 1] for k in range(n, min(2 * n, len(c) + 1))) == 4096.0
+
+
+def test_curve_of_short_explicit_data_cuts_its_window_at_the_length(capsys):
+    code, out, _ = run(capsys, "curve", "explicit:[1,0.5,0.25]", "--n", "2")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["2,0.25,0.0,1.0"]
+
+
+def test_curve_at_the_length_of_finite_data_is_input_error(capsys):
+    code, out, err = run(capsys, "curve", "explicit:[1,0.5,0.25]", "--n", "3")
+    assert _is_input_error(code, err) and out == ""
+    assert "reference horizon must exceed max(n_list)" in err
+
+
 def test_sparse_curve_at_a_huge_reference_horizon_prints_rows(capsys):
     # lacunary lists its support: the rows and the truncation slack read
     # the powers of two up to N_ref = 2^34, and no dense prefix is built
@@ -329,6 +357,24 @@ def test_verify_unknown_theorem_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("lacunary", "--corpus-size", "3"),
+    ("lacunary", "--seed", "9"),
+    ("t3", "--alpha", "7"),
+    ("corollary", "--alpha", "3"),
+    ("equivalence", "--seed", "9"),
+    ("equivalence", "--corpus-size", "2"),
+    # the options belong to the claim, so they follow its name
+    ("--seed", "5", "t3"),
+])
+def test_verify_rejects_an_option_its_claim_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: ") and "Traceback" not in err
 
 
 def test_verify_t3_small(capsys):
@@ -675,16 +721,37 @@ _CURVE_ARGV = st.tuples(
     st.one_of(st.integers(-1, 2048).map(str), st.integers(-1, 12).map(str),
               _HUGE_SIZES).map(lambda r: (f"--nref={r}",)),
     st.one_of(_SPEC_TOKENS, _EXPLICIT_DATA).map(lambda s: ("--", s)))
-_VERIFY_ARGV = st.one_of(
-    st.tuples(st.just(("verify",)),
-              st.sampled_from([("t3",), ("corollary",)]),
-              _flag("--seed", st.integers(-5, 400).map(str)),
-              st.integers(-2, 2).map(lambda k: (f"--corpus-size={k}",))),
-    # only out-of-range alphas: a valid one runs a 2^20-term harness, which
-    # the lacunary tests cover
-    st.floats(allow_nan=True, allow_infinity=True)
-    .filter(lambda a: not 0.0 < a <= 51.1)
-    .map(lambda a: (("verify", "lacunary", f"--alpha={a!r}"),)))
+# the options each claim reads; argparse rejects any other with exit 2
+_VERIFY_READS = {"t3": {"--seed", "--corpus-size", "--out"},
+                 "corollary": {"--seed", "--corpus-size", "--out"},
+                 "lacunary": {"--alpha", "--out"},
+                 "equivalence": {"--out"}}
+# the option without which a claim runs its full default harness
+_VERIFY_COSTLY_DEFAULT = {"t3": "--corpus-size", "corollary": "--corpus-size",
+                          "lacunary": "--alpha"}
+
+
+def _verify_options(argv) -> set:
+    return {a.partition("=")[0] for a in argv[2:]}
+
+
+def _verify_is_cheap(parts) -> bool:
+    argv = [a for part in parts for a in part]
+    names = _verify_options(argv)
+    return bool(names - _VERIFY_READS[argv[1]]) or \
+        _VERIFY_COSTLY_DEFAULT.get(argv[1]) in names
+
+
+# any option for any claim, but only cheap runs: corpora of at most two
+# members and out-of-range alphas (a valid one runs a 2^20-term harness,
+# which the lacunary tests cover), and equivalence only when it is rejected
+_VERIFY_ARGV = st.tuples(
+    st.sampled_from(sorted(_VERIFY_READS)).map(lambda c: ("verify", c)),
+    _flag("--seed", st.integers(-5, 400).map(str)),
+    _flag("--corpus-size", st.integers(-2, 2).map(str)),
+    _flag("--alpha", st.floats(allow_nan=True, allow_infinity=True)
+          .filter(lambda a: not 0.0 < a <= 51.1).map(repr)),
+    _flag("--out", st.just(os.devnull))).filter(_verify_is_cheap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -692,11 +759,22 @@ _VERIFY_ARGV = st.one_of(
 def test_cli_fuzz_exits_0_1_or_2(parts):
     argv = [a for part in parts for a in part]
     out, err = io.StringIO(), io.StringIO()
+    rejected = False
     with redirect_stdout(out), redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, rejected = exc.code, True
     err = err.getvalue()
+    # only verify meets an argparse rejection: an option its claim skips
+    unread = (_verify_options(argv) - _VERIFY_READS[argv[1]]
+              if argv[0] == "verify" else set())
+    assert rejected == bool(unread)
+    if rejected:
+        assert code == 2 and err.startswith("usage: "), err
+        return
     assert code in (0, 1, 2)
     if code == 2:
         assert _is_input_error(code, err), err

@@ -56,6 +56,20 @@ def test_parse_explicit_inline():
     assert np.allclose(seq.prefix(3), [1.0, 0.5, 0.25])
 
 
+@pytest.mark.parametrize("text, label", [
+    ("explicit:[1,0.5]", "explicit:[1.0,0.5]"),
+    ("explicit:[1,0.5i,-0]", "explicit:[1.0,0.5j,-0.0]"),
+    ("explicit:[1+0i,0.5-0.25i]", "explicit:[1.0,0.5-0.25j]"),
+])
+def test_explicit_label_prints_real_values_as_reals(text, label):
+    seq = sequence_from_text(text)
+    assert seq.label == label
+    again = sequence_from_text(label)
+    assert again.label == label
+    np.testing.assert_array_equal(again.prefix(again.length),
+                                  seq.prefix(seq.length))
+
+
 @pytest.mark.parametrize("bad", [
     "harmonic(", "nosuchfamily(1)", "harmonic(1,2,3)", "explicit:[a]",
     "harmonic(1.0)@x", "",
