@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "for the weighted checks")
     p.add_argument("--out", default=None, help="write JSON here instead "
                                                "of stdout")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser(
         "curve", help="tail sup-norm curve against the n*c_n diagnostic")
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "length of finite data, else max(2^16, 64*max n))")
     p.add_argument("--out", default=None,
                    help="write CSV here (plus a .manifest.json sidecar)")
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func=cmd_curve, parser=p)
 
     p = sub.add_parser(
         "verify", help="run a claim-verification harness")
@@ -289,13 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for c in claims.choices.values():
         c.add_argument("--out", default=None,
                        help="write JSON here instead of stdout")
+        c.set_defaults(parser=c)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:   # rejected with the usage of the command or claim they follow
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args, argv)
     except (SequenceError, OSError) as exc:

@@ -523,14 +523,14 @@ def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray) -> Optional[int]:
     return _first_flagged(R.shape[0], failing)
 
 
-def _exact_block_sums(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The exactly rounded L_m (math.fsum bits) for each m of the sorted,
-    distinct m, from one summation._range_sums call over the
-    |c_n - c_{n+1}| that the blocks span."""
-    lo, hi = int(m[0]) - 1, 2 * int(m[-1])
+def _exact_block_sums(c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The exactly rounded L_m (math.fsum bits) at m = i + 1 for each i of
+    the sorted, distinct i, from one summation._range_sums call over the
+    |c_n - c_{n+1}| that the blocks span: block m is c[i:2i + 3]."""
+    lo, hi = int(i[0]), 2 * int(i[-1]) + 2
     d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
     d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
-    return _range_sums(d, m - 1 - lo, 2 * m - lo)
+    return _range_sums(d, i - lo, 2 * i + (2 - lo))
 
 
 def check_group_bv(view: PrefixView, n0_list: Sequence[int],
@@ -582,10 +582,16 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     does not depend on N0; it is formed once, at the first window that
     does not fail.
 
-    L_m does not depend on N0 either: R_m grows in place from window to
-    window (max is exact, so each window keeps its bits), and the kept m
-    of every window are summed together, each block once
-    (_exact_block_sums).
+    L_m does not depend on N0 either.  One memo over the scan keeps each
+    L~_m once it is summed: it is written into A, where it is a valid A_m
+    for every later window, and a mask marks its m.  Each window sums only
+    the kept m the memo lacks (_exact_block_sums), so each block is summed
+    once, and reads its constant and witness from fl(L~_m / R_m) over the
+    m of the memo.  An m of the memo that the window does not keep has
+    that ratio below the floor (0 where the floor is not positive), so it
+    moves neither.  R_m grows in place from window to window: with s <=
+    width, max(R_m, R_(m+s)) covers [m, m + width + s), and max is exact,
+    so each window keeps its bits.
     """
     windows = _windows(n0_list)
     if not windows:
@@ -596,16 +602,17 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     if not counts[-1]:  # the fit rule: no verdict over an empty range
         raise SequenceError(f"horizon {N} too small for the scan starting "
                             "at m = 1")
-    cabs = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
-    R = cabs[:counts[0]].copy()   # grown in place below
-    A, work = None, None    # formed at the first window that does not fail
+    # R[m - 1] = max |c_n| over [m, m + width), grown in place
+    R = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
+    A = work = done = None  # formed at the first window that does not fail
 
-    reports, kept, width = {}, {}, 1
+    reports, width = {}, 1
     for N0, count in zip(windows, counts):
+        while width < N0:
+            s = min(width, N0 - width)
+            np.maximum(R[:-s], R[s:], out=R[:-s])
+            width += s
         Rw = R[:count]
-        for k in range(width, N0):
-            np.maximum(Rw, cabs[k:k + count], out=Rw)
-        width = N0
         cond, span = f"GROUP_BV(N0={N0})", (count, N)
         witness = _first_zero_rhs_failure(c, Rw)
         if witness is not None:
@@ -619,6 +626,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
             work = np.multiply(ta, _BOUND)
             with np.errstate(over="ignore"):  # inf keeps its m
                 A += work
+            done = np.zeros(counts[0], dtype=bool)  # the memo's m
         w = work[:count]                      # fl(A_m / R_m)
         with np.errstate(over="ignore"):
             if Rw.min() > 0.0:
@@ -631,19 +639,17 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
             a, b = top, 2 * (top + 1)
             with np.errstate(over="ignore"):
                 floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
-        idx = np.flatnonzero(w >= floor if floor > 0.0 else w > 0.0)
-        kept[N0] = (cond, span, idx, Rw[idx])
-    union = np.zeros(counts[0], dtype=bool)
-    for _, _, idx, _ in kept.values():
-        union[idx] = True
-    union = np.flatnonzero(union)
-    if union.size:   # work now holds the exactly rounded L_m at every kept m
-        work[union] = _exact_block_sums(c, union + 1)
-    for N0, (cond, span, idx, Rk) in kept.items():
+        # the kept m that the memo lacks
+        todo = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
+                              & ~done[:count])
+        if todo.size:       # the memo: L~_m, a valid A_m for later windows
+            A[todo] = _exact_block_sums(c, todo)
+            done[todo] = True
+        w.fill(0.0)         # fl(L~_m / R_m) at the m of the memo
         with np.errstate(over="ignore"):      # an inf constant is rejected
-            ratios = work[idx] / Rk
-        best = float(ratios.max()) if ratios.size else 0.0
-        witness = 1 + int(idx[np.argmax(ratios)]) if best > 0.0 else 1
+            np.divide(A[:count], Rw, out=w, where=done[:count])
+        best = float(w.max())
+        witness = 1 + int(np.argmax(w)) if best > 0.0 else 1
         reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
     return [reports[int(n0)] for n0 in n0_list]
 

@@ -35,6 +35,15 @@ sums, and math.fsum of those floats rounds it correctly, as math.fsum of
 its values does: the same float.  No level sum comes near overflow, as
 sigma <= 2^(901+M).
 
+The scratch is one block.  _extract runs each level over blocks of _BLOCK
+values, with sigma from the largest remainder of the whole array, so each
+q is the one a pass over the whole array would give.  A row or a range
+that crosses block edges is summed share by share, and every running
+total of those shares is again a subset sum, so it is exact.  So is the
+level's cumsum carried from block to block: adding P(lo), the sum of the
+first lo values, to the block's first value and taking the block's cumsum
+gives each P(lo + i + 1) as a partial sum of the level, exactly.
+
 An exact_sum of input _extract declines (NaN, +-inf, some |x| past
 2^900), of fewer than _T values or of no nonzero value is ``math.fsum``
 reading the float64 buffer through a ``memoryview``, with its value, its
@@ -74,29 +83,39 @@ _HUGE = 2.0 ** 900
 _TABLE_FROM = 1
 
 
-def _extract(values: np.ndarray,
-             reduce: Callable[[np.ndarray], np.ndarray]) -> Optional[list]:
-    """``reduce(q)`` for each level q of the extraction of a nonempty array
-    ``values`` (see the module docstring), until the remainder is zero:
-    ``values`` ends all zero, and ``reduce`` may overwrite q.
+def _extract(values: np.ndarray, reduce: Callable[..., None],
+             size: int) -> Optional[list[np.ndarray]]:
+    """The levels of the extraction of a nonempty array ``values`` (see the
+    module docstring) until the remainder is zero, each reduced to an array
+    of ``size`` sums: ``values`` ends all zero.
 
-    Returns None, with ``values`` untouched, when some value is NaN or
-    infinite or some |x| exceeds 2^900; no level when every value is zero.
-    The scratch is one array of the length of ``values``.
+    Each level runs over the blocks of _BLOCK values in order, with one
+    block of scratch: ``reduce(q, lo, level)`` gets the level's values at
+    lo..lo + len(q) - 1 as q, which it may overwrite, and adds their share
+    into ``level``, zeros at first.  Sigma comes from the whole array's
+    largest remainder.  Returns None, with ``values`` untouched, when some
+    value is NaN or infinite or some |x| exceeds 2^900; no level when
+    every value is zero.
     """
     peak = max(float(values.max()), -float(values.min()))
     if not peak <= _HUGE:           # NaN as well
         return None
-    M = (values.shape[0] + 1).bit_length()      # 2^M >= n + 2
-    q = np.empty_like(values)
+    n = values.shape[0]
+    M = (n + 1).bit_length()        # 2^M >= n + 2
+    scratch = np.empty(min(n, _BLOCK))
     levels = []
     while peak > 0.0:
         sigma = math.ldexp(1.0, math.frexp(peak)[1] + M)
-        np.add(values, sigma, out=q)
-        q -= sigma
-        values -= q
-        levels.append(reduce(q))
-        peak = max(float(values.max()), -float(values.min()))
+        level, peak = np.zeros(size), 0.0
+        for lo in range(0, n, _BLOCK):
+            r = values[lo:lo + _BLOCK]
+            q = scratch[:r.shape[0]]
+            np.add(r, sigma, out=q)
+            q -= sigma
+            r -= q
+            peak = max(peak, float(r.max()), -float(r.min()))
+            reduce(q, lo, level)
+        levels.append(level)
     return levels
 
 
@@ -106,9 +125,13 @@ def _row_parts(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
     sum of the row.
 
     _extract runs on a copy of one block at a time, a whole number of rows
-    and about _BLOCK values, so the scratch is two blocks.  Returns None
-    when _extract declines some block.
+    and about _BLOCK values, so the scratch is two blocks.  A row longer
+    than _BLOCK is a copy of its own, whose blocks all add into it.
+    Returns None when _extract declines some block.
     """
+    def over_rows(q: np.ndarray, lo: int, level: np.ndarray) -> None:
+        level += np.add.reduceat(q, np.arange(0, q.shape[0], row))
+
     n = values.shape[0]
     size = max(1, _BLOCK // row) * row
     buf = np.empty(min(size, n))
@@ -116,12 +139,12 @@ def _row_parts(values: np.ndarray, row: int) -> Optional[list[list[float]]]:
     for start in range(0, n, size):
         block = buf[:min(size, n - start)]
         np.copyto(block, values[start:start + size])
-        heads = np.arange(0, block.shape[0], row)
-        levels = _extract(block, lambda q: np.add.reduceat(q, heads))
+        rows = -(-block.shape[0] // row)
+        levels = _extract(block, over_rows, rows)
         if levels is None:
             return None
         out.extend(np.stack(levels, axis=1).tolist() if levels
-                   else [[]] * heads.shape[0])
+                   else [[]] * rows)
     return out
 
 
@@ -152,24 +175,39 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
 
     Once the ranges hold more than _TABLE_FROM values per value of the
     array, one _extract over the whole array reduces each level to its
-    sums over the ranges, from its cumsum (see the module docstring); it
-    leaves ``values`` all zero.  Short ranges, and input _extract declines,
-    take one exact_sum per range.  The scratch is one array of the length
-    of ``values``, and each level keeps only its sums over the ranges.
+    sums over the ranges, P(b) - P(a) with P(j) the sum of the level's
+    first j values (see the module docstring); it leaves ``values`` all
+    zero.  The level's running sum is carried from block to block, and
+    P(j) is read in the block that holds value j - 1.  Short ranges, and
+    input _extract declines, take one exact_sum per range.  The scratch is
+    one block, and each level keeps only its sums over the ranges.
     """
     n = values.shape[0]
     if int((stops - starts).sum()) > _TABLE_FROM * n:
-        # prefix sums P(j) = sum(q[:j]) are cumsum[j - 1], and P(0) = 0
-        ends, end_in = stops - 1, stops > 0
-        begins, begin_in = starts - 1, starts > 0
+        edges = np.append(np.arange(0, n, _BLOCK), n)
+        marks = []      # per end: sign, ends ascending, their order, bounds
+        for sign, ends in ((1.0, stops), (-1.0, starts)):
+            order = (None if bool((ends[:-1] <= ends[1:]).all())
+                     else np.argsort(ends, kind="stable"))
+            ends = ends if order is None else ends[order]
+            # P(0) = 0 is read in no block
+            marks.append((sign, ends, order,
+                          np.searchsorted(ends, edges, side="right")))
+        carry = 0.0
 
-        def over_ranges(q: np.ndarray) -> np.ndarray:
-            np.cumsum(q, out=q)
-            level = np.where(end_in, q[ends], 0.0)
-            level -= np.where(begin_in, q[begins], 0.0)
-            return level
+        def over_ranges(q: np.ndarray, lo: int, level: np.ndarray) -> None:
+            nonlocal carry
+            if lo:
+                q[0] += carry
+            np.cumsum(q, out=q)     # q[i] = P(lo + i + 1)
+            carry = q[-1]
+            k = lo // _BLOCK
+            for sign, ends, order, bounds in marks:
+                a, b = bounds[k], bounds[k + 1]
+                at = slice(a, b) if order is None else order[a:b]
+                level[at] += sign * q[ends[a:b] - (lo + 1)]
 
-        levels = _extract(values, over_ranges)
+        levels = _extract(values, over_ranges, starts.shape[0])
         if levels is not None:
             if len(levels) <= 1:    # each exact sum is already one float
                 return levels[0] if levels else np.zeros(starts.shape[0])

@@ -370,11 +370,14 @@ def test_verify_unknown_theorem_exits_two(capsys):
     ("--seed", "5", "t3"),
 ])
 def test_verify_rejects_an_option_its_claim_does_not_read(capsys, argv):
+    # with the usage line of the claim, or of verify ahead of the claim
+    usage = "verify" if argv[0].startswith("-") else f"verify {argv[0]}"
     with pytest.raises(SystemExit) as exc:
         main(["verify", *argv])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert err.startswith("usage: ") and "Traceback" not in err
+    assert err.startswith(f"usage: trigconv {usage} [-h]"), err
+    assert f"trigconv {usage}: error: " in err and "Traceback" not in err
 
 
 def test_verify_t3_small(capsys):
@@ -773,7 +776,8 @@ def test_cli_fuzz_exits_0_1_or_2(parts):
               if argv[0] == "verify" else set())
     assert rejected == bool(unread)
     if rejected:
-        assert code == 2 and err.startswith("usage: "), err
+        assert code == 2, err
+        assert err.startswith(f"usage: trigconv verify {argv[1]} [-h]"), err
         return
     assert code in (0, 1, 2)
     if code == 2:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -481,6 +482,45 @@ def test_group_bv_windows_match_one_window_calls(text):
         [f"GROUP_BV(N0={n0})" for n0 in windows]
     _same_reports(got, [check_group_bv(PrefixView.of(seq, 1 << 12), (n0,))[0]
                         for n0 in windows])
+
+
+@pytest.mark.parametrize("text", ["rbv_block(1.0)", "quasimono(0.5,2.0)",
+                                  "perturbed(11,harmonic(2.0),0.05)"])
+def test_group_bv_memo_sums_each_block_once(monkeypatch, text):
+    # repeated, unordered windows read one memo of exactly rounded L_m:
+    # each report equals a one-window call, and no block is summed twice
+    seq = sequence_from_text(text)
+    windows = (16, 1, 1, 4)
+    expected = [check_group_bv(PrefixView.of(seq, 1 << 14), (n0,))[0]
+                for n0 in windows]
+    summed = []
+    block_sums = conditions._exact_block_sums
+    monkeypatch.setattr(conditions, "_exact_block_sums",
+                        lambda c, i: summed.append(i.copy())
+                        or block_sums(c, i))
+    _same_reports(check_group_bv(PrefixView.of(seq, 1 << 14), windows),
+                  expected)
+    every = np.concatenate(summed)
+    assert every.size and np.unique(every).size == every.size
+
+
+def test_group_bv_scratch_is_bounded_beyond_the_prefix_and_its_tail():
+    # rbv_block keeps about an eighth of the scan at every window: past c
+    # and its tail sums, GROUP_BV holds |c| and two arrays over the scan,
+    # the memo's mask and one range-sum call at a time, each level of it
+    # in blocks (4.16 x 8N when every window's kept m and R were held to
+    # the end and _extract's scratch was the whole array)
+    N = 1 << 18
+    view = PrefixView.of(sequence_from_text("rbv_block(1.0)"), N)
+    view.tail
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_group_bv(view, conditions.DEFAULT_WINDOWS)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * N
 
 
 @settings(max_examples=100, deadline=None)

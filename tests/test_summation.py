@@ -253,7 +253,7 @@ def test_kernel_reaches_several_levels():
                                   np.full(40, 2.0 ** -1000)])
 def test_kernel_declines_all_zero_input_and_extracts_tiny_values(vals):
     # no level on all-zero input, so exact_sum keeps math.fsum's signed zero
-    assert bool(summation._extract(vals.copy(), np.sum)) == bool(vals.any())
+    assert bool(_extract_total(vals.copy())) == bool(vals.any())
     with mock.patch.multiple(summation, _T=2, _BLOCK=8):
         assert _bits(exact_sum(vals)) == _bits(math.fsum(vals.tolist()))
 
@@ -271,22 +271,31 @@ _DECLINED = st.sampled_from([math.nan, math.inf, -math.inf,
                              -math.nextafter(_EDGE, math.inf)])
 
 
+def _total(q, lo, level):
+    level[0] += q.sum()
+
+
+def _extract_total(values: np.ndarray):
+    """_extract's levels of the whole array's sum."""
+    return summation._extract(values, _total, 1)
+
+
 def _reductions(n: int, width: int, ranges: list[tuple[int, int]]):
     """The three reductions _extract serves, each with the groups of
     positions whose values one of its entries sums: one row, rows of
-    ``width``, and ranges from a cumsum."""
-    heads = np.arange(0, n, width)
-    starts = np.array([a for a, _ in ranges])
-    stops = np.array([b for _, b in ranges])
+    ``width``, and ranges.  Each adds a block's share value by value or
+    range by range, with no cumsum."""
+    def over_rows(q, lo, level):
+        for j, x in enumerate(q.tolist()):
+            level[(lo + j) // width] += x
 
-    def over_ranges(q):
-        np.cumsum(q, out=q)
-        ends = np.where(stops > 0, q[stops - 1], 0.0)
-        return ends - np.where(starts > 0, q[starts - 1], 0.0)
+    def over_ranges(q, lo, level):
+        for i, (a, b) in enumerate(ranges):
+            level[i] += q[max(a - lo, 0):max(b - lo, 0)].sum()
 
-    return [(lambda q: np.array([q.sum()]), [range(n)]),
-            (lambda q: np.add.reduceat(q, heads),
-             [range(h, min(h + width, n)) for h in heads.tolist()]),
+    return [(_total, [range(n)]),
+            (over_rows, [range(h, min(h + width, n))
+                         for h in range(0, n, width)]),
             (over_ranges, [range(a, b) for a, b in ranges])]
 
 
@@ -294,11 +303,12 @@ def _reductions(n: int, width: int, ranges: list[tuple[int, int]]):
 @given(st.lists(_EXTRACT_VALUES, max_size=60),
        st.lists(st.integers(7 << 50, (1 << 53) - 1), max_size=60),
        st.integers(-60, 60), st.sampled_from([1, -1]), st.integers(1, 9),
-       st.data())
+       st.integers(1, 9), st.data())
 def test_extract_levels_sum_exactly_to_each_row_and_range(xs, run, exp, sign,
-                                                          width, data):
+                                                          width, block, data):
     # a run of values of one sign just below 2^e in magnitude fills a
-    # level's sums up to sigma, the edge of the lemma's bound
+    # level's sums up to sigma, the edge of the lemma's bound; the blocks
+    # of _BLOCK values cut rows and ranges anywhere
     xs = xs + [math.ldexp(sign * m, exp - 53) for m in run] or [0.0]
     data.draw(st.randoms(use_true_random=False)).shuffle(xs)
     n = len(xs)
@@ -308,7 +318,8 @@ def test_extract_levels_sum_exactly_to_each_row_and_range(xs, run, exp, sign,
     exact = [Fraction(x) for x in xs]
     for reduce, groups in _reductions(n, width, ranges):
         values = np.array(xs)
-        levels = summation._extract(values, reduce)
+        with mock.patch.object(summation, "_BLOCK", block):
+            levels = summation._extract(values, reduce, len(groups))
         assert not values.any()
         got = [sum(Fraction(float(lv[i])) for lv in levels)
                for i in range(len(groups))]
@@ -325,8 +336,8 @@ def test_extract_declines_and_keeps_its_input(xs, bad, rnd):
     rnd.shuffle(xs)
     values = np.array(xs)
     before = values.tobytes()
-    for reduce, _ in _reductions(len(xs), 3, [(0, len(xs))]):
-        assert summation._extract(values, reduce) is None
+    for reduce, groups in _reductions(len(xs), 3, [(0, len(xs))]):
+        assert summation._extract(values, reduce, len(groups)) is None
         assert values.tobytes() == before
 
 
@@ -395,7 +406,10 @@ _RANGE_VALUES = st.one_of(
 def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
     # lengths next to 2^k, where 2^M >= n + 2 steps to the next M; the
     # table serves every nonempty set of ranges, zeros and values below
-    # 2^-900 included
+    # 2^-900 included.  Blocks of 1, 3, 4 or 8 values put range ends on
+    # either side of a block edge, carry each level's running sum across
+    # many blocks, and cut the rows of exact_sum and suffix_sums (chunks of
+    # 2 or of 16 values)
     n = max(1, 2 ** k + offset)
     arr = np.array(data.draw(st.lists(_RANGE_VALUES, min_size=n,
                                       max_size=n)))
@@ -403,10 +417,18 @@ def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
                               min_size=1, max_size=20))
     starts = np.array([min(a, b) for a, b in ends])
     stops = np.array([max(a, b) for a, b in ends])
-    with mock.patch.object(summation, "_TABLE_FROM", 0):
+    block = data.draw(st.sampled_from([summation._BLOCK, 1, 3, 4, 8]))
+    chunk = data.draw(st.sampled_from([2, 16]))
+    with mock.patch.multiple(summation, _TABLE_FROM=0, _BLOCK=block):
         got = summation._range_sums(arr.copy(), starts, stops)
     assert [_bits(x) for x in got] == \
         [_bits(math.fsum(arr[a:b].tolist())) for a, b in zip(starts, stops)]
+    with mock.patch.multiple(summation, _T=1, _BLOCK=block, _CHUNK=chunk):
+        total = exact_sum(arr)
+        suffixes = suffix_sums(arr)
+    assert _bits(total) == _bits(math.fsum(arr.tolist()))
+    assert suffixes.tobytes() == \
+        _suffix_sums_chunk_by_chunk(arr, chunk).tobytes()
 
 
 @pytest.mark.parametrize("vals", [np.zeros(9), np.full(9, 2.0 ** -1000),
@@ -417,7 +439,7 @@ def test_range_sums_are_fsum_where_the_kernel_declines(vals):
     # input _extract declines (NaN, inf, past 2^900), all zeros and values
     # below 2^-900 get math.fsum's bits over every range, whichever route
     # the cost rule picks
-    levels = summation._extract(vals.copy(), np.sum)
+    levels = _extract_total(vals.copy())
     assert (levels is None) == (not np.abs(vals).max() <= _EDGE)
     n = vals.shape[0]
     starts, stops = np.array([0, 0, 1, n]), np.array([n, 1, n, n])
