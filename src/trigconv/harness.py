@@ -48,6 +48,7 @@ from .conditions import (
     dyadic_block_maxima,
 )
 from .sequences import (
+    _block_exponent,
     CoefficientSequence,
     FamilySpec,
     Sector,
@@ -273,7 +274,7 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     if sector is None:
         # dyadic-blockwise +/- kappa modulation: keeps rest-bounded
         # variation while breaking monotonicity at block boundaries
-        exponents = np.frexp(np.arange(1, L + 1, dtype=float))[1] - 1
+        exponents = _block_exponent(np.arange(1, L + 1))
         signs = np.where(exponents % 2 == 0, 1.0, -1.0)
         g = g * (1.0 + _RBV_KAPPA * signs)
     rvals, _ = weight.validated_prefix(L)
@@ -482,10 +483,9 @@ def run_weighted_implication_corpus(seed_start: int,
 def run_sector_implication_corpus(seed_start: int,
                                   size: int) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
-    seeds = [s for s in range(seed_start, seed_start + 4 * size)
-             if s % 2 == 1][:size]
+    odd = seed_start | 1
     outcomes = [verify_orvqm_implication(*corpus_member(seed))
-                for seed in seeds]
+                for seed in range(odd, odd + 2 * size, 2)]
     return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
                            ("sector/", "chain/"))
 
@@ -514,7 +514,7 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
             and 2.0 ** -alpha < 1.0):
         raise SequenceError(f"lacunary alpha must satisfy 2^-alpha < 1 and "
                             f"20 alpha <= 1022; got {alpha!r}")
-    b = family_sequence(FamilySpec("lacunary", (float(alpha),), None))
+    b = family_sequence(FamilySpec("lacunary", (float(alpha),)))
     label = b.label
     vals = np.asarray(b.prefix(horizon))
     records: list[InequalityRecord] = []

@@ -372,16 +372,15 @@ class WeightSequence:
 # family grammar
 # ---------------------------------------------------------------------------
 #
-# Canonical text form:  family_id(param1,param2,...)[@seed]
-# Parameters are numbers or nested specs; "explicit:[v1,v2,...]" embeds a
-# short explicit sequence.  Weight specs use the same grammar with their own
-# id set (one, const(c), power(beta), log, exp2).
+# Canonical text form:  family_id(param1,param2,...), one spelling per
+# sequence.  Parameters are numbers or nested specs; "explicit:[v1,v2,...]"
+# embeds a short explicit sequence.  Weight specs use the same grammar with
+# their own id set (one, const(c), power(beta), log, exp2).
 
 @dataclass(frozen=True)
 class FamilySpec:
     family_id: str
     params: tuple = ()
-    seed: Optional[int] = None
 
     def __str__(self) -> str:
         return format_family_spec(self)
@@ -389,10 +388,9 @@ class FamilySpec:
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-_FAMILY_ALIASES = {"logdamped": "log_damped", "rbvblock": "rbv_block"}
-
 # The parameters each family and weight id takes, in order: a finite number
-# or a nested spec.  const's number is optional: const means const(1).
+# or a nested spec.  perturbed's seed must also be an integer in [0, 2^64),
+# checked where it is realized.
 _NUMBER, _SPEC = "finite number", "spec"
 _PARAM_KINDS = {
     "harmonic": (_NUMBER,),
@@ -456,14 +454,6 @@ def parse_family_spec(text: str) -> FamilySpec:
             except ValueError as exc:
                 raise SequenceError(f"bad explicit value {it!r}") from exc
         return FamilySpec("explicit", tuple(vals))
-    seed = None
-    if text.rfind("@") > text.rfind(")"):   # an @ inside ( ) is nested
-        head, _, tail = text.rpartition("@")
-        try:
-            seed = int(tail)
-        except ValueError as exc:
-            raise SequenceError(f"bad seed in spec {text!r}") from exc
-        text = head.strip()
     if "(" in text:
         if not text.endswith(")"):
             raise SequenceError(f"malformed spec: {text!r}")
@@ -472,13 +462,12 @@ def parse_family_spec(text: str) -> FamilySpec:
     else:
         head, args = text, ()
     head = head.strip()
-    head = _FAMILY_ALIASES.get(head, head)
     if not _ID_RE.match(head):
         raise SequenceError(f"bad family id {head!r}")
     kinds = _PARAM_KINDS.get(head)
     if kinds is None:
         raise SequenceError(f"unknown family id {head!r}")
-    if len(args) != len(kinds) and not (head == "const" and not args):
+    if len(args) != len(kinds):
         raise SequenceError(
             f"{head!r} takes {len(kinds)} parameter(s), got {len(args)}")
     for i, (arg, kind) in enumerate(zip(args, kinds), 1):
@@ -491,7 +480,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             raise SequenceError(
                 f"parameter {i} of {head!r} must be a {kind}, got "
                 f"{_format_value(arg)!r}")
-    return FamilySpec(head, args, seed)
+    return FamilySpec(head, args)
 
 
 def _format_value(v) -> str:
@@ -508,8 +497,6 @@ def format_family_spec(spec: FamilySpec) -> str:
     out = spec.family_id
     if spec.params:
         out += "(" + ",".join(_format_value(v) for v in spec.params) + ")"
-    if spec.seed is not None:
-        out += f"@{spec.seed}"
     return out
 
 
@@ -521,7 +508,7 @@ def weight_from_spec(spec: FamilySpec) -> WeightSequence:
     if wid == "one":
         return WeightSequence(label, lambda n: np.ones(n.shape[0]))
     if wid == "const":
-        c = float(params[0]) if params else 1.0
+        c = float(params[0])
         return WeightSequence(label, lambda n: np.full(n.shape[0], c))
     if wid == "power":
         beta = float(params[0])
@@ -546,7 +533,7 @@ def _power_of_two_mask(n: np.ndarray) -> np.ndarray:
 
 def family_sequence(spec: FamilySpec) -> CoefficientSequence:
     """Realize a FamilySpec as a CoefficientSequence."""
-    fid, params, seed = spec.family_id, spec.params, spec.seed
+    fid, params = spec.family_id, spec.params
     label = format_family_spec(spec)
 
     if fid == "explicit":
@@ -616,14 +603,15 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         return CoefficientSequence(label, prod, base.is_real, base.length)
     if fid == "perturbed":
         # base * (1 + eps * u_n) with u_n in [-1, 1) drawn from SplitMix64.
-        # The seed parameter is overridden by a trailing @seed when present.
-        seed_param = int(params[0])
+        seed = params[0]
+        if not (isinstance(seed, int) and 0 <= seed < 1 << 64):
+            raise SequenceError(f"the seed of 'perturbed' must be an integer "
+                                f"in [0, 2^64), got {_format_value(seed)!r}")
         base = family_sequence(params[1])
         eps = float(params[2])
-        eff_seed = seed if seed is not None else seed_param
 
         def pert(n):
-            return base.values_at(n) * (1.0 + eps * unit_noise(eff_seed, n))
+            return base.values_at(n) * (1.0 + eps * unit_noise(seed, n))
         return CoefficientSequence(label, pert, base.is_real, base.length)
     raise SequenceError(f"unknown family id {fid!r}")
 

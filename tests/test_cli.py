@@ -64,7 +64,7 @@ def test_classify_short_explicit_is_input_error(capsys):
 
 
 def test_classify_deterministic(capsys):
-    spec = "perturbed(2.0,harmonic(1.0),0.05)@3"
+    spec = "perturbed(3,harmonic(1.0),0.05)"
     code1, out1, _ = run(capsys, "classify", spec, "--horizon", "4096")
     code2, out2, _ = run(capsys, "classify", spec, "--horizon", "4096")
     assert code1 == code2 == 0
@@ -114,6 +114,46 @@ def test_classify_rejects_horizon_without_scan_range(capsys, horizon, extra):
     assert f"horizon {horizon} leaves the checkers an empty scan range" in err
 
 
+_SEED_ERROR = "the seed of 'perturbed' must be an integer in [0, 2^64)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("classify", "harmonic(1.0)@3"), "malformed spec",
+                 id="seed-suffix"),
+    pytest.param(("classify", "perturbed(3,harmonic(1.0),0.05)@42"),
+                 "malformed spec", id="perturbed-seed-suffix"),
+    pytest.param(("classify", "harmonic(2.0)", "--weight", "power(0.5)@3"),
+                 "malformed spec", id="weight-seed-suffix"),
+    pytest.param(("classify", "log_damped@3"), "bad family id",
+                 id="bare-seed-suffix"),
+    pytest.param(("curve", "logdamped", "--n", "64"),
+                 "unknown family id 'logdamped'", id="logdamped"),
+    pytest.param(("classify", "rbvblock(1.0)"),
+                 "unknown family id 'rbvblock'", id="rbvblock"),
+    pytest.param(("classify", "harmonic(2.0)", "--weight", "const"),
+                 "'const' takes 1 parameter(s), got 0", id="bare-const"),
+    pytest.param(("classify", "orvqm(const,harmonic(2.0))"),
+                 "'const' takes 1 parameter(s), got 0", id="nested-const"),
+    pytest.param(("classify", "perturbed(2.5,harmonic(1.0),0.05)"),
+                 _SEED_ERROR, id="seed-2.5"),
+    pytest.param(("classify", "perturbed(2.0,harmonic(1.0),0.05)"),
+                 _SEED_ERROR, id="seed-2.0"),
+    pytest.param(("classify", "perturbed(-1,harmonic(1.0),0.05)"),
+                 _SEED_ERROR, id="seed-negative"),
+    pytest.param(("classify", "perturbed(18446744073709551616,harmonic(1.0),"
+                  "0.05)"), _SEED_ERROR, id="seed-2^64"),
+    pytest.param(("curve", "orvqm(log,perturbed(1e3,zero,0.1))", "--n", "8"),
+                 _SEED_ERROR, id="nested-seed-1e3"),
+])
+def test_removed_spellings_and_bad_seeds_are_input_errors(capsys, argv,
+                                                          message):
+    # each sequence and weight has one spelling, and a perturbed seed is
+    # an integer in [0, 2^64): anything else exits 2 with one line
+    code, out, err = run(capsys, *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert message in err
+
+
 def test_classify_composite_over_explicit_base(capsys):
     code, out, _ = run(capsys, "classify",
                        "perturbed(1,explicit:[1,0.5,0.25],0.1)",
@@ -150,7 +190,7 @@ def test_curve_of_a_composite_of_finite_data(capsys):
     assert json.loads(err)["defaults"]["slack_settled"] is True
 
 
-@pytest.mark.parametrize("spec", ["perturbed(2,harmonic(2.0),0.05)@3",
+@pytest.mark.parametrize("spec", ["perturbed(3,harmonic(2.0),0.05)",
                                   "orvqm(log,harmonic(2.0))"])
 def test_curve_composite_family(capsys, spec):
     # the truncation slack evaluates the generator on (N_ref, 16 N_ref]

@@ -32,22 +32,15 @@ from trigconv.sequences import _PIECE
     ("harmonic(1.0)", "harmonic", (1.0,)),
     ("lacunary(0.5)", "lacunary", (0.5,)),
     ("log_damped", "log_damped", ()),
-    ("logdamped", "log_damped", ()),       # alias
+    ("perturbed(3,harmonic(1.0),0.01)", "perturbed",
+     (3, FamilySpec("harmonic", (1.0,)), 0.01)),
     ("zero", "zero", ()),
-    ("rbvblock(1.0)", "rbv_block", (1.0,)),
+    ("rbv_block(1.0)", "rbv_block", (1.0,)),
 ])
 def test_parse_family_spec(text, family, params):
     spec = parse_family_spec(text)
     assert spec.family_id == family
     assert spec.params == params
-
-
-def test_parse_seed_suffix():
-    spec = parse_family_spec("perturbed(3,harmonic(1.0),0.01)@42")
-    assert spec.seed == 42
-    assert spec.family_id == "perturbed"
-    inner = spec.params[1]
-    assert isinstance(inner, FamilySpec) and inner.family_id == "harmonic"
 
 
 def test_parse_explicit_inline():
@@ -73,6 +66,9 @@ def test_explicit_label_prints_real_values_as_reals(text, label):
 @pytest.mark.parametrize("bad", [
     "harmonic(", "nosuchfamily(1)", "harmonic(1,2,3)", "explicit:[a]",
     "harmonic(1.0)@x", "",
+    # one spelling per sequence: no @seed suffix, no aliases, no bare const
+    "harmonic(1.0)@3", "log_damped@3", "perturbed(3,harmonic(1.0),0.01)@42",
+    "logdamped", "rbvblock(1.0)", "const", "orvqm(const,harmonic(2.0))",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(SequenceError):
@@ -83,7 +79,7 @@ def test_parse_rejects(bad):
        st.floats(0.1, 4.0, allow_nan=False))
 def test_format_parse_round_trip(fam, p):
     params = (p, 2.0) if fam == "quasimono" else (p,)
-    spec = FamilySpec(fam, params, None)
+    spec = FamilySpec(fam, params)
     assert parse_family_spec(format_family_spec(spec)) == spec
 
 
@@ -91,36 +87,33 @@ def test_format_parse_round_trip(fam, p):
 
 _NUMBERS = st.one_of(st.integers(-5, 50),
                      st.floats(allow_nan=False, allow_infinity=False))
-_SEEDS = st.none() | st.integers(-2 ** 70, 2 ** 70)
 _WEIGHT_SPECS = st.one_of(
-    st.builds(FamilySpec, st.sampled_from(["one", "log", "exp2", "const"])),
+    st.builds(FamilySpec, st.sampled_from(["one", "log", "exp2"])),
     st.builds(lambda w, v: FamilySpec(w, (v,)),
               st.sampled_from(["const", "power"]), _NUMBERS))
 _FAMILY_SPECS = st.recursive(
     st.one_of(
-        st.builds(lambda f, p, s: FamilySpec(f, (p,), s),
+        st.builds(lambda f, p: FamilySpec(f, (p,)),
                   st.sampled_from(["harmonic", "lacunary", "rbv_block"]),
-                  _NUMBERS, _SEEDS),
-        st.builds(lambda a, p, s: FamilySpec("quasimono", (a, p), s),
-                  _NUMBERS, _NUMBERS, _SEEDS),
-        st.builds(lambda f, s: FamilySpec(f, (), s),
-                  st.sampled_from(["log_damped", "zero"]), _SEEDS),
+                  _NUMBERS),
+        st.builds(lambda a, p: FamilySpec("quasimono", (a, p)),
+                  _NUMBERS, _NUMBERS),
+        st.builds(FamilySpec, st.sampled_from(["log_damped", "zero"])),
         st.builds(lambda v: FamilySpec("explicit", tuple(v)),
                   st.lists(st.complex_numbers(allow_nan=False,
                                               allow_infinity=False),
                            max_size=4))),
     lambda inner: st.one_of(
-        st.builds(lambda w, b, s: FamilySpec("orvqm", (w, b), s),
-                  _WEIGHT_SPECS, inner, _SEEDS),
-        st.builds(lambda k, b, e, s: FamilySpec("perturbed", (k, b, e), s),
-                  _NUMBERS, inner, _NUMBERS, _SEEDS)),
+        st.builds(lambda w, b: FamilySpec("orvqm", (w, b)),
+                  _WEIGHT_SPECS, inner),
+        st.builds(lambda k, b, e: FamilySpec("perturbed", (k, b, e)),
+                  _NUMBERS, inner, _NUMBERS)),
     max_leaves=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_FAMILY_SPECS, _WEIGHT_SPECS))
 def test_format_parse_round_trip_generated(spec):
-    # nested specs may carry their own @seed
     text = format_family_spec(spec)
     assert format_family_spec(parse_family_spec(text)) == text
 
@@ -166,11 +159,6 @@ def test_parse_checks_parameter_kinds(text):
         parse_family_spec(text)
 
 
-def test_const_weight_parameter_is_optional():
-    assert weight_from_spec(parse_family_spec("const")).prefix(2)[1] == 1.0
-    assert weight_from_spec(parse_family_spec("const(2)")).prefix(2)[1] == 2.0
-
-
 @pytest.mark.filterwarnings("error")
 def test_generator_overflow_is_a_sequence_error_without_warning():
     with pytest.raises(SequenceError, match="non-finite"):
@@ -198,7 +186,7 @@ def test_explicit_rejects_non_finite_values():
 
 
 @pytest.mark.parametrize("text", [
-    "perturbed(2,harmonic(2.0),0.05)@3",
+    "perturbed(3,harmonic(2.0),0.05)",
     "orvqm(log,harmonic(2.0))",
     "orvqm(power(0.5),perturbed(4,log_damped,0.1))",
 ])
@@ -222,6 +210,23 @@ def test_explicit_prefix_is_a_view_of_the_callers_array():
         assert seq.values_at(picked).tobytes() == vals[picked - 1].tobytes()
         with pytest.raises(SequenceError, match="has 9 values, 10 requested"):
             seq.values_at(np.array([10], dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed,ok", [
+    ("0", True), (str(2 ** 64 - 1), True), ("2.0", False), ("2.5", False),
+    ("-1", False), (str(2 ** 64), False)])
+def test_perturbed_seed_is_an_integer_below_2_to_the_64(seed, ok):
+    # the seed is checked where the family is realized, so every seed
+    # still parses and formats back to its own text
+    text = f"perturbed({seed},harmonic(1.0),0.05)"
+    spec = parse_family_spec(text)
+    assert format_family_spec(spec) == text
+    if ok:
+        assert family_sequence(spec).prefix(4).shape == (4,)
+    else:
+        with pytest.raises(SequenceError, match=r"must be an integer in "
+                                                r"\[0, 2\^64\)"):
+            family_sequence(spec)
 
 
 def test_composite_over_explicit_base():
@@ -257,7 +262,7 @@ _PIECE_SIZES = (0, 1, _P - 1, _P, _P + 1, 3 * _P + 17)
 _EVERY_FAMILY = (
     "zero", "harmonic(1.0)", "harmonic(2.0)", "log_damped",
     "quasimono(0.5,2.0)", "lacunary(0.5)", "rbv_block(1.0)",
-    "perturbed(3,log_damped,0.05)", "perturbed(2,harmonic(2.0),0.05)@7",
+    "perturbed(3,log_damped,0.05)", "perturbed(7,harmonic(2.0),0.05)",
     "orvqm(power(0.5),harmonic(2.0))",
     "orvqm(log,perturbed(4,log_damped,0.1))",
     "perturbed(5,orvqm(power(1.5),quasimono(0.5,2.0)),0.1)",
@@ -293,7 +298,7 @@ _BETWEEN = ((0, 0), (0, 1), (0, _P - 1), (0, _P), (0, _P + 1),
 
 
 @pytest.mark.parametrize("text", ["log_damped", "lacunary(0.5)",
-                                  "perturbed(2,harmonic(2.0),0.05)@7",
+                                  "perturbed(7,harmonic(2.0),0.05)",
                                   "explicit"])
 def test_values_between_is_values_at_the_range(text):
     # c_{lo+1}..c_hi byte for byte, around the piece edges and from lo > 0,
@@ -411,7 +416,7 @@ def test_prefix_too_large_to_index_raises():
 
 
 def test_prefix_is_stable_under_growth():
-    seq = sequence_from_text("perturbed(2.0,harmonic(1.0),0.05)@9")
+    seq = sequence_from_text("perturbed(9,harmonic(1.0),0.05)")
     a = np.asarray(seq.prefix(64)).copy()
     b = np.asarray(seq.prefix(4096))
     assert np.array_equal(a, b[:64])
