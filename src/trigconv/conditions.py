@@ -501,16 +501,40 @@ def _windows(n0_list: Sequence[int]) -> list[int]:
 _BOUND = 2.0 ** -39
 
 
-def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray) -> Optional[int]:
-    """The smallest m (R[m - 1] is R_m) with R_m = 0 < L_m, or None.
+def _widen(R: np.ndarray, width: int, N0: int) -> int:
+    """Grow R[i] = max |c_n| over n in [i + 1, i + 1 + width) in place to
+    the windows of length N0 > 0 (each entry whose window fits R), and
+    return N0: with s <= width, max(R_m, R_(m+s)) covers [m, m + width +
+    s).  max is exact, so the bits do not depend on the steps taken."""
+    while width < N0:
+        s = min(width, N0 - width)
+        np.maximum(R[:-s], R[s:], out=R[:-s])
+        width += s
+    return width
+
+
+def _window_maxima(c: np.ndarray, N0: int, lo: int, hi: int) -> np.ndarray:
+    """R_m = max |c_n| over [m, m + N0) for m = lo + 1..hi, from the terms
+    c_(lo+1)..c_(hi+N0-1) alone."""
+    R = np.abs(c[lo:hi + N0 - 1])
+    _widen(R, 1, N0)
+    return R[:hi - lo]
+
+
+def _first_zero_rhs_failure(c: np.ndarray, N0: int, count: int,
+                            R: Optional[np.ndarray]) -> Optional[int]:
+    """The smallest m in 1..count with R_m = 0 < L_m, or None.  R_m is
+    R[m - 1] when R is given (grown to the windows of length N0), else
+    formed span by span from c (_window_maxima).
 
     R_m = 0 makes c_m = 0, so L_m, an exact sum of |c_n - c_{n+1}| >= 0
     over n in [m, 2m], is positive if and only if c is nonzero somewhere
-    on [m + 1, 2m + 1]: no sum is needed.  A span whose R has no zero
-    costs one min.
+    on [m + 1, 2m + 1]: no sum is needed.  A span whose R_m have no zero
+    costs one min once they are formed.
     """
     def failing(lo: int, hi: int) -> Optional[int]:
-        part = R[lo:hi]
+        part = (_window_maxima(c, N0, lo, hi) if R is None
+                else R[lo:hi])
         if part.min() != 0.0:
             return None
         m = np.flatnonzero(part == 0.0) + (lo + 1)
@@ -520,7 +544,7 @@ def _first_zero_rhs_failure(c: np.ndarray, R: np.ndarray) -> Optional[int]:
         hit = np.flatnonzero(nxt <= 2 * m)   # position 2m is k = 2m + 1
         return int(m[hit[0]]) - lo - 1 if hit.size else None
 
-    return _first_flagged(R.shape[0], failing)
+    return _first_flagged(count, failing)
 
 
 def _exact_block_sums(c: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -582,6 +606,15 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     does not depend on N0; it is formed once, at the first window that
     does not fail.
 
+    The zero-right-side scan runs over _first_flagged's spans.  Until a
+    window passes it, each span forms its R_m from c alone
+    (_window_maxima), so a window that fails early reads the terms up to
+    its witness's span and holds no array over the scan.  The first window
+    that passes forms R over the whole scan, and R grows in place from
+    window to window (_widen): with s <= width, max(R_m, R_(m+s)) covers
+    [m, m + width + s).  max is exact, so R_m has the same bits either way
+    and each window keeps its bits.
+
     L_m does not depend on N0 either.  One memo over the scan keeps each
     L~_m once it is summed: it is written into A, where it is a valid A_m
     for every later window, and a mask marks its m.  Each window sums only
@@ -589,9 +622,7 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     once, and reads its constant and witness from fl(L~_m / R_m) over the
     m of the memo.  An m of the memo that the window does not keep has
     that ratio below the floor (0 where the floor is not positive), so it
-    moves neither.  R_m grows in place from window to window: with s <=
-    width, max(R_m, R_(m+s)) covers [m, m + width + s), and max is exact,
-    so each window keeps its bits.
+    moves neither.
     """
     windows = _windows(n0_list)
     if not windows:
@@ -602,23 +633,25 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     if not counts[-1]:  # the fit rule: no verdict over an empty range
         raise SequenceError(f"horizon {N} too small for the scan starting "
                             "at m = 1")
-    # R[m - 1] = max |c_n| over [m, m + width), grown in place
-    R = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
+    # R[m - 1] = max |c_n| over [m, m + width) for every m of every scan,
+    # formed at the first window that passes the zero-right-side scan
+    R = width = None
     A = work = done = None  # formed at the first window that does not fail
 
-    reports, width = {}, 1
+    reports = {}
     for N0, count in zip(windows, counts):
-        while width < N0:
-            s = min(width, N0 - width)
-            np.maximum(R[:-s], R[s:], out=R[:-s])
-            width += s
-        Rw = R[:count]
         cond, span = f"GROUP_BV(N0={N0})", (count, N)
-        witness = _first_zero_rhs_failure(c, Rw)
+        if R is not None:
+            width = _widen(R, width, N0)
+        witness = _first_zero_rhs_failure(c, N0, count, R)
         if witness is not None:
             reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
                                           None)
             continue
+        if R is None:
+            R = np.abs(c[:max(n + n0 - 1 for n, n0 in zip(counts, windows))])
+            width = _widen(R, 1, N0)
+        Rw = R[:count]
         if A is None:       # A_m for every m of the longest scan
             tail = view.tail    # built here, at its first read
             ta = tail[:counts[0]]

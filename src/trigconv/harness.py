@@ -472,20 +472,34 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
          "worst_slack": worst, "headline": headline})
 
 
+def _corpus_seeds(first: int, size: int, step: int) -> range:
+    """The seeds first, first + step, ... of a run of ``size`` members.
+
+    unit_noise reads a seed mod 2^64, so two seeds that differ by 2^64
+    would draw the same member under two labels: every seed the run draws,
+    its last one included, must lie in [0, 2^64), as perturbed's seed
+    must."""
+    seeds = range(first, first + step * size, step)
+    if seeds and not (seeds[0] >= 0 and seeds[-1] < 1 << 64):
+        raise SequenceError(f"every corpus seed must be an integer in "
+                            f"[0, 2^64); this run draws seeds {seeds[0]} "
+                            f"to {seeds[-1]}")
+    return seeds
+
+
 def run_weighted_implication_corpus(seed_start: int,
                                     size: int) -> VerificationOutcome:
     """The implication chain over the randomized corpus, aggregated."""
     outcomes = [verify_weighted_bv_implication(*corpus_member(seed)[:2])
-                for seed in range(seed_start, seed_start + size)]
+                for seed in _corpus_seeds(seed_start, size, 1)]
     return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
 
 
 def run_sector_implication_corpus(seed_start: int,
                                   size: int) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
-    odd = seed_start | 1
     outcomes = [verify_orvqm_implication(*corpus_member(seed))
-                for seed in range(odd, odd + 2 * size, 2)]
+                for seed in _corpus_seeds(seed_start | 1, size, 2)]
     return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
                            ("sector/", "chain/"))
 
@@ -516,17 +530,18 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
                             f"20 alpha <= 1022; got {alpha!r}")
     b = family_sequence(FamilySpec("lacunary", (float(alpha),)))
     label = b.label
-    vals = np.asarray(b.prefix(horizon))
     records: list[InequalityRecord] = []
 
-    # (i) block maxima in exponent space
+    # (i) block maxima in exponent space.  The prefix is zero off its
+    # support, 2^1..2^kmax, so the stored values and the nonzero count of
+    # the prefix are those of the support
     kmax = int(math.floor(math.log2(horizon)))
     k = np.arange(1, kmax + 1, dtype=float)
-    stored = vals[(1 << np.arange(1, kmax + 1)) - 1]
+    stored = b.values_at(b.support(0, horizon))
     exponents_match = bool(np.all(stored == np.exp2(-alpha * k)))
     prod = np.exp2(alpha * k) * stored
     ulp_dev = float(np.abs(prod - 1.0).max()) / np.finfo(float).eps
-    support_ok = int(np.count_nonzero(vals)) == kmax
+    support_ok = int(np.count_nonzero(stored)) == kmax
     exact = exponents_match and support_ok and ulp_dev <= 4.0
     records.append(InequalityRecord(
         "maxima/exactly_one", label, exact, float(np.abs(prod - 1.0).max()),
@@ -689,31 +704,34 @@ def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
     n_cases, horizon = 100, 1 << 16
     u = unit_noise(seed, np.arange(3 * n_cases))
     pick = (u + 1.0) / 2.0
-    # one sequence per family, so that each prefix is built once
-    seqs = [sequence_from_text(fam) for fam in _SUFFICIENCY_FAMILIES]
-    cases = [(int(pick[3 * i] * len(seqs)) % len(seqs),
+    families = len(_SUFFICIENCY_FAMILIES)
+    cases = [(int(pick[3 * i] * families) % families,
               1 + int(pick[3 * i + 1] * 1024),
               float(pick[3 * i + 2] * (math.pi - 1e-6) + 1e-6))
              for i in range(n_cases)]
-    # the variation sums sum_{k=N}^{H} |c_k - c_{k+1}| of all of a
-    # family's cases from one range-sum call over its |Delta c|
-    var = {}
-    for j, seq in enumerate(seqs):
+    k = np.arange(1, horizon + 1, dtype=float)
+    terms = np.empty(horizon)      # one case's terms at a time
+    records: list[Optional[InequalityRecord]] = [None] * n_cases
+    # one family at a time, so that one prefix is alive at a time
+    for j, fam in enumerate(_SUFFICIENCY_FAMILIES):
         mine = [i for i, case in enumerate(cases) if case[0] == j]
-        vals = np.asarray(seq.prefix(horizon + 1))
-        sums = _range_sums(np.abs(vals[:-1] - vals[1:]),
-                           np.array([cases[i][1] - 1 for i in mine]),
-                           np.full(len(mine), horizon))
-        var.update(zip(mine, sums.tolist()))
-    records: list[InequalityRecord] = []
-    for i, (j, N, x) in enumerate(cases):
-        vals = np.asarray(seqs[j].prefix(horizon))
-        bound = (math.pi / x) * (var[i] + abs(complex(vals[N - 1])))
-        k = np.arange(N, horizon + 1, dtype=float)
-        actual = abs(exact_sum(vals[N - 1:] * np.sin(k * x)))
-        records.append(_gate("abel/dominance",
-                             f"{_SUFFICIENCY_FAMILIES[j]} N={N} x={x:.4f}",
-                             actual, bound))
+        vals = sequence_from_text(fam).prefix(horizon + 1)
+        # the variation sums sum_{k=N}^{H} |c_k - c_{k+1}| of the family's
+        # cases from one range-sum call over its |Delta c|
+        diffs = np.subtract(vals[:-1], vals[1:])
+        var = _range_sums(np.abs(diffs, out=diffs),
+                          np.array([cases[i][1] - 1 for i in mine]),
+                          np.full(len(mine), horizon)).tolist()
+        for i, v in zip(mine, var):
+            _, N, x = cases[i]
+            bound = (math.pi / x) * (v + abs(complex(vals[N - 1])))
+            t = terms[:horizon - N + 1]     # c_k sin kx for k = N..H
+            np.multiply(k[N - 1:], x, out=t)
+            np.sin(t, out=t)
+            np.multiply(vals[N - 1:horizon], t, out=t)
+            records[i] = _gate("abel/dominance", f"{fam} N={N} x={x:.4f}",
+                               abs(exact_sum(t)), bound)
+        del vals, diffs
     worst = min(r.slack for r in records)
     return _judged(
         CLAIM_SUFFICIENCY, records,

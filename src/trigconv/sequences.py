@@ -22,6 +22,7 @@ call over all of them.
 from __future__ import annotations
 
 import math
+import mmap
 import re
 import sys
 from dataclasses import dataclass, field
@@ -116,6 +117,27 @@ def _evaluate(fn: Callable[[np.ndarray], np.ndarray], label: str, size: int,
                     f"generator for {label!r} returned a wrong shape")
             out[lo:hi] = vals
     return out
+
+
+def _mapped_zeros(size: int, dtype: type) -> np.ndarray:
+    """size zeros of dtype, writable, in a fresh private anonymous mapping.
+
+    Such a mapping reads as zeros, and the kernel makes a page of it
+    resident when the page is first written; a read maps the shared zero
+    page.  np.zeros gives no such promise: calloc may hand out heap memory
+    and clear every page of it, and numpy asks for huge pages on large
+    arrays, so that one written value makes up to 2 MiB resident.  An
+    OSError of mmap (ENOMEM) is a MemoryError, as numpy's failed
+    allocations are; an empty array maps nothing."""
+    _require_allocatable(size)
+    if size == 0:
+        return np.zeros(0, dtype=dtype)
+    nbytes = size * np.dtype(dtype).itemsize
+    try:
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot map {nbytes} bytes: {exc}") from None
+    return np.frombuffer(buf, dtype=dtype)
 
 
 def _range_indices(lo: int, hi: int) -> np.ndarray:
@@ -248,8 +270,10 @@ class CoefficientSequence:
         """c_{lo+1}..c_hi as a new writable array with the dtype of
         prefix(), evaluated afresh; SequenceError past the length.  A
         sequence that lists its support is evaluated there alone, into
-        zeros: the bytes of the map at every index, with no page written
-        that holds no support index."""
+        the zeros of a fresh anonymous mapping (_mapped_zeros): the bytes
+        of the map at every index, with no page written that holds no
+        support index, so a page that no caller reads is never made
+        resident."""
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi:
             raise SequenceError(f"bad index range ({lo}, {hi}]")
@@ -257,8 +281,7 @@ class CoefficientSequence:
         if self.support is None:
             return self._evaluated(
                 hi - lo, lambda a, b: _range_indices(lo + a, lo + b))
-        _require_allocatable(hi - lo)
-        out = np.zeros(hi - lo, dtype=float if self.is_real else complex)
+        out = _mapped_zeros(hi - lo, float if self.is_real else complex)
         k = self.support(lo, hi)
         out[k - (lo + 1)] = self.values_at(k)
         return out

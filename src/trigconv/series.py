@@ -20,12 +20,15 @@ entries of the dense prefix.  On the uniform points x_j = pi j/M a term
 depends on k only through k mod 2M, so with w the coefficients folded into
 2M bins, C_j = Re(rfft(w))_j and S_j = -Im(rfft(w))_j (real and imaginary
 parts of complex coefficients are folded and transformed apart).  The
-geometric ladder lies off that grid.  There the terms are summed directly
-by blocked angle addition: with a block length B, a power of two near
-sqrt(k_max), each k = Bq + r gives sin kx = sin(Bqx) cos(rx) +
-cos(Bqx) sin(rx), so sin and cos are taken of Bqx for the distinct q that
-occur and of rx for the r, at every ladder point in one call each.  The
-points then run in blocks of P = max(1, 2^15 // max(table size, terms)):
+bins of each checkpoint segment are added to one running row, and each
+checkpoint transforms that row: one row of bins is held, not one per
+checkpoint.  The geometric ladder lies off that grid.  There the terms
+are summed directly by blocked angle addition: with a block length B, a
+power of two near sqrt(k_max), each k = Bq + r gives sin kx = sin(Bqx)
+cos(rx) + cos(Bqx) sin(rx), so sin and cos are taken of Bqx for the
+distinct q that occur and of rx for the r, at every ladder point in one
+call each.  The points then run in blocks of
+P = max(1, 2^15 // max(table size, terms)):
 per block one pair of products forms the P tables T[q, r], one slice (the
 support is one run of k) or one gather reads the terms, and one reduction
 per checkpoint segment sums them.  So a curve with few terms pays for its
@@ -214,17 +217,24 @@ def _terms(seq: CoefficientSequence, n_max: int
 def _uniform_rows(idx: np.ndarray, w: np.ndarray, ends: np.ndarray,
                   size: int, cosine: bool) -> np.ndarray:
     """Per end e, sum_{i<e} w_i cos (or sin) of k_i pi j/M at j = 0..M,
-    from idx = k mod 2M (size = 2M): the cumulative bins of w, folded in
-    order of k, then Re or -Im of their real FFT."""
+    from idx = k mod 2M (size = 2M): the bins of w folded in order of k
+    into one running row, segment by segment, and Re or -Im of that row's
+    real FFT at each end.  Adding each segment's bins to the row is the
+    cumulative sum of the segments' bins, one addition at a time, and
+    each FFT is the one of that row alone, so one row of bins is kept."""
     if np.iscomplexobj(w):
         return (_uniform_rows(idx, w.real, ends, size, cosine)
                 + 1j * _uniform_rows(idx, w.imag, ends, size, cosine))
-    bins = np.empty((len(ends), size))
-    for row, lo, hi in zip(bins, np.r_[0, ends[:-1]], ends):
-        row[:] = np.bincount(idx[lo:hi], w[lo:hi], size)
-    np.cumsum(bins, axis=0, out=bins)
-    spectrum = np.fft.rfft(bins)
-    return spectrum.real if cosine else -spectrum.imag
+    out = np.empty((len(ends), size // 2 + 1))
+    running = np.zeros(size)
+    for row, lo, hi in zip(out, np.r_[0, ends[:-1]], ends):
+        running += np.bincount(idx[lo:hi], w[lo:hi], size)
+        spectrum = np.fft.rfft(running)
+        if cosine:
+            row[:] = spectrum.real
+        else:
+            np.negative(spectrum.imag, out=row)
+    return out
 
 
 # Values per ladder block: a block of P points holds P tables T[q, r] and P
@@ -492,7 +502,8 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
             k, ns + [N_ref], side="right"))
         sups = np.abs(S[-1, 1:] - S[:-1, 1:]).max(axis=1).tolist()
         m = 2 * n_max if seq.length is None else min(2 * n_max, seq.length)
-        weighted = _indices(m) * np.abs(seq.prefix(m))
+        weighted = np.abs(seq.prefix(m))
+        weighted *= _indices(m)
 
     out = []
     for n, sup in zip(ns, sups):

@@ -1,9 +1,11 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
-partial sums, the per-point ladder rows, the grid split and the sorted
-merge of the row halves that :mod:`trigconv.series` must reproduce bit for
-bit, the summation-by-parts
-tail bound, and the full-array condition scans that the span-by-span scans
-in :mod:`trigconv.conditions` must reproduce bit for bit."""
+partial sums, the per-point ladder rows, the uniform rows with every row
+of bins held at once, the grid split and the sorted merge of the row
+halves that :mod:`trigconv.series` must reproduce bit for bit, the
+summation-by-parts tail bound, and the full-array condition scans
+(GROUP_BV's among them, with its right side formed over the whole scan up
+front) that the span-by-span scans in :mod:`trigconv.conditions` must
+reproduce bit for bit."""
 
 import math
 from typing import Optional
@@ -12,7 +14,8 @@ import numpy as np
 
 from trigconv.conditions import (FAILS, HOLDS, INCONCLUSIVE,
                                  STABILIZATION_THRESHOLD, ConditionReport,
-                                 _scan_end)
+                                 _BOUND, _exact_block_sums, _first_flagged,
+                                 _group_bv_scan_end, _scan_end, _windows)
 from trigconv.sequences import (
     ANGLE_TOL,
     REL_TOL,
@@ -65,6 +68,24 @@ def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
     neg = np.asarray(ts.neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
     return exact_complex_sum(pos * e + neg * np.conj(e))
+
+
+# --- the uniform rows, all segments at once -------------------------------
+
+def uniform_rows_batched(idx: np.ndarray, w: np.ndarray, ends: np.ndarray,
+                         size: int, cosine: bool) -> np.ndarray:
+    """series._uniform_rows with every row of bins held at once: each
+    segment's bins, one cumulative sum down the rows, and one real FFT of
+    the 2-D array of bins."""
+    if np.iscomplexobj(w):
+        return (uniform_rows_batched(idx, w.real, ends, size, cosine)
+                + 1j * uniform_rows_batched(idx, w.imag, ends, size, cosine))
+    bins = np.empty((len(ends), size))
+    for row, lo, hi in zip(bins, np.r_[0, ends[:-1]], ends):
+        row[:] = np.bincount(idx[lo:hi], w[lo:hi], size)
+    np.cumsum(bins, axis=0, out=bins)
+    spectrum = np.fft.rfft(bins)
+    return spectrum.real if cosine else -spectrum.imag
 
 
 # --- the ladder and the grid split, one point at a time -----------------------
@@ -260,6 +281,80 @@ def group_bv_report(c: np.ndarray, n0: int, m_max=None) -> ConditionReport:
         if ratio > best:
             best, best_m = ratio, m
     return ConditionReport(cond, HOLDS, best, best_m, *span, 0.0)
+
+
+def group_bv_reports_eager(view, n0_list, m_max=None) -> list:
+    """conditions.check_group_bv with R formed over the whole scan before
+    the first window's zero-right-side scan, and that scan run on slices
+    of R: the same windows, memo and pruning, with R grown in place."""
+    windows = _windows(n0_list)
+    if not windows:
+        return []
+    c, N = view.unweighted("GROUP_BV"), view.N
+    counts = [_group_bv_scan_end(N, m_max, N0) for N0 in windows]
+    if not counts[-1]:
+        raise SequenceError(f"horizon {N} too small for the scan starting "
+                            "at m = 1")
+    R = np.abs(c[:max(n + N0 - 1 for n, N0 in zip(counts, windows))])
+    A = work = done = None
+
+    def zero_rhs_failure(Rw):
+        def failing(lo, hi):
+            part = Rw[lo:hi]
+            if part.min() != 0.0:
+                return None
+            m = np.flatnonzero(part == 0.0) + (lo + 1)
+            nonzero = np.flatnonzero(c[m[0]:2 * m[-1] + 1]) + m[0]
+            nxt = np.append(nonzero, c.shape[0])[np.searchsorted(nonzero, m)]
+            hit = np.flatnonzero(nxt <= 2 * m)
+            return int(m[hit[0]]) - lo - 1 if hit.size else None
+        return _first_flagged(Rw.shape[0], failing)
+
+    reports, width = {}, 1
+    for N0, count in zip(windows, counts):
+        while width < N0:
+            s = min(width, N0 - width)
+            np.maximum(R[:-s], R[s:], out=R[:-s])
+            width += s
+        Rw = R[:count]
+        cond, span = f"GROUP_BV(N0={N0})", (count, N)
+        witness = zero_rhs_failure(Rw)
+        if witness is not None:
+            reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
+                                          None)
+            continue
+        if A is None:
+            tail = view.tail
+            ta = tail[:counts[0]]
+            A = ta - tail[2:2 * counts[0] + 1:2]
+            work = np.multiply(ta, _BOUND)
+            with np.errstate(over="ignore"):
+                A += work
+            done = np.zeros(counts[0], dtype=bool)
+        w = work[:count]
+        with np.errstate(over="ignore"):
+            if Rw.min() > 0.0:
+                np.divide(A[:count], Rw, out=w)
+            else:
+                w.fill(0.0)
+                np.divide(A[:count], Rw, out=w, where=Rw != 0.0)
+        top, floor = int(np.argmax(w)), 0.0
+        if w[top] > 0.0:
+            a, b = top, 2 * (top + 1)
+            with np.errstate(over="ignore"):
+                floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
+        todo = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
+                              & ~done[:count])
+        if todo.size:
+            A[todo] = _exact_block_sums(c, todo)
+            done[todo] = True
+        w.fill(0.0)
+        with np.errstate(over="ignore"):
+            np.divide(A[:count], Rw, out=w, where=done[:count])
+        best = float(w.max())
+        witness = 1 + int(np.argmax(w)) if best > 0.0 else 1
+        reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
+    return [reports[int(n0)] for n0 in n0_list]
 
 
 def tail_variation_report(view, rhs: np.ndarray, m_max: Optional[int],

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigconv import cli
+from trigconv import cli, sequences
 from trigconv.cli import _parse_n_list, _sequence_from_file, main
 from trigconv.sequences import (CoefficientSequence, SequenceError,
                                  sequence_from_text)
+
+import _cli_runs
 
 
 def run(capsys, *argv):
@@ -572,6 +577,37 @@ def test_verify_rejects_out_of_range_arguments(capsys, argv):
     assert _is_input_error(code, err) and out == ""
 
 
+_CORPUS_SEED_ERROR = "every corpus seed must be an integer in [0, 2^64)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("t3", "--seed", "-1", "--corpus-size", "2"),
+    # the last seed, 2^64, would alias seed 0
+    ("t3", "--seed", str(2 ** 64 - 1), "--corpus-size", "2"),
+    ("t3", "--seed", str(2 ** 64), "--corpus-size", "1"),
+    ("corollary", "--seed", "-2", "--corpus-size", "1"),    # draws -1
+    # the odd seeds 2^64 - 3, 2^64 - 1 and 2^64 + 1
+    ("corollary", "--seed", str(2 ** 64 - 3), "--corpus-size", "3"),
+])
+def test_verify_corpus_seeds_outside_64_bits_are_input_errors(capsys, argv):
+    # unit_noise reads a seed mod 2^64, so -1 and 2^64 - 1 would print the
+    # same members under two labels
+    code, out, err = run(capsys, "verify", *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert _CORPUS_SEED_ERROR in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("t3", "--seed", "0", "--corpus-size", "1"),
+    ("t3", "--seed", str(2 ** 64 - 1), "--corpus-size", "1"),
+    ("corollary", "--seed", str(2 ** 64 - 4), "--corpus-size", "2"),
+])
+def test_verify_corpus_runs_every_64_bit_seed(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0 and _CORPUS_SEED_ERROR not in err
+    assert json.loads(out)["outcome"]["summary"]["members"] == int(argv[-1])
+
+
 @pytest.mark.parametrize("argv", [
     # no window fits two terms: the length is checked before the fit
     ("explicit:[1,0.5]", "--n0", "-5"),
@@ -617,6 +653,17 @@ def test_allocation_failure_is_input_error(capsys, monkeypatch):
                          "--horizon", "100000000000")
     assert _is_input_error(code, err) and out == ""
     assert "745. GiB" in err
+
+
+def test_mapping_failure_is_out_of_memory(capsys, monkeypatch):
+    # the prefix of a support-listed sequence lives in an anonymous mapping
+    def no_mapping(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(sequences.mmap, "mmap", no_mapping)
+    code, out, err = run(capsys, "classify", "lacunary(1.0)")
+    assert _is_input_error(code, err) and out == ""
+    assert err.startswith("error: out of memory: ")
 
 
 # --- file parsing: the one-map fast path against the per-line loop ---------
@@ -823,10 +870,40 @@ def test_cli_fuzz_exits_0_1_or_2(parts):
     if code == 2:
         assert _is_input_error(code, err), err
     sizes = [a for a in argv if a.startswith("--corpus-size=")]
+    seeds = [a for a in argv if a.startswith("--seed=")]
     if sizes:
-        assert (code == 2) == (int(sizes[0].partition("=")[2]) < 1)
+        assert (code == 2) == (int(sizes[0].partition("=")[2]) < 1 or (
+            bool(seeds) and int(seeds[0].partition("=")[2]) < 0))
     windows = [a.partition("=")[2] for a in argv if a.startswith("--n0=")]
     if windows and min(int(n0) for n0 in windows[0].split(",")) < 1:
         assert code == 2
     if "lacunary" in argv:
         assert code == 2
+
+
+# --- the run list, in-process, under two hash seeds ----------------------
+
+def test_cli_run_list_exits_as_listed_and_repeats_across_hash_seeds(
+        tmp_path):
+    # the README commands and tests/cli_runs.txt, each hash seed in one
+    # process of its own: every exit code as listed, and byte-identical
+    # trees of outputs and written files
+    runs = _cli_runs.runs()
+    assert sum(name.startswith("readme") for name, _, _ in runs) == 7
+    assert len({name for name, _, _ in runs}) == len(runs)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    trees = []
+    for seed in (1, 2):
+        out = tmp_path / f"hashseed-{seed}"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        subprocess.run([sys.executable, _cli_runs.__file__, str(out)],
+                       env=env, check=True, timeout=600)
+        trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    for name, want, command in runs:
+        assert trees[0][f"{name}.rc"] == f"{want}\n".encode(), \
+            (command, trees[0][f"{name}.err"])
+    assert trees[0].keys() == trees[1].keys()
+    assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []

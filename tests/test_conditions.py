@@ -523,6 +523,80 @@ def test_group_bv_scratch_is_bounded_beyond_the_prefix_and_its_tail():
     assert peak <= 3.25 * 8 * N
 
 
+# runs of equal values, zeros among them: a zero run fails GROUP_BV where
+# a later term is nonzero within its blocks, and never where c stays zero
+_ZERO_RUNS = st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0,
+                                                 1 / 3]),
+                                st.integers(1, 40)), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ZERO_RUNS, st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
+                            min_size=1, max_size=6), _M_MAXES)
+def test_group_bv_right_side_by_spans_matches_the_eager_one(runs, windows,
+                                                           m_max):
+    # R_m formed span by span until a window passes, against R formed over
+    # the whole scan first: the same verdicts, constant bits and witnesses,
+    # with spans short enough that a zero run fails in a later span
+    c = np.concatenate([np.full(n, v) for v, n in runs] + [[0.0, 0.0]])
+    seq = CoefficientSequence.explicit(c)
+    for span in (1, 3, conditions._SPAN):
+        with mock.patch.object(conditions, "_SPAN", span):
+            try:
+                expected = oracles.group_bv_reports_eager(
+                    PrefixView.of(seq), windows, m_max)
+            except SequenceError:
+                with pytest.raises(SequenceError):
+                    check_group_bv(PrefixView.of(seq), windows, m_max)
+                continue
+            _same_reports(check_group_bv(PrefixView.of(seq), windows, m_max),
+                          expected)
+
+
+def _late_zero_run():
+    # zeros from n = 5001 and one more nonzero term at n = 10001: every
+    # window fails at m = 5001, past the first spans
+    c = np.zeros(1 << 14)
+    c[:5000] = 1.0 / np.arange(1, 5001)
+    c[10000] = 1e-3
+    return c
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(_late_zero_run(), id="fails-late"),
+    pytest.param(np.where(np.arange(1 << 14) < 3000,
+                          1.0 / np.arange(1, (1 << 14) + 1), 0.0),
+                 id="zero-tail-never-fails"),
+    pytest.param(sequence_from_text("lacunary(1.0)").prefix(1 << 14),
+                 id="lacunary"),
+    pytest.param(sequence_from_text("rbv_block(1.0)").prefix(1 << 14),
+                 id="rbv_block"),
+])
+def test_group_bv_right_side_by_spans_matches_the_eager_one_at_scale(c):
+    windows = (16, 1, 3, 4, 1, 8, 2)
+    seq = CoefficientSequence.explicit(c)
+    _same_reports(check_group_bv(PrefixView.of(seq), windows),
+                  oracles.group_bv_reports_eager(PrefixView.of(seq), windows))
+
+
+def test_group_bv_of_a_sparse_prefix_that_fails_early_holds_no_scan_array():
+    # lacunary(1.0) at 2^20 fails every window within the first span: no
+    # right side over the 2^18-m scan (2 MiB) is formed, and the support's
+    # prefix lives in an anonymous mapping, which tracemalloc does not see
+    # (8 MiB from np.zeros); 0.04 MiB measured
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reps = check_group_bv(
+            PrefixView.of(sequence_from_text("lacunary(1.0)"), 1 << 20),
+            conditions.DEFAULT_WINDOWS)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert [r.verdict for r in reps] == [FAILS] * 5
+    assert peak <= 1 << 18
+
+
 @settings(max_examples=100, deadline=None)
 @given(_TIED, st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), max_size=6),
        _M_MAXES)

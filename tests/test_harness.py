@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,32 @@ def test_lacunary_outcome_alpha_half_fails_only_threshold():
             assert not r.passed
         else:
             assert r.passed, r.name
+
+
+def _traced_peak(run) -> float:
+    """The peak of the memory tracemalloc sees during run(), in MiB above
+    what was traced before it: numpy's arrays, not anonymous mappings."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_lacunary_counterexample_keeps_only_what_it_reads():
+    # finding (i) reads the support, GROUP_BV fails every window within its
+    # first span, and the rows keep one running row of bins: 1.96 MiB
+    # measured, against 11.5 MiB with a np.zeros prefix indexed whole and
+    # the GROUP_BV right side over the whole scan
+    assert _traced_peak(lambda: verify_lacunary_counterexample(1.0)) <= 3.0
+
+
+def test_probe_sufficiency_keeps_one_prefix_at_a_time():
+    # one family's prefix of 2^16 + 1 values and one case buffer at a time:
+    # 2.52 MiB measured, against 4.55 MiB with every family's prefix alive
+    assert _traced_peak(lambda: probe_sufficiency(11)) <= 3.25
 
 
 def test_lacunary_rejects_nonpositive_alpha():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigconv import sequences
 from trigconv.conditions import HOLDS, check_pair_sector
 from trigconv.sequences import (
     ANGLE_TOL,
@@ -327,6 +328,37 @@ def test_values_between_has_the_checks_of_prefix():
             seq.values_between(lo, hi)
     with pytest.raises(SequenceError, match="produced non-finite values"):
         sequence_from_text("lacunary(-1100)").values_between(0, 8)
+
+
+def test_support_listed_values_between_is_writable_zeros_off_the_support():
+    seq = sequence_from_text("lacunary(0.5)")
+    lo, hi = 3, (1 << 20) + 5
+    got = seq.values_between(lo, hi)
+    k = seq.support(lo, hi)
+    assert got.dtype == float and got.shape == (hi - lo,)
+    assert got.flags.writeable
+    assert got[k - (lo + 1)].tobytes() == seq.values_at(k).tobytes()
+    off = np.ones(hi - lo, dtype=bool)
+    off[k - (lo + 1)] = False
+    assert not got[off].any()
+    got[1] = 7.0        # its own memory: a second call is zero at c_5
+    assert seq.values_between(lo, hi)[1] == 0.0
+
+
+def test_mapping_failure_is_memory_error(monkeypatch):
+    # mmap's ENOMEM is a MemoryError, as a failed numpy allocation is; an
+    # empty range maps nothing
+    def no_mapping(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(sequences.mmap, "mmap", no_mapping)
+    seq = sequence_from_text("lacunary(1.0)")
+    with pytest.raises(MemoryError, match="Cannot allocate memory"):
+        seq.values_between(0, 1 << 12)
+    for lo in (0, 5):
+        empty = seq.values_between(lo, lo)
+        assert empty.shape == (0,) and empty.dtype == float
+        assert empty.flags.writeable
 
 
 def test_pieces_of_explicit_data_give_the_whole_gather():

@@ -19,8 +19,9 @@ from trigconv.series import (
     dirichlet_sine,
     truncation_slack,
 )
-from trigconv.series import (_BLOCK_VALUES, _abs_range_sum, _block_length,
-                             _cos_sin_rows, _ladder_rows, _terms)
+from trigconv.series import (MAX_UNIFORM, _BLOCK_VALUES, _abs_range_sum,
+                             _block_length, _cos_sin_rows, _ladder_rows,
+                             _terms, _uniform_rows)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
@@ -31,6 +32,7 @@ from _oracles import (
     partial_sum_sine,
     partial_sum_two_sided,
     split_by_isin,
+    uniform_rows_batched,
 )
 
 
@@ -261,6 +263,32 @@ def test_ladder_rows_equal_the_per_point_loop_bit_for_bit(kind, halves):
         else:
             assert got_c.dtype == want_c.dtype
             assert got_c.tobytes() == want_c.tobytes(), (count, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([1024, MAX_UNIFORM])),
+       st.lists(st.integers(1, 5000), unique=True, max_size=60),
+       st.sampled_from(["real", "complex"]),
+       st.lists(st.integers(0, 70), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_uniform_rows_equal_the_batched_rows_bit_for_bit(M, ks, kind, cuts,
+                                                         seed):
+    # one running row of bins and one FFT per checkpoint, against every
+    # row held at once: real and complex weights, signed zeros, and empty
+    # segments (repeated ends, an end at 0, no terms at all)
+    k = np.sort(np.array(ks, dtype=np.int64))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(k.size)
+    if kind == "complex":
+        w = w + 1j * rng.standard_normal(k.size)
+    w[::7] = -0.0
+    ends = np.sort(np.minimum(cuts, k.size))
+    idx = k % (2 * M)
+    for cosine in (True, False):
+        got = _uniform_rows(idx, w, ends, 2 * M, cosine)
+        want = uniform_rows_batched(idx, w, ends, 2 * M, cosine)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), cosine
 
 
 def _ladder_size(grid):
