@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -83,20 +84,27 @@ def _parse_n_list(text: str) -> list:
     return list(_parse_int_list(text))
 
 
-def _sequence_from_file(path: str) -> CoefficientSequence:
+def _sequence_from_file(path: str) -> tuple[CoefficientSequence, str]:
     """One value per line, ``re`` or ``re,im``; blank lines and ``#``
-    comments are skipped.
+    comments are skipped.  Returns the sequence and the sha256 hex digest
+    of the bytes it was parsed from.
 
-    The file is read once.  When every line is one real number, one
-    ``map(float, ...)`` parses it; otherwise a per-line loop gives the
-    same values and line-numbered errors.
+    The file is read once: its bytes are hashed, then decoded with
+    universal newlines (CR and CRLF end a line, as LF does).  When every
+    line is one real number, one ``map(float, ...)`` parses it; otherwise
+    a per-line loop gives the same values and line-numbered errors.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SequenceError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                             f"{exc.start})") from None
+    del data    # before the split, whose lines hold the peak
+    if "\r" in text:   # a scan for "\r\n" costs more than this one
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -106,7 +114,7 @@ def _sequence_from_file(path: str) -> CoefficientSequence:
         values = _parse_lines(path, lines)
     if not values.size:
         raise SequenceError(f"{path}: no values")
-    return CoefficientSequence.explicit(values, label=f"file:{path}")
+    return CoefficientSequence.explicit(values, label=f"file:{path}"), digest
 
 
 def _parse_lines(path: str, lines: list) -> np.ndarray:
@@ -133,11 +141,12 @@ def _parse_lines(path: str, lines: list) -> np.ndarray:
 
 
 def _resolve_sequence(spec: str):
-    """Returns (sequence, input file paths used)."""
+    """Returns (sequence, {input file path: sha256 hex digest})."""
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        return _sequence_from_file(path), [path]
-    return sequence_from_text(spec), []
+        seq, digest = _sequence_from_file(path)
+        return seq, {path: digest}
+    return sequence_from_text(spec), {}
 
 
 _TOLERANCES = {"rel_tol": REL_TOL, "angle_tol": ANGLE_TOL,
@@ -174,7 +183,7 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
         "weight": args.weight,
         "tolerances": _TOLERANCES,
     }
-    payload = {"manifest": build_manifest(argv, defaults, input_paths=inputs),
+    payload = {"manifest": build_manifest(argv, defaults, input_digests=inputs),
                "reports": [r.to_json_dict() for r in reports]}
     _emit(_json_text(payload), args.out)
     return 0
@@ -192,7 +201,7 @@ def cmd_curve(args, argv: Sequence[str]) -> int:
         "grid": curve.grid,
         "slack_settled": curve.slack_settled,
     }
-    manifest = _json_text(build_manifest(argv, defaults, input_paths=inputs))
+    manifest = _json_text(build_manifest(argv, defaults, input_digests=inputs))
     _emit(curve.to_csv(), args.out)
     if args.out:
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:

@@ -475,10 +475,9 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
 def _corpus_seeds(first: int, size: int, step: int) -> range:
     """The seeds first, first + step, ... of a run of ``size`` members.
 
-    unit_noise reads a seed mod 2^64, so two seeds that differ by 2^64
-    would draw the same member under two labels: every seed the run draws,
-    its last one included, must lie in [0, 2^64), as perturbed's seed
-    must."""
+    Every seed the run draws, its last one included, must lie in
+    [0, 2^64), as unit_noise's must; checked up front, so that the message
+    names the run's seed range."""
     seeds = range(first, first + step * size, step)
     if seeds and not (seeds[0] >= 0 and seeds[-1] < 1 << 64):
         raise SequenceError(f"every corpus seed must be an integer in "

@@ -9,26 +9,17 @@ runs with equal manifests must produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Sequence
-
-
-def file_digest(path: str) -> str:
-    """sha256 hex digest of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def build_manifest(command: Sequence[str], defaults: dict,
                    seed: Optional[int] = None,
-                   input_paths: Sequence[str] = ()) -> dict:
+                   input_digests: Optional[dict] = None) -> dict:
     """The manifest of one run, with keys command, defaults, seed, version
-    and input_digests (input path -> sha256 hex digest)."""
+    and input_digests (input path -> sha256 hex digest of the bytes the
+    run parsed)."""
     from . import __version__
 
     return {"command": list(command), "defaults": dict(defaults),
             "seed": seed, "version": __version__,
-            "input_digests": {p: file_digest(p) for p in input_paths}}
+            "input_digests": dict(input_digests or {})}

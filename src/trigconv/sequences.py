@@ -167,11 +167,15 @@ def unit_noise(seed: int, n: np.ndarray) -> np.ndarray:
 
     Index n is folded into the SplitMix64 stream position so that values are
     stable under prefix growth: u_n never depends on how many indices were
-    requested.
+    requested.  The seed must be an integer in [0, 2^64), so that no two
+    seeds draw the same noise.
     """
+    if not (isinstance(seed, int) and 0 <= seed < 1 << 64):
+        raise SequenceError(f"a noise seed must be an integer in [0, 2^64), "
+                            f"got {seed!r}")
     idx = np.asarray(n, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM64_GAMMA
+        state = np.uint64(seed) + idx * _SM64_GAMMA
         bits = _splitmix64(state)
     u01 = (bits >> np.uint64(11)).astype(float) * (2.0 ** -53)
     return 2.0 * u01 - 1.0

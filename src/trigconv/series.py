@@ -9,11 +9,14 @@ Evaluation targets the two series shapes the checkers care about:
   C = sum (c_k + c_{-k}) cos kx and S = sum i (c_k - c_{-k}) sin kx at |x|.
 
 One real engine evaluates both, and _cos_sin_rows is its one entry: the
-rows of C(x) = sum a_k cos kx and S(x) = sum b_k sin kx at x = 0 and the
-grid points of (0, pi], per checkpoint, from the nonzero terms
-(k, a_k, b_k) in order of k; a sine series has no cosine half.  Every step
-is elementwise or a fixed-order sum: no BLAS product, so no row depends
-on the BLAS build or its thread count.
+rows of C(x) = sum a_k cos kx and S(x) = sum b_k sin kx per checkpoint,
+from the nonzero terms (k, a_k, b_k) in order of k; a sine series has no
+cosine half.  The columns of every row are fixed: first the uniform points
+x = pi j/M for j = 0..M (x = 0 and x = pi included), then the off-grid
+ladder points in ascending order.  A reader takes maxima over the columns,
+so it needs no sorted merge of the two.  Every step is elementwise or a
+fixed-order sum: no BLAS product, so no row depends on the BLAS build or
+its thread count.
 The terms come from the sequence's support when it lists one (a
 lacunary sequence costs its few powers of two), else from the nonzero
 entries of the dense prefix.  On the uniform points x_j = pi j/M a term
@@ -42,15 +45,16 @@ Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
 x0 = pi/(8 n_ref) and the geometric ladder x0 * 2^{j/4}, besides the
 uniform points pi j/M, M = 8 n_ref capped at 8192 (the label grid(n_ref,8)
-names the nominal 8 per oscillation).  GridSpec places each ladder point
-once, by a searchsorted over the uniform points, and the rows are written
-at those places, with no sort.  The estimate is a grid lower bound for
-the truncated tail S_{N_ref} - S_n only: no certified upper end.  The
-companion truncation slack sum_{N_ref < k <= 16 N_ref} |c_k| of a sine
-series measures how much of the coefficient mass the reference horizon
-leaves out; it reads a sequence's support when it lists one, so a
-lacunary sequence costs its few powers of two, and any other sequence
-through values_between.
+names the nominal 8 per oscillation).  GridSpec drops the ladder points
+that are uniform points, by a searchsorted over the uniform points.
+Column 0 (x = 0) adds nothing to the maximum: there S is exactly +-0, the
+imaginary part of the real FFT's DC bin, as it is at x = pi, the Nyquist
+bin.  The estimate is a grid lower bound for the truncated tail
+S_{N_ref} - S_n only: no certified upper end.  The companion truncation
+slack sum_{N_ref < k <= 16 N_ref} |c_k| of a sine series measures how much
+of the coefficient mass the reference horizon leaves out; it reads a
+sequence's support when it lists one, so a lacunary sequence costs its few
+powers of two, and any other sequence through values_between.
 
 The test-point probe at x0 = pi/(8n) measures the sides of criterion 7's
 inequality from the two-sided rows at n and 4n; dirichlet_sine is the
@@ -100,22 +104,6 @@ def _uniform_points(j: np.ndarray, count: int) -> np.ndarray:
     return math.pi * (j / count)
 
 
-def _merged(uniform: np.ndarray, ladder: np.ndarray,
-            at: np.ndarray) -> np.ndarray:
-    """The rows of uniform and ladder side by side, the ladder in the
-    columns ``at``, in one 2-D array: no sort, no gather.  A row at a time,
-    numpy writes a mask about three times as fast as a 2-D one."""
-    uniform, ladder = np.atleast_2d(uniform, ladder)
-    out = np.empty((uniform.shape[0], uniform.shape[1] + at.size),
-                   np.result_type(uniform, ladder))
-    rest = np.ones(out.shape[1], dtype=bool)
-    rest[at] = False
-    for row, values in zip(out, uniform):
-        row[rest] = values
-    out[:, at] = ladder
-    return out
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Adaptive evaluation grid on (0, pi] for a frequency scale n_ref.
@@ -137,14 +125,13 @@ class GridSpec:
     def x0(self) -> float:
         return math.pi / (8.0 * self.n_ref)
 
-    def _layout(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(M, xs, at): xs the sorted points 0, pi/M, ..., pi and the
-        ladder points that are not uniform, and xs[at] those ladder points.
+    def _layout(self) -> tuple[int, np.ndarray]:
+        """(M, off): the uniform points are pi j/M for j = 0..M, and off
+        holds the ladder points that are not uniform, in ascending order.
 
         One searchsorted over the increasing uniform points gives each
         ladder point x the first uniform point >= x, which x may equal
-        (x <= pi, the last one); a kept point comes after the uniform
-        points below it and the kept points before it."""
+        (x <= pi, the last one)."""
         count = min(OVERSAMPLE * self.n_ref, MAX_UNIFORM)
         ladder = []
         j = 0
@@ -156,13 +143,14 @@ class GridSpec:
             j += 1
         ladder = np.asarray(ladder)
         uniform = _uniform_points(np.arange(count + 1), count)
-        pos = np.searchsorted(uniform, ladder)
-        keep = uniform[pos] != ladder
-        at = pos[keep] + np.arange(np.count_nonzero(keep))
-        return count, _merged(uniform, ladder[keep], at)[0], at
+        return count, ladder[uniform[np.searchsorted(uniform, ladder)]
+                             != ladder]
 
     def points(self) -> np.ndarray:
-        return self._layout()[1][1:]
+        """The grid points of (0, pi] in increasing order."""
+        M, off = self._layout()
+        return np.sort(np.concatenate(
+            [_uniform_points(np.arange(1, M + 1), M), off]))
 
     def describe(self) -> str:
         return f"grid({self.n_ref},{OVERSAMPLE})"
@@ -323,22 +311,23 @@ def _ladder_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
 
 def _cos_sin_rows(k: np.ndarray, a: Optional[np.ndarray], b: np.ndarray,
                   grid: GridSpec, ends: np.ndarray):
-    """(xs, C, S): the sorted points 0, the grid points of (0, pi]; and per
-    end e the rows at xs of C_e(x) = sum_{i<e} a_i cos k_i x (None when a
-    is None) and S_e(x) = sum_{i<e} b_i sin k_i x, as arrays of shape
-    (len(ends), len(xs)).  k holds the nonzero terms in increasing order,
-    and a checkpoint cp is the end searchsorted(k, cp, side="right").
-    The uniform and ladder halves of each row are written in place, at
-    the positions GridSpec._layout gives the ladder points."""
-    M, xs, at = grid._layout()
-    ladder_c, ladder_s = _ladder_rows(k, a, b, xs[at], ends)
+    """(C, S): per end e the rows of C_e(x) = sum_{i<e} a_i cos k_i x (None
+    when a is None) and S_e(x) = sum_{i<e} b_i sin k_i x, as arrays of
+    shape (len(ends), M + 1 + len(off)) for (M, off) = grid._layout().
+    Column j < M + 1 is the uniform point x = pi j/M, so x = 0 and x = pi
+    are columns 0 and M; the off-grid ladder points follow in ascending
+    order.  k holds the nonzero terms in increasing order, and a
+    checkpoint cp is the end searchsorted(k, cp, side="right")."""
+    M, off = grid._layout()
+    ladder_c, ladder_s = _ladder_rows(k, a, b, off, ends)
     idx = k % (2 * M)
 
     def rows(w, ladder, cosine):
-        return _merged(_uniform_rows(idx, w, ends, 2 * M, cosine), ladder, at)
+        return np.concatenate(
+            [_uniform_rows(idx, w, ends, 2 * M, cosine), ladder], axis=1)
 
     C = None if a is None else rows(a, ladder_c, True)
-    return xs, C, rows(b, ladder_s, False)
+    return C, rows(b, ladder_s, False)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +419,14 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
     pair_abs = exact_sum(np.abs(a[n:]))
 
     # the series is C(|x|) + S(|x|) at x = 0 and the grid points, and
-    # C(|x|) - S(|x|) at their mirror images in (-pi, 0)
+    # C(|x|) - S(|x|) at their mirror images in (-pi, 0).  S is +-0 at
+    # x = 0 and x = pi, where C - S is C + S up to the sign of a zero, so
+    # both are taken over every column
     nz = np.flatnonzero((a != 0) | (b != 0))
     k = nz + 1
-    _, C, S = _cos_sin_rows(k, a[nz], b[nz], GridSpec(n_ref=n),
-                            np.searchsorted(k, [n, 4 * n], side="right"))
-    plus, minus = C + S, (C - S)[:, 1:-1]
+    C, S = _cos_sin_rows(k, a[nz], b[nz], GridSpec(n_ref=n),
+                         np.searchsorted(k, [n, 4 * n], side="right"))
+    plus, minus = C + S, C - S
     norm_diff = float(np.maximum(np.abs(plus[1] - plus[0]).max(),
                                  np.abs(minus[1] - minus[0]).max()))
     return ProbeResult(sin_floor_ok, lhs, norm_diff, pair_abs)
@@ -498,9 +489,9 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
     # finite input can overflow in a partial sum, a difference or k|c_k|:
     # the non-finite values are rejected below, with no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, S = _cos_sin_rows(k, None, b, grid, np.searchsorted(
+        _, S = _cos_sin_rows(k, None, b, grid, np.searchsorted(
             k, ns + [N_ref], side="right"))
-        sups = np.abs(S[-1, 1:] - S[:-1, 1:]).max(axis=1).tolist()
+        sups = np.abs(S[-1] - S[:-1]).max(axis=1).tolist()
         m = 2 * n_max if seq.length is None else min(2 * n_max, seq.length)
         weighted = np.abs(seq.prefix(m))
         weighted *= _indices(m)

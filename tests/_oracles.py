@@ -1,11 +1,10 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
 partial sums, the per-point ladder rows, the uniform rows with every row
-of bins held at once, the grid split and the sorted merge of the row
-halves that :mod:`trigconv.series` must reproduce bit for bit, the
-summation-by-parts tail bound, and the full-array condition scans
-(GROUP_BV's among them, with its right side formed over the whole scan up
-front) that the span-by-span scans in :mod:`trigconv.conditions` must
-reproduce bit for bit."""
+of bins held at once and the grid split that :mod:`trigconv.series` must
+reproduce bit for bit, the summation-by-parts tail bound, and the
+full-array condition scans (GROUP_BV's among them, with its right side
+formed over the whole scan up front) that the span-by-span scans in
+:mod:`trigconv.conditions` must reproduce bit for bit."""
 
 import math
 from typing import Optional
@@ -24,8 +23,7 @@ from trigconv.sequences import (
     TwoSidedSequence,
 )
 from trigconv.series import (MAX_UNIFORM, OVERSAMPLE, GridSpec,
-                             _block_length, _ladder_rows, _uniform_points,
-                             _uniform_rows)
+                             _block_length, _uniform_points)
 from trigconv.summation import exact_sum
 
 
@@ -153,25 +151,6 @@ def split_by_isin(grid: GridSpec) -> tuple[int, np.ndarray]:
     off = np.asarray(ladder)
     uniform = _uniform_points(np.arange(1, count + 1), count)
     return count, off[~np.isin(off, uniform)]
-
-
-def cos_sin_rows_by_argsort(k: np.ndarray, a: Optional[np.ndarray],
-                            b: np.ndarray, grid: GridSpec, ends: np.ndarray):
-    """series._cos_sin_rows by a sort: the points 0, pi/M, ..., pi and the
-    off-grid ladder concatenated and argsorted, and every row gathered by
-    that order from its uniform and ladder halves."""
-    M, off = split_by_isin(grid)
-    xs = np.concatenate([_uniform_points(np.arange(M + 1), M), off])
-    order = np.argsort(xs, kind="stable")
-    ladder_c, ladder_s = _ladder_rows(k, a, b, off, ends)
-    idx = k % (2 * M)
-
-    def rows(w, ladder, cosine):
-        uniform = _uniform_rows(idx, w, ends, 2 * M, cosine)
-        return np.concatenate([uniform, ladder], axis=1)[:, order]
-
-    C = None if a is None else rows(a, ladder_c, True)
-    return xs[order], C, rows(b, ladder_s, False)
 
 
 # --- summation-by-parts bound ----------------------------------------------

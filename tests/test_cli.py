@@ -590,8 +590,8 @@ _CORPUS_SEED_ERROR = "every corpus seed must be an integer in [0, 2^64)"
     ("corollary", "--seed", str(2 ** 64 - 3), "--corpus-size", "3"),
 ])
 def test_verify_corpus_seeds_outside_64_bits_are_input_errors(capsys, argv):
-    # unit_noise reads a seed mod 2^64, so -1 and 2^64 - 1 would print the
-    # same members under two labels
+    # read mod 2^64, -1 and 2^64 - 1 would print the same members under
+    # two labels; the run names its seed range before unit_noise refuses one
     code, out, err = run(capsys, "verify", *argv)
     assert _is_input_error(code, err) and out == ""
     assert _CORPUS_SEED_ERROR in err
@@ -626,6 +626,49 @@ def test_classify_non_utf8_file_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "classify", f"file:{path}")
     assert _is_input_error(code, err) and out == ""
     assert str(path) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("data", [b"\x80\x81", b"1.0\r\n\xff\n",
+                                  b"1.0\r0.5\r\xe2\x82"])
+def test_non_utf8_message_names_the_byte_a_text_read_names(tmp_path, data):
+    path = tmp_path / "seq.bin"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as text_read:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.read()
+    exc = text_read.value
+    with pytest.raises(SequenceError) as parsed:
+        _sequence_from_file(str(path))
+    assert str(parsed.value) == (f"{path}: not UTF-8 text ({exc.reason} at "
+                                 f"byte {exc.start})")
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_file_manifest_pins_the_bytes_that_were_parsed(tmp_path, capsys,
+                                                       monkeypatch, eol):
+    # CR and CRLF files parse as LF files do, the file is opened once, and
+    # the manifest's digest is the sha256 of the file's bytes
+    data = eol.join(["# c_k = 1/k", ""] + [f"{1.0 / k!r}"
+                                           for k in range(1, 301)])
+    path = tmp_path / "seq.txt"
+    path.write_bytes((data + eol).encode("utf-8"))
+    opened = []
+    real_open = open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    code, out, _ = run(capsys, "classify", f"file:{path}",
+                       "--horizon", "256", "--n0", "1")
+    monkeypatch.undo()
+    assert code == 0 and opened.count(str(path)) == 1
+    payload = json.loads(out)
+    assert payload["manifest"]["input_digests"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    seq = _sequence_from_file(str(path))[0]
+    assert seq.prefix(300).tobytes() == (1.0 / np.arange(1, 301)).tobytes()
 
 
 def test_weight_leaving_one_finite_term_is_input_error(capsys):
@@ -700,7 +743,7 @@ def _loop_parse(path):
 
 def _file_parse(path):
     try:
-        return _sequence_from_file(str(path))
+        return _sequence_from_file(str(path))[0]
     except SequenceError as exc:
         return str(exc)
 

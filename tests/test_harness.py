@@ -32,6 +32,7 @@ from trigconv.harness import (
 from trigconv.sequences import (
     CoefficientSequence,
     Sector,
+    SequenceError,
     TwoSidedSequence,
     WeightSequence,
     parse_family_spec,
@@ -53,6 +54,39 @@ def _lacunary_prefix():
 
 
 # --- corpus ----------------------------------------------------------------
+
+_SEEDED = {
+    "corpus_member(-1)": lambda: corpus_member(-1),
+    "corpus_member(2^64)": lambda: corpus_member(2 ** 64),
+    "probe_necessity(seed=-1)": lambda: probe_necessity(instances=1, seed=-1),
+    "probe_sufficiency(seed=-1)": lambda: probe_sufficiency(seed=-1),
+}
+
+
+@pytest.mark.parametrize("call", list(_SEEDED))
+def test_seeds_outside_64_bits_raise(call):
+    # a seed read mod 2^64 would draw one member or case under two labels
+    with pytest.raises(SequenceError, match=r"integer in \[0, 2\^64\)"):
+        _SEEDED[call]()
+
+
+def _splitmix_noise(seed, n):
+    """unit_noise(seed, [n]) in Python integers: SplitMix64 of the stream
+    position seed + (n + 1) gamma, its top 53 bits mapped to [-1, 1)."""
+    mask = (1 << 64) - 1
+    z = (seed + (n + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return 2.0 * ((z ^ (z >> 31)) >> 11) * 2.0 ** -53 - 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_seeds_at_the_ends_of_64_bits_keep_their_noise(seed):
+    idx = [0, 1, 2, 1000, 2 ** 40]
+    got = unit_noise(seed, np.array(idx))
+    assert got.tolist() == [_splitmix_noise(seed, n) for n in idx]
+    corpus_member(seed)     # draws without error
+
 
 def test_corpus_member_deterministic():
     s1, w1, sec1 = corpus_member(9)
@@ -340,8 +374,8 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
     rows = series._cos_sin_rows
 
     def flat_rows(k, a, b, grid, ends):
-        xs, C, S = rows(k, a, b, grid, ends)
-        return xs, np.zeros_like(C), np.zeros_like(S)
+        C, S = rows(k, a, b, grid, ends)
+        return np.zeros_like(C), np.zeros_like(S)
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
     monkeypatch.setattr(series, "_cos_sin_rows", flat_rows)

@@ -21,13 +21,12 @@ from trigconv.series import (
 )
 from trigconv.series import (MAX_UNIFORM, _BLOCK_VALUES, _abs_range_sum,
                              _block_length, _cos_sin_rows, _ladder_rows,
-                             _terms, _uniform_rows)
+                             _terms, _uniform_points, _uniform_rows)
 from trigconv.series import testpoint_block_probe as block_probe
 from trigconv.summation import exact_sum
 
 from _oracles import (
     abel_tail_bound,
-    cos_sin_rows_by_argsort,
     ladder_rows_per_point,
     partial_sum_sine,
     partial_sum_two_sided,
@@ -115,30 +114,35 @@ def test_grid_uniform_part_is_exactly_pi_j_over_m():
 
 # --- row engine against the pointwise reference ----------------------------
 
+def _columns(grid):
+    """The points of _cos_sin_rows's columns: pi j/M for j = 0..M, then
+    the off-grid ladder in ascending order."""
+    M, off = grid._layout()
+    return np.concatenate([_uniform_points(np.arange(M + 1), M), off])
+
+
 def _sine_rows(seq, grid, checkpoints):
-    """grid.points() and the rows at them of the sine partial sums S_cp of
-    seq, one per strictly increasing checkpoint cp: the rows _tail_rows
-    reads from _cos_sin_rows, without x = 0."""
+    """The column points and the rows at them of the sine partial sums S_cp
+    of seq, one per strictly increasing checkpoint cp: the rows _tail_rows
+    reads from _cos_sin_rows."""
     k, b = _terms(seq, checkpoints[-1])
-    xs, _, S = _cos_sin_rows(k, None, b, grid,
-                             np.searchsorted(k, checkpoints, side="right"))
-    return xs[1:], S[:, 1:]
+    _, S = _cos_sin_rows(k, None, b, grid,
+                         np.searchsorted(k, checkpoints, side="right"))
+    return _columns(grid), S
 
 
 def _two_sided_rows(ts, grid, checkpoints):
-    """The points of (-pi, pi] that testpoint_block_probe reads, and per
+    """The points of [-pi, pi] that testpoint_block_probe reads, and per
     strictly increasing checkpoint cp the rows at them of
     sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}): C(|x|) - S(|x|) at the
-    mirror images of the interior points, C(|x|) + S(|x|) at 0 and the
-    grid points."""
+    negated column points, C(|x|) + S(|x|) at the column points."""
     a, b = ts.pair_sums(checkpoints[-1]), 1j * ts.pair_diffs(checkpoints[-1])
     nz = np.flatnonzero((a != 0) | (b != 0))
     k = nz + 1
-    xs, C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
-                             np.searchsorted(k, checkpoints, side="right"))
-    inner = slice(-2, 0, -1)
-    return (np.concatenate([-xs[inner], xs]),
-            np.concatenate([C[:, inner] - S[:, inner], C + S], axis=1))
+    C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
+                         np.searchsorted(k, checkpoints, side="right"))
+    xs = _columns(grid)
+    return np.concatenate([-xs, xs]), np.concatenate([C - S, C + S], axis=1)
 
 
 def _coefficients(rng, n, support):
@@ -184,21 +188,22 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
     # the engine takes strictly increasing checkpoints
     checkpoints = sorted(set(checkpoints))
     N = max(checkpoints)
-    pts = grid.points()
+    # the columns are 0 and the grid points, uniform points first
+    M, _ = grid._layout()
+    cols = _columns(grid)
+    assert np.array_equal(np.sort(cols), np.r_[0.0, grid.points()])
+    assert cols[0] == 0.0 and cols[M] == math.pi
     if two_sided:
         obj = TwoSidedSequence(
             CoefficientSequence.explicit(_coefficients(rng, N, support)),
             CoefficientSequence.explicit(_coefficients(rng, N, support)))
         scale = 1.0 + np.abs(obj.pos.prefix(N)).sum() \
             + np.abs(obj.neg.prefix(N)).sum()
-        want = np.concatenate([-pts[pts < math.pi][::-1], [0.0], pts])
         xs, rows = _two_sided_rows(obj, grid, checkpoints)
     else:
         obj = CoefficientSequence.explicit(_coefficients(rng, N, support))
         scale = 1.0 + np.abs(obj.prefix(N)).sum()
-        want = pts
         xs, rows = _sine_rows(obj, grid, checkpoints)
-    assert np.array_equal(xs, want)
     assert rows.shape == (len(checkpoints), xs.size)
     for cp, row in zip(checkpoints, rows):
         for x, got in zip(xs, row):
@@ -207,6 +212,26 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
             else:
                 ref = partial_sum_sine(obj, cp, x) if cp else 0.0
             assert abs(got - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("support",
+                         ["real", "complex", "sparse", "wide", "gaps"])
+def test_sine_rows_are_zero_at_0_and_pi(support):
+    # _tail_rows and the probe take their maxima over every column: S is
+    # exactly +-0 at x = 0 and x = pi (columns 0 and M), the imaginary
+    # parts of the real FFT's DC and Nyquist bins, so there |S_N - S_n| is
+    # 0 and C - S is C + S up to the sign of a zero
+    rng = np.random.default_rng(len(support))
+    for n_ref in (1, 3, 64, 1000, 1024, 5000):
+        grid = GridSpec(n_ref=n_ref)
+        M, _ = grid._layout()
+        N = 1 << 18 if support == "wide" else 4 * n_ref + 40
+        b = _coefficients(rng, N, support)
+        k = np.flatnonzero(b) + 1
+        ends = np.searchsorted(k, [0, n_ref, 4 * n_ref, N], side="right")
+        _, S = _cos_sin_rows(k, None, b[k - 1], grid, ends)
+        assert S.dtype == b.dtype and S.shape[1] == _columns(grid).size
+        assert not S[:, [0, M]].any(), n_ref
 
 
 def _ladder_block_points(k):
@@ -303,54 +328,11 @@ def test_grid_split_equals_the_isin_split(stride):
     for n_ref in [stride * i for i in range(1, 301)] + \
             [1 << e for e in range(21)]:
         grid = GridSpec(n_ref=n_ref)
-        M, xs, at = grid._layout()
-        off = xs[at]
+        M, off = grid._layout()
         want_M, want = split_by_isin(grid)
         assert M == want_M and off.tobytes() == want.tobytes(), n_ref
         removed += _ladder_size(grid) - off.size
     assert removed > 0    # some ladder points are uniform points
-
-
-def _row_terms(rng, n_ref, shape):
-    """(k, a, b) of a row input on the grid of n_ref: no terms for "zero",
-    else about 40 terms up to k = 3 n_ref + 40, one run of k for odd n_ref
-    and scattered for even, with a None for a sine series and complex
-    values for the complex shapes."""
-    if shape == "zero":
-        return np.zeros(0, np.int64), None, np.zeros(0)
-    top = 3 * n_ref + 40
-    if n_ref % 2:
-        k = np.arange(top - 39, top + 1, dtype=np.int64)
-    else:
-        k = np.sort(rng.choice(np.arange(1, top + 1), 40, replace=False))
-
-    def draw():
-        v = rng.standard_normal(k.size)
-        return v + 1j * rng.standard_normal(k.size) if "complex" in shape \
-            else v
-    b = draw()
-    return k, (draw() if shape.startswith("cos") else None), b
-
-
-@pytest.mark.parametrize("shape", ["sine real", "sine complex",
-                                   "cos-sin real", "cos-sin complex", "zero"])
-def test_cos_sin_rows_equal_the_argsort_merge(shape):
-    # the points and every row, in place of a sort of the uniform points
-    # and the ladder, over grids whose ladder meets the uniform points and
-    # grids where M reaches its cap
-    rng = np.random.default_rng(len(shape))
-    for n_ref in list(range(1, 301)) + [1 << e for e in range(21)]:
-        grid = GridSpec(n_ref=n_ref)
-        k, a, b = _row_terms(rng, n_ref, shape)
-        ends = np.array([0, k.size // 3, k.size // 3, k.size])
-        got = _cos_sin_rows(k, a, b, grid, ends)
-        want = cos_sin_rows_by_argsort(k, a, b, grid, ends)
-        for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-            else:
-                assert g.dtype == w.dtype and g.shape == w.shape, n_ref
-                assert g.tobytes() == w.tobytes(), n_ref
 
 
 def test_support_listed_rows_equal_the_explicit_rows_bit_for_bit():
