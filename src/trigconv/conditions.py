@@ -61,7 +61,7 @@ from .sequences import (
     WeightSequence,
     _require_finite,
 )
-from .summation import _range_sums, suffix_sums
+from .summation import suffix_sums, variation_sums
 
 __all__ = [
     "ConditionReport",
@@ -547,16 +547,6 @@ def _first_zero_rhs_failure(c: np.ndarray, N0: int, count: int,
     return _first_flagged(count, failing)
 
 
-def _exact_block_sums(c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The exactly rounded L_m (math.fsum bits) at m = i + 1 for each i of
-    the sorted, distinct i, from one summation._range_sums call over the
-    |c_n - c_{n+1}| that the blocks span: block m is c[i:2i + 3]."""
-    lo, hi = int(i[0]), 2 * int(i[-1]) + 2
-    d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
-    d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
-    return _range_sums(d, i - lo, 2 * i + (2 - lo))
-
-
 def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                    m_max: Optional[int] = None) -> list[ConditionReport]:
     """Group bounded variation with a fixed comparison window, one report
@@ -618,11 +608,12 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     L_m does not depend on N0 either.  One memo over the scan keeps each
     L~_m once it is summed: it is written into A, where it is a valid A_m
     for every later window, and a mask marks its m.  Each window sums only
-    the kept m the memo lacks (_exact_block_sums), so each block is summed
-    once, and reads its constant and witness from fl(L~_m / R_m) over the
-    m of the memo.  An m of the memo that the window does not keep has
-    that ratio below the floor (0 where the floor is not positive), so it
-    moves neither.
+    the kept m the memo lacks, in one summation.variation_sums call over
+    c (block m is the range [m - 1, 2m) of 0-based differences), so each
+    block is summed once, and reads its constant and witness from
+    fl(L~_m / R_m) over the m of the memo.  An m of the memo that the
+    window does not keep has that ratio below the floor (0 where the floor
+    is not positive), so it moves neither.
     """
     windows = _windows(n0_list)
     if not windows:
@@ -675,9 +666,8 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
         # the kept m that the memo lacks
         todo = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
                               & ~done[:count])
-        if todo.size:       # the memo: L~_m, a valid A_m for later windows
-            A[todo] = _exact_block_sums(c, todo)
-            done[todo] = True
+        A[todo] = variation_sums(c, todo, 2 * todo + 2)  # the memo's L~_m
+        done[todo] = True
         w.fill(0.0)         # fl(L~_m / R_m) at the m of the memo
         with np.errstate(over="ignore"):      # an inf constant is rejected
             np.divide(A[:count], Rw, out=w, where=done[:count])

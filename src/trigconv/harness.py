@@ -63,7 +63,7 @@ from .sequences import (
     weight_from_spec,
 )
 from .series import _tail_rows, testpoint_block_probe
-from .summation import _range_sums, exact_sum, suffix_sums
+from .summation import exact_sum, suffix_sums, variation_sums
 
 __all__ = [
     "InequalityRecord",
@@ -713,14 +713,12 @@ def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
     records: list[Optional[InequalityRecord]] = [None] * n_cases
     # one family at a time, so that one prefix is alive at a time
     for j, fam in enumerate(_SUFFICIENCY_FAMILIES):
-        mine = [i for i, case in enumerate(cases) if case[0] == j]
+        # by N: one call sums every case's sum_{k=N}^{H} |c_k - c_{k+1}|
+        mine = sorted((i for i, case in enumerate(cases) if case[0] == j),
+                      key=lambda i: cases[i][1])
         vals = sequence_from_text(fam).prefix(horizon + 1)
-        # the variation sums sum_{k=N}^{H} |c_k - c_{k+1}| of the family's
-        # cases from one range-sum call over its |Delta c|
-        diffs = np.subtract(vals[:-1], vals[1:])
-        var = _range_sums(np.abs(diffs, out=diffs),
-                          np.array([cases[i][1] - 1 for i in mine]),
-                          np.full(len(mine), horizon)).tolist()
+        var = variation_sums(vals, np.array([cases[i][1] - 1 for i in mine]),
+                             np.full(len(mine), horizon)).tolist()
         for i, v in zip(mine, var):
             _, N, x = cases[i]
             bound = (math.pi / x) * (v + abs(complex(vals[N - 1])))
@@ -730,7 +728,7 @@ def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
             np.multiply(vals[N - 1:horizon], t, out=t)
             records[i] = _gate("abel/dominance", f"{fam} N={N} x={x:.4f}",
                                abs(exact_sum(t)), bound)
-        del vals, diffs
+        del vals
     worst = min(r.slack for r in records)
     return _judged(
         CLAIM_SUFFICIENCY, records,

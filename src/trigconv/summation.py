@@ -5,9 +5,10 @@ below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
 Every exactly rounded sum, ``exact_sum``, the chunk sums of
-``suffix_sums`` and the range sums of ``_range_sums``, has the bits of
-``math.fsum`` over the same floats.  One loop, _extract, splits the values
-without error into a few floats per row or per range: the vector
+``suffix_sums`` and the range sums of ``_range_sums`` (which serve the
+variation sums of ``variation_sums``), has the bits of ``math.fsum`` over
+the same floats.  One loop, _extract, splits the values without error
+into a few floats per row or per range: the vector
 extraction of Rump, Ogita and Oishi (*Accurate floating-point summation,
 part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2, ExtractVector), a
 few numpy passes over the array in place of one Python step per value.
@@ -170,29 +171,25 @@ def exact_sum(values) -> float:
 def _range_sums(values: np.ndarray, starts: np.ndarray,
                 stops: np.ndarray) -> np.ndarray:
     """The bits of ``math.fsum(values[a:b])`` for each a of ``starts`` and
-    b of ``stops`` (0 <= a <= b <= n), for any 1-D nonnegative float array
-    ``values``; math.fsum's OverflowError past the float range.
+    b of ``stops`` (ascending, 0 <= a <= b <= n), for any 1-D nonnegative
+    float array ``values``; math.fsum's OverflowError past the float range.
 
     Once the ranges hold more than _TABLE_FROM values per value of the
     array, one _extract over the whole array reduces each level to its
     sums over the ranges, P(b) - P(a) with P(j) the sum of the level's
     first j values (see the module docstring); it leaves ``values`` all
     zero.  The level's running sum is carried from block to block, and
-    P(j) is read in the block that holds value j - 1.  Short ranges, and
+    P(j) is read in the block that holds value j - 1; as the ends ascend,
+    a block's ends are one slice of each list.  Short ranges, and
     input _extract declines, take one exact_sum per range.  The scratch is
     one block, and each level keeps only its sums over the ranges.
     """
     n = values.shape[0]
     if int((stops - starts).sum()) > _TABLE_FROM * n:
         edges = np.append(np.arange(0, n, _BLOCK), n)
-        marks = []      # per end: sign, ends ascending, their order, bounds
-        for sign, ends in ((1.0, stops), (-1.0, starts)):
-            order = (None if bool((ends[:-1] <= ends[1:]).all())
-                     else np.argsort(ends, kind="stable"))
-            ends = ends if order is None else ends[order]
-            # P(0) = 0 is read in no block
-            marks.append((sign, ends, order,
-                          np.searchsorted(ends, edges, side="right")))
+        # per end: sign, ends, bounds (P(0) = 0 is read in no block)
+        marks = [(sign, ends, np.searchsorted(ends, edges, side="right"))
+                 for sign, ends in ((1.0, stops), (-1.0, starts))]
         carry = 0.0
 
         def over_ranges(q: np.ndarray, lo: int, level: np.ndarray) -> None:
@@ -202,10 +199,9 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
             np.cumsum(q, out=q)     # q[i] = P(lo + i + 1)
             carry = q[-1]
             k = lo // _BLOCK
-            for sign, ends, order, bounds in marks:
+            for sign, ends, bounds in marks:
                 a, b = bounds[k], bounds[k + 1]
-                at = slice(a, b) if order is None else order[a:b]
-                level[at] += sign * q[ends[a:b] - (lo + 1)]
+                level[a:b] += sign * q[ends[a:b] - (lo + 1)]
 
         levels = _extract(values, over_ranges, starts.shape[0])
         if levels is not None:
@@ -215,6 +211,21 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
                              zip(*(lv.tolist() for lv in levels))])
     return np.array([exact_sum(values[a:b])
                      for a, b in zip(starts.tolist(), stops.tolist())])
+
+
+def variation_sums(c: np.ndarray, starts: np.ndarray,
+                   stops: np.ndarray) -> np.ndarray:
+    """The bits of math.fsum of |c_j - c_(j+1)| over j = a..b-1 for each a
+    of ``starts`` and b of ``stops`` (ascending int arrays, 0 <= a <= b <
+    len(c)), for a real or complex float array ``c``, from one _range_sums
+    call over the differences of the hull [starts[0], stops[-1]] (their
+    one copy); math.fsum's OverflowError past the float range."""
+    if not starts.shape[0]:
+        return np.zeros(0)
+    lo, hi = int(starts[0]), int(stops[-1])
+    d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
+    d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
+    return _range_sums(d, starts - lo, stops - lo)
 
 
 def _suffix_offsets(sums: list[float]) -> list[float]:

@@ -13,8 +13,8 @@ import numpy as np
 
 from trigconv.conditions import (FAILS, HOLDS, INCONCLUSIVE,
                                  STABILIZATION_THRESHOLD, ConditionReport,
-                                 _BOUND, _exact_block_sums, _first_flagged,
-                                 _group_bv_scan_end, _scan_end, _windows)
+                                 _BOUND, _first_flagged, _group_bv_scan_end,
+                                 _scan_end, _windows)
 from trigconv.sequences import (
     ANGLE_TOL,
     REL_TOL,
@@ -24,7 +24,7 @@ from trigconv.sequences import (
 )
 from trigconv.series import (MAX_UNIFORM, OVERSAMPLE, GridSpec,
                              _block_length, _uniform_points)
-from trigconv.summation import exact_sum
+from trigconv.summation import exact_sum, variation_sums
 
 
 # --- partial sums ---------------------------------------------------------
@@ -324,9 +324,8 @@ def group_bv_reports_eager(view, n0_list, m_max=None) -> list:
                 floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
         todo = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
                               & ~done[:count])
-        if todo.size:
-            A[todo] = _exact_block_sums(c, todo)
-            done[todo] = True
+        A[todo] = variation_sums(c, todo, 2 * todo + 2)
+        done[todo] = True
         w.fill(0.0)
         with np.errstate(over="ignore"):
             np.divide(A[:count], Rw, out=w, where=done[:count])

@@ -219,6 +219,14 @@ def test_orv_weight_log_constant():
     assert rep.witness == 2
 
 
+def test_orv_weight_finite_only_at_one_is_too_short():
+    # R(2) = 2^2000 overflows, so no ratio R(2n)/R(n) is finite
+    rep = check_orv_weight(_weight("power(2000)"), 1 << 16)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.notes == "range too short"
+    assert rep.constant is None
+
+
 def test_orv_weight_exp2_inconclusive():
     rep = check_orv_weight(_weight("exp2"), 1 << 16)
     assert rep.verdict == INCONCLUSIVE
@@ -494,10 +502,10 @@ def test_group_bv_memo_sums_each_block_once(monkeypatch, text):
     expected = [check_group_bv(PrefixView.of(seq, 1 << 14), (n0,))[0]
                 for n0 in windows]
     summed = []
-    block_sums = conditions._exact_block_sums
-    monkeypatch.setattr(conditions, "_exact_block_sums",
-                        lambda c, i: summed.append(i.copy())
-                        or block_sums(c, i))
+    variation_sums = conditions.variation_sums
+    monkeypatch.setattr(conditions, "variation_sums",
+                        lambda c, starts, stops: summed.append(starts.copy())
+                        or variation_sums(c, starts, stops))
     _same_reports(check_group_bv(PrefixView.of(seq, 1 << 14), windows),
                   expected)
     every = np.concatenate(summed)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigconv import summation
@@ -413,10 +413,13 @@ def test_level_table_range_sums_are_fsum_bit_for_bit(k, offset, data):
     n = max(1, 2 ** k + offset)
     arr = np.array(data.draw(st.lists(_RANGE_VALUES, min_size=n,
                                       max_size=n)))
-    ends = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
-                              min_size=1, max_size=20))
-    starts = np.array([min(a, b) for a, b in ends])
-    stops = np.array([max(a, b) for a, b in ends])
+    # ascending starts and stops with a <= b: the elementwise min and max
+    # of two sorted draws
+    size = data.draw(st.integers(1, 20))
+    ends = st.lists(st.integers(0, n), min_size=size,
+                    max_size=size).map(sorted)
+    one, two = data.draw(ends), data.draw(ends)
+    starts, stops = np.minimum(one, two), np.maximum(one, two)
     block = data.draw(st.sampled_from([summation._BLOCK, 1, 3, 4, 8]))
     chunk = data.draw(st.sampled_from([2, 16]))
     with mock.patch.multiple(summation, _TABLE_FROM=0, _BLOCK=block):
@@ -442,12 +445,61 @@ def test_range_sums_are_fsum_where_the_kernel_declines(vals):
     levels = _extract_total(vals.copy())
     assert (levels is None) == (not np.abs(vals).max() <= _EDGE)
     n = vals.shape[0]
-    starts, stops = np.array([0, 0, 1, n]), np.array([n, 1, n, n])
+    starts, stops = np.array([0, 0, 1, n]), np.array([1, n, n, n])
     want = [_bits(math.fsum(vals[a:b].tolist())) for a, b in zip(starts, stops)]
     for table_from in (0, 1, math.inf):
         with mock.patch.object(summation, "_TABLE_FROM", table_from):
             got = summation._range_sums(vals.copy(), starts, stops)
         assert [_bits(x) for x in got] == want
+
+
+_VARIATION_TERMS = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 80)),
+    # differences past 2^900, infinite, or whose sums overflow
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, _EDGE, -_EDGE, 1e308, 1.7e308,
+                     -1.7e308]))
+
+
+def _variation_oracle(c: np.ndarray, starts, stops):
+    """math.fsum per range over |c_j - c_(j+1)| as numpy forms it over the
+    whole array (its complex abs is not Python's abs bit for bit)."""
+    with np.errstate(over="ignore"):
+        d = np.abs(c[:-1] - c[1:])
+    return np.array([math.fsum(d[a:b].tolist())
+                     for a, b in zip(starts, stops)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VARIATION_TERMS, min_size=1, max_size=40),
+       st.one_of(st.none(), st.lists(_VARIATION_TERMS, min_size=40,
+                                     max_size=40)),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                max_size=12),
+       st.sampled_from([summation._BLOCK, 1, 3, 8]))
+@example([1e308, 0.0, 1e308], None, [(0, 1), (0, 2)], 1)    # 1e308 + 1e308
+@example([1.7e308, -1.7e308, 1.7e308], None, [(0, 1), (0, 2)], 1)
+@example([2.0 ** 901, 0.0, 1.0], [0.0] * 40, [(0, 1), (0, 2)], 1)
+def test_variation_sums_are_fsum_of_each_range(real, imag, pairs, block):
+    # real and complex c, -0.0 among its values; empty ranges, equal
+    # starts, ranges that end at len(c) - 1 and none at all; differences
+    # past 2^900 or infinite take one exact_sum per range, with math.fsum's
+    # value or OverflowError, whichever route the cost rule picks.  The
+    # ends ascend: the elementwise min and max of two sorted draws, cut at
+    # len(c) - 1
+    n = len(real)
+    c = np.array(real)
+    if imag is not None:
+        c = c + 1j * np.array(imag[:n])
+    one, two = (np.minimum(sorted(p[i] for p in pairs), n - 1).astype(int)
+                for i in (0, 1))
+    starts, stops = np.minimum(one, two), np.maximum(one, two)
+    want, before = _outcome(_variation_oracle, c, starts, stops), c.tobytes()
+    for table_from in (0, 1, math.inf):
+        with mock.patch.multiple(summation, _TABLE_FROM=table_from,
+                                 _BLOCK=block):
+            got = _outcome(summation.variation_sums, c, starts, stops)
+        assert got == want
+    assert c.tobytes() == before        # c is only read
 
 
 # --- suffix_sums sums every chunk but the first -----------------------------
