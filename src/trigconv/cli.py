@@ -41,6 +41,7 @@ from .sequences import (
     ANGLE_TOL,
     REL_TOL,
     CoefficientSequence,
+    Sector,
     SequenceError,
     parse_family_spec,
     sequence_from_text,
@@ -179,7 +180,7 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
         "horizon": resolve_horizon(seq, args.horizon),
         "m_max": args.m_max,
         "n0_list": list(n0_list),
-        "theta0": args.theta0,
+        "theta0": Sector(args.theta0).theta0,
         "weight": args.weight,
         "tolerances": _TOLERANCES,
     }

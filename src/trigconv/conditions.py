@@ -521,10 +521,9 @@ def _window_maxima(c: np.ndarray, N0: int, lo: int, hi: int) -> np.ndarray:
     return R[:hi - lo]
 
 
-def _first_zero_rhs_failure(c: np.ndarray, N0: int, count: int,
-                            R: Optional[np.ndarray]) -> Optional[int]:
-    """The smallest m in 1..count with R_m = 0 < L_m, or None.  R_m is
-    R[m - 1] when R is given (grown to the windows of length N0), else
+def _first_zero_rhs_failure(c: np.ndarray, N0: int,
+                            count: int) -> Optional[int]:
+    """The smallest m in 1..count with R_m = 0 < L_m, or None, with R_m
     formed span by span from c (_window_maxima).
 
     R_m = 0 makes c_m = 0, so L_m, an exact sum of |c_n - c_{n+1}| >= 0
@@ -533,8 +532,7 @@ def _first_zero_rhs_failure(c: np.ndarray, N0: int, count: int,
     costs one min once they are formed.
     """
     def failing(lo: int, hi: int) -> Optional[int]:
-        part = (_window_maxima(c, N0, lo, hi) if R is None
-                else R[lo:hi])
+        part = _window_maxima(c, N0, lo, hi)
         if part.min() != 0.0:
             return None
         m = np.flatnonzero(part == 0.0) + (lo + 1)
@@ -593,17 +591,20 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     constant, and every m that reaches the constant has fl(A_m / R_m) at
     or above that floor (above 0 where the floor is not positive).  Those
     are the m kept, and the exact maximum over them is the constant.  A
-    does not depend on N0; it is formed once, at the first window that
-    does not fail.
+    does not depend on N0.
 
-    The zero-right-side scan runs over _first_flagged's spans.  Until a
-    window passes it, each span forms its R_m from c alone
+    Lemma: the windows that fail are a prefix of the ascending windows.
+    Take N0 < N0'.  Every R_m of N0' is at least that of N0, and the scan
+    of N0' is no longer, so an m of the scan of N0' with R_m = 0 < L_m
+    there has the same at N0.  So the zero-right-side scan runs only until
+    a window passes it; every later window passes.  It runs over
+    _first_flagged's spans, each forming its R_m from c alone
     (_window_maxima), so a window that fails early reads the terms up to
     its witness's span and holds no array over the scan.  The first window
-    that passes forms R over the whole scan, and R grows in place from
-    window to window (_widen): with s <= width, max(R_m, R_(m+s)) covers
-    [m, m + width + s).  max is exact, so R_m has the same bits either way
-    and each window keeps its bits.
+    that passes forms R and A over its scan, the longest of the scans
+    left, and R grows in place from window to window (_widen): with s <=
+    width, max(R_m, R_(m+s)) covers [m, m + width + s).  max is exact, so
+    R_m has the same bits whatever the steps.
 
     L_m does not depend on N0 either.  One memo over the scan keeps each
     L~_m once it is summed: it is written into A, where it is a valid A_m
@@ -624,33 +625,33 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     if not counts[-1]:  # the fit rule: no verdict over an empty range
         raise SequenceError(f"horizon {N} too small for the scan starting "
                             "at m = 1")
-    # R[m - 1] = max |c_n| over [m, m + width) for every m of every scan,
-    # formed at the first window that passes the zero-right-side scan
-    R = width = None
-    A = work = done = None  # formed at the first window that does not fail
-
     reports = {}
+    for first, (N0, count) in enumerate(zip(windows, counts)):
+        witness = _first_zero_rhs_failure(c, N0, count)
+        if witness is None:
+            break
+        reports[N0] = ConditionReport(f"GROUP_BV(N0={N0})", FAILS, None,
+                                      witness, count, N, None)
+    else:
+        return [reports[int(n0)] for n0 in n0_list]
+    # windows[first:] all pass (the lemma).  R[m - 1] = max |c_n| over
+    # [m, m + width) for every m of their scans, and A_m for every m of
+    # the longest of them
+    windows, counts = windows[first:], counts[first:]
+    R = np.abs(c[:max(n + n0 - 1 for n, n0 in zip(counts, windows))])
+    width = 1
+    tail = view.tail    # built here, at its first read
+    ta = tail[:counts[0]]
+    A = ta - tail[2:2 * counts[0] + 1:2]
+    work = np.multiply(ta, _BOUND)
+    with np.errstate(over="ignore"):  # inf keeps its m
+        A += work
+    done = np.zeros(counts[0], dtype=bool)  # the memo's m
+
     for N0, count in zip(windows, counts):
         cond, span = f"GROUP_BV(N0={N0})", (count, N)
-        if R is not None:
-            width = _widen(R, width, N0)
-        witness = _first_zero_rhs_failure(c, N0, count, R)
-        if witness is not None:
-            reports[N0] = ConditionReport(cond, FAILS, None, witness, *span,
-                                          None)
-            continue
-        if R is None:
-            R = np.abs(c[:max(n + n0 - 1 for n, n0 in zip(counts, windows))])
-            width = _widen(R, 1, N0)
+        width = _widen(R, width, N0)
         Rw = R[:count]
-        if A is None:       # A_m for every m of the longest scan
-            tail = view.tail    # built here, at its first read
-            ta = tail[:counts[0]]
-            A = ta - tail[2:2 * counts[0] + 1:2]
-            work = np.multiply(ta, _BOUND)
-            with np.errstate(over="ignore"):  # inf keeps its m
-                A += work
-            done = np.zeros(counts[0], dtype=bool)  # the memo's m
         w = work[:count]                      # fl(A_m / R_m)
         with np.errstate(over="ignore"):
             if Rw.min() > 0.0:

@@ -190,7 +190,8 @@ class Sector:
     """Closed sector K(theta0) around the positive real axis.
 
     theta0 is in radians and must satisfy 0 <= theta0 < pi/2; the dominance
-    constant 1/cos(theta0) would blow up at pi/2.
+    constant 1/cos(theta0) would blow up at pi/2.  -0.0 is stored as +0.0,
+    so that one sector has one label.
     """
 
     theta0: float
@@ -199,6 +200,7 @@ class Sector:
         if not (0.0 <= self.theta0 < math.pi / 2):
             raise SequenceError(
                 f"sector half-angle must lie in [0, pi/2); got {self.theta0!r}")
+        object.__setattr__(self, "theta0", self.theta0 + 0.0)
 
 
 def sector_dominance_constant(sector: Sector) -> float:

@@ -6,12 +6,13 @@ order, no threading, and exactly rounded sums where the error matters.
 
 Every exactly rounded sum, ``exact_sum``, the chunk sums of
 ``suffix_sums`` and the range sums of ``_range_sums`` (which serve the
-variation sums of ``variation_sums``), has the bits of ``math.fsum`` over
-the same floats.  One loop, _extract, splits the values without error
-into a few floats per row or per range: the vector
-extraction of Rump, Ogita and Oishi (*Accurate floating-point summation,
-part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2, ExtractVector), a
-few numpy passes over the array in place of one Python step per value.
+variation sums of ``variation_sums`` and the offsets of ``suffix_sums``),
+has the bits of ``math.fsum`` over the same floats.  One loop, _extract,
+splits the values without error into a few floats per row or per range:
+the vector extraction of Rump, Ogita and Oishi (*Accurate floating-point
+summation, part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2,
+ExtractVector), a few numpy passes over the array in place of one Python
+step per value.
 ``math.fsum`` then rounds the exact sum of those floats, which is the
 exact sum of the values, so it returns the float it would return for the
 values themselves.
@@ -53,10 +54,12 @@ suffix_sums does the same per chunk and _range_sums takes one exact_sum
 per range.
 
 ``suffix_sums`` sums exactly only its chunks after the first: the offsets
-are sums of later chunks, so none reads the first chunk's sum.  That sum
-is still taken, and dropped, where math.fsum could raise on it (a
-non-finite value, or some |x| above 2^1021/_CHUNK), so that suffix_sums
-raises what summing every chunk would raise.
+are sums of later chunks, so none reads the first chunk's sum.  They are
+the range sums of the suffixes of those chunk sums, signed as they may
+be, from one _range_sums call.  The first chunk's sum is still taken,
+and dropped, where math.fsum could raise on it (a non-finite value, or
+some |x| above 2^1021/_CHUNK), so that suffix_sums raises what summing
+every chunk would raise.
 """
 
 from __future__ import annotations
@@ -171,8 +174,10 @@ def exact_sum(values) -> float:
 def _range_sums(values: np.ndarray, starts: np.ndarray,
                 stops: np.ndarray) -> np.ndarray:
     """The bits of ``math.fsum(values[a:b])`` for each a of ``starts`` and
-    b of ``stops`` (ascending, 0 <= a <= b <= n), for any 1-D nonnegative
-    float array ``values``; math.fsum's OverflowError past the float range.
+    b of ``stops`` (ascending, 0 <= a <= b <= n), for any 1-D float array
+    ``values``, signed or not: the module's proof bounds a subset sum by
+    max |r|, whatever the signs; math.fsum's OverflowError past the float
+    range.
 
     Once the ranges hold more than _TABLE_FROM values per value of the
     array, one _extract over the whole array reduces each level to its
@@ -207,8 +212,11 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
         if levels is not None:
             if len(levels) <= 1:    # each exact sum is already one float
                 return levels[0] if levels else np.zeros(starts.shape[0])
-            return np.array([math.fsum(parts) for parts in
-                             zip(*(lv.tolist() for lv in levels))])
+            # no result list grown by realloc: it fragmented the heap, and
+            # classify_large's peak RSS read 95 MB, not 80, in most runs
+            return np.fromiter(
+                map(math.fsum, zip(*(lv.tolist() for lv in levels))),
+                float, count=starts.shape[0])
     return np.array([exact_sum(values[a:b])
                      for a, b in zip(starts.tolist(), stops.tolist())])
 
@@ -228,21 +236,6 @@ def variation_sums(c: np.ndarray, starts: np.ndarray,
     return _range_sums(d, starts - lo, stops - lo)
 
 
-def _suffix_offsets(sums: list[float]) -> list[float]:
-    """offset[j] = exactly rounded sum of sums[j:] for j = 0..len(sums),
-    the empty suffix last: an exact running suffix in integer multiples of
-    2^-1074, each offset one correctly rounded int true division.  For sums
-    far from overflow this is math.fsum's float in linear time; math.fsum
-    over each suffix would be quadratic in the chunk count."""
-    scale = 1 << 1074
-    offsets, acc = [0.0], 0
-    for s in reversed(sums):
-        num, den = s.as_integer_ratio()
-        acc += num * (scale // den)
-        offsets.append(acc / scale)
-    return offsets[::-1]
-
-
 def suffix_sums(values: np.ndarray) -> np.ndarray:
     """Return ``s`` with ``s[i] == sum(values[i:])`` for a 1-D real array.
 
@@ -254,19 +247,19 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     sum(|values[i:]|): below about _CHUNK * u = 4.5e-13 relative for
     nonnegative input.  math.fsum raises OverflowError past the float range.
 
-    Only chunks 1..K-1 are summed exactly: no offset reads the first
-    chunk's sum.  They are math.fsum of each chunk's parts from one
-    _row_parts call over those chunks, a row per chunk, or of the chunk
-    itself below _T values and on input _extract declines (see exact_sum);
-    the route of the offsets is chosen from those sums alone.  An input of
-    at most _CHUNK values is one reversed cumsum plus the offset 0.0 (which
-    turns -0.0 into +0.0).  The first chunk's sum is still taken, and
-    dropped, when it could raise: math.fsum's ValueError on inf + -inf or
-    OverflowError past the float range, which need a non-finite value or
-    some |x| above 2^1021/_CHUNK.  The full chunks' reversed cumulative
-    sums come from one 2-D cumsum.  These are the same floats and errors
-    as summing and accumulating chunk by chunk, and the offsets need time
-    linear in the chunk count.
+    Only the K chunks after the first are summed exactly: no offset reads
+    the first chunk's sum.  They are math.fsum of each chunk's parts from
+    one _row_parts call over those chunks, a row per chunk, or of the
+    chunk itself below _T values and on input _extract declines (see
+    exact_sum).  The offsets are one _range_sums call over those K sums,
+    the ranges [j, K) for j = 0..K.  An input of at most _CHUNK values (K
+    = 0) is one reversed cumsum plus the offset 0.0 (which turns -0.0 into
+    +0.0), with no _range_sums call.  The first chunk's sum is still
+    taken, and dropped, when it could raise: math.fsum's ValueError on inf
+    + -inf or OverflowError past the float range, which need a non-finite
+    value or some |x| above 2^1021/_CHUNK.  The full chunks' reversed
+    cumulative sums come from one 2-D cumsum.  These are the same floats
+    and errors as summing and accumulating chunk by chunk.
     """
     vals = np.ascontiguousarray(values, dtype=float)
     n = vals.shape[0]
@@ -282,18 +275,14 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
         parts = [memoryview(rest[s:s + _CHUNK])
                  for s in range(0, rest.shape[0], _CHUNK)]
     later = [math.fsum(p) for p in parts]
-    # with the sum of |later chunk sums| at most 2^1021 no suffix and no
-    # step of math.fsum can overflow; past it, or on inf and NaN, math.fsum
-    # gives the value or the exception
-    if not later or np.abs(later).max() <= 2.0 ** 1021 / len(later):
-        offsets = _suffix_offsets(later)
-    else:
-        offsets = [math.fsum(later[j:]) for j in range(len(later) + 1)]
+    K = len(later)
+    offsets = (_range_sums(np.array(later), np.arange(K + 1),
+                           np.full(K + 1, K)) if K else np.zeros(1))
     full = n - n % _CHUNK
     within = out[:full].reshape(-1, _CHUNK)
     np.cumsum(vals[:full].reshape(-1, _CHUNK)[:, ::-1], axis=1,
               out=within[:, ::-1])
-    within += np.array(offsets[:within.shape[0]])[:, None]
+    within += offsets[:within.shape[0], None]
     if full < n:
         out[full:] = np.cumsum(vals[full:][::-1])[::-1] + offsets[-1]
     return out

@@ -76,6 +76,21 @@ def test_classify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_classify_theta0_negative_zero_is_theta0_zero(capsys):
+    # -0.0 and 0 are one sector K(0): one ORVQM label and one manifest
+    # value, byte for byte (JSON keeps the sign of a zero)
+    texts = []
+    for theta0 in ("-0.0", "0"):
+        code, out, _ = run(capsys, "classify", "harmonic(1.0)",
+                           "--theta0", theta0, "--horizon", "64")
+        assert code == 0
+        payload = json.loads(out)
+        del payload["manifest"]["command"]
+        texts.append(cli._json_text(payload))
+    assert texts[0] == texts[1]
+    assert '"ORVQM(one,theta0=0)"' in texts[0]
+
+
 def test_classify_file_input(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     rows = ["# comment", ""] + [f"{1.0 / k}" for k in range(1, 5001)]

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigconv import conditions, summation
@@ -559,6 +559,49 @@ def test_group_bv_right_side_by_spans_matches_the_eager_one(runs, windows,
                 continue
             _same_reports(check_group_bv(PrefixView.of(seq), windows, m_max),
                           expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ZERO_RUNS, _M_MAXES)
+@example([(1.0, 1), (0.0, 2), (1.0, 1), (0.0, 3), (1.0, 3), (0.0, 4),
+          (1.0, 18)], None)     # N0 = 1 and 2 fail, 4, 8 and 16 hold
+def test_group_bv_failing_windows_are_a_prefix_of_the_ascending_windows(
+        runs, m_max):
+    # the lemma of check_group_bv, on the brute-force oracle: a window that
+    # fails makes every shorter window fail
+    c = np.concatenate([np.full(n, v) for v, n in runs] + [[0.0, 0.0]])
+    windows = [n0 for n0 in (1, 2, 3, 4, 8, 16)
+               if _group_bv_fits(c.shape[0], n0, m_max)]
+    fails = [oracles.group_bv_report(c, n0, m_max).verdict == FAILS
+             for n0 in windows]
+    assert fails == sorted(fails, reverse=True)
+
+
+_MIXED_WINDOWS = np.array([1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0]
+                          + [1] * 18, dtype=float)
+
+
+@pytest.mark.parametrize("c, scanned", [
+    pytest.param(1.0 / np.arange(1, 257), [1], id="every-window-passes"),
+    pytest.param(_MIXED_WINDOWS, [1, 2, 4], id="n0-1-and-2-fail"),
+])
+def test_group_bv_zero_rhs_scan_runs_until_a_window_passes(monkeypatch, c,
+                                                           scanned):
+    # by the lemma every window after the first that passes passes too, so
+    # the zero-right-side scan runs on the failing windows and that one
+    calls = []
+    real = conditions._first_zero_rhs_failure
+
+    def counting(c, N0, *rest):
+        calls.append(N0)
+        return real(c, N0, *rest)
+
+    monkeypatch.setattr(conditions, "_first_zero_rhs_failure", counting)
+    reps = check_group_bv(PrefixView.of(CoefficientSequence.explicit(c)),
+                          conditions.DEFAULT_WINDOWS)
+    assert calls == scanned
+    assert [r.verdict for r in reps] == \
+        [FAILS] * (len(scanned) - 1) + [HOLDS] * (6 - len(scanned))
 
 
 def _late_zero_run():

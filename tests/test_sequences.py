@@ -566,6 +566,8 @@ def test_sector_validation():
     with pytest.raises(SequenceError):
         Sector(-0.1)
     assert sector_dominance_constant(Sector(math.pi / 3)) == pytest.approx(2.0)
+    # -0.0 is K(0), stored as +0.0: one sector, one label
+    assert math.copysign(1.0, Sector(-0.0).theta0) == 1.0
 
 
 @settings(max_examples=200)

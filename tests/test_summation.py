@@ -379,6 +379,9 @@ def test_suffix_sums_full_size_matches_the_chunk_by_chunk_scheme(chunk):
 
 
 def test_suffix_offsets_match_fsum_on_subnormal_and_cancelling_sums():
+    # suffix_sums' offsets are _range_sums over the suffixes [j, K) of its
+    # K signed chunk sums.  Draws past 2^900 take one exact_sum per range;
+    # the same draws scaled by 2^-100 reach the level table
     rng = np.random.default_rng(8)
     for _ in range(300):
         m = int(rng.integers(1, 40))
@@ -386,9 +389,14 @@ def test_suffix_offsets_match_fsum_on_subnormal_and_cancelling_sums():
                 * 2.0 ** rng.integers(-1074, 1000, m)).tolist()
         if rng.random() < 0.3:
             sums += [-s for s in sums[:m // 2]]
-        want = [math.fsum(sums[j:]) for j in range(len(sums) + 1)]
-        assert [_bits(v) for v in summation._suffix_offsets(sums)] == \
-            [_bits(v) for v in want]
+        K = len(sums)
+        starts, stops = np.arange(K + 1), np.full(K + 1, K)
+        for vals in (np.array(sums), np.ldexp(sums, -100)):
+            want = [_bits(math.fsum(vals[j:].tolist())) for j in starts]
+            for table_from in (0, 1, math.inf):
+                with mock.patch.object(summation, "_TABLE_FROM", table_from):
+                    got = summation._range_sums(vals.copy(), starts, stops)
+                assert [_bits(v) for v in got] == want
 
 
 # --- the level table's range sums equal math.fsum, bit for bit --------------
@@ -509,9 +517,12 @@ def test_variation_sums_are_fsum_of_each_range(real, imag, pairs, block):
     (4096, 100), (4096, 4096), (4096, 3 * 4096 + 5)])
 def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
     # no offset reads the first chunk's sum, so an input of one chunk runs
-    # no _row_parts and no math.fsum, and K chunks sum exactly K - 1 of them
-    peeled, summed = [], []
+    # no _row_parts, no math.fsum and no _range_sums, and K + 1 chunks sum
+    # exactly K of them, whose suffixes are one _range_sums call (whose own
+    # math.fsum calls are not counted)
+    peeled, summed, ranged = [], [], []
     real_row_parts, real_fsum = summation._row_parts, math.fsum
+    real_range_sums = summation._range_sums
 
     def row_parts(values, row):
         peeled.append(values.shape[0])
@@ -521,14 +532,25 @@ def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
         summed.append(len(xs) if isinstance(xs, memoryview) else None)
         return real_fsum(xs)
 
+    def range_sums(values, starts, stops):
+        ranged.append(values.shape[0])
+        monkeypatch.setattr(math, "fsum", real_fsum)
+        try:
+            return real_range_sums(values, starts, stops)
+        finally:
+            monkeypatch.setattr(math, "fsum", fsum)
+
     vals = np.random.default_rng(n).standard_normal(n)
     monkeypatch.setattr(summation, "_CHUNK", chunk)
     monkeypatch.setattr(summation, "_row_parts", row_parts)
+    monkeypatch.setattr(summation, "_range_sums", range_sums)
     monkeypatch.setattr(math, "fsum", fsum)
     got = suffix_sums(vals)
     monkeypatch.undo()
     later = n - chunk
-    assert len(summed) == max(0, -(-later // chunk))
+    K = max(0, -(-later // chunk))
+    assert len(summed) == K
+    assert ranged == ([K] if K else [])
     if later >= summation._T:
         assert peeled == [later]
     else:
