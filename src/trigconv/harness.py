@@ -392,7 +392,8 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     variation constant M <= 1/cos(theta0), then the chain above applies.
 
     The sector premise is the ORVQM check; a sequence that fails it (the
-    lacunary family, say) yields ``premises_not_met``.
+    lacunary family, say), or one whose inner chain has unmet premises,
+    yields ``premises_not_met``.
     """
     weighted = PrefixView.of(seq, weight=weight)
     qrep = check_orvqm(weighted, sector)
@@ -430,8 +431,11 @@ def verify_orvqm_implication(seq: CoefficientSequence,
     rec.passed = rec.passed and wrep.verdict == HOLDS
     records.append(rec)
 
-    # the inner chain holds exactly when each of its records passes
     inner = _weighted_chain(PrefixView.of(seq), weighted, wrep)
+    if inner.status == STATUS_PREMISES:
+        return VerificationOutcome(CLAIM_SECTOR, STATUS_PREMISES,
+                                   records[:1] + inner.records,
+                                   inner.summary)
     records.extend(inner.records)
     summary = {"instance": label, "theta0": sector.theta0,
                "dominance_constant": dominance,

@@ -214,17 +214,22 @@ def test_corpus_outcome_status_rule():
 
 # --- sector implication ----------------------------------------------------
 
-def test_sector_chain_boundary_angle_constant():
-    # alternating phases just inside +/- theta0: the measured weighted
-    # constant approaches 1/cos(theta0) = 2/sqrt(3) from below
-    theta0 = math.pi / 6
+def _boundary_sequence(theta0):
+    """Alternating phases just inside +/- theta0, zero past n = 2048."""
     k = np.arange(1, 2049, dtype=float)
     phases = np.where(k.astype(int) % 2 == 0, 1.0, -1.0) * theta0 * (1 - 1e-6)
     d = k ** -2.0 * np.exp(1j * phases)
     g = np.zeros(4096, dtype=complex)
     g[:2048] = _suffix(d)
-    seq = CoefficientSequence.explicit(g, label="boundary")
-    out = verify_orvqm_implication(seq, _one(), Sector(theta0))
+    return CoefficientSequence.explicit(g, label="boundary")
+
+
+def test_sector_chain_boundary_angle_constant():
+    # the measured weighted constant approaches 1/cos(theta0) = 2/sqrt(3)
+    # from below
+    theta0 = math.pi / 6
+    out = verify_orvqm_implication(_boundary_sequence(theta0), _one(),
+                                   Sector(theta0))
     assert out.status == STATUS_OK
     assert out.summary["weighted_constant"] <= 2.0 / math.sqrt(3.0) * (1 + 1e-9)
     assert out.summary["weighted_constant"] > 1.15
@@ -235,6 +240,20 @@ def test_sector_chain_rejects_lacunary():
                                    Sector(math.pi / 6))
     assert out.status == STATUS_PREMISES
     assert out.claim == CLAIM_SECTOR
+
+
+def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
+    # the sector premise holds, but 2^n overflows beyond n = 1023, so the
+    # inner chain's weight-doubling premise is inconclusive: no gate is
+    # judged, and the outcome is no violation
+    theta0 = math.pi / 6
+    out = verify_orvqm_implication(
+        _boundary_sequence(theta0),
+        weight_from_spec(parse_family_spec("exp2")), Sector(theta0))
+    assert out.status == STATUS_PREMISES and out.claim == CLAIM_SECTOR
+    assert all(r.name.startswith("premise/") for r in out.records)
+    failed = [r.name for r in out.records if not r.passed]
+    assert failed == ["premise/weight_doubling"]
 
 
 def test_sector_chain_on_odd_corpus_member():
