@@ -49,7 +49,6 @@ from .series import (
     ProbeResult,
     TailNormCurve,
     convergence_curve,
-    dirichlet_sine,
     testpoint_block_probe,
     truncation_slack,
 )
@@ -63,8 +62,6 @@ from .harness import (
     run_weighted_implication_corpus,
     verify_equivalence_diagnostics,
     verify_lacunary_counterexample,
-    verify_orvqm_implication,
-    verify_weighted_bv_implication,
 )
 
 __all__ = [
@@ -101,7 +98,6 @@ __all__ = [
     "ProbeResult",
     "TailNormCurve",
     "convergence_curve",
-    "dirichlet_sine",
     "testpoint_block_probe",
     "truncation_slack",
     "InequalityRecord",
@@ -113,6 +109,4 @@ __all__ = [
     "run_weighted_implication_corpus",
     "verify_equivalence_diagnostics",
     "verify_lacunary_counterexample",
-    "verify_orvqm_implication",
-    "verify_weighted_bv_implication",
 ]

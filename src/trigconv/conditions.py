@@ -74,7 +74,6 @@ __all__ = [
     "check_group_bv",
     "check_pair_sector",
     "classify",
-    "dyadic_block_maxima",
     "DEFAULT_HORIZON",
     "DEFAULT_WINDOWS",
     "STABILIZATION_THRESHOLD",
@@ -150,22 +149,6 @@ def _group_bv_scan_end(N: int, m_max: Optional[int], N0: int) -> int:
     [m, 2m + 1] or [m, m + N0 - 1] would leave the prefix; 0 when no m
     fits."""
     return _scan_end(N, m_max, min((N - 1) // 2, N - N0 + 1))
-
-
-def dyadic_block_maxima(vals: np.ndarray) -> list[float]:
-    """Maxima of vals over the dyadic index blocks [2^j, 2^(j+1)) (1-based).
-
-    The last block [2^K, N] is cut at the array's end.  When it holds fewer
-    than 2^(K-1) terms, fewer than the block before it, it is merged into
-    that block, [2^(K-1), N]: a final maximum never rests on a few terms
-    (at N = 2^K the cut block is the single term n = N).  The last block
-    starts at 2^(len - 1) either way.
-    """
-    N = vals.shape[0]
-    K = N.bit_length() - 1
-    count = K if K >= 1 and N - (1 << K) + 1 < 1 << (K - 1) else K + 1
-    starts = (1 << np.arange(count)) - 1
-    return np.maximum.reduceat(vals, starts).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +377,13 @@ def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
                            stab, notes=notes)
 
 
+def _theta0_text(sector: Sector) -> str:
+    """theta0 in a label: ``:.6g`` when that reads back as the same float,
+    else its repr, so that a label names one sector."""
+    short = f"{sector.theta0:.6g}"
+    return short if float(short) == sector.theta0 else repr(sector.theta0)
+
+
 def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     """Do the weighted differences stay in the sector?
 
@@ -408,7 +398,7 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     complex g is scanned whole.
     """
     g, N = view.g, view.N
-    cond = f"ORVQM({view.weight_label},theta0={sector.theta0:.6g})"
+    cond = f"ORVQM({view.weight_label},theta0={_theta0_text(sector)})"
     bound = sector.theta0 + ANGLE_TOL
     if np.iscomplexobj(g):
         diffs = g[:-1] - g[1:]
@@ -701,7 +691,7 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     sums = _snap_small(sums, scale)
     diffs = _snap_small(diffs, scale)
     doubles = sums + diffs
-    cond = f"PAIR_SECTOR(theta0={sector.theta0:.6g})"
+    cond = f"PAIR_SECTOR(theta0={_theta0_text(sector)})"
     worst = 0.0
     for z in (sums, diffs):
         witness, widest = _sector_scan(z, sector.theta0 + ANGLE_TOL)

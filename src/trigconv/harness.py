@@ -19,8 +19,8 @@ records carry the measured left/right sides and slack.  Claims:
 
 Randomized corpora are built backward from a zero tail out of positive
 (or sector-boundary complex) decrements, so the premises hold by
-construction rather than by rejection sampling, for all but a few members
-(see corpus_member); a corpus run keeps those apart from violations.
+construction rather than by rejection sampling (see corpus_member); a
+corpus run keeps a member with unmet premises apart from violations.
 Everything is a pure function of the seed: two runs with the same
 parameters serialize to identical JSON.
 """
@@ -45,7 +45,6 @@ from .conditions import (
     check_orvqm,
     check_pair_sector,
     check_weighted_rest_bv,
-    dyadic_block_maxima,
 )
 from .sequences import (
     _block_exponent,
@@ -69,8 +68,6 @@ __all__ = [
     "InequalityRecord",
     "VerificationOutcome",
     "corpus_member",
-    "verify_weighted_bv_implication",
-    "verify_orvqm_implication",
     "verify_lacunary_counterexample",
     "verify_equivalence_diagnostics",
     "probe_necessity",
@@ -191,26 +188,6 @@ def _suffix(vals: np.ndarray) -> np.ndarray:
     return suffix_sums(vals)
 
 
-_TREND_WOBBLE = 0.05
-
-
-def _null_trend_ok(cabs: np.ndarray) -> bool:
-    """Dyadic block maxima of |c| trend downward: adjacent blocks may
-    wobble by at most _TREND_WOBBLE, no block exceeds the first by more
-    than the wobble, and the last sits strictly below the first (all-zero
-    data passes trivially)."""
-    M = dyadic_block_maxima(cabs)
-    if M[0] == 0.0:
-        return True
-    allow = 1.0 + _TREND_WOBBLE
-    for a, b in zip(M, M[1:]):
-        if b > a * allow:
-            return False
-    if any(v > M[0] * allow for v in M[1:]):
-        return False
-    return M[-1] < M[0]
-
-
 # ---------------------------------------------------------------------------
 # randomized premise-satisfying corpus
 # ---------------------------------------------------------------------------
@@ -236,8 +213,8 @@ def _corpus_weight(text: str) -> WeightSequence:
 
 
 def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optional[Sector]]:
-    """Deterministic instance for the implication claims, built so that
-    nearly every member meets the chain's premises.
+    """Deterministic instance for the implication claims, built to meet
+    the chain's premises.
 
     Draw positive decrements d_n = (0.25 + 0.75 u_n) n^{-q} up to the cut,
     accumulate backward into g (so g is the exact tail sum of the d's and
@@ -246,9 +223,8 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     sit in the sector by construction); even seeds instead modulate g by
     1 +/- kappa across dyadic blocks, producing bounded-variation members
     that are not quasimonotone.  Weight growth is capped against the decay
-    power so that |c| mostly stays null-trending, but not always: 12 of
-    the members 1..1000 fail the null-trend premise, 9 of them
-    rbv(q=1.6,power(0.5)); their runs report premises_not_met.
+    power.  c_n = 0 for n > 1536 of the 4096 terms, so every member meets
+    the null premise.
     """
     L, cut = _CORPUS_LENGTH, _CORPUS_CUT
     u = unit_noise(seed, np.arange(4 + 2 * cut))
@@ -288,14 +264,14 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
 # implication claims
 # ---------------------------------------------------------------------------
 
-def verify_weighted_bv_implication(seq: CoefficientSequence,
-                                   weight: WeightSequence
-                                   ) -> VerificationOutcome:
+def _verify_weighted_bv_implication(seq: CoefficientSequence,
+                                    weight: WeightSequence
+                                    ) -> VerificationOutcome:
     """Drive the weighted-variation constant through the proof chain.
 
     Reads the default prefix of seq: its data, or 2^20 terms of a
-    generator.  Premises (else ``premises_not_met``): |c| null-trending on
-    data, the weight passes its doubling check, and the weighted
+    generator.  Premises (else ``premises_not_met``): c is null (see
+    _null_premise), the weight passes its doubling check, and the weighted
     rest-variation report holds with constant M.  Gates, for every n in
     the scan range:
 
@@ -311,19 +287,35 @@ def verify_weighted_bv_implication(seq: CoefficientSequence,
                            check_weighted_rest_bv(weighted))
 
 
+def _null_premise(plain: PrefixView) -> InequalityRecord:
+    """premise/null: the view reads all of finite data, and its last value
+    is exactly 0.  The witness is the last index L with c_L != 0, or 0 for
+    all-zero data.
+
+    (2') is stated for a null sequence.  Finite data stands for its zero
+    extension c_n = 0 (n > N), which is null, and when c_N = 0 the view's
+    tail sums are that extension's: tail[N-1] = 0 = |c_N - c_(N+1)|.  A
+    prefix of a generator, or of data, decides nothing past its end, so
+    neither meets the premise.
+    """
+    nonzero = np.flatnonzero(plain.g)
+    last = int(nonzero[-1]) + 1 if nonzero.size else 0
+    data = plain.N == plain.seq.length
+    return InequalityRecord(
+        "premise/null", plain.seq.label, data and last < plain.N, math.nan,
+        math.nan, math.nan, witness=last,
+        detail="data, zero past the witness" if data
+        else "a prefix does not decide nullness")
+
+
 def _weighted_chain(plain: PrefixView, weighted: PrefixView,
                     wrep: ConditionReport) -> VerificationOutcome:
-    """verify_weighted_bv_implication on the two views of one prefix, given
+    """_verify_weighted_bv_implication on the two views of one prefix, given
     the weighted-variation report of the weighted one."""
     N, weight = plain.N, weighted.weight
     cabs = np.abs(plain.g)
     label = plain.seq.label
-    premises: list[InequalityRecord] = []
-
-    trend_ok = _null_trend_ok(cabs)
-    premises.append(InequalityRecord(
-        "premise/null_trend", label, trend_ok, math.nan, math.nan, math.nan,
-        detail="dyadic block maxima of |c| must not grow"))
+    premises = [_null_premise(plain)]
     worv = check_orv_weight(weight, min(N, 1 << 16))
     notes = f"; {worv.notes}" if worv.notes else ""
     premises.append(InequalityRecord(
@@ -385,9 +377,9 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
                     "measured_constant": measured, "worst_slack": worst})
 
 
-def verify_orvqm_implication(seq: CoefficientSequence,
-                             weight: WeightSequence, sector: Sector
-                             ) -> VerificationOutcome:
+def _verify_orvqm_implication(seq: CoefficientSequence,
+                              weight: WeightSequence, sector: Sector
+                              ) -> VerificationOutcome:
     """Sector-constrained differences: telescoping gives the weighted
     variation constant M <= 1/cos(theta0), then the chain above applies.
 
@@ -493,7 +485,7 @@ def _corpus_seeds(first: int, size: int, step: int) -> range:
 def run_weighted_implication_corpus(seed_start: int,
                                     size: int) -> VerificationOutcome:
     """The implication chain over the randomized corpus, aggregated."""
-    outcomes = [verify_weighted_bv_implication(*corpus_member(seed)[:2])
+    outcomes = [_verify_weighted_bv_implication(*corpus_member(seed)[:2])
                 for seed in _corpus_seeds(seed_start, size, 1)]
     return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
 
@@ -501,7 +493,7 @@ def run_weighted_implication_corpus(seed_start: int,
 def run_sector_implication_corpus(seed_start: int,
                                   size: int) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
-    outcomes = [verify_orvqm_implication(*corpus_member(seed))
+    outcomes = [_verify_orvqm_implication(*corpus_member(seed))
                 for seed in _corpus_seeds(seed_start | 1, size, 2)]
     return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
                            ("sector/", "chain/"))

@@ -57,8 +57,7 @@ sequence's support when it lists one, so a lacunary sequence costs its few
 powers of two, and any other sequence through values_between.
 
 The test-point probe at x0 = pi/(8n) measures the sides of criterion 7's
-inequality from the two-sided rows at n and 4n; dirichlet_sine is the
-closed-form sine Dirichlet kernel.
+inequality from the two-sided rows at n and 4n.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ __all__ = [
     "CurveEntry",
     "TailNormCurve",
     "ProbeResult",
-    "dirichlet_sine",
     "truncation_slack",
     "testpoint_block_probe",
     "convergence_curve",
@@ -154,27 +152,6 @@ class GridSpec:
 
     def describe(self) -> str:
         return f"grid({self.n_ref},{OVERSAMPLE})"
-
-
-# ---------------------------------------------------------------------------
-# the sine Dirichlet kernel
-# ---------------------------------------------------------------------------
-
-def _require_x_in_halfperiod(x: float) -> None:
-    if not (0.0 < x <= math.pi):
-        raise SequenceError(f"x = {x} outside (0, pi]")
-
-
-def dirichlet_sine(n: int, x: float) -> float:
-    """sum_{k=1}^n sin kx via sin(nx/2) sin((n+1)x/2) / sin(x/2).
-
-    Defined on (0, pi], where |result| <= pi/x.
-    """
-    _require_x_in_halfperiod(x)
-    if n <= 0:
-        return 0.0
-    half = 0.5 * x
-    return math.sin(n * half) * math.sin((n + 1) * half) / math.sin(half)
 
 
 # ---------------------------------------------------------------------------

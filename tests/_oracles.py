@@ -1,5 +1,5 @@
 """Brute-force oracles for the tests: exactly rounded complex sums, direct
-partial sums, the per-point ladder rows, the uniform rows with every row
+partial sums, the closed-form sine Dirichlet kernel, the per-point ladder rows, the uniform rows with every row
 of bins held at once and the grid split that :mod:`trigconv.series` must
 reproduce bit for bit, the summation-by-parts tail bound, and the
 full-array condition scans (GROUP_BV's among them, with its right side
@@ -66,6 +66,19 @@ def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
     neg = np.asarray(ts.neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
     return exact_complex_sum(pos * e + neg * np.conj(e))
+
+
+def dirichlet_sine(n: int, x: float) -> float:
+    """sum_{k=1}^n sin kx via sin(nx/2) sin((n+1)x/2) / sin(x/2).
+
+    Defined on (0, pi], where |result| <= pi/x.
+    """
+    if not (0.0 < x <= math.pi):
+        raise SequenceError(f"x = {x} outside (0, pi]")
+    if n <= 0:
+        return 0.0
+    half = 0.5 * x
+    return math.sin(n * half) * math.sin((n + 1) * half) / math.sin(half)
 
 
 # --- the uniform rows, all segments at once -------------------------------

@@ -23,7 +23,9 @@ from trigconv.harness import (
     verify_lacunary_counterexample,
 )
 from trigconv.sequences import CoefficientSequence, sequence_from_text
-from trigconv.series import convergence_curve, dirichlet_sine
+from trigconv.series import convergence_curve
+
+from _oracles import dirichlet_sine
 
 
 def _nonincreasing_null_families():

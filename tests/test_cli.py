@@ -91,6 +91,20 @@ def test_classify_theta0_negative_zero_is_theta0_zero(capsys):
     assert '"ORVQM(one,theta0=0)"' in texts[0]
 
 
+def test_classify_label_names_one_sector(capsys):
+    # 0.1000001 prints as 0.1 at six digits, so its label falls back to repr
+    labels = []
+    for theta0 in ("0.1", "0.1000001"):
+        code, out, _ = run(capsys, "classify", "harmonic(1.0)",
+                           "--theta0", theta0, "--horizon", "64")
+        assert code == 0
+        payload = json.loads(out)
+        labels += [r["condition"] for r in payload["reports"]
+                   if r["condition"].startswith("ORVQM")]
+        assert payload["manifest"]["defaults"]["theta0"] == float(theta0)
+    assert labels == ["ORVQM(one,theta0=0.1)", "ORVQM(one,theta0=0.1000001)"]
+
+
 def test_classify_file_input(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     rows = ["# comment", ""] + [f"{1.0 / k}" for k in range(1, 5001)]

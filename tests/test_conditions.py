@@ -26,7 +26,6 @@ from trigconv.conditions import (
     check_rest_bv,
     check_weighted_rest_bv,
     classify,
-    dyadic_block_maxima,
 )
 from trigconv.sequences import (
     REL_TOL,
@@ -738,6 +737,16 @@ def test_pair_sector_detects_violation():
     assert rep.witness == 1
 
 
+def test_pair_sector_label_names_one_sector():
+    # pi/8 reads back from no six-digit form, so the label prints its repr
+    ts = TwoSidedSequence(sequence_from_text("harmonic(1.0)"),
+                          sequence_from_text("zero"))
+    labels = [check_pair_sector(ts, Sector(theta0), 4).condition
+              for theta0 in (0.25, math.pi / 8)]
+    assert labels == ["PAIR_SECTOR(theta0=0.25)",
+                      f"PAIR_SECTOR(theta0={math.pi / 8!r})"]
+
+
 # --- aggregate classifier --------------------------------------------------
 
 def test_classify_explicit_frozen():
@@ -1002,18 +1011,3 @@ def test_unweighted_checkers_reject_a_weighted_view():
         check_group_bv(view, (1,))
     with pytest.raises(ValueError):
         check_rest_bv(view)
-
-
-def test_dyadic_block_maxima_matches_block_loop():
-    # blocks [2^j, 2^(j+1)) cut at N; a cut last block shorter than the
-    # block before it joins that block
-    rng = np.random.default_rng(5)
-    for N in range(1, 70):
-        vals = rng.random(N)
-        blocks, j = [], 0
-        while (1 << j) <= N:
-            blocks.append(vals[(1 << j) - 1:min((1 << (j + 1)) - 1, N)])
-            j += 1
-        if len(blocks) > 1 and len(blocks[-1]) < len(blocks[-2]):
-            blocks[-2:] = [np.concatenate(blocks[-2:])]
-        assert dyadic_block_maxima(vals) == [float(b.max()) for b in blocks]

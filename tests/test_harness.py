@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trigconv import cli
-from trigconv.conditions import check_group_bv
+from trigconv.conditions import PrefixView, check_group_bv
 from trigconv.harness import (
     CLAIM_SECTOR,
     CLAIM_WEIGHTED,
@@ -18,16 +18,16 @@ from trigconv.harness import (
     VerificationOutcome,
     _SUFFICIENCY_FAMILIES,
     _corpus_outcome,
-    _null_trend_ok,
+    _null_premise,
     _suffix,
+    _verify_orvqm_implication,
+    _verify_weighted_bv_implication,
     corpus_member,
     probe_necessity,
     probe_sufficiency,
     run_weighted_implication_corpus,
     verify_equivalence_diagnostics,
     verify_lacunary_counterexample,
-    verify_orvqm_implication,
-    verify_weighted_bv_implication,
 )
 from trigconv.sequences import (
     CoefficientSequence,
@@ -112,33 +112,42 @@ def test_corpus_member_has_exact_zero_tail():
     assert np.all(vals[:1536] != 0)
 
 
-# --- trend premise ---------------------------------------------------------
+# --- null premise ----------------------------------------------------------
 
-def test_null_trend_accepts_decay_with_wobble():
-    n = np.arange(1, 2049, dtype=float)
-    assert _null_trend_ok(n ** -0.5)
-    wobble = n ** -0.5 * (1.0 + 0.04 * np.sin(n))
-    assert _null_trend_ok(wobble)
+def test_null_premise_is_decided_by_the_data():
+    # every corpus member is zero past n = 1536, its last nonzero index
+    for seed in (1, 2, 252, 929):
+        rec = _null_premise(PrefixView.of(corpus_member(seed)[0]))
+        assert rec.name == "premise/null"
+        assert rec.passed and rec.witness == 1536
+    closed = CoefficientSequence.explicit([1.0, 0.5, 0.0, 0.25, 0.0, 0.0])
+    assert _null_premise(PrefixView.of(closed)).witness == 4
+    assert _null_premise(PrefixView.of(closed)).passed
+    zeros = _null_premise(PrefixView.of(CoefficientSequence.explicit([0.0] * 4)))
+    assert zeros.passed and zeros.witness == 0
+    # data read in part, and a generator, decide nothing past the prefix,
+    # even where the prefix ends in 0 (c_6 = 0 off the powers of two)
+    part = _null_premise(PrefixView.of(closed, 3))
+    assert not part.passed and part.witness == 2
+    lacunary = _null_premise(PrefixView.of(sequence_from_text("lacunary(1.0)"), 6))
+    assert not lacunary.passed and lacunary.witness == 4
 
 
-def test_null_trend_rejects_flat_and_growing():
-    assert not _null_trend_ok(np.ones(2048))
-    assert not _null_trend_ok(np.log(np.arange(1, 2049, dtype=float) + 2))
-    assert _null_trend_ok(np.zeros(64))
-    # flat but for a smaller last term: at N = 2^11 that term alone is the
-    # cut block [2^11, 2^11], and merged into [2^10, 2^11] it reads as at
-    # N = 2^11 - 1
-    for N in (2047, 2048):
-        flat = np.ones(N)
-        flat[-1] = 0.5
-        assert not _null_trend_ok(flat)
+def test_null_premise_fails_on_data_whose_last_value_is_not_zero():
+    # c_k = 1/k^2 for k <= 64: every other premise holds
+    seq = CoefficientSequence.explicit(1.0 / np.arange(1, 65) ** 2,
+                                       label="open")
+    out = _verify_weighted_bv_implication(seq, _one())
+    assert out.status == STATUS_PREMISES
+    failed = [(r.name, r.witness) for r in out.records if not r.passed]
+    assert failed == [("premise/null", 64)]
 
 
 # --- single-instance implication chain -------------------------------------
 
 def test_weighted_chain_on_corpus_member():
     seq, weight, _ = corpus_member(1)
-    out = verify_weighted_bv_implication(seq, weight)
+    out = _verify_weighted_bv_implication(seq, weight)
     assert out.status == STATUS_OK
     names = [r.name for r in out.records]
     assert "chain/dominated_tail" in names
@@ -150,7 +159,7 @@ def test_weighted_chain_on_corpus_member():
 
 
 def test_weighted_chain_premises_not_met_for_lacunary():
-    out = verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
     assert out.status == STATUS_PREMISES
 
 
@@ -159,7 +168,7 @@ def test_weight_doubling_premise_carries_the_weight_notes():
     # inconclusive and says why
     seq = sequence_from_text("harmonic(2.0)")
     data = CoefficientSequence.explicit(seq.prefix(4096), label=seq.label)
-    out = verify_weighted_bv_implication(
+    out = _verify_weighted_bv_implication(
         data, weight_from_spec(parse_family_spec("exp2")))
     assert out.status == STATUS_PREMISES
     rec = {r.name: r for r in out.records}["premise/weight_doubling"]
@@ -174,16 +183,32 @@ def test_corpus_run_aggregates():
     assert out.claim == CLAIM_WEIGHTED
 
 
-def test_corpus_run_keeps_unmet_premises_apart_from_violations():
-    # member 252 fails its null-trend premise and no chain gate fails
+def test_corpus_run_keeps_unmet_premises_apart_from_violations(monkeypatch):
+    # member 252 is a checked chain; with its last value made nonzero it
+    # fails the null premise, and no chain gate fails
+    from trigconv import harness
+
+    assert run_weighted_implication_corpus(252, 1).summary["headline"] == \
+        "1/1 chains hold"
+    real = harness.corpus_member
+
+    def member(seed):
+        seq, weight, sector = real(seed)
+        if seed != 252:
+            return seq, weight, sector
+        vals = np.array(seq.prefix(4096))
+        vals[-1] = vals[1535]
+        return CoefficientSequence.explicit(vals, label="open@252"), weight, sector
+
+    monkeypatch.setattr(harness, "corpus_member", member)
     out = run_weighted_implication_corpus(251, 3)
     assert out.status == STATUS_OK
     assert out.summary["passed"] == 2 and out.summary["members"] == 3
     assert out.summary["headline"] == \
         "2/2 chains hold, 1 member(s) with premises not met"
     failed = [r for r in out.records if not r.passed]
-    assert [(r.name, r.instance) for r in failed] == \
-        [("premise/null_trend", "corpus@252:rbv(q=1.6,power(0.5))")]
+    assert [(r.name, r.instance, r.witness) for r in failed] == \
+        [("premise/null", "open@252", 4096)]
     only = run_weighted_implication_corpus(252, 1)
     assert only.status == STATUS_PREMISES
     assert only.summary["headline"] == \
@@ -228,7 +253,7 @@ def test_sector_chain_boundary_angle_constant():
     # the measured weighted constant approaches 1/cos(theta0) = 2/sqrt(3)
     # from below
     theta0 = math.pi / 6
-    out = verify_orvqm_implication(_boundary_sequence(theta0), _one(),
+    out = _verify_orvqm_implication(_boundary_sequence(theta0), _one(),
                                    Sector(theta0))
     assert out.status == STATUS_OK
     assert out.summary["weighted_constant"] <= 2.0 / math.sqrt(3.0) * (1 + 1e-9)
@@ -236,7 +261,7 @@ def test_sector_chain_boundary_angle_constant():
 
 
 def test_sector_chain_rejects_lacunary():
-    out = verify_orvqm_implication(_lacunary_prefix(), _one(),
+    out = _verify_orvqm_implication(_lacunary_prefix(), _one(),
                                    Sector(math.pi / 6))
     assert out.status == STATUS_PREMISES
     assert out.claim == CLAIM_SECTOR
@@ -247,7 +272,7 @@ def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
     # inner chain's weight-doubling premise is inconclusive: no gate is
     # judged, and the outcome is no violation
     theta0 = math.pi / 6
-    out = verify_orvqm_implication(
+    out = _verify_orvqm_implication(
         _boundary_sequence(theta0),
         weight_from_spec(parse_family_spec("exp2")), Sector(theta0))
     assert out.status == STATUS_PREMISES and out.claim == CLAIM_SECTOR
@@ -258,7 +283,7 @@ def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
 
 def test_sector_chain_on_odd_corpus_member():
     seq, weight, sector = corpus_member(7)
-    out = verify_orvqm_implication(seq, weight, sector)
+    out = _verify_orvqm_implication(seq, weight, sector)
     assert out.status == STATUS_OK
     telescoping = [r for r in out.records if r.name == "sector/telescoping"]
     assert telescoping and telescoping[0].passed
@@ -430,7 +455,7 @@ def test_outcome_json_round_trip_strict():
 
 
 def test_outcome_json_nonfinite_goes_null():
-    out = verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
     d = out.to_json_dict()
     text = json.dumps(d, allow_nan=False)   # must not raise
     assert "Infinity" not in text
@@ -456,7 +481,7 @@ def test_sector_chain_measures_weighted_variation_once(monkeypatch):
 
     monkeypatch.setattr(harness, "check_weighted_rest_bv", counting)
     seq, weight, sector = corpus_member(7)
-    assert verify_orvqm_implication(seq, weight, sector).status == STATUS_OK
+    assert _verify_orvqm_implication(seq, weight, sector).status == STATUS_OK
     assert calls == [1]
 
 
@@ -500,10 +525,12 @@ def test_placeholder_fields_serialize_null(equivalence):
     assert _null_fields(by_name["tail/bound_decreasing"]) == [None] * 3
     assert by_name["maxima/exactly_one"]["slack"] is None
     assert by_name["maxima/exactly_one"]["lhs"] is not None
-    # corpus member 252 fails its null-trend premise
-    out = run_weighted_implication_corpus(252, 1).to_json_dict()
-    trend = [r for r in out["records"] if r["name"] == "premise/null_trend"]
-    assert trend and _null_fields(trend[0]) == [None] * 3
+    # a lacunary prefix ends in c_4096 != 0 and fails the null premise
+    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    null = [r for r in out.to_json_dict()["records"]
+            if r["name"] == "premise/null"]
+    assert null and _null_fields(null[0]) == [None] * 3
+    assert null[0]["passed"] is False and null[0]["witness"] == 4096
     eq = equivalence.to_json_dict()
     assert [r["slack"] for r in eq["records"]] == [None] * 3
 
@@ -514,15 +541,16 @@ def test_placeholder_fields_serialize_null(equivalence):
 # suffix_sums stopped summing its first chunk and the corpus members began to
 # share one weight per text; a speedup must keep every byte.  The seed-251
 # run was frozen again when a member with unmet premises stopped counting
-# as a violation: its status, headline and exit code changed, its records
-# did not.
+# as a violation (its status, headline and exit code changed, its records
+# did not), and again when the null premise was decided from the data:
+# member 252 became a checked chain.
 
 _VERIFY_DIGESTS = [
     (("t3", "--seed", "1", "--corpus-size", "25"), 0,
      "345e491b157d9a3c5b2a2171efb1cd3f1d4ad0d8ab5fde42e47e03f89979d147"),
-    # member 252 fails the null-trend premise: no chain fails, so exit 0
+    # member 252 included: 25/25 chains hold
     (("t3", "--seed", "251", "--corpus-size", "25"), 0,
-     "d348d1d275f7b1fab64b43c44a5f4ba1376c7a0e6dc2d01c9bb0fcc1c764ff01"),
+     "e658629c48c487b64ab14aa31a4ec1a3dba33d0cb719c0e5c4cdcba1cfb493a2"),
     (("corollary", "--seed", "1", "--corpus-size", "12"), 0,
      "b9d230211d3651a792ea1bf334b66c7c5410750e7c5e1bf3050a8885d93fcf0d"),
     # frozen before the tail sums were built on first read, a lacunary

@@ -140,7 +140,7 @@ def test_public_knob_count_does_not_grow():
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
     assert params + fields <= 26
-    assert len(trigconv.__all__) <= 47
+    assert len(trigconv.__all__) <= 44
 
 
 def _package_imports(path: pathlib.Path) -> set:

@@ -16,7 +16,6 @@ from trigconv.sequences import (
 from trigconv.series import (
     GridSpec,
     convergence_curve,
-    dirichlet_sine,
     truncation_slack,
 )
 from trigconv.series import (MAX_UNIFORM, _BLOCK_VALUES, _abs_range_sum,
@@ -27,6 +26,7 @@ from trigconv.summation import exact_sum
 
 from _oracles import (
     abel_tail_bound,
+    dirichlet_sine,
     ladder_rows_per_point,
     partial_sum_sine,
     partial_sum_two_sided,
