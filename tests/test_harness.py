@@ -125,22 +125,16 @@ def test_null_premise_is_decided_by_the_data():
     assert _null_premise(PrefixView.of(closed)).passed
     zeros = _null_premise(PrefixView.of(CoefficientSequence.explicit([0.0] * 4)))
     assert zeros.passed and zeros.witness == 0
+    # data whose last value is not 0 fails, with that index as the witness
+    open_end = CoefficientSequence.explicit(1.0 / np.arange(1, 65) ** 2)
+    rec = _null_premise(PrefixView.of(open_end))
+    assert not rec.passed and rec.witness == 64
     # data read in part, and a generator, decide nothing past the prefix,
     # even where the prefix ends in 0 (c_6 = 0 off the powers of two)
     part = _null_premise(PrefixView.of(closed, 3))
     assert not part.passed and part.witness == 2
     lacunary = _null_premise(PrefixView.of(sequence_from_text("lacunary(1.0)"), 6))
     assert not lacunary.passed and lacunary.witness == 4
-
-
-def test_null_premise_fails_on_data_whose_last_value_is_not_zero():
-    # c_k = 1/k^2 for k <= 64: every other premise holds
-    seq = CoefficientSequence.explicit(1.0 / np.arange(1, 65) ** 2,
-                                       label="open")
-    out = _verify_weighted_bv_implication(seq, _one())
-    assert out.status == STATUS_PREMISES
-    failed = [(r.name, r.witness) for r in out.records if not r.passed]
-    assert failed == [("premise/null", 64)]
 
 
 # --- single-instance implication chain -------------------------------------
