@@ -8,7 +8,9 @@ records carry the measured left/right sides and slack.  Claims:
   constant transfers to a group-bounded-variation constant through an
   explicit chain, with the predicted bound (M+1)*rho - 1;
 * ``orvqm_implies_group_bv`` -- sector-constrained weighted differences
-  give the same implication with M <= 1/cos(theta0) via sector telescoping;
+  give the same implication with M <= 1/cos(theta0) via sector telescoping:
+  the same chain (one ``_chain`` checks both claims) behind a sector
+  premise;
 * ``lacunary_counterexample`` -- the lacunary family keeps n^alpha b_n
   at 1 on a sparse set while its series converges uniformly, and the
   group-variation check fails for every fixed window;
@@ -38,7 +40,6 @@ from .conditions import (
     DEFAULT_WINDOWS,
     FAILS,
     HOLDS,
-    ConditionReport,
     PrefixView,
     check_group_bv,
     check_orv_weight,
@@ -264,29 +265,6 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
 # implication claims
 # ---------------------------------------------------------------------------
 
-def _verify_weighted_bv_implication(seq: CoefficientSequence,
-                                    weight: WeightSequence
-                                    ) -> VerificationOutcome:
-    """Drive the weighted-variation constant through the proof chain.
-
-    Reads the default prefix of seq: its data, or 2^20 terms of a
-    generator.  Premises (else ``premises_not_met``): c is null (see
-    _null_premise), the weight passes its doubling check, and the weighted
-    rest-variation report holds with constant M.  Gates, for every n in
-    the scan range:
-
-      dominated tail     max_{k>=n} |c_k|/R(k)  <=  M |c_n|/R(n)
-      block chain        sum_{k=n}^{2n} |c_k - c_{k+1}|
-                           <=  M R(2n+1) g_n + g_n (R(2n+1) - R(n)),
-                         g_n = |c_n|/R(n)
-      predicted constant group-variation constant <= (M+1) rho - 1,
-                         rho = max_n R(2n+1)/R(n)
-    """
-    weighted = PrefixView.of(seq, weight=weight)
-    return _weighted_chain(PrefixView.of(seq), weighted,
-                           check_weighted_rest_bv(weighted))
-
-
 def _null_premise(plain: PrefixView) -> InequalityRecord:
     """premise/null: the view reads all of finite data, and its last value
     is exactly 0.  The witness is the last index L with c_L != 0, or 0 for
@@ -308,36 +286,92 @@ def _null_premise(plain: PrefixView) -> InequalityRecord:
         else "a prefix does not decide nullness")
 
 
-def _weighted_chain(plain: PrefixView, weighted: PrefixView,
-                    wrep: ConditionReport) -> VerificationOutcome:
-    """_verify_weighted_bv_implication on the two views of one prefix, given
-    the weighted-variation report of the weighted one."""
-    N, weight = plain.N, weighted.weight
-    cabs = np.abs(plain.g)
-    label = plain.seq.label
-    premises = [_null_premise(plain)]
+def _chain(seq: CoefficientSequence, weight: WeightSequence,
+           sector: Optional[Sector] = None) -> VerificationOutcome:
+    """Drive the weighted-variation constant M through the proof chain;
+    with a sector, the claim is the sector corollary and the chain runs
+    behind a sector premise.
+
+    Reads the default prefix of seq: its data, or 2^20 terms of a
+    generator.  With a sector, the premise is the ORVQM check of the
+    weighted differences; a sequence that fails it (the lacunary family,
+    say) yields ``premises_not_met`` and no other record.  Sector
+    telescoping then gives M <= 1/cos(theta0):
+
+      sector telescoping  sum_{k>=m} |diff|  <=  Re h_m / cos(theta0),
+                          h = c/R, over the weighted-variation scan
+      variation constant  M  <=  1/cos(theta0)
+
+    Premises of the chain (else ``premises_not_met``, keeping only the
+    sector premise of the records before them): c is null (see
+    _null_premise), the weight passes its doubling check, and the weighted
+    rest-variation report holds with constant M.  Gates, for every n in
+    the scan range:
+
+      dominated tail     max_{k>=n} |c_k|/R(k)  <=  M |c_n|/R(n)
+      block chain        sum_{k=n}^{2n} |c_k - c_{k+1}|
+                           <=  M R(2n+1) g_n + g_n (R(2n+1) - R(n)),
+                         g_n = |c_n|/R(n)
+      predicted constant group-variation constant <= (M+1) rho - 1,
+                         rho = max_n R(2n+1)/R(n)
+    """
+    plain, weighted = PrefixView.of(seq), PrefixView.of(seq, weight=weight)
+    N, label = plain.N, seq.label
+    claim = CLAIM_WEIGHTED if sector is None else CLAIM_SECTOR
+    records: list[InequalityRecord] = []
+    if sector is not None:
+        qrep = check_orvqm(weighted, sector)
+        if qrep.verdict != HOLDS:
+            unmet = InequalityRecord(
+                "premise/sector_differences", label, False, math.nan,
+                math.nan, math.nan, witness=qrep.witness,
+                detail=f"verdict={qrep.verdict}")
+            return VerificationOutcome(claim, STATUS_PREMISES, [unmet], {})
+        records.append(InequalityRecord(
+            "premise/sector_differences", label, True, float(qrep.constant),
+            sector.theta0, sector.theta0 - float(qrep.constant),
+            detail="largest |arg| of the weighted differences"))
+    wrep = check_weighted_rest_bv(weighted)
+    held = wrep.verdict == HOLDS
+    if sector is not None:
+        h = weighted.g
+        dominance = sector_dominance_constant(sector)
+        m = np.arange(1, wrep.m_max + 1)
+        lhs = weighted.tail[m - 1]
+        rhs = dominance * np.maximum(h[m - 1].real, 0.0)
+        i = int(np.argmin(rhs - lhs))
+        records.append(_gate("sector/telescoping", label, float(lhs[i]),
+                             float(rhs[i]), witness=int(m[i]),
+                             scale=max(1.0, float(np.abs(h).max()))))
+        rec = _gate("sector/variation_constant", label,
+                    float(wrep.constant) if held else math.inf, dominance,
+                    detail=f"1/cos(theta0) = {dominance:.6g}")
+        rec.passed = rec.passed and held
+        records.append(rec)
+
     worv = check_orv_weight(weight, min(N, 1 << 16))
     notes = f"; {worv.notes}" if worv.notes else ""
-    premises.append(InequalityRecord(
-        "premise/weight_doubling", label, worv.verdict == HOLDS,
-        worv.constant if worv.constant is not None else math.nan, math.inf,
-        math.inf, detail=f"verdict={worv.verdict}{notes}"))
-    premises.append(InequalityRecord(
-        "premise/weighted_variation", label, wrep.verdict == HOLDS,
-        wrep.constant if wrep.constant is not None else math.nan, math.inf,
-        math.inf, detail=f"verdict={wrep.verdict}"))
+    premises = [
+        _null_premise(plain),
+        InequalityRecord(
+            "premise/weight_doubling", label, worv.verdict == HOLDS,
+            worv.constant if worv.constant is not None else math.nan,
+            math.inf, math.inf, detail=f"verdict={worv.verdict}{notes}"),
+        InequalityRecord(
+            "premise/weighted_variation", label, held,
+            wrep.constant if wrep.constant is not None else math.nan,
+            math.inf, math.inf, detail=f"verdict={wrep.verdict}")]
     if not all(r.passed for r in premises):
-        return VerificationOutcome(
-            CLAIM_WEIGHTED, STATUS_PREMISES, premises,
-            {"instance": label, "reason": "premises not met"})
+        return VerificationOutcome(claim, STATUS_PREMISES,
+                                   records[:1] + premises, {})
+    records.extend(premises)
 
     M2 = float(wrep.constant)
+    cabs = np.abs(plain.g)
     rvals, _ = weight.validated_prefix(N)
     g = cabs / rvals
     m = np.arange(1, min(wrep.m_max, (N - 1) // 2) + 1)
     scale = max(1.0, float(cabs.max()))
-
-    records = list(premises)
 
     # dominated tail: running maximum of g from the right
     maxtail = np.maximum.accumulate(g[::-1])[::-1]
@@ -363,78 +397,13 @@ def _weighted_chain(plain: PrefixView, weighted: PrefixView,
     rho = float((R2 / R1).max())
     grep = check_group_bv(plain, (1,))[0]
     ok_hold = grep.verdict == HOLDS
-    predicted = (M2 + 1.0) * rho - 1.0
     measured = float(grep.constant) if ok_hold else math.inf
-    rec = _gate("chain/predicted_constant", label, measured, predicted,
-                witness=grep.witness, detail=f"M={M2:.6g} rho={rho:.6g}")
+    rec = _gate("chain/predicted_constant", label, measured,
+                (M2 + 1.0) * rho - 1.0, witness=grep.witness,
+                detail=f"M={M2:.6g} rho={rho:.6g}")
     rec.passed = rec.passed and ok_hold
     records.append(rec)
-
-    worst = min(r.slack for r in records if math.isfinite(r.slack))
-    return _judged(CLAIM_WEIGHTED, records,
-                   {"instance": label, "constant": M2, "rho": rho,
-                    "predicted_bound": predicted,
-                    "measured_constant": measured, "worst_slack": worst})
-
-
-def _verify_orvqm_implication(seq: CoefficientSequence,
-                              weight: WeightSequence, sector: Sector
-                              ) -> VerificationOutcome:
-    """Sector-constrained differences: telescoping gives the weighted
-    variation constant M <= 1/cos(theta0), then the chain above applies.
-
-    The sector premise is the ORVQM check; a sequence that fails it (the
-    lacunary family, say), or one whose inner chain has unmet premises,
-    yields ``premises_not_met``.
-    """
-    weighted = PrefixView.of(seq, weight=weight)
-    qrep = check_orvqm(weighted, sector)
-    label = seq.label
-    if qrep.verdict != HOLDS:
-        rec = InequalityRecord(
-            "premise/sector_differences", label, False, math.nan, math.nan,
-            math.nan, witness=qrep.witness,
-            detail=f"verdict={qrep.verdict}")
-        return VerificationOutcome(CLAIM_SECTOR, STATUS_PREMISES, [rec],
-                                   {"instance": label,
-                                    "reason": "premises not met"})
-
-    h = weighted.g
-    dominance = sector_dominance_constant(sector)
-    records = [InequalityRecord(
-        "premise/sector_differences", label, True,
-        float(qrep.constant), sector.theta0, sector.theta0 - float(qrep.constant),
-        detail="largest |arg| of the weighted differences")]
-
-    # sector telescoping: sum_{k>=m} |diff| <= M(theta0) * Re h_m, over the
-    # scan of the weighted-variation report
-    wrep = check_weighted_rest_bv(weighted)
-    m = np.arange(1, wrep.m_max + 1)
-    lhs = weighted.tail[m - 1]
-    rhs = dominance * np.maximum(h[m - 1].real, 0.0)
-    i = int(np.argmin(rhs - lhs))
-    records.append(_gate("sector/telescoping", label, float(lhs[i]),
-                         float(rhs[i]), witness=int(m[i]),
-                         scale=max(1.0, float(np.abs(h).max()))))
-
-    measured = float(wrep.constant) if wrep.verdict == HOLDS else math.inf
-    rec = _gate("sector/variation_constant", label, measured, dominance,
-                detail=f"1/cos(theta0) = {dominance:.6g}")
-    rec.passed = rec.passed and wrep.verdict == HOLDS
-    records.append(rec)
-
-    inner = _weighted_chain(PrefixView.of(seq), weighted, wrep)
-    if inner.status == STATUS_PREMISES:
-        return VerificationOutcome(CLAIM_SECTOR, STATUS_PREMISES,
-                                   records[:1] + inner.records,
-                                   inner.summary)
-    records.extend(inner.records)
-    summary = {"instance": label, "theta0": sector.theta0,
-               "dominance_constant": dominance,
-               "weighted_constant": measured}
-    summary.update({k: v for k, v in inner.summary.items()
-                    if k in ("rho", "predicted_bound", "measured_constant")})
-    return _judged(CLAIM_SECTOR, records, summary)
+    return _judged(claim, records, {})
 
 
 def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
@@ -485,7 +454,7 @@ def _corpus_seeds(first: int, size: int, step: int) -> range:
 def run_weighted_implication_corpus(seed_start: int,
                                     size: int) -> VerificationOutcome:
     """The implication chain over the randomized corpus, aggregated."""
-    outcomes = [_verify_weighted_bv_implication(*corpus_member(seed)[:2])
+    outcomes = [_chain(*corpus_member(seed)[:2])
                 for seed in _corpus_seeds(seed_start, size, 1)]
     return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
 
@@ -493,7 +462,7 @@ def run_weighted_implication_corpus(seed_start: int,
 def run_sector_implication_corpus(seed_start: int,
                                   size: int) -> VerificationOutcome:
     """The sector implication over the odd-seed (sector) corpus members."""
-    outcomes = [_verify_orvqm_implication(*corpus_member(seed))
+    outcomes = [_chain(*corpus_member(seed))
                 for seed in _corpus_seeds(seed_start | 1, size, 2)]
     return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
                            ("sector/", "chain/"))

@@ -959,7 +959,9 @@ def test_cli_run_list_exits_as_listed_and_repeats_across_hash_seeds(
         tmp_path):
     # the README commands and tests/cli_runs.txt, each hash seed in one
     # process of its own: every exit code as listed, and byte-identical
-    # trees of outputs and written files
+    # trees of outputs and written files.  A RuntimeWarning is an error
+    # there, as it is in-process (pyproject's filter), so a warning the
+    # run list prints cannot repeat across hash seeds unnoticed
     runs = _cli_runs.runs()
     assert sum(name.startswith("readme") for name, _, _ in runs) == 7
     assert len({name for name, _, _ in runs}) == len(runs)
@@ -970,7 +972,8 @@ def test_cli_run_list_exits_as_listed_and_repeats_across_hash_seeds(
         path = os.pathsep.join(filter(None, [str(src),
                                              os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-        subprocess.run([sys.executable, _cli_runs.__file__, str(out)],
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                        _cli_runs.__file__, str(out)],
                        env=env, check=True, timeout=600)
         trees.append({p.relative_to(out).as_posix(): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})

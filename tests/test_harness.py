@@ -17,11 +17,10 @@ from trigconv.harness import (
     STATUS_VIOLATED,
     VerificationOutcome,
     _SUFFICIENCY_FAMILIES,
+    _chain,
     _corpus_outcome,
     _null_premise,
     _suffix,
-    _verify_orvqm_implication,
-    _verify_weighted_bv_implication,
     corpus_member,
     probe_necessity,
     probe_sufficiency,
@@ -141,7 +140,7 @@ def test_null_premise_is_decided_by_the_data():
 
 def test_weighted_chain_on_corpus_member():
     seq, weight, _ = corpus_member(1)
-    out = _verify_weighted_bv_implication(seq, weight)
+    out = _chain(seq, weight)
     assert out.status == STATUS_OK
     names = [r.name for r in out.records]
     assert "chain/dominated_tail" in names
@@ -149,11 +148,12 @@ def test_weighted_chain_on_corpus_member():
     assert "chain/predicted_constant" in names
     for r in out.records:
         assert r.passed
-    assert out.summary["measured_constant"] <= out.summary["predicted_bound"]
+    predicted = {r.name: r for r in out.records}["chain/predicted_constant"]
+    assert predicted.lhs <= predicted.rhs
 
 
 def test_weighted_chain_premises_not_met_for_lacunary():
-    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    out = _chain(_lacunary_prefix(), _one())
     assert out.status == STATUS_PREMISES
 
 
@@ -162,8 +162,7 @@ def test_weight_doubling_premise_carries_the_weight_notes():
     # inconclusive and says why
     seq = sequence_from_text("harmonic(2.0)")
     data = CoefficientSequence.explicit(seq.prefix(4096), label=seq.label)
-    out = _verify_weighted_bv_implication(
-        data, weight_from_spec(parse_family_spec("exp2")))
+    out = _chain(data, weight_from_spec(parse_family_spec("exp2")))
     assert out.status == STATUS_PREMISES
     rec = {r.name: r for r in out.records}["premise/weight_doubling"]
     assert not rec.passed
@@ -247,16 +246,15 @@ def test_sector_chain_boundary_angle_constant():
     # the measured weighted constant approaches 1/cos(theta0) = 2/sqrt(3)
     # from below
     theta0 = math.pi / 6
-    out = _verify_orvqm_implication(_boundary_sequence(theta0), _one(),
-                                   Sector(theta0))
+    out = _chain(_boundary_sequence(theta0), _one(), Sector(theta0))
     assert out.status == STATUS_OK
-    assert out.summary["weighted_constant"] <= 2.0 / math.sqrt(3.0) * (1 + 1e-9)
-    assert out.summary["weighted_constant"] > 1.15
+    constant = {r.name: r for r in out.records}["sector/variation_constant"].lhs
+    assert constant <= 2.0 / math.sqrt(3.0) * (1 + 1e-9)
+    assert constant > 1.15
 
 
 def test_sector_chain_rejects_lacunary():
-    out = _verify_orvqm_implication(_lacunary_prefix(), _one(),
-                                   Sector(math.pi / 6))
+    out = _chain(_lacunary_prefix(), _one(), Sector(math.pi / 6))
     assert out.status == STATUS_PREMISES
     assert out.claim == CLAIM_SECTOR
 
@@ -266,7 +264,7 @@ def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
     # inner chain's weight-doubling premise is inconclusive: no gate is
     # judged, and the outcome is no violation
     theta0 = math.pi / 6
-    out = _verify_orvqm_implication(
+    out = _chain(
         _boundary_sequence(theta0),
         weight_from_spec(parse_family_spec("exp2")), Sector(theta0))
     assert out.status == STATUS_PREMISES and out.claim == CLAIM_SECTOR
@@ -277,10 +275,29 @@ def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
 
 def test_sector_chain_on_odd_corpus_member():
     seq, weight, sector = corpus_member(7)
-    out = _verify_orvqm_implication(seq, weight, sector)
+    out = _chain(seq, weight, sector)
     assert out.status == STATUS_OK
     telescoping = [r for r in out.records if r.name == "sector/telescoping"]
     assert telescoping and telescoping[0].passed
+
+
+def _fields(record):
+    return (record.name, record.instance, record.passed, repr(record.lhs),
+            repr(record.rhs), repr(record.slack), record.witness,
+            record.detail)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 153, 361, 929])
+def test_sector_chain_contains_the_weighted_chain(seed):
+    # after its sector premise and two sector gates, the sector chain is
+    # the weighted chain of the same member, bit for bit
+    seq, weight, sector = corpus_member(seed)
+    out = _chain(seq, weight, sector)
+    assert [r.name for r in out.records[:3]] == [
+        "premise/sector_differences", "sector/telescoping",
+        "sector/variation_constant"]
+    assert [_fields(r) for r in out.records[3:]] == \
+        [_fields(r) for r in _chain(seq, weight).records]
 
 
 # --- lacunary counterexample -----------------------------------------------
@@ -449,7 +466,7 @@ def test_outcome_json_round_trip_strict():
 
 
 def test_outcome_json_nonfinite_goes_null():
-    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    out = _chain(_lacunary_prefix(), _one())
     d = out.to_json_dict()
     text = json.dumps(d, allow_nan=False)   # must not raise
     assert "Infinity" not in text
@@ -475,7 +492,7 @@ def test_sector_chain_measures_weighted_variation_once(monkeypatch):
 
     monkeypatch.setattr(harness, "check_weighted_rest_bv", counting)
     seq, weight, sector = corpus_member(7)
-    assert _verify_orvqm_implication(seq, weight, sector).status == STATUS_OK
+    assert _chain(seq, weight, sector).status == STATUS_OK
     assert calls == [1]
 
 
@@ -520,7 +537,7 @@ def test_placeholder_fields_serialize_null(equivalence):
     assert by_name["maxima/exactly_one"]["slack"] is None
     assert by_name["maxima/exactly_one"]["lhs"] is not None
     # a lacunary prefix ends in c_4096 != 0 and fails the null premise
-    out = _verify_weighted_bv_implication(_lacunary_prefix(), _one())
+    out = _chain(_lacunary_prefix(), _one())
     null = [r for r in out.to_json_dict()["records"]
             if r["name"] == "premise/null"]
     assert null and _null_fields(null[0]) == [None] * 3
