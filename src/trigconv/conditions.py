@@ -187,9 +187,13 @@ class PrefixView:
         """tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|, tail[N-1] = 0, from one
         suffix_sums call at the first read; a variation sum past the float
         range is a SequenceError there, and nothing is kept."""
-        absdiff = np.zeros(self.N)
+        g, absdiff = self.g, np.zeros(self.N)
+        d = absdiff[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.abs(self.g[:-1] - self.g[1:], out=absdiff[:-1])
+            if np.iscomplexobj(g):
+                np.abs(g[:-1] - g[1:], out=d)
+            else:       # one buffer, with no temporary of N values
+                np.abs(np.subtract(g[:-1], g[1:], out=d), out=d)
         try:  # inf or NaN in g or in a difference reaches tail[0]
             tail = suffix_sums(absdiff)
         except OverflowError:  # math.fsum: the exact sum is past the range
@@ -209,7 +213,7 @@ class PrefixView:
     def nonneg_real(self) -> bool:
         """c_1..c_N real and >= 0 (c, not c/R, for a weighted view)."""
         c = self.seq.prefix(self.N)
-        return self.seq.is_real and bool(np.all(c >= 0.0))
+        return self.seq.is_real and float(c.min()) >= 0.0
 
     def unweighted(self, cond: str) -> np.ndarray:
         """g, which must be the sequence itself for condition ``cond``."""
@@ -256,9 +260,9 @@ def _first_flagged(count: int, flagged) -> Optional[int]:
     return None
 
 
-def _first_increase(x: np.ndarray) -> Optional[int]:
-    """0-based index i of the first pair with x[i+1] > x[i] beyond tolerance,
-    or None.
+def _first_increase(x: np.ndarray) -> tuple[Optional[int], bool]:
+    """(0-based index i of the first pair with x[i+1] > x[i] beyond
+    tolerance, or None; whether any pair has x[i+1] > x[i] at all).
 
     Only a pair with b > a can pass b > a + REL_TOL max(|a|, |b|): the slack
     is >= 0 and rounding is monotone, so b <= a gives a + slack >= a >= b,
@@ -268,12 +272,12 @@ def _first_increase(x: np.ndarray) -> Optional[int]:
     """
     cand = np.flatnonzero(x[1:] > x[:-1])
     if not cand.size:
-        return None
+        return None, False
     a, b = x[cand], x[cand + 1]
     slack = REL_TOL * np.maximum(np.abs(a), np.abs(b))
     with np.errstate(over="ignore"):  # no float exceeds an inf a + slack
         bad = b > a + slack
-    return int(cand[np.argmax(bad)]) if bad.any() else None
+    return (int(cand[np.argmax(bad)]) if bad.any() else None), True
 
 
 def _snap_small(diffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -329,20 +333,84 @@ def check_quasimonotone(view: PrefixView,
     first violation.  Each span's n and n**alpha are the same floats as in
     one arange over 1..N, so every quotient keeps its bits; alpha = 0 skips
     the division, since b / 1.0 is b.
+
+    classify scans alpha = 0, 1/2, 1 in that order and stops once a scan
+    finds its quotients x_n exactly non-increasing (no pair has x_(n+1) >
+    x_n, not even within the tolerance); every alpha left then holds, by
+    one of two lemmas.  u = 2^-53, and fl is round-to-nearest, which is
+    monotone; IEEE 754 rounds / and sqrt correctly.
+
+    (a) If b is exactly non-increasing, the quotients hold at alpha = 1/2
+    and 1.  There p_n = fl(n**alpha) is positive and non-decreasing: fl(n)
+    = n for n <= 2^53 at alpha = 1, and fl(sqrt n) at alpha = 1/2 (numpy's
+    n**1.0 and n**0.5 are those floats; a test pins both facts).  As b >=
+    0, b_(n+1)/p_(n+1) <= b_n/p_(n+1) <= b_n/p_n, so fl(b_(n+1)/p_(n+1)) <=
+    fl(b_n/p_n): no pair rises.
+
+    (b) If x_n = fl(b_n/s_n), s_n = fl(sqrt n), is exactly non-increasing
+    with x_N >= 2^-1022, and N <= 2^48, the quotients hold at alpha = 1.
+    Every x_n >= x_N > 0, so b_n > 0.  y_n = b_n/s_n rounds to x_n with
+    relative error at most u' = u/(1 - u): u where y_n is normal, and u'
+    bounds the one case left, a y_n within 2^-1075 below 2^-1022 that
+    rounds up to it.  s_n = sqrt(n)(1 + e), |e| <= u.  So for each pair,
+    y_(n+1) <= x_(n+1)/(1 - u') <= x_n/(1 - u') <= y_n (1 + u')/(1 - u'),
+    and
+
+        (b_(n+1)/(n+1)) / (b_n/n) = (y_(n+1)/y_n) (s_(n+1)/s_n) n/(n+1)
+            <= ((1 + u')/(1 - u'))^2 sqrt(n/(n+1))
+            <= (1 + 4.01u) (1 - 1/(2(n+1))),
+
+    which is below 1 when n + 1 < 2^49, as 4.01u < 1/(2(n+1)) there.  So
+    b_n/n strictly decreases on 1..N, and fl(b_n/n), the quotient at alpha
+    = 1, is non-increasing: no pair rises.
     """
+    return _quasimonotone(view, alpha)[0]
+
+
+def _quasimonotone(view: PrefixView,
+                   alpha: float) -> tuple[ConditionReport, Optional[float]]:
+    """check_quasimonotone's report, and the last quotient x_N when no pair
+    has x_(n+1) > x_n at all (else None)."""
     cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
     vals, N = view.nonneg(cond), view.N
+    rose, last = False, 0.0
 
     def increase(lo: int, hi: int) -> Optional[int]:
+        nonlocal rose, last
         x = vals[lo:hi + 1]
         if alpha != 0:
             x = x / np.arange(lo + 1, hi + 2, dtype=float) ** alpha
-        return _first_increase(x)
+        hit, rises = _first_increase(x)
+        rose, last = rose or rises, float(x[-1])
+        return hit
 
     witness = _first_flagged(N - 1, increase)
-    if witness is None:
-        return ConditionReport(cond, HOLDS, None, None, N, N, None)
-    return ConditionReport(cond, FAILS, None, witness, N, N, None)
+    verdict = HOLDS if witness is None else FAILS
+    return (ConditionReport(cond, verdict, None, witness, N, N, None),
+            None if rose else last)
+
+
+# lemma (b) of check_quasimonotone: the least normal float, and the
+# longest prefix it covers
+_NORMAL_MIN = 2.0 ** -1022
+_LEMMA_B_N = 1 << 48
+
+
+def _quasimonotone_ladder(view: PrefixView) -> list[ConditionReport]:
+    """check_quasimonotone's reports at alpha = 0, 1/2, 1, with no scan of
+    an alpha that an exact scan of a smaller one decides (lemma (a) after
+    alpha = 0, lemma (b) after 1/2)."""
+    reports, decided, N = [], False, view.N
+    for alpha in (0.0, 0.5, 1.0):
+        if decided:
+            reports.append(ConditionReport(f"QUASIMONOTONE(alpha={alpha:g})",
+                                           HOLDS, None, None, N, N, None))
+            continue
+        report, last = _quasimonotone(view, alpha)
+        reports.append(report)
+        decided = last is not None and (
+            alpha == 0.0 or (last >= _NORMAL_MIN and N <= _LEMMA_B_N))
+    return reports
 
 
 def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
@@ -417,35 +485,40 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
 # tail-variation conditions
 # ---------------------------------------------------------------------------
 
-def _tail_variation_core(view: PrefixView, rhs: np.ndarray,
-                         m_max: Optional[int], cond: str) -> ConditionReport:
+def _tail_variation_core(view: PrefixView, m_max: Optional[int],
+                         cond: str) -> ConditionReport:
     """Shared scan for the rest-bounded-variation style conditions.
 
-    rhs[m-1] is the comparison value at m, and rhs = |g| (for REST_BV g is
-    nonnegative, so rhs = g); the tail sums T_m are the view's (nonnegative
-    terms: no cancellation).  Zero-denominator rule: rhs = 0 with T_m = 0
-    contributes ratio 0; rhs = 0 with T_m > 0 is a hard failure with
-    witness m.
+    The right side at m is R_m = |g_m| (for REST_BV g is nonnegative, so
+    R_m = g_m), formed over the scan m = 1..m_hi alone; the tail sums T_m
+    are the view's (nonnegative terms: no cancellation).  Zero-denominator
+    rule: R_m = 0 with T_m = 0 contributes ratio 0; R_m = 0 with T_m > 0 is
+    a hard failure with witness m.
 
     With L the last n where g_n != g_{n+1}, T_m > 0 exactly when m <= L,
-    so the witness is the first m with rhs = 0 if g still changes after it,
+    so the witness is the first m with R_m = 0 if g still changes after it,
     found without the tail sums.  They are read first only when
     4(N-1) max|g|, twice a bound on every T_m, is past the float range, so
-    that a variation sum past that range stays an error.
+    that a variation sum past that range stays an error; max|g| is read
+    only then, and for a real g as max(max g, -min g), with no |g| array.
     """
-    N = view.N
+    g, N = view.g, view.N
     m_hi = _scan_end(N, m_max, N - 1)    # >= 1: a view holds N >= 2 terms
-    Rm = rhs[:m_hi]
+    Rm = np.abs(g[:m_hi])
     zero_rhs = Rm == 0.0
-    if zero_rhs.any():
-        if not math.isfinite(4.0 * (N - 1) * float(rhs.max())):
+    some_zero = bool(zero_rhs.any())
+    if some_zero:
+        top = (float(np.abs(g).max()) if np.iscomplexobj(g)
+               else max(float(g.max()), -float(g.min())))
+        if not math.isfinite(4.0 * (N - 1) * top):
             view.tail    # raises for a variation sum past the range
         m = int(np.argmax(zero_rhs))      # the first zero, 0-based
-        if np.any(view.g[m + 1:] != view.g[m]):
+        if np.any(g[m + 1:] != g[m]):
             return ConditionReport(cond, FAILS, None, m + 1, m_hi, N, None)
     Tm = view.tail[:m_hi]
     with np.errstate(over="ignore"):  # an inf constant is rejected
-        ratios = np.divide(Tm, Rm, out=np.zeros(Rm.shape), where=~zero_rhs)
+        ratios = (np.divide(Tm, Rm, out=np.zeros(m_hi), where=~zero_rhs)
+                  if some_zero else Tm / Rm)
     constant = float(ratios.max())
     witness = 1 + int(np.argmax(ratios))
     total = float(view.tail[0])
@@ -464,8 +537,8 @@ def check_rest_bv(view: PrefixView,
     m of T_m / b_m.  A growing harmonic-like variation sum is flagged
     ``inconclusive`` through the dyadic stabilization rule.
     """
-    return _tail_variation_core(view, view.nonneg("REST_BV"), m_max,
-                                "REST_BV")
+    view.nonneg("REST_BV")
+    return _tail_variation_core(view, m_max, "REST_BV")
 
 
 def check_weighted_rest_bv(view: PrefixView,
@@ -475,7 +548,7 @@ def check_weighted_rest_bv(view: PrefixView,
     cond = ("WEIGHTED_REST_BV_REAL" if view.nonneg_real
             else "WEIGHTED_REST_BV")
     cond += f"({view.weight_label})"
-    return _tail_variation_core(view, np.abs(view.g), m_max, cond)
+    return _tail_variation_core(view, m_max, cond)
 
 
 def _windows(n0_list: Sequence[int]) -> list[int]:
@@ -659,11 +732,11 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                               & ~done[:count])
         A[todo] = variation_sums(c, todo, 2 * todo + 2)  # the memo's L~_m
         done[todo] = True
-        w.fill(0.0)         # fl(L~_m / R_m) at the m of the memo
+        memo = np.flatnonzero(done[:count])   # R_m > 0 at each of them
         with np.errstate(over="ignore"):      # an inf constant is rejected
-            np.divide(A[:count], Rw, out=w, where=done[:count])
-        best = float(w.max())
-        witness = 1 + int(np.argmax(w)) if best > 0.0 else 1
+            ratios = A[memo] / Rw[memo]       # fl(L~_m / R_m)
+        best = float(ratios.max()) if memo.size else 0.0
+        witness = 1 + int(memo[np.argmax(ratios)]) if best > 0.0 else 1
         reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
     return [reports[int(n0)] for n0 in n0_list]
 
@@ -724,6 +797,17 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     error at any horizon, before the windows that do not fit are skipped.
     Member errors (insufficient length, negative values where forbidden)
     propagate.
+
+    The monotonicity family is one ladder over alpha = 0, 1/2, 1 that
+    stops scanning once a scan finds its quotients exactly non-increasing
+    (no pair rises at all, not even within the tolerance), and reports
+    every alpha left as ``holds``, the report its scan would give.  Two
+    lemmas, proved in check_quasimonotone, cover this: (a) an exactly
+    non-increasing b has exactly non-increasing quotients at alpha = 1/2
+    and 1, since fl(sqrt n) and n are non-decreasing and / rounds
+    monotonically; (b) exactly non-increasing quotients at alpha = 1/2
+    whose last value is at least 2^-1022 give exactly non-increasing ones
+    at alpha = 1, on a prefix of N <= 2^48 terms.
     """
     _windows(n0_list)
     plain = PrefixView.of(seq, horizon)
@@ -732,8 +816,7 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     sector = Sector(theta0)
     reports: list[ConditionReport] = []
     if plain.nonneg_real:
-        for alpha in (0.0, 0.5, 1.0):
-            reports.append(check_quasimonotone(plain, alpha))
+        reports.extend(_quasimonotone_ladder(plain))
         reports.append(check_rest_bv(plain, m_max))
     reports.append(check_weighted_rest_bv(weighted, m_max))
     reports.extend(check_group_bv(

@@ -120,7 +120,8 @@ def test_real_orvqm_scan_matches_full_array_oracle(vals, theta0, span):
     with mock.patch.object(conditions, "_SPAN", span):
         rep = check_orvqm(view, Sector(theta0))
         increase = conditions._first_flagged(
-            view.N - 1, lambda lo, hi: conditions._first_increase(g[lo:hi + 1]))
+            view.N - 1,
+            lambda lo, hi: conditions._first_increase(g[lo:hi + 1])[0])
     expected = oracles.orvqm_report(g, theta0)
     assert _report_bytes(rep) == _report_bytes(expected)
     assert increase == oracles.first_increase(g)
@@ -201,6 +202,84 @@ def test_growing_spans_report_the_full_array_witness(n):
             assert rep.witness == want
 
 
+_QM_ALPHAS = (0.0, 0.5, 1.0)
+# one scale per prefix, so that classify's ratios T_m / b_m stay finite;
+# the levels under it reach values near, at and below 2^-1022, the
+# smallest normal float, and 2^-1074, the smallest float
+_LADDER_SCALES = (1.0, 2.0 ** -1000, 2.0 ** -1022, 2.0 ** -1030)
+_LADDER_LEVELS = (1.0, 3.0, 1.0 + 2.0 ** -52, 2.0 ** -21, 2.0 ** -44)
+
+
+@st.composite
+def _ladder_prefix(draw):
+    # runs that go on from the last value or restart at a drawn level:
+    # flat or falling (exactly non-increasing), sqrt(n) times a falling
+    # factor (rises whose alpha = 1/2 quotients fall), rises within the
+    # 1e-12 tolerance, and zeros; a falling run from a tiny level passes
+    # 2^-1022 on its way to subnormals and 0
+    scale = draw(st.sampled_from(_LADDER_SCALES))
+    vals, v = [], scale * draw(st.sampled_from(_LADDER_LEVELS))
+    for kind, length, restart in draw(st.lists(
+            st.tuples(st.sampled_from(["flat", "fall", "sqrt", "tol",
+                                       "zero"]),
+                      st.integers(1, 375), st.booleans()),
+            min_size=1, max_size=8)):
+        if restart:
+            v = scale * draw(st.sampled_from(_LADDER_LEVELS))
+        n = len(vals) + 1
+        k = np.arange(1, length + 1, dtype=float)
+        if kind == "flat":
+            run = np.full(length, v)
+        elif kind == "fall":
+            run = v * np.cumprod(np.full(length, draw(st.sampled_from(
+                [0.9, 0.99, 1.0 - 2.0 ** -52]))))
+        elif kind == "sqrt":
+            run = v * np.sqrt((n + k) / n) * 0.999 ** k
+        elif kind == "tol":
+            run = v * np.cumprod(np.full(length, 1.0 + draw(st.sampled_from(
+                [0.3, 0.9])) * REL_TOL))
+        else:
+            run = np.zeros(length)
+        vals.extend(run.tolist())
+        v = vals[-1]
+    return vals if len(vals) > 1 else vals * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ladder_prefix(), st.none(), st.none())
+# one scan: harmonic is exactly non-increasing (lemma (a))
+@example("harmonic(1.0)", 1 << 12, 1)
+# two: quasimono fails at alpha = 0, and its exact alpha = 1/2 quotients
+# decide alpha = 1 (lemma (b))
+@example("quasimono(0.5,2.0)", 1 << 12, 2)
+# three: the alpha = 1/2 quotients fall exactly but end below 2^-1022
+@example([4.0, 5.0, 1e-310], None, 3)
+def test_classify_quasimonotone_ladder_matches_every_scan(values, horizon,
+                                                          scans):
+    seq = (sequence_from_text(values) if isinstance(values, str)
+           else CoefficientSequence.explicit(values))
+    view = PrefixView.of(seq, horizon)
+    alphas, scan = [], conditions._quasimonotone
+    with mock.patch.object(conditions, "_quasimonotone",
+                           lambda v, alpha: alphas.append(alpha)
+                           or scan(v, alpha)):
+        got = classify(seq, horizon=horizon)[:3]
+    want = [check_quasimonotone(view, alpha) for alpha in _QM_ALPHAS]
+    assert [vars(r) for r in got] == [vars(r) for r in want]
+    assert alphas == list(_QM_ALPHAS[:len(alphas)])
+    if scans is not None:
+        assert len(alphas) == scans
+
+
+def test_numpy_powers_of_the_ladder_are_sqrt_and_the_identity():
+    # the lemmas of check_quasimonotone read n**0.5 as the correctly
+    # rounded sqrt n and n**1.0 as n itself, bit for bit
+    n = np.arange(1, (1 << 20) + 1, dtype=float)
+    assert np.array_equal((n ** 0.5).view(np.uint64),
+                          np.sqrt(n).view(np.uint64))
+    assert np.array_equal((n ** 1.0).view(np.uint64), n.view(np.uint64))
+
+
 # --- weight doubling check -------------------------------------------------
 
 @pytest.mark.parametrize("text", ["one", "const(3.5)", "power(0.5)",
@@ -256,6 +335,34 @@ def test_rest_bv_zero_denominator_hard_fail():
     assert rep.verdict == FAILS
     assert rep.witness == 2
     assert rep.constant is None
+
+
+@pytest.mark.parametrize("spec,weight", [
+    ("harmonic(1.0)", None), ("harmonic(1.0)", "log"), ("signed", None)])
+def test_weighted_rest_bv_scratch_is_bounded_by_the_scan(spec, weight):
+    # past g and its tail sums, the right side, its zero mask and the
+    # ratios cover m = 1..N/4 alone, and a zero right side of a real g
+    # reads max|g| with no |g| array (1.31 x 8N when |g| was formed over
+    # the whole prefix).  "signed": cos(n)/n, zero from n = N/8 on
+    N = 1 << 18
+    if spec == "signed":
+        n = np.arange(1, N + 1, dtype=float)
+        vals = np.cos(n) / n
+        vals[N // 8 - 1:] = 0.0
+        seq = CoefficientSequence.explicit(vals)
+    else:
+        seq = sequence_from_text(spec)
+    view = PrefixView.of(seq, N, _weight(weight) if weight else None)
+    view.tail
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_weighted_rest_bv(view)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict != FAILS
+    assert peak <= 0.75 * 8 * N
 
 
 def test_tail_variation_scan_past_the_horizon_is_an_input_error():
@@ -978,6 +1085,25 @@ def test_rest_bv_with_a_huge_variation_bound_reads_the_tail(values,
             check_rest_bv(view)
     else:
         rep = check_rest_bv(view)
+        assert (rep.verdict, rep.witness) == (FAILS, witness)
+        assert "tail" in view.__dict__
+
+
+@pytest.mark.parametrize("values, witness", [
+    ([0.0, -1e308, 0.0, -1e308, 0.0], None),   # T_1 = 4e308
+    ([0.0, -1e308, -1e308, -1e308], 1),        # T_1 = 1e308
+])
+def test_weighted_rest_bv_of_a_negative_real_g_bounds_it_by_max_abs(
+        values, witness):
+    # max|g| of a real g is max(max g, -min g): here max g = 0, and only
+    # -min g puts 4(N-1) max|g| past the float range
+    view = PrefixView.of(CoefficientSequence.explicit(np.array(values)))
+    if witness is None:
+        with pytest.raises(SequenceError,
+                           match="variation sum of c_n/R\\(n\\) overflows"):
+            check_weighted_rest_bv(view)
+    else:
+        rep = check_weighted_rest_bv(view)
         assert (rep.verdict, rep.witness) == (FAILS, witness)
         assert "tail" in view.__dict__
 
