@@ -201,6 +201,15 @@ class PrefixView:
         _require_finite(tail[0], "the variation sum of c_n/R(n)")
         return tail
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What one checker's scan leaves for another on this view: at
+        ("falls", alpha) the last quotient x_N of a check_quasimonotone scan
+        whose quotients no pair raises at all (read by classify's ladder),
+        and at ("scan", m_hi) the report fields of the tail-variation scan
+        over m = 1..m_hi, which REST_BV and WEIGHTED_REST_BV share."""
+        return {}
+
     @property
     def N(self) -> int:
         return self.g.shape[0]
@@ -363,14 +372,10 @@ def check_quasimonotone(view: PrefixView,
     which is below 1 when n + 1 < 2^49, as 4.01u < 1/(2(n+1)) there.  So
     b_n/n strictly decreases on 1..N, and fl(b_n/n), the quotient at alpha
     = 1, is non-increasing: no pair rises.
+
+    A scan that finds no pair with x_(n+1) > x_n keeps x_N on the view for
+    the ladder.
     """
-    return _quasimonotone(view, alpha)[0]
-
-
-def _quasimonotone(view: PrefixView,
-                   alpha: float) -> tuple[ConditionReport, Optional[float]]:
-    """check_quasimonotone's report, and the last quotient x_N when no pair
-    has x_(n+1) > x_n at all (else None)."""
     cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
     vals, N = view.nonneg(cond), view.N
     rose, last = False, 0.0
@@ -385,9 +390,10 @@ def _quasimonotone(view: PrefixView,
         return hit
 
     witness = _first_flagged(N - 1, increase)
+    if not rose:
+        view._memo["falls", alpha] = last
     verdict = HOLDS if witness is None else FAILS
-    return (ConditionReport(cond, verdict, None, witness, N, N, None),
-            None if rose else last)
+    return ConditionReport(cond, verdict, None, witness, N, N, None)
 
 
 # lemma (b) of check_quasimonotone: the least normal float, and the
@@ -406,8 +412,8 @@ def _quasimonotone_ladder(view: PrefixView) -> list[ConditionReport]:
             reports.append(ConditionReport(f"QUASIMONOTONE(alpha={alpha:g})",
                                            HOLDS, None, None, N, N, None))
             continue
-        report, last = _quasimonotone(view, alpha)
-        reports.append(report)
+        reports.append(check_quasimonotone(view, alpha))
+        last = view._memo.get(("falls", alpha))
         decided = last is not None and (
             alpha == 0.0 or (last >= _NORMAL_MIN and N <= _LEMMA_B_N))
     return reports
@@ -487,7 +493,18 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
 
 def _tail_variation_core(view: PrefixView, m_max: Optional[int],
                          cond: str) -> ConditionReport:
-    """Shared scan for the rest-bounded-variation style conditions.
+    """Shared scan for the rest-bounded-variation style conditions, run
+    once per view and scan end (see _tail_variation_scan)."""
+    m_hi = _scan_end(view.N, m_max, view.N - 1)  # >= 1: N >= 2 terms
+    fields = view._memo.get(("scan", m_hi))
+    if fields is None:
+        fields = view._memo["scan", m_hi] = _tail_variation_scan(view, m_hi)
+    return ConditionReport(cond, *fields)
+
+
+def _tail_variation_scan(view: PrefixView, m_hi: int) -> tuple:
+    """The fields after the label of a tail-variation report over m =
+    1..m_hi.
 
     The right side at m is R_m = |g_m| (for REST_BV g is nonnegative, so
     R_m = g_m), formed over the scan m = 1..m_hi alone; the tail sums T_m
@@ -500,32 +517,30 @@ def _tail_variation_core(view: PrefixView, m_max: Optional[int],
     found without the tail sums.  They are read first only when
     4(N-1) max|g|, twice a bound on every T_m, is past the float range, so
     that a variation sum past that range stays an error; max|g| is read
-    only then, and for a real g as max(max g, -min g), with no |g| array.
+    only then, for a real g as max(max g, -min g), with no |g| array.
     """
     g, N = view.g, view.N
-    m_hi = _scan_end(N, m_max, N - 1)    # >= 1: a view holds N >= 2 terms
     Rm = np.abs(g[:m_hi])
     zero_rhs = Rm == 0.0
-    some_zero = bool(zero_rhs.any())
-    if some_zero:
+    if zero_rhs.any():
         top = (float(np.abs(g).max()) if np.iscomplexobj(g)
                else max(float(g.max()), -float(g.min())))
         if not math.isfinite(4.0 * (N - 1) * top):
             view.tail    # raises for a variation sum past the range
         m = int(np.argmax(zero_rhs))      # the first zero, 0-based
         if np.any(g[m + 1:] != g[m]):
-            return ConditionReport(cond, FAILS, None, m + 1, m_hi, N, None)
+            return FAILS, None, m + 1, m_hi, N, None
     Tm = view.tail[:m_hi]
     with np.errstate(over="ignore"):  # an inf constant is rejected
-        ratios = (np.divide(Tm, Rm, out=np.zeros(m_hi), where=~zero_rhs)
-                  if some_zero else Tm / Rm)
+        # ratio 0 where R_m = 0: the divide leaves that 0 of Rm in place
+        ratios = np.divide(Tm, Rm, out=Rm, where=~zero_rhs)
     constant = float(ratios.max())
     witness = 1 + int(np.argmax(ratios))
     total = float(view.tail[0])
     block = float(view.tail[max(1, N // 2) - 1])
     stab = block / total if total > 0.0 else 0.0
     verdict = HOLDS if stab <= STABILIZATION_THRESHOLD else INCONCLUSIVE
-    return ConditionReport(cond, verdict, constant, witness, m_hi, N, stab)
+    return verdict, constant, witness, m_hi, N, stab
 
 
 def check_rest_bv(view: PrefixView,

@@ -259,8 +259,8 @@ def test_classify_quasimonotone_ladder_matches_every_scan(values, horizon,
     seq = (sequence_from_text(values) if isinstance(values, str)
            else CoefficientSequence.explicit(values))
     view = PrefixView.of(seq, horizon)
-    alphas, scan = [], conditions._quasimonotone
-    with mock.patch.object(conditions, "_quasimonotone",
+    alphas, scan = [], conditions.check_quasimonotone
+    with mock.patch.object(conditions, "check_quasimonotone",
                            lambda v, alpha: alphas.append(alpha)
                            or scan(v, alpha)):
         got = classify(seq, horizon=horizon)[:3]
@@ -337,22 +337,43 @@ def test_rest_bv_zero_denominator_hard_fail():
     assert rep.constant is None
 
 
-@pytest.mark.parametrize("spec,weight", [
-    ("harmonic(1.0)", None), ("harmonic(1.0)", "log"), ("signed", None)])
-def test_weighted_rest_bv_scratch_is_bounded_by_the_scan(spec, weight):
+@pytest.mark.parametrize("text,horizon", [
+    ("harmonic(1.0)", 1 << 12), ("rbv_block(1.0)", 1 << 12),
+    ("quasimono(0.5,2.0)", 1 << 12),
+    ("lacunary(1.0)", 1 << 12),                       # fails at a zero R_m
+    ("explicit:[1,-0.5,0.25,-0.125,0.0625,0.5,0,0,1,0.5]", None),  # signed
+])
+def test_rest_bv_and_weighted_rest_bv_share_one_scan_of_a_view(text,
+                                                               horizon):
+    # with no weight, classify's WEIGHTED_REST_BV_REAL(one) reads the same
+    # g as REST_BV: one scan gives both reports, each field for field as
+    # its checker gives on a fresh view
+    seq = sequence_from_text(text)
+    scan = conditions._tail_variation_scan
+    with mock.patch.object(conditions, "_tail_variation_scan",
+                           side_effect=scan) as spy:
+        got = {r.condition: r for r in classify(seq, horizon=horizon)}
+    assert spy.call_count == 1
+    want = [check_weighted_rest_bv(PrefixView.of(seq, horizon))]
+    if "REST_BV" in got:
+        want.append(check_rest_bv(PrefixView.of(seq, horizon)))
+    for rep in want:
+        assert vars(got[rep.condition]) == vars(rep)
+    # another scan end on the same view is a scan of its own
+    view = PrefixView.of(seq, horizon)
+    check_weighted_rest_bv(view, 2)
+    assert (vars(check_weighted_rest_bv(view))
+            == vars(check_weighted_rest_bv(PrefixView.of(seq, horizon))))
+
+
+@pytest.mark.parametrize("weight", [None, "log"])
+def test_weighted_rest_bv_scratch_is_bounded_by_the_scan(weight):
     # past g and its tail sums, the right side, its zero mask and the
-    # ratios cover m = 1..N/4 alone, and a zero right side of a real g
-    # reads max|g| with no |g| array (1.31 x 8N when |g| was formed over
-    # the whole prefix).  "signed": cos(n)/n, zero from n = N/8 on
+    # ratios cover m = 1..N/4 alone (1.31 x 8N when |g| was formed over
+    # the whole prefix)
     N = 1 << 18
-    if spec == "signed":
-        n = np.arange(1, N + 1, dtype=float)
-        vals = np.cos(n) / n
-        vals[N // 8 - 1:] = 0.0
-        seq = CoefficientSequence.explicit(vals)
-    else:
-        seq = sequence_from_text(spec)
-    view = PrefixView.of(seq, N, _weight(weight) if weight else None)
+    view = PrefixView.of(sequence_from_text("harmonic(1.0)"), N,
+                         _weight(weight) if weight else None)
     view.tail
     tracemalloc.start()
     try:
@@ -1095,8 +1116,8 @@ def test_rest_bv_with_a_huge_variation_bound_reads_the_tail(values,
 ])
 def test_weighted_rest_bv_of_a_negative_real_g_bounds_it_by_max_abs(
         values, witness):
-    # max|g| of a real g is max(max g, -min g): here max g = 0, and only
-    # -min g puts 4(N-1) max|g| past the float range
+    # the guard reads max|g|, not max g: here max g = 0, and only |min g|
+    # puts 4(N-1) max|g| past the float range
     view = PrefixView.of(CoefficientSequence.explicit(np.array(values)))
     if witness is None:
         with pytest.raises(SequenceError,
