@@ -35,10 +35,11 @@ at most once, and never caches them on the sequence.  MONOTONE,
 QUASIMONOTONE and ORVQM never read them, and GROUP_BV reads them only
 for a window that no zero right side fails, so a prefix whose checks
 all end that way costs no tail sums; a variation sum past the float
-range is reported at that first read.  Two dtype rules: without a
-weight ``g`` is the prefix itself, real or complex as stored, with no
-division and no copy; a weight divides in complex arithmetic, even for
-real input, and truncates N where R overflows to infinity.
+range is reported at that first read.  One dtype rule: ``g`` has the
+dtype of the prefix, float64 for a real sequence and complex128 for a
+complex one.  Without a weight it is the prefix itself, with no
+division and no copy; a weight divides it by R, truncating N where R
+overflows to infinity.
 """
 
 from __future__ import annotations
@@ -165,7 +166,11 @@ class PrefixView:
            weight: Optional[WeightSequence] = None) -> "PrefixView":
         """The view of the first ``horizon`` terms (default: the data, or
         DEFAULT_HORIZON terms of a generator); every checker scans at
-        least one pair, so fewer than 2 terms are an input error."""
+        least one pair, so fewer than 2 terms are an input error.
+
+        A weighted view's g_n = fl(c_n/R(n)) is formed in c's dtype.  For
+        real c that is one IEEE 754 division, which is correctly rounded;
+        for complex c numpy's complex divide is not."""
         N = resolve_horizon(seq, horizon)
         if N < 2:
             raise SequenceError(
@@ -179,7 +184,7 @@ class PrefixView:
                     f"weight {weight.label!r} is finite for {finite_len} of "
                     f"{g.shape[0]} terms; the weighted checks need at least 2")
             with np.errstate(over="ignore", invalid="ignore"):
-                g = np.divide(g[:finite_len], rvals[:finite_len], dtype=complex)
+                g = np.divide(g[:finite_len], rvals[:finite_len])
         return cls(seq, weight, g)
 
     @cached_property
@@ -466,10 +471,10 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     survive; with theta0 = 0 this reduces to "c_n/R(n) non-increasing".
     Reports the largest observed |arg| as the constant when the check holds.
 
-    A real g (an unweighted view of a real sequence) is scanned span by span
-    and stops at the first violation.  When it holds, every difference had
-    arg 0, so its constant is 0.0, the largest |arg| of a full scan.  A
-    complex g is scanned whole.
+    A real g (any view of a real sequence, weighted or not) is scanned
+    span by span and stops at the first violation.  When it holds, every
+    difference had arg 0, so its constant is 0.0, the largest |arg| of a
+    full scan.  A complex g is scanned whole.
     """
     g, N = view.g, view.N
     cond = f"ORVQM({view.weight_label},theta0={_theta0_text(sector)})"
@@ -773,9 +778,7 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
         raise SequenceError(f"bad index range [1, {N}]")
     sums = ts.pair_sums(N)
     diffs = ts.pair_diffs(N)
-    pa = np.abs(np.asarray(ts.pos.prefix(N), dtype=complex))
-    na = np.abs(np.asarray(ts.neg.prefix(N), dtype=complex))
-    scale = pa + na
+    scale = np.abs(ts.pos.prefix(N)) + np.abs(ts.neg.prefix(N))
     sums = _snap_small(sums, scale)
     diffs = _snap_small(diffs, scale)
     doubles = sums + diffs

@@ -314,6 +314,12 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
                          g_n = |c_n|/R(n)
       predicted constant group-variation constant <= (M+1) rho - 1,
                          rho = max_n R(2n+1)/R(n)
+
+    The gates' g_n is one real division, fl(|c_n|/R(n)).  For real c it is
+    bit for bit |h_n|, h the weighted view's g: a real division is
+    correctly rounded and |c_n|/R(n) = |c_n/R(n)|, so the premise and the
+    gates read one rounding of each quotient.  For complex c the gates
+    keep |c|/R, since the view's complex divide is not correctly rounded.
     """
     plain, weighted = PrefixView.of(seq), PrefixView.of(seq, weight=weight)
     N, label = plain.N, seq.label

@@ -390,8 +390,7 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
     sines = np.sin(k * x0)
     sin_floor_ok = bool(np.all(sines >= math.sin(math.pi / 8.0) - 1e-12))
 
-    pos = np.asarray(ts.pos.prefix(4 * n), dtype=complex)
-    lhs = 2.0 * exact_sum(pos[n:].real * sines)
+    lhs = 2.0 * exact_sum(ts.pos.prefix(4 * n)[n:].real * sines)
     a, b = ts.pair_sums(4 * n), 1j * ts.pair_diffs(4 * n)
     pair_abs = exact_sum(np.abs(a[n:]))
 

@@ -27,12 +27,14 @@ from trigconv.conditions import (
     check_weighted_rest_bv,
     classify,
 )
+from trigconv.harness import corpus_member
 from trigconv.sequences import (
     REL_TOL,
     CoefficientSequence,
     Sector,
     SequenceError,
     TwoSidedSequence,
+    WeightSequence,
     parse_family_spec,
     sequence_from_text,
     weight_from_spec,
@@ -1005,6 +1007,38 @@ def test_weighted_view_needs_two_finite_terms():
     with pytest.raises(SequenceError, match="at least 2"):
         PrefixView.of(sequence_from_text("harmonic(1.0)"), 64,
                       _weight("power(1e308)"))
+
+
+# real c and a positive non-decreasing R of one length in 2..200, bounded
+# so that no quotient overflows; subnormal quotients stay in
+_QUOTIENT_CASES = st.integers(2, 200).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n),
+    st.lists(st.floats(1e-150, 1e300), min_size=n, max_size=n).map(sorted)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_QUOTIENT_CASES)
+# real corpus members, c >= 0: the chain's gates read |c|/R as the view's g
+@example(2)
+@example(42)
+def test_weighted_view_divides_in_the_dtype_of_c(case):
+    if isinstance(case, int):
+        seq, weight, _ = corpus_member(case)
+        c = seq.prefix(seq.length)
+        R = weight.validated_prefix(c.shape[0])[0]
+    else:
+        c, R = (np.array(v) for v in case)
+        seq = CoefficientSequence.explicit(c)
+        weight = WeightSequence("w", lambda n: R[n - 1])
+    g = PrefixView.of(seq, weight=weight).g
+    assert g.dtype == np.float64
+    # float of a Fraction is the correctly rounded quotient
+    assert g.tolist() == [float(Fraction(a) / Fraction(r))
+                          for a, r in zip(c.tolist(), R.tolist())]
+    # |c_n|/R(n) = |c_n/R(n)|, so one rounding: bit for bit g where c >= 0
+    assert np.abs(g).tobytes() == (np.abs(c) / R).tobytes()
+    complex_c = CoefficientSequence.explicit(c + 1j)
+    assert PrefixView.of(complex_c, weight=weight).g.dtype == np.complex128
 
 
 @pytest.mark.parametrize("spec,horizon,weight", _VIEW_CASES)
