@@ -45,7 +45,7 @@ overflows to infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -206,15 +206,6 @@ class PrefixView:
         _require_finite(tail[0], "the variation sum of c_n/R(n)")
         return tail
 
-    @cached_property
-    def _memo(self) -> dict:
-        """What one checker's scan leaves for another on this view: at
-        ("falls", alpha) the last quotient x_N of a check_quasimonotone scan
-        whose quotients no pair raises at all (read by classify's ladder),
-        and at ("scan", m_hi) the report fields of the tail-variation scan
-        over m = 1..m_hi, which REST_BV and WEIGHTED_REST_BV share."""
-        return {}
-
     @property
     def N(self) -> int:
         return self.g.shape[0]
@@ -334,25 +325,26 @@ def _first_real_outside(g: np.ndarray, bound: float) -> Optional[int]:
 # monotonicity-type conditions
 # ---------------------------------------------------------------------------
 
-def check_quasimonotone(view: PrefixView,
-                        alpha: float = 0.0) -> ConditionReport:
-    """Is b_n / n**alpha non-increasing on the checked range?
+def check_quasimonotone(view: PrefixView) -> list[ConditionReport]:
+    """Is b_n / n**alpha non-increasing on the checked range?  One report
+    for each alpha of the ladder 0, 1/2, 1, in that order.
 
     alpha = 0 is plain monotonicity (condition id MONOTONE).  Takes the
     unweighted view of a nonnegative real sequence.  Comparisons allow
     relative round-off of 1e-12 so that plateaus generated in floating
     point still count as non-increasing.
 
-    The quotient is formed one span at a time and the scan stops at the
+    Each quotient is formed one span at a time and its scan stops at the
     first violation.  Each span's n and n**alpha are the same floats as in
     one arange over 1..N, so every quotient keeps its bits; alpha = 0 skips
     the division, since b / 1.0 is b.
 
-    classify scans alpha = 0, 1/2, 1 in that order and stops once a scan
-    finds its quotients x_n exactly non-increasing (no pair has x_(n+1) >
-    x_n, not even within the tolerance); every alpha left then holds, by
-    one of two lemmas.  u = 2^-53, and fl is round-to-nearest, which is
-    monotone; IEEE 754 rounds / and sqrt correctly.
+    The ladder stops scanning once a scan finds its quotients x_n exactly
+    non-increasing (no pair has x_(n+1) > x_n, not even within the
+    tolerance); every alpha left then holds, by one of two lemmas, and
+    gets the report its own scan would give.  u = 2^-53, and fl is
+    round-to-nearest, which is monotone; IEEE 754 rounds / and sqrt
+    correctly.
 
     (a) If b is exactly non-increasing, the quotients hold at alpha = 1/2
     and 1.  There p_n = fl(n**alpha) is positive and non-decreasing: fl(n)
@@ -377,10 +369,30 @@ def check_quasimonotone(view: PrefixView,
     which is below 1 when n + 1 < 2^49, as 4.01u < 1/(2(n+1)) there.  So
     b_n/n strictly decreases on 1..N, and fl(b_n/n), the quotient at alpha
     = 1, is non-increasing: no pair rises.
-
-    A scan that finds no pair with x_(n+1) > x_n keeps x_N on the view for
-    the ladder.
     """
+    reports, decides, N = [], False, view.N
+    for alpha in (0.0, 0.5, 1.0):
+        if decides:
+            report = ConditionReport(f"QUASIMONOTONE(alpha={alpha:g})",
+                                     HOLDS, None, None, N, N, None)
+        else:
+            report, decides = _quasimonotone_scan(view, alpha)
+        reports.append(report)
+    return reports
+
+
+# lemma (b) of check_quasimonotone: the least normal float, and the
+# longest prefix it covers
+_NORMAL_MIN = 2.0 ** -1022
+_LEMMA_B_N = 1 << 48
+
+
+def _quasimonotone_scan(view: PrefixView,
+                        alpha: float) -> tuple[ConditionReport, bool]:
+    """The report of the scan at one alpha, and, for alpha = 0 or 1/2,
+    whether it decides every larger alpha of the ladder: no pair of its
+    quotients rises at all, and lemma (a) (alpha = 0) or lemma (b) (x_N >=
+    2^-1022, N <= 2^48) applies."""
     cond = "MONOTONE" if alpha == 0 else f"QUASIMONOTONE(alpha={alpha:g})"
     vals, N = view.nonneg(cond), view.N
     rose, last = False, 0.0
@@ -395,33 +407,10 @@ def check_quasimonotone(view: PrefixView,
         return hit
 
     witness = _first_flagged(N - 1, increase)
-    if not rose:
-        view._memo["falls", alpha] = last
+    decides = not rose and (
+        alpha == 0 or (last >= _NORMAL_MIN and N <= _LEMMA_B_N))
     verdict = HOLDS if witness is None else FAILS
-    return ConditionReport(cond, verdict, None, witness, N, N, None)
-
-
-# lemma (b) of check_quasimonotone: the least normal float, and the
-# longest prefix it covers
-_NORMAL_MIN = 2.0 ** -1022
-_LEMMA_B_N = 1 << 48
-
-
-def _quasimonotone_ladder(view: PrefixView) -> list[ConditionReport]:
-    """check_quasimonotone's reports at alpha = 0, 1/2, 1, with no scan of
-    an alpha that an exact scan of a smaller one decides (lemma (a) after
-    alpha = 0, lemma (b) after 1/2)."""
-    reports, decided, N = [], False, view.N
-    for alpha in (0.0, 0.5, 1.0):
-        if decided:
-            reports.append(ConditionReport(f"QUASIMONOTONE(alpha={alpha:g})",
-                                           HOLDS, None, None, N, N, None))
-            continue
-        reports.append(check_quasimonotone(view, alpha))
-        last = view._memo.get(("falls", alpha))
-        decided = last is not None and (
-            alpha == 0.0 or (last >= _NORMAL_MIN and N <= _LEMMA_B_N))
-    return reports
+    return ConditionReport(cond, verdict, None, witness, N, N, None), decides
 
 
 def check_orv_weight(weight: WeightSequence, horizon: int) -> ConditionReport:
@@ -496,26 +485,16 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
 # tail-variation conditions
 # ---------------------------------------------------------------------------
 
-def _tail_variation_core(view: PrefixView, m_max: Optional[int],
-                         cond: str) -> ConditionReport:
-    """Shared scan for the rest-bounded-variation style conditions, run
-    once per view and scan end (see _tail_variation_scan)."""
-    m_hi = _scan_end(view.N, m_max, view.N - 1)  # >= 1: N >= 2 terms
-    fields = view._memo.get(("scan", m_hi))
-    if fields is None:
-        fields = view._memo["scan", m_hi] = _tail_variation_scan(view, m_hi)
-    return ConditionReport(cond, *fields)
-
-
-def _tail_variation_scan(view: PrefixView, m_hi: int) -> tuple:
-    """The fields after the label of a tail-variation report over m =
-    1..m_hi.
+def _tail_variation_scan(view: PrefixView, m_max: Optional[int]) -> tuple:
+    """The fields after the label of a tail-variation report, the scan of
+    the rest-bounded-variation style conditions over m = 1..m_hi: m_max
+    (default N/4) cut at N - 1.
 
     The right side at m is R_m = |g_m| (for REST_BV g is nonnegative, so
-    R_m = g_m), formed over the scan m = 1..m_hi alone; the tail sums T_m
-    are the view's (nonnegative terms: no cancellation).  Zero-denominator
-    rule: R_m = 0 with T_m = 0 contributes ratio 0; R_m = 0 with T_m > 0 is
-    a hard failure with witness m.
+    R_m = g_m), formed over the scan alone; the tail sums T_m are the
+    view's (nonnegative terms: no cancellation).  Zero-denominator rule:
+    R_m = 0 with T_m = 0 contributes ratio 0; R_m = 0 with T_m > 0 is a
+    hard failure with witness m.
 
     With L the last n where g_n != g_{n+1}, T_m > 0 exactly when m <= L,
     so the witness is the first m with R_m = 0 if g still changes after it,
@@ -525,6 +504,7 @@ def _tail_variation_scan(view: PrefixView, m_hi: int) -> tuple:
     only then, for a real g as max(max g, -min g), with no |g| array.
     """
     g, N = view.g, view.N
+    m_hi = _scan_end(N, m_max, N - 1)  # >= 1: N >= 2 terms
     Rm = np.abs(g[:m_hi])
     zero_rhs = Rm == 0.0
     if zero_rhs.any():
@@ -558,7 +538,7 @@ def check_rest_bv(view: PrefixView,
     ``inconclusive`` through the dyadic stabilization rule.
     """
     view.nonneg("REST_BV")
-    return _tail_variation_core(view, m_max, "REST_BV")
+    return ConditionReport("REST_BV", *_tail_variation_scan(view, m_max))
 
 
 def check_weighted_rest_bv(view: PrefixView,
@@ -568,7 +548,7 @@ def check_weighted_rest_bv(view: PrefixView,
     cond = ("WEIGHTED_REST_BV_REAL" if view.nonneg_real
             else "WEIGHTED_REST_BV")
     cond += f"({view.weight_label})"
-    return _tail_variation_core(view, m_max, cond)
+    return ConditionReport(cond, *_tail_variation_scan(view, m_max))
 
 
 def _windows(n0_list: Sequence[int]) -> list[int]:
@@ -771,8 +751,12 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
 
     When both families of combinations stay in the sector, so does
     2 c_n = (c_n + c_-n) + (c_n - c_-n); the derived membership is checked
-    as well (sector closure under addition makes it automatic up to
-    round-off).  Reports the largest observed |arg| as the constant.
+    as well, within theta0 + 2 ANGLE_TOL.  The band |arg| <= theta0 +
+    ANGLE_TOL that the two families pass is convex only while theta0 +
+    ANGLE_TOL <= pi/2, and only there does closure under addition make the
+    derived check automatic up to round-off.  Past that it can fail: with
+    theta0 just below pi/2, -5e-13 + i and -5e-13 - i both pass, and their
+    sum has arg pi.  Reports the largest observed |arg| as the constant.
     """
     if N < 1:
         raise SequenceError(f"bad index range [1, {N}]")
@@ -816,16 +800,10 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     Member errors (insufficient length, negative values where forbidden)
     propagate.
 
-    The monotonicity family is one ladder over alpha = 0, 1/2, 1 that
-    stops scanning once a scan finds its quotients exactly non-increasing
-    (no pair rises at all, not even within the tolerance), and reports
-    every alpha left as ``holds``, the report its scan would give.  Two
-    lemmas, proved in check_quasimonotone, cover this: (a) an exactly
-    non-increasing b has exactly non-increasing quotients at alpha = 1/2
-    and 1, since fl(sqrt n) and n are non-decreasing and / rounds
-    monotonically; (b) exactly non-increasing quotients at alpha = 1/2
-    whose last value is at least 2^-1022 give exactly non-increasing ones
-    at alpha = 1, on a prefix of N <= 2^48 terms.
+    The monotonicity family is check_quasimonotone's ladder over alpha =
+    0, 1/2, 1, whose docstring proves the scans it skips.  With no weight,
+    WEIGHTED_REST_BV_REAL(one) is REST_BV's report under that id: the same
+    scan of the same view.
     """
     _windows(n0_list)
     plain = PrefixView.of(seq, horizon)
@@ -834,9 +812,13 @@ def classify(seq: CoefficientSequence, *, horizon: Optional[int] = None,
     sector = Sector(theta0)
     reports: list[ConditionReport] = []
     if plain.nonneg_real:
-        reports.extend(_quasimonotone_ladder(plain))
+        reports.extend(check_quasimonotone(plain))
         reports.append(check_rest_bv(plain, m_max))
-    reports.append(check_weighted_rest_bv(weighted, m_max))
+    if weight is None and plain.nonneg_real:
+        reports.append(replace(reports[-1],
+                               condition="WEIGHTED_REST_BV_REAL(one)"))
+    else:
+        reports.append(check_weighted_rest_bv(weighted, m_max))
     reports.extend(check_group_bv(
         plain, [n0 for n0 in n0_list if _group_bv_scan_end(N, m_max, n0)],
         m_max))

@@ -52,14 +52,14 @@ def _weight(text):
 
 def test_monotone_holds_for_harmonic():
     rep = check_quasimonotone(
-        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 12))
+        PrefixView.of(sequence_from_text("harmonic(1.0)"), 1 << 12))[0]
     assert rep.condition == "MONOTONE"
     assert rep.verdict == HOLDS
 
 
 def test_monotone_fails_with_witness():
     seq = CoefficientSequence.explicit([1.0, 0.5, 0.75, 0.25])
-    rep = check_quasimonotone(PrefixView.of(seq))
+    rep = check_quasimonotone(PrefixView.of(seq))[0]
     assert rep.condition == "MONOTONE"
     assert rep.verdict == FAILS
     assert rep.witness == 2          # first n with c_n < c_{n+1}
@@ -70,8 +70,8 @@ def test_quasimonotone_alpha_rescues_blockwise_growth():
     # n^{-0.4} * 2^{-k}: grows inside dyadic blocks, but n^0.5 b_n decreasing
     seq = sequence_from_text("quasimono(0.4,1.0)")
     view = PrefixView.of(seq, 1 << 10)
-    assert check_quasimonotone(view, alpha=0.0).verdict == FAILS
-    rep = check_quasimonotone(view, alpha=0.5)
+    mono, rep, _ = check_quasimonotone(view)
+    assert mono.verdict == FAILS
     assert rep.condition == "QUASIMONOTONE(alpha=0.5)"
     assert rep.verdict == HOLDS
 
@@ -109,7 +109,7 @@ def _plateau_prefix(draw, signed):
 def test_quasimonotone_scan_matches_full_array_oracle(vals, alpha, span):
     view = PrefixView.of(CoefficientSequence.explicit(vals))
     with mock.patch.object(conditions, "_SPAN", span):
-        rep = check_quasimonotone(view, alpha)
+        rep = conditions._quasimonotone_scan(view, alpha)[0]
     expected = oracles.quasimonotone_report(view.g, alpha)
     assert _report_bytes(rep) == _report_bytes(expected)
 
@@ -143,7 +143,8 @@ def test_scans_find_a_lone_violation_at_a_span_boundary(N):
             vals[n] = 1.5 * vals[n - 1]
         view = PrefixView.of(CoefficientSequence.explicit(vals))
         reports = [check_orvqm(view, Sector(0.0))] + [
-            check_quasimonotone(view, alpha) for alpha in (0.0, 0.5, 1.0)]
+            conditions._quasimonotone_scan(view, alpha)[0]
+            for alpha in (0.0, 0.5, 1.0)]
         expected = [oracles.orvqm_report(vals, 0.0)] + [
             oracles.quasimonotone_report(vals, alpha)
             for alpha in (0.0, 0.5, 1.0)]
@@ -179,7 +180,7 @@ def test_growing_spans_report_the_full_array_witness(n):
     if n is not None:
         vals[n] = 1.5 * vals[n - 1]   # the pair (n, n + 1) increases
     view = PrefixView.of(CoefficientSequence.explicit(vals))
-    reports = [check_quasimonotone(view), check_orvqm(view, Sector(0.0))]
+    reports = [check_quasimonotone(view)[0], check_orvqm(view, Sector(0.0))]
     expected = [oracles.quasimonotone_report(vals, 0.0),
                 oracles.orvqm_report(vals, 0.0)]
     assert [r.witness for r in reports] == [n, n]
@@ -261,12 +262,12 @@ def test_classify_quasimonotone_ladder_matches_every_scan(values, horizon,
     seq = (sequence_from_text(values) if isinstance(values, str)
            else CoefficientSequence.explicit(values))
     view = PrefixView.of(seq, horizon)
-    alphas, scan = [], conditions.check_quasimonotone
-    with mock.patch.object(conditions, "check_quasimonotone",
+    alphas, scan = [], conditions._quasimonotone_scan
+    with mock.patch.object(conditions, "_quasimonotone_scan",
                            lambda v, alpha: alphas.append(alpha)
                            or scan(v, alpha)):
         got = classify(seq, horizon=horizon)[:3]
-    want = [check_quasimonotone(view, alpha) for alpha in _QM_ALPHAS]
+    want = [scan(view, alpha)[0] for alpha in _QM_ALPHAS]
     assert [vars(r) for r in got] == [vars(r) for r in want]
     assert alphas == list(_QM_ALPHAS[:len(alphas)])
     if scans is not None:
@@ -366,6 +367,58 @@ def test_rest_bv_and_weighted_rest_bv_share_one_scan_of_a_view(text,
     check_weighted_rest_bv(view, 2)
     assert (vars(check_weighted_rest_bv(view))
             == vars(check_weighted_rest_bv(PrefixView.of(seq, horizon))))
+
+
+# every public checker of a view, the range checkers at two scan ends
+_VIEW_CHECKERS = (
+    check_quasimonotone,
+    check_rest_bv,
+    lambda view: check_rest_bv(view, 2),
+    check_weighted_rest_bv,
+    lambda view: check_weighted_rest_bv(view, 2),
+    lambda view: check_group_bv(view, (1, 2)),
+    lambda view: check_orvqm(view, Sector(0.3)),
+)
+
+
+def _outcome(check, view):
+    """The reports of one checker call, field for field, or its error."""
+    try:
+        got = check(view)
+    except SequenceError as exc:
+        return repr(exc)
+    return [vars(r) for r in (got if isinstance(got, list) else [got])]
+
+
+@st.composite
+def _short_prefix(draw):
+    # plateaus, falls, rises, rises within the tolerance and zeros; signed
+    # or complex terms where drawn
+    vals = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0,
+                                          1.0 + 1e-13, 3.0]),
+                         min_size=2, max_size=12))
+    turn = draw(st.sampled_from([(1,), (1, -1), (1, 1j, 0.6 + 0.8j)]))
+    return [v * draw(st.sampled_from(turn)) for v in vals]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_prefix(), st.sampled_from([None, "log", "power(0.5)"]),
+       st.permutations(range(len(_VIEW_CHECKERS))),
+       st.permutations(range(len(_VIEW_CHECKERS))))
+def test_checkers_of_one_view_do_not_depend_on_call_order(vals, weight,
+                                                          first, second):
+    # each checker is a pure function of its view: run in any order on one
+    # shared view, twice over, it gives what it gives on a fresh view
+    seq = CoefficientSequence.explicit(vals)
+
+    def view():
+        return PrefixView.of(seq, None, _weight(weight) if weight else None)
+
+    want = [_outcome(check, view()) for check in _VIEW_CHECKERS]
+    shared = view()
+    for order in (first, second):
+        for i in order:
+            assert _outcome(_VIEW_CHECKERS[i], shared) == want[i]
 
 
 @pytest.mark.parametrize("weight", [None, "log"])
@@ -865,6 +918,17 @@ def test_pair_sector_detects_violation():
                             Sector(math.pi / 8), 2)
     assert rep.verdict == FAILS
     assert rep.witness == 1
+
+
+def test_pair_sector_derived_check_fires_past_a_right_angle():
+    # theta0 + ANGLE_TOL passes pi/2, so the band the pair sums and pair
+    # differences pass is not convex: -5e-13 + i and -5e-13 - i both lie in
+    # it, and their sum 2 c_1 = -1e-12 has arg pi
+    ts = TwoSidedSequence(CoefficientSequence.explicit([-5e-13]),
+                          CoefficientSequence.explicit([1j]))
+    rep = check_pair_sector(ts, Sector(math.nextafter(math.pi / 2, 0)), 1)
+    assert (rep.verdict, rep.witness) == (FAILS, 1)
+    assert rep.notes == "derived membership of 2c_n failed"
 
 
 def test_pair_sector_label_names_one_sector():

@@ -139,7 +139,7 @@ def test_public_knob_count_does_not_grow():
                     f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
-    assert params + fields <= 26
+    assert params + fields <= 25
     assert len(trigconv.__all__) <= 44
 
 
