@@ -12,101 +12,10 @@ byte-identically.
 
 __version__ = "0.1.0"
 
-from .sequences import (
-    ANGLE_TOL,
-    REL_TOL,
-    CoefficientSequence,
-    FamilySpec,
-    Sector,
-    SequenceError,
-    TwoSidedSequence,
-    WeightSequence,
-    family_sequence,
-    format_family_spec,
-    parse_family_spec,
-    sector_dominance_constant,
-    sequence_from_text,
-    unit_noise,
-    weight_from_spec,
-)
-from .conditions import (
-    FAILS,
-    HOLDS,
-    INCONCLUSIVE,
-    ConditionReport,
-    PrefixView,
-    check_group_bv,
-    check_orv_weight,
-    check_orvqm,
-    check_pair_sector,
-    check_quasimonotone,
-    check_rest_bv,
-    check_weighted_rest_bv,
-    classify,
-)
-from .series import (
-    GridSpec,
-    ProbeResult,
-    TailNormCurve,
-    convergence_curve,
-    testpoint_block_probe,
-    truncation_slack,
-)
-from .harness import (
-    InequalityRecord,
-    VerificationOutcome,
-    corpus_member,
-    probe_necessity,
-    probe_sufficiency,
-    run_sector_implication_corpus,
-    run_weighted_implication_corpus,
-    verify_equivalence_diagnostics,
-    verify_lacunary_counterexample,
-)
+from .sequences import *
+from .conditions import *
+from .series import *
+from .harness import *
 
-__all__ = [
-    "__version__",
-    "ANGLE_TOL",
-    "REL_TOL",
-    "CoefficientSequence",
-    "FamilySpec",
-    "Sector",
-    "SequenceError",
-    "TwoSidedSequence",
-    "WeightSequence",
-    "family_sequence",
-    "format_family_spec",
-    "parse_family_spec",
-    "sector_dominance_constant",
-    "sequence_from_text",
-    "unit_noise",
-    "weight_from_spec",
-    "FAILS",
-    "HOLDS",
-    "INCONCLUSIVE",
-    "ConditionReport",
-    "PrefixView",
-    "check_group_bv",
-    "check_orv_weight",
-    "check_orvqm",
-    "check_pair_sector",
-    "check_quasimonotone",
-    "check_rest_bv",
-    "check_weighted_rest_bv",
-    "classify",
-    "GridSpec",
-    "ProbeResult",
-    "TailNormCurve",
-    "convergence_curve",
-    "testpoint_block_probe",
-    "truncation_slack",
-    "InequalityRecord",
-    "VerificationOutcome",
-    "corpus_member",
-    "probe_necessity",
-    "probe_sufficiency",
-    "run_sector_implication_corpus",
-    "run_weighted_implication_corpus",
-    "verify_equivalence_diagnostics",
-    "verify_lacunary_counterexample",
-]
+__all__ = ["__version__", *sequences.__all__, *conditions.__all__,
+           *series.__all__, *harness.__all__]

@@ -65,19 +65,19 @@ from .sequences import (
 from .summation import suffix_sums, variation_sums
 
 __all__ = [
+    "FAILS",
+    "HOLDS",
+    "INCONCLUSIVE",
     "ConditionReport",
     "PrefixView",
-    "check_quasimonotone",
+    "check_group_bv",
     "check_orv_weight",
     "check_orvqm",
+    "check_pair_sector",
+    "check_quasimonotone",
     "check_rest_bv",
     "check_weighted_rest_bv",
-    "check_group_bv",
-    "check_pair_sector",
     "classify",
-    "DEFAULT_HORIZON",
-    "DEFAULT_WINDOWS",
-    "STABILIZATION_THRESHOLD",
 ]
 
 HOLDS = "holds"
@@ -170,7 +170,8 @@ class PrefixView:
 
         A weighted view's g_n = fl(c_n/R(n)) is formed in c's dtype.  For
         real c that is one IEEE 754 division, which is correctly rounded;
-        for complex c numpy's complex divide is not."""
+        for complex c numpy's complex divide is not.  A quotient past the
+        float range is a SequenceError."""
         N = resolve_horizon(seq, horizon)
         if N < 2:
             raise SequenceError(
@@ -185,6 +186,8 @@ class PrefixView:
                     f"{g.shape[0]} terms; the weighted checks need at least 2")
             with np.errstate(over="ignore", invalid="ignore"):
                 g = np.divide(g[:finite_len], rvals[:finite_len])
+            if not np.isfinite(g).all():
+                raise SequenceError("c_n/R(n) overflows the float range")
         return cls(seq, weight, g)
 
     @cached_property
@@ -199,7 +202,7 @@ class PrefixView:
                 np.abs(g[:-1] - g[1:], out=d)
             else:       # one buffer, with no temporary of N values
                 np.abs(np.subtract(g[:-1], g[1:], out=d), out=d)
-        try:  # inf or NaN in g or in a difference reaches tail[0]
+        try:  # g is finite; an overflowing difference reaches tail[0]
             tail = suffix_sums(absdiff)
         except OverflowError:  # math.fsum: the exact sum is past the range
             tail = np.array([np.inf])

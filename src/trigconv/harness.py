@@ -69,21 +69,12 @@ __all__ = [
     "InequalityRecord",
     "VerificationOutcome",
     "corpus_member",
-    "verify_lacunary_counterexample",
-    "verify_equivalence_diagnostics",
     "probe_necessity",
     "probe_sufficiency",
-    "run_weighted_implication_corpus",
     "run_sector_implication_corpus",
-    "CLAIM_WEIGHTED",
-    "CLAIM_SECTOR",
-    "CLAIM_LACUNARY",
-    "CLAIM_EQUIV",
-    "CLAIM_NECESSITY",
-    "CLAIM_SUFFICIENCY",
-    "STATUS_OK",
-    "STATUS_VIOLATED",
-    "STATUS_PREMISES",
+    "run_weighted_implication_corpus",
+    "verify_equivalence_diagnostics",
+    "verify_lacunary_counterexample",
 ]
 
 CLAIM_WEIGHTED = "weighted_bv_implies_group_bv"

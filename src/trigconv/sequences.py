@@ -31,19 +31,21 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "SequenceError",
-    "Sector",
-    "sector_dominance_constant",
+    "ANGLE_TOL",
+    "REL_TOL",
     "CoefficientSequence",
+    "FamilySpec",
+    "Sector",
+    "SequenceError",
     "TwoSidedSequence",
     "WeightSequence",
-    "FamilySpec",
-    "parse_family_spec",
-    "format_family_spec",
     "family_sequence",
+    "format_family_spec",
+    "parse_family_spec",
+    "sector_dominance_constant",
     "sequence_from_text",
-    "weight_from_spec",
     "unit_noise",
+    "weight_from_spec",
 ]
 
 # Absolute angle tolerance (radians) for sector membership, and the relative
@@ -77,12 +79,6 @@ def _require_allocatable(N: int) -> None:
     empty one at 2^63 - 1)."""
     if N > np.iinfo(np.intp).max // 8:
         raise MemoryError(f"cannot allocate {N} indices")
-
-
-def _indices(N: int) -> np.ndarray:
-    """The int64 indices 1..N, or MemoryError past what one array can hold."""
-    _require_allocatable(N)
-    return np.arange(1, N + 1, dtype=np.int64)
 
 
 # Maps run over pieces of this many indices, so that the few float64
@@ -357,31 +353,22 @@ class WeightSequence:
     fn: Callable[[np.ndarray], np.ndarray]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def prefix(self, N: int) -> np.ndarray:
-        N = int(N)
-        cached = self._cache.get("arr")
-        if cached is None or cached.shape[0] < N:
-            # no finiteness check: a weight may overflow to inf, which
-            # validated_prefix reports as its finite length
-            arr = _evaluate(self.fn, self.label, N, _range_indices, float)
-            arr.setflags(write=False)
-            self._cache["arr"] = arr
-            cached = arr
-        return cached[:N]
-
     def validated_prefix(self, N: int) -> tuple[np.ndarray, int]:
         """Return (values, finite_len) where values[:finite_len] are finite,
         positive, and non-decreasing within tolerance; raise otherwise.
+        The values may overflow to inf past finite_len.
 
-        The longest validated length and its finite_len are kept in
+        The longest validated prefix and its finite_len are kept in
         ``_cache``: a later call up to that length returns a slice and
-        min(finite_len, N) without checking again, since a prefix of a
-        valid prefix is valid.  A failed validation keeps nothing."""
+        min(finite_len, N) without evaluating or checking again, since a
+        prefix of a valid prefix is valid.  A failed validation keeps
+        nothing."""
         N = int(N)
-        done, done_finite = self._cache.get("valid", (-1, 0))
-        if N <= done:
-            return self.prefix(N), min(done_finite, N)
-        vals = self.prefix(N)
+        cached = self._cache.get("valid")
+        if cached is not None and N <= cached[0].shape[0]:
+            return cached[0][:N], min(cached[1], N)
+        vals = _evaluate(self.fn, self.label, N, _range_indices, float)
+        vals.setflags(write=False)
         finite = np.isfinite(vals)
         finite_len = int(np.argmin(finite)) if not finite.all() else N
         head = vals[:finite_len]
@@ -393,7 +380,7 @@ class WeightSequence:
             if np.any(b < a - slack):
                 raise SequenceError(
                     f"weight {self.label!r} must be non-decreasing")
-        self._cache["valid"] = (N, finite_len)
+        self._cache["valid"] = (vals, finite_len)
         return vals, finite_len
 
 

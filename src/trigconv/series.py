@@ -37,9 +37,7 @@ support is one run of k) or one gather reads the terms, and one reduction
 per checkpoint segment sums them.  So a curve with few terms pays for its
 arithmetic, not for numpy calls per point: a lacunary curve's 18 terms
 share one block of about 330 points, while a dense curve at N_ref 2^15 and
-beyond keeps one point per block.  In-process on a 2-core Xeon (numpy
-2.4.6) this took the ladder of the lacunary curve from 1.3 to 0.25 ms and
-that of a harmonic curve at N_ref 2^13 from 2.6 to 2.2 ms.
+beyond keeps one point per block.
 
 Sup-norms are estimated from below by grid maxima of |S_{N_ref} - S_n|
 over an adaptive grid that always contains the critical points
@@ -73,19 +71,18 @@ from .sequences import (
     CoefficientSequence,
     SequenceError,
     TwoSidedSequence,
-    _indices,
+    _range_indices,
     _require_finite,
 )
 from .summation import exact_sum
 
 __all__ = [
     "GridSpec",
-    "CurveEntry",
-    "TailNormCurve",
     "ProbeResult",
-    "truncation_slack",
-    "testpoint_block_probe",
+    "TailNormCurve",
     "convergence_curve",
+    "testpoint_block_probe",
+    "truncation_slack",
 ]
 
 # The uniform grid size M = OVERSAMPLE * n_ref, capped at MAX_UNIFORM: for
@@ -470,7 +467,7 @@ def _tail_rows(seq: CoefficientSequence, n_list: Sequence[int],
         sups = np.abs(S[-1] - S[:-1]).max(axis=1).tolist()
         m = 2 * n_max if seq.length is None else min(2 * n_max, seq.length)
         weighted = np.abs(seq.prefix(m))
-        weighted *= _indices(m)
+        weighted *= _range_indices(0, m)
 
     out = []
     for n, sup in zip(ns, sups):

@@ -1073,6 +1073,20 @@ def test_weighted_view_needs_two_finite_terms():
                       _weight("power(1e308)"))
 
 
+@pytest.mark.parametrize("c", [
+    [1.0, 0.5, 0.25, 0.125],
+    [1.0, 1.0, 1.0, 1.0],
+    [1.0, 0.5j, 0.25, 0.125],
+])
+def test_weighted_view_rejects_an_overflowing_quotient(c):
+    # R = 1e-310 is finite and positive, and 1/R is past the float range:
+    # the view is an input error, not a checker's witness
+    seq = CoefficientSequence.explicit(np.array(c))
+    with pytest.raises(SequenceError) as err:
+        PrefixView.of(seq, weight=_weight("const(1e-310)"))
+    assert str(err.value) == "c_n/R(n) overflows the float range"
+
+
 # real c and a positive non-decreasing R of one length in 2..200, bounded
 # so that no quotient overflows; subnormal quotients stay in
 _QUOTIENT_CASES = st.integers(2, 200).flatmap(lambda n: st.tuples(

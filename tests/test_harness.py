@@ -169,6 +169,15 @@ def test_weight_doubling_premise_carries_the_weight_notes():
     assert rec.detail == "verdict=inconclusive; overflow beyond n=1023"
 
 
+@pytest.mark.parametrize("sector", [None, Sector(0.0)])
+def test_chain_of_an_overflowing_quotient_is_an_input_error(sector):
+    # with a sector, the premise must not read the quotients as a failure
+    seq = CoefficientSequence.explicit(np.array([1, 0.5, 0.25, 0.125, 0]))
+    with pytest.raises(SequenceError, match="overflows the float range"):
+        _chain(seq, weight_from_spec(parse_family_spec("const(1e-310)")),
+               sector)
+
+
 def test_corpus_run_aggregates():
     out = run_weighted_implication_corpus(1, 6)
     assert out.status == STATUS_OK
@@ -508,7 +517,8 @@ def test_corpus_run_validates_each_weight_text_once(monkeypatch):
 
     def validate(self, N):
         # a call past the longest length validated so far runs the checks
-        if N > self._cache.get("valid", (-1, 0))[0]:
+        cached = self._cache.get("valid")
+        if cached is None or N > cached[0].shape[0]:
             validated.append(self.label)
         return real_validate(self, N)
 

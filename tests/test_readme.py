@@ -143,6 +143,30 @@ def test_public_knob_count_does_not_grow():
     assert len(trigconv.__all__) <= 44
 
 
+def _assigned_at_top_level(mod) -> set:
+    return {target.id for node in ast.parse(inspect.getsource(mod)).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_each_public_name_is_listed_once_by_the_module_that_defines_it():
+    import trigconv
+    from trigconv import conditions, harness, sequences, series
+
+    listed = []
+    for mod in (sequences, conditions, series, harness):
+        assigned = _assigned_at_top_level(mod)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == mod.__name__, (mod.__name__, name)
+            else:
+                assert name in assigned, (mod.__name__, name)
+        listed += mod.__all__
+    assert len(listed) == len(set(listed))
+    assert trigconv.__all__ == ["__version__", *listed]
+
+
 def _package_imports(path: pathlib.Path) -> set:
     """The modules of the package that a source file imports: the name
     after ``trigconv.`` of every import, or the package itself."""

@@ -376,7 +376,8 @@ def test_weight_pieces_give_the_whole_map_byte_for_byte(text):
     for size in _PIECE_SIZES:
         w = weight_from_spec(parse_family_spec(text))
         n = np.arange(1, size + 1, dtype=np.int64)
-        assert w.prefix(size).tobytes() == _whole(w.fn, n, float).tobytes()
+        assert w.validated_prefix(size)[0].tobytes() == \
+            _whole(w.fn, n, float).tobytes()
 
 
 def test_a_fault_in_a_later_piece_raises_the_whole_arrays_error():
@@ -401,7 +402,7 @@ def test_a_fault_in_a_later_piece_raises_the_whole_arrays_error():
             assert str(err.value) == message
         assert seq.prefix(bad - 1).shape == (bad - 1,)
     with pytest.raises(SequenceError, match="returned a wrong shape"):
-        WeightSequence("w", short_late).prefix(N)
+        WeightSequence("w", short_late).validated_prefix(N)
 
 
 def test_rbv_block_notches_every_block_midpoint():
@@ -444,7 +445,8 @@ def test_prefix_too_large_to_index_raises():
     with pytest.raises(MemoryError):
         sequence_from_text("harmonic(1.0)").prefix(2 ** 63 - 1)
     with pytest.raises(MemoryError):
-        weight_from_spec(parse_family_spec("log")).prefix(2 ** 63 - 1)
+        weight_from_spec(parse_family_spec("log")).validated_prefix(
+            2 ** 63 - 1)
 
 
 def test_prefix_is_stable_under_growth():
