@@ -25,7 +25,7 @@ import math
 import mmap
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -226,6 +226,10 @@ class CoefficientSequence:
                  (lo, hi] off which the sequence is exactly zero (0.0);
                  None means every index may be nonzero.  Such a sequence
                  is evaluated on its support alone
+
+    The memo of prefix() is not a field: each instance starts its own, so
+    neither a constructor nor dataclasses.replace can give a sequence the
+    values of another map.
     """
 
     label: str
@@ -233,7 +237,9 @@ class CoefficientSequence:
     is_real: bool = True
     length: Optional[int] = None
     support: Optional[Callable[[int, int], np.ndarray]] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def explicit(cls, values, label: str = "") -> "CoefficientSequence":
@@ -346,12 +352,15 @@ class WeightSequence:
     Construction does not validate; ``validated_prefix`` checks positivity
     and monotonicity on the finite part and reports where (if anywhere) the
     values overflow to infinity, so growth like 2**n can still be examined
-    on its finite range.
+    on its finite range.  As for a sequence, the memo of validated_prefix
+    is not a field, and each instance starts its own.
     """
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_cache", {})
 
     def validated_prefix(self, N: int) -> tuple[np.ndarray, int]:
         """Return (values, finite_len) where values[:finite_len] are finite,
@@ -396,7 +405,7 @@ class WeightSequence:
 @dataclass(frozen=True)
 class FamilySpec:
     family_id: str
-    params: tuple = ()
+    params: tuple
 
     def __str__(self) -> str:
         return format_family_spec(self)

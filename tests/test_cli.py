@@ -278,7 +278,7 @@ def test_curve_of_file_data_defaults_its_reference_horizon_to_the_length(
     # 4096 lines of 1/k^2: without --nref the curve runs at the data's
     # length, where the tail is exact, and prints what --nref 4096 prints
     path = tmp_path / "coeffs.txt"
-    path.write_text("".join(f"{1.0 / k ** 2!r}\n" for k in range(1, 4097)))
+    path.write_text(_cli_runs.COEFFS)
     spec, ns = f"file:{path}", "64..1024:dyadic"
     code, out, err = run(capsys, "curve", spec, "--n", ns)
     assert code == 0

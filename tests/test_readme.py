@@ -7,6 +7,8 @@ import shlex
 
 import pytest
 
+import _cli_runs
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -20,42 +22,21 @@ def test_readme_library_example_runs(capsys):
     assert "GROUP_BV(N0=1) holds 0.666666666666" in "\n".join(lines)
 
 
-def _readme_commands():
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index("## CLI"):]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("trigconv ")]
-
-
-def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
-    from trigconv.cli import main
-
-    commands = _readme_commands()
-    assert len(commands) == 7
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "coeffs.txt").write_text(
-        "".join(f"{1.0 / k ** 2!r}\n" for k in range(1, 4097)))
-    for argv in commands:
-        assert main(argv) == 0, argv
-        capsys.readouterr()
-    assert (tmp_path / "curve.csv").is_file()
-    assert (tmp_path / "curve.csv.manifest.json").is_file()
-
-
 def test_readme_cli_commands_repeat_byte_for_byte(tmp_path, monkeypatch,
                                                   capsys):
     # one process runs the README commands, meets a usage error (exit 2),
     # then runs them again: every exit code, output and written file repeats
     from trigconv.cli import main
 
+    commands = [shlex.split(command)[1:]
+                for name, _, command in _cli_runs.runs()
+                if name.startswith("readme")]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "coeffs.txt").write_text(
-        "".join(f"{1.0 / k ** 2!r}\n" for k in range(1, 4097)))
+    (tmp_path / "coeffs.txt").write_text(_cli_runs.COEFFS)
 
     def run_all():
         runs = []
-        for argv in _readme_commands():
+        for argv in commands:
             code = main(argv)
             runs.append((code, *capsys.readouterr()))
         written = [(tmp_path / name).read_text()
@@ -139,7 +120,7 @@ def test_public_knob_count_does_not_grow():
                     f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
-    assert params + fields <= 25
+    assert params + fields <= 22
     assert len(trigconv.__all__) <= 44
 
 

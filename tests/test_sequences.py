@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -89,7 +91,8 @@ def test_format_parse_round_trip(fam, p):
 _NUMBERS = st.one_of(st.integers(-5, 50),
                      st.floats(allow_nan=False, allow_infinity=False))
 _WEIGHT_SPECS = st.one_of(
-    st.builds(FamilySpec, st.sampled_from(["one", "log", "exp2"])),
+    st.builds(lambda w: FamilySpec(w, ()),
+              st.sampled_from(["one", "log", "exp2"])),
     st.builds(lambda w, v: FamilySpec(w, (v,)),
               st.sampled_from(["const", "power"]), _NUMBERS))
 _FAMILY_SPECS = st.recursive(
@@ -99,7 +102,8 @@ _FAMILY_SPECS = st.recursive(
                   _NUMBERS),
         st.builds(lambda a, p: FamilySpec("quasimono", (a, p)),
                   _NUMBERS, _NUMBERS),
-        st.builds(FamilySpec, st.sampled_from(["log_damped", "zero"])),
+        st.builds(lambda f: FamilySpec(f, ()),
+                  st.sampled_from(["log_damped", "zero"])),
         st.builds(lambda v: FamilySpec("explicit", tuple(v)),
                   st.lists(st.complex_numbers(allow_nan=False,
                                               allow_infinity=False),
@@ -558,6 +562,32 @@ def test_validated_prefix_memo_matches_a_fresh_weight():
             dip.validated_prefix(200)
         _same_validation(dip, 80)
     _same_validation(dip, 100)
+
+
+def test_the_memo_is_no_field_so_replace_reads_the_new_map():
+    # a replaced map, memo already filled, gives the new map's values
+    harmonic = family_sequence(parse_family_spec("harmonic(1.0)"))
+    log_damped = family_sequence(parse_family_spec("log_damped"))
+    harmonic.prefix(64)
+    moved = dataclasses.replace(harmonic, label="log_damped",
+                                fn=log_damped.fn)
+    assert moved.prefix(64).tobytes() == log_damped.prefix(64).tobytes()
+    # explicit data under a new label still reads the data
+    data = CoefficientSequence.explicit(np.array([1.0, 0.5, 0.25, 0.125]))
+    renamed = dataclasses.replace(data, label="renamed")
+    assert renamed.prefix(4).tobytes() == data.prefix(4).tobytes()
+    power, log = (weight_from_spec(parse_family_spec(text))
+                  for text in ("power(0.5)", "log"))
+    power.validated_prefix(64)
+    got = dataclasses.replace(power, fn=log.fn).validated_prefix(64)
+    want = log.validated_prefix(64)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    # no constructor takes a memo
+    for cls, names in ((CoefficientSequence,
+                        ("label", "fn", "is_real", "length", "support")),
+                       (WeightSequence, ("label", "fn"))):
+        assert "_cache" not in inspect.signature(cls).parameters
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
 
 # --- sectors ---------------------------------------------------------------
