@@ -43,9 +43,8 @@ from .sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    parse_family_spec,
     sequence_from_text,
-    weight_from_spec,
+    weight_from_text,
 )
 from .series import convergence_curve
 
@@ -170,8 +169,7 @@ def _json_text(payload: dict) -> str:
 
 def cmd_classify(args, argv: Sequence[str]) -> int:
     seq, inputs = _resolve_sequence(args.spec)
-    weight = (weight_from_spec(parse_family_spec(args.weight))
-              if args.weight else None)
+    weight = weight_from_text(args.weight) if args.weight else None
     n0_list = _parse_int_list(args.n0)
     reports = classify(seq, horizon=args.horizon, m_max=args.m_max,
                        n0_list=n0_list, theta0=args.theta0, weight=weight)

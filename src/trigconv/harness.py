@@ -50,17 +50,14 @@ from .conditions import (
 from .sequences import (
     _block_exponent,
     CoefficientSequence,
-    FamilySpec,
     Sector,
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
-    family_sequence,
-    parse_family_spec,
     sector_dominance_constant,
     sequence_from_text,
     unit_noise,
-    weight_from_spec,
+    weight_from_text,
 )
 from .series import _tail_rows, testpoint_block_probe
 from .summation import exact_sum, suffix_sums, variation_sums
@@ -201,7 +198,7 @@ def _corpus_weight(text: str) -> WeightSequence:
     """One WeightSequence per menu text (at most five), so that the corpus
     members that share a weight build and validate its prefix once; a
     weight is a pure function of n, so sharing it changes no value."""
-    return weight_from_spec(parse_family_spec(text))
+    return weight_from_text(text)
 
 
 def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optional[Sector]]:
@@ -403,11 +400,11 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
     return _judged(claim, records, {})
 
 
-def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
-                    shown: tuple) -> VerificationOutcome:
-    """Aggregate per-member chain outcomes: keep every failed gate and every
-    gate whose name starts with one of ``shown``; the worst slack is the
-    smallest finite one.  A member whose premises are not met is no
+def _corpus_outcome(claim: str, seed_start: int,
+                    outcomes: list) -> VerificationOutcome:
+    """Aggregate per-member chain outcomes: keep every failed record and
+    every record that is no premise (named premise/...); the worst slack
+    is the smallest finite one.  A member whose premises are not met is no
     violation: the run is violated when a member is, else premises_not_met
     when no member is ok, else ok; the headline counts the chains of the
     members whose premises hold and names the others."""
@@ -417,7 +414,7 @@ def _corpus_outcome(claim: str, seed_start: int, outcomes: list,
     passed = statuses.count(STATUS_OK)
     unmet = statuses.count(STATUS_PREMISES)
     records = [r for out in outcomes for r in out.records
-               if not r.passed or r.name.startswith(shown)]
+               if not r.passed or not r.name.startswith("premise/")]
     worst = min((r.slack for out in outcomes for r in out.records
                  if math.isfinite(r.slack)), default=math.inf)
     size = len(outcomes)
@@ -453,7 +450,7 @@ def run_weighted_implication_corpus(seed_start: int,
     """The implication chain over the randomized corpus, aggregated."""
     outcomes = [_chain(*corpus_member(seed)[:2])
                 for seed in _corpus_seeds(seed_start, size, 1)]
-    return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes, ("chain/",))
+    return _corpus_outcome(CLAIM_WEIGHTED, seed_start, outcomes)
 
 
 def run_sector_implication_corpus(seed_start: int,
@@ -461,8 +458,7 @@ def run_sector_implication_corpus(seed_start: int,
     """The sector implication over the odd-seed (sector) corpus members."""
     outcomes = [_chain(*corpus_member(seed))
                 for seed in _corpus_seeds(seed_start | 1, size, 2)]
-    return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes,
-                           ("sector/", "chain/"))
+    return _corpus_outcome(CLAIM_SECTOR, seed_start, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ def verify_lacunary_counterexample(alpha: float) -> VerificationOutcome:
             and 2.0 ** -alpha < 1.0):
         raise SequenceError(f"lacunary alpha must satisfy 2^-alpha < 1 and "
                             f"20 alpha <= 1022; got {alpha!r}")
-    b = family_sequence(FamilySpec("lacunary", (float(alpha),)))
+    b = sequence_from_text(f"lacunary({float(alpha)!r})")
     label = b.label
     records: list[InequalityRecord] = []
 

@@ -34,18 +34,14 @@ __all__ = [
     "ANGLE_TOL",
     "REL_TOL",
     "CoefficientSequence",
-    "FamilySpec",
     "Sector",
     "SequenceError",
     "TwoSidedSequence",
     "WeightSequence",
-    "family_sequence",
-    "format_family_spec",
-    "parse_family_spec",
     "sector_dominance_constant",
     "sequence_from_text",
     "unit_noise",
-    "weight_from_spec",
+    "weight_from_text",
 ]
 
 # Absolute angle tolerance (radians) for sector membership, and the relative
@@ -400,38 +396,36 @@ class WeightSequence:
 # Canonical text form:  family_id(param1,param2,...), one spelling per
 # sequence.  Parameters are numbers or nested specs; "explicit:[v1,v2,...]"
 # embeds a short explicit sequence.  Weight specs use the same grammar with
-# their own id set (one, const(c), power(beta), log, exp2).
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family_id: str
-    params: tuple
-
-    def __str__(self) -> str:
-        return format_family_spec(self)
-
+# their own id set (one, const(c), power(beta), log, exp2).  A spec is read
+# in one pass into its sequence or weight, whose label is the canonical text.
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-# The parameters each family and weight id takes, in order: a finite number
-# or a nested spec.  perturbed's seed must also be an integer in [0, 2^64),
-# checked where it is realized.
-_NUMBER, _SPEC = "finite number", "spec"
-_PARAM_KINDS = {
-    "harmonic": (_NUMBER,),
-    "log_damped": (),
-    "quasimono": (_NUMBER, _NUMBER),
-    "lacunary": (_NUMBER,),
-    "rbv_block": (_NUMBER,),
-    "orvqm": (_SPEC, _SPEC),
-    "perturbed": (_NUMBER, _SPEC, _NUMBER),
-    "zero": (),
-    "one": (),
-    "const": (_NUMBER,),
-    "power": (_NUMBER,),
-    "log": (),
-    "exp2": (),
+# Each id's role and the kinds of its parameters, in order: a finite number,
+# or a nested spec of the family or the weight role.  perturbed's seed must
+# also be an integer in [0, 2^64), checked where it is realized.
+_NUMBER, _FAMILY, _WEIGHT = "finite number", "family", "weight"
+_GRAMMAR = {
+    "harmonic": (_FAMILY, (_NUMBER,)),
+    "log_damped": (_FAMILY, ()),
+    "quasimono": (_FAMILY, (_NUMBER, _NUMBER)),
+    "lacunary": (_FAMILY, (_NUMBER,)),
+    "rbv_block": (_FAMILY, (_NUMBER,)),
+    "orvqm": (_FAMILY, (_WEIGHT, _FAMILY)),
+    "perturbed": (_FAMILY, (_NUMBER, _FAMILY, _NUMBER)),
+    "zero": (_FAMILY, ()),
+    "one": (_WEIGHT, ()),
+    "const": (_WEIGHT, (_NUMBER,)),
+    "power": (_WEIGHT, (_NUMBER,)),
+    "log": (_WEIGHT, ()),
+    "exp2": (_WEIGHT, ()),
 }
+
+# The reader stops at a spec inside more than this many others, before it
+# recurses further.  Reading a spec (its label included) recurses once per
+# level and evaluating a composite about 4 frames per level, so the deepest
+# readable spec stays far inside Python's recursion limit of 1000.
+_MAX_DEPTH = 32
 
 
 def _split_args(text: str) -> list[str]:
@@ -457,95 +451,88 @@ def _parse_number(token: str):
         return None
 
 
-def _parse_value(token: str):
-    num = _parse_number(token)
-    if num is not None:
-        return num
-    return parse_family_spec(token)
-
-
-def parse_family_spec(text: str) -> FamilySpec:
-    """Parse the canonical text form into a FamilySpec (recursively)."""
-    text = text.strip()
-    if text.startswith("explicit:"):
-        body = text[len("explicit:"):].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise SequenceError(f"malformed explicit spec: {text!r}")
-        items = _split_args(body[1:-1])
-        vals = []
-        for it in items:
-            try:
-                vals.append(complex(it.replace("i", "j")))
-            except ValueError as exc:
-                raise SequenceError(f"bad explicit value {it!r}") from exc
-        return FamilySpec("explicit", tuple(vals))
-    if "(" in text:
-        if not text.endswith(")"):
-            raise SequenceError(f"malformed spec: {text!r}")
-        head, body = text[:text.index("(")], text[text.index("(") + 1:-1]
-        args = tuple(_parse_value(a) for a in _split_args(body))
-    else:
-        head, args = text, ()
-    head = head.strip()
-    if not _ID_RE.match(head):
-        raise SequenceError(f"bad family id {head!r}")
-    kinds = _PARAM_KINDS.get(head)
-    if kinds is None:
-        raise SequenceError(f"unknown family id {head!r}")
-    if len(args) != len(kinds):
-        raise SequenceError(
-            f"{head!r} takes {len(kinds)} parameter(s), got {len(args)}")
-    for i, (arg, kind) in enumerate(zip(args, kinds), 1):
-        if kind == _SPEC:
-            ok = isinstance(arg, FamilySpec)
-        else:   # abs(int) <= max compares exactly, with no float conversion
-            ok = (not isinstance(arg, FamilySpec)
-                  and abs(arg) <= sys.float_info.max)
-        if not ok:
-            raise SequenceError(
-                f"parameter {i} of {head!r} must be a {kind}, got "
-                f"{_format_value(arg)!r}")
-    return FamilySpec(head, args)
-
-
 def _format_value(v) -> str:
-    if isinstance(v, FamilySpec):
-        return format_family_spec(v)
     if isinstance(v, complex):
         return repr(v.real) if v.imag == 0.0 else repr(v).strip("()")
     return repr(v)
 
 
-def format_family_spec(spec: FamilySpec) -> str:
-    if spec.family_id == "explicit":
-        return "explicit:[" + ",".join(_format_value(v) for v in spec.params) + "]"
-    out = spec.family_id
-    if spec.params:
-        out += "(" + ",".join(_format_value(v) for v in spec.params) + ")"
-    return out
+def _read(text: str, role: str, depth: int):
+    """The sequence (role _FAMILY) or weight (role _WEIGHT) that the spec
+    text names, labelled with its canonical text; depth is the number of
+    specs around it."""
+    if depth > _MAX_DEPTH:
+        raise SequenceError(f"a spec may nest at most {_MAX_DEPTH} levels "
+                            f"deep")
+    text = text.strip()
+    if text.startswith("explicit:"):
+        if role != _FAMILY:
+            raise SequenceError(f"unknown {role} id 'explicit'")
+        return _read_explicit(text)
+    if "(" in text:
+        if not text.endswith(")"):
+            raise SequenceError(f"malformed spec: {text!r}")
+        head, _, body = text[:-1].partition("(")
+        tokens = _split_args(body)
+    else:
+        head, tokens = text, []
+    head = head.strip()
+    if not _ID_RE.match(head):
+        raise SequenceError(f"bad {role} id {head!r}")
+    id_role, kinds = _GRAMMAR.get(head, (None, ()))
+    if id_role != role:
+        raise SequenceError(f"unknown {role} id {head!r}")
+    if len(tokens) != len(kinds):
+        raise SequenceError(
+            f"{head!r} takes {len(kinds)} parameter(s), got {len(tokens)}")
+    params, labels = [], []
+    for i, (token, kind) in enumerate(zip(tokens, kinds), 1):
+        num = _parse_number(token)
+        if kind != _NUMBER and num is None:
+            params.append(_read(token, kind, depth + 1))
+            labels.append(params[-1].label)
+        # abs(int) <= max compares exactly, with no float conversion
+        elif (kind == _NUMBER and num is not None
+              and abs(num) <= sys.float_info.max):
+            params.append(num)
+            labels.append(_format_value(num))
+        else:
+            raise SequenceError(
+                f"parameter {i} of {head!r} must be a "
+                f"{kind if kind == _NUMBER else 'spec'}, got "
+                f"{token if num is None else _format_value(num)!r}")
+    label = f"{head}({','.join(labels)})" if labels else head
+    return _realize(head, label, params)
 
 
-# -- weight realization -----------------------------------------------------
-
-def weight_from_spec(spec: FamilySpec) -> WeightSequence:
-    wid, params = spec.family_id, spec.params
-    label = format_family_spec(spec)
-    if wid == "one":
-        return WeightSequence(label, lambda n: np.ones(n.shape[0]))
-    if wid == "const":
-        c = float(params[0])
-        return WeightSequence(label, lambda n: np.full(n.shape[0], c))
-    if wid == "power":
-        beta = float(params[0])
-        return WeightSequence(label, lambda n: n.astype(float) ** beta)
-    if wid == "log":
-        return WeightSequence(label, lambda n: np.log(n.astype(float) + 2.0))
-    if wid == "exp2":
-        return WeightSequence(label, lambda n: np.exp2(n.astype(float)))
-    raise SequenceError(f"unknown weight id {wid!r}")
+def _read_explicit(text: str) -> CoefficientSequence:
+    body = text[len("explicit:"):].strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise SequenceError(f"malformed explicit spec: {text!r}")
+    vals = []
+    for it in _split_args(body[1:-1]):
+        try:
+            vals.append(complex(it.replace("i", "j")))
+        except ValueError as exc:
+            raise SequenceError(f"bad explicit value {it!r}") from exc
+    label = "explicit:[" + ",".join(_format_value(v) for v in vals) + "]"
+    return CoefficientSequence.explicit(np.asarray(vals, dtype=complex),
+                                        label=label)
 
 
-# -- family realization -----------------------------------------------------
+def sequence_from_text(text: str) -> CoefficientSequence:
+    """The sequence that a family spec names, labelled with its canonical
+    text; SequenceError if the text is no family spec."""
+    return _read(text, _FAMILY, 0)
+
+
+def weight_from_text(text: str) -> WeightSequence:
+    """The weight that a weight spec names, labelled with its canonical
+    text; SequenceError if the text is no weight spec."""
+    return _read(text, _WEIGHT, 0)
+
+
+# -- realization ------------------------------------------------------------
 
 def _block_exponent(n: np.ndarray) -> np.ndarray:
     """floor(log2 n) computed exactly from the float exponent."""
@@ -556,14 +543,22 @@ def _power_of_two_mask(n: np.ndarray) -> np.ndarray:
     return (n >= 2) & ((n & (n - 1)) == 0)
 
 
-def family_sequence(spec: FamilySpec) -> CoefficientSequence:
-    """Realize a FamilySpec as a CoefficientSequence."""
-    fid, params = spec.family_id, spec.params
-    label = format_family_spec(spec)
-
-    if fid == "explicit":
-        return CoefficientSequence.explicit(np.asarray(params, dtype=complex),
-                                            label=label)
+def _realize(fid: str, label: str, params: list):
+    """The sequence or weight of fid, an id of _GRAMMAR, from its
+    parameters as _read checked and read them: numbers, and the sequences
+    and weights of its nested specs."""
+    if fid == "one":
+        return WeightSequence(label, lambda n: np.ones(n.shape[0]))
+    if fid == "const":
+        c = float(params[0])
+        return WeightSequence(label, lambda n: np.full(n.shape[0], c))
+    if fid == "power":
+        beta = float(params[0])
+        return WeightSequence(label, lambda n: n.astype(float) ** beta)
+    if fid == "log":
+        return WeightSequence(label, lambda n: np.log(n.astype(float) + 2.0))
+    if fid == "exp2":
+        return WeightSequence(label, lambda n: np.exp2(n.astype(float)))
     if fid == "zero":
         return CoefficientSequence(label, lambda n: np.zeros(n.shape[0]))
     if fid == "harmonic":
@@ -620,27 +615,19 @@ def family_sequence(spec: FamilySpec) -> CoefficientSequence:
         # Product R(n) * g_n with g from the base family; when the base is
         # non-increasing and null, the quotient by R(n) is non-increasing by
         # construction.
-        weight = weight_from_spec(params[0])
-        base = family_sequence(params[1])
+        weight, base = params
 
         def prod(n):
             return weight.fn(n) * base.values_at(n)
         return CoefficientSequence(label, prod, base.is_real, base.length)
     if fid == "perturbed":
         # base * (1 + eps * u_n) with u_n in [-1, 1) drawn from SplitMix64.
-        seed = params[0]
+        seed, base, eps = params
         if not (isinstance(seed, int) and 0 <= seed < 1 << 64):
             raise SequenceError(f"the seed of 'perturbed' must be an integer "
                                 f"in [0, 2^64), got {_format_value(seed)!r}")
-        base = family_sequence(params[1])
-        eps = float(params[2])
+        eps = float(eps)
 
         def pert(n):
             return base.values_at(n) * (1.0 + eps * unit_noise(seed, n))
         return CoefficientSequence(label, pert, base.is_real, base.length)
-    raise SequenceError(f"unknown family id {fid!r}")
-
-
-def sequence_from_text(text: str) -> CoefficientSequence:
-    """Parse a canonical family string and realize it."""
-    return family_sequence(parse_family_spec(text))

@@ -550,6 +550,29 @@ def test_spec_parameter_kind_mismatch_is_input_error(capsys, argv):
     assert "parameter" in err
 
 
+def _nested_spec(depth):
+    """harmonic(1.0) inside depth levels of perturbed(1, ., 0.1)."""
+    return "perturbed(1," * depth + "harmonic(1.0)" + ",0.1)" * depth
+
+
+@pytest.mark.parametrize("spec,want", [
+    pytest.param(_nested_spec(32), 0, id="nested-32"),
+    pytest.param(_nested_spec(33), 2, id="nested-33"),
+    pytest.param(_nested_spec(400), 2, id="nested-400"),
+    pytest.param("harmonic(" + "(" * 2000 + "1" + ")" * 2000 + ")", 2,
+                 id="parentheses-2000"),
+])
+def test_spec_nesting_is_bounded(capsys, spec, want):
+    # a spec may sit inside at most 32 others; a deeper one, or any depth
+    # of parentheses, exits 2 with one line and never a traceback
+    code, out, err = run(capsys, "classify", spec, "--horizon", "64")
+    if want == 0:
+        assert code == 0, err
+        assert json.loads(out)["manifest"]["defaults"]["spec"] == spec
+    else:
+        assert _is_input_error(code, err) and out == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_classify_generator_overflow_is_one_line(capsys):
     code, out, err = run(capsys, "classify", "quasimono(1e308,1)",
@@ -980,5 +1003,10 @@ def test_cli_run_list_exits_as_listed_and_repeats_across_hash_seeds(
     for name, want, command in runs:
         assert trees[0][f"{name}.rc"] == f"{want}\n".encode(), \
             (command, trees[0][f"{name}.err"])
+        # an exit 2 is one error line, or argparse's usage block
+        err = trees[0][f"{name}.err"].decode()
+        if want == 2:
+            assert _is_input_error(want, err) or \
+                err.startswith("usage: trigconv"), (command, err)
     assert trees[0].keys() == trees[1].keys()
     assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []

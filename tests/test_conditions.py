@@ -35,9 +35,8 @@ from trigconv.sequences import (
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
-    parse_family_spec,
     sequence_from_text,
-    weight_from_spec,
+    weight_from_text,
 )
 from trigconv.summation import suffix_sums
 
@@ -45,7 +44,7 @@ import _oracles as oracles
 
 
 def _weight(text):
-    return weight_from_spec(parse_family_spec(text))
+    return weight_from_text(text)
 
 
 # --- monotone / quasimonotone ---------------------------------------------

@@ -34,17 +34,16 @@ from trigconv.sequences import (
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
-    parse_family_spec,
     sequence_from_text,
     unit_noise,
-    weight_from_spec,
+    weight_from_text,
 )
 
 from _oracles import abel_tail_bound
 
 
 def _one():
-    return weight_from_spec(parse_family_spec("one"))
+    return weight_from_text("one")
 
 
 def _lacunary_prefix():
@@ -162,7 +161,7 @@ def test_weight_doubling_premise_carries_the_weight_notes():
     # inconclusive and says why
     seq = sequence_from_text("harmonic(2.0)")
     data = CoefficientSequence.explicit(seq.prefix(4096), label=seq.label)
-    out = _chain(data, weight_from_spec(parse_family_spec("exp2")))
+    out = _chain(data, weight_from_text("exp2"))
     assert out.status == STATUS_PREMISES
     rec = {r.name: r for r in out.records}["premise/weight_doubling"]
     assert not rec.passed
@@ -174,7 +173,7 @@ def test_chain_of_an_overflowing_quotient_is_an_input_error(sector):
     # with a sector, the premise must not read the quotients as a failure
     seq = CoefficientSequence.explicit(np.array([1, 0.5, 0.25, 0.125, 0]))
     with pytest.raises(SequenceError, match="overflows the float range"):
-        _chain(seq, weight_from_spec(parse_family_spec("const(1e-310)")),
+        _chain(seq, weight_from_text("const(1e-310)"),
                sector)
 
 
@@ -219,13 +218,15 @@ def test_corpus_run_keeps_unmet_premises_apart_from_violations(monkeypatch):
 
 def test_corpus_outcome_status_rule():
     def member(status):
+        premise = InequalityRecord("premise/x", status,
+                                   status != STATUS_PREMISES, 0.0, 1.0, 1.0)
         rec = InequalityRecord("chain/x", status, status == STATUS_OK,
                                0.0, 1.0, 1.0)
-        return VerificationOutcome(CLAIM_WEIGHTED, status, [rec], {})
+        return VerificationOutcome(CLAIM_WEIGHTED, status, [premise, rec], {})
 
     def run(*statuses):
         return _corpus_outcome(CLAIM_WEIGHTED, 1,
-                               [member(s) for s in statuses], ("chain/",))
+                               [member(s) for s in statuses])
 
     assert run(STATUS_OK, STATUS_PREMISES).status == STATUS_OK
     assert run(STATUS_PREMISES, STATUS_PREMISES).status == STATUS_PREMISES
@@ -235,6 +236,10 @@ def test_corpus_outcome_status_rule():
     assert mixed.status == STATUS_VIOLATED
     assert mixed.summary["headline"] == \
         "1/2 chains hold, 1 member(s) with premises not met"
+    # kept: every failed record and every record that is no premise
+    assert [(r.name, r.instance) for r in mixed.records] == [
+        ("chain/x", STATUS_OK), ("premise/x", STATUS_PREMISES),
+        ("chain/x", STATUS_PREMISES), ("chain/x", STATUS_VIOLATED)]
     assert run(STATUS_OK, STATUS_VIOLATED).summary["headline"] == \
         "1/2 chains hold"
 
@@ -275,7 +280,7 @@ def test_sector_chain_is_premises_not_met_when_its_inner_chain_is():
     theta0 = math.pi / 6
     out = _chain(
         _boundary_sequence(theta0),
-        weight_from_spec(parse_family_spec("exp2")), Sector(theta0))
+        weight_from_text("exp2"), Sector(theta0))
     assert out.status == STATUS_PREMISES and out.claim == CLAIM_SECTOR
     assert all(r.name.startswith("premise/") for r in out.records)
     failed = [r.name for r in out.records if not r.passed]
@@ -508,12 +513,12 @@ def test_sector_chain_measures_weighted_variation_once(monkeypatch):
 def test_corpus_run_validates_each_weight_text_once(monkeypatch):
     import trigconv.harness as harness
     built, validated = [], []
-    real_build = harness.weight_from_spec
+    real_build = harness.weight_from_text
     real_validate = WeightSequence.validated_prefix
 
-    def build(spec):
-        built.append(str(spec))
-        return real_build(spec)
+    def build(text):
+        built.append(text)
+        return real_build(text)
 
     def validate(self, N):
         # a call past the longest length validated so far runs the checks
@@ -522,7 +527,7 @@ def test_corpus_run_validates_each_weight_text_once(monkeypatch):
             validated.append(self.label)
         return real_validate(self, N)
 
-    monkeypatch.setattr(harness, "weight_from_spec", build)
+    monkeypatch.setattr(harness, "weight_from_text", build)
     monkeypatch.setattr(WeightSequence, "validated_prefix", validate)
     harness._corpus_weight.cache_clear()
     try:

@@ -121,7 +121,7 @@ def test_public_knob_count_does_not_grow():
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
     assert params + fields <= 22
-    assert len(trigconv.__all__) <= 44
+    assert len(trigconv.__all__) <= 40
 
 
 def _assigned_at_top_level(mod) -> set:

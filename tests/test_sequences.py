@@ -13,42 +13,61 @@ from trigconv.conditions import HOLDS, check_pair_sector
 from trigconv.sequences import (
     ANGLE_TOL,
     CoefficientSequence,
-    FamilySpec,
     Sector,
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
-    family_sequence,
-    format_family_spec,
-    parse_family_spec,
     sector_dominance_constant,
     sequence_from_text,
     unit_noise,
-    weight_from_spec,
+    weight_from_text,
 )
 from trigconv.sequences import _PIECE
 
 
 # --- grammar ---------------------------------------------------------------
 
+_WEIGHT_IDS = ("one", "const", "power", "log", "exp2")
+
+
+def _reader(text):
+    """The text entry for the role of the spec's outer id."""
+    head = text.partition("(")[0].strip()
+    return weight_from_text if head in _WEIGHT_IDS else sequence_from_text
+
+
+def _prefix_or_error(obj):
+    """prefix(8) of a sequence (at most its length) or validated_prefix(8)
+    of a weight, as bytes, or the SequenceError it raises."""
+    try:
+        if isinstance(obj, WeightSequence):
+            return obj.validated_prefix(8)[0].tobytes()
+        return obj.prefix(8 if obj.length is None
+                          else min(8, obj.length)).tobytes()
+    except SequenceError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("text,family,params", [
     ("harmonic(1.0)", "harmonic", (1.0,)),
     ("lacunary(0.5)", "lacunary", (0.5,)),
     ("log_damped", "log_damped", ()),
     ("perturbed(3,harmonic(1.0),0.01)", "perturbed",
-     (3, FamilySpec("harmonic", (1.0,)), 0.01)),
+     (3, "harmonic(1.0)", 0.01)),
     ("zero", "zero", ()),
     ("rbv_block(1.0)", "rbv_block", (1.0,)),
 ])
 def test_parse_family_spec(text, family, params):
-    spec = parse_family_spec(text)
-    assert spec.family_id == family
-    assert spec.params == params
+    # the label is the id and its parameters, a number by its repr and a
+    # nested spec by its label, whatever spaces or empty () the text holds
+    parts = [p if isinstance(p, str) else repr(p) for p in params]
+    assert text == (f"{family}({','.join(parts)})" if params else family)
+    for spelling in (text, f" {family}( {' , '.join(parts)} ) "):
+        assert sequence_from_text(spelling).label == text
 
 
 def test_parse_explicit_inline():
-    spec = parse_family_spec("explicit:[1,0.5,0.25]")
-    seq = family_sequence(spec)
+    seq = sequence_from_text("explicit:[1,0.5,0.25]")
     assert np.allclose(seq.prefix(3), [1.0, 0.5, 0.25])
 
 
@@ -66,65 +85,84 @@ def test_explicit_label_prints_real_values_as_reals(text, label):
                                   seq.prefix(seq.length))
 
 
+def _nested(depth):
+    """harmonic(1.0) inside depth perturbed(1, ., 0.1) levels."""
+    return "perturbed(1," * depth + "harmonic(1.0)" + ",0.1)" * depth
+
+
 @pytest.mark.parametrize("bad", [
     "harmonic(", "nosuchfamily(1)", "harmonic(1,2,3)", "explicit:[a]",
     "harmonic(1.0)@x", "",
     # one spelling per sequence: no @seed suffix, no aliases, no bare const
     "harmonic(1.0)@3", "log_damped@3", "perturbed(3,harmonic(1.0),0.01)@42",
     "logdamped", "rbvblock(1.0)", "const", "orvqm(const,harmonic(2.0))",
+    # a spec inside more than 32 others, and 2000 nested parentheses
+    pytest.param(_nested(33), id="nested-33"),
+    pytest.param("harmonic(" + "(" * 2000 + "1" + ")" * 2000 + ")",
+                 id="parentheses-2000"),
 ])
 def test_parse_rejects(bad):
-    with pytest.raises(SequenceError):
-        parse_family_spec(bad)
+    for read in (sequence_from_text, weight_from_text):
+        with pytest.raises(SequenceError):
+            read(bad)
 
 
 @given(st.sampled_from(["harmonic", "lacunary", "quasimono", "rbv_block"]),
        st.floats(0.1, 4.0, allow_nan=False))
 def test_format_parse_round_trip(fam, p):
-    params = (p, 2.0) if fam == "quasimono" else (p,)
-    spec = FamilySpec(fam, params)
-    assert parse_family_spec(format_family_spec(spec)) == spec
+    text = f"{fam}({p!r},2.0)" if fam == "quasimono" else f"{fam}({p!r})"
+    assert sequence_from_text(text).label == text
 
 
 # --- grammar fuzzing -------------------------------------------------------
 
+def _fmt(v):
+    """The canonical text of a number: a complex one without parentheses,
+    and as a real when its imaginary part is zero."""
+    if isinstance(v, complex):
+        return repr(v.real) if v.imag == 0.0 else repr(v).strip("()")
+    return repr(v)
+
+
 _NUMBERS = st.one_of(st.integers(-5, 50),
                      st.floats(allow_nan=False, allow_infinity=False))
 _WEIGHT_SPECS = st.one_of(
-    st.builds(lambda w: FamilySpec(w, ()),
-              st.sampled_from(["one", "log", "exp2"])),
-    st.builds(lambda w, v: FamilySpec(w, (v,)),
+    st.sampled_from(["one", "log", "exp2"]),
+    st.builds(lambda w, v: f"{w}({_fmt(v)})",
               st.sampled_from(["const", "power"]), _NUMBERS))
 _FAMILY_SPECS = st.recursive(
     st.one_of(
-        st.builds(lambda f, p: FamilySpec(f, (p,)),
+        st.builds(lambda f, p: f"{f}({_fmt(p)})",
                   st.sampled_from(["harmonic", "lacunary", "rbv_block"]),
                   _NUMBERS),
-        st.builds(lambda a, p: FamilySpec("quasimono", (a, p)),
+        st.builds(lambda a, p: f"quasimono({_fmt(a)},{_fmt(p)})",
                   _NUMBERS, _NUMBERS),
-        st.builds(lambda f: FamilySpec(f, ()),
-                  st.sampled_from(["log_damped", "zero"])),
-        st.builds(lambda v: FamilySpec("explicit", tuple(v)),
+        st.sampled_from(["log_damped", "zero"]),
+        st.builds(lambda v: f"explicit:[{','.join(map(_fmt, v))}]",
                   st.lists(st.complex_numbers(allow_nan=False,
                                               allow_infinity=False),
                            max_size=4))),
     lambda inner: st.one_of(
-        st.builds(lambda w, b: FamilySpec("orvqm", (w, b)),
-                  _WEIGHT_SPECS, inner),
-        st.builds(lambda k, b, e: FamilySpec("perturbed", (k, b, e)),
-                  _NUMBERS, inner, _NUMBERS)),
+        st.builds(lambda w, b: f"orvqm({w},{b})", _WEIGHT_SPECS, inner),
+        st.builds(lambda k, b, e: f"perturbed({k},{b},{_fmt(e)})",
+                  st.integers(0, 2 ** 64 - 1), inner, _NUMBERS)),
     max_leaves=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_FAMILY_SPECS, _WEIGHT_SPECS))
-def test_format_parse_round_trip_generated(spec):
-    text = format_family_spec(spec)
-    assert format_family_spec(parse_family_spec(text)) == text
+def test_format_parse_round_trip_generated(text):
+    # a canonical text reads, with itself as its label, and its label
+    # reads again to that label and the same prefix bytes
+    read = _reader(text)
+    first = read(text)
+    again = read(first.label)
+    assert first.label == again.label == text
+    assert _prefix_or_error(again) == _prefix_or_error(first)
 
 
 _IDS = ["harmonic", "log_damped", "quasimono", "lacunary", "rbv_block",
-        "orvqm", "perturbed", "zero", "one", "const", "power", "log", "exp2"]
+        "orvqm", "perturbed", "zero", *_WEIGHT_IDS]
 _TOKENS = st.one_of(
     st.sampled_from(_IDS + ["", "nan", "inf", "-inf", "1e999", "10" * 200,
                             "explicit:[1,0.5]", "explicit:[a]", "@", "(",
@@ -143,15 +181,13 @@ _MALFORMED_SPECS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_MALFORMED_SPECS)
 def test_malformed_or_kind_swapped_specs_raise_only_sequence_error(text):
-    # whatever parses must realize, or fail with a SequenceError as well
-    try:
-        spec = parse_family_spec(text)
-        if spec.family_id in ("one", "const", "power", "log", "exp2"):
-            weight_from_spec(spec).validated_prefix(8)
-        else:
-            family_sequence(spec).prefix(8)
-    except SequenceError:
-        pass
+    # whatever reads as a sequence or a weight must evaluate, or fail with
+    # a SequenceError as well
+    for read in (sequence_from_text, weight_from_text):
+        try:
+            _prefix_or_error(read(text))
+        except SequenceError:
+            pass
 
 
 @pytest.mark.parametrize("text", [
@@ -161,7 +197,7 @@ def test_malformed_or_kind_swapped_specs_raise_only_sequence_error(text):
 ])
 def test_parse_checks_parameter_kinds(text):
     with pytest.raises(SequenceError, match="parameter|takes"):
-        parse_family_spec(text)
+        _reader(text)(text)
 
 
 @pytest.mark.filterwarnings("error")
@@ -221,17 +257,17 @@ def test_explicit_prefix_is_a_view_of_the_callers_array():
     ("0", True), (str(2 ** 64 - 1), True), ("2.0", False), ("2.5", False),
     ("-1", False), (str(2 ** 64), False)])
 def test_perturbed_seed_is_an_integer_below_2_to_the_64(seed, ok):
-    # the seed is checked where the family is realized, so every seed
-    # still parses and formats back to its own text
+    # a seed is a finite number to the reader, then an integer in
+    # [0, 2^64) to the family: every other seed is that one error
     text = f"perturbed({seed},harmonic(1.0),0.05)"
-    spec = parse_family_spec(text)
-    assert format_family_spec(spec) == text
     if ok:
-        assert family_sequence(spec).prefix(4).shape == (4,)
+        seq = sequence_from_text(text)
+        assert seq.label == text and seq.prefix(4).shape == (4,)
     else:
-        with pytest.raises(SequenceError, match=r"must be an integer in "
+        with pytest.raises(SequenceError, match=r"the seed of 'perturbed' "
+                                                r"must be an integer in "
                                                 r"\[0, 2\^64\)"):
-            family_sequence(spec)
+            sequence_from_text(text)
 
 
 def test_composite_over_explicit_base():
@@ -273,6 +309,19 @@ _EVERY_FAMILY = (
     "perturbed(5,orvqm(power(1.5),quasimono(0.5,2.0)),0.1)",
 )
 _EVERY_WEIGHT = ("one", "const(2.5)", "power(0.5)", "log", "exp2")
+
+
+def test_every_grammar_id_reads_into_its_role():
+    # the lists above cover every id of the grammar's table, and each id
+    # reads through the entry of its role into a map of that role
+    ids = {text.partition("(")[0] for text in _EVERY_FAMILY + _EVERY_WEIGHT}
+    assert ids == set(sequences._GRAMMAR)
+    for read, cls, texts in ((sequence_from_text, CoefficientSequence,
+                              _EVERY_FAMILY),
+                             (weight_from_text, WeightSequence,
+                              _EVERY_WEIGHT)):
+        for text in texts:
+            assert type(read(text)) is cls and read(text).label == text
 
 
 def _whole(fn, n, dtype):
@@ -378,7 +427,7 @@ def test_weight_pieces_give_the_whole_map_byte_for_byte(text):
     # exp2 overflows to inf from n = 1024 on, in the first piece and in
     # every later one; the prefix keeps the infs
     for size in _PIECE_SIZES:
-        w = weight_from_spec(parse_family_spec(text))
+        w = weight_from_text(text)
         n = np.arange(1, size + 1, dtype=np.int64)
         assert w.validated_prefix(size)[0].tobytes() == \
             _whole(w.fn, n, float).tobytes()
@@ -449,7 +498,7 @@ def test_prefix_too_large_to_index_raises():
     with pytest.raises(MemoryError):
         sequence_from_text("harmonic(1.0)").prefix(2 ** 63 - 1)
     with pytest.raises(MemoryError):
-        weight_from_spec(parse_family_spec("log")).validated_prefix(
+        weight_from_text("log").validated_prefix(
             2 ** 63 - 1)
 
 
@@ -525,16 +574,16 @@ def test_unit_noise_deterministic_and_bounded():
 # --- weights ---------------------------------------------------------------
 
 def test_weight_one_and_power():
-    one = weight_from_spec(parse_family_spec("one"))
+    one = weight_from_text("one")
     vals, n_fin = one.validated_prefix(8)
     assert np.all(vals == 1.0) and n_fin == 8
-    pw = weight_from_spec(parse_family_spec("power(0.5)"))
+    pw = weight_from_text("power(0.5)")
     vals, _ = pw.validated_prefix(4)
     assert vals[3] == 2.0
 
 
 def test_weight_exp2_overflow_is_reported():
-    w = weight_from_spec(parse_family_spec("exp2"))
+    w = weight_from_text("exp2")
     vals, n_fin = w.validated_prefix(5000)
     assert n_fin < 5000          # doubling overflows float range
     assert np.all(np.isfinite(vals[:n_fin]))
@@ -550,7 +599,7 @@ def _same_validation(weight, N):
 def test_validated_prefix_memo_matches_a_fresh_weight():
     # short then long, long then short; exp2 is finite for n <= 1023
     for text in ("log", "exp2"):
-        w = weight_from_spec(parse_family_spec(text))
+        w = weight_from_text(text)
         for N in (100, 5000, 1000, 1023, 1024, 5000, 6000):
             _same_validation(w, N)
     # a failed longer call keeps nothing: the shorter memo still answers,
@@ -566,8 +615,8 @@ def test_validated_prefix_memo_matches_a_fresh_weight():
 
 def test_the_memo_is_no_field_so_replace_reads_the_new_map():
     # a replaced map, memo already filled, gives the new map's values
-    harmonic = family_sequence(parse_family_spec("harmonic(1.0)"))
-    log_damped = family_sequence(parse_family_spec("log_damped"))
+    harmonic = sequence_from_text("harmonic(1.0)")
+    log_damped = sequence_from_text("log_damped")
     harmonic.prefix(64)
     moved = dataclasses.replace(harmonic, label="log_damped",
                                 fn=log_damped.fn)
@@ -576,7 +625,7 @@ def test_the_memo_is_no_field_so_replace_reads_the_new_map():
     data = CoefficientSequence.explicit(np.array([1.0, 0.5, 0.25, 0.125]))
     renamed = dataclasses.replace(data, label="renamed")
     assert renamed.prefix(4).tobytes() == data.prefix(4).tobytes()
-    power, log = (weight_from_spec(parse_family_spec(text))
+    power, log = (weight_from_text(text)
                   for text in ("power(0.5)", "log"))
     power.validated_prefix(64)
     got = dataclasses.replace(power, fn=log.fn).validated_prefix(64)
