@@ -43,6 +43,7 @@ from .sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
+    excerpt,
     sequence_from_text,
     weight_from_text,
 )
@@ -55,9 +56,9 @@ def _parse_int_list(text: str) -> tuple:
     try:
         vals = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise SequenceError(f"bad integer list {text!r}") from exc
+        raise SequenceError(f"bad integer list {excerpt(text)}") from exc
     if not vals:
-        raise SequenceError(f"bad integer list {text!r}")
+        raise SequenceError(f"bad integer list {excerpt(text)}")
     return vals
 
 
@@ -68,13 +69,13 @@ def _parse_n_list(text: str) -> list:
         body = text[:-len(":dyadic")]
         lo_s, sep, hi_s = body.partition("..")
         if not sep:
-            raise SequenceError(f"bad n range {text!r}")
+            raise SequenceError(f"bad n range {excerpt(text)}")
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as exc:
-            raise SequenceError(f"bad n range {text!r}") from exc
+            raise SequenceError(f"bad n range {excerpt(text)}") from exc
         if lo < 1 or hi < lo:
-            raise SequenceError(f"bad n range {text!r}")
+            raise SequenceError(f"bad n range {excerpt(text)}")
         out = []
         n = lo
         while n <= hi:
@@ -136,7 +137,7 @@ def _parse_lines(path: str, lines: list) -> np.ndarray:
         except ValueError as exc:
             raise SequenceError(
                 f"{path}:{lineno}: expected `re` or `re,im`, got "
-                f"{line!r}") from exc
+                f"{excerpt(line)}") from exc
     return np.asarray(values, dtype=complex)
 
 
@@ -179,7 +180,7 @@ def cmd_classify(args, argv: Sequence[str]) -> int:
         "m_max": args.m_max,
         "n0_list": list(n0_list),
         "theta0": Sector(args.theta0).theta0,
-        "weight": args.weight,
+        "weight": weight.label if weight else None,
         "tolerances": _TOLERANCES,
     }
     payload = {"manifest": build_manifest(argv, defaults, input_digests=inputs),

@@ -617,7 +617,7 @@ def _pair_sector_instance(seed: int, length: int,
     return TwoSidedSequence(pos, neg, label=f"pair@{seed}")
 
 
-def probe_necessity(instances: int = 20, seed: int = 7) -> VerificationOutcome:
+def probe_necessity(instances: int, seed: int) -> VerificationOutcome:
     """The test-point machinery: the sine floor sin(k x0) >= sin(pi/8) on
     (n, 4n] at n = 10, 100 and 1000, then the three-term inequality at
     n = 256 on randomized instances in K(pi/6) with recorded slack.  A
@@ -654,7 +654,7 @@ _SUFFICIENCY_FAMILIES = ("harmonic(1.0)", "harmonic(1.5)", "harmonic(2.0)",
                          "log_damped", "rbv_block(1.0)", "quasimono(0.5,2.0)")
 
 
-def probe_sufficiency(seed: int = 11) -> VerificationOutcome:
+def probe_sufficiency(seed: int) -> VerificationOutcome:
     """Summation-by-parts dominance on 100 randomized (family, N, x)
     triples at horizon 2^16: the (pi/x)-weighted variation bound must
     dominate the directly evaluated truncated tail on every case."""

@@ -59,6 +59,20 @@ class SequenceError(ValueError):
     """Malformed sequence input (wrong sign, wrong length, bad spec...)."""
 
 
+# An error message repeats at most this many characters of a text it quotes.
+_EXCERPT_CHARS = 60
+
+
+def excerpt(text: str) -> str:
+    """The repr of text for an error message: whole up to _EXCERPT_CHARS
+    characters, else its first _EXCERPT_CHARS and how many more it has, so
+    that one line stays short whatever the input."""
+    if len(text) <= _EXCERPT_CHARS:
+        return repr(text)
+    return (f"{text[:_EXCERPT_CHARS]!r} (and "
+            f"{len(text) - _EXCERPT_CHARS} more characters)")
+
+
 def _require_finite(value: float, what: str) -> None:
     """One rule for finite input whose derived value (c/R, a sum, a ratio,
     a partial sum) overflows."""
@@ -106,7 +120,7 @@ def _evaluate(fn: Callable[[np.ndarray], np.ndarray], label: str, size: int,
             vals = np.ascontiguousarray(fn(n), dtype=dtype)
             if vals.shape != n.shape:
                 raise SequenceError(
-                    f"generator for {label!r} returned a wrong shape")
+                    f"generator for {excerpt(label)} returned a wrong shape")
             out[lo:hi] = vals
     return out
 
@@ -249,7 +263,8 @@ class CoefficientSequence:
         if not label:
             label = f"explicit[{arr.shape[0]}]"
         if not np.all(np.isfinite(arr)):
-            raise SequenceError(f"explicit sequence {label!r} has non-finite values")
+            raise SequenceError(f"explicit sequence {excerpt(label)} has "
+                                f"non-finite values")
         seq = cls(label, lambda n: arr[n - 1], is_real, int(arr.shape[0]))
         seq._cache["arr"] = arr
         return seq
@@ -305,13 +320,14 @@ class CoefficientSequence:
                         float if self.is_real else complex)
         if not np.all(np.isfinite(arr)):
             raise SequenceError(
-                f"generator for {self.label!r} produced non-finite values")
+                f"generator for {excerpt(self.label)} produced non-finite "
+                f"values")
         return arr
 
     def _require_length(self, N: int) -> None:
         if self.length is not None and N > self.length:
             raise SequenceError(
-                f"insufficient length: sequence {self.label!r} has "
+                f"insufficient length: sequence {excerpt(self.label)} has "
                 f"{self.length} values, {N} requested")
 
 
@@ -471,17 +487,17 @@ def _read(text: str, role: str, depth: int):
         return _read_explicit(text)
     if "(" in text:
         if not text.endswith(")"):
-            raise SequenceError(f"malformed spec: {text!r}")
+            raise SequenceError(f"malformed spec: {excerpt(text)}")
         head, _, body = text[:-1].partition("(")
         tokens = _split_args(body)
     else:
         head, tokens = text, []
     head = head.strip()
     if not _ID_RE.match(head):
-        raise SequenceError(f"bad {role} id {head!r}")
+        raise SequenceError(f"bad {role} id {excerpt(head)}")
     id_role, kinds = _GRAMMAR.get(head, (None, ()))
     if id_role != role:
-        raise SequenceError(f"unknown {role} id {head!r}")
+        raise SequenceError(f"unknown {role} id {excerpt(head)}")
     if len(tokens) != len(kinds):
         raise SequenceError(
             f"{head!r} takes {len(kinds)} parameter(s), got {len(tokens)}")
@@ -500,7 +516,7 @@ def _read(text: str, role: str, depth: int):
             raise SequenceError(
                 f"parameter {i} of {head!r} must be a "
                 f"{kind if kind == _NUMBER else 'spec'}, got "
-                f"{token if num is None else _format_value(num)!r}")
+                f"{excerpt(token if num is None else _format_value(num))}")
     label = f"{head}({','.join(labels)})" if labels else head
     return _realize(head, label, params)
 
@@ -508,13 +524,13 @@ def _read(text: str, role: str, depth: int):
 def _read_explicit(text: str) -> CoefficientSequence:
     body = text[len("explicit:"):].strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise SequenceError(f"malformed explicit spec: {text!r}")
+        raise SequenceError(f"malformed explicit spec: {excerpt(text)}")
     vals = []
     for it in _split_args(body[1:-1]):
         try:
             vals.append(complex(it.replace("i", "j")))
         except ValueError as exc:
-            raise SequenceError(f"bad explicit value {it!r}") from exc
+            raise SequenceError(f"bad explicit value {excerpt(it)}") from exc
     label = "explicit:[" + ",".join(_format_value(v) for v in vals) + "]"
     return CoefficientSequence.explicit(np.asarray(vals, dtype=complex),
                                         label=label)
@@ -625,7 +641,8 @@ def _realize(fid: str, label: str, params: list):
         seed, base, eps = params
         if not (isinstance(seed, int) and 0 <= seed < 1 << 64):
             raise SequenceError(f"the seed of 'perturbed' must be an integer "
-                                f"in [0, 2^64), got {_format_value(seed)!r}")
+                                f"in [0, 2^64), got "
+                                f"{excerpt(_format_value(seed))}")
         eps = float(eps)
 
         def pert(n):

@@ -141,7 +141,7 @@ def test_criterion_5_dirichlet_machinery(acceptance_line):
 
 
 def test_criterion_6_abel_dominance(acceptance_line):
-    out = probe_sufficiency()
+    out = probe_sufficiency(11)
     ok = out.status == STATUS_OK
     ok = ok and len(out.records) == 100
     ok = ok and all(r.passed for r in out.records)
@@ -152,7 +152,7 @@ def test_criterion_6_abel_dominance(acceptance_line):
 
 
 def test_criterion_7_testpoint_probe(acceptance_line):
-    out = probe_necessity()
+    out = probe_necessity(20, 7)
     floors = [r for r in out.records if r.name == "testpoint/sine_floor"]
     probes = [r for r in out.records if r.name == "testpoint/three_term"]
     ok = out.status == STATUS_OK

@@ -91,6 +91,23 @@ def test_classify_theta0_negative_zero_is_theta0_zero(capsys):
     assert '"ORVQM(one,theta0=0)"' in texts[0]
 
 
+def test_classify_records_the_canonical_weight_label(capsys):
+    # two spellings of one weight give one payload, the argv as typed
+    # aside, and the manifest records the label its report ids carry
+    payloads = []
+    for weight in (" const( 3.0 ) ", "const(3.0)"):
+        code, out, _ = run(capsys, "classify", "harmonic(1.0)",
+                           "--horizon", "64", "--weight", weight)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["manifest"]["command"][-1] == weight
+        assert payload["manifest"]["defaults"]["weight"] == "const(3.0)"
+        del payload["manifest"]["command"]
+        payloads.append(cli._json_text(payload))
+    assert payloads[0] == payloads[1]
+    assert '"WEIGHTED_REST_BV_REAL(const(3.0))"' in payloads[0]
+
+
 def test_classify_label_names_one_sector(capsys):
     # 0.1000001 prints as 0.1 at six digits, so its label falls back to repr
     labels = []
@@ -564,13 +581,48 @@ def _nested_spec(depth):
 ])
 def test_spec_nesting_is_bounded(capsys, spec, want):
     # a spec may sit inside at most 32 others; a deeper one, or any depth
-    # of parentheses, exits 2 with one line and never a traceback
+    # of parentheses, exits 2 with one short line and never a traceback
     code, out, err = run(capsys, "classify", spec, "--horizon", "64")
     if want == 0:
         assert code == 0, err
         assert json.loads(out)["manifest"]["defaults"]["spec"] == spec
     else:
         assert _is_input_error(code, err) and out == ""
+        assert len(err) <= 160, err
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("classify", "harmonic(1.0)" + _LONG), id="malformed-spec"),
+    pytest.param(("classify", "1" + _LONG), id="bad-id"),
+    pytest.param(("classify", "harmonic(2.0)", "--weight", _LONG),
+                 id="unknown-weight-id"),
+    pytest.param(("classify", f"harmonic({_LONG})"), id="token"),
+    pytest.param(("classify", "perturbed(" + "9" * 300 + ",zero,0.1)"),
+                 id="perturbed-seed"),
+    pytest.param(("classify", "explicit:" + _LONG), id="malformed-explicit"),
+    pytest.param(("classify", f"explicit:[1,{_LONG}]"), id="explicit-value"),
+    pytest.param(("classify", "explicit:[" + "1," * 3000 + "1e999]"),
+                 id="explicit-label"),
+    pytest.param(("classify", "explicit:[" + "1," * 3000 + "1]",
+                  "--horizon", "5000"), id="insufficient-length"),
+    pytest.param(("classify", "harmonic(1.0)", "--n0", _LONG),
+                 id="integer-list"),
+    pytest.param(("curve", "log_damped", "--n", f"1..{_LONG}:dyadic"),
+                 id="n-range"),
+    pytest.param(("classify", "file:long.txt"), id="file-line"),
+])
+def test_an_error_quotes_a_bounded_excerpt(capsys, tmp_path, monkeypatch,
+                                           argv):
+    # every message that repeats user text quotes its first 60 characters
+    # and counts the rest, so one line stays short whatever the input
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.txt").write_text(f"1.0\n{_LONG}\n")
+    code, out, err = run(capsys, *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert " more characters)" in err and len(err) <= 160, err
 
 
 @pytest.mark.filterwarnings("error")
@@ -784,7 +836,7 @@ def _loop_parse(path):
                 except ValueError as exc:
                     raise SequenceError(
                         f"{path}:{lineno}: expected `re` or `re,im`, got "
-                        f"{line!r}") from exc
+                        f"{sequences.excerpt(line)}") from exc
         if not values:
             raise SequenceError(f"{path}: no values")
         return CoefficientSequence.explicit(

@@ -419,7 +419,7 @@ def test_equivalence_small_profile(equivalence):
 # --- probes ----------------------------------------------------------------
 
 def test_probe_necessity_small():
-    out = probe_necessity(instances=4)
+    out = probe_necessity(instances=4, seed=7)
     assert out.status == STATUS_OK
     floors = [r for r in out.records if r.name == "testpoint/sine_floor"]
     assert [r.instance for r in floors] == ["n=10", "n=100", "n=1000"]
@@ -448,7 +448,7 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
     monkeypatch.setattr(series, "_cos_sin_rows", flat_rows)
-    out = probe_necessity(instances=2)
+    out = probe_necessity(instances=2, seed=7)
     assert out.status == STATUS_VIOLATED
     probes = [r for r in out.records if r.name == "testpoint/three_term"]
     assert len(probes) == 2
@@ -460,7 +460,7 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
 
 
 def test_probe_sufficiency_small():
-    # a seed other than the default draws a different set of cases
+    # a seed other than criterion 6's draws a different set of cases
     out = probe_sufficiency(seed=3)
     assert out.status == STATUS_OK
     assert len(out.records) == 100

@@ -70,8 +70,8 @@ def _shown_signatures(section: str):
 
 
 def test_readme_library_signatures_match_the_code():
-    # names in order, keyword-only where the README shows `*`, and every
-    # default the README shows
+    # names in order, keyword-only where the README shows `*`, every
+    # default the README shows, and no default where it shows none
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library"):text.index("## CLI")]
     checked = set()
@@ -88,6 +88,10 @@ def test_readme_library_signatures_match_the_code():
         for arg, default in defaults:
             assert ast.literal_eval(default) == by_name[arg.arg].default, \
                 (name, arg.arg)
+        shown_defaults = {arg.arg for arg, _ in defaults}
+        for p in params:
+            assert p.name in shown_defaults or p.default is p.empty, \
+                (name, p.name)
         checked.add(name)
     assert {"classify", "convergence_curve", "check_group_bv",
             "check_rest_bv", "check_weighted_rest_bv"} <= checked
@@ -120,7 +124,7 @@ def test_public_knob_count_does_not_grow():
                     f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
-    assert params + fields <= 22
+    assert params + fields <= 19
     assert len(trigconv.__all__) <= 40
 
 

@@ -107,6 +107,15 @@ def test_parse_rejects(bad):
             read(bad)
 
 
+def test_excerpt_keeps_a_short_text_and_cuts_a_long_one():
+    # up to 60 characters an error quotes the repr of the text, as it did
+    # before any cut; past them, the first 60 and how many more there were
+    assert sequences.excerpt("") == "''"
+    assert sequences.excerpt("a'b" + "x" * 57) == repr("a'b" + "x" * 57)
+    assert sequences.excerpt("x" * 60 + "yz") == \
+        repr("x" * 60) + " (and 2 more characters)"
+
+
 @given(st.sampled_from(["harmonic", "lacunary", "quasimono", "rbv_block"]),
        st.floats(0.1, 4.0, allow_nan=False))
 def test_format_parse_round_trip(fam, p):
