@@ -61,6 +61,7 @@ from .sequences import (
     TwoSidedSequence,
     WeightSequence,
     _require_finite,
+    excerpt_int,
 )
 from .summation import suffix_sums, variation_sums
 
@@ -141,7 +142,7 @@ def _scan_end(N: int, m_max: Optional[int], last: int) -> int:
     fits."""
     m_max = max(1, N // 4) if m_max is None else int(m_max)
     if m_max < 1:
-        raise SequenceError(f"bad index range [1, {m_max}]")
+        raise SequenceError(f"bad index range [1, {excerpt_int(m_max)}]")
     return max(0, min(m_max, last))
 
 
@@ -175,8 +176,8 @@ class PrefixView:
         N = resolve_horizon(seq, horizon)
         if N < 2:
             raise SequenceError(
-                f"horizon {N} leaves the checkers an empty scan range; "
-                f"at least 2 terms are needed")
+                f"horizon {excerpt_int(N)} leaves the checkers an empty "
+                f"scan range; at least 2 terms are needed")
         g = seq.prefix(N)
         if weight is not None:
             rvals, finite_len = weight.validated_prefix(g.shape[0])
@@ -472,8 +473,8 @@ def check_orvqm(view: PrefixView, sector: Sector) -> ConditionReport:
     cond = f"ORVQM({view.weight_label},theta0={_theta0_text(sector)})"
     bound = sector.theta0 + ANGLE_TOL
     if np.iscomplexobj(g):
-        diffs = g[:-1] - g[1:]
-        scale = np.maximum(np.abs(g[:-1]), np.abs(g[1:]))
+        diffs, size = g[:-1] - g[1:], np.abs(g)   # |g| once for both
+        scale = np.maximum(size[:-1], size[1:])
         witness, widest = _sector_scan(_snap_small(diffs, scale), bound)
     else:
         witness = _first_flagged(
@@ -762,7 +763,7 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     sum has arg pi.  Reports the largest observed |arg| as the constant.
     """
     if N < 1:
-        raise SequenceError(f"bad index range [1, {N}]")
+        raise SequenceError(f"bad index range [1, {excerpt_int(N)}]")
     sums = ts.pair_sums(N)
     diffs = ts.pair_diffs(N)
     scale = np.abs(ts.pos.prefix(N)) + np.abs(ts.neg.prefix(N))

@@ -40,6 +40,7 @@ from .conditions import (
     DEFAULT_WINDOWS,
     FAILS,
     HOLDS,
+    ConditionReport,
     PrefixView,
     check_group_bv,
     check_orv_weight,
@@ -54,6 +55,7 @@ from .sequences import (
     SequenceError,
     TwoSidedSequence,
     WeightSequence,
+    excerpt_int,
     sector_dominance_constant,
     sequence_from_text,
     unit_noise,
@@ -194,6 +196,26 @@ def _weight_menu(q: float) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
+def _decay(q: float) -> np.ndarray:
+    """n^-q for n = 1.._CORPUS_CUT, read-only: built once per decay power
+    of _DECAY_POWERS, as no seed moves it."""
+    powers = np.arange(1, _CORPUS_CUT + 1, dtype=float) ** (-q)
+    powers.setflags(write=False)
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _rbv_factor() -> np.ndarray:
+    """1 + kappa on the dyadic blocks [2^k, 2^(k+1)) of even k and 1 -
+    kappa on the others, for n = 1.._CORPUS_LENGTH, read-only: built once,
+    as no seed moves it."""
+    exponents = _block_exponent(np.arange(1, _CORPUS_LENGTH + 1))
+    factor = 1.0 + _RBV_KAPPA * np.where(exponents % 2 == 0, 1.0, -1.0)
+    factor.setflags(write=False)
+    return factor
+
+
+@functools.lru_cache(maxsize=None)
 def _corpus_weight(text: str) -> WeightSequence:
     """One WeightSequence per menu text (at most five), so that the corpus
     members that share a weight build and validate its prefix once; a
@@ -223,8 +245,7 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     wtext = menu[int(pick[1] * len(menu)) % len(menu)]
     weight = _corpus_weight(wtext)
 
-    n = np.arange(1, cut + 1, dtype=float)
-    mags = (0.25 + 0.75 * pick[4:4 + cut]) * n ** (-q)
+    mags = (0.25 + 0.75 * pick[4:4 + cut]) * _decay(q)
     sector: Optional[Sector] = None
     if seed % 2 == 1:
         theta0 = _SECTOR_ANGLES[int(pick[2] * len(_SECTOR_ANGLES)) % len(_SECTOR_ANGLES)]
@@ -239,9 +260,7 @@ def corpus_member(seed: int) -> tuple[CoefficientSequence, WeightSequence, Optio
     if sector is None:
         # dyadic-blockwise +/- kappa modulation: keeps rest-bounded
         # variation while breaking monotonicity at block boundaries
-        exponents = _block_exponent(np.arange(1, L + 1))
-        signs = np.where(exponents % 2 == 0, 1.0, -1.0)
-        g = g * (1.0 + _RBV_KAPPA * signs)
+        g *= _rbv_factor()
     rvals, _ = weight.validated_prefix(L)
     c = g * rvals
     kind = "sector" if sector is not None else "rbv"
@@ -264,14 +283,24 @@ def _null_premise(plain: PrefixView) -> InequalityRecord:
     prefix of a generator, or of data, decides nothing past its end, so
     neither meets the premise.
     """
-    nonzero = np.flatnonzero(plain.g)
-    last = int(nonzero[-1]) + 1 if nonzero.size else 0
+    nonzero = plain.g[::-1] != 0
+    k = int(np.argmax(nonzero))     # the last nonzero, from the end
+    last = plain.N - k if nonzero[k] else 0
     data = plain.N == plain.seq.length
     return InequalityRecord(
         "premise/null", plain.seq.label, data and last < plain.N, math.nan,
         math.nan, math.nan, witness=last,
         detail="data, zero past the witness" if data
         else "a prefix does not decide nullness")
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_premise(weight: WeightSequence, horizon: int) -> ConditionReport:
+    """check_orv_weight(weight, horizon), once per weight and horizon: a
+    pure function of the weight's first ``horizon`` values, which the
+    members of a corpus run share (_corpus_weight gives at most five
+    weights).  The chain only reads the report."""
+    return check_orv_weight(weight, horizon)
 
 
 def _chain(seq: CoefficientSequence, weight: WeightSequence,
@@ -303,11 +332,15 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
       predicted constant group-variation constant <= (M+1) rho - 1,
                          rho = max_n R(2n+1)/R(n)
 
-    The gates' g_n is one real division, fl(|c_n|/R(n)).  For real c it is
-    bit for bit |h_n|, h the weighted view's g: a real division is
-    correctly rounded and |c_n|/R(n) = |c_n/R(n)|, so the premise and the
-    gates read one rounding of each quotient.  For complex c the gates
-    keep |c|/R, since the view's complex divide is not correctly rounded.
+    The gates' g_n is fl(|c_n|/R(n)).  For real c that is bit for bit
+    |h_n|, h the weighted view's g: a real division is correctly rounded
+    and |c_n|/R(n) = |c_n/R(n)|, so the gates take |h| with no second
+    divide, and the premise and the gates read one rounding of each
+    quotient.  For complex c the gates divide |c| by R, since the view's
+    complex divide is not correctly rounded, and so they do when the
+    weight is finite for fewer than N terms, which shortens the weighted
+    view.  The gates read m = 1..K as slices: g[:K], tail[:K], and
+    tail[2:2K+1:2] for the m-th entry at 2m.
     """
     plain, weighted = PrefixView.of(seq), PrefixView.of(seq, weight=weight)
     N, label = plain.N, seq.label
@@ -328,14 +361,13 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
     wrep = check_weighted_rest_bv(weighted)
     held = wrep.verdict == HOLDS
     if sector is not None:
-        h = weighted.g
+        h, K = weighted.g, wrep.m_max
         dominance = sector_dominance_constant(sector)
-        m = np.arange(1, wrep.m_max + 1)
-        lhs = weighted.tail[m - 1]
-        rhs = dominance * np.maximum(h[m - 1].real, 0.0)
+        lhs = weighted.tail[:K]
+        rhs = dominance * np.maximum(h[:K].real, 0.0)
         i = int(np.argmin(rhs - lhs))
         records.append(_gate("sector/telescoping", label, float(lhs[i]),
-                             float(rhs[i]), witness=int(m[i]),
+                             float(rhs[i]), witness=i + 1,
                              scale=max(1.0, float(np.abs(h).max()))))
         rec = _gate("sector/variation_constant", label,
                     float(wrep.constant) if held else math.inf, dominance,
@@ -343,7 +375,7 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
         rec.passed = rec.passed and held
         records.append(rec)
 
-    worv = check_orv_weight(weight, min(N, 1 << 16))
+    worv = _weight_premise(weight, min(N, 1 << 16))
     notes = f"; {worv.notes}" if worv.notes else ""
     premises = [
         _null_premise(plain),
@@ -363,29 +395,32 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
     M2 = float(wrep.constant)
     cabs = np.abs(plain.g)
     rvals, _ = weight.validated_prefix(N)
-    g = cabs / rvals
-    m = np.arange(1, min(wrep.m_max, (N - 1) // 2) + 1)
+    if np.iscomplexobj(plain.g) or weighted.N < N:
+        g = cabs / rvals
+    else:   # |fl(c/R)| = fl(|c|/R), bit for bit (see above)
+        g = np.abs(weighted.g)
+    K = min(wrep.m_max, (N - 1) // 2)   # the gates read m = 1..K
     scale = max(1.0, float(cabs.max()))
+    gm = g[:K]
 
     # dominated tail: running maximum of g from the right
-    maxtail = np.maximum.accumulate(g[::-1])[::-1]
-    lhs1 = maxtail[m - 1]
-    rhs1 = M2 * g[m - 1]
+    lhs1 = np.maximum.accumulate(g[::-1])[::-1][:K]
+    rhs1 = M2 * gm
     i1 = int(np.argmin(rhs1 - lhs1))
     records.append(_gate("chain/dominated_tail", label,
                          float(lhs1[i1]), float(rhs1[i1]),
-                         witness=int(m[i1]), scale=scale))
+                         witness=i1 + 1, scale=scale))
 
     # block chain: suffix-difference variation per block against the
     # two-term right side; 2m <= N - 1, so the block [m, 2m] fits
-    lhs2 = plain.tail[m - 1] - plain.tail[2 * m]
-    R2 = rvals[2 * m]          # R(2n+1), 1-based
-    R1 = rvals[m - 1]          # R(n)
-    rhs2 = M2 * R2 * g[m - 1] + g[m - 1] * (R2 - R1)
+    lhs2 = plain.tail[:K] - plain.tail[2:2 * K + 1:2]
+    R2 = rvals[2:2 * K + 1:2]   # R(2n+1), 1-based
+    R1 = rvals[:K]              # R(n)
+    rhs2 = M2 * R2 * gm + gm * (R2 - R1)
     i2 = int(np.argmin(rhs2 - lhs2))
     records.append(_gate("chain/block_variation", label,
                          float(lhs2[i2]), float(rhs2[i2]),
-                         witness=int(m[i2]), scale=scale * float(R2.max())))
+                         witness=i2 + 1, scale=scale * float(R2.max())))
 
     # predicted constant for the group-variation check
     rho = float((R2 / R1).max())
@@ -440,8 +475,9 @@ def _corpus_seeds(first: int, size: int, step: int) -> range:
     seeds = range(first, first + step * size, step)
     if seeds and not (seeds[0] >= 0 and seeds[-1] < 1 << 64):
         raise SequenceError(f"every corpus seed must be an integer in "
-                            f"[0, 2^64); this run draws seeds {seeds[0]} "
-                            f"to {seeds[-1]}")
+                            f"[0, 2^64); this run draws seeds "
+                            f"{excerpt_int(seeds[0])} to "
+                            f"{excerpt_int(seeds[-1])}")
     return seeds
 
 

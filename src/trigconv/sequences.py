@@ -73,6 +73,31 @@ def excerpt(text: str) -> str:
             f"{len(text) - _EXCERPT_CHARS} more characters)")
 
 
+# ... and at most this many characters of an integer's decimal text: every
+# int64 and uint64 whole, and two long integers to a short line.
+_EXCERPT_DIGITS = 30
+
+
+def excerpt_int(value: int) -> str:
+    """The decimal text of an integer for an error message: whole up to
+    _EXCERPT_DIGITS characters, else its first _EXCERPT_DIGITS and how many
+    more it has (an int option may have thousands of digits).
+
+    A long integer is not converted whole: str() refuses one of more than
+    4300 digits, and a product of int options can have that many.  Its
+    digit count d is floor(b log10 2) + 1 for its bit length b, or one
+    less, and its head is the integer quotient by 10^(d - kept digits)."""
+    sign, mag = ("-", -value) if value < 0 else ("", value)
+    keep = _EXCERPT_DIGITS - len(sign)
+    if mag < 10 ** keep:
+        return str(value)
+    digits = int(mag.bit_length() * math.log10(2.0)) + 1
+    if mag < 10 ** (digits - 1):
+        digits -= 1
+    return (f"{sign}{mag // 10 ** (digits - keep)} (and "
+            f"{digits - keep} more digits)")
+
+
 def _require_finite(value: float, what: str) -> None:
     """One rule for finite input whose derived value (c/R, a sum, a ratio,
     a partial sum) overflows."""
@@ -88,7 +113,7 @@ def _require_allocatable(N: int) -> None:
     hold (where numpy raises ValueError, or wraps an index range to an
     empty one at 2^63 - 1)."""
     if N > np.iinfo(np.intp).max // 8:
-        raise MemoryError(f"cannot allocate {N} indices")
+        raise MemoryError(f"cannot allocate {excerpt_int(N)} indices")
 
 
 # Maps run over pieces of this many indices, so that the few float64
@@ -295,7 +320,8 @@ class CoefficientSequence:
         resident."""
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi:
-            raise SequenceError(f"bad index range ({lo}, {hi}]")
+            raise SequenceError(f"bad index range ({excerpt_int(lo)}, "
+                                f"{excerpt_int(hi)}]")
         self._require_length(hi)
         if self.support is None:
             return self._evaluated(
@@ -328,7 +354,7 @@ class CoefficientSequence:
         if self.length is not None and N > self.length:
             raise SequenceError(
                 f"insufficient length: sequence {excerpt(self.label)} has "
-                f"{self.length} values, {N} requested")
+                f"{self.length} values, {excerpt_int(N)} requested")
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,8 +634,8 @@ def _realize(fid: str, label: str, params: list):
         def powers_of_two(lo, hi):
             if hi > _INT64_MAX:
                 raise SequenceError(
-                    f"the support of {label!r} up to {hi} passes the int64 "
-                    f"index range")
+                    f"the support of {label!r} up to {excerpt_int(hi)} "
+                    f"passes the int64 index range")
             return np.array([1 << k for k in range(
                 max(1, int(lo).bit_length()), int(hi).bit_length())],
                 dtype=np.int64)

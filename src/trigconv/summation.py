@@ -254,18 +254,21 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     exact_sum).  The offsets are one _range_sums call over those K sums,
     the ranges [j, K) for j = 0..K.  An input of at most _CHUNK values (K
     = 0) is one reversed cumsum plus the offset 0.0 (which turns -0.0 into
-    +0.0), with no _range_sums call.  The first chunk's sum is still
-    taken, and dropped, when it could raise: math.fsum's ValueError on inf
-    + -inf or OverflowError past the float range, which need a non-finite
-    value or some |x| above 2^1021/_CHUNK.  The full chunks' reversed
-    cumulative sums come from one 2-D cumsum.  These are the same floats
-    and errors as summing and accumulating chunk by chunk.
+    +0.0), and nothing else.  The first chunk's sum is still taken, and
+    dropped, when it could raise: math.fsum's ValueError on inf + -inf or
+    OverflowError past the float range, which need a non-finite value or
+    some |x| above 2^1021/_CHUNK.  The full chunks' reversed cumulative
+    sums come from one 2-D cumsum.  These are the same floats and errors
+    as summing and accumulating chunk by chunk.
     """
     vals = np.ascontiguousarray(values, dtype=float)
     n = vals.shape[0]
+    if n <= _CHUNK:     # K = 0; _extract's test, with no |values| array
+        if n and not max(float(vals.max()),
+                         -float(vals.min())) <= 2.0 ** 1021 / _CHUNK:
+            math.fsum(memoryview(vals))     # for its error only
+        return np.cumsum(vals[::-1])[::-1] + 0.0
     out = np.empty(n, dtype=float)
-    if n == 0:
-        return out
     head = vals[:_CHUNK]
     if not np.abs(head).max() <= 2.0 ** 1021 / _CHUNK:    # NaN as well
         math.fsum(memoryview(head))         # for its error only

@@ -625,6 +625,34 @@ def test_an_error_quotes_a_bounded_excerpt(capsys, tmp_path, monkeypatch,
     assert " more characters)" in err and len(err) <= 160, err
 
 
+_NINES = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("classify", "harmonic(1.0)", "--horizon", "-" + _NINES),
+                 id="horizon-negative"),
+    pytest.param(("classify", "harmonic(1.0)", "--horizon", _NINES),
+                 id="horizon"),
+    pytest.param(("classify", "harmonic(1.0)", "--m-max", "-" + _NINES),
+                 id="m-max-negative"),
+    pytest.param(("verify", "t3", "--seed", _NINES, "--corpus-size", "2"),
+                 id="corpus-seed"),
+    pytest.param(("curve", "harmonic(1.0)", "--n", _NINES), id="n"),
+    pytest.param(("curve", "harmonic(1.0)", "--n", "64", "--nref", _NINES),
+                 id="nref"),
+    # the default reference horizon 64 n has 4301 digits, one more than
+    # str() converts
+    pytest.param(("curve", "harmonic(1.0)", "--n", "9" * 4299),
+                 id="n-4299-digits"),
+])
+def test_an_error_quotes_a_bounded_integer(capsys, argv):
+    # an integer option of hundreds of digits is quoted by its first 30
+    # characters and a count of the rest
+    code, out, err = run(capsys, *argv)
+    assert _is_input_error(code, err) and out == ""
+    assert " more digits)" in err and len(err) <= 200, err
+
+
 @pytest.mark.filterwarnings("error")
 def test_classify_generator_overflow_is_one_line(capsys):
     code, out, err = run(capsys, "classify", "quasimono(1e308,1)",

@@ -538,6 +538,35 @@ def test_corpus_run_validates_each_weight_text_once(monkeypatch):
     assert sorted(validated) == sorted(built)
 
 
+def test_corpus_run_checks_each_weight_premise_once(monkeypatch):
+    # the weight-doubling premise is a pure function of the weight and the
+    # horizon, which a corpus run's members share
+    import trigconv.harness as harness
+    built, checked = [], []
+    real_build = harness.weight_from_text
+    real_check = harness.check_orv_weight
+
+    def build(text):
+        built.append(text)
+        return real_build(text)
+
+    def check(weight, horizon):
+        checked.append(weight.label)
+        return real_check(weight, horizon)
+
+    monkeypatch.setattr(harness, "weight_from_text", build)
+    monkeypatch.setattr(harness, "check_orv_weight", check)
+    harness._corpus_weight.cache_clear()
+    harness._weight_premise.cache_clear()
+    try:
+        assert run_weighted_implication_corpus(1, 25).status == STATUS_OK
+    finally:
+        harness._corpus_weight.cache_clear()
+        harness._weight_premise.cache_clear()
+    assert len(set(built)) == len(built) > 1
+    assert sorted(checked) == sorted(built)
+
+
 def _null_fields(record):
     return [record[k] for k in ("lhs", "rhs", "slack")]
 

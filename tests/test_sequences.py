@@ -116,6 +116,34 @@ def test_excerpt_keeps_a_short_text_and_cuts_a_long_one():
         repr("x" * 60) + " (and 2 more characters)"
 
 
+def _cut_text(value: int) -> str:
+    text = str(value)
+    return text if len(text) <= 30 else \
+        f"{text[:30]} (and {len(text) - 30} more digits)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4299).flatmap(
+    lambda k: st.sampled_from([10 ** k - 1, 10 ** k, 10 ** k + 1])
+    | st.integers(10 ** (k - 1), 10 ** k)), st.booleans())
+def test_excerpt_int_keeps_a_short_integer_and_cuts_a_long_one(value, neg):
+    # the decimal text whole up to 30 characters, its sign included, else
+    # its first 30 and how many more digits it has
+    value = -value if neg else value
+    assert sequences.excerpt_int(value) == _cut_text(value)
+
+
+def test_excerpt_int_cuts_an_integer_str_refuses():
+    # str() converts at most 4300 digits; 64 (10^4299 - 1) has 4301
+    assert 10 ** 6020 <= 2 ** 20000 < 10 ** 6021
+    for value, head, more in [
+            (64 * (10 ** 4299 - 1), "63" + "9" * 28, 4271),
+            (-(10 ** 5000), "-1" + "0" * 28, 4972),
+            (2 ** 20000, str(2 ** 20000 // 10 ** 5991), 5991)]:
+        assert sequences.excerpt_int(value) == \
+            f"{head} (and {more} more digits)"
+
+
 @given(st.sampled_from(["harmonic", "lacunary", "quasimono", "rbv_block"]),
        st.floats(0.1, 4.0, allow_nan=False))
 def test_format_parse_round_trip(fam, p):

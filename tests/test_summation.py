@@ -558,18 +558,34 @@ def test_suffix_sums_sums_every_chunk_but_the_first(monkeypatch, chunk, n):
     assert got.tobytes() == _suffix_sums_chunk_by_chunk(vals, chunk).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 1536, 4095, 4096])
+def test_suffix_sums_of_at_most_one_chunk_match_the_chunk_by_chunk_scheme(n):
+    # at the real _CHUNK: one reversed cumsum plus the offset +0.0, over
+    # signed zeros, subnormals and a -0.0 suffix, which reads +0.0
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 60, n)
+    zeros = rng.random(n) < 0.2
+    vals[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    vals[n - max(1, n // 8):] = -0.0
+    got = suffix_sums(vals)
+    assert got.tobytes() == _suffix_sums_chunk_by_chunk(vals, 4096).tobytes()
+    assert not np.signbit(got[-1])
+
+
 @pytest.mark.parametrize("chunk", [64, 4096])
-@pytest.mark.parametrize("chunks, extra", [(1, 0), (1, 17), (3, 17)])
+@pytest.mark.parametrize("chunks, extra", [(0, 17), (0, 63), (1, 0), (1, 17),
+                                           (3, 17)])
 @pytest.mark.parametrize("head", [
     [1.7e308, 1.7e308], [-1.7e308, -1.7e308], [1.7e308, -1.7e308],
     [math.inf], [-math.inf], [math.inf, -math.inf], [math.nan]])
 def test_suffix_sums_keeps_the_first_chunks_errors(chunk, chunks, extra,
                                                    head):
     # the first chunk's sum is dropped, but its OverflowError and its
-    # ValueError on inf + -inf are kept; values at both ends of the chunk
+    # ValueError on inf + -inf are kept; values at both ends of the first
+    # chunk, which is the whole input when it is shorter than a chunk
     vals = np.random.default_rng(9).standard_normal(chunks * chunk + extra)
     vals[:len(head) - 1] = head[:-1]
-    vals[chunk - 1] = head[-1]
+    vals[min(chunk, vals.shape[0]) - 1] = head[-1]
     with mock.patch.object(summation, "_CHUNK", chunk):
         got = _outcome(suffix_sums, vals)
     assert got == _outcome(_suffix_sums_chunk_by_chunk, vals, chunk)
