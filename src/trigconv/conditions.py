@@ -58,7 +58,6 @@ from .sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     WeightSequence,
     _require_finite,
     excerpt_int,
@@ -749,9 +748,10 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
 # two-sided conditions
 # ---------------------------------------------------------------------------
 
-def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
-                      N: int) -> ConditionReport:
+def check_pair_sector(pos: CoefficientSequence, neg: CoefficientSequence,
+                      sector: Sector, N: int) -> ConditionReport:
     """Are c_n + c_-n and c_n - c_-n both in K(theta0) for 1 <= n <= N?
+    pos holds c_n and neg holds c_-n, n >= 1.
 
     When both families of combinations stay in the sector, so does
     2 c_n = (c_n + c_-n) + (c_n - c_-n); the derived membership is checked
@@ -764,11 +764,10 @@ def check_pair_sector(ts: TwoSidedSequence, sector: Sector,
     """
     if N < 1:
         raise SequenceError(f"bad index range [1, {excerpt_int(N)}]")
-    sums = ts.pair_sums(N)
-    diffs = ts.pair_diffs(N)
-    scale = np.abs(ts.pos.prefix(N)) + np.abs(ts.neg.prefix(N))
-    sums = _snap_small(sums, scale)
-    diffs = _snap_small(diffs, scale)
+    p, q = pos.prefix(N), neg.prefix(N)
+    scale = np.abs(p) + np.abs(q)
+    sums = _snap_small(p.astype(complex) + q, scale)
+    diffs = _snap_small(p.astype(complex) - q, scale)
     doubles = sums + diffs
     cond = f"PAIR_SECTOR(theta0={_theta0_text(sector)})"
     worst = 0.0

@@ -53,10 +53,8 @@ from .sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     WeightSequence,
     excerpt_int,
-    sector_dominance_constant,
     sequence_from_text,
     unit_noise,
     weight_from_text,
@@ -163,7 +161,9 @@ def _gate(name: str, instance: str, lhs: float, rhs: float,
     slack = rhs - lhs
     tol = _SLACK_RTOL * (scale if scale is not None
                          else max(1.0, abs(lhs), abs(rhs)))
-    return InequalityRecord(name, instance, slack >= -tol, lhs, rhs, slack,
+    # a slack of -inf or NaN fails even where an infinite side makes tol inf
+    passed = slack >= -tol and slack > -math.inf
+    return InequalityRecord(name, instance, passed, lhs, rhs, slack,
                             witness, detail)
 
 
@@ -362,18 +362,17 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
     held = wrep.verdict == HOLDS
     if sector is not None:
         h, K = weighted.g, wrep.m_max
-        dominance = sector_dominance_constant(sector)
+        dominance = 1.0 / math.cos(sector.theta0)
         lhs = weighted.tail[:K]
         rhs = dominance * np.maximum(h[:K].real, 0.0)
         i = int(np.argmin(rhs - lhs))
         records.append(_gate("sector/telescoping", label, float(lhs[i]),
                              float(rhs[i]), witness=i + 1,
                              scale=max(1.0, float(np.abs(h).max()))))
-        rec = _gate("sector/variation_constant", label,
-                    float(wrep.constant) if held else math.inf, dominance,
-                    detail=f"1/cos(theta0) = {dominance:.6g}")
-        rec.passed = rec.passed and held
-        records.append(rec)
+        records.append(_gate(
+            "sector/variation_constant", label,
+            float(wrep.constant) if held else math.inf, dominance,
+            detail=f"1/cos(theta0) = {dominance:.6g}"))
 
     worv = _weight_premise(weight, min(N, 1 << 16))
     notes = f"; {worv.notes}" if worv.notes else ""
@@ -425,13 +424,10 @@ def _chain(seq: CoefficientSequence, weight: WeightSequence,
     # predicted constant for the group-variation check
     rho = float((R2 / R1).max())
     grep = check_group_bv(plain, (1,))[0]
-    ok_hold = grep.verdict == HOLDS
-    measured = float(grep.constant) if ok_hold else math.inf
-    rec = _gate("chain/predicted_constant", label, measured,
-                (M2 + 1.0) * rho - 1.0, witness=grep.witness,
-                detail=f"M={M2:.6g} rho={rho:.6g}")
-    rec.passed = rec.passed and ok_hold
-    records.append(rec)
+    measured = float(grep.constant) if grep.verdict == HOLDS else math.inf
+    records.append(_gate("chain/predicted_constant", label, measured,
+                         (M2 + 1.0) * rho - 1.0, witness=grep.witness,
+                         detail=f"M={M2:.6g} rho={rho:.6g}"))
     return _judged(claim, records, {})
 
 
@@ -636,10 +632,10 @@ def verify_equivalence_diagnostics() -> VerificationOutcome:
 # ---------------------------------------------------------------------------
 
 def _pair_sector_instance(seed: int, length: int,
-                          theta0: float) -> TwoSidedSequence:
-    """Two-sided instance whose pair sums and differences sit in K(theta0):
-    c_k accumulated backward from sector decrements, c_{-k} = tau_k c_k
-    with tau_k in [0, 0.8)."""
+                          theta0: float) -> tuple[CoefficientSequence, ...]:
+    """Two-sided instance (c_k, c_{-k}) whose pair sums and differences sit
+    in K(theta0): c_k accumulated backward from sector decrements,
+    c_{-k} = tau_k c_k with tau_k in [0, 0.8)."""
     u = unit_noise(seed, np.arange(3 * length))
     pick = (u + 1.0) / 2.0
     n = np.arange(1, length + 1, dtype=float)
@@ -650,7 +646,7 @@ def _pair_sector_instance(seed: int, length: int,
     neg_vals = tau * pos_vals
     pos = CoefficientSequence.explicit(pos_vals, label=f"pair@{seed}:pos")
     neg = CoefficientSequence.explicit(neg_vals, label=f"pair@{seed}:neg")
-    return TwoSidedSequence(pos, neg, label=f"pair@{seed}")
+    return pos, neg
 
 
 def probe_necessity(instances: int, seed: int) -> VerificationOutcome:
@@ -670,10 +666,11 @@ def probe_necessity(instances: int, seed: int) -> VerificationOutcome:
                              detail="min sin(k x0) over (n, 4n]"))
     sector = Sector(theta0)
     for i in range(instances):
-        ts = _pair_sector_instance(seed + i, 4 * n_probe, theta0)
-        premises_ok = check_pair_sector(ts, sector, 4 * n_probe).verdict == HOLDS
-        pr = testpoint_block_probe(ts, n_probe)
-        rec = _gate("testpoint/three_term", ts.label, pr.lhs,
+        pos, neg = _pair_sector_instance(seed + i, 4 * n_probe, theta0)
+        premises_ok = (check_pair_sector(pos, neg, sector, 4 * n_probe)
+                       .verdict == HOLDS)
+        pr = testpoint_block_probe(pos, neg, n_probe)
+        rec = _gate("testpoint/three_term", f"pair@{seed + i}", pr.lhs,
                     pr.norm_diff + pr.pair_abs_sum,
                     detail=f"premises_ok={premises_ok}",
                     scale=max(1.0, abs(pr.lhs), pr.norm_diff))

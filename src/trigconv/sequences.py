@@ -1,8 +1,8 @@
 """Coefficient sequences, weights, sectors, and the family grammar.
 
 The package works with one-sided sequences ``c_1, c_2, ...`` (one pure
-map of the index each: explicit data reads its array, a family computes),
-two-sided exponential coefficient collections ``({c_n}, {c_-n})``,
+map of the index each: explicit data reads its array, a family computes;
+an exponential series' ``{c_n}`` and ``{c_-n}`` are two of them),
 positive non-decreasing weight sequences, and closed angular sectors
 
     K(theta0) = { z : |arg z| <= theta0 },   0 <= theta0 < pi/2,
@@ -36,9 +36,7 @@ __all__ = [
     "CoefficientSequence",
     "Sector",
     "SequenceError",
-    "TwoSidedSequence",
     "WeightSequence",
-    "sector_dominance_constant",
     "sequence_from_text",
     "unit_noise",
     "weight_from_text",
@@ -234,11 +232,6 @@ class Sector:
         object.__setattr__(self, "theta0", self.theta0 + 0.0)
 
 
-def sector_dominance_constant(sector: Sector) -> float:
-    """Smallest M with |z| <= M * Re z on K(theta0), namely 1/cos(theta0)."""
-    return 1.0 / math.cos(sector.theta0)
-
-
 # ---------------------------------------------------------------------------
 # coefficient sequences
 # ---------------------------------------------------------------------------
@@ -355,28 +348,6 @@ class CoefficientSequence:
             raise SequenceError(
                 f"insufficient length: sequence {excerpt(self.label)} has "
                 f"{self.length} values, {excerpt_int(N)} requested")
-
-
-@dataclass(frozen=True, eq=False)
-class TwoSidedSequence:
-    """Coefficients of an exponential series: {c_n} and {c_-n}, n >= 1."""
-
-    pos: CoefficientSequence
-    neg: CoefficientSequence
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        lp, ln = self.pos.length, self.neg.length
-        if lp is not None and ln is not None and lp != ln:
-            raise SequenceError("two-sided halves have different lengths")
-
-    def pair_sums(self, N: int) -> np.ndarray:
-        """c_n + c_-n for n = 1..N (complex128)."""
-        return self.pos.prefix(N).astype(complex) + self.neg.prefix(N)
-
-    def pair_diffs(self, N: int) -> np.ndarray:
-        """c_n - c_-n for n = 1..N (complex128)."""
-        return self.pos.prefix(N).astype(complex) - self.neg.prefix(N)
 
 
 # ---------------------------------------------------------------------------

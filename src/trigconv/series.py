@@ -70,7 +70,6 @@ from .sequences import (
     STABILIZATION_THRESHOLD,
     CoefficientSequence,
     SequenceError,
-    TwoSidedSequence,
     _range_indices,
     _require_finite,
 )
@@ -366,9 +365,11 @@ class ProbeResult:
     pair_abs_sum: float        # sum |c_k + c_{-k}| over (n, 4n]
 
 
-def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
+def testpoint_block_probe(pos: CoefficientSequence, neg: CoefficientSequence,
+                          n: int) -> ProbeResult:
     """Measure the three sides of the inequality at the test point
-    x0 = pi/(8n):
+    x0 = pi/(8n), for the exponential series with c_k in pos and c_{-k} in
+    neg:
 
         2 sum_{k=n+1}^{4n} Re c_k sin k x0
             <= max_grid |S_{4n} - S_n| + sum_{k=n+1}^{4n} |c_k + c_{-k}|.
@@ -387,8 +388,9 @@ def testpoint_block_probe(ts: TwoSidedSequence, n: int) -> ProbeResult:
     sines = np.sin(k * x0)
     sin_floor_ok = bool(np.all(sines >= math.sin(math.pi / 8.0) - 1e-12))
 
-    lhs = 2.0 * exact_sum(ts.pos.prefix(4 * n)[n:].real * sines)
-    a, b = ts.pair_sums(4 * n), 1j * ts.pair_diffs(4 * n)
+    p, q = pos.prefix(4 * n), neg.prefix(4 * n)
+    lhs = 2.0 * exact_sum(p[n:].real * sines)
+    a, b = p.astype(complex) + q, 1j * (p.astype(complex) - q)
     pair_abs = exact_sum(np.abs(a[n:]))
 
     # the series is C(|x|) + S(|x|) at x = 0 and the grid points, and

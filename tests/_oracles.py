@@ -20,7 +20,6 @@ from trigconv.sequences import (
     REL_TOL,
     CoefficientSequence,
     SequenceError,
-    TwoSidedSequence,
 )
 from trigconv.series import (MAX_UNIFORM, OVERSAMPLE, GridSpec,
                              _block_length, _uniform_points)
@@ -56,16 +55,18 @@ def partial_sum_sine(b: CoefficientSequence, n: int, x: float):
     return sign * exact_complex_sum(np.asarray(vals, dtype=complex) * s)
 
 
-def partial_sum_two_sided(ts: TwoSidedSequence, n: int, x: float) -> complex:
-    """sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx})."""
+def partial_sum_two_sided(pos: CoefficientSequence, neg: CoefficientSequence,
+                          n: int, x: float) -> complex:
+    """sum_{k=1}^n (c_k e^{ikx} + c_{-k} e^{-ikx}), c_k in pos and c_{-k}
+    in neg."""
     if n < 0:
         raise SequenceError("partial_sum_two_sided needs n >= 0")
     if n == 0:
         return 0j
-    pos = np.asarray(ts.pos.prefix(n), dtype=complex)
-    neg = np.asarray(ts.neg.prefix(n), dtype=complex)
+    p = np.asarray(pos.prefix(n), dtype=complex)
+    q = np.asarray(neg.prefix(n), dtype=complex)
     e = np.exp(1j * np.arange(1, n + 1, dtype=float) * x)
-    return exact_complex_sum(pos * e + neg * np.conj(e))
+    return exact_complex_sum(p * e + q * np.conj(e))
 
 
 def dirichlet_sine(n: int, x: float) -> float:

@@ -33,7 +33,6 @@ from trigconv.sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     WeightSequence,
     sequence_from_text,
     weight_from_text,
@@ -478,12 +477,11 @@ def test_a_view_needs_two_terms():
 
 
 def test_pair_sector_needs_an_index():
-    ts = TwoSidedSequence(sequence_from_text("harmonic(2.0)"),
-                          sequence_from_text("zero"))
+    pair = sequence_from_text("harmonic(2.0)"), sequence_from_text("zero")
     for N in (0, -3):
         with pytest.raises(SequenceError, match=rf"bad index range \[1, {N}\]"):
-            check_pair_sector(ts, Sector(0.0), N)
-    assert check_pair_sector(ts, Sector(0.0), 1).verdict == HOLDS
+            check_pair_sector(*pair, Sector(0.0), N)
+    assert check_pair_sector(*pair, Sector(0.0), 1).verdict == HOLDS
 
 
 def test_weighted_rest_bv_real_label():
@@ -904,17 +902,15 @@ def test_orvqm_fails_outside_sector():
 
 
 def test_pair_sector_real_nonneg_trivial():
-    ts = TwoSidedSequence(sequence_from_text("harmonic(1.0)"),
-                          sequence_from_text("zero"))
-    rep = check_pair_sector(ts, Sector(0.0), 1 << 10)
+    rep = check_pair_sector(sequence_from_text("harmonic(1.0)"),
+                            sequence_from_text("zero"), Sector(0.0), 1 << 10)
     assert rep.verdict == HOLDS
 
 
 def test_pair_sector_detects_violation():
     pos = CoefficientSequence.explicit([1.0 + 0.9j, 0.5])
     neg = CoefficientSequence.explicit([0.0, 0.0])
-    rep = check_pair_sector(TwoSidedSequence(pos, neg),
-                            Sector(math.pi / 8), 2)
+    rep = check_pair_sector(pos, neg, Sector(math.pi / 8), 2)
     assert rep.verdict == FAILS
     assert rep.witness == 1
 
@@ -923,18 +919,17 @@ def test_pair_sector_derived_check_fires_past_a_right_angle():
     # theta0 + ANGLE_TOL passes pi/2, so the band the pair sums and pair
     # differences pass is not convex: -5e-13 + i and -5e-13 - i both lie in
     # it, and their sum 2 c_1 = -1e-12 has arg pi
-    ts = TwoSidedSequence(CoefficientSequence.explicit([-5e-13]),
-                          CoefficientSequence.explicit([1j]))
-    rep = check_pair_sector(ts, Sector(math.nextafter(math.pi / 2, 0)), 1)
+    rep = check_pair_sector(CoefficientSequence.explicit([-5e-13]),
+                            CoefficientSequence.explicit([1j]),
+                            Sector(math.nextafter(math.pi / 2, 0)), 1)
     assert (rep.verdict, rep.witness) == (FAILS, 1)
     assert rep.notes == "derived membership of 2c_n failed"
 
 
 def test_pair_sector_label_names_one_sector():
     # pi/8 reads back from no six-digit form, so the label prints its repr
-    ts = TwoSidedSequence(sequence_from_text("harmonic(1.0)"),
-                          sequence_from_text("zero"))
-    labels = [check_pair_sector(ts, Sector(theta0), 4).condition
+    pair = sequence_from_text("harmonic(1.0)"), sequence_from_text("zero")
+    labels = [check_pair_sector(*pair, Sector(theta0), 4).condition
               for theta0 in (0.25, math.pi / 8)]
     assert labels == ["PAIR_SECTOR(theta0=0.25)",
                       f"PAIR_SECTOR(theta0={math.pi / 8!r})"]

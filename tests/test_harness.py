@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from trigconv import cli
-from trigconv.conditions import PrefixView, check_group_bv
+from trigconv.conditions import FAILS, PrefixView, check_group_bv
 from trigconv.harness import (
     CLAIM_SECTOR,
     CLAIM_WEIGHTED,
@@ -19,6 +20,7 @@ from trigconv.harness import (
     _SUFFICIENCY_FAMILIES,
     _chain,
     _corpus_outcome,
+    _gate,
     _null_premise,
     _suffix,
     corpus_member,
@@ -32,7 +34,6 @@ from trigconv.sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     WeightSequence,
     sequence_from_text,
     unit_noise,
@@ -244,6 +245,43 @@ def test_corpus_outcome_status_rule():
         "1/2 chains hold"
 
 
+# --- gates -----------------------------------------------------------------
+
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (math.inf, math.inf),
+                                      (math.nan, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("scale", [None, 1.0, math.inf])
+def test_gate_fails_a_slack_of_minus_inf_or_nan(lhs, rhs, scale):
+    # an infinite side makes the default tolerance 1e-9 * inf = inf, which
+    # must not let an infinite or undefined shortfall pass
+    rec = _gate("g", "i", lhs, rhs, scale=scale)
+    assert not rec.passed
+    assert rec.slack == -math.inf or math.isnan(rec.slack)
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, math.inf])
+def test_gate_passes_a_finite_lhs_under_an_infinite_rhs(scale):
+    rec = _gate("g", "i", 1.0, math.inf, scale=scale)
+    assert rec.passed and rec.slack == math.inf
+
+
+def test_chain_gate_on_a_failed_group_check_fails(monkeypatch):
+    # the predicted-constant gate reads an infinite measured constant when
+    # the group-variation check does not hold, and fails on its slack
+    import trigconv.harness as harness
+    real = harness.check_group_bv
+
+    def failing(view, n0_list):
+        rep = real(view, n0_list)[0]
+        return [dataclasses.replace(rep, verdict=FAILS, constant=None)]
+
+    monkeypatch.setattr(harness, "check_group_bv", failing)
+    out = _chain(*corpus_member(1)[:2])
+    assert out.status == STATUS_VIOLATED
+    failed = [r for r in out.records if not r.passed]
+    assert [r.name for r in failed] == ["chain/predicted_constant"]
+    assert failed[0].lhs == math.inf and failed[0].slack == -math.inf
+
+
 # --- sector implication ----------------------------------------------------
 
 def _boundary_sequence(theta0):
@@ -435,10 +473,8 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
     from trigconv import harness, series
 
     def odd_instance(seed, length, theta0):
-        pos = CoefficientSequence.explicit(
-            1.0 / np.arange(1, length + 1), label=f"odd@{seed}:pos")
-        neg = CoefficientSequence.explicit(-pos.prefix(length), label="neg")
-        return TwoSidedSequence(pos, neg, label=f"odd@{seed}")
+        pos = CoefficientSequence.explicit(1.0 / np.arange(1, length + 1))
+        return pos, CoefficientSequence.explicit(-pos.prefix(length))
 
     rows = series._cos_sin_rows
 
@@ -448,14 +484,16 @@ def test_violated_testpoint_instance_keeps_its_measured_sides(monkeypatch):
 
     monkeypatch.setattr(harness, "_pair_sector_instance", odd_instance)
     monkeypatch.setattr(series, "_cos_sin_rows", flat_rows)
-    out = probe_necessity(instances=2, seed=7)
+    out = probe_necessity(2, 1)
     assert out.status == STATUS_VIOLATED
+    floors = [r for r in out.records if r.name == "testpoint/sine_floor"]
+    assert len(floors) == 3 and all(r.passed for r in floors)
     probes = [r for r in out.records if r.name == "testpoint/three_term"]
-    assert len(probes) == 2
+    assert [r.instance for r in probes] == ["pair@1", "pair@2"]
     for r in probes:
         assert not r.passed and r.detail == "premises_ok=True"
-        assert r.lhs > 0.0 and r.rhs == 0.0 and r.slack == -r.lhs
-        assert all(map(math.isfinite, (r.lhs, r.rhs, r.slack)))
+        assert r.lhs == pytest.approx(1.962305514115108, rel=1e-12)
+        assert r.rhs == 0.0 and r.slack == -r.lhs
     assert out.summary["worst_slack"] == min(r.slack for r in probes)
 
 

@@ -124,8 +124,8 @@ def test_public_knob_count_does_not_grow():
                     f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                     for f in dataclasses.fields(obj))
-    assert params + fields <= 19
-    assert len(trigconv.__all__) <= 40
+    assert params + fields <= 18
+    assert len(trigconv.__all__) <= 38
 
 
 def _assigned_at_top_level(mod) -> set:

@@ -15,9 +15,7 @@ from trigconv.sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     WeightSequence,
-    sector_dominance_constant,
     sequence_from_text,
     unit_noise,
     weight_from_text,
@@ -683,7 +681,6 @@ def test_sector_validation():
         Sector(math.pi / 2)
     with pytest.raises(SequenceError):
         Sector(-0.1)
-    assert sector_dominance_constant(Sector(math.pi / 3)) == pytest.approx(2.0)
     # -0.0 is K(0), stored as +0.0: one sector, one label
     assert math.copysign(1.0, Sector(-0.0).theta0) == 1.0
 
@@ -699,16 +696,6 @@ def test_sector_closed_under_positive_combinations(theta0, f1, f2, a, b):
     combo = a * z1 + b * z2
     if abs(combo) > 1e-12:
         # with c_-n = 0 the pair sums and differences are combo itself
-        ts = TwoSidedSequence(CoefficientSequence.explicit([combo]),
-                              CoefficientSequence.explicit([0.0]))
-        assert check_pair_sector(ts, s, 1).verdict == HOLDS
-
-
-# --- two-sided -------------------------------------------------------------
-
-def test_two_sided_pairs():
-    pos = CoefficientSequence.explicit([1.0, 0.5])
-    neg = CoefficientSequence.explicit([0.25, 0.125])
-    ts = TwoSidedSequence(pos, neg)
-    assert np.allclose(ts.pair_sums(2), [1.25, 0.625])
-    assert np.allclose(ts.pair_diffs(2), [0.75, 0.375])
+        assert check_pair_sector(CoefficientSequence.explicit([combo]),
+                                 CoefficientSequence.explicit([0.0]), s,
+                                 1).verdict == HOLDS

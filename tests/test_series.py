@@ -10,7 +10,6 @@ from trigconv.sequences import (
     CoefficientSequence,
     Sector,
     SequenceError,
-    TwoSidedSequence,
     sequence_from_text,
 )
 from trigconv.series import (
@@ -131,12 +130,13 @@ def _sine_rows(seq, grid, checkpoints):
     return _columns(grid), S
 
 
-def _two_sided_rows(ts, grid, checkpoints):
+def _two_sided_rows(pos, neg, grid, checkpoints):
     """The points of [-pi, pi] that testpoint_block_probe reads, and per
     strictly increasing checkpoint cp the rows at them of
     sum_{k<=cp} (c_k e^{ikx} + c_{-k} e^{-ikx}): C(|x|) - S(|x|) at the
     negated column points, C(|x|) + S(|x|) at the column points."""
-    a, b = ts.pair_sums(checkpoints[-1]), 1j * ts.pair_diffs(checkpoints[-1])
+    p, q = pos.prefix(checkpoints[-1]), neg.prefix(checkpoints[-1])
+    a, b = p.astype(complex) + q, 1j * (p.astype(complex) - q)
     nz = np.flatnonzero((a != 0) | (b != 0))
     k = nz + 1
     C, S = _cos_sin_rows(k, a[nz], b[nz], grid,
@@ -194,12 +194,10 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
     assert np.array_equal(np.sort(cols), np.r_[0.0, grid.points()])
     assert cols[0] == 0.0 and cols[M] == math.pi
     if two_sided:
-        obj = TwoSidedSequence(
-            CoefficientSequence.explicit(_coefficients(rng, N, support)),
-            CoefficientSequence.explicit(_coefficients(rng, N, support)))
-        scale = 1.0 + np.abs(obj.pos.prefix(N)).sum() \
-            + np.abs(obj.neg.prefix(N)).sum()
-        xs, rows = _two_sided_rows(obj, grid, checkpoints)
+        pos, neg = (CoefficientSequence.explicit(
+            _coefficients(rng, N, support)) for _ in range(2))
+        scale = 1.0 + np.abs(pos.prefix(N)).sum() + np.abs(neg.prefix(N)).sum()
+        xs, rows = _two_sided_rows(pos, neg, grid, checkpoints)
     else:
         obj = CoefficientSequence.explicit(_coefficients(rng, N, support))
         scale = 1.0 + np.abs(obj.prefix(N)).sum()
@@ -208,7 +206,7 @@ def test_rows_match_pointwise_partial_sums(seed, support, two_sided, n_ref,
     for cp, row in zip(checkpoints, rows):
         for x, got in zip(xs, row):
             if two_sided:
-                ref = partial_sum_two_sided(obj, cp, x)
+                ref = partial_sum_two_sided(pos, neg, cp, x)
             else:
                 ref = partial_sum_sine(obj, cp, x) if cp else 0.0
             assert abs(got - ref) <= 1e-12 * scale
@@ -517,10 +515,9 @@ def test_abel_tail_bound_dominates_actual_tail():
 
 def test_testpoint_probe_frozen_log_damped():
     # frozen from a direct run of this estimator
-    ts = TwoSidedSequence(sequence_from_text("log_damped"),
-                          sequence_from_text("zero"), label="logd-onesided")
-    assert check_pair_sector(ts, Sector(0.0), 4 * 256).verdict == HOLDS
-    pr = block_probe(ts, 256)
+    pos, neg = sequence_from_text("log_damped"), sequence_from_text("zero")
+    assert check_pair_sector(pos, neg, Sector(0.0), 4 * 256).verdict == HOLDS
+    pr = block_probe(pos, neg, 256)
     assert pr.sin_floor_ok
     assert pr.lhs == pytest.approx(0.3099495497932236, rel=1e-12)
     assert pr.norm_diff == pytest.approx(0.22270288135143979, rel=1e-12)
@@ -532,10 +529,10 @@ def test_testpoint_probe_premises_flag():
     # measures every side
     pos = CoefficientSequence.explicit(
         np.concatenate([[1.0 + 0.9j], 1.0 / np.arange(2, 41) ** 2]))
-    ts = TwoSidedSequence(pos, sequence_from_text("zero"))
-    rep = check_pair_sector(ts, Sector(math.pi / 8), 40)
+    neg = sequence_from_text("zero")
+    rep = check_pair_sector(pos, neg, Sector(math.pi / 8), 40)
     assert (rep.verdict, rep.witness) == (FAILS, 1)
-    pr = block_probe(ts, 10)
+    pr = block_probe(pos, neg, 10)
     assert all(map(math.isfinite, (pr.lhs, pr.norm_diff, pr.pair_abs_sum)))
 
 
@@ -551,15 +548,15 @@ def test_testpoint_probe_norm_diff_is_the_brute_force_maximum(seed, n):
         return (rng.standard_normal(4 * n)
                 + 1j * rng.standard_normal(4 * n)) / k
 
-    ts = TwoSidedSequence(CoefficientSequence.explicit(draw()),
-                          CoefficientSequence.explicit(draw()))
-    scale = 1.0 + np.abs(ts.pos.prefix(4 * n)).sum() \
-        + np.abs(ts.neg.prefix(4 * n)).sum()
+    pos = CoefficientSequence.explicit(draw())
+    neg = CoefficientSequence.explicit(draw())
+    scale = 1.0 + np.abs(pos.prefix(4 * n)).sum() \
+        + np.abs(neg.prefix(4 * n)).sum()
     pts = GridSpec(n_ref=n).points()
     xs = np.concatenate([-pts[pts < math.pi], [0.0], pts])
-    want = max(abs(partial_sum_two_sided(ts, 4 * n, x)
-                   - partial_sum_two_sided(ts, n, x)) for x in xs)
-    assert abs(block_probe(ts, n).norm_diff - want) <= 1e-12 * scale
+    want = max(abs(partial_sum_two_sided(pos, neg, 4 * n, x)
+                   - partial_sum_two_sided(pos, neg, n, x)) for x in xs)
+    assert abs(block_probe(pos, neg, n).norm_diff - want) <= 1e-12 * scale
 
 
 @settings(max_examples=20, deadline=None)
