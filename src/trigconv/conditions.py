@@ -154,8 +154,9 @@ def _group_bv_scan_end(N: int, m_max: Optional[int], N0: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PrefixView:
-    """g of one prefix (see the module docstring), and its tail sums on
-    first read; ``weight`` None means R = 1."""
+    """g of one prefix (see the module docstring), and its tail sums (with
+    the exact parts of their chunks) on first read; ``weight`` None means
+    R = 1."""
 
     seq: CoefficientSequence
     weight: Optional[WeightSequence]
@@ -195,7 +196,14 @@ class PrefixView:
         """tail[m-1] = sum_{n>=m} |g_n - g_{n+1}|, tail[N-1] = 0, from one
         suffix_sums call at the first read; a variation sum past the float
         range is a SequenceError there, and nothing is kept."""
-        g, absdiff = self.g, np.zeros(self.N)
+        return self._variation[0]
+
+    @cached_property
+    def _variation(self) -> tuple[np.ndarray, list[list[float]]]:
+        """(tail, the exact parts of each chunk after the first of the
+        |g_n - g_{n+1}| that suffix_sums kept, or none), the tail's one
+        build."""
+        g, absdiff, parts = self.g, np.zeros(self.N), []
         d = absdiff[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
             if np.iscomplexobj(g):
@@ -203,11 +211,11 @@ class PrefixView:
             else:       # one buffer, with no temporary of N values
                 np.abs(np.subtract(g[:-1], g[1:], out=d), out=d)
         try:  # g is finite; an overflowing difference reaches tail[0]
-            tail = suffix_sums(absdiff)
+            tail = suffix_sums(absdiff, parts)
         except OverflowError:  # math.fsum: the exact sum is past the range
             tail = np.array([np.inf])
         _require_finite(tail[0], "the variation sum of c_n/R(n)")
-        return tail
+        return tail, parts
 
     @property
     def N(self) -> int:
@@ -611,6 +619,17 @@ def _first_zero_rhs_failure(c: np.ndarray, N0: int,
     return _first_flagged(count, failing)
 
 
+def _few_to_read(bound: np.ndarray, low: float,
+                 witness: int) -> Optional[np.ndarray]:
+    """The 0-based m whose bound exceeds low, or reaches it up to the
+    witness, when they are fewer than an eighth of the scan; else None."""
+    near = bound > low
+    near[:witness] |= bound[:witness] == low
+    if 8 * np.count_nonzero(near) < bound.shape[0]:
+        return np.flatnonzero(near)
+    return None
+
+
 def check_group_bv(view: PrefixView, n0_list: Sequence[int],
                    m_max: Optional[int] = None) -> list[ConditionReport]:
     """Group bounded variation with a fixed comparison window, one report
@@ -677,10 +696,30 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     for every later window, and a mask marks its m.  Each window sums only
     the kept m the memo lacks, in one summation.variation_sums call over
     c (block m is the range [m - 1, 2m) of 0-based differences), so each
-    block is summed once, and reads its constant and witness from
-    fl(L~_m / R_m) over the m of the memo.  An m of the memo that the
-    window does not keep has that ratio below the floor (0 where the floor
-    is not positive), so it moves neither.
+    block is summed once.  Its ratio at those m becomes fl(L~_m / R_m), as
+    at every m of the memo, and the window reads its constant and witness
+    as the first largest ratio over the m it reads: the largest over the
+    kept m is at least the floor, and every other m, in the memo or not,
+    has a ratio below the floor (at most 0 where the floor is not
+    positive), so it moves neither.
+
+    A window after the first reads few m when it can.  Each m keeps its
+    last ratio U_m, fl(L~_m / R_m) in the memo and fl(A_m / R_m) outside
+    it; R only grows from window to window, so U_m bounds both ratios of
+    m in every later window.  At the last witness w, low = fl(L~_w / R_w)
+    under the new R is a ratio this window reaches, so its constant is at
+    least low.  An m with U_m < low stays below it, and an m after w with
+    U_m = low can at most tie it after w, where no witness lies.  When
+    fewer than an eighth of the scan are left, the window reads only
+    those: the first largest fl(A_m / R_m), so the floor, is the whole
+    scan's, every m that can be the witness is kept, and an m left out
+    that the whole scan would keep moves neither the constant nor the
+    witness.  Otherwise it reads every m.  The call gets the exact parts
+    of each 4096-difference chunk that the tail's build split: a few long
+    kept blocks are each math.fsum of the parts of their whole chunks and
+    of their two ragged ends, the bits of math.fsum over the block (see
+    the summation module), and a dense set of kept m is summed over its
+    hull.
     """
     windows = _windows(n0_list)
     if not windows:
@@ -706,40 +745,58 @@ def check_group_bv(view: PrefixView, n0_list: Sequence[int],
     windows, counts = windows[first:], counts[first:]
     R = np.abs(c[:max(n + n0 - 1 for n, n0 in zip(counts, windows))])
     width = 1
-    tail = view.tail    # built here, at its first read
+    tail, parts = view._variation   # built here, at its first read
     ta = tail[:counts[0]]
     A = ta - tail[2:2 * counts[0] + 1:2]
     work = np.multiply(ta, _BOUND)
     with np.errstate(over="ignore"):  # inf keeps its m
         A += work
     done = np.zeros(counts[0], dtype=bool)  # the memo's m
+    best, witness = 0.0, 1
 
     for N0, count in zip(windows, counts):
         cond, span = f"GROUP_BV(N0={N0})", (count, N)
         width = _widen(R, width, N0)
         Rw = R[:count]
-        w = work[:count]                      # fl(A_m / R_m)
+        few = None     # the m read: every m, or a few (see the docstring)
+        if best > 0.0 and witness <= count:
+            with np.errstate(over="ignore"):
+                low = A[witness - 1] / Rw[witness - 1]
+            few = _few_to_read(work[:count], low, witness)
+        scan = slice(0, count) if few is None else few
+
+        def m_at(i):     # the m at places i of the scan, 0-based
+            return i if few is None else few[i]
+
+        Rs = Rw[scan]
+        # fl(A_m / R_m) over the m read, 0 where R_m = 0; in place over
+        # work when every m is read, and a bound on each m's later ratios
+        w = work[:count] if few is None else np.empty(Rs.shape)
         with np.errstate(over="ignore"):
-            if Rw.min() > 0.0:
-                np.divide(A[:count], Rw, out=w)
-            else:                             # ratio 0 at R_m = 0
+            if Rs.min() > 0.0:
+                np.divide(A[scan], Rs, out=w)
+            else:
                 w.fill(0.0)
-                np.divide(A[:count], Rw, out=w, where=Rw != 0.0)
+                np.divide(A[scan], Rs, out=w, where=Rs != 0.0)
         top, floor = int(np.argmax(w)), 0.0
         if w[top] > 0.0:    # fl(B_m / R_m) at the largest fl(A_m / R_m)
-            a, b = top, 2 * (top + 1)
+            a = int(m_at(top))
             with np.errstate(over="ignore"):
-                floor = ((tail[a] - tail[b]) - tail[a] * _BOUND) / Rw[top]
-        # the kept m that the memo lacks
-        todo = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
-                              & ~done[:count])
-        A[todo] = variation_sums(c, todo, 2 * todo + 2)  # the memo's L~_m
+                floor = ((tail[a] - tail[2 * a + 2]) - tail[a] * _BOUND
+                         ) / Rs[top]
+        # the kept m that the memo lacks, as places in the scan
+        at = np.flatnonzero((w >= floor if floor > 0.0 else w > 0.0)
+                            & ~done[scan])
+        todo = m_at(at)
+        A[todo] = variation_sums(c, todo, 2 * todo + 2, parts)  # L~_m
         done[todo] = True
-        memo = np.flatnonzero(done[:count])   # R_m > 0 at each of them
         with np.errstate(over="ignore"):      # an inf constant is rejected
-            ratios = A[memo] / Rw[memo]       # fl(L~_m / R_m)
-        best = float(ratios.max()) if memo.size else 0.0
-        witness = 1 + int(memo[np.argmax(ratios)]) if best > 0.0 else 1
+            w[at] = A[todo] / Rs[at]          # fl(L~_m / R_m) at every kept m
+        if few is not None:
+            work[few] = w
+        top = int(np.argmax(w))
+        best = float(w[top]) if w[top] > 0.0 else 0.0
+        witness = int(m_at(top)) + 1 if best > 0.0 else 1
         reports[N0] = ConditionReport(cond, HOLDS, best, witness, *span, 0.0)
     return [reports[int(n0)] for n0 in n0_list]
 

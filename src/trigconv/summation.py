@@ -5,9 +5,10 @@ below so that repeated runs produce bit-identical results: fixed evaluation
 order, no threading, and exactly rounded sums where the error matters.
 
 Every exactly rounded sum, ``exact_sum``, the chunk sums of
-``suffix_sums`` and the range sums of ``_range_sums`` (which serve the
-variation sums of ``variation_sums`` and the offsets of ``suffix_sums``),
-has the bits of ``math.fsum`` over the same floats.  One loop, _extract,
+``suffix_sums``, the range sums of ``_range_sums`` (which serve the
+variation sums of ``variation_sums`` and the offsets of ``suffix_sums``)
+and the variation sums taken from chunk parts, has the bits of
+``math.fsum`` over the same floats.  One loop, _extract,
 splits the values without error into a few floats per row or per range:
 the vector extraction of Rump, Ogita and Oishi (*Accurate floating-point
 summation, part I*, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.2,
@@ -60,24 +61,42 @@ be, from one _range_sums call.  The first chunk's sum is still taken,
 and dropped, where math.fsum could raise on it (a non-finite value, or
 some |x| above 2^1021/_CHUNK), so that suffix_sums raises what summing
 every chunk would raise.
+
+Sums from chunk parts.  The level sums of one chunk that suffix_sums
+splits are floats whose exact sum is the chunk's exact sum (the proof
+above, a row per chunk), and suffix_sums can hand them on.  A long range
+of the same values is then a union of whole chunks and two ragged ends:
+math.fsum over the parts of those chunks and the exact parts of each end
+(the end's own level sums, or its values) reads floats whose exact sum is
+the range's exact sum, and rounds it correctly, as math.fsum over the
+range's values does: the same float, at the cost of the two ends and a
+few floats per chunk.  The first chunk is never split, so a range that
+reaches into it takes that share as an end.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 # Chunk length for the blocked suffix-sum scheme (see suffix_sums).
 _CHUNK = 4096
 # exact_sum and suffix_sums run _extract on arrays of at least _T values, in
-# blocks of about _BLOCK values (256 KB, which stay in cache).  Below about
-# 1500-2000 values its fixed cost of about 20 numpy calls per block loses to
-# math.fsum on positive data; at 4096 it wins on every data shape measured
-# (positive, signed, 1/k^2, sin(kx)/k; 2-core Xeon, numpy 2.4).
-_T = 4096
+# blocks of about _BLOCK values (256 KB, which stay in cache).  Its fixed
+# cost of about 20 numpy calls per block loses to math.fsum below about
+# 2000 values and ties near 2048 on positive data; from 2560 values on it
+# wins on every data shape measured.  Best of 7 x 50 calls, math.fsum /
+# _row_parts in microseconds (2-core Xeon, numpy 2.4):
+#
+#     values   positive   signed      1/k^2      sin(kx)/k
+#     1000     15 / 27    22 / 27     15 / 27    23 / 27
+#     2048     32 / 31    61 / 32     34 / 33    54 / 31
+#     2560     41 / 33    75 / 34     41 / 33    63 / 33
+#     4095     65 / 37    137 / 37    65 / 37    108 / 38
+_T = 2560
 _BLOCK = 1 << 15
 # _extract's range: no |x| above _HUGE, so sigma and every sum of a level
 # stay far below overflow.
@@ -85,6 +104,11 @@ _HUGE = 2.0 ** 900
 # The level table serves the range sums once the ranges hold more than this
 # many values per value of the array; below it exact_sum runs per range.
 _TABLE_FROM = 1
+# variation_sums sums a range from the parts of its whole chunks once the
+# ranges average more than this many differences of their hull each.  A
+# range costs 60-80 us that way, as much as 6,000-13,000 differences of
+# the level table over the hull (perturbed and rbv_block at 2^20).
+_SPARSE = 4 * _CHUNK
 
 
 def _extract(values: np.ndarray, reduce: Callable[..., None],
@@ -163,12 +187,19 @@ def exact_sum(values) -> float:
     input with no nonzero value are math.fsum over the buffer, with its
     value, its OverflowError and its signed zero.
     """
-    arr = np.ascontiguousarray(values, dtype=float)
+    return math.fsum(_exact_parts(np.ascontiguousarray(values, dtype=float)))
+
+
+def _exact_parts(arr: np.ndarray) -> Iterable[float]:
+    """Floats whose exact sum is the exact sum of a flat float array: from
+    _T values on, the parts of _row_parts (one row per block); below _T
+    values, on input _extract declines and with no nonzero value, the
+    values themselves (see exact_sum)."""
     if arr.shape[0] >= _T:
         parts = _row_parts(arr, _BLOCK)
         if parts is not None and any(parts):
-            return math.fsum(itertools.chain.from_iterable(parts))
-    return math.fsum(memoryview(arr))
+            return itertools.chain.from_iterable(parts)
+    return memoryview(arr)
 
 
 def _range_sums(values: np.ndarray, starts: np.ndarray,
@@ -221,22 +252,52 @@ def _range_sums(values: np.ndarray, starts: np.ndarray,
                      for a, b in zip(starts.tolist(), stops.tolist())])
 
 
-def variation_sums(c: np.ndarray, starts: np.ndarray,
-                   stops: np.ndarray) -> np.ndarray:
+def _abs_diffs(c: np.ndarray, a: int, b: int) -> np.ndarray:
+    """|c_j - c_(j+1)| for j = a..b-1, in one new float array."""
+    d = np.subtract(c[a:b], c[a + 1:b + 1])
+    return np.abs(d, out=d) if d.dtype == float else np.abs(d)
+
+
+def variation_sums(c: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                   chunk_parts: Sequence[list[float]] = ()) -> np.ndarray:
     """The bits of math.fsum of |c_j - c_(j+1)| over j = a..b-1 for each a
     of ``starts`` and b of ``stops`` (ascending int arrays, 0 <= a <= b <
-    len(c)), for a real or complex float array ``c``, from one _range_sums
-    call over the differences of the hull [starts[0], stops[-1]] (their
-    one copy); math.fsum's OverflowError past the float range."""
+    len(c)), for a real or complex float array ``c``; math.fsum's
+    OverflowError past the float range.
+
+    ``chunk_parts``, when given, holds for each chunk k = 1..K of _CHUNK
+    differences (j in [k _CHUNK, (k+1) _CHUNK)) floats whose exact sum is
+    the chunk's, as suffix_sums keeps them.  When the ranges average more
+    than _SPARSE differences of their hull each, a range is then math.fsum
+    of the parts of every such chunk inside it and the exact parts of its
+    two ragged ends, each fewer than _CHUNK differences formed from c
+    (_exact_parts); a range that holds no such chunk is the exact_sum of
+    its differences.  Otherwise one _range_sums call runs over the
+    differences of the hull [starts[0], stops[-1]] (their one copy).
+    """
     if not starts.shape[0]:
         return np.zeros(0)
     lo, hi = int(starts[0]), int(stops[-1])
-    d = np.subtract(c[lo:hi], c[lo + 1:hi + 1])
-    d = np.abs(d, out=d) if d.dtype == float else np.abs(d)
-    return _range_sums(d, starts - lo, stops - lo)
+    if chunk_parts and starts.shape[0] * _SPARSE < hi - lo:
+        return np.array([_chunked_sum(c, a, b, chunk_parts)
+                         for a, b in zip(starts.tolist(), stops.tolist())])
+    return _range_sums(_abs_diffs(c, lo, hi), starts - lo, stops - lo)
 
 
-def suffix_sums(values: np.ndarray) -> np.ndarray:
+def _chunked_sum(c: np.ndarray, a: int, b: int,
+                 chunk_parts: Sequence[list[float]]) -> float:
+    """One range of variation_sums from the parts of its whole chunks."""
+    first, stop = max(1, -(-a // _CHUNK)), b // _CHUNK
+    if first >= stop:
+        return exact_sum(_abs_diffs(c, a, b))
+    s, t = first * _CHUNK, stop * _CHUNK
+    return math.fsum(itertools.chain(
+        _exact_parts(_abs_diffs(c, a, s)), _exact_parts(_abs_diffs(c, t, b)),
+        *chunk_parts[first - 1:stop - 1]))
+
+
+def suffix_sums(values: np.ndarray,
+                chunk_parts: Optional[list] = None) -> np.ndarray:
     """Return ``s`` with ``s[i] == sum(values[i:])`` for a 1-D real array.
 
     Per chunk of _CHUNK values, ``s[i]`` is the chunk's reversed recursive
@@ -251,7 +312,9 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     the first chunk's sum.  They are math.fsum of each chunk's parts from
     one _row_parts call over those chunks, a row per chunk, or of the
     chunk itself below _T values and on input _extract declines (see
-    exact_sum).  The offsets are one _range_sums call over those K sums,
+    exact_sum).  A list ``chunk_parts`` receives those parts, one list of
+    floats per chunk after the first, when _row_parts gave them; it stays
+    empty otherwise.  The offsets are one _range_sums call over those K sums,
     the ranges [j, K) for j = 0..K.  An input of at most _CHUNK values (K
     = 0) is one reversed cumsum plus the offset 0.0 (which turns -0.0 into
     +0.0), and nothing else.  The first chunk's sum is still taken, and
@@ -277,6 +340,8 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     if parts is None:
         parts = [memoryview(rest[s:s + _CHUNK])
                  for s in range(0, rest.shape[0], _CHUNK)]
+    elif chunk_parts is not None:
+        chunk_parts.extend(parts)
     later = [math.fsum(p) for p in parts]
     K = len(later)
     offsets = (_range_sums(np.array(later), np.arange(K + 1),

@@ -683,12 +683,26 @@ def test_group_bv_memo_sums_each_block_once(monkeypatch, text):
     summed = []
     variation_sums = conditions.variation_sums
     monkeypatch.setattr(conditions, "variation_sums",
-                        lambda c, starts, stops: summed.append(starts.copy())
-                        or variation_sums(c, starts, stops))
+                        lambda c, starts, *rest: summed.append(starts.copy())
+                        or variation_sums(c, starts, *rest))
     _same_reports(check_group_bv(PrefixView.of(seq, 1 << 14), windows),
                   expected)
     every = np.concatenate(summed)
     assert every.size and np.unique(every).size == every.size
+
+
+def _group_bv_scratch(text: str, N: int) -> int:
+    """Peak bytes that GROUP_BV over the default windows allocates past a
+    view of N terms whose tail sums are built."""
+    view = PrefixView.of(sequence_from_text(text), N)
+    view.tail
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_group_bv(view, conditions.DEFAULT_WINDOWS)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_group_bv_scratch_is_bounded_beyond_the_prefix_and_its_tail():
@@ -698,16 +712,96 @@ def test_group_bv_scratch_is_bounded_beyond_the_prefix_and_its_tail():
     # in blocks (4.16 x 8N when every window's kept m and R were held to
     # the end and _extract's scratch was the whole array)
     N = 1 << 18
-    view = PrefixView.of(sequence_from_text("rbv_block(1.0)"), N)
-    view.tail
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        check_group_bv(view, conditions.DEFAULT_WINDOWS)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * 8 * N
+    assert _group_bv_scratch("rbv_block(1.0)", N) <= 3.25 * 8 * N
+
+
+def test_group_bv_scratch_of_a_few_long_blocks_copies_no_hull():
+    # perturbed keeps one block of about N/4 terms per window: summed from
+    # the tail's chunk parts and two ragged ends, it copies no differences
+    # over the block's hull (1.28 x 8N when it did)
+    N = 1 << 18
+    assert _group_bv_scratch("perturbed(11,harmonic(2.0),0.05)", N) \
+        <= 1.0 * 8 * N
+
+
+@pytest.mark.parametrize("text", ["perturbed(11,harmonic(2.0),0.05)",
+                                  "quasimono(0.5,2.0)", "rbv_block(1.0)"])
+def test_group_bv_reads_two_ragged_ends_per_kept_block(monkeypatch, text):
+    # a kept block reads at most 2 x 4096 differences beyond the chunk
+    # parts of the tail, however long it is, and no hull is copied; the
+    # dense kept sets of rbv_block (14 blocks over a hull of 98,299
+    # differences, then 32,767 blocks) take the level table
+    N, chunk = 1 << 18, summation._CHUNK
+    view = PrefixView.of(sequence_from_text(text), N)
+    expected = check_group_bv(view, conditions.DEFAULT_WINDOWS)
+    blocks, hulls, inside = [], [], [False]   # differences read
+    abs_diffs, chunked = summation._abs_diffs, summation._chunked_sum
+
+    def counting(c, a, b):
+        if inside[0]:
+            blocks[-1] += b - a
+        else:
+            hulls.append(b - a)
+        return abs_diffs(c, a, b)
+
+    def per_block(*args):
+        blocks.append(0)
+        inside[0] = True
+        try:
+            return chunked(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(summation, "_abs_diffs", counting)
+    monkeypatch.setattr(summation, "_chunked_sum", per_block)
+    _same_reports(check_group_bv(PrefixView.of(sequence_from_text(text), N),
+                                 conditions.DEFAULT_WINDOWS), expected)
+    if text == "rbv_block(1.0)":
+        assert not blocks and hulls
+    else:
+        assert blocks and max(blocks) <= 2 * chunk and not hulls
+
+
+@pytest.mark.parametrize("text, reads", [
+    ("perturbed(11,harmonic(2.0),0.05)", [25, 2285, 867, 711]),
+    ("harmonic(1.0)", [1, 1, 1, 1]),
+    # window 2 keeps 32,767 tied blocks and reads every m; the rest tie its
+    # constant after its witness
+    ("rbv_block(1.0)", [None, 1, 1, 1]),
+])
+def test_group_bv_later_windows_read_few_m(monkeypatch, text, reads):
+    # a window after the first reads only the m whose last ratio can still
+    # reach its constant, when they are fewer than an eighth of the scan,
+    # and its report is a one-window call's
+    seq, N = sequence_from_text(text), 1 << 18
+    expected = [check_group_bv(PrefixView.of(seq, N), (n0,))[0]
+                for n0 in conditions.DEFAULT_WINDOWS]
+    got, few = [], conditions._few_to_read
+
+    def counting(*args):
+        m = few(*args)
+        got.append(None if m is None else m.shape[0])
+        return m
+
+    monkeypatch.setattr(conditions, "_few_to_read", counting)
+    _same_reports(check_group_bv(PrefixView.of(seq, N),
+                                 conditions.DEFAULT_WINDOWS), expected)
+    assert got == reads
+
+
+@pytest.mark.parametrize("text", ["perturbed(11,harmonic(2.0),0.05)",
+                                  "rbv_block(1.0)", "harmonic(1.0)"])
+@pytest.mark.parametrize("N", [(1 << 14) + 3, 1 << 16])
+def test_group_bv_routes_give_the_same_reports(text, N):
+    # every kept block from the chunk parts, or every kept set from the
+    # level table over its hull: the same bits either way
+    seq = sequence_from_text(text)
+    reports = []
+    for sparse in (0, math.inf):
+        with mock.patch.object(summation, "_SPARSE", sparse):
+            reports.append(check_group_bv(PrefixView.of(seq, N),
+                                          conditions.DEFAULT_WINDOWS))
+    _same_reports(*reports)
 
 
 # runs of equal values, zeros among them: a zero run fails GROUP_BV where
@@ -995,6 +1089,16 @@ _CLASSIFY_DIGESTS_2_20 = {
         "94e98eb99ce1dc06ae096b2ad1059673edad5ae8a8ce97e77e74452ccdaf647e",
     "perturbed(11,harmonic(2.0),0.05)":
         "a01360a845fbc02f3d3ef1b7b10df04e5f4ee11969aab89a7c97a612033530a1",
+    # the rest of the benchmark's classify families, frozen before GROUP_BV
+    # summed a kept block from the tail's chunk parts
+    "harmonic(1.0)":
+        "d14a5bf2aef0ed2b642f3cd95afc949bdb0b182e6a4df0540d209217ccbe3f1b",
+    "log_damped":
+        "64bf4f84b3b6950a376249e0ff947d11164c9e6a5f30e0db1a05d0730fb23650",
+    "quasimono(0.5,2.0)":
+        "ddca089d364754887bcf711a4681293a4a39cdc9ca7506a76593de75fbec37bd",
+    "perturbed(1,harmonic(2.0),0.05)":
+        "a4a76f0c105047b2af186052b7b3a7049234d62bb72d6fec01fa5c820c55c96a",
 }
 
 
@@ -1138,9 +1242,9 @@ def _count_suffix_sums(monkeypatch):
     import trigconv.conditions as conditions
     calls = []
 
-    def counting(values):
+    def counting(values, *rest):
         calls.append(len(values))
-        return suffix_sums(values)
+        return suffix_sums(values, *rest)
 
     monkeypatch.setattr(conditions, "suffix_sums", counting)
     return calls

@@ -510,6 +510,65 @@ def test_variation_sums_are_fsum_of_each_range(real, imag, pairs, block):
     assert c.tobytes() == before        # c is only read
 
 
+# --- a range from the chunk parts that suffix_sums keeps ---------------------
+
+def _coefficients(shape: str, n: int, rng, huge_at: int) -> np.ndarray:
+    if shape == "signed":
+        return rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+    if shape == "complex":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if shape == "zero_runs":      # whole chunks and ranges of zeros
+        cuts = np.sort(rng.integers(0, n, 4))
+        return np.repeat(rng.random(5), np.diff(cuts, prepend=0, append=n))
+    if shape == "subnormal":      # every difference below 2^-1022
+        return rng.random(n) * 2.0 ** -1060
+    c = rng.random(n)
+    if shape == "huge":           # |c_n - c_(n+1)| past 2^900 at two n
+        c[huge_at] = 2.0 ** 950
+    return c
+
+
+_CHUNK_ROUTE_SHAPES = ["positive", "signed", "complex", "zero_runs",
+                       "subnormal", "huge"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4097, 5 * 4096), st.sampled_from(_CHUNK_ROUTE_SHAPES),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 5 * 4096),
+       st.lists(st.tuples(st.integers(0, 5 * 4096), st.integers(0, 3 * 4096)),
+                min_size=1, max_size=8))
+@example(4096 + 2 * 4096 + 17, "huge", 0, 4095, [(0, 5 * 4096)])
+@example(4096 + 2 * 4096 + 17, "huge", 0, 4096, [(0, 5 * 4096)])
+def test_chunk_route_is_fsum_of_each_range(n, shape, seed, huge_at, pairs):
+    # the parts of each whole chunk 1..K plus the exact parts of two
+    # ragged ends sum exactly to the range: math.fsum's bits per range.
+    # Ranges start in chunk 0, end in the last partial chunk, lie inside
+    # one chunk, or hold only zeros or subnormal differences.  A difference
+    # past 2^900 outside chunk 0 leaves no parts, and the level table runs
+    huge_at = min(huge_at, n - 2)
+    c = _coefficients(shape, n, np.random.default_rng(seed), huge_at)
+    d = np.zeros(n)             # as a view's tail forms |c_n - c_(n+1)|
+    d[:-1] = np.abs(c[:-1] - c[1:])
+    parts = []
+    suffix_sums(d, parts)
+    kept = n - 4096 >= summation._T and not (shape == "huge"
+                                             and huge_at >= 4096)
+    assert len(parts) == (-(-(n - 4096) // 4096) if kept else 0)
+    # ascending starts, and stops that ascend with them, up to len(c) - 1
+    starts = np.minimum(sorted(a for a, _ in pairs), n - 1)
+    stops = np.maximum.accumulate(
+        np.minimum(starts + [length for _, length in pairs], n - 1))
+    ranges = [(starts, stops)] + [
+        (np.array([min(a, n - 1)]), np.array([min(b, n - 1)]))
+        for a, b in [(0, n - 1), (4097, 4296), (4095, 2 * 4096 + 1),
+                     (3 * 4096 - 5, n - 1)]]
+    for starts, stops in ranges:
+        want = _variation_oracle(c, starts, stops)
+        with mock.patch.object(summation, "_SPARSE", 0):
+            got = summation.variation_sums(c, starts, stops, parts)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
 # --- suffix_sums sums every chunk but the first -----------------------------
 
 @pytest.mark.parametrize("chunk, n", [
